@@ -7,8 +7,8 @@ where relevant diagnostics.json. Bodies are byte-identical under a fixed
 (config, seed); only the manifest carries the timestamp.
 
 Config resolution: built-in defaults < JSON file (--config) < flags.
-Exit codes: 0 success, 2 config error, 3 invariant violation,
-4 unsupported combination.
+Exit codes: 0 success, 2 config error, 3 invariant violation or internal
+numerical failure, 4 unsupported combination.
 
 Times in data files are in units of t_J except the disorder command, whose
 absolute t shares units with 1/B, 1/Omega (no exchange scale there).
@@ -114,11 +114,15 @@ def _tool_version() -> str:
 def _start_run(cfg: dict, command: str) -> Path:
     stamp = time.strftime("%Y%m%dT%H%M%S")
     base = Path(cfg["outdir"]) / f"{command}-{stamp}"
+    base.parent.mkdir(parents=True, exist_ok=True)
     path, k = base, 0
-    while path.exists():
-        k += 1
-        path = Path(f"{base}-{k:02d}")
-    path.mkdir(parents=True)
+    while True:
+        try:
+            path.mkdir()  # exclusive: a concurrent run cannot claim the same name
+            break
+        except FileExistsError:
+            k += 1
+            path = Path(f"{base}-{k:02d}")
     _write_json(path / "manifest.json", {
         "command": command,
         "created": stamp,
@@ -858,6 +862,10 @@ def main(argv=None) -> int:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
     except ValueError as exc:
+        from .qlinalg import NumericalError  # deferred like every library import
+        if isinstance(exc, NumericalError):
+            print(f"numerical failure: {exc}", file=sys.stderr)
+            return EXIT_INVARIANT
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -30,7 +30,7 @@ from fractions import Fraction
 import numpy as np
 
 from .network import NetworkSpec, QuenchSchedule, build_hamiltonian, t_scale
-from .qlinalg import HERM_TOL, PAULI_AXES, HermitianEvolver, embed, pauli
+from .qlinalg import HERM_TOL, PAULI_AXES, HermitianEvolver, NumericalError, embed, pauli
 from .reduced import _env_inputs, transfer_from_unitary
 
 # Default field-to-coupling ratio used when a "generic" (incommensurate)
@@ -143,7 +143,7 @@ class SpectralAverage:
         degenerate = np.abs(gaps) <= _DEGEN_TOL * max(1.0, float(np.ptp(energies)))
         limit = coef[degenerate].sum(axis=0)
         if np.max(np.abs(limit.imag)) > HERM_TOL:
-            raise ValueError("time-averaged map has complex transfer entries")
+            raise NumericalError("time-averaged map has complex transfer entries")
         pairs = np.triu(~degenerate, k=1)
         pairs &= np.max(np.abs(coef), axis=(2, 3)) > _AMPLITUDE_FLOOR
         self.limit = limit.real.copy()

@@ -25,8 +25,14 @@ SZ = np.array([[1, 0], [0, -1]], dtype=complex)
 
 _PAULI = {"0": SI, "x": SX, "y": SY, "z": SZ}
 PAULI_AXES = ("0", "x", "y", "z")
+PAULI_STACK = np.stack([SI, SX, SY, SZ])
+PAULI_STACK.flags.writeable = False
 
 HERM_TOL = 1e-10
+
+
+class NumericalError(ValueError):
+    """A numerical invariant failed inside the library (not bad user input)."""
 
 
 def pauli(axis: str) -> np.ndarray:
@@ -80,14 +86,14 @@ def partial_trace_keep(rho: np.ndarray, site: int) -> np.ndarray:
         raise ValueError("density matrix dimension is not a power of 2")
     if not 0 <= site < n:
         raise ValueError(f"site {site} out of range for n={n}")
-    # Reshape to one axis per ket/bra qubit, then contract all pairs but `site`.
-    t = rho.reshape((2,) * (2 * n))
-    for k in range(n - 1, -1, -1):
-        if k == site:
-            continue
-        # Current tensor has one ket axis per remaining qubit, then bra axes.
-        t = np.trace(t, axis1=k, axis2=k + (t.ndim // 2))
-    return t
+    # Take the environment diagonal (no arithmetic), then add environment
+    # qubits pairwise, last qubit first: the summation order of one np.trace
+    # per qubit, so results stay bit-identical to that reference.
+    lo, hi = 2**site, 2 ** (n - 1 - site)
+    d = np.einsum("xayxby->xyab", rho.reshape(lo, 2, hi, lo, 2, hi)).reshape(-1, 2, 2)
+    while len(d) > 1:
+        d = d[0::2] + d[1::2]
+    return d[0]
 
 
 class HermitianEvolver:
@@ -100,7 +106,7 @@ class HermitianEvolver:
     def __init__(self, h: np.ndarray):
         h = np.asarray(h, dtype=complex)
         if np.max(np.abs(h - h.conj().T)) > HERM_TOL:
-            raise ValueError("generator is not Hermitian")
+            raise NumericalError("generator is not Hermitian")
         self.energies, self.modes = np.linalg.eigh(h)
 
     def unitary(self, t: float) -> np.ndarray:
@@ -124,11 +130,16 @@ def transfer_of_map(apply_map) -> np.ndarray:
     Hermiticity-preserving, so the transfer matrix is real; imaginary
     residue beyond 1e-10 is an error, not something to discard silently.
     """
-    m = np.empty((4, 4), dtype=complex)
-    for j, aj in enumerate(PAULI_AXES):
-        out = apply_map(_PAULI[aj])
-        for i, ai in enumerate(PAULI_AXES):
-            m[i, j] = 0.5 * np.trace(_PAULI[ai] @ out)
+    return transfer_readout([apply_map(p) for p in PAULI_STACK])
+
+
+def transfer_readout(outs) -> np.ndarray:
+    """Real transfer matrix from the images outs[j] of the Paulis (1, X, Y, Z).
+
+    L[i, j] = tr(sigma_i outs[j]) / 2. Imaginary residue beyond HERM_TOL
+    means the map is not Hermiticity-preserving and raises NumericalError.
+    """
+    m = 0.5 * np.einsum("iab,jba->ij", PAULI_STACK, outs)
     if np.max(np.abs(m.imag)) > HERM_TOL:
-        raise ValueError("map is not Hermiticity-preserving (complex transfer entries)")
+        raise NumericalError("map is not Hermiticity-preserving (complex transfer entries)")
     return m.real.copy()

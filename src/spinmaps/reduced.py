@@ -25,15 +25,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .qlinalg import (
-    HERM_TOL,
     PAULI_AXES,
+    PAULI_STACK,
     HermitianEvolver,
-    SI,
     density_of,
     kron_all,
     partial_trace_keep,
     pauli,
-    transfer_of_map,
+    transfer_readout,
 )
 
 
@@ -111,14 +110,8 @@ def _env_inputs(n: int, site: int, env_blochs):
 
 
 def _transfer_entries(u: np.ndarray, inputs, site: int) -> np.ndarray:
-    m = np.empty((4, 4), dtype=complex)
-    for j, op in enumerate(inputs):
-        out = partial_trace_keep(u @ op @ u.conj().T, site)
-        for i, ax in enumerate(PAULI_AXES):
-            m[i, j] = 0.5 * np.trace(pauli(ax) @ out)
-    if np.max(np.abs(m.imag)) > HERM_TOL:
-        raise ValueError("reduced map has complex transfer entries")
-    return m.real.copy()
+    u_dag = u.conj().T
+    return transfer_readout([partial_trace_keep(u @ op @ u_dag, site) for op in inputs])
 
 
 def transfer_from_unitary(u: np.ndarray, site: int, env_blochs) -> np.ndarray:
@@ -194,18 +187,17 @@ def is_phase_covariant(transfer: np.ndarray, tol: float = 1e-8) -> bool:
     return fit_pc(transfer).residual <= tol
 
 
+_CHOI_BASIS = 0.25 * np.array([[np.kron(si, sj.T) for sj in PAULI_STACK]
+                               for si in PAULI_STACK])
+
+
 def choi_matrix(transfer: np.ndarray) -> np.ndarray:
     """Choi operator (map acting on the first tensor factor) of a qubit map.
 
     C = (1/4) sum_ij T[i, j] sigma_i tensor sigma_j^T, normalized to unit
     trace for trace-preserving maps.
     """
-    c = np.zeros((4, 4), dtype=complex)
-    for i, ai in enumerate(PAULI_AXES):
-        for j, aj in enumerate(PAULI_AXES):
-            if transfer[i, j] != 0.0:
-                c += 0.25 * transfer[i, j] * np.kron(pauli(ai), pauli(aj).T)
-    return c
+    return np.tensordot(transfer, _CHOI_BASIS, 2)
 
 
 def choi_check(transfer: np.ndarray) -> float:

@@ -108,11 +108,28 @@ def test_maps_run_artifacts(tmp_path, capsys):
 
 def test_run_dir_collision_gets_counter(tmp_path, monkeypatch):
     monkeypatch.setattr(cli.time, "strftime", lambda fmt: "20260101T000000")
-    cfg = {"outdir": str(tmp_path), "seed": 0}
-    first = cli._start_run(cfg, "maps")
-    second = cli._start_run(cfg, "maps")
-    assert first.name == "maps-20260101T000000"
-    assert second.name == "maps-20260101T000000-01"
+    # an existence check that loses the race to a concurrent run must not
+    # matter: the name is claimed by the exclusive mkdir alone
+    monkeypatch.setattr(Path, "exists", lambda self: False)
+    cfg = {"outdir": str(tmp_path / "runs"), "seed": 0}
+    names = [cli._start_run(cfg, "maps").name for _ in range(3)]
+    assert names == ["maps-20260101T000000", "maps-20260101T000000-01",
+                     "maps-20260101T000000-02"]
+
+
+def test_numerical_failure_exits_3(tmp_path, capsys, monkeypatch):
+    import numpy as np
+    import spinmaps.network
+
+    def non_hermitian(spec):
+        h = np.zeros((2**spec.n, 2**spec.n))
+        h[0, 1] = 1.0
+        return h
+
+    monkeypatch.setattr(spinmaps.network, "build_hamiltonian", non_hermitian)
+    rc, _, err = run_cli(["maps", "--t-max-tj", "1", "--outdir", str(tmp_path)], capsys)
+    assert rc == 3
+    assert "not Hermitian" in err
 
 
 def test_volume_rerun_is_byte_identical(tmp_path, capsys):

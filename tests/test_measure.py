@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from spinmaps.ensemble import steady_channel
+from spinmaps.measure import _uniform_theta
 from spinmaps.measure import (
     BrokenPCParams,
     MeasureSpec,
@@ -21,6 +22,7 @@ from spinmaps.measure import (
     uniform_sample,
     volume_mc,
 )
+from spinmaps.qlinalg import PAULI_AXES, pauli
 from spinmaps.reduced import PCParams, choi_check, cp_ok
 
 unit_floats = st.floats(-1.0, 1.0)
@@ -125,6 +127,25 @@ def test_broken_uniform_sample_is_cp():
     for _ in range(50):
         b = broken_uniform_sample(rng)
         assert choi_check(b.transfer()) >= -1e-9
+
+
+def test_broken_uniform_sample_accepts_as_choi_definition():
+    def definition_sample(rng):
+        while True:
+            l1, l2, t3, l3 = rng.uniform(-1.0, 1.0, size=4)
+            cand = BrokenPCParams(lambda1=float(l1), lambda2=float(l2),
+                                  theta=_uniform_theta(rng),
+                                  lambda3=float(l3), tau3=float(t3))
+            t = cand.transfer()
+            choi = sum(0.25 * t[i, j] * np.kron(pauli(ai), pauli(aj).T)
+                       for i, ai in enumerate(PAULI_AXES)
+                       for j, aj in enumerate(PAULI_AXES))
+            if np.linalg.eigvalsh(choi)[0] >= -1e-9:
+                return cand
+
+    rng, ref = np.random.default_rng(11), np.random.default_rng(11)
+    for _ in range(300):
+        assert broken_uniform_sample(rng) == definition_sample(ref)
 
 
 @given(st.floats(-2, 2), st.floats(0.05, 3), st.floats(-1.5, 0.5),

@@ -70,6 +70,31 @@ def test_partial_trace_recovers_factor():
         assert np.max(np.abs(red - want)) < 1e-12
 
 
+def sequential_partial_trace(rho, site):
+    """Reference: one np.trace per environment qubit, last qubit first."""
+    n = rho.shape[0].bit_length() - 1
+    t = rho.reshape((2,) * (2 * n))
+    for k in range(n - 1, -1, -1):
+        if k != site:
+            t = np.trace(t, axis1=k, axis2=k + t.ndim // 2)
+    return t
+
+
+def test_partial_trace_is_bit_identical_to_sequential_traces():
+    for n in range(1, 7):
+        dim = 2**n
+        rho = RNG.normal(size=(dim, dim)) + 1j * RNG.normal(size=(dim, dim))
+        for site in range(n):
+            assert np.array_equal(partial_trace_keep(rho, site),
+                                  sequential_partial_trace(rho, site))
+    for bad in (np.eye(3), np.eye(6), np.ones((4, 2))):
+        with pytest.raises(ValueError):
+            partial_trace_keep(bad, 0)
+    for site in (-1, 2):
+        with pytest.raises(ValueError):
+            partial_trace_keep(np.eye(4), site)
+
+
 def test_evolver_is_unitary_and_composes():
     h = random_hermitian(8, RNG)
     ev = HermitianEvolver(h)

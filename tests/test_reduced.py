@@ -4,6 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from spinmaps.network import NetworkSpec, build_hamiltonian
+from spinmaps.qlinalg import PAULI_AXES, density_of, kron_all, partial_trace_keep, pauli
 from spinmaps.reduced import (
     MapExtractor,
     PCParams,
@@ -50,6 +51,23 @@ def test_extractor_matches_one_shot_and_unitary_path():
         assert np.max(np.abs(m1 - m3)) < 1e-12
 
 
+def test_transfer_from_unitary_is_bit_identical_to_trace_loop():
+    n, site = 4, 2
+    h = build_hamiltonian(NetworkSpec(topology="ring", n=n, h=0.37,
+                                      j_perp=1.0, j_par=0.6))
+    env = random_env(n, RNG, diagonal=False)
+    envs = iter(env)
+    rest = [density_of([next(envs)]) if k != site else None for k in range(n)]
+    u = MapExtractor(h, site, env).evolver.unitary(1.3)
+    want = np.empty((4, 4), dtype=complex)
+    for j, aj in enumerate(PAULI_AXES):
+        op = kron_all([pauli(aj) if k == site else f for k, f in enumerate(rest)])
+        out = partial_trace_keep(u @ op @ u.conj().T, site)
+        for i, ai in enumerate(PAULI_AXES):
+            want[i, j] = 0.5 * np.trace(pauli(ai) @ out)
+    assert np.array_equal(transfer_from_unitary(u, site, env), want.real)
+
+
 def test_reduced_maps_preserve_trace_and_are_cp():
     for _ in range(10):
         env = random_env(3, RNG, diagonal=False)
@@ -94,6 +112,19 @@ def test_choi_matrix_of_identity():
     assert abs(np.trace(c) - 1.0) < 1e-12
     vals = np.linalg.eigvalsh(c)
     assert np.max(np.abs(vals - np.array([0, 0, 0, 1.0]))) < 1e-12
+
+
+def kron_sum_choi(transfer):
+    """Reference: C = (1/4) sum_ij T[i, j] sigma_i tensor sigma_j^T."""
+    return sum(0.25 * transfer[i, j] * np.kron(pauli(ai), pauli(aj).T)
+               for i, ai in enumerate(PAULI_AXES)
+               for j, aj in enumerate(PAULI_AXES))
+
+
+def test_choi_matrix_matches_kron_sum_definition():
+    # generic transfers: neither trace-preserving nor phase-covariant
+    for t in RNG.uniform(-1.0, 1.0, size=(200, 4, 4)):
+        assert np.max(np.abs(choi_matrix(t) - kron_sum_choi(t))) < 1e-15
 
 
 def test_fixed_point_values():
