@@ -23,7 +23,6 @@ _EXPORTS = {
     # network
     "NetworkSpec": "network",
     "PairSpec": "network",
-    "QuenchSchedule": "network",
     "build_hamiltonian": "network",
     "charge_operator": "network",
     "blocked_eigensystem": "network",
@@ -54,6 +53,7 @@ _EXPORTS = {
     "FluctuationSeries": "ensemble",
     "esym": "ensemble",
     "network_average": "ensemble",
+    "network_series": "ensemble",
     "time_average": "ensemble",
     "SpectralAverage": "ensemble",
     "steady_channel": "ensemble",

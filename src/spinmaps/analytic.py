@@ -274,28 +274,6 @@ def ring_eig4(j_perp: float, j_par: float) -> RingEig4:
     return RingEig4(j_cross=j_cross, phi_cross=phi_cross)
 
 
-@dataclass(frozen=True)
-class RingEig5:
-    """Per-momentum (a = 0..4) mixing data of the ring N=5 two-excitation
-    blocks; the three-excitation blocks follow by sending h -> -h. Recorded
-    for structure; the isotropic-point evaluator uses its frequencies
-    directly."""
-
-    psi: tuple
-    phi: tuple
-    j_a: tuple
-
-
-def ring_eig5(j_perp: float, j_par: float) -> RingEig5:
-    psi, phi, j_a = [], [], []
-    for a in range(5):
-        g = math.cos(6.0 * math.pi * a / 5.0) * j_perp
-        psi.append(math.atan(6.0 * math.pi * a / 5.0))
-        phi.append(math.atan2(2.0 * g, j_par - g))
-        j_a.append(math.hypot(j_par - g, 2.0 * g))
-    return RingEig5(psi=tuple(psi), phi=tuple(phi), j_a=tuple(j_a))
-
-
 def _ring4_l3t3(t, jp, jz, env):
     s1, s2, s3 = env
     jx = math.sqrt(jz * jz + 8.0 * jp * jp)

@@ -133,28 +133,18 @@ def _start_run(cfg: dict, command: str) -> Path:
     return path
 
 
-def _merge(defaults: dict, args: argparse.Namespace) -> dict:
-    """defaults < config file < explicit flags (argparse defaults are None)."""
-    merged = dict(defaults)
-    if args.config is not None:
-        try:
-            with open(args.config) as fh:
-                data = json.load(fh)
-        except OSError as exc:
-            raise ConfigError(f"config: cannot read {args.config}: {exc}")
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config: invalid JSON: {exc}")
-        if not isinstance(data, dict):
-            raise ConfigError("config: top level must be an object")
-        for key, val in data.items():
-            if key not in defaults:
-                raise ConfigError(f"config.{key}: unknown field for this command")
-            merged[key] = val
-    for key in defaults:
-        val = getattr(args, key, None)
-        if val is not None:
-            merged[key] = val
-    return merged
+def _read_config(path) -> dict:
+    """The JSON object of a --config file."""
+    try:
+        with open(path) as fh:
+            data = json.load(fh)
+    except OSError as exc:
+        raise ConfigError(f"config: cannot read {path}: {exc}")
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"config: invalid JSON: {exc}")
+    if not isinstance(data, dict):
+        raise ConfigError("config: top level must be an object")
+    return data
 
 
 def _env_for(z, focal):
@@ -172,19 +162,16 @@ def _generic_h(cfg) -> float:
     return GENERIC_H_RATIO * abs(cfg["j_perp"]) if cfg["h"] is None else cfg["h"]
 
 
+def _anisotropic(j_perp: float, j_par: float) -> bool:
+    """Whether J_par differs from J_perp: ring N=5 is solved only at the
+    isotropic point."""
+    scale = max(1.0, abs(j_perp), abs(j_par))
+    return abs(j_par - j_perp) > 1e-12 * scale
+
+
 # ---------------------------------------------------------------------------
 # maps
 # ---------------------------------------------------------------------------
-
-# ring + J_par = J_perp is the reference figure setup; the 3-ring is the
-# 3-clique, so the N=3 default reproduces the complete-graph series too.
-_MAPS_DEFAULTS = {
-    "topology": "ring", "n": 3, "h": None, "j_perp": 1.0, "j_par": 1.0,
-    "state": "hierarchy", "z": None, "z_list": None,
-    "h1": 1.0, "h2": 0.5, "j": 1.0, "x2": 0.0, "y2": 0.0, "z2": None,
-    "t_max_tj": 10.0, "points_per_tj": 20, "seed": 0, "outdir": "runs",
-}
-
 
 def _analytic_transfer(topology, n, t, j_perp, j_par, h, z, focal, pair):
     """Closed-form transfer where a family exists, else (None, reason)."""
@@ -204,8 +191,7 @@ def _analytic_transfer(topology, n, t, j_perp, j_par, h, z, focal, pair):
         p, _ = analytic.ring_params(4, t, j_perp, j_par, h, env_cyclic, focal)
         return p.transfer(), None
     if topology == "ring" and n == 5:
-        scale = max(1.0, abs(j_perp), abs(j_par))
-        if abs(j_par - j_perp) > 1e-12 * scale:
+        if _anisotropic(j_perp, j_par):
             return None, "ring N=5 closed form needs J_par = J_perp"
         p, _ = analytic.ring_params(5, t, j_perp, j_par, h, env_cyclic, focal)
         out = np.full((4, 4), np.nan)
@@ -215,8 +201,7 @@ def _analytic_transfer(topology, n, t, j_perp, j_par, h, z, focal, pair):
     return None, f"no closed form for ({topology}, N={n})"
 
 
-def cmd_maps(args) -> int:
-    cfg = _merge(_MAPS_DEFAULTS, args)
+def cmd_maps(cfg: dict) -> int:
     import numpy as np
     from .network import NetworkSpec, PairSpec, build_hamiltonian, t_scale
     from .reduced import MapExtractor, fit_pc, cp_ok
@@ -311,14 +296,6 @@ def cmd_maps(args) -> int:
 # steady
 # ---------------------------------------------------------------------------
 
-_STEADY_DEFAULTS = {
-    "topology": "complete", "n": 3, "h": None, "j_perp": 1.0, "j_par": 1.0,
-    "state": "hierarchy", "z": None, "z_list": None,
-    "horizon_tj": 200.0, "points_per_tj": 20, "tol": 5e-3,
-    "seed": 0, "outdir": "runs",
-}
-
-
 def _steady_table_key(topology: str, n: int, j_perp: float, j_par: float):
     """Map the run to a steady-table entry or raise UnsupportedError."""
     if topology == "complete" and 3 <= n <= 6:
@@ -329,38 +306,17 @@ def _steady_table_key(topology: str, n: int, j_perp: float, j_par: float):
         if n == 4:
             return "ring", 4
         if n == 5:
-            scale = max(1.0, abs(j_perp), abs(j_par))
-            if abs(j_par - j_perp) > 1e-12 * scale:
+            if _anisotropic(j_perp, j_par):
                 raise UnsupportedError(
                     "ring N=5 steady table holds at the isotropic point only")
             return "ring", 5
     raise UnsupportedError(f"no steady table for ({topology}, N={n})")
 
 
-def _running_network_average(spec, z, times):
-    """Running time average of the site-averaged transfer on a uniform grid."""
-    import numpy as np
-    from .network import build_hamiltonian
-    from .qlinalg import HermitianEvolver
-    from .reduced import transfer_from_unitary
-    from .ensemble import network_average, time_average
-
-    n = spec.n
-    ev = HermitianEvolver(build_hamiltonian(spec))
-    envs = [_env_for(z, s) for s in range(n)]
-    stack = np.empty((len(times), 4, 4))
-    for k, t in enumerate(times):
-        u = ev.unitary(t)
-        stack[k] = network_average(
-            [transfer_from_unitary(u, s, envs[s]) for s in range(n)])
-    return stack, time_average(times, stack)
-
-
-def cmd_steady(args) -> int:
-    cfg = _merge(_STEADY_DEFAULTS, args)
+def cmd_steady(cfg: dict) -> int:
     import numpy as np
     from .network import NetworkSpec, t_scale
-    from .ensemble import steady_channel
+    from .ensemble import network_series, steady_channel, time_average
 
     topology, n = cfg["topology"], int(cfg["n"])
     table_topology, table_n = _steady_table_key(topology, n, cfg["j_perp"], cfg["j_par"])
@@ -373,7 +329,7 @@ def cmd_steady(args) -> int:
                        j_perp=cfg["j_perp"], j_par=cfg["j_par"])
     t_j = t_scale(cfg["j_perp"])
     times = _uniform_grid(t_j, cfg["horizon_tj"], cfg["points_per_tj"])
-    _, running = _running_network_average(spec, z, times)
+    running = time_average(times, network_series(spec, z, times))
 
     num_l3 = float(running[-1, 3, 3])
     num_t3 = float(running[-1, 3, 0])
@@ -414,16 +370,7 @@ def cmd_steady(args) -> int:
 # fluct
 # ---------------------------------------------------------------------------
 
-_FLUCT_DEFAULTS = {
-    "topology": "complete", "n": 4, "h": None, "j_perp": 1.0, "j_par": 1.0,
-    "state": "uniform", "z": 0.2, "z_list": None,
-    "horizon_tj": 200.0, "points_per_tj": 20, "onset_tj": 20.0,
-    "seed": 0, "outdir": "runs",
-}
-
-
-def cmd_fluct(args) -> int:
-    cfg = _merge(_FLUCT_DEFAULTS, args)
+def cmd_fluct(cfg: dict) -> int:
     from .network import NetworkSpec, t_scale
     from .ensemble import (FLUCT_RTOL, SpectralAverage, converged_fluctuations,
                            steady_channel)
@@ -476,14 +423,6 @@ def cmd_fluct(args) -> int:
 # disorder
 # ---------------------------------------------------------------------------
 
-_DISORDER_DEFAULTS = {
-    "b": 1.0, "omega": 1.0, "sigma_h": 1.0, "sigma_omega": 1.0,
-    "phi_dist": "gaussian", "varphi": 3.0, "sigma_phi": None, "a_phi": None,
-    "z2": 1.0, "t_max": 2.0, "steps": 21, "n_samples": 10000,
-    "seed": 0, "outdir": "runs",
-}
-
-
 def _disorder_spec(cfg):
     from .disorder import DisorderSpec
     common = dict(B=cfg["b"], Omega=cfg["omega"],
@@ -499,17 +438,16 @@ def _disorder_spec(cfg):
     raise ConfigError(f"phi_dist: unknown family {cfg['phi_dist']!r}")
 
 
-def cmd_disorder(args) -> int:
-    cfg = _merge(_DISORDER_DEFAULTS, args)
+def cmd_disorder(cfg: dict) -> int:
     import numpy as np
     from .disorder import (mc_disorder_map, closedform_disorder_components,
-                           sample_pair, max_tau3_trunc_tanh, _sample_rng)
+                           sample_pair, max_tau3_trunc_tanh, _sample_rng,
+                           _COMPONENT_SLOTS)
 
     spec = _disorder_spec(cfg)
     gaussian = spec.phi_dist == "gaussian"
     z2 = float(cfg["z2"])
     times = np.linspace(0.0, cfg["t_max"], int(cfg["steps"]))
-    slots = {"xx0": (1, 1), "yx0": (2, 1), "z0z": (3, 0), "zz0": (3, 3)}
 
     rows = []
     flagged = []
@@ -517,7 +455,7 @@ def cmd_disorder(args) -> int:
         mean, stderr = mc_disorder_map(spec, float(t), (0.0, 0.0, z2),
                                        int(cfg["n_samples"]), int(cfg["seed"]))
         closed = closedform_disorder_components(spec, float(t)) if gaussian else None
-        for name, (i, j) in slots.items():
+        for name, (i, j) in _COMPONENT_SLOTS.items():
             mc, err = float(mean[i, j]), float(stderr[i, j])
             if name == "z0z":
                 if z2 == 0.0:
@@ -555,19 +493,10 @@ def cmd_disorder(args) -> int:
 # measure
 # ---------------------------------------------------------------------------
 
-_MEASURE_DEFAULTS = {
-    "n": 3, "preset": "cc", "state": "hierarchy", "z": None, "z_list": None,
-    "c": 1.0, "t_max_tj": 60.0, "steps": 120, "tau3_rule": "symmetric",
-    "overlay": True, "points_per_tj": 20, "scatter_samples": 0,
-    "h": None, "j_perp": 1.0, "j_par": 0.0, "seed": 0, "outdir": "runs",
-}
-
-
-def cmd_measure(args) -> int:
-    cfg = _merge(_MEASURE_DEFAULTS, args)
+def cmd_measure(cfg: dict) -> int:
     import numpy as np
     from .network import NetworkSpec, t_scale
-    from .ensemble import steady_channel
+    from .ensemble import network_series, steady_channel, time_average
     from .measure import (MeasureSpec, time_grid, trajectory_sample, cp_contains,
                           uniform_sample, broken_uniform_sample,
                           eigenvalues_pc, eigenvalues_broken)
@@ -600,7 +529,7 @@ def cmd_measure(args) -> int:
                            j_perp=cfg["j_perp"], j_par=cfg["j_par"])
         t_j = t_scale(cfg["j_perp"])
         grid = _uniform_grid(t_j, cfg["t_max_tj"], cfg["points_per_tj"])
-        _, running = _running_network_average(spec, z, grid)
+        running = time_average(grid, network_series(spec, z, grid))
         l3 = np.interp(times_tj * t_j, grid, running[:, 3, 3])
         t3 = np.interp(times_tj * t_j, grid, running[:, 3, 0])
         header += ["lambda3_timeavg", "tau3_timeavg"]
@@ -633,11 +562,7 @@ def cmd_measure(args) -> int:
 # volume
 # ---------------------------------------------------------------------------
 
-_VOLUME_DEFAULTS = {"samples": 10**6, "seed": 0, "outdir": "runs"}
-
-
-def cmd_volume(args) -> int:
-    cfg = _merge(_VOLUME_DEFAULTS, args)
+def cmd_volume(cfg: dict) -> int:
     from .measure import volume_mc
 
     v = volume_mc(int(cfg["samples"]), int(cfg["seed"]))
@@ -666,28 +591,16 @@ def cmd_volume(args) -> int:
 # quench
 # ---------------------------------------------------------------------------
 
-_QUENCH_DEFAULTS = {
-    "n_cl": 400, "n": 3, "h": None, "j": 1.0,
-    "state": "uniform", "z": 1.0, "z_list": None,
-    "window_tj": 50.0, "t_eval_tj": 100.0, "points_per_tj": 20,
-    "schedule": "staggered",  # or "random": iid uniform over the window
-    "seed": 0, "outdir": "runs",
-}
-
-
-def cmd_quench(args) -> int:
-    cfg = _merge(_QUENCH_DEFAULTS, args)
+def cmd_quench(cfg: dict) -> int:
     import numpy as np
-    from .network import NetworkSpec, QuenchSchedule, build_hamiltonian, t_scale
-    from .qlinalg import HermitianEvolver
-    from .reduced import transfer_from_unitary
-    from .ensemble import GENERIC_H_RATIO, quench_demo, time_average
+    from .network import NetworkSpec, t_scale
+    from .ensemble import GENERIC_H_RATIO, network_series, quench_demo, time_average
 
     n, n_cl, j = int(cfg["n"]), int(cfg["n_cl"]), cfg["j"]
     h = GENERIC_H_RATIO * 2.0 * j if cfg["h"] is None else cfg["h"]
     t_j = t_scale(2.0 * j)
     z = preset_state(n, cfg["state"], cfg["z"], cfg["z_list"])
-    env_z = [z[s] for s in range(1, n)]  # focal is site 0
+    env_z = z[1:]  # focal is site 0
 
     if cfg["schedule"] == "staggered":
         schedule = np.linspace(0.0, cfg["window_tj"] * t_j, n_cl)
@@ -700,16 +613,11 @@ def cmd_quench(args) -> int:
     cluster_avg = quench_demo(n_cl, n=n, schedule=schedule, t_eval=t_eval,
                               h=h, j=j, env_z=env_z)
 
-    # reference: running time average of one always-coupled cluster
-    spec = NetworkSpec(topology="quench", n=n, h=h, j_perp=j,
-                       quench=QuenchSchedule(n_cl=1, t_on=(0.0,)))
-    ev = HermitianEvolver(build_hamiltonian(spec, t=0.0))
-    env = [(0.0, 0.0, v) for v in env_z]
+    # reference: running time average of one always-coupled cluster, the
+    # isotropic coupling j per pair being J_perp = J_par = 2j
+    spec = NetworkSpec(topology="complete", n=n, h=h, j_perp=2.0 * j, j_par=2.0 * j)
     grid = _uniform_grid(t_j, cfg["t_eval_tj"], cfg["points_per_tj"])
-    stack = np.empty((grid.size, 4, 4))
-    for k, t in enumerate(grid):
-        stack[k] = transfer_from_unitary(ev.unitary(t), 0, env)
-    reference = time_average(grid, stack)[-1]
+    reference = time_average(grid, network_series(spec, z, grid, sites=(0,)))[-1]
 
     diff = np.abs(cluster_avg - reference)
     rows = [(str(i), str(jj), _fmt(cluster_avg[i, jj]), _fmt(reference[i, jj]),
@@ -730,24 +638,36 @@ def cmd_quench(args) -> int:
 # parser / entry point
 # ---------------------------------------------------------------------------
 
-def _add_common(sp):
+def _float_list(text: str) -> list:
+    return [float(v) for v in text.split(",")]
+
+
+def _add_command(sub, name: str, func, help: str):
+    """Subparser for one command, with the options every command shares."""
+    sp = sub.add_parser(name, help=help)
     sp.add_argument("--config", help="JSON config file; flags override it")
-    sp.add_argument("--outdir", help="output root (default runs/)")
-    sp.add_argument("--seed", type=int)
+    sp.add_argument("--outdir", default="runs", help="output root (default runs/)")
+    sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--threads", type=int, help="cap BLAS worker threads")
+    sp.set_defaults(func=func)
+    return sp
 
 
-def _add_network_flags(sp, states=True):
-    sp.add_argument("--topology", choices=("complete", "ring", "xx_pairs"))
-    sp.add_argument("--n", type=int)
-    sp.add_argument("--h", type=float)
-    sp.add_argument("--j-perp", dest="j_perp", type=float)
-    sp.add_argument("--j-par", dest="j_par", type=float)
-    if states:
-        sp.add_argument("--state", choices=_STATES)
-        sp.add_argument("--z", type=float)
-        sp.add_argument("--z-list", dest="z_list",
-                        type=lambda s: [float(v) for v in s.split(",")])
+def _add_network_flags(sp, n: int, state: str, z=None, topology=None,
+                       j_par=1.0, xxz=True):
+    """--n, the field --h and the initial state; --topology when it has a
+    default here, and the XXZ couplings --j-perp/--j-par when xxz is set."""
+    if topology is not None:
+        sp.add_argument("--topology", choices=("complete", "ring", "xx_pairs"),
+                        default=topology)
+    sp.add_argument("--n", type=int, default=n)
+    sp.add_argument("--h", type=float, help="uniform field (default: generic)")
+    if xxz:
+        sp.add_argument("--j-perp", dest="j_perp", type=float, default=1.0)
+        sp.add_argument("--j-par", dest="j_par", type=float, default=j_par)
+    sp.add_argument("--state", choices=_STATES, default=state)
+    sp.add_argument("--z", type=float, default=z)
+    sp.add_argument("--z-list", dest="z_list", type=_float_list)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -755,103 +675,108 @@ def build_parser() -> argparse.ArgumentParser:
         prog="spinmaps",
         description="ensembles of reduced qubit maps from small spin networks")
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = sub.choices  # name -> subparser, for --config
+    # Defaults keep their literal types (points_per_tj 20, not 20.0): the
+    # manifest echoes the configuration as parsed.
 
-    sp = sub.add_parser("maps", help="per-site map parameter time series")
-    _add_network_flags(sp)
-    sp.add_argument("--h1", type=float)
-    sp.add_argument("--h2", type=float)
-    sp.add_argument("--j", type=float)
-    sp.add_argument("--x2", type=float)
-    sp.add_argument("--y2", type=float)
+    # ring + J_par = J_perp is the reference figure setup; the 3-ring is the
+    # 3-clique, so the N=3 default reproduces the complete-graph series too.
+    sp = _add_command(sub, "maps", cmd_maps, "per-site map parameter time series")
+    _add_network_flags(sp, n=3, state="hierarchy", topology="ring")
+    sp.add_argument("--h1", type=float, default=1.0)
+    sp.add_argument("--h2", type=float, default=0.5)
+    sp.add_argument("--j", type=float, default=1.0)
+    sp.add_argument("--x2", type=float, default=0.0)
+    sp.add_argument("--y2", type=float, default=0.0)
     sp.add_argument("--z2", type=float)
-    sp.add_argument("--t-max-tj", dest="t_max_tj", type=float)
-    sp.add_argument("--points-per-tj", dest="points_per_tj", type=float)
-    _add_common(sp)
-    sp.set_defaults(func=cmd_maps)
+    sp.add_argument("--t-max-tj", dest="t_max_tj", type=float, default=10.0)
+    sp.add_argument("--points-per-tj", dest="points_per_tj", type=float, default=20)
 
-    sp = sub.add_parser("steady", help="long-time averages vs exact tables")
-    _add_network_flags(sp)
-    sp.add_argument("--horizon-tj", dest="horizon_tj", type=float)
-    sp.add_argument("--points-per-tj", dest="points_per_tj", type=float)
-    sp.add_argument("--tol", type=float)
-    _add_common(sp)
-    sp.set_defaults(func=cmd_steady)
+    sp = _add_command(sub, "steady", cmd_steady, "long-time averages vs exact tables")
+    _add_network_flags(sp, n=3, state="hierarchy", topology="complete")
+    sp.add_argument("--horizon-tj", dest="horizon_tj", type=float, default=200.0)
+    sp.add_argument("--points-per-tj", dest="points_per_tj", type=float, default=20)
+    sp.add_argument("--tol", type=float, default=5e-3)
 
-    sp = sub.add_parser("fluct", help="running-average fluctuation constants")
-    _add_network_flags(sp)
-    sp.add_argument("--horizon-tj", dest="horizon_tj", type=float)
-    sp.add_argument("--points-per-tj", dest="points_per_tj", type=float)
-    sp.add_argument("--onset-tj", dest="onset_tj", type=float)
-    _add_common(sp)
-    sp.set_defaults(func=cmd_fluct)
+    sp = _add_command(sub, "fluct", cmd_fluct, "running-average fluctuation constants")
+    _add_network_flags(sp, n=4, state="uniform", z=0.2, topology="complete")
+    sp.add_argument("--horizon-tj", dest="horizon_tj", type=float, default=200.0)
+    sp.add_argument("--points-per-tj", dest="points_per_tj", type=float, default=20)
+    sp.add_argument("--onset-tj", dest="onset_tj", type=float, default=20.0)
 
-    sp = sub.add_parser("disorder", help="disorder-averaged pair maps, MC vs closed form")
-    sp.add_argument("--b", type=float)
-    sp.add_argument("--omega", type=float)
-    sp.add_argument("--sigma-h", dest="sigma_h", type=float)
-    sp.add_argument("--sigma-omega", dest="sigma_omega", type=float)
-    sp.add_argument("--phi-dist", dest="phi_dist", choices=("gaussian", "trunc_tanh"))
-    sp.add_argument("--varphi", type=float)
+    sp = _add_command(sub, "disorder", cmd_disorder,
+                      "disorder-averaged pair maps, MC vs closed form")
+    sp.add_argument("--b", type=float, default=1.0)
+    sp.add_argument("--omega", type=float, default=1.0)
+    sp.add_argument("--sigma-h", dest="sigma_h", type=float, default=1.0)
+    sp.add_argument("--sigma-omega", dest="sigma_omega", type=float, default=1.0)
+    sp.add_argument("--phi-dist", dest="phi_dist", choices=("gaussian", "trunc_tanh"),
+                    default="gaussian")
+    sp.add_argument("--varphi", type=float, default=3.0)
     sp.add_argument("--sigma-phi", dest="sigma_phi", type=float)
     sp.add_argument("--a-phi", dest="a_phi", type=float)
-    sp.add_argument("--z2", type=float)
-    sp.add_argument("--t-max", dest="t_max", type=float)
-    sp.add_argument("--steps", type=int)
-    sp.add_argument("--n-samples", dest="n_samples", type=int)
-    _add_common(sp)
-    sp.set_defaults(func=cmd_disorder)
+    sp.add_argument("--z2", type=float, default=1.0)
+    sp.add_argument("--t-max", dest="t_max", type=float, default=2.0)
+    sp.add_argument("--steps", type=int, default=21)
+    sp.add_argument("--n-samples", dest="n_samples", type=int, default=10000)
 
-    sp = sub.add_parser("measure", help="trajectory measure over CP channel params")
-    sp.add_argument("--n", type=int)
-    sp.add_argument("--preset", choices=("cc", "ring"))
-    sp.add_argument("--state", choices=_STATES)
-    sp.add_argument("--z", type=float)
-    sp.add_argument("--z-list", dest="z_list",
-                    type=lambda s: [float(v) for v in s.split(",")])
-    sp.add_argument("--c", type=float)
-    sp.add_argument("--t-max-tj", dest="t_max_tj", type=float)
-    sp.add_argument("--steps", type=int)
-    sp.add_argument("--tau3-rule", dest="tau3_rule", choices=("symmetric", "signed"))
-    sp.add_argument("--overlay", action=argparse.BooleanOptionalAction)
-    sp.add_argument("--points-per-tj", dest="points_per_tj", type=float)
-    sp.add_argument("--scatter-samples", dest="scatter_samples", type=int)
-    sp.add_argument("--h", type=float)
-    sp.add_argument("--j-perp", dest="j_perp", type=float)
-    sp.add_argument("--j-par", dest="j_par", type=float)
-    _add_common(sp)
-    sp.set_defaults(func=cmd_measure)
+    sp = _add_command(sub, "measure", cmd_measure,
+                      "trajectory measure over CP channel params")
+    _add_network_flags(sp, n=3, state="hierarchy", j_par=0.0)
+    sp.add_argument("--preset", choices=("cc", "ring"), default="cc")
+    sp.add_argument("--c", type=float, default=1.0)
+    sp.add_argument("--t-max-tj", dest="t_max_tj", type=float, default=60.0)
+    sp.add_argument("--steps", type=int, default=120)
+    sp.add_argument("--tau3-rule", dest="tau3_rule", choices=("symmetric", "signed"),
+                    default="symmetric")
+    sp.add_argument("--overlay", action=argparse.BooleanOptionalAction, default=True)
+    sp.add_argument("--points-per-tj", dest="points_per_tj", type=float, default=20)
+    sp.add_argument("--scatter-samples", dest="scatter_samples", type=int, default=0)
 
-    sp = sub.add_parser("volume", help="MC volume of the CP region")
-    sp.add_argument("--samples", type=int)
-    _add_common(sp)
-    sp.set_defaults(func=cmd_volume)
+    sp = _add_command(sub, "volume", cmd_volume, "MC volume of the CP region")
+    sp.add_argument("--samples", type=int, default=10**6)
 
-    sp = sub.add_parser("quench", help="staggered-quench cluster average demo")
-    sp.add_argument("--n-cl", dest="n_cl", type=int)
-    sp.add_argument("--n", type=int)
-    sp.add_argument("--h", type=float)
-    sp.add_argument("--j", type=float)
-    sp.add_argument("--state", choices=_STATES)
-    sp.add_argument("--z", type=float)
-    sp.add_argument("--z-list", dest="z_list",
-                    type=lambda s: [float(v) for v in s.split(",")])
-    sp.add_argument("--window-tj", dest="window_tj", type=float)
-    sp.add_argument("--t-eval-tj", dest="t_eval_tj", type=float)
-    sp.add_argument("--points-per-tj", dest="points_per_tj", type=float)
-    sp.add_argument("--schedule", choices=("staggered", "random"))
-    _add_common(sp)
-    sp.set_defaults(func=cmd_quench)
+    sp = _add_command(sub, "quench", cmd_quench, "staggered-quench cluster average demo")
+    _add_network_flags(sp, n=3, state="uniform", z=1.0, xxz=False)
+    sp.add_argument("--n-cl", dest="n_cl", type=int, default=400)
+    sp.add_argument("--j", type=float, default=1.0)
+    sp.add_argument("--window-tj", dest="window_tj", type=float, default=50.0)
+    sp.add_argument("--t-eval-tj", dest="t_eval_tj", type=float, default=100.0)
+    sp.add_argument("--points-per-tj", dest="points_per_tj", type=float, default=20)
+    # staggered: evenly spaced over the window; random: iid uniform over it
+    sp.add_argument("--schedule", choices=("staggered", "random"), default="staggered")
     return parser
 
 
+# namespace entries that are not part of a run's configuration
+_NOT_CONFIG = ("command", "func", "config", "threads")
+
+
+def _config(args: argparse.Namespace) -> dict:
+    return {k: v for k, v in vars(args).items() if k not in _NOT_CONFIG}
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    if getattr(args, "threads", None):
-        # effective only if numpy is not loaded yet in this process
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.threads:
+        if "numpy" in sys.modules:
+            print("warning: --threads has no effect: numpy is already loaded "
+                  "in this process", file=sys.stderr)
         for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
             os.environ[var] = str(args.threads)
     try:
-        return args.func(args)
+        if args.config is not None:
+            # built-in defaults < file < flags: the file's values become the
+            # command's defaults and argv is parsed again over them
+            data = _read_config(args.config)
+            fields = _config(args)
+            for key in data:
+                if key not in fields:
+                    raise ConfigError(f"config.{key}: unknown field for this command")
+            parser.commands[args.command].set_defaults(**data)
+            args = parser.parse_args(argv)
+        return args.func(_config(args))
     except (ConfigError, json.JSONDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

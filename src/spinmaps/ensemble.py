@@ -29,7 +29,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .network import NetworkSpec, QuenchSchedule, build_hamiltonian, t_scale
+from .network import NetworkSpec, build_hamiltonian, t_scale
 from .qlinalg import HERM_TOL, PAULI_AXES, HermitianEvolver, NumericalError, embed, pauli
 from .reduced import _env_inputs, transfer_from_unitary
 
@@ -89,6 +89,29 @@ def time_average(times, transfers) -> np.ndarray:
     out = np.empty_like(y)
     out[0] = y[0]
     out[1:] = np.cumsum(segments, axis=0) / t[1:, None, None]
+    return out
+
+
+def network_series(spec: NetworkSpec, z, times, sites=None) -> np.ndarray:
+    """Site-averaged transfer matrix at each time in `times`, shape (T, 4, 4).
+
+    z lists all N site polarizations in absolute site order; each site in
+    `sites` (default: all N) is focal once, with the other sites as its
+    diagonal environment, and the maps are combined by network_average at
+    every time. sites=(0,) is the series of site 0 alone. One
+    eigendecomposition serves the whole grid; running averages are
+    time_average(times, network_series(...)).
+    """
+    n = spec.n
+    if len(z) != n:
+        raise ValueError(f"need {n} site values, got {len(z)}")
+    sites = range(n) if sites is None else sites
+    envs = {s: [(0.0, 0.0, z[k]) for k in range(n) if k != s] for s in sites}
+    evolver = HermitianEvolver(build_hamiltonian(spec))
+    out = np.empty((len(times), 4, 4))
+    for k, t in enumerate(times):
+        u = evolver.unitary(t)
+        out[k] = network_average([transfer_from_unitary(u, s, envs[s]) for s in sites])
     return out
 
 
@@ -486,9 +509,9 @@ def quench_demo(n_cl: int, n: int = 3, schedule=None, t_eval: float | None = Non
         env_z = [1.0] * (n - 1)
     env = [(0.0, 0.0, float(v)) for v in env_z]
 
-    spec = NetworkSpec(topology="quench", n=n, h=h, j_perp=j,
-                       quench=QuenchSchedule(n_cl=n_cl, t_on=(0.0,) * n_cl))
-    full = HermitianEvolver(build_hamiltonian(spec, t=0.0))
+    # isotropic coupling j per pair is J_perp = J_par = 2j in the bond normalization
+    spec = NetworkSpec(topology="complete", n=n, h=h, j_perp=2.0 * j, j_par=2.0 * j)
+    full = HermitianEvolver(build_hamiltonian(spec))
 
     acc = np.zeros((4, 4))
     for t_on in schedule:

@@ -15,20 +15,11 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import ndtr, ndtri
 
-from .reduced import PCParams, choi_check
+from .disorder import _sample_rng
+# cp_contains is the scalar CP predicate of reduced under this module's name
+from .reduced import PCParams, choi_check, cp_ok as cp_contains
 
 _TAU3_RULES = ("symmetric", "signed")
-
-
-def cp_contains(lambda1: float, tau3: float, lambda3: float) -> bool:
-    """Complete-positivity test, sign of lambda1 ignored.
-
-    Same float expressions as cp_ok in reduced at tol 0, so the two
-    predicates agree bit for bit even on the boundary (rewriting either
-    inequality, e.g. moving tau3^2 across, flips knife-edge cases).
-    """
-    return (abs(lambda3) + abs(tau3) <= 1.0
-            and 4.0 * lambda1**2 + tau3**2 <= (1.0 + lambda3) ** 2)
 
 
 def cp_mask(lambda1, tau3, lambda3) -> np.ndarray:
@@ -242,11 +233,6 @@ class MeasureSpec:
         return (self.C / self.n) * (self.t_ref / t)
 
 
-def _step_rng(seed: int, index: int) -> np.random.Generator:
-    # same per-index Philox scheme as the disorder module
-    return np.random.Generator(np.random.Philox(key=seed, counter=[0, 0, 0, index]))
-
-
 def trajectory_sample(spec: MeasureSpec, seed: int) -> list:
     """One trajectory: a PCParams per grid time, nested draws lambda3 ->
     tau3 -> lambda1 from truncated Gaussians of width sigma(t).
@@ -256,7 +242,7 @@ def trajectory_sample(spec: MeasureSpec, seed: int) -> list:
     """
     out = []
     for k, t in enumerate(spec.times):
-        rng = _step_rng(seed, k)
+        rng = _sample_rng(seed, k)
         s = spec.sigma(t)
         l3 = trunc_gauss_sample(spec.mu_lambda3, s, -1.0, 1.0, rng)
         lim = 1.0 - abs(l3)

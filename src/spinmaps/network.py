@@ -8,9 +8,9 @@ Supported topologies:
 - complete: the same interaction on every unordered pair i < j.
 - xx_pairs: disjoint two-qubit clusters,
     H = sum_pairs [h1 Z_1 + h2 Z_2 + (J/2)(X_1 X_2 + Y_1 Y_2)].
-- quench: one N-qubit cluster with isotropic (XXX) all-to-all coupling
-  switched on at a quench time,
-    H(t) = h sum Z_i + J theta(t - t_on) sum_{i<j} (XX + YY + ZZ).
+
+An isotropic (XXX) cluster J sum_{i<j} (XX + YY + ZZ), as in the quench
+ensemble, is the complete graph with J_perp = J_par = 2J.
 
 All topologies conserve the charge Q = sum Z_i; ring and complete also
 commute with the cyclic left shift T. Block diagonalization proceeds in two
@@ -29,7 +29,7 @@ import numpy as np
 
 from .qlinalg import SX, SY, SZ, embed, kron_all
 
-TOPOLOGIES = ("ring", "complete", "xx_pairs", "quench")
+TOPOLOGIES = ("ring", "complete", "xx_pairs")
 
 
 def t_scale(j_perp: float) -> float:
@@ -49,20 +49,6 @@ class PairSpec:
 
 
 @dataclass(frozen=True)
-class QuenchSchedule:
-    """Quench times for a staggered ensemble of identical clusters."""
-
-    n_cl: int
-    t_on: tuple = ()
-
-    def __post_init__(self):
-        if self.n_cl < 1:
-            raise ValueError("n_cl must be at least 1")
-        if self.t_on and len(self.t_on) != self.n_cl:
-            raise ValueError("t_on list must have one entry per cluster")
-
-
-@dataclass(frozen=True)
 class NetworkSpec:
     topology: str
     n: int
@@ -70,7 +56,6 @@ class NetworkSpec:
     j_perp: float = 1.0
     j_par: float = 0.0
     pairs: tuple = ()
-    quench: QuenchSchedule | None = None
 
     def __post_init__(self):
         if self.topology not in TOPOLOGIES:
@@ -93,9 +78,6 @@ class NetworkSpec:
             "j_perp": self.j_perp,
             "j_par": self.j_par,
             "pairs": [{"h1": p.h1, "h2": p.h2, "j": p.j} for p in self.pairs],
-            "quench": None
-            if self.quench is None
-            else {"n_cl": self.quench.n_cl, "t_on": list(self.quench.t_on)},
         }
         return json.dumps(doc, indent=2, sort_keys=True)
 
@@ -103,10 +85,6 @@ class NetworkSpec:
     def from_json(text: str) -> "NetworkSpec":
         doc = json.loads(text)
         pairs = tuple(PairSpec(p["h1"], p["h2"], p["j"]) for p in doc.get("pairs") or ())
-        qdoc = doc.get("quench")
-        quench = None
-        if qdoc is not None:
-            quench = QuenchSchedule(n_cl=qdoc["n_cl"], t_on=tuple(qdoc.get("t_on") or ()))
         return NetworkSpec(
             topology=doc["topology"],
             n=doc["n"],
@@ -114,7 +92,6 @@ class NetworkSpec:
             j_perp=doc.get("j_perp", 1.0),
             j_par=doc.get("j_par", 0.0),
             pairs=pairs,
-            quench=quench,
         )
 
 
@@ -136,14 +113,8 @@ def parity_operator(n: int) -> np.ndarray:
     return kron_all([SZ] * n)
 
 
-def build_hamiltonian(spec: NetworkSpec, t: float | None = None) -> np.ndarray:
-    """Dense Hamiltonian of the network; `t` is consulted only by quench.
-
-    A quench spec describes one representative cluster: interactions are
-    present iff t >= its first scheduled quench time (default 0). Ensemble
-    code composes constant-H propagators across the switch instead of
-    calling this with many t values.
-    """
+def build_hamiltonian(spec: NetworkSpec) -> np.ndarray:
+    """Dense Hamiltonian of the network."""
     n = spec.n
     dim = 2**spec.n
     h_mat = np.zeros((dim, dim), dtype=complex)
@@ -162,16 +133,6 @@ def build_hamiltonian(spec: NetworkSpec, t: float | None = None) -> np.ndarray:
             a, b = 2 * p_idx, 2 * p_idx + 1
             h_mat += pair.h1 * embed(SZ, a, n) + pair.h2 * embed(SZ, b, n)
             h_mat += _xxz_bond(a, b, n, pair.j, 0.0)
-    elif spec.topology == "quench":
-        t_on = spec.quench.t_on[0] if (spec.quench and spec.quench.t_on) else 0.0
-        if t is None:
-            raise ValueError("quench topology needs an evaluation time t")
-        if t >= t_on:
-            # Isotropic coupling J per unordered pair: J_perp = J_par = 2J
-            # in the bond normalization above.
-            for i in range(n):
-                for j in range(i + 1, n):
-                    h_mat += _xxz_bond(i, j, n, 2.0 * spec.j_perp, 2.0 * spec.j_perp)
     return h_mat
 
 

@@ -113,25 +113,6 @@ class HermitianEvolver:
         phases = np.exp(-1j * self.energies * t)
         return (self.modes * phases) @ self.modes.conj().T
 
-    def evolve(self, t: float, rho: np.ndarray) -> np.ndarray:
-        u = self.unitary(t)
-        return u @ rho @ u.conj().T
-
-
-def evolve(h: np.ndarray, t: float, rho: np.ndarray) -> np.ndarray:
-    """One-shot e^{-iHt} rho e^{+iHt}; use HermitianEvolver for time grids."""
-    return HermitianEvolver(h).evolve(t, rho)
-
-
-def transfer_of_map(apply_map) -> np.ndarray:
-    """Pauli transfer matrix of a linear qubit map given as a callable.
-
-    apply_map takes and returns 2x2 complex arrays. The map must be
-    Hermiticity-preserving, so the transfer matrix is real; imaginary
-    residue beyond 1e-10 is an error, not something to discard silently.
-    """
-    return transfer_readout([apply_map(p) for p in PAULI_STACK])
-
 
 def transfer_readout(outs) -> np.ndarray:
     """Real transfer matrix from the images outs[j] of the Paulis (1, X, Y, Z).

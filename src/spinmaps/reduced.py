@@ -85,7 +85,13 @@ class FixedPoint:
 
 
 def cp_ok(lambda1: float, tau3: float, lambda3: float, tol: float = 0.0) -> bool:
-    """Complete-positivity inequalities for the phase-covariant pattern."""
+    """Complete-positivity inequalities for the phase-covariant pattern.
+
+    The sign of lambda1 does not enter. At tol 0, measure.cp_mask evaluates
+    the same float expressions over arrays, so the two agree bit for bit
+    even on the boundary (rewriting an inequality, e.g. moving tau3^2
+    across, flips knife-edge cases).
+    """
     return (
         abs(lambda3) + abs(tau3) <= 1.0 + tol
         and 4.0 * lambda1**2 + tau3**2 <= (1.0 + lambda3) ** 2 + tol

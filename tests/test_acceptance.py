@@ -21,13 +21,13 @@ from spinmaps.disorder import (DisorderSpec, _sample_phi, mc_disorder_map,
                                max_tau3_trunc_tanh, trunc_tanh_pdf)
 from spinmaps.ensemble import (GENERIC_H_RATIO, SpectralAverage,
                                converged_fluctuations, esym, network_average,
-                               quench_demo, steady_channel, time_average)
+                               network_series, quench_demo, steady_channel,
+                               time_average)
 from spinmaps.measure import (MeasureSpec, broken_uniform_sample, cp_contains,
                               cp_mask, eigenvalues_broken, eigenvalues_pc,
                               time_grid, trajectory_sample, uniform_sample,
                               volume_mc)
-from spinmaps.network import (NetworkSpec, QuenchSchedule, build_hamiltonian,
-                              t_scale)
+from spinmaps.network import NetworkSpec, build_hamiltonian, t_scale
 from spinmaps.qlinalg import HermitianEvolver, pauli
 from spinmaps.reduced import (PCParams, choi_check, cp_ok, fit_pc,
                               transfer_from_unitary)
@@ -60,15 +60,8 @@ def env_cyclic(z, focal):
 def running_average_series(topology, n, z, horizon_tj, ppt):
     """Running time average of the site-averaged transfer matrix."""
     spec = NetworkSpec(topology=topology, n=n, h=H_GENERIC, j_perp=J, j_par=J)
-    ev = HermitianEvolver(build_hamiltonian(spec))
     times = np.linspace(0.0, horizon_tj * T_J, int(round(horizon_tj * ppt)) + 1)
-    envs = [env_absolute(z, f) for f in range(n)]
-    stack = np.empty((times.size, 4, 4))
-    for k, t in enumerate(times):
-        u = ev.unitary(t)
-        stack[k] = network_average([transfer_from_unitary(u, f, envs[f])
-                                    for f in range(n)])
-    return times, time_average(times, stack)
+    return times, time_average(times, network_series(spec, z, times))
 
 
 @pytest.fixture(scope="module")
@@ -346,14 +339,12 @@ def test_criterion_11_quench_cluster_average():
     schedule = np.linspace(0.0, 50.0 * t_j, 400)
     cluster_avg = quench_demo(400, n=3, schedule=schedule,
                               t_eval=100.0 * t_j)
-    spec = NetworkSpec(topology="quench", n=3, h=GENERIC_H_RATIO * 2.0 * J,
-                       j_perp=J, quench=QuenchSchedule(n_cl=1, t_on=(0.0,)))
-    ev = HermitianEvolver(build_hamiltonian(spec, t=0.0))
+    # the always-on cluster: isotropic J per pair is J_perp = J_par = 2J
+    spec = NetworkSpec(topology="complete", n=3, h=GENERIC_H_RATIO * 2.0 * J,
+                       j_perp=2.0 * J, j_par=2.0 * J)
     grid = np.linspace(0.0, 100.0 * t_j, 2001)
-    env = [(0.0, 0.0, 1.0), (0.0, 0.0, 1.0)]
-    stack = np.stack([transfer_from_unitary(ev.unitary(t), 0, env)
-                      for t in grid])
-    reference = time_average(grid, stack)[-1]
+    reference = time_average(grid, network_series(spec, [1.0] * 3, grid,
+                                                  sites=(0,)))[-1]
     assert float(np.abs(cluster_avg - reference).max()) < 0.02
 
 

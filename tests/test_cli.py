@@ -240,3 +240,12 @@ def test_fluct_quick(tmp_path, capsys):
         rows = list(csv.reader(fh))
     assert rows[0] == ["t_over_tj", "delta_lambda3", "delta_tau3"]
     assert len(rows) == 60 * 6 + 2
+
+
+def test_threads_warns_once_numpy_is_loaded(tmp_path, capsys, monkeypatch):
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.delenv(var, raising=False)  # restores what main sets
+    rc, _, err = run_cli(["volume", "--samples", "100000", "--threads", "1",
+                          "--outdir", str(tmp_path)], capsys)
+    assert rc == 0
+    assert "warning: --threads has no effect" in err

@@ -13,13 +13,14 @@ from spinmaps.ensemble import (
     esym,
     fluctuations,
     network_average,
+    network_series,
     quench_demo,
     steady_channel,
     time_average,
 )
-from spinmaps.network import NetworkSpec, QuenchSchedule, build_hamiltonian, t_scale
+from spinmaps.network import NetworkSpec, build_hamiltonian, t_scale
 from spinmaps.qlinalg import HermitianEvolver
-from spinmaps.reduced import MapExtractor, PCParams, fit_pc, transfer_from_unitary
+from spinmaps.reduced import PCParams, fit_pc, transfer_from_unitary
 
 RNG = np.random.default_rng(31)
 
@@ -31,14 +32,8 @@ def network_avg_series(topology, n, z, t_max_tj, ppt, j_perp=1.0, j_par=1.0,
     h = GENERIC_H_RATIO * j_perp if h is None else h
     t_j = t_scale(j_perp)
     grid = np.linspace(0.0, t_max_tj * t_j, int(round(t_max_tj * ppt)) + 1)
-    hm = build_hamiltonian(NetworkSpec(topology=topology, n=n, h=h,
-                                       j_perp=j_perp, j_par=j_par))
-    stacks = []
-    for focal in range(n):
-        env = [(0.0, 0.0, z[s]) for s in range(n) if s != focal]
-        ex = MapExtractor(hm, focal, env)
-        stacks.append([ex.transfer(t) for t in grid])
-    return grid, np.mean(stacks, axis=0)
+    spec = NetworkSpec(topology=topology, n=n, h=h, j_perp=j_perp, j_par=j_par)
+    return grid, network_series(spec, z, grid)
 
 
 # ---------------------------------------------------------------------------
@@ -322,9 +317,9 @@ def test_fluctuations_needs_tail_samples():
 
 def test_quench_single_cluster_contract():
     h = GENERIC_H_RATIO * 2.0
-    spec = NetworkSpec(topology="quench", n=3, h=h, j_perp=1.0,
-                       quench=QuenchSchedule(n_cl=1, t_on=(0.0,)))
-    ev = HermitianEvolver(build_hamiltonian(spec, t=0.0))
+    # the always-on cluster: isotropic j = 1 is J_perp = J_par = 2
+    spec = NetworkSpec(topology="complete", n=3, h=h, j_perp=2.0, j_par=2.0)
+    ev = HermitianEvolver(build_hamiltonian(spec))
     env = [(0.0, 0.0, 1.0)] * 2
     want = transfer_from_unitary(ev.unitary(5.5 - 1.2), 0, env)
     got = quench_demo(1, schedule=[1.2], t_eval=5.5, h=h)
@@ -355,11 +350,7 @@ def test_quench_average_tracks_time_average():
     avg = quench_demo(200)  # staggered over [0, 50 t_J], t_eval = 50 t_J
     t_j = t_scale(2.0)
     h = GENERIC_H_RATIO * 2.0
-    spec = NetworkSpec(topology="quench", n=3, h=h, j_perp=1.0,
-                       quench=QuenchSchedule(n_cl=1, t_on=(0.0,)))
-    ev = HermitianEvolver(build_hamiltonian(spec, t=0.0))
-    env = [(0.0, 0.0, 1.0)] * 2
+    spec = NetworkSpec(topology="complete", n=3, h=h, j_perp=2.0, j_par=2.0)
     grid = np.linspace(0.0, 50.0 * t_j, 50 * 20 + 1)
-    stack = np.array([transfer_from_unitary(ev.unitary(t), 0, env) for t in grid])
-    ref = time_average(grid, stack)[-1]
+    ref = time_average(grid, network_series(spec, [1.0] * 3, grid, sites=(0,)))[-1]
     assert np.max(np.abs(avg - ref)) < 0.02

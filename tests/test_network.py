@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from spinmaps.network import (
     NetworkSpec,
     PairSpec,
-    QuenchSchedule,
     blocked_eigensystem,
     build_hamiltonian,
     charge_of,
@@ -42,8 +41,6 @@ def test_spec_validation():
         NetworkSpec(topology="xx_pairs", n=4)  # pairs missing
     with pytest.raises(ValueError):
         NetworkSpec(topology="xx_pairs", n=3, pairs=(PairSpec(1.0, 0.5, 1.0),))
-    with pytest.raises(ValueError):
-        QuenchSchedule(n_cl=2, t_on=(0.0,))
 
 
 def test_spec_json_roundtrip():
@@ -83,19 +80,6 @@ def test_xx_pairs_block_structure():
     want = np.kron(build_hamiltonian(one), np.eye(4)) + np.kron(
         np.eye(4), build_hamiltonian(two))
     assert np.max(np.abs(h - want)) < 1e-12
-
-
-def test_quench_hamiltonian_switches():
-    spec = NetworkSpec(topology="quench", n=3, h=0.4, j_perp=0.9,
-                       quench=QuenchSchedule(n_cl=1, t_on=(2.0,)))
-    before = build_hamiltonian(spec, t=1.0)
-    after = build_hamiltonian(spec, t=3.0)
-    assert np.max(np.abs(before - 0.4 * charge_operator(3))) < 1e-12
-    # coupled part is the isotropic bond with J_perp = J_par = 2 j
-    iso = NetworkSpec(topology="complete", n=3, h=0.4, j_perp=1.8, j_par=1.8)
-    assert np.max(np.abs(after - build_hamiltonian(iso))) < 1e-12
-    with pytest.raises(ValueError):
-        build_hamiltonian(spec)  # t is required
 
 
 @given(st.integers(3, 6), st.integers(0, 2**6 - 1))

@@ -5,6 +5,8 @@ from hypothesis import strategies as st
 
 from spinmaps.qlinalg import (
     HermitianEvolver,
+    NumericalError,
+    PAULI_STACK,
     SI,
     SX,
     SY,
@@ -12,11 +14,10 @@ from spinmaps.qlinalg import (
     density_of,
     diagonal_state,
     embed,
-    evolve,
     kron_all,
     partial_trace_keep,
     pauli,
-    transfer_of_map,
+    transfer_readout,
 )
 
 RNG = np.random.default_rng(7)
@@ -109,26 +110,17 @@ def test_evolver_rejects_non_hermitian():
         HermitianEvolver(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
-def test_evolve_preserves_trace_and_spectrum():
-    h = random_hermitian(4, RNG)
-    rho = density_of([(0.2, 0.1, -0.5), (0.0, 0.0, 0.9)])
-    out = evolve(h, 1.3, rho)
-    assert abs(np.trace(out) - 1.0) < 1e-12
-    assert np.max(np.abs(np.sort(np.linalg.eigvalsh(out))
-                         - np.sort(np.linalg.eigvalsh(rho)))) < 1e-12
-
-
-def test_transfer_of_map_identity_and_unitary():
-    assert np.allclose(transfer_of_map(lambda m: m), np.eye(4))
+def test_transfer_readout_identity_and_unitary():
+    assert np.allclose(transfer_readout(PAULI_STACK), np.eye(4))
     # conjugation by exp(-i phi Z / 2): rotation block about z by angle phi
     phi = 0.8
     u = np.array([[np.exp(-0.5j * phi), 0], [0, np.exp(0.5j * phi)]])
-    t = transfer_of_map(lambda m: u @ m @ u.conj().T)
+    t = transfer_readout([u @ m @ u.conj().T for m in PAULI_STACK])
     assert abs(t[1, 1] - np.cos(phi)) < 1e-12
     assert abs(t[2, 1] - np.sin(phi)) < 1e-12
     assert abs(t[3, 3] - 1.0) < 1e-12
 
 
-def test_transfer_of_map_rejects_non_hermiticity_preserving():
-    with pytest.raises(ValueError):
-        transfer_of_map(lambda m: 1j * m)
+def test_transfer_readout_rejects_non_hermiticity_preserving():
+    with pytest.raises(NumericalError):
+        transfer_readout(1j * PAULI_STACK)
