@@ -18,14 +18,12 @@ BLAS pool before numpy loads.
 _EXPORTS = {
     # qlinalg
     "HermitianEvolver": "qlinalg",
-    "diagonal_state": "qlinalg",
     "partial_trace_keep": "qlinalg",
     # network
     "NetworkSpec": "network",
     "PairSpec": "network",
     "build_hamiltonian": "network",
     "charge_operator": "network",
-    "blocked_eigensystem": "network",
     "t_scale": "network",
     # reduced
     "PCParams": "reduced",
@@ -40,7 +38,6 @@ _EXPORTS = {
     "fixed_point": "reduced",
     "ab_decompose": "reduced",
     "transfer_from_unitary": "reduced",
-    "reduced_map": "reduced",
     # analytic
     "cc_params": "analytic",
     "ring_params": "analytic",

@@ -255,25 +255,6 @@ def cc_params(n: int, t: float, j_perp: float, j_par: float, h: float,
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RingEig4:
-    """Mixing parameters of the half-filled zero-momentum block, ring N=4.
-
-    The branch of phi_cross is fixed by atan2(-2^{3/2} J_perp, J_par), so
-    cos(phi_cross) = J_par/J_cross with its sign intact; the closed forms
-    below depend on exactly that signed ratio.
-    """
-
-    j_cross: float
-    phi_cross: float
-
-
-def ring_eig4(j_perp: float, j_par: float) -> RingEig4:
-    j_cross = math.sqrt(j_par * j_par + 8.0 * j_perp * j_perp)
-    phi_cross = math.atan2(-2.0 ** 1.5 * j_perp, j_par)
-    return RingEig4(j_cross=j_cross, phi_cross=phi_cross)
-
-
 def _ring4_l3t3(t, jp, jz, env):
     s1, s2, s3 = env
     jx = math.sqrt(jz * jz + 8.0 * jp * jp)
@@ -292,8 +273,9 @@ def _ring4_l3t3(t, jp, jz, env):
 # Transverse sector of the N=4 ring: alpha rows attach cos(w t) to the even
 # environment monomials {1, s1 s2, s2 s3, s1 s3}, beta rows attach sin(w t)
 # to the odd ones {s1, s2, s3, s1 s2 s3}. Frequencies are signed,
-# w = m1 J_perp + m2 J_par + m3 J_cross, and each coefficient is
-# r0 + r1 (J_par/J_cross) + r2 (J_perp/J_cross).
+# w = m1 J_perp + m2 J_par + m3 J_cross with J_cross = sqrt(J_par^2 + 8 J_perp^2),
+# and each coefficient is r0 + r1 (J_par/J_cross) + r2 (J_perp/J_cross), the
+# ratio J_par/J_cross keeping the sign of J_par.
 _RING4_AB_ROWS = (
     ("a", "1", 0, 0, 0, "1/4", "0", "0"),
     ("a", "s1s3", 0, 0, 0, "-1/4", "0", "0"),
@@ -455,6 +437,12 @@ def _ring5_l3t3(t, jp, env):
     return lam3, tau3
 
 
+def _anisotropic(j_perp: float, j_par: float) -> bool:
+    """Whether J_par != J_perp; ring N=5 is solved only at the isotropic point."""
+    scale = max(1.0, abs(j_perp), abs(j_par))
+    return abs(j_par - j_perp) > 1e-12 * scale
+
+
 def ring_params(n: int, t: float, j_perp: float, j_par: float, h: float,
                 env_z, focal: int = 0):
     """Closed-form ring parameters: (PCParams, ABDecomp) for N=4, and
@@ -470,8 +458,7 @@ def ring_params(n: int, t: float, j_perp: float, j_par: float, h: float,
         alpha, beta = _ring4_ab(t, j_perp, j_par, env)
         return _assemble(lam3, tau3, alpha, beta, h, t)
     if n == 5:
-        scale = max(1.0, abs(j_perp), abs(j_par))
-        if abs(j_par - j_perp) > 1e-12 * scale:
+        if _anisotropic(j_perp, j_par):
             raise ValueError(
                 "ring N=5 is only available at the isotropic point J_par = J_perp")
         lam3, tau3 = _ring5_l3t3(t, j_perp, env)

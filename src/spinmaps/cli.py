@@ -162,20 +162,12 @@ def _generic_h(cfg) -> float:
     return GENERIC_H_RATIO * abs(cfg["j_perp"]) if cfg["h"] is None else cfg["h"]
 
 
-def _anisotropic(j_perp: float, j_par: float) -> bool:
-    """Whether J_par differs from J_perp: ring N=5 is solved only at the
-    isotropic point."""
-    scale = max(1.0, abs(j_perp), abs(j_par))
-    return abs(j_par - j_perp) > 1e-12 * scale
-
-
 # ---------------------------------------------------------------------------
 # maps
 # ---------------------------------------------------------------------------
 
 def _analytic_transfer(topology, n, t, j_perp, j_par, h, z, focal, pair):
-    """Closed-form transfer where a family exists, else (None, reason)."""
-    import numpy as np
+    """Closed-form transfer (NaN where unknown) if a family exists, else (None, reason)."""
     from . import analytic
 
     if topology == "xx_pairs":
@@ -187,17 +179,11 @@ def _analytic_transfer(topology, n, t, j_perp, j_par, h, z, focal, pair):
             return None, f"no closed form for complete N={n}"
         p, _ = analytic.cc_params(n, t, j_perp, j_par, h, env_cyclic, focal)
         return p.transfer(), None
-    if topology == "ring" and n == 4:
-        p, _ = analytic.ring_params(4, t, j_perp, j_par, h, env_cyclic, focal)
-        return p.transfer(), None
-    if topology == "ring" and n == 5:
-        if _anisotropic(j_perp, j_par):
+    if topology == "ring" and n in (4, 5):
+        if n == 5 and analytic._anisotropic(j_perp, j_par):
             return None, "ring N=5 closed form needs J_par = J_perp"
-        p, _ = analytic.ring_params(5, t, j_perp, j_par, h, env_cyclic, focal)
-        out = np.full((4, 4), np.nan)
-        out[0] = (1.0, 0.0, 0.0, 0.0)
-        out[3, 0], out[3, 3] = p.tau3, p.lambda3
-        return out, None
+        p, _ = analytic.ring_params(n, t, j_perp, j_par, h, env_cyclic, focal)
+        return p.transfer(), None
     return None, f"no closed form for ({topology}, N={n})"
 
 
@@ -298,6 +284,8 @@ def cmd_maps(cfg: dict) -> int:
 
 def _steady_table_key(topology: str, n: int, j_perp: float, j_par: float):
     """Map the run to a steady-table entry or raise UnsupportedError."""
+    from .analytic import _anisotropic
+
     if topology == "complete" and 3 <= n <= 6:
         return "complete", n
     if topology == "ring":
@@ -756,6 +744,31 @@ def _config(args: argparse.Namespace) -> dict:
     return {k: v for k, v in vars(args).items() if k not in _NOT_CONFIG}
 
 
+def _config_type_error(action: argparse.Action, value):
+    """Why a --config value does not fit its option, or None if it does.
+
+    A string goes through the option's converter, like the text of a flag;
+    null stands for an option that has no default. Any other value must
+    already have the JSON type the option parses to.
+    """
+    def number(v):
+        return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+    if isinstance(action, argparse.BooleanOptionalAction):
+        want, ok = "true or false", isinstance(value, bool)
+    elif isinstance(value, str) or (value is None and action.default is None):
+        return None
+    elif action.type is int:
+        want, ok = "an integer", number(value) and isinstance(value, int)
+    elif action.type is float:
+        want, ok = "a number", number(value)
+    elif action.type is _float_list:
+        want, ok = "a list of numbers", isinstance(value, list) and all(map(number, value))
+    else:
+        want, ok = "a string", False
+    return None if ok else f"expected {want}, got {json.dumps(value)}"
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -771,10 +784,15 @@ def main(argv=None) -> int:
             # command's defaults and argv is parsed again over them
             data = _read_config(args.config)
             fields = _config(args)
-            for key in data:
+            command = parser.commands[args.command]
+            actions = {action.dest: action for action in command._actions}
+            for key, value in data.items():
                 if key not in fields:
                     raise ConfigError(f"config.{key}: unknown field for this command")
-            parser.commands[args.command].set_defaults(**data)
+                problem = _config_type_error(actions[key], value)
+                if problem is not None:
+                    raise ConfigError(f"config.{key}: {problem}")
+            command.set_defaults(**data)
             args = parser.parse_args(argv)
         return args.func(_config(args))
     except (ConfigError, json.JSONDecodeError) as exc:

@@ -5,8 +5,7 @@ Conventions fixed here and used everywhere else:
 - Computational basis index = big-endian bit string, site 0 is the most
   significant bit.
 - Bit value 1 denotes the Z-eigenvalue -1 state. The charge Q = sum_i Z_i
-  then has eigenvalue 2q - N on a string with q zero-bits; `network` sorts
-  the basis by that q.
+  then has eigenvalue 2q - N on a string with q zero-bits.
 - Transfer matrices are real 4x4 in the Pauli basis (1, X, Y, Z) with
   entries L[i, j] = tr(sigma_i L(sigma_j)) / 2.
 
@@ -71,11 +70,6 @@ def density_of(sites) -> np.ndarray:
             raise ValueError(f"Bloch vector {(x, y, z)} has norm > 1")
         factors.append(0.5 * (SI + x * SX + y * SY + z * SZ))
     return kron_all(factors)
-
-
-def diagonal_state(z_list) -> np.ndarray:
-    """Product density matrix with Bloch vectors (0, 0, z_i)."""
-    return density_of([(0.0, 0.0, z) for z in z_list])
 
 
 def partial_trace_keep(rho: np.ndarray, site: int) -> np.ndarray:

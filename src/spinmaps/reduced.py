@@ -149,11 +149,6 @@ class MapExtractor:
         return _transfer_entries(self.evolver.unitary(t), self.inputs, self.site)
 
 
-def reduced_map(h_mat: np.ndarray, t: float, site: int, env_blochs) -> np.ndarray:
-    """One-shot transfer matrix; use MapExtractor over time grids."""
-    return MapExtractor(h_mat, site, env_blochs).transfer(t)
-
-
 def fit_pc(transfer: np.ndarray) -> PCParams:
     """Read phase-covariant parameters off a transfer matrix.
 

@@ -88,18 +88,9 @@ def smallz_flucts():
 
 def closed_form_transfer(topology, n, t, j_par, z, focal):
     """Closed-form 4x4 transfer; entries with no closed form are NaN."""
-    env = env_cyclic(z, focal)
-    if topology == "complete":
-        p, _ = cc_params(n, t, J, j_par, 0.37, env, focal)
-        return p.transfer()
-    if n == 4:
-        p, _ = ring_params(4, t, J, j_par, 0.37, env, focal)
-        return p.transfer()
-    p, _ = ring_params(5, t, J, j_par, 0.37, env, focal)
-    out = np.full((4, 4), np.nan)
-    out[0] = (1.0, 0.0, 0.0, 0.0)
-    out[3, 0], out[3, 3] = p.tau3, p.lambda3
-    return out
+    params = cc_params if topology == "complete" else ring_params
+    p, _ = params(n, t, J, j_par, 0.37, env_cyclic(z, focal), focal)
+    return p.transfer()
 
 
 def test_criterion_01_closed_forms_match_numeric_extraction():

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from spinmaps.analytic import (
     TRANSCRIPTION_FIXES,
     cc_params,
-    ring_eig4,
     ring_params,
     xx_eigenparams,
     xx_reduced_map,
@@ -133,14 +132,6 @@ def test_ring4_neighbour_antipode_asymmetry():
         b, _ = ring_params(4, t, 1.0, 0.4, 0.0, swapped)
         diffs.append(abs(a.lambda3 - b.lambda3))
     assert max(diffs) > 1e-3
-
-
-def test_ring_eig4_branch():
-    e = ring_eig4(1.0, -2.0)
-    assert abs(e.j_cross - np.sqrt(12.0)) < 1e-12
-    # cos(phi_cross) carries the sign of J_par
-    assert np.cos(e.phi_cross) < 0.0
-    assert np.sin(e.phi_cross) < 0.0
 
 
 @given(st.floats(-3, 3), st.floats(-3, 3), st.floats(0.05, 3))

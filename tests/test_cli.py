@@ -37,6 +37,36 @@ def test_invalid_json_config_exits_2(tmp_path, capsys):
     assert "invalid JSON" in err
 
 
+@pytest.mark.parametrize("command, data", [
+    ("maps", {"n": [1]}),
+    ("maps", {"n": True}),
+    ("maps", {"n": 3.5}),
+    ("maps", {"n": None}),
+    ("maps", {"j_par": {"x": 1}}),
+    ("maps", {"z_list": [0.1, "x", 0.3]}),
+    ("maps", {"outdir": 3}),
+    ("measure", {"overlay": "no"}),
+])
+def test_wrong_json_type_config_exits_2(tmp_path, capsys, command, data):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(data))
+    rc, _, err = run_cli([command, "--config", str(cfg),
+                          "--outdir", str(tmp_path)], capsys)
+    assert rc == 2
+    assert f"config error: config.{next(iter(data))}: expected" in err
+
+
+def test_json_typed_config_values_are_accepted(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"n": 3, "h": None, "j_par": 1, "state": "custom",
+                               "z_list": [0.5, -0.25, 1], "t_max_tj": 0.5}))
+    rc, out, _ = run_cli(["maps", "--config", str(cfg),
+                          "--outdir", str(tmp_path)], capsys)
+    assert rc == 0
+    manifest = json.loads((last_run_dir(out) / "manifest.json").read_text())
+    assert manifest["config"]["z_list"] == [0.5, -0.25, 1]
+
+
 def test_state_preset_errors_exit_2(tmp_path, capsys):
     rc, _, err = run_cli(["quench", "--state", "custom",
                           "--outdir", str(tmp_path)], capsys)

@@ -12,7 +12,6 @@ from spinmaps.qlinalg import (
     SY,
     SZ,
     density_of,
-    diagonal_state,
     embed,
     kron_all,
     partial_trace_keep,
@@ -57,7 +56,7 @@ def test_density_of_refuses_long_bloch():
 
 @given(st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=4))
 def test_diagonal_state_is_a_state(zs):
-    rho = diagonal_state(zs)
+    rho = density_of([(0.0, 0.0, z) for z in zs])
     assert abs(np.trace(rho) - 1.0) < 1e-12
     assert np.linalg.eigvalsh(rho)[0] > -1e-12
 

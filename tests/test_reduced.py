@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from spinmaps.network import NetworkSpec, build_hamiltonian
@@ -15,7 +15,6 @@ from spinmaps.reduced import (
     fit_pc,
     fixed_point,
     is_phase_covariant,
-    reduced_map,
     transfer_from_unitary,
 )
 
@@ -37,7 +36,7 @@ def random_env(n, rng, diagonal=True):
 
 def test_reduced_map_is_identity_at_t0():
     env = random_env(3, RNG)
-    assert np.max(np.abs(reduced_map(CC3, 0.0, 0, env) - np.eye(4))) < 1e-12
+    assert np.max(np.abs(MapExtractor(CC3, 0, env).transfer(0.0) - np.eye(4))) < 1e-12
 
 
 def test_extractor_matches_one_shot_and_unitary_path():
@@ -45,7 +44,7 @@ def test_extractor_matches_one_shot_and_unitary_path():
     ex = MapExtractor(CC3, 1, env)
     for t in (0.3, 1.7):
         m1 = ex.transfer(t)
-        m2 = reduced_map(CC3, t, 1, env)
+        m2 = MapExtractor(CC3, 1, env).transfer(t)
         m3 = transfer_from_unitary(ex.evolver.unitary(t), 1, env)
         assert np.max(np.abs(m1 - m2)) < 1e-12
         assert np.max(np.abs(m1 - m3)) < 1e-12
@@ -72,16 +71,16 @@ def test_reduced_maps_preserve_trace_and_are_cp():
     for _ in range(10):
         env = random_env(3, RNG, diagonal=False)
         t = float(RNG.uniform(0, 8))
-        m = reduced_map(CC3, t, 0, env)
+        m = MapExtractor(CC3, 0, env).transfer(t)
         assert np.max(np.abs(m[0] - np.array([1, 0, 0, 0]))) < 1e-12
         assert choi_check(m) >= -1e-9
 
 
 def test_phase_covariance_diagonal_env_only():
     diag = random_env(3, RNG)
-    assert is_phase_covariant(reduced_map(CC3, 1.1, 0, diag))
+    assert is_phase_covariant(MapExtractor(CC3, 0, diag).transfer(1.1))
     tilted = [(0.6, 0.0, 0.2), (0.0, 0.0, 0.5)]
-    assert not is_phase_covariant(reduced_map(CC3, 1.1, 0, tilted))
+    assert not is_phase_covariant(MapExtractor(CC3, 0, tilted).transfer(1.1))
 
 
 @given(unit_floats, st.floats(-np.pi, np.pi), unit_floats, unit_floats)
@@ -99,10 +98,23 @@ def test_fit_pc_roundtrip(l1, th, l3, t3):
 
 
 @given(unit_floats, unit_floats, unit_floats)
+@example(0.0, 1.0, 1e-10)  # outside CP by 2.5e-11: cp_ok rejects, choi_check accepts
 def test_cp_ok_agrees_with_choi(l1, t3, l3):
     p = PCParams(lambda1=abs(l1), theta=0.9, lambda3=l3, tau3=t3)
     ineq = cp_ok(p.lambda1, p.tau3, p.lambda3, tol=1e-12)
     choi = choi_check(p.transfer()) >= -1e-9
+    # The Choi matrix of the pattern has eigenvalues (1 - l3 +- t3)/4 and
+    # (1 + l3 +- r)/4 with r = hypot(t3, 2 l1), so the exact CP margin is
+    # m = min(1 - l3 - |t3|, 1 + l3 - r)/4. cp_ok's slacks g1 = 1 - |l3| - |t3|
+    # and g2 = (1 + l3)^2 - r^2 are negative exactly when m is. Outside CP
+    # (m < 0), choi_check still accepts down to m = -1e-9 and cp_ok down to
+    # min(g1, g2) = -1e-12, each up to roundoff (eigvalsh is within 4e-16 of
+    # m here), so only there may the two disagree.
+    r = np.hypot(t3, 2.0 * l1)
+    margin = min(1.0 - l3 - abs(t3), 1.0 + l3 - r) / 4.0
+    slack = min(1.0 - abs(l3) - abs(t3), (1.0 + l3) ** 2 - r**2)
+    in_band = margin < 0 and (margin >= -1e-9 - 1e-14 or slack >= -1e-12 - 1e-14)
+    assume(not in_band)
     assert ineq == choi
 
 
@@ -152,4 +164,6 @@ def test_ab_decompose_rebuilds_rotation(h, t, a, b):
 
 def test_transfer_entries_reject_bad_env_count():
     with pytest.raises(ValueError):
-        reduced_map(CC3, 0.5, 0, [(0.0, 0.0, 1.0)])
+        MapExtractor(CC3, 0, [(0.0, 0.0, 1.0)])
+    with pytest.raises(ValueError):
+        transfer_from_unitary(np.eye(8), 0, [(0.0, 0.0, 1.0)] * 3)
