@@ -1,14 +1,18 @@
 """Run driver: each pipeline as a reproducible command emitting CSV/JSON.
 
-Subcommands: maps, steady, fluct, disorder, measure, volume, quench. Every
-run writes <outdir>/<command>-<timestamp>/ with manifest.json (full config
-echo, seed, tool version), data.csv (RFC-4180, 17 significant digits), and
-where relevant diagnostics.json. Bodies are byte-identical under a fixed
-(config, seed); only the manifest carries the timestamp.
+Subcommands: maps, steady, fluct, disorder, measure, volume, quench. Each
+cmd_* only computes and returns a RunOutput; main then claims
+<outdir>/<command>-<timestamp>[-NN]/ and writes manifest.json (full config
+echo, seed, tool version), the command's CSV files (RFC-4180, 17
+significant digits) and diagnostics.json, and prints the directory. A run
+that raises writes nothing; a failed verdict exits 3 after its files are
+written. Bodies are byte-identical under a fixed (config, seed); only the
+manifest carries the timestamp.
 
-Config resolution: built-in defaults < JSON file (--config) < flags.
-Exit codes: 0 success, 2 config error, 3 invariant violation or internal
-numerical failure, 4 unsupported combination.
+Config resolution: built-in defaults < JSON file (--config) < flags; the
+merged horizons, grid densities and counts are then checked once
+(_FIELD_CHECKS). Exit codes: 0 success, 2 config error, 3 invariant
+violation or internal numerical failure, 4 unsupported combination.
 
 Times in data files are in units of t_J except the disorder command, whose
 absolute t shares units with 1/B, 1/Omega (no exchange scale there).
@@ -24,6 +28,7 @@ import os
 import sys
 import time
 from pathlib import Path
+from typing import NamedTuple
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -90,13 +95,6 @@ def _fmt(x) -> str:
     return format(float(x), ".17g")
 
 
-def _write_csv(path: Path, header, rows):
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        w.writerows(rows)
-
-
 def _write_json(path: Path, obj):
     with open(path, "w") as fh:
         json.dump(obj, fh, indent=2, sort_keys=True)
@@ -147,8 +145,14 @@ def _read_config(path) -> dict:
     return data
 
 
-def _env_for(z, focal):
-    return [(0.0, 0.0, z[s]) for s in range(len(z)) if s != focal]
+class RunOutput(NamedTuple):
+    """What a command computed, for main to write: CSV tables by file name as
+    (header, rows), the diagnostics.json object, and the failed verdict, if
+    any, that exits 3 once the files are written."""
+
+    tables: dict
+    diagnostics: dict
+    failure: str | None = None
 
 
 def _uniform_grid(t_j: float, t_max_tj: float, points_per_tj: float):
@@ -157,9 +161,45 @@ def _uniform_grid(t_j: float, t_max_tj: float, points_per_tj: float):
     return np.linspace(0.0, t_max_tj * t_j, n_pts)
 
 
-def _generic_h(cfg) -> float:
+def _network(cfg: dict, topology: str | None = None):
+    """(NetworkSpec, t_J, initial z) of the run's XXZ network.
+
+    topology defaults to the run's --topology. quench has no XXZ couplings:
+    its cluster is the complete graph with J_perp = J_par = 2j, the isotropic
+    coupling j per pair, and its default field keeps the sign of j.
+    """
     from .ensemble import GENERIC_H_RATIO
-    return GENERIC_H_RATIO * abs(cfg["j_perp"]) if cfg["h"] is None else cfg["h"]
+    from .network import NetworkSpec, t_scale
+
+    n = int(cfg["n"])
+    if "j_perp" in cfg:
+        j_perp, j_par, scale = cfg["j_perp"], cfg["j_par"], abs(cfg["j_perp"])
+    else:
+        j_perp = j_par = scale = 2.0 * cfg["j"]
+        topology = "complete"
+    h = GENERIC_H_RATIO * scale if cfg["h"] is None else cfg["h"]
+    spec = NetworkSpec(topology=topology or cfg["topology"], n=n, h=h,
+                       j_perp=j_perp, j_par=j_par)
+    return spec, t_scale(j_perp), preset_state(n, cfg["state"], cfg["z"], cfg["z_list"])
+
+
+def _steady(cfg: dict, topology: str):
+    """The exact steady channel of the run's network and initial state.
+
+    A network without a table raises UnsupportedError before the state is
+    checked.
+    """
+    from .analytic import _anisotropic
+    from .ensemble import steady_channel
+
+    n = int(cfg["n"])
+    if topology == "ring" and n == 3:
+        topology = "complete"  # the 3-ring is the 3-clique
+    if not ((topology == "complete" and 3 <= n <= 6) or (topology == "ring" and n in (4, 5))):
+        raise UnsupportedError(f"no steady table for ({topology}, N={n})")
+    if topology == "ring" and n == 5 and _anisotropic(cfg["j_perp"], cfg["j_par"]):
+        raise UnsupportedError("ring N=5 steady table holds at the isotropic point only")
+    return steady_channel(n, topology, rational_state(n, cfg["state"], cfg["z"], cfg["z_list"]))
 
 
 # ---------------------------------------------------------------------------
@@ -187,13 +227,13 @@ def _analytic_transfer(topology, n, t, j_perp, j_par, h, z, focal, pair):
     return None, f"no closed form for ({topology}, N={n})"
 
 
-def cmd_maps(cfg: dict) -> int:
+def cmd_maps(cfg: dict) -> RunOutput:
     import numpy as np
     from .network import NetworkSpec, PairSpec, build_hamiltonian, t_scale
     from .reduced import MapExtractor, fit_pc, cp_ok
     from .ensemble import network_average
 
-    topology, n = cfg["topology"], int(cfg["n"])
+    topology = cfg["topology"]
     pair = None
     if topology == "xx_pairs":
         n = 2
@@ -213,13 +253,10 @@ def cmd_maps(cfg: dict) -> int:
         sites = [0]
         envs = {0: [env_bloch]}
     else:
-        h_field = _generic_h(cfg)
-        spec = NetworkSpec(topology=topology, n=n, h=h_field,
-                           j_perp=cfg["j_perp"], j_par=cfg["j_par"])
-        t_j = t_scale(cfg["j_perp"])
-        z = preset_state(n, cfg["state"], cfg["z"], cfg["z_list"])
+        spec, t_j, z = _network(cfg)
+        n, h_field = spec.n, spec.h
         sites = list(range(n))
-        envs = {s: _env_for(z, s) for s in sites}
+        envs = {s: [(0.0, 0.0, z[k]) for k in sites if k != s] for s in sites}
 
     times = _uniform_grid(t_j, cfg["t_max_tj"], cfg["points_per_tj"])
     h_mat = build_hamiltonian(spec)
@@ -262,60 +299,26 @@ def cmd_maps(cfg: dict) -> int:
 
     if not have_analytic:
         print(f"warning: running numeric-only ({analytic_reason})", file=sys.stderr)
-
-    out = _start_run(cfg, "maps")
-    _write_csv(out / "data.csv",
-               ("t_over_tj", "site", "lambda1", "theta", "lambda3", "tau3", "residual"),
-               rows)
-    _write_json(out / "diagnostics.json", {
+    header = ("t_over_tj", "site", "lambda1", "theta", "lambda3", "tau3", "residual")
+    return RunOutput({"data.csv": (header, rows)}, {
         "phase_covariant": bool(max_resid < 1e-8),
         "max_residual": max_resid,
         "analytic_check": {"max_abs_err": analytic_err} if have_analytic else None,
         "analytic_skip_reason": analytic_reason,
         "t_j": t_j,
     })
-    print(out)
-    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
 # steady
 # ---------------------------------------------------------------------------
 
-def _steady_table_key(topology: str, n: int, j_perp: float, j_par: float):
-    """Map the run to a steady-table entry or raise UnsupportedError."""
-    from .analytic import _anisotropic
-
-    if topology == "complete" and 3 <= n <= 6:
-        return "complete", n
-    if topology == "ring":
-        if n == 3:
-            return "complete", 3  # the 3-ring is the 3-clique
-        if n == 4:
-            return "ring", 4
-        if n == 5:
-            if _anisotropic(j_perp, j_par):
-                raise UnsupportedError(
-                    "ring N=5 steady table holds at the isotropic point only")
-            return "ring", 5
-    raise UnsupportedError(f"no steady table for ({topology}, N={n})")
-
-
-def cmd_steady(cfg: dict) -> int:
+def cmd_steady(cfg: dict) -> RunOutput:
     import numpy as np
-    from .network import NetworkSpec, t_scale
-    from .ensemble import network_series, steady_channel, time_average
+    from .ensemble import network_series, time_average
 
-    topology, n = cfg["topology"], int(cfg["n"])
-    table_topology, table_n = _steady_table_key(topology, n, cfg["j_perp"], cfg["j_par"])
-    z = preset_state(n, cfg["state"], cfg["z"], cfg["z_list"])
-    z_exact = rational_state(n, cfg["state"], cfg["z"], cfg["z_list"])
-    steady = steady_channel(table_n, table_topology, z_exact)
-
-    h_field = _generic_h(cfg)
-    spec = NetworkSpec(topology=topology, n=n, h=h_field,
-                       j_perp=cfg["j_perp"], j_par=cfg["j_par"])
-    t_j = t_scale(cfg["j_perp"])
+    steady = _steady(cfg, cfg["topology"])
+    spec, t_j, z = _network(cfg)
     times = _uniform_grid(t_j, cfg["horizon_tj"], cfg["points_per_tj"])
     running = time_average(times, network_series(spec, z, times))
 
@@ -328,9 +331,6 @@ def cmd_steady(cfg: dict) -> int:
     rows = [(_fmt(t / t_j), _fmt(running[k, 3, 3]), _fmt(running[k, 3, 0]),
              _fmt(np.hypot(running[k, 1, 1], running[k, 2, 1])))
             for k, t in enumerate(times)]
-    out = _start_run(cfg, "steady")
-    _write_csv(out / "data.csv",
-               ("t_over_tj", "lambda3_avg", "tau3_avg", "lambda1_avg"), rows)
     diagnostics = {
         "exact": {
             "lambda3": steady.lambda3, "tau3": steady.tau3,
@@ -345,34 +345,22 @@ def cmd_steady(cfg: dict) -> int:
         "tol": cfg["tol"],
         "pass": bool(diff_l3 < cfg["tol"] and diff_t3 < cfg["tol"]),
     }
-    _write_json(out / "diagnostics.json", diagnostics)
-    print(out)
-    if not diagnostics["pass"]:
-        print(f"error: horizon too short: |diff| = "
-              f"({diff_l3:.2e}, {diff_t3:.2e}) > tol {cfg['tol']}", file=sys.stderr)
-        return EXIT_INVARIANT
-    return EXIT_OK
+    header = ("t_over_tj", "lambda3_avg", "tau3_avg", "lambda1_avg")
+    return RunOutput({"data.csv": (header, rows)}, diagnostics,
+                     None if diagnostics["pass"] else
+                     f"horizon too short: |diff| = ({diff_l3:.2e}, {diff_t3:.2e}) "
+                     f"> tol {cfg['tol']}")
 
 
 # ---------------------------------------------------------------------------
 # fluct
 # ---------------------------------------------------------------------------
 
-def cmd_fluct(cfg: dict) -> int:
-    from .network import NetworkSpec, t_scale
-    from .ensemble import (FLUCT_RTOL, SpectralAverage, converged_fluctuations,
-                           steady_channel)
+def cmd_fluct(cfg: dict) -> RunOutput:
+    from .ensemble import FLUCT_RTOL, SpectralAverage, converged_fluctuations
 
-    topology, n = cfg["topology"], int(cfg["n"])
-    table_topology, table_n = _steady_table_key(topology, n, cfg["j_perp"], cfg["j_par"])
-    z = preset_state(n, cfg["state"], cfg["z"], cfg["z_list"])
-    z_exact = rational_state(n, cfg["state"], cfg["z"], cfg["z_list"])
-    steady = steady_channel(table_n, table_topology, z_exact)
-
-    h_field = _generic_h(cfg)
-    spec = NetworkSpec(topology=topology, n=n, h=h_field,
-                       j_perp=cfg["j_perp"], j_par=cfg["j_par"])
-    t_j = t_scale(cfg["j_perp"])
+    steady = _steady(cfg, cfg["topology"])
+    spec, t_j, z = _network(cfg)
     times = _uniform_grid(t_j, cfg["horizon_tj"], cfg["points_per_tj"])
     series = converged_fluctuations(SpectralAverage(spec, z), steady, t_j, times,
                                     onset=cfg["onset_tj"])
@@ -381,9 +369,7 @@ def cmd_fluct(cfg: dict) -> int:
     rows = [(_fmt(series.t_over_tj[k]), _fmt(series.delta_lambda3[k]),
              _fmt(series.delta_tau3[k]))
             for k in range(series.t_over_tj.size)]
-    out = _start_run(cfg, "fluct")
-    _write_csv(out / "data.csv", ("t_over_tj", "delta_lambda3", "delta_tau3"), rows)
-    _write_json(out / "diagnostics.json", {
+    diagnostics = {
         "c_lambda3": series.c_lambda3,
         "c_tau3": series.c_tau3,
         "lambda3_normalized": series.lambda3_normalized,
@@ -396,15 +382,13 @@ def cmd_fluct(cfg: dict) -> int:
         "sup_gap": series.sup_gap,
         "rtol": FLUCT_RTOL,
         "converged": converged,
-    })
-    print(out)
-    if not converged:
-        print(f"error: fluctuation constants not converged: doubling change "
-              f"{series.rel_change:.2e}, sup gap {series.sup_gap:.2e} "
-              f"(rtol {FLUCT_RTOL}); start finer with --points-per-tj",
-              file=sys.stderr)
-        return EXIT_INVARIANT
-    return EXIT_OK
+    }
+    header = ("t_over_tj", "delta_lambda3", "delta_tau3")
+    return RunOutput({"data.csv": (header, rows)}, diagnostics,
+                     None if converged else
+                     f"fluctuation constants not converged: doubling change "
+                     f"{series.rel_change:.2e}, sup gap {series.sup_gap:.2e} "
+                     f"(rtol {FLUCT_RTOL}); start finer with --points-per-tj")
 
 
 # ---------------------------------------------------------------------------
@@ -426,10 +410,10 @@ def _disorder_spec(cfg):
     raise ConfigError(f"phi_dist: unknown family {cfg['phi_dist']!r}")
 
 
-def cmd_disorder(cfg: dict) -> int:
+def cmd_disorder(cfg: dict) -> RunOutput:
     import numpy as np
-    from .disorder import (mc_disorder_map, closedform_disorder_components,
-                           sample_pair, max_tau3_trunc_tanh, _sample_rng,
+    from .disorder import (PULL_LIMIT, mc_disorder_map, closedform_disorder_components,
+                           pull, sample_pair, max_tau3_trunc_tanh, _sample_rng,
                            _COMPONENT_SLOTS)
 
     spec = _disorder_spec(cfg)
@@ -451,7 +435,7 @@ def cmd_disorder(cfg: dict) -> int:
                 mc, err = mc / z2, err / abs(z2)
             cf = "" if closed is None else _fmt(closed[name])
             rows.append((_fmt(t), name, _fmt(mc), _fmt(err), cf))
-            if closed is not None and err > 0 and abs(closed[name] - mc) > 5.0 * err:
+            if closed is not None and abs(pull(closed[name], mc, err)) > PULL_LIMIT:
                 flagged.append({"t": float(t), "component": name,
                                 "closed_form": closed[name],
                                 "mc_mean": mc, "mc_stderr": err})
@@ -465,38 +449,27 @@ def cmd_disorder(cfg: dict) -> int:
         diagnostics["mc_sin2_phi"] = float(sin2.mean())
         diagnostics["mc_sin2_phi_stderr"] = float(sin2.std(ddof=1) / math.sqrt(sin2.size))
 
-    out = _start_run(cfg, "disorder")
-    _write_csv(out / "data.csv",
-               ("t", "component", "mc_mean", "mc_stderr", "closed_form"), rows)
-    _write_json(out / "diagnostics.json", diagnostics)
-    print(out)
-    if flagged:
-        print(f"error: {len(flagged)} closed-form/MC disagreements beyond "
-              f"5 stderr (see diagnostics.json)", file=sys.stderr)
-        return EXIT_INVARIANT
-    return EXIT_OK
+    header = ("t", "component", "mc_mean", "mc_stderr", "closed_form")
+    return RunOutput({"data.csv": (header, rows)}, diagnostics,
+                     f"{len(flagged)} closed-form/MC disagreements beyond {PULL_LIMIT:g} "
+                     f"stderr (see diagnostics.json)" if flagged else None)
 
 
 # ---------------------------------------------------------------------------
 # measure
 # ---------------------------------------------------------------------------
 
-def cmd_measure(cfg: dict) -> int:
+def cmd_measure(cfg: dict) -> RunOutput:
     import numpy as np
-    from .network import NetworkSpec, t_scale
-    from .ensemble import network_series, steady_channel, time_average
+    from .ensemble import network_series, time_average
     from .measure import (MeasureSpec, time_grid, trajectory_sample, cp_contains,
                           uniform_sample, broken_uniform_sample,
                           eigenvalues_pc, eigenvalues_broken)
 
-    n = int(cfg["n"])
     topology = {"cc": "complete", "ring": "ring"}.get(cfg["preset"])
     if topology is None:
         raise ConfigError(f"preset: unknown preset {cfg['preset']!r} (cc or ring)")
-    table_topology, table_n = _steady_table_key(topology, n, cfg["j_perp"], cfg["j_par"])
-    z = preset_state(n, cfg["state"], cfg["z"], cfg["z_list"])
-    z_exact = rational_state(n, cfg["state"], cfg["z"], cfg["z_list"])
-    steady = steady_channel(table_n, table_topology, z_exact)
+    steady = _steady(cfg, topology)
 
     times_tj = time_grid(1.0, cfg["t_max_tj"], int(cfg["steps"]))
     mspec = MeasureSpec.from_steady(steady, t_ref=1.0, times=tuple(times_tj),
@@ -512,18 +485,14 @@ def cmd_measure(cfg: dict) -> int:
                [_fmt(p.tau3) for p in traj],
                [_fmt(p.lambda1) for p in traj]]
     if cfg["overlay"]:
-        h_field = _generic_h(cfg)
-        spec = NetworkSpec(topology=topology, n=n, h=h_field,
-                           j_perp=cfg["j_perp"], j_par=cfg["j_par"])
-        t_j = t_scale(cfg["j_perp"])
+        spec, t_j, z = _network(cfg, topology)
         grid = _uniform_grid(t_j, cfg["t_max_tj"], cfg["points_per_tj"])
         running = time_average(grid, network_series(spec, z, grid))
         l3 = np.interp(times_tj * t_j, grid, running[:, 3, 3])
         t3 = np.interp(times_tj * t_j, grid, running[:, 3, 0])
         header += ["lambda3_timeavg", "tau3_timeavg"]
         columns += [[_fmt(v) for v in l3], [_fmt(v) for v in t3]]
-    out = _start_run(cfg, "measure")
-    _write_csv(out / "data.csv", header, list(zip(*columns)))
+    tables = {"data.csv": (header, list(zip(*columns)))}
 
     if int(cfg["scatter_samples"]) > 0:
         rng = np.random.default_rng(int(cfg["seed"]))
@@ -535,22 +504,20 @@ def cmd_measure(cfg: dict) -> int:
             evb = eigenvalues_broken(broken_uniform_sample(rng))
             for which, ev in zip(("mu+", "mu-", "l3"), evb[1:]):
                 scatter.append(("broken", which, _fmt(ev.real), _fmt(ev.imag)))
-        _write_csv(out / "eigenvalues.csv", ("family", "which", "re", "im"), scatter)
-    _write_json(out / "diagnostics.json", {
+        tables["eigenvalues.csv"] = (("family", "which", "re", "im"), scatter)
+    return RunOutput(tables, {
         "mu_lambda3": mspec.mu_lambda3, "mu_tau3": mspec.mu_tau3,
         "sigma_first": mspec.sigma(times_tj[0]),
         "sigma_last": mspec.sigma(times_tj[-1]),
         "all_cp": True,
     })
-    print(out)
-    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
 # volume
 # ---------------------------------------------------------------------------
 
-def cmd_volume(cfg: dict) -> int:
+def cmd_volume(cfg: dict) -> RunOutput:
     from .measure import volume_mc
 
     v = volume_mc(int(cfg["samples"]), int(cfg["seed"]))
@@ -564,32 +531,24 @@ def cmd_volume(cfg: dict) -> int:
         pulls[region] = (est - exact[region]) / err if err > 0 else 0.0
         rows.append((region, _fmt(est), _fmt(err), _fmt(exact[region]),
                      _fmt(pulls[region])))
-    out = _start_run(cfg, "volume")
-    _write_csv(out / "data.csv", ("region", "estimate", "stderr", "exact", "pull"), rows)
-    _write_json(out / "diagnostics.json", {
+    header = ("region", "estimate", "stderr", "exact", "pull")
+    return RunOutput({"data.csv": (header, rows)}, {
         "estimate": v.as_dict(),
         "pulls": pulls,
         "pass": bool(all(abs(p) < 3.0 for p in pulls.values())),
     })
-    print(out)
-    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
 # quench
 # ---------------------------------------------------------------------------
 
-def cmd_quench(cfg: dict) -> int:
+def cmd_quench(cfg: dict) -> RunOutput:
     import numpy as np
-    from .network import NetworkSpec, t_scale
-    from .ensemble import GENERIC_H_RATIO, network_series, quench_demo, time_average
+    from .ensemble import network_series, quench_demo, time_average
 
-    n, n_cl, j = int(cfg["n"]), int(cfg["n_cl"]), cfg["j"]
-    h = GENERIC_H_RATIO * 2.0 * j if cfg["h"] is None else cfg["h"]
-    t_j = t_scale(2.0 * j)
-    z = preset_state(n, cfg["state"], cfg["z"], cfg["z_list"])
-    env_z = z[1:]  # focal is site 0
-
+    spec, t_j, z = _network(cfg)
+    n_cl = int(cfg["n_cl"])
     if cfg["schedule"] == "staggered":
         schedule = np.linspace(0.0, cfg["window_tj"] * t_j, n_cl)
     elif cfg["schedule"] == "random":
@@ -597,29 +556,23 @@ def cmd_quench(cfg: dict) -> int:
         schedule = rng.uniform(0.0, cfg["window_tj"] * t_j, n_cl)
     else:
         raise ConfigError("schedule: expected 'staggered' or 'random'")
-    t_eval = cfg["t_eval_tj"] * t_j
-    cluster_avg = quench_demo(n_cl, n=n, schedule=schedule, t_eval=t_eval,
-                              h=h, j=j, env_z=env_z)
+    cluster_avg = quench_demo(n_cl, n=spec.n, schedule=schedule,
+                              t_eval=cfg["t_eval_tj"] * t_j, h=spec.h, j=cfg["j"],
+                              env_z=z[1:])  # focal is site 0
 
-    # reference: running time average of one always-coupled cluster, the
-    # isotropic coupling j per pair being J_perp = J_par = 2j
-    spec = NetworkSpec(topology="complete", n=n, h=h, j_perp=2.0 * j, j_par=2.0 * j)
+    # reference: running time average of one always-coupled cluster
     grid = _uniform_grid(t_j, cfg["t_eval_tj"], cfg["points_per_tj"])
     reference = time_average(grid, network_series(spec, z, grid, sites=(0,)))[-1]
 
     diff = np.abs(cluster_avg - reference)
     rows = [(str(i), str(jj), _fmt(cluster_avg[i, jj]), _fmt(reference[i, jj]),
              _fmt(diff[i, jj])) for i in range(4) for jj in range(4)]
-    out = _start_run(cfg, "quench")
-    _write_csv(out / "data.csv",
-               ("row", "col", "cluster_avg", "time_avg", "abs_diff"), rows)
-    _write_json(out / "diagnostics.json", {
+    header = ("row", "col", "cluster_avg", "time_avg", "abs_diff")
+    return RunOutput({"data.csv": (header, rows)}, {
         "max_abs_diff": float(diff.max()),
         "n_cl": n_cl, "window_tj": cfg["window_tj"], "t_eval_tj": cfg["t_eval_tj"],
         "schedule": cfg["schedule"], "t_j": t_j,
     })
-    print(out)
-    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -643,8 +596,9 @@ def _add_command(sub, name: str, func, help: str):
 
 def _add_network_flags(sp, n: int, state: str, z=None, topology=None,
                        j_par=1.0, xxz=True):
-    """--n, the field --h and the initial state; --topology when it has a
-    default here, and the XXZ couplings --j-perp/--j-par when xxz is set."""
+    """--n, the field --h, the initial state and the time-grid density
+    --points-per-tj; --topology when it has a default here, and the XXZ
+    couplings --j-perp/--j-par when xxz is set."""
     if topology is not None:
         sp.add_argument("--topology", choices=("complete", "ring", "xx_pairs"),
                         default=topology)
@@ -656,6 +610,7 @@ def _add_network_flags(sp, n: int, state: str, z=None, topology=None,
     sp.add_argument("--state", choices=_STATES, default=state)
     sp.add_argument("--z", type=float, default=z)
     sp.add_argument("--z-list", dest="z_list", type=_float_list)
+    sp.add_argument("--points-per-tj", dest="points_per_tj", type=float, default=20)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -678,18 +633,15 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--y2", type=float, default=0.0)
     sp.add_argument("--z2", type=float)
     sp.add_argument("--t-max-tj", dest="t_max_tj", type=float, default=10.0)
-    sp.add_argument("--points-per-tj", dest="points_per_tj", type=float, default=20)
 
     sp = _add_command(sub, "steady", cmd_steady, "long-time averages vs exact tables")
     _add_network_flags(sp, n=3, state="hierarchy", topology="complete")
     sp.add_argument("--horizon-tj", dest="horizon_tj", type=float, default=200.0)
-    sp.add_argument("--points-per-tj", dest="points_per_tj", type=float, default=20)
     sp.add_argument("--tol", type=float, default=5e-3)
 
     sp = _add_command(sub, "fluct", cmd_fluct, "running-average fluctuation constants")
     _add_network_flags(sp, n=4, state="uniform", z=0.2, topology="complete")
     sp.add_argument("--horizon-tj", dest="horizon_tj", type=float, default=200.0)
-    sp.add_argument("--points-per-tj", dest="points_per_tj", type=float, default=20)
     sp.add_argument("--onset-tj", dest="onset_tj", type=float, default=20.0)
 
     sp = _add_command(sub, "disorder", cmd_disorder,
@@ -718,7 +670,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--tau3-rule", dest="tau3_rule", choices=("symmetric", "signed"),
                     default="symmetric")
     sp.add_argument("--overlay", action=argparse.BooleanOptionalAction, default=True)
-    sp.add_argument("--points-per-tj", dest="points_per_tj", type=float, default=20)
     sp.add_argument("--scatter-samples", dest="scatter_samples", type=int, default=0)
 
     sp = _add_command(sub, "volume", cmd_volume, "MC volume of the CP region")
@@ -730,7 +681,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--j", type=float, default=1.0)
     sp.add_argument("--window-tj", dest="window_tj", type=float, default=50.0)
     sp.add_argument("--t-eval-tj", dest="t_eval_tj", type=float, default=100.0)
-    sp.add_argument("--points-per-tj", dest="points_per_tj", type=float, default=20)
     # staggered: evenly spaced over the window; random: iid uniform over it
     sp.add_argument("--schedule", choices=("staggered", "random"), default="staggered")
     return parser
@@ -742,6 +692,23 @@ _NOT_CONFIG = ("command", "func", "config", "threads")
 
 def _config(args: argparse.Namespace) -> dict:
     return {k: v for k, v in vars(args).items() if k not in _NOT_CONFIG}
+
+
+# ranges shared by every command that has the field: (fields, check, requirement)
+_FIELD_CHECKS = (
+    (("t_max_tj", "horizon_tj", "t_eval_tj", "t_max", "window_tj"),
+     lambda v: math.isfinite(v) and v >= 0, "must be finite and >= 0"),
+    (("points_per_tj",), lambda v: math.isfinite(v) and v > 0, "must be finite and > 0"),
+    (("steps", "n_cl"), lambda v: v >= 1, "must be at least 1"),
+    (("scatter_samples",), lambda v: v >= 0, "must be >= 0"),
+)
+
+
+def _check_fields(cfg: dict):
+    for fields, ok, requirement in _FIELD_CHECKS:
+        for name in fields:
+            if name in cfg and not ok(cfg[name]):
+                raise ConfigError(f"{name}: {requirement}, got {cfg[name]}")
 
 
 def _config_type_error(action: argparse.Action, value):
@@ -794,7 +761,16 @@ def main(argv=None) -> int:
                     raise ConfigError(f"config.{key}: {problem}")
             command.set_defaults(**data)
             args = parser.parse_args(argv)
-        return args.func(_config(args))
+        cfg = _config(args)
+        _check_fields(cfg)
+        result = args.func(cfg)
+        out = _start_run(cfg, args.command)  # after the command: cfg holds what it set
+        for name, (header, rows) in result.tables.items():
+            with open(out / name, "w", newline="") as fh:
+                writer = csv.writer(fh)
+                writer.writerow(header)
+                writer.writerows(rows)
+        _write_json(out / "diagnostics.json", result.diagnostics)
     except (ConfigError, json.JSONDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -811,6 +787,11 @@ def main(argv=None) -> int:
             return EXIT_INVARIANT
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    print(out)
+    if result.failure is not None:
+        print(f"error: {result.failure}", file=sys.stderr)
+        return EXIT_INVARIANT
+    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -176,29 +176,37 @@ def closedform_disorder_components(spec: DisorderSpec, t: float) -> dict:
 # partner is fully polarized (env_bloch = (0, 0, 1)).
 _COMPONENT_SLOTS = {"xx0": (1, 1), "yx0": (2, 1), "z0z": (3, 0), "zz0": (3, 3)}
 
+PULL_LIMIT = 5.0  # a closed form further than this many stderr from MC is flagged
+
+
+def pull(closed: float, mc: float, stderr: float) -> float:
+    """(closed - mc) / stderr: the closed form's distance from the Monte
+    Carlo mean in standard errors, 0 where the MC spread vanishes."""
+    return (closed - mc) / stderr if stderr > 0 else 0.0
+
 
 def closedform_vs_mc(spec: DisorderSpec, t: float, n_samples: int = 20000,
                      seed: int = 0) -> dict:
     """Structured comparison of the closed forms against the MC oracle.
 
     Runs the Monte Carlo average with a fully polarized partner, computes
-    the pull (closed - mc)/stderr per component, and flags anything beyond
-    5 standard errors. The result is JSON-ready.
+    the pull per component, and flags anything beyond PULL_LIMIT standard
+    errors. The result is JSON-ready.
     """
     closed = closedform_disorder_components(spec, t)
     mean, stderr = mc_disorder_map(spec, t, (0.0, 0.0, 1.0), n_samples, seed)
     components = {}
     flagged = []
     for name, (i, j) in _COMPONENT_SLOTS.items():
-        err = float(stderr[i, j])
-        pull = (closed[name] - float(mean[i, j])) / err if err > 0 else 0.0
+        mc, err = float(mean[i, j]), float(stderr[i, j])
+        offset = pull(closed[name], mc, err)
         components[name] = {
             "closed_form": closed[name],
-            "mc_mean": float(mean[i, j]),
+            "mc_mean": mc,
             "mc_stderr": err,
-            "pull": pull,
+            "pull": offset,
         }
-        if abs(pull) > 5.0:
+        if abs(offset) > PULL_LIMIT:
             flagged.append(name)
     return {"t": t, "n_samples": n_samples, "seed": seed,
             "components": components, "flagged": flagged}

@@ -31,7 +31,7 @@ import numpy as np
 
 from .network import NetworkSpec, build_hamiltonian, t_scale
 from .qlinalg import HERM_TOL, PAULI_AXES, HermitianEvolver, NumericalError, embed, pauli
-from .reduced import _env_inputs, transfer_from_unitary
+from .reduced import MapExtractor, _env_inputs, transfer_from_unitary
 
 # Default field-to-coupling ratio used when a "generic" (incommensurate)
 # uniform field is needed: irrational, so the precession phase never locks
@@ -511,7 +511,7 @@ def quench_demo(n_cl: int, n: int = 3, schedule=None, t_eval: float | None = Non
 
     # isotropic coupling j per pair is J_perp = J_par = 2j in the bond normalization
     spec = NetworkSpec(topology="complete", n=n, h=h, j_perp=2.0 * j, j_par=2.0 * j)
-    full = HermitianEvolver(build_hamiltonian(spec))
+    always_on = MapExtractor(build_hamiltonian(spec), focal, env)
 
     acc = np.zeros((4, 4))
     for t_on in schedule:
@@ -519,5 +519,5 @@ def quench_demo(n_cl: int, n: int = 3, schedule=None, t_eval: float | None = Non
         if dt <= 0.0:
             acc += np.eye(4)  # quench still in the future for this cluster
             continue
-        acc += transfer_from_unitary(full.unitary(dt), focal, env)
+        acc += always_on.transfer(dt)
     return acc / n_cl

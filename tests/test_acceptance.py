@@ -29,7 +29,7 @@ from spinmaps.measure import (MeasureSpec, broken_uniform_sample, cp_contains,
                               volume_mc)
 from spinmaps.network import NetworkSpec, build_hamiltonian, t_scale
 from spinmaps.qlinalg import HermitianEvolver, pauli
-from spinmaps.reduced import (PCParams, choi_check, cp_ok, fit_pc,
+from spinmaps.reduced import (MapExtractor, PCParams, choi_check, cp_ok, fit_pc,
                               transfer_from_unitary)
 
 J = 1.0
@@ -100,15 +100,14 @@ def test_criterion_01_closed_forms_match_numeric_extraction():
     for topo, n, j_par in cases:
         rng = np.random.default_rng(100 * n + (7 if topo == "ring" else 0))
         spec = NetworkSpec(topology=topo, n=n, h=0.37, j_perp=J, j_par=j_par)
-        ev = HermitianEvolver(build_hamiltonian(spec))
+        h_mat = build_hamiltonian(spec)
         times = np.linspace(0.0, 10.0 * T_J, 200)
-        unitaries = [ev.unitary(t) for t in times]
         for _ in range(20):
             z = rng.uniform(-1.0, 1.0, n)
             for focal in range(n):
-                env = env_absolute(z, focal)
-                for t, u in zip(times, unitaries):
-                    numeric = transfer_from_unitary(u, focal, env)
+                extractor = MapExtractor(h_mat, focal, env_absolute(z, focal))
+                for t in times:
+                    numeric = extractor.transfer(t)
                     analytic = closed_form_transfer(topo, n, t, j_par, z, focal)
                     mask = ~np.isnan(analytic)
                     worst = max(worst,

@@ -1,6 +1,7 @@
 import csv
 import json
-import time
+import re
+import shlex
 from pathlib import Path
 
 import pytest
@@ -17,6 +18,46 @@ def run_cli(argv, capsys):
 
 def last_run_dir(stdout: str) -> Path:
     return Path(stdout.strip().splitlines()[-1])
+
+
+def readme_commands():
+    """Every line of a README command block that starts with `spinmaps `."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"^```[^\n]*\n(.*?)^```", text, flags=re.M | re.S)
+    return [line for block in blocks for line in block.splitlines()
+            if line.startswith("spinmaps ")]
+
+
+@pytest.mark.parametrize("line", readme_commands())
+def test_readme_command_parses(line):
+    args = cli.build_parser().parse_args(shlex.split(line)[1:])
+    cli._check_fields(cli._config(args))
+
+
+def test_readme_covers_every_command():
+    assert {line.split()[1] for line in readme_commands()} == set(
+        cli.build_parser().commands)
+
+
+@pytest.mark.parametrize("line, config, field", [
+    ("maps --t-max-tj inf", None, "t_max_tj"),
+    ("steady --horizon-tj inf", None, "horizon_tj"),
+    ("quench --t-eval-tj inf", None, "t_eval_tj"),
+    ("disorder --steps 0", None, "steps"),
+    ("maps --points-per-tj 0", None, "points_per_tj"),
+    ("measure --scatter-samples -5", None, "scatter_samples"),
+    ("disorder", {"steps": 0}, "steps"),  # checked after --config is merged
+])
+def test_out_of_range_grid_or_count_exits_2(tmp_path, capsys, line, config, field):
+    argv = line.split() + ["--outdir", str(tmp_path / "runs")]
+    if config is not None:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        argv += ["--config", str(cfg)]
+    rc, out, err = run_cli(argv, capsys)
+    assert rc == 2
+    assert err.startswith(f"config error: {field}: ")
+    assert out == "" and not (tmp_path / "runs").exists()
 
 
 def test_unknown_config_key_exits_2(tmp_path, capsys):
