@@ -27,16 +27,13 @@ _EXPORTS = {
     "t_scale": "network",
     # reduced
     "PCParams": "reduced",
-    "ABDecomp": "reduced",
     "FixedPoint": "reduced",
     "MapExtractor": "reduced",
     "cp_ok": "reduced",
     "choi_matrix": "reduced",
     "choi_check": "reduced",
     "fit_pc": "reduced",
-    "is_phase_covariant": "reduced",
     "fixed_point": "reduced",
-    "ab_decompose": "reduced",
     "transfer_from_unitary": "reduced",
     # analytic
     "cc_params": "analytic",
@@ -63,7 +60,7 @@ _EXPORTS = {
     "sample_pair": "disorder",
     "mc_disorder_map": "disorder",
     "closedform_disorder_components": "disorder",
-    "closedform_vs_mc": "disorder",
+    "disorder_components": "disorder",
     "trunc_tanh_pdf": "disorder",
     "max_tau3_trunc_tanh": "disorder",
     # measure

@@ -35,7 +35,7 @@ from fractions import Fraction
 import numpy as np
 
 from .ensemble import esym
-from .reduced import ABDecomp, PCParams
+from .reduced import PCParams
 
 
 @dataclass(frozen=True)
@@ -127,9 +127,8 @@ def _check_env(env_z, n: int):
 
 def _assemble(lam3, tau3, alpha, beta, h, t):
     theta = _wrap_angle(2.0 * h * t + math.atan2(beta, alpha))
-    pc = PCParams(lambda1=math.hypot(alpha, beta), theta=theta,
-                  lambda3=float(lam3), tau3=float(tau3))
-    return pc, ABDecomp(alpha=float(alpha), beta=float(beta))
+    return PCParams(lambda1=math.hypot(alpha, beta), theta=theta,
+                    lambda3=float(lam3), tau3=float(tau3))
 
 
 # ---------------------------------------------------------------------------
@@ -236,12 +235,11 @@ _CC_EVALUATORS = {3: _cc3, 4: _cc4, 5: _cc5, 6: _cc6}
 
 
 def cc_params(n: int, t: float, j_perp: float, j_par: float, h: float,
-              env_z, focal: int = 0):
-    """Closed-form (PCParams, ABDecomp) for the complete graph, N = 3..6.
+              env_z) -> PCParams:
+    """Closed-form channel of the complete graph, N = 3..6.
 
     env_z lists the N-1 non-focal polarizations; the result only depends on
-    their symmetric functions, so the order (and `focal`, kept for interface
-    symmetry with ring_params) does not matter here.
+    their symmetric functions, so their order does not matter here.
     """
     if n not in _CC_EVALUATORS:
         raise ValueError(f"no closed form for the complete graph with N={n}")
@@ -444,13 +442,12 @@ def _anisotropic(j_perp: float, j_par: float) -> bool:
 
 
 def ring_params(n: int, t: float, j_perp: float, j_par: float, h: float,
-                env_z, focal: int = 0):
-    """Closed-form ring parameters: (PCParams, ABDecomp) for N=4, and
-    (PCParams, None) for N=5 at the isotropic point.
+                env_z) -> PCParams:
+    """Closed-form channel of the ring: N=4, and N=5 at the isotropic point.
 
     env_z[k] is the polarization of ring site (focal + 1 + k) mod N; the
     order matters. For N=5 only the z sector is known in closed form, so
-    lambda1 and theta come back NaN and the ABDecomp slot is None.
+    lambda1 and theta come back NaN.
     """
     env = _check_env(env_z, n)
     if n == 4:
@@ -462,9 +459,8 @@ def ring_params(n: int, t: float, j_perp: float, j_par: float, h: float,
             raise ValueError(
                 "ring N=5 is only available at the isotropic point J_par = J_perp")
         lam3, tau3 = _ring5_l3t3(t, j_perp, env)
-        pc = PCParams(lambda1=float("nan"), theta=float("nan"),
-                      lambda3=float(lam3), tau3=float(tau3))
-        return pc, None
+        return PCParams(lambda1=float("nan"), theta=float("nan"),
+                        lambda3=float(lam3), tau3=float(tau3))
     raise ValueError(f"no closed form for the ring with N={n}")
 
 

@@ -11,8 +11,9 @@ manifest carries the timestamp.
 
 Config resolution: built-in defaults < JSON file (--config) < flags; the
 merged horizons, grid densities and counts are then checked once
-(_FIELD_CHECKS). Exit codes: 0 success, 2 config error, 3 invariant
-violation or internal numerical failure, 4 unsupported combination.
+(_FIELD_CHECKS), and every float option must be finite. Exit codes: 0
+success, 2 config error, 3 invariant violation or internal numerical
+failure, 4 unsupported combination.
 
 Times in data files are in units of t_J except the disorder command, whose
 absolute t shares units with 1/B, 1/Omega (no exchange scale there).
@@ -27,6 +28,7 @@ import math
 import os
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 from typing import NamedTuple
 
@@ -51,44 +53,29 @@ class InvariantError(RuntimeError):
 
 
 def preset_state(n: int, state: str, z=None, z_list=None):
-    """Initial z polarizations: hierarchy (1, 1/n, ..., (n-1)/n), neel
-    alternating +-1, uniform z, or a custom list."""
+    """Initial z polarizations as exact Fractions: hierarchy (1, 1/n, ...,
+    (n-1)/n), neel alternating +-1, uniform z, or a custom list. Given values
+    are read through their decimal repr, so --z 0.2 is 1/5 and float() of it 0.2."""
     if state == "hierarchy":
-        vals = [1.0] + [k / n for k in range(1, n)]
+        vals = [Fraction(1)] + [Fraction(k, n) for k in range(1, n)]
     elif state == "neel":
-        vals = [1.0 if k % 2 == 0 else -1.0 for k in range(n)]
+        vals = [Fraction(1 if k % 2 == 0 else -1) for k in range(n)]
     elif state == "uniform":
         if z is None:
             raise ConfigError("state.z: uniform preset needs --z")
-        vals = [float(z)] * n
+        vals = [Fraction(str(z))] * n
     elif state == "custom":
         if z_list is None:
             raise ConfigError("state.z_list: custom preset needs --z-list")
-        vals = [float(v) for v in z_list]
+        vals = [Fraction(str(v)) for v in z_list]
         if len(vals) != n:
             raise ConfigError(f"state.z_list: expected {n} values, got {len(vals)}")
     else:
         raise ConfigError(f"state: unknown preset {state!r} (choose from {_STATES})")
     for k, v in enumerate(vals):
-        if abs(v) > 1.0:
-            raise ConfigError(f"state.z[{k}]: |z| must be <= 1, got {v}")
+        if abs(v) > 1:
+            raise ConfigError(f"state.z[{k}]: |z| must be <= 1, got {float(v)}")
     return tuple(vals)
-
-
-def rational_state(n: int, state: str, z=None, z_list=None):
-    """preset_state with exact rationals, for the exact steady tables.
-
-    The presets are rational by construction; uniform/custom inputs are read
-    back through their decimal repr so --z 0.2 means 1/5, not the binary
-    double nearest to it.
-    """
-    from fractions import Fraction
-    floats = preset_state(n, state, z, z_list)  # reuse the validation
-    if state == "hierarchy":
-        return (Fraction(1),) + tuple(Fraction(k, n) for k in range(1, n))
-    if state == "neel":
-        return tuple(Fraction(1 if k % 2 == 0 else -1) for k in range(n))
-    return tuple(Fraction(str(v)) for v in floats)
 
 
 def _fmt(x) -> str:
@@ -180,7 +167,8 @@ def _network(cfg: dict, topology: str | None = None):
     h = GENERIC_H_RATIO * scale if cfg["h"] is None else cfg["h"]
     spec = NetworkSpec(topology=topology or cfg["topology"], n=n, h=h,
                        j_perp=j_perp, j_par=j_par)
-    return spec, t_scale(j_perp), preset_state(n, cfg["state"], cfg["z"], cfg["z_list"])
+    z = preset_state(n, cfg["state"], cfg["z"], cfg["z_list"])
+    return spec, t_scale(j_perp), tuple(float(v) for v in z)
 
 
 def _steady(cfg: dict, topology: str):
@@ -199,7 +187,7 @@ def _steady(cfg: dict, topology: str):
         raise UnsupportedError(f"no steady table for ({topology}, N={n})")
     if topology == "ring" and n == 5 and _anisotropic(cfg["j_perp"], cfg["j_par"]):
         raise UnsupportedError("ring N=5 steady table holds at the isotropic point only")
-    return steady_channel(n, topology, rational_state(n, cfg["state"], cfg["z"], cfg["z_list"]))
+    return steady_channel(n, topology, preset_state(n, cfg["state"], cfg["z"], cfg["z_list"]))
 
 
 # ---------------------------------------------------------------------------
@@ -217,13 +205,11 @@ def _analytic_transfer(topology, n, t, j_perp, j_par, h, z, focal, pair):
     if topology == "complete" or (topology == "ring" and n == 3):
         if not 3 <= n <= 6:
             return None, f"no closed form for complete N={n}"
-        p, _ = analytic.cc_params(n, t, j_perp, j_par, h, env_cyclic, focal)
-        return p.transfer(), None
+        return analytic.cc_params(n, t, j_perp, j_par, h, env_cyclic).transfer(), None
     if topology == "ring" and n in (4, 5):
         if n == 5 and analytic._anisotropic(j_perp, j_par):
             return None, "ring N=5 closed form needs J_par = J_perp"
-        p, _ = analytic.ring_params(n, t, j_perp, j_par, h, env_cyclic, focal)
-        return p.transfer(), None
+        return analytic.ring_params(n, t, j_perp, j_par, h, env_cyclic).transfer(), None
     return None, f"no closed form for ({topology}, N={n})"
 
 
@@ -316,8 +302,10 @@ def cmd_maps(cfg: dict) -> RunOutput:
 def cmd_steady(cfg: dict) -> RunOutput:
     import numpy as np
     from .ensemble import network_series, time_average
+    from .reduced import PCParams, fixed_point
 
     steady = _steady(cfg, cfg["topology"])
+    fixed = fixed_point(PCParams(0.0, 0.0, steady.lambda3, steady.tau3))
     spec, t_j, z = _network(cfg)
     times = _uniform_grid(t_j, cfg["horizon_tj"], cfg["points_per_tj"])
     running = time_average(times, network_series(spec, z, times))
@@ -341,6 +329,9 @@ def cmd_steady(cfg: dict) -> RunOutput:
         "numeric": {"lambda3": num_l3, "tau3": num_t3, "lambda1": num_l1},
         "abs_diff": {"lambda3": diff_l3, "tau3": diff_t3},
         "constraint_ok": steady.constraint_ok(),
+        # late-time invariant Bloch z and inverse temperature (null: infinite)
+        "fixed_point": {"a_star": fixed.a_star, "degenerate": fixed.degenerate,
+                        "beta_star": None if math.isinf(fixed.beta_star) else fixed.beta_star},
         "horizon_tj": cfg["horizon_tj"],
         "tol": cfg["tol"],
         "pass": bool(diff_l3 < cfg["tol"] and diff_t3 < cfg["tol"]),
@@ -400,8 +391,6 @@ def _disorder_spec(cfg):
     common = dict(B=cfg["b"], Omega=cfg["omega"],
                   sigma_h=cfg["sigma_h"], sigma_omega=cfg["sigma_omega"])
     if cfg["phi_dist"] == "gaussian":
-        if cfg["sigma_phi"] is not None:
-            return DisorderSpec(phi_dist="gaussian", sigma_phi=cfg["sigma_phi"], **common)
         return DisorderSpec.from_varphi(varphi=cfg["varphi"], **common)
     if cfg["phi_dist"] == "trunc_tanh":
         if cfg["a_phi"] is None:
@@ -412,42 +401,24 @@ def _disorder_spec(cfg):
 
 def cmd_disorder(cfg: dict) -> RunOutput:
     import numpy as np
-    from .disorder import (PULL_LIMIT, mc_disorder_map, closedform_disorder_components,
-                           pull, sample_pair, max_tau3_trunc_tanh, _sample_rng,
-                           _COMPONENT_SLOTS)
+    from .disorder import PULL_LIMIT, disorder_components, sin2_phi_headroom
 
     spec = _disorder_spec(cfg)
-    gaussian = spec.phi_dist == "gaussian"
-    z2 = float(cfg["z2"])
-    times = np.linspace(0.0, cfg["t_max"], int(cfg["steps"]))
-
+    n_samples, seed = int(cfg["n_samples"]), int(cfg["seed"])
     rows = []
     flagged = []
-    for t in times:
-        mean, stderr = mc_disorder_map(spec, float(t), (0.0, 0.0, z2),
-                                       int(cfg["n_samples"]), int(cfg["seed"]))
-        closed = closedform_disorder_components(spec, float(t)) if gaussian else None
-        for name, (i, j) in _COMPONENT_SLOTS.items():
-            mc, err = float(mean[i, j]), float(stderr[i, j])
-            if name == "z0z":
-                if z2 == 0.0:
-                    continue  # partner unpolarized: the z-shift column is dark
-                mc, err = mc / z2, err / abs(z2)
-            cf = "" if closed is None else _fmt(closed[name])
-            rows.append((_fmt(t), name, _fmt(mc), _fmt(err), cf))
-            if closed is not None and abs(pull(closed[name], mc, err)) > PULL_LIMIT:
-                flagged.append({"t": float(t), "component": name,
-                                "closed_form": closed[name],
-                                "mc_mean": mc, "mc_stderr": err})
+    for t in np.linspace(0.0, cfg["t_max"], int(cfg["steps"])):
+        for c in disorder_components(spec, float(t), float(cfg["z2"]), n_samples, seed):
+            cf = "" if c.closed_form is None else _fmt(c.closed_form)
+            rows.append((_fmt(t), c.name, _fmt(c.mc_mean), _fmt(c.mc_stderr), cf))
+            if c.flagged:
+                flagged.append({"t": float(t), "component": c.name,
+                                "closed_form": c.closed_form,
+                                "mc_mean": c.mc_mean, "mc_stderr": c.mc_stderr})
 
     diagnostics = {"flagged": flagged, "phi_dist": spec.phi_dist}
-    if not gaussian:
-        # headroom report: how close this a_phi gets to the tau3 ceiling
-        sin2 = np.array([math.sin(sample_pair(spec, _sample_rng(cfg["seed"], i)).phi12) ** 2
-                         for i in range(int(cfg["n_samples"]))])
-        diagnostics["max_tau3_ceiling"] = max_tau3_trunc_tanh()
-        diagnostics["mc_sin2_phi"] = float(sin2.mean())
-        diagnostics["mc_sin2_phi_stderr"] = float(sin2.std(ddof=1) / math.sqrt(sin2.size))
+    if spec.phi_dist != "gaussian":
+        diagnostics.update(sin2_phi_headroom(spec, n_samples, seed))
 
     header = ("t", "component", "mc_mean", "mc_stderr", "closed_form")
     return RunOutput({"data.csv": (header, rows)}, diagnostics,
@@ -556,9 +527,7 @@ def cmd_quench(cfg: dict) -> RunOutput:
         schedule = rng.uniform(0.0, cfg["window_tj"] * t_j, n_cl)
     else:
         raise ConfigError("schedule: expected 'staggered' or 'random'")
-    cluster_avg = quench_demo(n_cl, n=spec.n, schedule=schedule,
-                              t_eval=cfg["t_eval_tj"] * t_j, h=spec.h, j=cfg["j"],
-                              env_z=z[1:])  # focal is site 0
+    cluster_avg = quench_demo(spec, z, schedule, cfg["t_eval_tj"] * t_j)
 
     # reference: running time average of one always-coupled cluster
     grid = _uniform_grid(t_j, cfg["t_eval_tj"], cfg["points_per_tj"])
@@ -653,7 +622,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--phi-dist", dest="phi_dist", choices=("gaussian", "trunc_tanh"),
                     default="gaussian")
     sp.add_argument("--varphi", type=float, default=3.0)
-    sp.add_argument("--sigma-phi", dest="sigma_phi", type=float)
     sp.add_argument("--a-phi", dest="a_phi", type=float)
     sp.add_argument("--z2", type=float, default=1.0)
     sp.add_argument("--t-max", dest="t_max", type=float, default=2.0)
@@ -704,11 +672,19 @@ _FIELD_CHECKS = (
 )
 
 
-def _check_fields(cfg: dict):
+def _check_fields(cfg: dict, command: argparse.ArgumentParser):
+    """ConfigError for the first value out of range: the _FIELD_CHECKS, then
+    any float option (or float list) of the command that is set but not finite."""
     for fields, ok, requirement in _FIELD_CHECKS:
         for name in fields:
             if name in cfg and not ok(cfg[name]):
                 raise ConfigError(f"{name}: {requirement}, got {cfg[name]}")
+    for action in command._actions:
+        value = cfg.get(action.dest)
+        if value is None or action.type not in (float, _float_list):
+            continue
+        if not all(map(math.isfinite, value if action.type is _float_list else [value])):
+            raise ConfigError(f"{action.dest}: must be finite, got {value}")
 
 
 def _config_type_error(action: argparse.Action, value):
@@ -762,7 +738,7 @@ def main(argv=None) -> int:
             command.set_defaults(**data)
             args = parser.parse_args(argv)
         cfg = _config(args)
-        _check_fields(cfg)
+        _check_fields(cfg, parser.commands[args.command])
         result = args.func(cfg)
         out = _start_run(cfg, args.command)  # after the command: cfg holds what it set
         for name, (header, rows) in result.tables.items():

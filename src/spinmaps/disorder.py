@@ -11,8 +11,8 @@ Width-symbol note: the closed-form averaged components carry a width symbol
 varphi; they are implemented with sigma_phi = pi / varphi, the reading under
 which they are exactly the Gaussian averages of the per-sample components.
 The Monte Carlo estimator is the ground truth those closed forms are checked
-against (closedform_vs_mc flags any component off by more than 5 standard
-errors instead of silently accepting it).
+against (disorder_components flags any component off by more than 5
+standard errors instead of silently accepting it).
 """
 
 from __future__ import annotations
@@ -172,44 +172,65 @@ def closedform_disorder_components(spec: DisorderSpec, t: float) -> dict:
     return {"xx0": xx0, "yx0": yx0, "z0z": z0z, "zz0": 1.0 - z0z}
 
 
-# Where each closed-form component sits in the mean transfer matrix when the
-# partner is fully polarized (env_bloch = (0, 0, 1)).
+# Where each closed-form component sits in the mean transfer matrix; the
+# z-shift z0z scales with the partner polarization z2.
 _COMPONENT_SLOTS = {"xx0": (1, 1), "yx0": (2, 1), "z0z": (3, 0), "zz0": (3, 3)}
 
 PULL_LIMIT = 5.0  # a closed form further than this many stderr from MC is flagged
 
 
-def pull(closed: float, mc: float, stderr: float) -> float:
-    """(closed - mc) / stderr: the closed form's distance from the Monte
-    Carlo mean in standard errors, 0 where the MC spread vanishes."""
-    return (closed - mc) / stderr if stderr > 0 else 0.0
+@dataclass(frozen=True)
+class ComponentCheck:
+    """One tracked component at one time: the Monte Carlo mean and standard
+    error, and the closed form where the family has one (None otherwise)."""
+
+    name: str
+    mc_mean: float
+    mc_stderr: float
+    closed_form: float | None = None
+
+    @property
+    def pull(self) -> float:
+        """(closed - mc) / stderr: the closed form's distance from the Monte
+        Carlo mean in standard errors, 0 where the MC spread vanishes."""
+        return (self.closed_form - self.mc_mean) / self.mc_stderr if self.mc_stderr > 0 else 0.0
+
+    @property
+    def flagged(self) -> bool:
+        return self.closed_form is not None and abs(self.pull) > PULL_LIMIT
 
 
-def closedform_vs_mc(spec: DisorderSpec, t: float, n_samples: int = 20000,
-                     seed: int = 0) -> dict:
-    """Structured comparison of the closed forms against the MC oracle.
+def disorder_components(spec: DisorderSpec, t: float, z2: float, n_samples: int,
+                        seed: int) -> list:
+    """The tracked components of the disorder-averaged map at time t.
 
-    Runs the Monte Carlo average with a fully polarized partner, computes
-    the pull per component, and flags anything beyond PULL_LIMIT standard
-    errors. The result is JSON-ready.
+    One mc_disorder_map call with the partner polarized to z2 along z. z0z
+    is reported per unit partner polarization (MC mean and stderr divided
+    by z2) and skipped at z2 = 0, where the z-shift column is dark. The
+    gaussian family carries closedform_disorder_components.
     """
-    closed = closedform_disorder_components(spec, t)
-    mean, stderr = mc_disorder_map(spec, t, (0.0, 0.0, 1.0), n_samples, seed)
-    components = {}
-    flagged = []
+    mean, stderr = mc_disorder_map(spec, t, (0.0, 0.0, z2), n_samples, seed)
+    closed = closedform_disorder_components(spec, t) if spec.phi_dist == "gaussian" else None
+    checks = []
     for name, (i, j) in _COMPONENT_SLOTS.items():
         mc, err = float(mean[i, j]), float(stderr[i, j])
-        offset = pull(closed[name], mc, err)
-        components[name] = {
-            "closed_form": closed[name],
-            "mc_mean": mc,
-            "mc_stderr": err,
-            "pull": offset,
-        }
-        if abs(offset) > PULL_LIMIT:
-            flagged.append(name)
-    return {"t": t, "n_samples": n_samples, "seed": seed,
-            "components": components, "flagged": flagged}
+        if name == "z0z":
+            if z2 == 0.0:
+                continue
+            mc, err = mc / z2, err / abs(z2)
+        checks.append(ComponentCheck(name, mc, err, None if closed is None else closed[name]))
+    return checks
+
+
+def sin2_phi_headroom(spec: DisorderSpec, n_samples: int, seed: int) -> dict:
+    """How close the sampled phases get to the trunc_tanh ceiling: the
+    ceiling and the Monte Carlo mean of sin^2(phi) with its standard error,
+    over the same n_samples draws mc_disorder_map makes."""
+    sin2 = np.array([math.sin(sample_pair(spec, _sample_rng(seed, i)).phi12) ** 2
+                     for i in range(n_samples)])
+    return {"max_tau3_ceiling": max_tau3_trunc_tanh(),
+            "mc_sin2_phi": float(sin2.mean()),
+            "mc_sin2_phi_stderr": float(sin2.std(ddof=1) / math.sqrt(sin2.size))}
 
 
 def max_tau3_trunc_tanh() -> float:

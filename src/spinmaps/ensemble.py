@@ -252,30 +252,19 @@ def _general_steady(n: int, coeffs: dict, e):
     return lam, tau
 
 
-def steady_channel(n: int, topology: str, z, coeffs: dict | None = None) -> SteadyChannel:
+def steady_channel(n: int, topology: str, z) -> SteadyChannel:
     """Steady-channel values for the supported (N, topology) table.
 
     z lists all N site polarizations (absolute site order; for the N=4 ring
     the antipodal pairs are (z[0], z[2]) and (z[1], z[3])). Arithmetic runs
-    in exact rationals; pass `coeffs` as {0: a0, 2: a2, ...} to evaluate the
-    general even/odd-N form with caller-supplied coefficients instead of the
-    built-in tables.
+    in exact rationals.
     """
     zf = [Fraction(v) for v in z]
     if len(zf) != n:
         raise ValueError(f"need {n} site values, got {len(zf)}")
     e = [esym(zf, k) for k in range(n + 1)]
 
-    if coeffs is not None:
-        coeffs = {int(k): Fraction(v) for k, v in coeffs.items()}
-        k_max = n - 2 if n % 2 == 0 else n - 3
-        for k in coeffs:
-            if k != 0 and (k % 2 != 0 or not 2 <= k <= k_max):
-                raise ValueError(f"coefficient index {k} invalid for N={n}")
-        if 0 not in coeffs:
-            raise ValueError("coefficient dict must include the constant a_0")
-        lam, tau = _general_steady(n, coeffs, e)
-    elif topology == "complete" and n in _STEADY_COMPLETE:
+    if topology == "complete" and n in _STEADY_COMPLETE:
         coeffs = _STEADY_COMPLETE[n]
         lam, tau = _general_steady(n, coeffs, e)
     elif topology == "ring" and n == 5:
@@ -287,9 +276,7 @@ def steady_channel(n: int, topology: str, z, coeffs: dict | None = None) -> Stea
         lam = coeffs[0] + coeffs[2] * pair_corr / 6
         tau = (1 - coeffs[0]) * e[1] / 4 + _F(1, 16) * e[3] / 4
     else:
-        raise ValueError(
-            f"no steady table for N={n} topology={topology!r}; supply coeffs"
-        )
+        raise ValueError(f"no steady table for N={n} topology={topology!r}")
 
     scaled = tuple(e[k] / math.comb(n, k) for k in range(n + 1))
     return SteadyChannel(
@@ -470,48 +457,32 @@ def converged_fluctuations(average: SpectralAverage, steady: SteadyChannel,
 # ---------------------------------------------------------------------------
 
 
-def quench_demo(n_cl: int, n: int = 3, schedule=None, t_eval: float | None = None,
-                h: float | None = None, j: float = 1.0, env_z=None,
-                focal: int = 0) -> np.ndarray:
+def quench_demo(spec: NetworkSpec, z, schedule, t_eval: float) -> np.ndarray:
     """Cluster-averaged reduced map of a staggered-quench ensemble.
 
-    Each of the n_cl identical clusters sits idle until its own switch-on
-    time, after which the uniform field h and the isotropic all-to-all
-    coupling j act together. Cluster k's map is taken from its switch-on:
-    the pre-quench segment only rotates the focal spin about z and leaves
-    the diagonal partners untouched, so each cluster contributes the
-    always-on map evaluated at its own elapsed time t_eval - t_on. With
-    switch-on times spread over a window much longer than t_J, the average
-    over clusters reproduces the running time average of a single always-on
+    One identical cluster, the network `spec`, per switch-on time in
+    `schedule`. Each sits idle until its own switch-on, after which its
+    Hamiltonian acts; site 0 is focal and z[1:] are the diagonal partner
+    polarizations. Cluster k's map is taken from its switch-on: the
+    pre-quench segment only rotates the focal spin about z and leaves the
+    diagonal partners untouched, so each cluster contributes the always-on
+    map evaluated at its own elapsed time t_eval - t_on. With switch-on
+    times spread over a window much longer than t_J, the average over
+    clusters reproduces the running time average of a single always-on
     cluster (up to O(t_J/window) discretization); a cluster whose quench
-    lies in the future contributes the identity map.
-
-    schedule defaults to n_cl times uniform over [0, 50 t_J]; t_eval
-    defaults to the last switch-on time, so elapsed coupled times span the
-    whole window. Returns the averaged 4x4 transfer matrix.
+    lies in the future contributes the identity map. Returns the averaged
+    4x4 transfer matrix.
     """
-    if h is None:
-        h = GENERIC_H_RATIO * 2.0 * j
-    t_j = t_scale(2.0 * j)  # bond normalization doubles the isotropic coupling
-    if schedule is None:
-        schedule = np.linspace(0.0, 50.0 * t_j, n_cl) if n_cl > 1 else np.zeros(1)
     schedule = np.asarray(schedule, dtype=float)
-    if schedule.shape != (n_cl,):
+    if schedule.ndim != 1 or schedule.size == 0:
         raise ValueError("schedule must list one switch-on time per cluster")
-    if t_eval is None:
-        t_eval = float(schedule.max())
     window = float(schedule.max() - schedule.min())
-    if n_cl > 1 and window < t_j:
+    if schedule.size > 1 and window < t_scale(spec.j_perp):
         warnings.warn(
             "switch-on times span less than one t_J; the cluster average "
             "will not resemble a time average", stacklevel=2)
-    if env_z is None:
-        env_z = [1.0] * (n - 1)
-    env = [(0.0, 0.0, float(v)) for v in env_z]
-
-    # isotropic coupling j per pair is J_perp = J_par = 2j in the bond normalization
-    spec = NetworkSpec(topology="complete", n=n, h=h, j_perp=2.0 * j, j_par=2.0 * j)
-    always_on = MapExtractor(build_hamiltonian(spec), focal, env)
+    env = [(0.0, 0.0, float(v)) for v in z[1:]]
+    always_on = MapExtractor(build_hamiltonian(spec), 0, env)
 
     acc = np.zeros((4, 4))
     for t_on in schedule:
@@ -520,4 +491,4 @@ def quench_demo(n_cl: int, n: int = 3, schedule=None, t_eval: float | None = Non
             acc += np.eye(4)  # quench still in the future for this cluster
             continue
         acc += always_on.transfer(dt)
-    return acc / n_cl
+    return acc / schedule.size

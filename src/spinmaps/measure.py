@@ -16,6 +16,7 @@ import numpy as np
 from scipy.special import ndtr, ndtri
 
 from .disorder import _sample_rng
+from .qlinalg import NumericalError
 # cp_contains is the scalar CP predicate of reduced under this module's name
 from .reduced import PCParams, choi_check, cp_ok as cp_contains
 
@@ -254,6 +255,6 @@ def trajectory_sample(spec: MeasureSpec, seed: int) -> list:
         top = 0.5 * math.sqrt(max((1.0 + l3) ** 2 - t3 * t3, 0.0))
         l1 = trunc_gauss_sample(spec.mu_lambda1, s, 0.0, top, rng) if top > 0.0 else 0.0
         if not cp_contains(l1, t3, l3):
-            raise AssertionError("nested truncation emitted a non-CP triple")
+            raise NumericalError("nested truncation emitted a non-CP triple")
         out.append(PCParams(lambda1=l1, theta=0.0, lambda3=l3, tau3=t3))
     return out

@@ -59,22 +59,6 @@ class PCParams:
 
 
 @dataclass(frozen=True)
-class ABDecomp:
-    """Co-rotating-frame split of the transverse sector: l1 = sqrt(a^2+b^2)."""
-
-    alpha: float
-    beta: float
-
-    @property
-    def phi(self) -> float:
-        return float(np.arctan2(self.beta, self.alpha))
-
-    @property
-    def lambda1(self) -> float:
-        return float(np.hypot(self.alpha, self.beta))
-
-
-@dataclass(frozen=True)
 class FixedPoint:
     """Affine fixed point of the z-sector; degenerate marks l3 = 1, t3 = 0
     where every diagonal state is fixed."""
@@ -182,12 +166,6 @@ def fit_pc(transfer: np.ndarray) -> PCParams:
     )
 
 
-def is_phase_covariant(transfer: np.ndarray, tol: float = 1e-8) -> bool:
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
-    return fit_pc(transfer).residual <= tol
-
-
 _CHOI_BASIS = 0.25 * np.array([[np.kron(si, sj.T) for sj in PAULI_STACK]
                                for si in PAULI_STACK])
 
@@ -220,15 +198,3 @@ def fixed_point(p: PCParams) -> FixedPoint:
     a_star = p.tau3 / (1.0 - p.lambda3)
     beta_star = np.inf if a_star >= 1.0 else float(np.log(2.0 / (1.0 - a_star)))
     return FixedPoint(a_star=float(a_star), beta_star=beta_star)
-
-
-def ab_decompose(transfer: np.ndarray, h: float, t: float) -> ABDecomp:
-    """Undo the free precession 2ht from the transverse block.
-
-    alpha = Txx cos(2ht) + Tyx sin(2ht), beta = Tyx cos(2ht) - Txx sin(2ht);
-    rebuilding Txx = alpha cos - beta sin and Tyx = beta cos + alpha sin is
-    exact, and theta = 2ht + atan2(beta, alpha).
-    """
-    c, s = np.cos(2.0 * h * t), np.sin(2.0 * h * t)
-    txx, tyx = float(transfer[1, 1]), float(transfer[2, 1])
-    return ABDecomp(alpha=txx * c + tyx * s, beta=tyx * c - txx * s)

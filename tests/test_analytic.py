@@ -45,7 +45,7 @@ def test_cc_params_match_dense(n):
     z = RNG.uniform(-1, 1, n)
     for focal in (0, n - 1):
         for t in (0.7, 3.9):
-            pc, _ = cc_params(n, t, jp, jz, h, cyclic_env(z, focal, n), focal)
+            pc = cc_params(n, t, jp, jz, h, cyclic_env(z, focal, n))
             lam3, tau3, m = dense_params("complete", n, t, jp, jz, h, z, focal)
             assert abs(pc.lambda3 - lam3) < 1e-11
             assert abs(pc.tau3 - tau3) < 1e-11
@@ -60,7 +60,7 @@ def test_ring4_params_match_dense():
     z = RNG.uniform(-1, 1, 4)
     for focal in range(4):
         for t in (0.9, 4.4):
-            pc, _ = ring_params(4, t, jp, jz, h, cyclic_env(z, focal, 4), focal)
+            pc = ring_params(4, t, jp, jz, h, cyclic_env(z, focal, 4))
             _, _, m = dense_params("ring", 4, t, jp, jz, h, z, focal)
             assert np.max(np.abs(pc.transfer() - m)) < 1e-11
 
@@ -70,9 +70,8 @@ def test_ring5_isotropic_z_sector_matches_dense():
     z = RNG.uniform(-1, 1, 5)
     for focal in (0, 2):
         for t in (1.3, 5.1):
-            pc, decomp = ring_params(5, t, jp, jp, 0.0, cyclic_env(z, focal, 5), focal)
+            pc = ring_params(5, t, jp, jp, 0.0, cyclic_env(z, focal, 5))
             lam3, tau3, _ = dense_params("ring", 5, t, jp, jp, 0.0, z, focal)
-            assert decomp is None
             assert np.isnan(pc.lambda1) and np.isnan(pc.theta)
             assert abs(pc.lambda3 - lam3) < 1e-11
             assert abs(pc.tau3 - tau3) < 1e-11
@@ -92,11 +91,11 @@ def test_ring_params_rejections():
 
 @given(st.lists(unit_floats, min_size=2, max_size=2), times)
 def test_cc3_t0_identity_and_z_parity(env, t):
-    pc0, d0 = cc_params(3, 0.0, 1.0, 0.4, 0.2, env)
+    pc0 = cc_params(3, 0.0, 1.0, 0.4, 0.2, env)
     assert abs(pc0.lambda3 - 1.0) < 1e-12 and abs(pc0.tau3) < 1e-12
-    assert abs(d0.alpha - 1.0) < 1e-12 and abs(d0.beta) < 1e-12
-    pc, _ = cc_params(3, t, 1.0, 0.4, 0.2, env)
-    flip, _ = cc_params(3, t, 1.0, 0.4, 0.2, [-v for v in env])
+    assert abs(pc0.lambda1 - 1.0) < 1e-12 and abs(pc0.theta) < 1e-12
+    pc = cc_params(3, t, 1.0, 0.4, 0.2, env)
+    flip = cc_params(3, t, 1.0, 0.4, 0.2, [-v for v in env])
     assert abs(pc.lambda3 - flip.lambda3) < 1e-12
     assert abs(pc.tau3 + flip.tau3) < 1e-12
 
@@ -104,23 +103,22 @@ def test_cc3_t0_identity_and_z_parity(env, t):
 @given(st.permutations(range(3)), times)
 def test_cc4_env_permutation_invariance(perm, t):
     env = [0.7, -0.2, 0.4]
-    a, da = cc_params(4, t, 1.0, 0.3, 0.1, env)
-    b, db = cc_params(4, t, 1.0, 0.3, 0.1, [env[i] for i in perm])
+    a = cc_params(4, t, 1.0, 0.3, 0.1, env)
+    b = cc_params(4, t, 1.0, 0.3, 0.1, [env[i] for i in perm])
     assert abs(a.lambda3 - b.lambda3) < 1e-12
     assert abs(a.tau3 - b.tau3) < 1e-12
-    assert abs(da.alpha - db.alpha) < 1e-12
-    assert abs(da.beta - db.beta) < 1e-12
+    assert np.max(np.abs(a.transfer() - b.transfer())) < 1e-12
 
 
 @given(times)
 def test_ring4_reflection_but_not_transposition(t):
     # neighbours s1 and s3 are interchangeable; neighbour vs antipode is not
     env = [0.8, -0.5, 0.3]
-    a, da = ring_params(4, t, 1.0, 0.4, 0.0, env)
-    b, db = ring_params(4, t, 1.0, 0.4, 0.0, [env[2], env[1], env[0]])
+    a = ring_params(4, t, 1.0, 0.4, 0.0, env)
+    b = ring_params(4, t, 1.0, 0.4, 0.0, [env[2], env[1], env[0]])
     assert abs(a.lambda3 - b.lambda3) < 1e-12
     assert abs(a.tau3 - b.tau3) < 1e-12
-    assert abs(da.alpha - db.alpha) < 1e-12
+    assert np.max(np.abs(a.transfer() - b.transfer())) < 1e-12
 
 
 def test_ring4_neighbour_antipode_asymmetry():
@@ -128,8 +126,8 @@ def test_ring4_neighbour_antipode_asymmetry():
     swapped = [env[1], env[0], env[2]]
     diffs = []
     for t in np.linspace(0.3, 6.0, 30):
-        a, _ = ring_params(4, t, 1.0, 0.4, 0.0, env)
-        b, _ = ring_params(4, t, 1.0, 0.4, 0.0, swapped)
+        a = ring_params(4, t, 1.0, 0.4, 0.0, env)
+        b = ring_params(4, t, 1.0, 0.4, 0.0, swapped)
         diffs.append(abs(a.lambda3 - b.lambda3))
     assert max(diffs) > 1e-3
 

@@ -1,11 +1,13 @@
 import csv
 import json
+import math
 import re
 import shlex
 from pathlib import Path
 
 import pytest
 
+import spinmaps
 import spinmaps.cli as cli
 from spinmaps.cli import main
 
@@ -30,13 +32,24 @@ def readme_commands():
 
 @pytest.mark.parametrize("line", readme_commands())
 def test_readme_command_parses(line):
-    args = cli.build_parser().parse_args(shlex.split(line)[1:])
-    cli._check_fields(cli._config(args))
+    parser = cli.build_parser()
+    args = parser.parse_args(shlex.split(line)[1:])
+    cli._check_fields(cli._config(args), parser.commands[args.command])
 
 
 def test_readme_covers_every_command():
     assert {line.split()[1] for line in readme_commands()} == set(
         cli.build_parser().commands)
+
+
+def test_readme_library_example_runs(capsys):
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"^```python\n(.*?)^```", text, flags=re.M | re.S)
+    assert len(blocks) == 1
+    exec(compile(blocks[0], "README.md", "exec"), {})
+    assert capsys.readouterr().out.strip()
+    for name in spinmaps.__all__:
+        assert getattr(spinmaps, name) is not None, name
 
 
 @pytest.mark.parametrize("line, config, field", [
@@ -47,6 +60,13 @@ def test_readme_covers_every_command():
     ("maps --points-per-tj 0", None, "points_per_tj"),
     ("measure --scatter-samples -5", None, "scatter_samples"),
     ("disorder", {"steps": 0}, "steps"),  # checked after --config is merged
+    # every float option must be finite
+    ("maps --state uniform --z nan", None, "z"),
+    ("maps --state custom --z-list 0.1,nan,0.2", None, "z_list"),
+    ("measure --c inf --no-overlay --steps 5", None, "c"),
+    ("disorder --sigma-h nan --steps 2 --n-samples 200", None, "sigma_h"),
+    ("steady --tol nan", None, "tol"),
+    ("disorder --b inf", None, "b"),
 ])
 def test_out_of_range_grid_or_count_exits_2(tmp_path, capsys, line, config, field):
     argv = line.split() + ["--outdir", str(tmp_path / "runs")]
@@ -153,6 +173,21 @@ def test_steady_default_passes(tmp_path, capsys):
     assert diag["pass"] is True and diag["constraint_ok"] is True
     assert diag["exact"]["lambda3_fraction"] == "5/9"
     assert diag["exact"]["tau3_fraction"] == "8/27"
+    # fixed point of the steady channel: a* = tau3 / (1 - lambda3) = 2/3
+    fixed = diag["fixed_point"]
+    assert abs(fixed["a_star"] - 2.0 / 3.0) < 1e-15
+    assert abs(fixed["beta_star"] - math.log(6.0)) < 1e-12
+    assert fixed["degenerate"] is False
+
+
+def test_steady_fixed_point_of_polarized_state_has_no_temperature(tmp_path, capsys):
+    # all sites up: tau3 + lambda3 = 1, so a* = 1 and beta* is infinite
+    rc, out, _ = run_cli(["steady", "--state", "uniform", "--z", "1",
+                          "--horizon-tj", "5", "--points-per-tj", "4", "--tol", "1",
+                          "--outdir", str(tmp_path)], capsys)
+    assert rc == 0
+    diag = json.loads((last_run_dir(out) / "diagnostics.json").read_text())
+    assert diag["fixed_point"] == {"a_star": 1.0, "beta_star": None, "degenerate": False}
 
 
 def test_maps_run_artifacts(tmp_path, capsys):

@@ -11,7 +11,7 @@ from spinmaps.disorder import (
     PairEig,
     _sample_rng,
     closedform_disorder_components,
-    closedform_vs_mc,
+    disorder_components,
     max_tau3_trunc_tanh,
     mc_disorder_map,
     sample_pair,
@@ -112,10 +112,11 @@ def test_mc_requires_enough_samples():
 
 
 def test_closedform_matches_mc_at_fixed_seed():
-    report = closedform_vs_mc(GAUSS, t=0.7, n_samples=2000, seed=0)
-    assert report["flagged"] == []
-    for comp in report["components"].values():
-        assert abs(comp["pull"]) < 5.0
+    checks = disorder_components(GAUSS, 0.7, z2=1.0, n_samples=2000, seed=0)
+    assert [c.name for c in checks] == ["xx0", "yx0", "z0z", "zz0"]
+    assert not any(c.flagged for c in checks)
+    for c in checks:
+        assert abs(c.pull) < 5.0
 
 
 def test_closedform_t0_is_exact_identity():

@@ -244,15 +244,7 @@ def test_steady_ring4_cyclic_but_not_transposition():
     assert base.lambda3_exact != swapped.lambda3_exact
 
 
-def test_steady_caller_coeffs_and_validation():
-    sc = steady_channel(4, "ring", [Fraction(1, 2)] * 4,
-                        coeffs={0: Fraction(1, 2), 2: Fraction(1, 4)})
-    assert sc.coeffs == {0: Fraction(1, 2), 2: Fraction(1, 4)}
-    with pytest.raises(ValueError):
-        steady_channel(4, "complete", [0] * 4, coeffs={2: Fraction(1, 4)})
-    with pytest.raises(ValueError):
-        steady_channel(4, "complete", [0] * 4,
-                       coeffs={0: Fraction(1, 2), 3: Fraction(1, 4)})
+def test_steady_channel_validation():
     with pytest.raises(ValueError):
         steady_channel(3, "ring", [0, 0, 0])  # no ring-3 table; use complete
     with pytest.raises(ValueError):
@@ -315,42 +307,46 @@ def test_fluctuations_needs_tail_samples():
 # ---------------------------------------------------------------------------
 
 
+# the always-on cluster: isotropic j = 1 is J_perp = J_par = 2
+QUENCH = NetworkSpec(topology="complete", n=3, h=GENERIC_H_RATIO * 2.0,
+                     j_perp=2.0, j_par=2.0)
+POLARIZED = [1.0] * 3
+
+
 def test_quench_single_cluster_contract():
-    h = GENERIC_H_RATIO * 2.0
-    # the always-on cluster: isotropic j = 1 is J_perp = J_par = 2
-    spec = NetworkSpec(topology="complete", n=3, h=h, j_perp=2.0, j_par=2.0)
-    ev = HermitianEvolver(build_hamiltonian(spec))
+    ev = HermitianEvolver(build_hamiltonian(QUENCH))
     env = [(0.0, 0.0, 1.0)] * 2
     want = transfer_from_unitary(ev.unitary(5.5 - 1.2), 0, env)
-    got = quench_demo(1, schedule=[1.2], t_eval=5.5, h=h)
+    got = quench_demo(QUENCH, POLARIZED, [1.2], 5.5)
     assert np.max(np.abs(got - want)) < 1e-12
     # all clusters quenched at the same time degenerate to the same map
     with pytest.warns(UserWarning):
-        same = quench_demo(4, schedule=[1.2] * 4, t_eval=5.5, h=h)
+        same = quench_demo(QUENCH, POLARIZED, [1.2] * 4, 5.5)
     assert np.max(np.abs(same - want)) < 1e-12
 
 
 def test_quench_future_switch_is_identity():
-    got = quench_demo(1, schedule=[3.0], t_eval=1.0)
+    got = quench_demo(QUENCH, POLARIZED, [3.0], 1.0)
     assert np.max(np.abs(got - np.eye(4))) < 1e-12
 
 
 def test_quench_schedule_shape_checked():
     with pytest.raises(ValueError):
-        quench_demo(3, schedule=[0.0, 1.0])
+        quench_demo(QUENCH, POLARIZED, [], 1.0)
+    with pytest.raises(ValueError):
+        quench_demo(QUENCH, POLARIZED, [[0.0, 1.0]], 1.0)
 
 
 def test_quench_warns_on_narrow_window():
     with pytest.warns(UserWarning):
-        quench_demo(5, schedule=np.linspace(0.0, 0.5, 5), t_eval=8.0)
+        quench_demo(QUENCH, POLARIZED, np.linspace(0.0, 0.5, 5), 8.0)
 
 
 def test_quench_average_tracks_time_average():
     # moderate size; the acceptance suite runs the full-size benchmark
-    avg = quench_demo(200)  # staggered over [0, 50 t_J], t_eval = 50 t_J
     t_j = t_scale(2.0)
-    h = GENERIC_H_RATIO * 2.0
-    spec = NetworkSpec(topology="complete", n=3, h=h, j_perp=2.0, j_par=2.0)
+    # staggered over [0, 50 t_J], evaluated at the last switch-on
+    avg = quench_demo(QUENCH, POLARIZED, np.linspace(0.0, 50.0 * t_j, 200), 50.0 * t_j)
     grid = np.linspace(0.0, 50.0 * t_j, 50 * 20 + 1)
-    ref = time_average(grid, network_series(spec, [1.0] * 3, grid, sites=(0,)))[-1]
+    ref = time_average(grid, network_series(QUENCH, POLARIZED, grid, sites=(0,)))[-1]
     assert np.max(np.abs(avg - ref)) < 0.02
