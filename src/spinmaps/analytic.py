@@ -7,7 +7,10 @@ Families covered, all against diagonal (Bloch-z) environments:
   isotropic point J_par = J_perp (lambda3/tau3 only; the transverse sector
   has no closed form there and is returned as NaN).
 - xx_unitary_components / xx_reduced_map: one detuned XX pair, including the
-  full two-qubit channel in the Pauli basis.
+  full two-qubit channel in the Pauli basis. That channel has 70 nonzero
+  entries taking 17 distinct values up to sign; a module-level table of
+  (row, col, value slot, sign), built once from the Pauli labels, places
+  them with one numpy scatter per call.
 
 Environment convention: env_z[k] is the polarization of site
 (focal + 1 + k) mod N, i.e. the non-focal sites listed cyclically after the
@@ -491,66 +494,93 @@ def _k2(label: str) -> int:
     return 4 * _AXIS_INDEX[label[0]] + _AXIS_INDEX[label[1]]
 
 
+# The nonzero entries of the XX-pair channel: (value slot, sign, (row, col)
+# label pairs). A label pairs the first-site axis with the second-site axis;
+# the slots are the values xx_unitary_components computes, in this order.
+_XX_SLOT_NAMES = ("one", "r", "s_rot", "p", "q", "f", "e", "1-z_ex", "z_ex", "g",
+                  "k", "d_minus", "d_plus", "xx_xx", "xx_yy", "xy_xy", "xy_yx")
+_XX_ENTRIES = (
+    ("one", 1, ("00", "00"), ("zz", "zz")),
+    # Transverse sector of one site against identity/z on the other.
+    ("r", 1, ("0x", "0x"), ("0y", "0y"), ("zx", "zx"), ("zy", "zy")),
+    ("s_rot", 1, ("0y", "0x"), ("zy", "zx")),
+    ("s_rot", -1, ("0x", "0y"), ("zx", "zy")),
+    ("p", 1, ("x0", "x0"), ("y0", "y0"), ("xz", "xz"), ("yz", "yz")),
+    ("q", 1, ("y0", "x0"), ("yz", "xz")),
+    ("q", -1, ("x0", "y0"), ("xz", "yz")),
+    # Transverse exchange between the sites.
+    ("f", 1, ("0x", "xz"), ("0y", "yz"), ("x0", "zx"), ("xz", "0x"),
+     ("y0", "zy"), ("yz", "0y"), ("zx", "x0"), ("zy", "y0")),
+    ("e", 1, ("0x", "yz"), ("x0", "zy"), ("xz", "0y"), ("zx", "y0")),
+    ("e", -1, ("0y", "xz"), ("y0", "zx"), ("yz", "0x"), ("zy", "x0")),
+    # z exchange.
+    ("1-z_ex", 1, ("z0", "z0"), ("0z", "0z")),
+    ("z_ex", 1, ("z0", "0z"), ("0z", "z0")),
+    ("g", 1, ("xx", "z0"), ("yy", "z0"), ("z0", "xx"), ("z0", "yy")),
+    ("g", -1, ("0z", "xx"), ("0z", "yy"), ("xx", "0z"), ("yy", "0z")),
+    ("k", 1, ("0z", "xy"), ("xy", "z0"), ("yx", "0z"), ("z0", "yx")),
+    ("k", -1, ("0z", "yx"), ("xy", "0z"), ("yx", "z0"), ("z0", "xy")),
+    # Two-transverse sector.
+    ("d_minus", 1, ("xy", "xx"), ("yy", "yx")),
+    ("d_minus", -1, ("xx", "xy"), ("yx", "yy")),
+    ("d_plus", 1, ("yx", "xx"), ("yy", "xy")),
+    ("d_plus", -1, ("xx", "yx"), ("xy", "yy")),
+    ("xx_xx", 1, ("xx", "xx"), ("yy", "yy")),
+    ("xx_yy", 1, ("xx", "yy"), ("yy", "xx")),
+    ("xy_xy", 1, ("xy", "xy"), ("yx", "yx")),
+    ("xy_yx", 1, ("xy", "yx"), ("yx", "xy")),
+)
+
+
+def _xx_table():
+    """Index arrays (row, col, value slot, sign), one element per nonzero entry."""
+    table = [(_k2(row), _k2(col), _XX_SLOT_NAMES.index(name), float(sign))
+             for name, sign, *pairs in _XX_ENTRIES for row, col in pairs]
+    rows, cols, slots, signs = zip(*table)
+    return np.array(rows), np.array(cols), np.array(slots), np.array(signs)
+
+
+_XX_ROWS, _XX_COLS, _XX_SLOTS, _XX_SIGNS = _xx_table()
+
+
 def xx_unitary_components(t: float, h12: float, omega12: float,
                           phi12: float) -> np.ndarray:
     """Full 16x16 Pauli transfer matrix of the XX-pair unitary channel.
 
     Row/column index 4*i + j pairs the first-site axis i with the
     second-site axis j, axes ordered (identity, x, y, z). The result is
-    orthogonal; 70 entries are nonzero.
+    orthogonal; 70 entries are nonzero. The distinct values are computed
+    once and scattered into place through the _XX_ENTRIES table; a sign of
+    -1 multiplies exactly, so each entry is the negated value bit for bit.
     """
     a = 2.0 * h12 * t
     b = omega12 * t
     c, s = math.cos(phi12), math.sin(phi12)
     ca, sa = math.cos(a), math.sin(a)
     cb, sb = math.cos(b), math.sin(b)
-
-    m = np.zeros((16, 16))
-
-    def put(value, *pairs):
-        for row, col in pairs:
-            m[_k2(row), _k2(col)] = value
-
-    put(1.0, ("00", "00"), ("zz", "zz"))
-    # Transverse sector of one site against identity/z on the other.
-    r = cb * ca + c * sb * sa
-    s_rot = cb * sa - c * sb * ca
-    put(r, ("0x", "0x"), ("0y", "0y"), ("zx", "zx"), ("zy", "zy"))
-    put(s_rot, ("0y", "0x"), ("zy", "zx"))
-    put(-s_rot, ("0x", "0y"), ("zx", "zy"))
-    p = cb * ca - c * sb * sa
-    q = cb * sa + c * sb * ca
-    put(p, ("x0", "x0"), ("y0", "y0"), ("xz", "xz"), ("yz", "yz"))
-    put(q, ("y0", "x0"), ("yz", "xz"))
-    put(-q, ("x0", "y0"), ("xz", "yz"))
-    # Transverse exchange between the sites.
-    f = s * sa * sb
-    put(f, ("0x", "xz"), ("0y", "yz"), ("x0", "zx"), ("xz", "0x"),
-        ("y0", "zy"), ("yz", "0y"), ("zx", "x0"), ("zy", "y0"))
-    e = s * sb * ca
-    put(e, ("0x", "yz"), ("x0", "zy"), ("xz", "0y"), ("zx", "y0"))
-    put(-e, ("0y", "xz"), ("y0", "zx"), ("yz", "0x"), ("zy", "x0"))
-    # z exchange.
+    sin2a, sin2b = math.sin(2.0 * a), math.sin(2.0 * b)
     z_ex = s * s * sb * sb
-    put(1.0 - z_ex, ("z0", "z0"), ("0z", "0z"))
-    put(z_ex, ("z0", "0z"), ("0z", "z0"))
-    g = c * s * sb * sb
-    put(g, ("xx", "z0"), ("yy", "z0"), ("z0", "xx"), ("z0", "yy"))
-    put(-g, ("0z", "xx"), ("0z", "yy"), ("xx", "0z"), ("yy", "0z"))
-    k = 0.5 * s * math.sin(2.0 * b)
-    put(k, ("0z", "xy"), ("xy", "z0"), ("yx", "0z"), ("z0", "yx"))
-    put(-k, ("0z", "yx"), ("xy", "0z"), ("yx", "z0"), ("z0", "xy"))
-    # Two-transverse sector.
-    d_minus = 0.5 * (math.sin(2.0 * a) - c * math.sin(2.0 * b))
-    put(d_minus, ("xy", "xx"), ("yy", "yx"))
-    put(-d_minus, ("xx", "xy"), ("yx", "yy"))
-    d_plus = 0.5 * (math.sin(2.0 * a) + c * math.sin(2.0 * b))
-    put(d_plus, ("yx", "xx"), ("yy", "xy"))
-    put(-d_plus, ("xx", "yx"), ("xy", "yy"))
-    put(ca * ca - c * c * sb * sb, ("xx", "xx"), ("yy", "yy"))
-    put(sa * sa - c * c * sb * sb, ("xx", "yy"), ("yy", "xx"))
-    put(ca * ca - sb * sb, ("xy", "xy"), ("yx", "yx"))
-    put(sb * sb - sa * sa, ("xy", "yx"), ("yx", "xy"))
+    values = np.array([
+        1.0,
+        cb * ca + c * sb * sa,  # r
+        cb * sa - c * sb * ca,  # s_rot
+        cb * ca - c * sb * sa,  # p
+        cb * sa + c * sb * ca,  # q
+        s * sa * sb,  # f
+        s * sb * ca,  # e
+        1.0 - z_ex,
+        z_ex,
+        c * s * sb * sb,  # g
+        0.5 * s * sin2b,  # k
+        0.5 * (sin2a - c * sin2b),  # d_minus
+        0.5 * (sin2a + c * sin2b),  # d_plus
+        ca * ca - c * c * sb * sb,  # xx_xx
+        sa * sa - c * c * sb * sb,  # xx_yy
+        ca * ca - sb * sb,  # xy_xy
+        sb * sb - sa * sa,  # xy_yx
+    ])
+    m = np.zeros((16, 16))
+    m[_XX_ROWS, _XX_COLS] = values[_XX_SLOTS] * _XX_SIGNS
     return m
 
 

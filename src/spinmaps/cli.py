@@ -44,10 +44,6 @@ class ConfigError(ValueError):
     pass
 
 
-class UnsupportedError(ValueError):
-    pass
-
-
 class InvariantError(RuntimeError):
     pass
 
@@ -171,23 +167,27 @@ def _network(cfg: dict, topology: str | None = None):
     return spec, t_scale(j_perp), tuple(float(v) for v in z)
 
 
+def _table_topology(topology: str, n: int) -> str:
+    """The family whose tables and closed forms cover the network: the
+    3-ring is the 3-clique."""
+    return "complete" if topology == "ring" and n == 3 else topology
+
+
 def _steady(cfg: dict, topology: str):
     """The exact steady channel of the run's network and initial state.
 
-    A network without a table raises UnsupportedError before the state is
+    A network without a table raises UnsupportedNetwork before the state is
     checked.
     """
     from .analytic import _anisotropic
-    from .ensemble import steady_channel
+    from .ensemble import steady_channel, steady_table
 
     n = int(cfg["n"])
-    if topology == "ring" and n == 3:
-        topology = "complete"  # the 3-ring is the 3-clique
-    if not ((topology == "complete" and 3 <= n <= 6) or (topology == "ring" and n in (4, 5))):
-        raise UnsupportedError(f"no steady table for ({topology}, N={n})")
-    if topology == "ring" and n == 5 and _anisotropic(cfg["j_perp"], cfg["j_par"]):
-        raise UnsupportedError("ring N=5 steady table holds at the isotropic point only")
-    return steady_channel(n, topology, preset_state(n, cfg["state"], cfg["z"], cfg["z_list"]))
+    topology = _table_topology(topology, n)
+    isotropic = not _anisotropic(cfg["j_perp"], cfg["j_par"])
+    steady_table(n, topology, isotropic)
+    return steady_channel(n, topology, preset_state(n, cfg["state"], cfg["z"], cfg["z_list"]),
+                          isotropic)
 
 
 # ---------------------------------------------------------------------------
@@ -202,7 +202,8 @@ def _analytic_transfer(topology, n, t, j_perp, j_par, h, z, focal, pair):
         eig = analytic.xx_eigenparams(pair[0], pair[1], pair[2])
         return analytic.xx_reduced_map(t, eig, pair[3], which=1), None
     env_cyclic = [z[(focal + 1 + k) % n] for k in range(n - 1)]
-    if topology == "complete" or (topology == "ring" and n == 3):
+    topology = _table_topology(topology, n)
+    if topology == "complete":
         if not 3 <= n <= 6:
             return None, f"no closed form for complete N={n}"
         return analytic.cc_params(n, t, j_perp, j_par, h, env_cyclic).transfer(), None
@@ -662,11 +663,19 @@ def _config(args: argparse.Namespace) -> dict:
     return {k: v for k, v in vars(args).items() if k not in _NOT_CONFIG}
 
 
+def _finite(v) -> bool:
+    """math.isfinite, False for an integer too large for a float."""
+    try:
+        return math.isfinite(v)
+    except OverflowError:
+        return False
+
+
 # ranges shared by every command that has the field: (fields, check, requirement)
 _FIELD_CHECKS = (
     (("t_max_tj", "horizon_tj", "t_eval_tj", "t_max", "window_tj"),
-     lambda v: math.isfinite(v) and v >= 0, "must be finite and >= 0"),
-    (("points_per_tj",), lambda v: math.isfinite(v) and v > 0, "must be finite and > 0"),
+     lambda v: _finite(v) and v >= 0, "must be finite and >= 0"),
+    (("points_per_tj",), lambda v: _finite(v) and v > 0, "must be finite and > 0"),
     (("steps", "n_cl"), lambda v: v >= 1, "must be at least 1"),
     (("scatter_samples",), lambda v: v >= 0, "must be >= 0"),
 )
@@ -683,7 +692,7 @@ def _check_fields(cfg: dict, command: argparse.ArgumentParser):
         value = cfg.get(action.dest)
         if value is None or action.type not in (float, _float_list):
             continue
-        if not all(map(math.isfinite, value if action.type is _float_list else [value])):
+        if not all(map(_finite, value if action.type is _float_list else [value])):
             raise ConfigError(f"{action.dest}: must be finite, got {value}")
 
 
@@ -750,14 +759,15 @@ def main(argv=None) -> int:
     except (ConfigError, json.JSONDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except UnsupportedError as exc:
-        print(f"unsupported: {exc}", file=sys.stderr)
-        return EXIT_UNSUPPORTED
     except InvariantError as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
     except ValueError as exc:
-        from .qlinalg import NumericalError  # deferred like every library import
+        from .ensemble import UnsupportedNetwork  # deferred like every library import
+        from .qlinalg import NumericalError
+        if isinstance(exc, UnsupportedNetwork):
+            print(f"unsupported: {exc}", file=sys.stderr)
+            return EXIT_UNSUPPORTED
         if isinstance(exc, NumericalError):
             print(f"numerical failure: {exc}", file=sys.stderr)
             return EXIT_INVARIANT

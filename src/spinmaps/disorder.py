@@ -124,11 +124,30 @@ def sample_pair(spec: DisorderSpec, rng: np.random.Generator) -> PairEig:
     return PairEig(h12=h, delta12=omega * math.cos(phi), omega12=omega, phi12=phi)
 
 
-def _sample_rng(seed: int, index: int) -> np.random.Generator:
-    # Philox4x64 keyed by the seed with the sample index in the top counter
-    # word: per-sample streams are independent and platform-stable, and the
-    # rejection loop's variable draw count cannot shift later samples.
-    return np.random.Generator(np.random.Philox(key=seed, counter=[0, 0, 0, index]))
+class SampleStreams:
+    """The per-index random streams of one seed.
+
+    Stream i is Philox4x64 keyed by the seed with i in the top counter
+    word: streams are independent and platform-stable, and the rejection
+    loop's variable draw count cannot shift later indices. One bit
+    generator serves every index; at(i) moves it to counter [0, 0, 0, i],
+    so its draws equal those of a fresh Philox(key=seed, counter=[0, 0, 0,
+    i]) without that constructor's cost.
+    """
+
+    def __init__(self, seed: int):
+        self._bits = np.random.Philox(key=seed, counter=[0, 0, 0, 0])
+        self._state = self._bits.state  # a fresh generator's state, buffer empty
+        self._counter = self._state["state"]["counter"]
+        self._rng = np.random.Generator(self._bits)
+
+    def at(self, index: int) -> np.random.Generator:
+        """The generator at the start of stream `index`. It is valid until
+        the next index is requested: every call returns the same generator,
+        moved."""
+        self._counter[3] = index
+        self._bits.state = self._state
+        return self._rng
 
 
 def mc_disorder_map(spec: DisorderSpec, t: float, env_bloch, n_samples: int,
@@ -142,8 +161,9 @@ def mc_disorder_map(spec: DisorderSpec, t: float, env_bloch, n_samples: int,
     if n_samples < 100:
         raise ValueError("n_samples must be at least 100")
     maps = np.empty((n_samples, 4, 4))
+    streams = SampleStreams(seed)
     for i in range(n_samples):
-        pair = sample_pair(spec, _sample_rng(seed, i))
+        pair = sample_pair(spec, streams.at(i))
         maps[i] = xx_reduced_map(t, (pair.h12, pair.omega12, pair.phi12),
                                  env_bloch, which)
     mean = maps.mean(axis=0)
@@ -226,7 +246,8 @@ def sin2_phi_headroom(spec: DisorderSpec, n_samples: int, seed: int) -> dict:
     """How close the sampled phases get to the trunc_tanh ceiling: the
     ceiling and the Monte Carlo mean of sin^2(phi) with its standard error,
     over the same n_samples draws mc_disorder_map makes."""
-    sin2 = np.array([math.sin(sample_pair(spec, _sample_rng(seed, i)).phi12) ** 2
+    streams = SampleStreams(seed)
+    sin2 = np.array([math.sin(sample_pair(spec, streams.at(i)).phi12) ** 2
                      for i in range(n_samples)])
     return {"max_tau3_ceiling": max_tau3_trunc_tanh(),
             "mc_sin2_phi": float(sin2.mean()),

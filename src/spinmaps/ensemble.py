@@ -252,31 +252,47 @@ def _general_steady(n: int, coeffs: dict, e):
     return lam, tau
 
 
-def steady_channel(n: int, topology: str, z) -> SteadyChannel:
-    """Steady-channel values for the supported (N, topology) table.
+class UnsupportedNetwork(ValueError):
+    """A network that no exact steady table covers."""
+
+
+def steady_table(n: int, topology: str, isotropic: bool = True) -> dict:
+    """The rational coefficient table of the (N, topology) network.
+
+    Tables exist for the complete graph with N = 3..6 and the ring with
+    N = 4, 5; the ring N=5 table holds at the isotropic point J_par =
+    J_perp only. Any other network raises UnsupportedNetwork.
+    """
+    if topology == "complete" and n in _STEADY_COMPLETE:
+        return _STEADY_COMPLETE[n]
+    if topology == "ring" and n == 4:
+        return _STEADY_RING4
+    if topology == "ring" and n == 5:
+        if not isotropic:
+            raise UnsupportedNetwork("ring N=5 steady table holds at the isotropic point only")
+        return _STEADY_RING5
+    raise UnsupportedNetwork(f"no steady table for ({topology}, N={n})")
+
+
+def steady_channel(n: int, topology: str, z, isotropic: bool = True) -> SteadyChannel:
+    """Steady-channel values of a network that has a steady_table.
 
     z lists all N site polarizations (absolute site order; for the N=4 ring
     the antipodal pairs are (z[0], z[2]) and (z[1], z[3])). Arithmetic runs
     in exact rationals.
     """
+    coeffs = steady_table(n, topology, isotropic)
     zf = [Fraction(v) for v in z]
     if len(zf) != n:
         raise ValueError(f"need {n} site values, got {len(zf)}")
     e = [esym(zf, k) for k in range(n + 1)]
 
-    if topology == "complete" and n in _STEADY_COMPLETE:
-        coeffs = _STEADY_COMPLETE[n]
-        lam, tau = _general_steady(n, coeffs, e)
-    elif topology == "ring" and n == 5:
-        coeffs = _STEADY_RING5
-        lam, tau = _general_steady(n, coeffs, e)
-    elif topology == "ring" and n == 4:
-        coeffs = _STEADY_RING4
+    if topology == "ring" and n == 4:
         pair_corr = e[2] - 4 * (zf[0] * zf[2] + zf[1] * zf[3])
         lam = coeffs[0] + coeffs[2] * pair_corr / 6
         tau = (1 - coeffs[0]) * e[1] / 4 + _F(1, 16) * e[3] / 4
     else:
-        raise ValueError(f"no steady table for N={n} topology={topology!r}")
+        lam, tau = _general_steady(n, coeffs, e)
 
     scaled = tuple(e[k] / math.comb(n, k) for k in range(n + 1))
     return SteadyChannel(

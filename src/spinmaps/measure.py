@@ -13,9 +13,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
-from .disorder import _sample_rng
+from .disorder import SampleStreams
 from .qlinalg import NumericalError
 # cp_contains is the scalar CP predicate of reduced under this module's name
 from .reduced import PCParams, choi_check, cp_ok as cp_contains
@@ -170,6 +169,8 @@ def trunc_gauss_sample(mu: float, sigma: float, a: float, b: float,
             z = lo + rng.exponential(1.0 / lam)
             if z <= hi and rng.uniform() <= math.exp(-0.5 * (z - lam) ** 2):
                 return mu + sigma * (-z if flip else z)
+    from scipy.special import ndtr, ndtri  # lazy: scipy.special is slow to import
+
     fa, fb = ndtr(alpha), ndtr(beta)
     u = rng.uniform(fa, fb)
     x = mu + sigma * float(ndtri(u))
@@ -242,8 +243,9 @@ def trajectory_sample(spec: MeasureSpec, seed: int) -> list:
     not part of the construction and is set to 0.
     """
     out = []
+    streams = SampleStreams(seed)
     for k, t in enumerate(spec.times):
-        rng = _sample_rng(seed, k)
+        rng = streams.at(k)
         s = spec.sigma(t)
         l3 = trunc_gauss_sample(spec.mu_lambda3, s, -1.0, 1.0, rng)
         lim = 1.0 - abs(l3)

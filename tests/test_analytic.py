@@ -4,6 +4,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from spinmaps.analytic import (
+    _XX_COLS,
+    _XX_ROWS,
     TRANSCRIPTION_FIXES,
     cc_params,
     ring_params,
@@ -150,6 +152,13 @@ def test_xx_eigenparams_zero_detuning_branch():
 def test_xx_unitary_components_orthogonal(t, h12, w, phi):
     m = xx_unitary_components(t, h12, w, phi)
     assert np.max(np.abs(m @ m.T - np.eye(16))) < 1e-9
+
+
+def test_xx_table_has_one_slot_per_nonzero_entry():
+    slots = set(zip(_XX_ROWS.tolist(), _XX_COLS.tolist()))
+    assert len(_XX_ROWS) == len(slots) == 70
+    m = xx_unitary_components(0.7, 0.3, 1.1, 0.4)  # generic: no entry vanishes
+    assert set(zip(*np.nonzero(m))) == slots
 
 
 @given(st.floats(0, 8), st.floats(-2, 2), st.floats(0.05, 3), st.floats(-np.pi, np.pi))

@@ -67,6 +67,9 @@ def test_readme_library_example_runs(capsys):
     ("disorder --sigma-h nan --steps 2 --n-samples 200", None, "sigma_h"),
     ("steady --tol nan", None, "tol"),
     ("disorder --b inf", None, "b"),
+    # an integer too large for a float is not finite either
+    ("maps", {"h": 10**400}, "h"),
+    ("disorder", {"t_max": 10**400}, "t_max"),
 ])
 def test_out_of_range_grid_or_count_exits_2(tmp_path, capsys, line, config, field):
     argv = line.split() + ["--outdir", str(tmp_path / "runs")]

@@ -9,7 +9,7 @@ from scipy.integrate import quad
 from spinmaps.disorder import (
     DisorderSpec,
     PairEig,
-    _sample_rng,
+    SampleStreams,
     closedform_disorder_components,
     disorder_components,
     max_tau3_trunc_tanh,
@@ -81,9 +81,9 @@ def test_tanh_ceiling_value_and_monotonicity():
 
 
 def test_sampling_is_deterministic_per_seed_and_index():
-    a = sample_pair(GAUSS, _sample_rng(42, 7))
-    b = sample_pair(GAUSS, _sample_rng(42, 7))
-    c = sample_pair(GAUSS, _sample_rng(42, 8))
+    a = sample_pair(GAUSS, SampleStreams(42).at(7))
+    b = sample_pair(GAUSS, SampleStreams(42).at(7))
+    c = sample_pair(GAUSS, SampleStreams(42).at(8))
     assert a == b
     assert a != c
     m1, s1 = mc_disorder_map(GAUSS, 0.7, (0.0, 0.0, 1.0), 200, seed=3)
@@ -91,8 +91,34 @@ def test_sampling_is_deterministic_per_seed_and_index():
     assert np.array_equal(m1, m2) and np.array_equal(s1, s2)
 
 
+def fresh_rng(seed, index):
+    return np.random.Generator(np.random.Philox(key=seed, counter=[0, 0, 0, index]))
+
+
+def test_sample_streams_match_fresh_philox():
+    streams = SampleStreams(42)
+    # out of order, repeated, and past the 32-bit counter range
+    for i in (7, 3, 2**32, 0, 2**32 + 5, 2**40, 7):
+        rng = streams.at(i)
+        fresh = fresh_rng(42, i)
+        assert np.array_equal(rng.normal(size=5), fresh.normal(size=5))
+        assert rng.uniform() == fresh.uniform()
+    assert streams.at(1) is streams.at(2)  # one generator, moved
+
+
+@pytest.mark.parametrize("spec", [GAUSS, TANH], ids=["gaussian", "trunc_tanh"])
+def test_mc_disorder_map_equals_fresh_philox_loop(spec):
+    env = (0.3, -0.4, 0.5)
+    mean, stderr = mc_disorder_map(spec, 0.9, env, 200, seed=11)
+    maps = np.array([xx_reduced_map(0.9, sample_pair(spec, fresh_rng(11, i)), env)
+                     for i in range(200)])
+    assert np.array_equal(mean, maps.mean(axis=0))
+    assert np.array_equal(stderr, maps.std(axis=0, ddof=1) / math.sqrt(200))
+
+
 def test_sample_pair_moments():
-    draws = [sample_pair(GAUSS, _sample_rng(0, i)) for i in range(2000)]
+    streams = SampleStreams(0)
+    draws = [sample_pair(GAUSS, streams.at(i)) for i in range(2000)]
     hs = np.array([d.h12 for d in draws])
     ws = np.array([d.omega12 for d in draws])
     assert abs(hs.mean() - GAUSS.B) < 4.0 * GAUSS.sigma_h / math.sqrt(2000)
@@ -102,7 +128,8 @@ def test_sample_pair_moments():
 
 
 def test_trunc_tanh_samples_stay_in_support():
-    draws = [sample_pair(TANH, _sample_rng(1, i)).phi12 for i in range(500)]
+    streams = SampleStreams(1)
+    draws = [sample_pair(TANH, streams.at(i)).phi12 for i in range(500)]
     assert max(abs(p) for p in draws) <= math.pi / 2
 
 
@@ -144,7 +171,7 @@ def test_envelope_damps_transverse_sector():
 
 
 def test_swap_relation_through_pair_eig():
-    pair = sample_pair(GAUSS, _sample_rng(9, 0))
+    pair = sample_pair(GAUSS, SampleStreams(9).at(0))
     flipped = PairEig(h12=pair.h12, delta12=-pair.delta12,
                       omega12=-pair.omega12, phi12=-pair.phi12)
     env = (0.2, -0.3, 0.4)
@@ -157,7 +184,7 @@ def test_even_phi_average_restores_phase_covariance():
     # single samples with a tilted partner break the pattern; the even-phi
     # ensemble mean does not (light version of the acceptance run)
     env = (0.3, -0.4, 0.5)
-    single = xx_reduced_map(0.9, sample_pair(GAUSS, _sample_rng(0, 0)), env)
+    single = xx_reduced_map(0.9, sample_pair(GAUSS, SampleStreams(0).at(0)), env)
     assert max(abs(single[i, j]) for i, j in PC_ZEROS) > 1e-3
     mean, stderr = mc_disorder_map(GAUSS, 0.9, env, 1000, seed=0)
     for i, j in PC_ZEROS:

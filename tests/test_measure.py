@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -251,3 +255,13 @@ def test_trajectory_signed_rule_pins_tau3_sign():
                                    tau3_rule="signed")
     for p in trajectory_sample(spec, seed=9):
         assert p.tau3 >= 0.0
+
+
+def test_library_import_leaves_scipy_special_unloaded():
+    # scipy.special is imported by trunc_gauss_sample alone, on first use
+    code = ("import sys, spinmaps.cli, spinmaps.disorder, spinmaps.measure; "
+            "print('scipy.special' in sys.modules)")
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True, env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.stdout.strip() == "False"
