@@ -12,8 +12,9 @@ manifest carries the timestamp.
 Config resolution: built-in defaults < JSON file (--config) < flags; the
 merged horizons, grid densities and counts are then checked once
 (_FIELD_CHECKS), and every float option must be finite. Exit codes: 0
-success, 2 config error, 3 invariant violation or internal numerical
-failure, 4 unsupported combination.
+success, 2 config error (a run too large for memory included), 3
+invariant violation or internal numerical failure, 4 unsupported
+combination.
 
 Times in data files are in units of t_J except the disorder command, whose
 absolute t shares units with 1/B, 1/Omega (no exchange scale there).
@@ -434,7 +435,7 @@ def cmd_disorder(cfg: dict) -> RunOutput:
 def cmd_measure(cfg: dict) -> RunOutput:
     import numpy as np
     from .ensemble import network_series, time_average
-    from .measure import (MeasureSpec, time_grid, trajectory_sample, cp_contains,
+    from .measure import (MeasureSpec, time_grid, trajectory_sample,
                           uniform_sample, broken_uniform_sample,
                           eigenvalues_pc, eigenvalues_broken)
 
@@ -446,10 +447,7 @@ def cmd_measure(cfg: dict) -> RunOutput:
     times_tj = time_grid(1.0, cfg["t_max_tj"], int(cfg["steps"]))
     mspec = MeasureSpec.from_steady(steady, t_ref=1.0, times=tuple(times_tj),
                                     C=cfg["c"], tau3_rule=cfg["tau3_rule"])
-    traj = trajectory_sample(mspec, int(cfg["seed"]))
-    for p in traj:
-        if not cp_contains(p.lambda1, p.tau3, p.lambda3):
-            raise InvariantError("trajectory emitted a non-CP triple")
+    traj = trajectory_sample(mspec, int(cfg["seed"]))  # refuses non-CP triples itself
 
     header = ["t_over_tref", "lambda3", "tau3", "lambda1"]
     columns = [[_fmt(t) for t in times_tj],
@@ -677,6 +675,8 @@ _FIELD_CHECKS = (
      lambda v: _finite(v) and v >= 0, "must be finite and >= 0"),
     (("points_per_tj",), lambda v: _finite(v) and v > 0, "must be finite and > 0"),
     (("steps", "n_cl"), lambda v: v >= 1, "must be at least 1"),
+    # one dense 2^16 register matrix is already 64 GiB
+    (("n",), lambda v: v <= 16, "must be at most 16"),
     (("scatter_samples",), lambda v: v >= 0, "must be >= 0"),
 )
 
@@ -758,6 +758,9 @@ def main(argv=None) -> int:
         _write_json(out / "diagnostics.json", result.diagnostics)
     except (ConfigError, json.JSONDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except MemoryError as exc:
+        print(f"config error: out of memory: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except InvariantError as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)

@@ -101,7 +101,7 @@ def _env_inputs(n: int, site: int, env_blochs):
 
 def _transfer_entries(u: np.ndarray, inputs, site: int) -> np.ndarray:
     u_dag = u.conj().T
-    return transfer_readout([partial_trace_keep(u @ op @ u_dag, site) for op in inputs])
+    return transfer_readout(partial_trace_keep(np.stack([u @ op @ u_dag for op in inputs]), site))
 
 
 def transfer_from_unitary(u: np.ndarray, site: int, env_blochs) -> np.ndarray:

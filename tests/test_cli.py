@@ -70,6 +70,10 @@ def test_readme_library_example_runs(capsys):
     # an integer too large for a float is not finite either
     ("maps", {"h": 10**400}, "h"),
     ("disorder", {"t_max": 10**400}, "t_max"),
+    # register size: checked before any state or matrix is built
+    ("maps", {"n": 10**400}, "n"),
+    ("quench", {"n": 10**400}, "n"),
+    ("maps --n 17", None, "n"),
 ])
 def test_out_of_range_grid_or_count_exits_2(tmp_path, capsys, line, config, field):
     argv = line.split() + ["--outdir", str(tmp_path / "runs")]
@@ -239,6 +243,32 @@ def test_numerical_failure_exits_3(tmp_path, capsys, monkeypatch):
     rc, _, err = run_cli(["maps", "--t-max-tj", "1", "--outdir", str(tmp_path)], capsys)
     assert rc == 3
     assert "not Hermitian" in err
+
+
+def test_out_of_memory_exits_2(tmp_path, capsys, monkeypatch):
+    import spinmaps.disorder
+
+    def no_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate 1.2 TiB for an array")
+
+    monkeypatch.setattr(spinmaps.disorder, "mc_disorder_map", no_memory)
+    rc, out, err = run_cli(["disorder", "--steps", "1", "--outdir", str(tmp_path / "runs")],
+                           capsys)
+    assert rc == 2
+    assert err == "config error: out of memory: Unable to allocate 1.2 TiB for an array\n"
+    assert out == "" and not (tmp_path / "runs").exists()
+
+
+def test_measure_non_cp_trajectory_exits_3(tmp_path, capsys, monkeypatch):
+    import spinmaps.measure
+
+    monkeypatch.setattr(spinmaps.measure, "cp_contains", lambda *args: False)
+    rc, out, err = run_cli(["measure", "--no-overlay", "--steps", "5",
+                            "--scatter-samples", "0", "--outdir", str(tmp_path / "runs")],
+                           capsys)
+    assert rc == 3
+    assert "non-CP triple" in err
+    assert out == "" and not (tmp_path / "runs").exists()
 
 
 def test_volume_rerun_is_byte_identical(tmp_path, capsys):

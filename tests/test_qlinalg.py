@@ -42,6 +42,33 @@ def test_kron_all_ordering():
     assert op[0, 0] == 1 and op[1, 1] == -1 and op[2, 2] == 1 and op[3, 3] == -1
 
 
+def kron_fold(ops):
+    """Reference: np.kron folded left to right from [[1+0j]]."""
+    out = np.array([[1.0 + 0j]])
+    for op in ops:
+        out = np.kron(out, op)
+    return out
+
+
+def test_kron_all_is_byte_identical_to_np_kron_fold():
+    signed = np.array([[-0.0, 1.0], [0.5, -0.0]])
+    cases = [
+        [RNG.normal(size=(2, 2)) + 1j * RNG.normal(size=(2, 2)) for _ in range(4)],
+        [RNG.normal(size=(2, 2)) for _ in range(3)],  # real factors
+        [signed, SZ, signed, -0.0 * SX],  # signed zeros survive
+        [np.array([[2.5 - 0j]]), SY, np.array([[-0.0 + 1j]])],  # 1x1 factors
+        [RNG.normal(size=(2, 3)), RNG.normal(size=(1, 2)) + 1j, RNG.normal(size=(3, 1))],
+        [],
+    ]
+    for ops in cases:
+        got, want = kron_all(ops), kron_fold(ops)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+    # embed passes a generator
+    got = kron_all(SX if k == 1 else SI for k in range(3))
+    assert got.tobytes() == kron_fold([SI, SX, SI]).tobytes()
+
+
 def test_embed_matches_kron():
     assert np.allclose(embed(SX, 0, 2), np.kron(SX, SI))
     assert np.allclose(embed(SX, 1, 2), np.kron(SI, SX))
@@ -81,13 +108,18 @@ def sequential_partial_trace(rho, site):
 
 
 def test_partial_trace_is_bit_identical_to_sequential_traces():
+    # one matrix and a stack of them, compared as bytes so signed zeros count
     for n in range(1, 7):
         dim = 2**n
-        rho = RNG.normal(size=(dim, dim)) + 1j * RNG.normal(size=(dim, dim))
+        stack = RNG.normal(size=(3, dim, dim)) + 1j * RNG.normal(size=(3, dim, dim))
+        stack[1, ::3] *= -0.0
         for site in range(n):
-            assert np.array_equal(partial_trace_keep(rho, site),
-                                  sequential_partial_trace(rho, site))
-    for bad in (np.eye(3), np.eye(6), np.ones((4, 2))):
+            want = np.stack([sequential_partial_trace(rho, site) for rho in stack])
+            assert partial_trace_keep(stack, site).tobytes() == want.tobytes()
+            for rho, w in zip(stack, want):
+                assert partial_trace_keep(rho, site).tobytes() == w.tobytes()
+    for bad in (np.eye(3), np.eye(6), np.ones((4, 2)), np.ones(4),
+                np.ones((2, 4, 2)), np.ones((2, 3, 3)), np.ones((2, 2, 4, 4))):
         with pytest.raises(ValueError):
             partial_trace_keep(bad, 0)
     for site in (-1, 2):

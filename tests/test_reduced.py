@@ -49,20 +49,23 @@ def test_extractor_matches_one_shot_and_unitary_path():
 
 
 def test_transfer_from_unitary_is_bit_identical_to_trace_loop():
-    n, site = 4, 2
-    h = build_hamiltonian(NetworkSpec(topology="ring", n=n, h=0.37,
-                                      j_perp=1.0, j_par=0.6))
-    env = random_env(n, RNG, diagonal=False)
-    envs = iter(env)
-    rest = [density_of([next(envs)]) if k != site else None for k in range(n)]
-    u = MapExtractor(h, site, env).evolver.unitary(1.3)
-    want = np.empty((4, 4), dtype=complex)
-    for j, aj in enumerate(PAULI_AXES):
-        op = kron_all([pauli(aj) if k == site else f for k, f in enumerate(rest)])
-        out = partial_trace_keep(u @ op @ u.conj().T, site)
-        for i, ai in enumerate(PAULI_AXES):
-            want[i, j] = 0.5 * np.trace(pauli(ai) @ out)
-    assert np.array_equal(transfer_from_unitary(u, site, env), want.real)
+    # one partial trace per Pauli input and one np.trace per entry; bytes,
+    # so signed zeros count
+    for n in range(2, 7):
+        h = build_hamiltonian(NetworkSpec(topology="ring" if n >= 3 else "complete", n=n,
+                                          h=0.37, j_perp=1.0, j_par=0.6))
+        u = MapExtractor(h, 0, random_env(n, RNG)).evolver.unitary(1.3)
+        for site in range(n):
+            env = random_env(n, RNG, diagonal=False)
+            envs = iter(env)
+            rest = [density_of([next(envs)]) if k != site else None for k in range(n)]
+            want = np.empty((4, 4), dtype=complex)
+            for j, aj in enumerate(PAULI_AXES):
+                op = kron_all([pauli(aj) if k == site else f for k, f in enumerate(rest)])
+                out = partial_trace_keep(u @ op @ u.conj().T, site)
+                for i, ai in enumerate(PAULI_AXES):
+                    want[i, j] = 0.5 * np.trace(pauli(ai) @ out)
+            assert transfer_from_unitary(u, site, env).tobytes() == want.real.tobytes()
 
 
 def test_reduced_maps_preserve_trace_and_are_cp():
