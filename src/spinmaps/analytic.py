@@ -587,16 +587,13 @@ def xx_unitary_components(t: float, h12: float, omega12: float,
 def xx_reduced_map(t: float, pair_params, env_bloch, which: int = 1) -> np.ndarray:
     """Reduced 4x4 map of one member of an XX pair.
 
-    pair_params is (h12, omega12, phi12) (or anything with those
-    attributes); env_bloch = (x, y, z) is the state of the traced-out
-    partner. which selects the surviving site. The partner's transverse
-    components feed the map's phase-covariance-breaking entries; a diagonal
-    partner (x = y = 0) leaves a phase-covariant map.
+    pair_params is the triple (h12, omega12, phi12), as xx_eigenparams
+    returns it and disorder.PairEig holds it; env_bloch = (x, y, z) is the
+    state of the traced-out partner. which selects the surviving site. The
+    partner's transverse components feed the map's phase-covariance-breaking
+    entries; a diagonal partner (x = y = 0) leaves a phase-covariant map.
     """
-    if hasattr(pair_params, "h12"):
-        h12, omega12, phi12 = pair_params.h12, pair_params.omega12, pair_params.phi12
-    else:
-        h12, omega12, phi12 = pair_params
+    h12, omega12, phi12 = pair_params
     x, y, z = (float(v) for v in env_bloch)
     if x * x + y * y + z * z > 1.0 + 1e-12:
         raise ValueError("environment Bloch vector has norm > 1")

@@ -10,9 +10,9 @@ written. Bodies are byte-identical under a fixed (config, seed); only the
 manifest carries the timestamp.
 
 Config resolution: built-in defaults < JSON file (--config) < flags; the
-merged horizons, grid densities and counts are then checked once
-(_FIELD_CHECKS), and every float option must be finite. Exit codes: 0
-success, 2 config error (a run too large for memory included), 3
+merged horizons, grid densities, counts, tolerance and seed are then
+checked once (_FIELD_CHECKS), and every float option must be finite. Exit
+codes: 0 success, 2 config error (a run too large for memory included), 3
 invariant violation or internal numerical failure, 4 unsupported
 combination.
 
@@ -26,12 +26,15 @@ import argparse
 import csv
 import json
 import math
-import os
 import sys
 import time
 from fractions import Fraction
 from pathlib import Path
 from typing import NamedTuple
+
+import numpy as np
+
+from . import __version__, analytic, disorder, ensemble, measure, network, qlinalg, reduced
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -85,14 +88,6 @@ def _write_json(path: Path, obj):
         fh.write("\n")
 
 
-def _tool_version() -> str:
-    try:
-        from importlib.metadata import version
-        return version("spinmaps")
-    except Exception:
-        return "unknown"
-
-
 def _start_run(cfg: dict, command: str) -> Path:
     stamp = time.strftime("%Y%m%dT%H%M%S")
     base = Path(cfg["outdir"]) / f"{command}-{stamp}"
@@ -110,7 +105,7 @@ def _start_run(cfg: dict, command: str) -> Path:
         "created": stamp,
         "seed": cfg.get("seed"),
         "config": cfg,
-        "tool_version": _tool_version(),
+        "tool_version": __version__,
     })
     return path
 
@@ -140,7 +135,6 @@ class RunOutput(NamedTuple):
 
 
 def _uniform_grid(t_j: float, t_max_tj: float, points_per_tj: float):
-    import numpy as np
     n_pts = int(round(t_max_tj * points_per_tj)) + 1
     return np.linspace(0.0, t_max_tj * t_j, n_pts)
 
@@ -152,20 +146,17 @@ def _network(cfg: dict, topology: str | None = None):
     its cluster is the complete graph with J_perp = J_par = 2j, the isotropic
     coupling j per pair, and its default field keeps the sign of j.
     """
-    from .ensemble import GENERIC_H_RATIO
-    from .network import NetworkSpec, t_scale
-
     n = int(cfg["n"])
     if "j_perp" in cfg:
         j_perp, j_par, scale = cfg["j_perp"], cfg["j_par"], abs(cfg["j_perp"])
     else:
         j_perp = j_par = scale = 2.0 * cfg["j"]
         topology = "complete"
-    h = GENERIC_H_RATIO * scale if cfg["h"] is None else cfg["h"]
-    spec = NetworkSpec(topology=topology or cfg["topology"], n=n, h=h,
+    h = ensemble.GENERIC_H_RATIO * scale if cfg["h"] is None else cfg["h"]
+    spec = network.NetworkSpec(topology=topology or cfg["topology"], n=n, h=h,
                        j_perp=j_perp, j_par=j_par)
     z = preset_state(n, cfg["state"], cfg["z"], cfg["z_list"])
-    return spec, t_scale(j_perp), tuple(float(v) for v in z)
+    return spec, network.t_scale(j_perp), tuple(float(v) for v in z)
 
 
 def _table_topology(topology: str, n: int) -> str:
@@ -180,15 +171,12 @@ def _steady(cfg: dict, topology: str):
     A network without a table raises UnsupportedNetwork before the state is
     checked.
     """
-    from .analytic import _anisotropic
-    from .ensemble import steady_channel, steady_table
-
     n = int(cfg["n"])
     topology = _table_topology(topology, n)
-    isotropic = not _anisotropic(cfg["j_perp"], cfg["j_par"])
-    steady_table(n, topology, isotropic)
-    return steady_channel(n, topology, preset_state(n, cfg["state"], cfg["z"], cfg["z_list"]),
-                          isotropic)
+    isotropic = not analytic._anisotropic(cfg["j_perp"], cfg["j_par"])
+    ensemble.steady_table(n, topology, isotropic)
+    return ensemble.steady_channel(
+        n, topology, preset_state(n, cfg["state"], cfg["z"], cfg["z_list"]), isotropic)
 
 
 # ---------------------------------------------------------------------------
@@ -197,8 +185,6 @@ def _steady(cfg: dict, topology: str):
 
 def _analytic_transfer(topology, n, t, j_perp, j_par, h, z, focal, pair):
     """Closed-form transfer (NaN where unknown) if a family exists, else (None, reason)."""
-    from . import analytic
-
     if topology == "xx_pairs":
         eig = analytic.xx_eigenparams(pair[0], pair[1], pair[2])
         return analytic.xx_reduced_map(t, eig, pair[3], which=1), None
@@ -216,11 +202,6 @@ def _analytic_transfer(topology, n, t, j_perp, j_par, h, z, focal, pair):
 
 
 def cmd_maps(cfg: dict) -> RunOutput:
-    import numpy as np
-    from .network import NetworkSpec, PairSpec, build_hamiltonian, t_scale
-    from .reduced import MapExtractor, fit_pc, cp_ok
-    from .ensemble import network_average
-
     topology = cfg["topology"]
     pair = None
     if topology == "xx_pairs":
@@ -233,10 +214,11 @@ def cmd_maps(cfg: dict) -> RunOutput:
         if math.hypot(math.hypot(*env_bloch[:2]), env_bloch[2]) > 1.0 + 1e-12:
             raise ConfigError("state: partner Bloch vector longer than 1")
         pair = (cfg["h1"], cfg["h2"], cfg["j"], env_bloch)
-        spec = NetworkSpec(topology="xx_pairs", n=2,
-                           pairs=(PairSpec(h1=cfg["h1"], h2=cfg["h2"], j=cfg["j"]),))
+        spec = network.NetworkSpec(
+            topology="xx_pairs", n=2,
+            pairs=(network.PairSpec(h1=cfg["h1"], h2=cfg["h2"], j=cfg["j"]),))
         h_field = (cfg["h1"] + cfg["h2"]) / 2.0  # enters analytic frame only
-        t_j = t_scale(cfg["j"])
+        t_j = network.t_scale(cfg["j"])
         z = (0.0, env_bloch[2])
         sites = [0]
         envs = {0: [env_bloch]}
@@ -247,8 +229,8 @@ def cmd_maps(cfg: dict) -> RunOutput:
         envs = {s: [(0.0, 0.0, z[k]) for k in sites if k != s] for s in sites}
 
     times = _uniform_grid(t_j, cfg["t_max_tj"], cfg["points_per_tj"])
-    h_mat = build_hamiltonian(spec)
-    extractors = {s: MapExtractor(h_mat, s, envs[s]) for s in sites}
+    h_mat = network.build_hamiltonian(spec)
+    extractors = {s: reduced.MapExtractor(h_mat, s, envs[s]) for s in sites}
 
     rows = []
     max_resid = 0.0
@@ -260,9 +242,9 @@ def cmd_maps(cfg: dict) -> RunOutput:
         for s in sites:
             tr = extractors[s].transfer(t)
             per_site.append(tr)
-            p = fit_pc(tr)
+            p = reduced.fit_pc(tr)
             max_resid = max(max_resid, p.residual)
-            if not cp_ok(p.lambda1, p.tau3, p.lambda3, tol=1e-9):
+            if not reduced.cp_ok(p.lambda1, p.tau3, p.lambda3, tol=1e-9):
                 raise InvariantError(
                     f"CP violation at t={t/t_j:.3f} t_J, site {s}: "
                     f"(l1={p.lambda1}, tau3={p.tau3}, l3={p.lambda3})")
@@ -278,9 +260,9 @@ def cmd_maps(cfg: dict) -> RunOutput:
                     mask = ~np.isnan(ana)
                     analytic_err = max(analytic_err,
                                        float(np.abs(ana - tr)[mask].max()))
-        avg = network_average(per_site)
-        pa = fit_pc(avg)
-        if not cp_ok(pa.lambda1, pa.tau3, pa.lambda3, tol=1e-9):
+        avg = ensemble.network_average(per_site)
+        pa = reduced.fit_pc(avg)
+        if not reduced.cp_ok(pa.lambda1, pa.tau3, pa.lambda3, tol=1e-9):
             raise InvariantError(f"CP violation in network average at t={t/t_j:.3f} t_J")
         rows.append((_fmt(t / t_j), "avg", _fmt(pa.lambda1), _fmt(pa.theta),
                      _fmt(pa.lambda3), _fmt(pa.tau3), _fmt(pa.residual)))
@@ -302,15 +284,11 @@ def cmd_maps(cfg: dict) -> RunOutput:
 # ---------------------------------------------------------------------------
 
 def cmd_steady(cfg: dict) -> RunOutput:
-    import numpy as np
-    from .ensemble import network_series, time_average
-    from .reduced import PCParams, fixed_point
-
     steady = _steady(cfg, cfg["topology"])
-    fixed = fixed_point(PCParams(0.0, 0.0, steady.lambda3, steady.tau3))
+    fixed = reduced.fixed_point(reduced.PCParams(0.0, 0.0, steady.lambda3, steady.tau3))
     spec, t_j, z = _network(cfg)
     times = _uniform_grid(t_j, cfg["horizon_tj"], cfg["points_per_tj"])
-    running = time_average(times, network_series(spec, z, times))
+    running = ensemble.time_average(times, ensemble.network_series(spec, z, times))
 
     num_l3 = float(running[-1, 3, 3])
     num_t3 = float(running[-1, 3, 0])
@@ -350,14 +328,13 @@ def cmd_steady(cfg: dict) -> RunOutput:
 # ---------------------------------------------------------------------------
 
 def cmd_fluct(cfg: dict) -> RunOutput:
-    from .ensemble import FLUCT_RTOL, SpectralAverage, converged_fluctuations
-
     steady = _steady(cfg, cfg["topology"])
     spec, t_j, z = _network(cfg)
     times = _uniform_grid(t_j, cfg["horizon_tj"], cfg["points_per_tj"])
-    series = converged_fluctuations(SpectralAverage(spec, z), steady, t_j, times,
-                                    onset=cfg["onset_tj"])
-    converged = bool(series.rel_change < FLUCT_RTOL and series.sup_gap < FLUCT_RTOL)
+    series = ensemble.converged_fluctuations(ensemble.SpectralAverage(spec, z), steady, t_j,
+                                             times, onset=cfg["onset_tj"])
+    rtol = ensemble.FLUCT_RTOL
+    converged = bool(series.rel_change < rtol and series.sup_gap < rtol)
 
     rows = [(_fmt(series.t_over_tj[k]), _fmt(series.delta_lambda3[k]),
              _fmt(series.delta_tau3[k]))
@@ -373,7 +350,7 @@ def cmd_fluct(cfg: dict) -> RunOutput:
         "sup_points_per_tj": series.points_per_tj,
         "rel_change": series.rel_change,
         "sup_gap": series.sup_gap,
-        "rtol": FLUCT_RTOL,
+        "rtol": rtol,
         "converged": converged,
     }
     header = ("t_over_tj", "delta_lambda3", "delta_tau3")
@@ -381,7 +358,7 @@ def cmd_fluct(cfg: dict) -> RunOutput:
                      None if converged else
                      f"fluctuation constants not converged: doubling change "
                      f"{series.rel_change:.2e}, sup gap {series.sup_gap:.2e} "
-                     f"(rtol {FLUCT_RTOL}); start finer with --points-per-tj")
+                     f"(rtol {rtol}); start finer with --points-per-tj")
 
 
 # ---------------------------------------------------------------------------
@@ -389,28 +366,24 @@ def cmd_fluct(cfg: dict) -> RunOutput:
 # ---------------------------------------------------------------------------
 
 def _disorder_spec(cfg):
-    from .disorder import DisorderSpec
     common = dict(B=cfg["b"], Omega=cfg["omega"],
                   sigma_h=cfg["sigma_h"], sigma_omega=cfg["sigma_omega"])
     if cfg["phi_dist"] == "gaussian":
-        return DisorderSpec.from_varphi(varphi=cfg["varphi"], **common)
+        return disorder.DisorderSpec.from_varphi(varphi=cfg["varphi"], **common)
     if cfg["phi_dist"] == "trunc_tanh":
         if cfg["a_phi"] is None:
             raise ConfigError("a_phi: trunc_tanh family needs --a-phi")
-        return DisorderSpec(phi_dist="trunc_tanh", a_phi=cfg["a_phi"], **common)
+        return disorder.DisorderSpec(phi_dist="trunc_tanh", a_phi=cfg["a_phi"], **common)
     raise ConfigError(f"phi_dist: unknown family {cfg['phi_dist']!r}")
 
 
 def cmd_disorder(cfg: dict) -> RunOutput:
-    import numpy as np
-    from .disorder import PULL_LIMIT, disorder_components, sin2_phi_headroom
-
     spec = _disorder_spec(cfg)
-    n_samples, seed = int(cfg["n_samples"]), int(cfg["seed"])
+    n_samples, seed, z2 = int(cfg["n_samples"]), int(cfg["seed"]), float(cfg["z2"])
     rows = []
     flagged = []
     for t in np.linspace(0.0, cfg["t_max"], int(cfg["steps"])):
-        for c in disorder_components(spec, float(t), float(cfg["z2"]), n_samples, seed):
+        for c in disorder.disorder_components(spec, float(t), z2, n_samples, seed):
             cf = "" if c.closed_form is None else _fmt(c.closed_form)
             rows.append((_fmt(t), c.name, _fmt(c.mc_mean), _fmt(c.mc_stderr), cf))
             if c.flagged:
@@ -420,12 +393,12 @@ def cmd_disorder(cfg: dict) -> RunOutput:
 
     diagnostics = {"flagged": flagged, "phi_dist": spec.phi_dist}
     if spec.phi_dist != "gaussian":
-        diagnostics.update(sin2_phi_headroom(spec, n_samples, seed))
+        diagnostics.update(disorder.sin2_phi_headroom(spec, n_samples, seed))
 
     header = ("t", "component", "mc_mean", "mc_stderr", "closed_form")
     return RunOutput({"data.csv": (header, rows)}, diagnostics,
-                     f"{len(flagged)} closed-form/MC disagreements beyond {PULL_LIMIT:g} "
-                     f"stderr (see diagnostics.json)" if flagged else None)
+                     f"{len(flagged)} closed-form/MC disagreements beyond "
+                     f"{disorder.PULL_LIMIT:g} stderr (see diagnostics.json)" if flagged else None)
 
 
 # ---------------------------------------------------------------------------
@@ -433,21 +406,15 @@ def cmd_disorder(cfg: dict) -> RunOutput:
 # ---------------------------------------------------------------------------
 
 def cmd_measure(cfg: dict) -> RunOutput:
-    import numpy as np
-    from .ensemble import network_series, time_average
-    from .measure import (MeasureSpec, time_grid, trajectory_sample,
-                          uniform_sample, broken_uniform_sample,
-                          eigenvalues_pc, eigenvalues_broken)
-
     topology = {"cc": "complete", "ring": "ring"}.get(cfg["preset"])
     if topology is None:
         raise ConfigError(f"preset: unknown preset {cfg['preset']!r} (cc or ring)")
     steady = _steady(cfg, topology)
 
-    times_tj = time_grid(1.0, cfg["t_max_tj"], int(cfg["steps"]))
-    mspec = MeasureSpec.from_steady(steady, t_ref=1.0, times=tuple(times_tj),
-                                    C=cfg["c"], tau3_rule=cfg["tau3_rule"])
-    traj = trajectory_sample(mspec, int(cfg["seed"]))  # refuses non-CP triples itself
+    times_tj = measure.time_grid(1.0, cfg["t_max_tj"], int(cfg["steps"]))
+    mspec = measure.MeasureSpec.from_steady(steady, t_ref=1.0, times=tuple(times_tj),
+                                            C=cfg["c"], tau3_rule=cfg["tau3_rule"])
+    traj = measure.trajectory_sample(mspec, int(cfg["seed"]))  # refuses non-CP triples itself
 
     header = ["t_over_tref", "lambda3", "tau3", "lambda1"]
     columns = [[_fmt(t) for t in times_tj],
@@ -457,7 +424,7 @@ def cmd_measure(cfg: dict) -> RunOutput:
     if cfg["overlay"]:
         spec, t_j, z = _network(cfg, topology)
         grid = _uniform_grid(t_j, cfg["t_max_tj"], cfg["points_per_tj"])
-        running = time_average(grid, network_series(spec, z, grid))
+        running = ensemble.time_average(grid, ensemble.network_series(spec, z, grid))
         l3 = np.interp(times_tj * t_j, grid, running[:, 3, 3])
         t3 = np.interp(times_tj * t_j, grid, running[:, 3, 0])
         header += ["lambda3_timeavg", "tau3_timeavg"]
@@ -468,10 +435,10 @@ def cmd_measure(cfg: dict) -> RunOutput:
         rng = np.random.default_rng(int(cfg["seed"]))
         scatter = []
         for _ in range(int(cfg["scatter_samples"])):
-            evs = eigenvalues_pc(uniform_sample(rng))
+            evs = measure.eigenvalues_pc(measure.uniform_sample(rng))
             for which, ev in zip(("rot+", "rot-", "l3"), evs[1:]):
                 scatter.append(("pc", which, _fmt(ev.real), _fmt(ev.imag)))
-            evb = eigenvalues_broken(broken_uniform_sample(rng))
+            evb = measure.eigenvalues_broken(measure.broken_uniform_sample(rng))
             for which, ev in zip(("mu+", "mu-", "l3"), evb[1:]):
                 scatter.append(("broken", which, _fmt(ev.real), _fmt(ev.imag)))
         tables["eigenvalues.csv"] = (("family", "which", "re", "im"), scatter)
@@ -488,9 +455,7 @@ def cmd_measure(cfg: dict) -> RunOutput:
 # ---------------------------------------------------------------------------
 
 def cmd_volume(cfg: dict) -> RunOutput:
-    from .measure import volume_mc
-
-    v = volume_mc(int(cfg["samples"]), int(cfg["seed"]))
+    v = measure.volume_mc(int(cfg["samples"]), int(cfg["seed"]))
     exact = {"total": 16.0 / 9.0, "negative": math.pi / 6.0,
              "positive": 16.0 / 9.0 - math.pi / 6.0}
     rows = []
@@ -514,9 +479,6 @@ def cmd_volume(cfg: dict) -> RunOutput:
 # ---------------------------------------------------------------------------
 
 def cmd_quench(cfg: dict) -> RunOutput:
-    import numpy as np
-    from .ensemble import network_series, quench_demo, time_average
-
     spec, t_j, z = _network(cfg)
     n_cl = int(cfg["n_cl"])
     if cfg["schedule"] == "staggered":
@@ -526,11 +488,12 @@ def cmd_quench(cfg: dict) -> RunOutput:
         schedule = rng.uniform(0.0, cfg["window_tj"] * t_j, n_cl)
     else:
         raise ConfigError("schedule: expected 'staggered' or 'random'")
-    cluster_avg = quench_demo(spec, z, schedule, cfg["t_eval_tj"] * t_j)
+    cluster_avg = ensemble.quench_demo(spec, z, schedule, cfg["t_eval_tj"] * t_j)
 
     # reference: running time average of one always-coupled cluster
     grid = _uniform_grid(t_j, cfg["t_eval_tj"], cfg["points_per_tj"])
-    reference = time_average(grid, network_series(spec, z, grid, sites=(0,)))[-1]
+    reference = ensemble.time_average(
+        grid, ensemble.network_series(spec, z, grid, sites=(0,)))[-1]
 
     diff = np.abs(cluster_avg - reference)
     rows = [(str(i), str(jj), _fmt(cluster_avg[i, jj]), _fmt(reference[i, jj]),
@@ -557,7 +520,6 @@ def _add_command(sub, name: str, func, help: str):
     sp.add_argument("--config", help="JSON config file; flags override it")
     sp.add_argument("--outdir", default="runs", help="output root (default runs/)")
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--threads", type=int, help="cap BLAS worker threads")
     sp.set_defaults(func=func)
     return sp
 
@@ -654,7 +616,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 # namespace entries that are not part of a run's configuration
-_NOT_CONFIG = ("command", "func", "config", "threads")
+_NOT_CONFIG = ("command", "func", "config")
 
 
 def _config(args: argparse.Namespace) -> dict:
@@ -671,13 +633,13 @@ def _finite(v) -> bool:
 
 # ranges shared by every command that has the field: (fields, check, requirement)
 _FIELD_CHECKS = (
-    (("t_max_tj", "horizon_tj", "t_eval_tj", "t_max", "window_tj"),
+    (("t_max_tj", "horizon_tj", "t_eval_tj", "t_max", "window_tj", "onset_tj"),
      lambda v: _finite(v) and v >= 0, "must be finite and >= 0"),
-    (("points_per_tj",), lambda v: _finite(v) and v > 0, "must be finite and > 0"),
+    (("points_per_tj", "tol"), lambda v: _finite(v) and v > 0, "must be finite and > 0"),
     (("steps", "n_cl"), lambda v: v >= 1, "must be at least 1"),
     # one dense 2^16 register matrix is already 64 GiB
     (("n",), lambda v: v <= 16, "must be at most 16"),
-    (("scatter_samples",), lambda v: v >= 0, "must be >= 0"),
+    (("scatter_samples", "seed"), lambda v: v >= 0, "must be >= 0"),
 )
 
 
@@ -724,12 +686,6 @@ def _config_type_error(action: argparse.Action, value):
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.threads:
-        if "numpy" in sys.modules:
-            print("warning: --threads has no effect: numpy is already loaded "
-                  "in this process", file=sys.stderr)
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ[var] = str(args.threads)
     try:
         if args.config is not None:
             # built-in defaults < file < flags: the file's values become the
@@ -765,15 +721,13 @@ def main(argv=None) -> int:
     except InvariantError as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
+    except ensemble.UnsupportedNetwork as exc:
+        print(f"unsupported: {exc}", file=sys.stderr)
+        return EXIT_UNSUPPORTED
+    except qlinalg.NumericalError as exc:
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return EXIT_INVARIANT
     except ValueError as exc:
-        from .ensemble import UnsupportedNetwork  # deferred like every library import
-        from .qlinalg import NumericalError
-        if isinstance(exc, UnsupportedNetwork):
-            print(f"unsupported: {exc}", file=sys.stderr)
-            return EXIT_UNSUPPORTED
-        if isinstance(exc, NumericalError):
-            print(f"numerical failure: {exc}", file=sys.stderr)
-            return EXIT_INVARIANT
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     print(out)

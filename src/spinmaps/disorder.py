@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -27,28 +28,16 @@ from .analytic import xx_reduced_map
 _PHI_FAMILIES = ("gaussian", "trunc_tanh")
 
 
-@dataclass(frozen=True)
-class PairEig:
-    """Eigen-parameters of one sampled pair.
+class PairEig(NamedTuple):
+    """Eigen-parameters of one sampled pair, the triple xx_reduced_map takes.
 
-    delta12 is redundant (= omega12 * cos(phi12)) but kept because the swap
-    relation between the two pair members is a sign flip of delta12, i.e. of
+    The swap relation between the two pair members is a sign flip of
     (omega12, phi12) jointly.
     """
 
     h12: float
-    delta12: float
     omega12: float
     phi12: float
-
-    def __post_init__(self):
-        scale = max(1.0, abs(self.omega12))
-        if abs(self.delta12 - self.omega12 * math.cos(self.phi12)) > 1e-9 * scale:
-            raise ValueError("delta12 inconsistent with omega12 * cos(phi12)")
-
-    @property
-    def j12(self) -> float:
-        return self.omega12 * math.sin(self.phi12)
 
 
 @dataclass(frozen=True)
@@ -121,7 +110,7 @@ def sample_pair(spec: DisorderSpec, rng: np.random.Generator) -> PairEig:
     h = float(rng.normal(spec.B, spec.sigma_h))
     omega = float(rng.normal(spec.Omega, spec.sigma_omega))
     phi = _sample_phi(spec, rng)
-    return PairEig(h12=h, delta12=omega * math.cos(phi), omega12=omega, phi12=phi)
+    return PairEig(h, omega, phi)
 
 
 class SampleStreams:
@@ -163,9 +152,7 @@ def mc_disorder_map(spec: DisorderSpec, t: float, env_bloch, n_samples: int,
     maps = np.empty((n_samples, 4, 4))
     streams = SampleStreams(seed)
     for i in range(n_samples):
-        pair = sample_pair(spec, streams.at(i))
-        maps[i] = xx_reduced_map(t, (pair.h12, pair.omega12, pair.phi12),
-                                 env_bloch, which)
+        maps[i] = xx_reduced_map(t, sample_pair(spec, streams.at(i)), env_bloch, which)
     mean = maps.mean(axis=0)
     stderr = maps.std(axis=0, ddof=1) / math.sqrt(n_samples)
     return mean, stderr

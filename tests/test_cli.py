@@ -74,6 +74,11 @@ def test_readme_library_example_runs(capsys):
     ("maps", {"n": 10**400}, "n"),
     ("quench", {"n": 10**400}, "n"),
     ("maps --n 17", None, "n"),
+    # a tolerance must be positive, an onset is a horizon, a seed a Philox key
+    ("steady --tol -1", None, "tol"),
+    ("steady --tol 0", None, "tol"),
+    ("fluct --onset-tj -5", None, "onset_tj"),
+    ("disorder --seed -1", None, "seed"),
 ])
 def test_out_of_range_grid_or_count_exits_2(tmp_path, capsys, line, config, field):
     argv = line.split() + ["--outdir", str(tmp_path / "runs")]
@@ -217,6 +222,14 @@ def test_maps_run_artifacts(tmp_path, capsys):
     diag = json.loads((run / "diagnostics.json").read_text())
     assert diag["phase_covariant"] is True
     assert diag["analytic_check"]["max_abs_err"] < 1e-9
+
+
+def test_manifest_records_package_version(tmp_path, capsys):
+    rc, out, _ = run_cli(["maps", "--t-max-tj", "0.5", "--points-per-tj", "2",
+                          "--outdir", str(tmp_path)], capsys)
+    assert rc == 0
+    manifest = json.loads((last_run_dir(out) / "manifest.json").read_text())
+    assert manifest["tool_version"] == spinmaps.__version__
 
 
 def test_run_dir_collision_gets_counter(tmp_path, monkeypatch):
@@ -379,12 +392,3 @@ def test_fluct_quick(tmp_path, capsys):
         rows = list(csv.reader(fh))
     assert rows[0] == ["t_over_tj", "delta_lambda3", "delta_tau3"]
     assert len(rows) == 60 * 6 + 2
-
-
-def test_threads_warns_once_numpy_is_loaded(tmp_path, capsys, monkeypatch):
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        monkeypatch.delenv(var, raising=False)  # restores what main sets
-    rc, _, err = run_cli(["volume", "--samples", "100000", "--threads", "1",
-                          "--outdir", str(tmp_path)], capsys)
-    assert rc == 0
-    assert "warning: --threads has no effect" in err

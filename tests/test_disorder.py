@@ -17,7 +17,7 @@ from spinmaps.disorder import (
     sample_pair,
     trunc_tanh_pdf,
 )
-from spinmaps.analytic import xx_reduced_map
+from spinmaps.analytic import xx_eigenparams, xx_reduced_map
 
 GAUSS = DisorderSpec.from_varphi(B=1.0, Omega=1.0, sigma_h=1.0,
                                  sigma_omega=1.0, varphi=3.0)
@@ -29,10 +29,13 @@ PC_ZEROS = [(0, 1), (0, 2), (0, 3), (1, 0), (2, 0), (1, 3), (2, 3), (3, 1), (3, 
 
 
 def test_pair_eig_consistency():
-    p = PairEig(h12=0.3, delta12=2.0 * math.cos(0.4), omega12=2.0, phi12=0.4)
-    assert abs(p.j12 - 2.0 * math.sin(0.4)) < 1e-12
-    with pytest.raises(ValueError):
-        PairEig(h12=0.3, delta12=1.0, omega12=2.0, phi12=0.4)
+    # a PairEig is the (h12, omega12, phi12) triple of xx_eigenparams, by name
+    eig = xx_eigenparams(1.0, 0.4, 0.8)
+    p = PairEig(*eig)
+    assert p == eig and (p.h12, p.omega12, p.phi12) == eig
+    env = (0.2, -0.3, 0.4)
+    assert np.array_equal(xx_reduced_map(1.3, p, env), xx_reduced_map(1.3, eig, env))
+    assert type(sample_pair(GAUSS, SampleStreams(9).at(0))) is PairEig
 
 
 def test_spec_validation():
@@ -172,8 +175,7 @@ def test_envelope_damps_transverse_sector():
 
 def test_swap_relation_through_pair_eig():
     pair = sample_pair(GAUSS, SampleStreams(9).at(0))
-    flipped = PairEig(h12=pair.h12, delta12=-pair.delta12,
-                      omega12=-pair.omega12, phi12=-pair.phi12)
+    flipped = PairEig(h12=pair.h12, omega12=-pair.omega12, phi12=-pair.phi12)
     env = (0.2, -0.3, 0.4)
     a = xx_reduced_map(1.3, pair, env, which=2)
     b = xx_reduced_map(1.3, flipped, env, which=1)
