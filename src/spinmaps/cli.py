@@ -640,6 +640,10 @@ _FIELD_CHECKS = (
     # one dense 2^16 register matrix is already 64 GiB
     (("n",), lambda v: v <= 16, "must be at most 16"),
     (("scatter_samples", "seed"), lambda v: v >= 0, "must be >= 0"),
+    (("samples",), lambda v: v >= measure.MIN_VOLUME_SAMPLES,
+     f"must be at least {measure.MIN_VOLUME_SAMPLES}"),
+    (("n_samples",), lambda v: v >= disorder.MIN_SAMPLES,
+     f"must be at least {disorder.MIN_SAMPLES}"),
 )
 
 

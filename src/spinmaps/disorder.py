@@ -26,6 +26,7 @@ import numpy as np
 from .analytic import xx_reduced_map
 
 _PHI_FAMILIES = ("gaussian", "trunc_tanh")
+MIN_SAMPLES = 100
 
 
 class PairEig(NamedTuple):
@@ -147,8 +148,8 @@ def mc_disorder_map(spec: DisorderSpec, t: float, env_bloch, n_samples: int,
     matrix over n_samples pair draws and its standard error (sample std /
     sqrt(n)). Deterministic given seed, sample by sample.
     """
-    if n_samples < 100:
-        raise ValueError("n_samples must be at least 100")
+    if n_samples < MIN_SAMPLES:
+        raise ValueError(f"n_samples must be at least {MIN_SAMPLES}")
     maps = np.empty((n_samples, 4, 4))
     streams = SampleStreams(seed)
     for i in range(n_samples):

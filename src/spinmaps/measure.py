@@ -20,6 +20,15 @@ from .qlinalg import NumericalError
 from .reduced import PCParams, choi_check, cp_ok as cp_contains
 
 _TAU3_RULES = ("symmetric", "signed")
+_TWO_PI = 2.0 * math.pi
+# candidates drawn and certified at once by the rejection samplers, and
+# rows drawn at once by volume_mc; neither changes a draw or an estimate
+_BLOCK = 8
+_VOLUME_CHUNK = 2**16
+MIN_VOLUME_SAMPLES = 10**5
+# bounds of a broken candidate's draws: (lambda1, lambda2, tau3, lambda3), theta
+_BROKEN_LOW = np.array([-1.0, -1.0, -1.0, -1.0, 0.0])
+_BROKEN_HIGH = np.array([1.0, 1.0, 1.0, 1.0, _TWO_PI])
 
 
 def cp_mask(lambda1, tau3, lambda3) -> np.ndarray:
@@ -31,7 +40,19 @@ def cp_mask(lambda1, tau3, lambda3) -> np.ndarray:
 
 def _uniform_theta(rng: np.random.Generator) -> float:
     # uniform on (-pi, pi]
-    return math.pi - float(rng.uniform(0.0, 2.0 * math.pi))
+    return math.pi - float(rng.uniform(0.0, _TWO_PI))
+
+
+def _rewind(rng: np.random.Generator, state: dict, skip: int):
+    """Put rng back at state, then past skip doubles.
+
+    Restoring the whole state and drawing through the Generator is exact
+    for any bit generator: each double is one next_double, and a pending
+    32-bit value (which PCG64.advance would clear) is kept.
+    """
+    rng.bit_generator.state = state
+    if skip:
+        rng.random(skip)
 
 
 def uniform_sample(rng: np.random.Generator) -> PCParams:
@@ -39,13 +60,21 @@ def uniform_sample(rng: np.random.Generator) -> PCParams:
 
     Rejection from the bounding box [-1, 1]^3; the sign of the lambda1 draw
     is folded away (the map depends on lambda1 only through the rotation
-    block, and we keep lambda1 >= 0).
+    block, and we keep lambda1 >= 0). Each candidate is one
+    rng.uniform(-1, 1, size=3) call and theta is drawn after acceptance.
+    Candidates are drawn _BLOCK at a time and tested in order by
+    cp_contains on the same floats; the first accepted one is then drawn
+    again by that call, so the stream, and every draw, is the one a
+    candidate-by-candidate loop makes.
     """
     while True:
-        l1, t3, l3 = rng.uniform(-1.0, 1.0, size=3)
-        if cp_contains(l1, t3, l3):
-            return PCParams(lambda1=abs(float(l1)), theta=_uniform_theta(rng),
-                            lambda3=float(l3), tau3=float(t3))
+        state = rng.bit_generator.state
+        for j, (l1, t3, l3) in enumerate(rng.uniform(-1.0, 1.0, size=(_BLOCK, 3)).tolist()):
+            if cp_contains(l1, t3, l3):
+                _rewind(rng, state, 3 * j)
+                l1, t3, l3 = rng.uniform(-1.0, 1.0, size=3)
+                return PCParams(lambda1=abs(float(l1)), theta=_uniform_theta(rng),
+                                lambda3=float(l3), tau3=float(t3))
 
 
 @dataclass(frozen=True)
@@ -68,8 +97,8 @@ def volume_mc(n: int, seed: int) -> VolumeEstimate:
 
     The exact values are 16/9 in total, of which pi/6 lies at lambda3 < 0.
     """
-    if n < 10**5:
-        raise ValueError("n must be at least 10^5")
+    if n < MIN_VOLUME_SAMPLES:
+        raise ValueError(f"n must be at least {MIN_VOLUME_SAMPLES}")
     rng = np.random.default_rng(seed)
     box = 8.0
 
@@ -77,12 +106,16 @@ def volume_mc(n: int, seed: int) -> VolumeEstimate:
         p = k / n
         return box * p, box * math.sqrt(p * (1.0 - p) / n)
 
-    draws = rng.uniform(-1.0, 1.0, size=(n, 3))
-    hit = cp_mask(draws[:, 0], draws[:, 1], draws[:, 2])
-    neg = hit & (draws[:, 2] < 0.0)
-    total, total_err = rate_err(int(hit.sum()))
-    negative, negative_err = rate_err(int(neg.sum()))
-    positive, positive_err = rate_err(int(hit.sum()) - int(neg.sum()))
+    # row chunks of the one n x 3 draw: same rows, integer counts, flat memory
+    hits = negs = 0
+    for start in range(0, n, _VOLUME_CHUNK):
+        rows = rng.uniform(-1.0, 1.0, size=(min(_VOLUME_CHUNK, n - start), 3))
+        hit = cp_mask(rows[:, 0], rows[:, 1], rows[:, 2])
+        hits += int(hit.sum())
+        negs += int((hit & (rows[:, 2] < 0.0)).sum())
+    total, total_err = rate_err(hits)
+    negative, negative_err = rate_err(negs)
+    positive, positive_err = rate_err(hits - negs)
     return VolumeEstimate(total, total_err, negative, negative_err,
                           positive, positive_err, n, seed)
 
@@ -135,15 +168,32 @@ def broken_uniform_sample(rng: np.random.Generator) -> BrokenPCParams:
 
     (lambda1, lambda2, tau3, lambda3) from [-1, 1]^4 and theta uniform;
     there is no closed inequality set here, so acceptance is
-    choi_check >= -1e-9 on the assembled transfer matrix.
+    choi_check >= -1e-9 on the assembled transfer matrix. Each candidate is
+    one rng.uniform(-1, 1, size=4) call and one _uniform_theta. Candidates
+    are certified _BLOCK at a time by one stacked choi_check; the first
+    accepted one is then drawn again by those calls, so the stream, and
+    every draw, is the one a candidate-by-candidate loop makes.
     """
     while True:
-        l1, l2, t3, l3 = rng.uniform(-1.0, 1.0, size=4)
-        cand = BrokenPCParams(lambda1=float(l1), lambda2=float(l2),
-                              theta=_uniform_theta(rng),
-                              lambda3=float(l3), tau3=float(t3))
-        if choi_check(cand.transfer()) >= -1e-9:
-            return cand
+        state = rng.bit_generator.state
+        # row j holds candidate j's five scalar draws, in stream order
+        l1, l2, t3, l3, theta = rng.uniform(_BROKEN_LOW, _BROKEN_HIGH, size=(_BLOCK, 5)).T
+        # math.cos/sin of the scalar theta, as BrokenPCParams.transfer takes them
+        thetas = (math.pi - theta).tolist()
+        c = np.array([math.cos(x) for x in thetas])
+        s = np.array([math.sin(x) for x in thetas])
+        t = np.zeros((_BLOCK, 4, 4))
+        t[:, 0, 0] = 1.0
+        t[:, 1, 1], t[:, 1, 2] = l1 * c, -l1 * s
+        t[:, 2, 1], t[:, 2, 2] = l2 * s, l2 * c
+        t[:, 3, 0], t[:, 3, 3] = t3, l3
+        hits = np.flatnonzero(choi_check(t) >= -1e-9)
+        if hits.size:
+            _rewind(rng, state, 5 * int(hits[0]))
+            l1, l2, t3, l3 = rng.uniform(-1.0, 1.0, size=4)
+            return BrokenPCParams(lambda1=float(l1), lambda2=float(l2),
+                                  theta=_uniform_theta(rng),
+                                  lambda3=float(l3), tau3=float(t3))
 
 
 def trunc_gauss_sample(mu: float, sigma: float, a: float, b: float,

@@ -166,22 +166,30 @@ def fit_pc(transfer: np.ndarray) -> PCParams:
     )
 
 
-_CHOI_BASIS = 0.25 * np.array([[np.kron(si, sj.T) for sj in PAULI_STACK]
-                               for si in PAULI_STACK])
+# row 4i + j is (1/4) sigma_i tensor sigma_j^T, flattened
+_CHOI_BASIS = 0.25 * np.array([np.kron(si, sj.T).ravel()
+                               for si in PAULI_STACK for sj in PAULI_STACK])
 
 
 def choi_matrix(transfer: np.ndarray) -> np.ndarray:
     """Choi operator (map acting on the first tensor factor) of a qubit map.
 
     C = (1/4) sum_ij T[i, j] sigma_i tensor sigma_j^T, normalized to unit
-    trace for trace-preserving maps.
+    trace for trace-preserving maps. A (..., 4, 4) stack of transfer
+    matrices gives the (..., 4, 4) stack of their Choi operators.
     """
-    return np.tensordot(transfer, _CHOI_BASIS, 2)
+    t = np.asarray(transfer)
+    return (t.reshape(*t.shape[:-2], 16) @ _CHOI_BASIS).reshape(*t.shape[:-2], 4, 4)
 
 
-def choi_check(transfer: np.ndarray) -> float:
-    """Minimum Choi eigenvalue; >= -1e-9 certifies complete positivity."""
-    return float(np.linalg.eigvalsh(choi_matrix(transfer))[0])
+def choi_check(transfer: np.ndarray):
+    """Minimum Choi eigenvalue; >= -1e-9 certifies complete positivity.
+
+    A float for one transfer matrix, an array of shape (...) for a
+    (..., 4, 4) stack.
+    """
+    low = np.linalg.eigvalsh(choi_matrix(transfer))[..., 0]
+    return float(low) if low.ndim == 0 else low
 
 
 def fixed_point(p: PCParams) -> FixedPoint:

@@ -79,6 +79,9 @@ def test_readme_library_example_runs(capsys):
     ("steady --tol 0", None, "tol"),
     ("fluct --onset-tj -5", None, "onset_tj"),
     ("disorder --seed -1", None, "seed"),
+    # sample counts under the option's name, not the library argument's
+    ("volume --samples 0", None, "samples"),
+    ("disorder --n-samples 5", None, "n_samples"),
 ])
 def test_out_of_range_grid_or_count_exits_2(tmp_path, capsys, line, config, field):
     argv = line.split() + ["--outdir", str(tmp_path / "runs")]

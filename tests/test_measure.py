@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -13,8 +14,10 @@ from scipy.integrate import quad
 from spinmaps.ensemble import steady_channel
 from spinmaps.measure import _uniform_theta
 from spinmaps.measure import (
+    MIN_VOLUME_SAMPLES,
     BrokenPCParams,
     MeasureSpec,
+    VolumeEstimate,
     broken_uniform_sample,
     cp_contains,
     cp_mask,
@@ -68,6 +71,35 @@ def test_uniform_sample_properties():
     assert again == first
 
 
+def one_shot_volume(n, seed):
+    """volume_mc's estimates from one n x 3 draw, the unchunked definition."""
+    draws = np.random.default_rng(seed).uniform(-1.0, 1.0, size=(n, 3))
+    hit = cp_mask(draws[:, 0], draws[:, 1], draws[:, 2])
+    hits, negs = int(hit.sum()), int((hit & (draws[:, 2] < 0.0)).sum())
+
+    def rate_err(k):
+        p = k / n
+        return 8.0 * p, 8.0 * math.sqrt(p * (1.0 - p) / n)
+
+    return VolumeEstimate(*rate_err(hits), *rate_err(negs), *rate_err(hits - negs), n, seed)
+
+
+def test_volume_mc_chunks_equal_one_shot_draw():
+    n = 3 * 2**16 + 17  # not a multiple of the row chunk
+    for seed in (0, 7):
+        assert volume_mc(n, seed) == one_shot_volume(n, seed)
+
+
+def test_volume_mc_memory_is_flat_in_n():
+    tracemalloc.start()
+    try:
+        volume_mc(10**6, seed=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20  # the one-shot 10^6 x 3 draw alone is 24 MB
+
+
 def test_volume_mc_against_exact_values():
     est = volume_mc(10**5, seed=0)
     assert abs(est.total - 16.0 / 9.0) < 3.0 * est.total_err
@@ -77,7 +109,7 @@ def test_volume_mc_against_exact_values():
     d = est.as_dict()
     assert d["n"] == 10**5 and d["seed"] == 0
     with pytest.raises(ValueError):
-        volume_mc(10**4, seed=0)
+        volume_mc(MIN_VOLUME_SAMPLES - 1, seed=0)
 
 
 def test_broken_transfer_pattern():
@@ -150,6 +182,57 @@ def test_broken_uniform_sample_accepts_as_choi_definition():
     rng, ref = np.random.default_rng(11), np.random.default_rng(11)
     for _ in range(300):
         assert broken_uniform_sample(rng) == definition_sample(ref)
+
+
+def definition_uniform_sample(rng):
+    """uniform_sample candidate by candidate: one scalar draw and test each."""
+    while True:
+        l1, t3, l3 = rng.uniform(-1.0, 1.0, size=3)
+        if cp_contains(l1, t3, l3):
+            return PCParams(lambda1=abs(float(l1)), theta=_uniform_theta(rng),
+                            lambda3=float(l3), tau3=float(t3))
+
+
+def definition_broken_sample(rng):
+    """broken_uniform_sample candidate by candidate, one choi_check each."""
+    while True:
+        l1, l2, t3, l3 = rng.uniform(-1.0, 1.0, size=4)
+        cand = BrokenPCParams(lambda1=float(l1), lambda2=float(l2),
+                              theta=_uniform_theta(rng),
+                              lambda3=float(l3), tau3=float(t3))
+        if choi_check(cand.transfer()) >= -1e-9:
+            return cand
+
+
+def next_outputs(rng):
+    """The generator's next float32 (which takes a pending 32-bit half
+    first) and next double, without consuming them."""
+    state = rng.bit_generator.state
+    out = (rng.random(dtype=np.float32), rng.random())
+    rng.bit_generator.state = state
+    return out
+
+
+def pending_uint32_pcg64(seed):
+    rng = np.random.Generator(np.random.PCG64(seed))
+    rng.random(dtype=np.float32)
+    assert rng.bit_generator.state["has_uint32"] == 1
+    return rng
+
+
+@pytest.mark.parametrize("make", [
+    *(lambda seed=seed: np.random.default_rng(seed) for seed in range(5)),
+    lambda: pending_uint32_pcg64(3),
+    lambda: np.random.Generator(np.random.MT19937(4)),
+], ids=[f"default_rng-{seed}" for seed in range(5)] + ["pcg64-pending-uint32", "mt19937"])
+def test_block_samplers_draw_as_definition_samplers(make):
+    # interleaved pc and broken draws off one generator, as cmd_measure makes them
+    rng, ref = make(), make()
+    for _ in range(1000):
+        assert uniform_sample(rng) == definition_uniform_sample(ref)
+        assert next_outputs(rng) == next_outputs(ref)
+        assert broken_uniform_sample(rng) == definition_broken_sample(ref)
+        assert next_outputs(rng) == next_outputs(ref)
 
 
 @given(st.floats(-2, 2), st.floats(0.05, 3), st.floats(-1.5, 0.5),

@@ -140,6 +140,18 @@ def test_choi_matrix_matches_kron_sum_definition():
         assert np.max(np.abs(choi_matrix(t) - kron_sum_choi(t))) < 1e-15
 
 
+def test_choi_check_on_a_stack_matches_per_matrix_calls():
+    stack = RNG.uniform(-1.0, 1.0, size=(2, 9, 4, 4))
+    assert np.array_equal(choi_matrix(stack)[1, 4], choi_matrix(stack[1, 4]))
+    for block in stack:
+        low = choi_check(block)
+        assert low.shape == (9,)
+        each = np.array([choi_check(t) for t in block])
+        assert isinstance(choi_check(block[0]), float)
+        assert np.max(np.abs(low - each)) <= 1e-15
+    assert choi_check(stack).shape == (2, 9)
+
+
 def test_fixed_point_values():
     fp = fixed_point(PCParams(0.2, 0.0, 0.5, 0.25))
     assert abs(fp.a_star - 0.5) < 1e-12
