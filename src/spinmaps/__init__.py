@@ -23,13 +23,13 @@ from .reduced import (FixedPoint, MapExtractor, PCParams, choi_check, choi_matri
 from .ensemble import (GENERIC_H_RATIO, FluctuationSeries, SpectralAverage, SteadyChannel,
                        converged_fluctuations, esym, fluctuations, network_average,
                        network_series, quench_demo, steady_channel, time_average)
-from .analytic import (TRANSCRIPTION_FIXES, cc_params, ring_params, xx_eigenparams,
-                       xx_reduced_map)
+from .analytic import (TRANSCRIPTION_FIXES, cc_params, closed_form, ring_params,
+                       xx_eigenparams, xx_reduced_map)
 from .disorder import (DisorderSpec, PairEig, closedform_disorder_components,
                        disorder_components, max_tau3_trunc_tanh, mc_disorder_map,
                        sample_pair, trunc_tanh_pdf)
 from .measure import (BrokenPCParams, MeasureSpec, VolumeEstimate, broken_uniform_sample,
-                      cp_contains, cp_mask, eigenvalues_broken, eigenvalues_pc, time_grid,
+                      cp_contains, eigenvalues_broken, eigenvalues_pc, time_grid,
                       trajectory_sample, trunc_gauss_sample, uniform_sample, volume_mc)
 
 # every name the imports above bind; the submodules themselves are not exports

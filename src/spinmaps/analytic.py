@@ -11,11 +11,14 @@ Families covered, all against diagonal (Bloch-z) environments:
   entries taking 17 distinct values up to sign; a module-level table of
   (row, col, value slot, sign), built once from the Pauli labels, places
   them with one numpy scatter per call.
+- closed_form: the transfer matrix of any NetworkSpec that a family above
+  covers; the families' own checks raise UnsupportedNetwork for the rest.
 
-Environment convention: env_z[k] is the polarization of site
-(focal + 1 + k) mod N, i.e. the non-focal sites listed cyclically after the
-focal one. The complete graph is permutation symmetric so the order is
-irrelevant there; for rings it matters.
+Environment convention of cc_params and ring_params: env_z[k] is the
+polarization of site (focal + 1 + k) mod N, i.e. the non-focal sites listed
+cyclically after the focal one. The complete graph is permutation symmetric
+so the order is irrelevant there; for rings it matters. closed_form takes
+the ascending site order of MapExtractor and reorders.
 
 alpha/beta are the transverse components with the free precession removed:
 lambda1 = hypot(alpha, beta) and theta = 2 h t + atan2(beta, alpha), wrapped
@@ -37,7 +40,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .ensemble import esym
+from .ensemble import UnsupportedNetwork, esym
+from .network import NetworkSpec, isotropic
 from .reduced import PCParams
 
 
@@ -245,7 +249,7 @@ def cc_params(n: int, t: float, j_perp: float, j_par: float, h: float,
     their symmetric functions, so their order does not matter here.
     """
     if n not in _CC_EVALUATORS:
-        raise ValueError(f"no closed form for the complete graph with N={n}")
+        raise UnsupportedNetwork(f"no closed form for complete N={n}")
     env = _check_env(env_z, n)
     lam3, tau3, alpha, beta = _CC_EVALUATORS[n](t, j_perp, j_par, env)
     return _assemble(lam3, tau3, alpha, beta, h, t)
@@ -438,12 +442,6 @@ def _ring5_l3t3(t, jp, env):
     return lam3, tau3
 
 
-def _anisotropic(j_perp: float, j_par: float) -> bool:
-    """Whether J_par != J_perp; ring N=5 is solved only at the isotropic point."""
-    scale = max(1.0, abs(j_perp), abs(j_par))
-    return abs(j_par - j_perp) > 1e-12 * scale
-
-
 def ring_params(n: int, t: float, j_perp: float, j_par: float, h: float,
                 env_z) -> PCParams:
     """Closed-form channel of the ring: N=4, and N=5 at the isotropic point.
@@ -458,13 +456,12 @@ def ring_params(n: int, t: float, j_perp: float, j_par: float, h: float,
         alpha, beta = _ring4_ab(t, j_perp, j_par, env)
         return _assemble(lam3, tau3, alpha, beta, h, t)
     if n == 5:
-        if _anisotropic(j_perp, j_par):
-            raise ValueError(
-                "ring N=5 is only available at the isotropic point J_par = J_perp")
+        if not isotropic(j_perp, j_par):
+            raise UnsupportedNetwork("ring N=5 closed form needs J_par = J_perp")
         lam3, tau3 = _ring5_l3t3(t, j_perp, env)
         return PCParams(lambda1=float("nan"), theta=float("nan"),
                         lambda3=float(lam3), tau3=float(tau3))
-    raise ValueError(f"no closed form for the ring with N={n}")
+    raise UnsupportedNetwork(f"no closed form for (ring, N={n})")
 
 
 # ---------------------------------------------------------------------------
@@ -604,3 +601,33 @@ def xx_reduced_map(t: float, pair_params, env_bloch, which: int = 1) -> np.ndarr
     if which == 2:
         return np.einsum("iml,m->il", u4[0, :, :, :], weights)
     raise ValueError("which must be 1 or 2")
+
+
+# ---------------------------------------------------------------------------
+# Dispatch
+# ---------------------------------------------------------------------------
+
+
+def closed_form(spec: NetworkSpec, site: int, env_blochs, t: float) -> np.ndarray:
+    """Closed-form 4x4 transfer of `site` at time t, NaN where the family
+    leaves an entry open.
+
+    Takes MapExtractor's arguments: the partners' Bloch vectors in ascending
+    site order, the focal site skipped. The complete graph and the 3-ring go
+    to cc_params, other rings to ring_params (diagonal partners only), and
+    xx_pairs to xx_reduced_map of the site's pair. A network that no family
+    covers raises UnsupportedNetwork.
+    """
+    env = list(env_blochs)
+    if len(env) != spec.n - 1:
+        raise ValueError(f"need {spec.n - 1} partner Bloch vectors, got {len(env)}")
+    if spec.topology == "xx_pairs":
+        pair = spec.pairs[site // 2]
+        eig = xx_eigenparams(pair.h1, pair.h2, pair.j)
+        # the partner is env[site] for an even site and env[site - 1] for an odd one
+        return xx_reduced_map(t, eig, env[site - site % 2], which=site % 2 + 1)
+    if any(b[0] or b[1] for b in env):
+        raise ValueError("the XXZ closed forms need diagonal partners (x = y = 0)")
+    params = cc_params if spec.family == "complete" else ring_params
+    env_z = [b[2] for b in env[site:] + env[:site]]
+    return params(spec.n, t, spec.j_perp, spec.j_par, spec.h, env_z).transfer()

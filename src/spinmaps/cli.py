@@ -139,108 +139,69 @@ def _uniform_grid(t_j: float, t_max_tj: float, points_per_tj: float):
     return np.linspace(0.0, t_max_tj * t_j, n_pts)
 
 
-def _network(cfg: dict, topology: str | None = None):
-    """(NetworkSpec, t_J, initial z) of the run's XXZ network.
+def _network(cfg: dict, topology: str | None = None) -> network.NetworkSpec:
+    """The NetworkSpec of the run's XXZ network.
 
     topology defaults to the run's --topology. quench has no XXZ couplings:
     its cluster is the complete graph with J_perp = J_par = 2j, the isotropic
-    coupling j per pair, and its default field keeps the sign of j.
+    coupling j per pair, and its default field keeps the sign of j. Callers
+    take t_J = t_scale(spec.j_perp) after any table check: a network without
+    a table exits 4 even at J_perp = 0.
     """
-    n = int(cfg["n"])
     if "j_perp" in cfg:
         j_perp, j_par, scale = cfg["j_perp"], cfg["j_par"], abs(cfg["j_perp"])
     else:
         j_perp = j_par = scale = 2.0 * cfg["j"]
         topology = "complete"
     h = ensemble.GENERIC_H_RATIO * scale if cfg["h"] is None else cfg["h"]
-    spec = network.NetworkSpec(topology=topology or cfg["topology"], n=n, h=h,
-                       j_perp=j_perp, j_par=j_par)
-    z = preset_state(n, cfg["state"], cfg["z"], cfg["z_list"])
-    return spec, network.t_scale(j_perp), tuple(float(v) for v in z)
+    return network.NetworkSpec(topology=topology or cfg["topology"], n=int(cfg["n"]), h=h,
+                               j_perp=j_perp, j_par=j_par)
 
 
-def _table_topology(topology: str, n: int) -> str:
-    """The family whose tables and closed forms cover the network: the
-    3-ring is the 3-clique."""
-    return "complete" if topology == "ring" and n == 3 else topology
-
-
-def _steady(cfg: dict, topology: str):
-    """The exact steady channel of the run's network and initial state.
-
-    A network without a table raises UnsupportedNetwork before the state is
-    checked.
-    """
-    n = int(cfg["n"])
-    topology = _table_topology(topology, n)
-    isotropic = not analytic._anisotropic(cfg["j_perp"], cfg["j_par"])
-    ensemble.steady_table(n, topology, isotropic)
-    return ensemble.steady_channel(
-        n, topology, preset_state(n, cfg["state"], cfg["z"], cfg["z_list"]), isotropic)
+def _steady(cfg: dict, spec: network.NetworkSpec):
+    """(initial z, exact steady channel) of the run. A network without a
+    table raises UnsupportedNetwork before the state is checked."""
+    ensemble.steady_table(spec)
+    z = preset_state(spec.n, cfg["state"], cfg["z"], cfg["z_list"])
+    return z, ensemble.steady_channel(spec, z)
 
 
 # ---------------------------------------------------------------------------
 # maps
 # ---------------------------------------------------------------------------
 
-def _analytic_transfer(topology, n, t, j_perp, j_par, h, z, focal, pair):
-    """Closed-form transfer (NaN where unknown) if a family exists, else (None, reason)."""
-    if topology == "xx_pairs":
-        eig = analytic.xx_eigenparams(pair[0], pair[1], pair[2])
-        return analytic.xx_reduced_map(t, eig, pair[3], which=1), None
-    env_cyclic = [z[(focal + 1 + k) % n] for k in range(n - 1)]
-    topology = _table_topology(topology, n)
-    if topology == "complete":
-        if not 3 <= n <= 6:
-            return None, f"no closed form for complete N={n}"
-        return analytic.cc_params(n, t, j_perp, j_par, h, env_cyclic).transfer(), None
-    if topology == "ring" and n in (4, 5):
-        if n == 5 and analytic._anisotropic(j_perp, j_par):
-            return None, "ring N=5 closed form needs J_par = J_perp"
-        return analytic.ring_params(n, t, j_perp, j_par, h, env_cyclic).transfer(), None
-    return None, f"no closed form for ({topology}, N={n})"
-
-
 def cmd_maps(cfg: dict) -> RunOutput:
-    topology = cfg["topology"]
-    pair = None
-    if topology == "xx_pairs":
-        n = 2
+    if cfg["topology"] == "xx_pairs":
         if cfg["z2"] is None:
             # longest partner vector consistent with the transverse components
             planar = cfg["x2"] ** 2 + cfg["y2"] ** 2
             cfg["z2"] = math.sqrt(max(1.0 - planar, 0.0))
-        env_bloch = (cfg["x2"], cfg["y2"], cfg["z2"])
-        if math.hypot(math.hypot(*env_bloch[:2]), env_bloch[2]) > 1.0 + 1e-12:
+        partner = (cfg["x2"], cfg["y2"], cfg["z2"])
+        if math.hypot(math.hypot(*partner[:2]), partner[2]) > 1.0 + 1e-12:
             raise ConfigError("state: partner Bloch vector longer than 1")
-        pair = (cfg["h1"], cfg["h2"], cfg["j"], env_bloch)
         spec = network.NetworkSpec(
             topology="xx_pairs", n=2,
             pairs=(network.PairSpec(h1=cfg["h1"], h2=cfg["h2"], j=cfg["j"]),))
-        h_field = (cfg["h1"] + cfg["h2"]) / 2.0  # enters analytic frame only
         t_j = network.t_scale(cfg["j"])
-        z = (0.0, env_bloch[2])
-        sites = [0]
-        envs = {0: [env_bloch]}
+        envs = {0: [partner]}  # site 0 is focal; the partner is its environment
     else:
-        spec, t_j, z = _network(cfg)
-        n, h_field = spec.n, spec.h
-        sites = list(range(n))
-        envs = {s: [(0.0, 0.0, z[k]) for k in sites if k != s] for s in sites}
+        spec = _network(cfg)
+        z = [float(v) for v in preset_state(spec.n, cfg["state"], cfg["z"], cfg["z_list"])]
+        t_j = network.t_scale(spec.j_perp)
+        envs = {s: [(0.0, 0.0, z[k]) for k in range(spec.n) if k != s] for s in range(spec.n)}
 
     times = _uniform_grid(t_j, cfg["t_max_tj"], cfg["points_per_tj"])
     h_mat = network.build_hamiltonian(spec)
-    extractors = {s: reduced.MapExtractor(h_mat, s, envs[s]) for s in sites}
+    extractors = {s: reduced.MapExtractor(h_mat, s, env) for s, env in envs.items()}
 
     rows = []
     max_resid = 0.0
     analytic_err = 0.0
     analytic_reason = None
-    have_analytic = True
     for t in times:
         per_site = []
-        for s in sites:
-            tr = extractors[s].transfer(t)
+        for s, extractor in extractors.items():
+            tr = extractor.transfer(t)
             per_site.append(tr)
             p = reduced.fit_pc(tr)
             max_resid = max(max_resid, p.residual)
@@ -250,12 +211,11 @@ def cmd_maps(cfg: dict) -> RunOutput:
                     f"(l1={p.lambda1}, tau3={p.tau3}, l3={p.lambda3})")
             rows.append((_fmt(t / t_j), str(s), _fmt(p.lambda1), _fmt(p.theta),
                          _fmt(p.lambda3), _fmt(p.tau3), _fmt(p.residual)))
-            if have_analytic:
-                ana, reason = _analytic_transfer(topology, n, t, cfg["j_perp"],
-                                                 cfg["j_par"], h_field, z, s, pair)
-                if ana is None:
-                    have_analytic = False
-                    analytic_reason = reason
+            if analytic_reason is None:
+                try:
+                    ana = analytic.closed_form(spec, s, envs[s], t)
+                except ensemble.UnsupportedNetwork as exc:
+                    analytic_reason = str(exc)
                 else:
                     mask = ~np.isnan(ana)
                     analytic_err = max(analytic_err,
@@ -267,13 +227,13 @@ def cmd_maps(cfg: dict) -> RunOutput:
         rows.append((_fmt(t / t_j), "avg", _fmt(pa.lambda1), _fmt(pa.theta),
                      _fmt(pa.lambda3), _fmt(pa.tau3), _fmt(pa.residual)))
 
-    if not have_analytic:
+    if analytic_reason is not None:
         print(f"warning: running numeric-only ({analytic_reason})", file=sys.stderr)
     header = ("t_over_tj", "site", "lambda1", "theta", "lambda3", "tau3", "residual")
     return RunOutput({"data.csv": (header, rows)}, {
         "phase_covariant": bool(max_resid < 1e-8),
         "max_residual": max_resid,
-        "analytic_check": {"max_abs_err": analytic_err} if have_analytic else None,
+        "analytic_check": None if analytic_reason else {"max_abs_err": analytic_err},
         "analytic_skip_reason": analytic_reason,
         "t_j": t_j,
     })
@@ -284,9 +244,10 @@ def cmd_maps(cfg: dict) -> RunOutput:
 # ---------------------------------------------------------------------------
 
 def cmd_steady(cfg: dict) -> RunOutput:
-    steady = _steady(cfg, cfg["topology"])
+    spec = _network(cfg)
+    z, steady = _steady(cfg, spec)
     fixed = reduced.fixed_point(reduced.PCParams(0.0, 0.0, steady.lambda3, steady.tau3))
-    spec, t_j, z = _network(cfg)
+    t_j = network.t_scale(spec.j_perp)
     times = _uniform_grid(t_j, cfg["horizon_tj"], cfg["points_per_tj"])
     running = ensemble.time_average(times, ensemble.network_series(spec, z, times))
 
@@ -328,8 +289,9 @@ def cmd_steady(cfg: dict) -> RunOutput:
 # ---------------------------------------------------------------------------
 
 def cmd_fluct(cfg: dict) -> RunOutput:
-    steady = _steady(cfg, cfg["topology"])
-    spec, t_j, z = _network(cfg)
+    spec = _network(cfg)
+    z, steady = _steady(cfg, spec)
+    t_j = network.t_scale(spec.j_perp)
     times = _uniform_grid(t_j, cfg["horizon_tj"], cfg["points_per_tj"])
     series = ensemble.converged_fluctuations(ensemble.SpectralAverage(spec, z), steady, t_j,
                                              times, onset=cfg["onset_tj"])
@@ -409,7 +371,8 @@ def cmd_measure(cfg: dict) -> RunOutput:
     topology = {"cc": "complete", "ring": "ring"}.get(cfg["preset"])
     if topology is None:
         raise ConfigError(f"preset: unknown preset {cfg['preset']!r} (cc or ring)")
-    steady = _steady(cfg, topology)
+    spec = _network(cfg, topology)
+    z, steady = _steady(cfg, spec)
 
     times_tj = measure.time_grid(1.0, cfg["t_max_tj"], int(cfg["steps"]))
     mspec = measure.MeasureSpec.from_steady(steady, t_ref=1.0, times=tuple(times_tj),
@@ -422,7 +385,7 @@ def cmd_measure(cfg: dict) -> RunOutput:
                [_fmt(p.tau3) for p in traj],
                [_fmt(p.lambda1) for p in traj]]
     if cfg["overlay"]:
-        spec, t_j, z = _network(cfg, topology)
+        t_j = network.t_scale(spec.j_perp)
         grid = _uniform_grid(t_j, cfg["t_max_tj"], cfg["points_per_tj"])
         running = ensemble.time_average(grid, ensemble.network_series(spec, z, grid))
         l3 = np.interp(times_tj * t_j, grid, running[:, 3, 3])
@@ -479,7 +442,9 @@ def cmd_volume(cfg: dict) -> RunOutput:
 # ---------------------------------------------------------------------------
 
 def cmd_quench(cfg: dict) -> RunOutput:
-    spec, t_j, z = _network(cfg)
+    spec = _network(cfg)
+    z = preset_state(spec.n, cfg["state"], cfg["z"], cfg["z_list"])
+    t_j = network.t_scale(spec.j_perp)
     n_cl = int(cfg["n_cl"])
     if cfg["schedule"] == "staggered":
         schedule = np.linspace(0.0, cfg["window_tj"] * t_j, n_cl)

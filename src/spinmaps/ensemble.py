@@ -29,7 +29,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .network import NetworkSpec, build_hamiltonian, t_scale
+from .network import NetworkSpec, build_hamiltonian, isotropic, t_scale
 from .qlinalg import HERM_TOL, PAULI_AXES, HermitianEvolver, NumericalError, embed, pauli
 from .reduced import MapExtractor, _env_inputs, transfer_from_unitary
 
@@ -103,6 +103,7 @@ def network_series(spec: NetworkSpec, z, times, sites=None) -> np.ndarray:
     time_average(times, network_series(...)).
     """
     n = spec.n
+    z = [float(v) for v in z]
     if len(z) != n:
         raise ValueError(f"need {n} site values, got {len(z)}")
     sites = range(n) if sites is None else sites
@@ -253,35 +254,37 @@ def _general_steady(n: int, coeffs: dict, e):
 
 
 class UnsupportedNetwork(ValueError):
-    """A network that no exact steady table covers."""
+    """A network that no closed form or exact steady table covers."""
 
 
-def steady_table(n: int, topology: str, isotropic: bool = True) -> dict:
-    """The rational coefficient table of the (N, topology) network.
+def steady_table(spec: NetworkSpec) -> dict:
+    """The rational coefficient table of the network `spec`.
 
-    Tables exist for the complete graph with N = 3..6 and the ring with
-    N = 4, 5; the ring N=5 table holds at the isotropic point J_par =
-    J_perp only. Any other network raises UnsupportedNetwork.
+    Tables exist for the complete graph with N = 3..6 (the 3-ring among
+    them), the ring with N = 4, and the ring with N = 5 at the isotropic
+    point J_par = J_perp. Any other network raises UnsupportedNetwork.
     """
-    if topology == "complete" and n in _STEADY_COMPLETE:
+    family, n = spec.family, spec.n
+    if family == "complete" and n in _STEADY_COMPLETE:
         return _STEADY_COMPLETE[n]
-    if topology == "ring" and n == 4:
+    if family == "ring" and n == 4:
         return _STEADY_RING4
-    if topology == "ring" and n == 5:
-        if not isotropic:
+    if family == "ring" and n == 5:
+        if not isotropic(spec.j_perp, spec.j_par):
             raise UnsupportedNetwork("ring N=5 steady table holds at the isotropic point only")
         return _STEADY_RING5
-    raise UnsupportedNetwork(f"no steady table for ({topology}, N={n})")
+    raise UnsupportedNetwork(f"no steady table for ({family}, N={n})")
 
 
-def steady_channel(n: int, topology: str, z, isotropic: bool = True) -> SteadyChannel:
+def steady_channel(spec: NetworkSpec, z) -> SteadyChannel:
     """Steady-channel values of a network that has a steady_table.
 
     z lists all N site polarizations (absolute site order; for the N=4 ring
     the antipodal pairs are (z[0], z[2]) and (z[1], z[3])). Arithmetic runs
     in exact rationals.
     """
-    coeffs = steady_table(n, topology, isotropic)
+    coeffs = steady_table(spec)
+    n, topology = spec.n, spec.family
     zf = [Fraction(v) for v in z]
     if len(zf) != n:
         raise ValueError(f"need {n} site values, got {len(zf)}")

@@ -16,7 +16,7 @@ import numpy as np
 
 from .disorder import SampleStreams
 from .qlinalg import NumericalError
-# cp_contains is the scalar CP predicate of reduced under this module's name
+# cp_contains is the CP predicate of reduced (floats or arrays) under this module's name
 from .reduced import PCParams, choi_check, cp_ok as cp_contains
 
 _TAU3_RULES = ("symmetric", "signed")
@@ -29,13 +29,6 @@ MIN_VOLUME_SAMPLES = 10**5
 # bounds of a broken candidate's draws: (lambda1, lambda2, tau3, lambda3), theta
 _BROKEN_LOW = np.array([-1.0, -1.0, -1.0, -1.0, 0.0])
 _BROKEN_HIGH = np.array([1.0, 1.0, 1.0, 1.0, _TWO_PI])
-
-
-def cp_mask(lambda1, tau3, lambda3) -> np.ndarray:
-    """Vectorized cp_contains over equal-shape arrays."""
-    l1, t3, l3 = (np.asarray(a, dtype=float) for a in (lambda1, tau3, lambda3))
-    return ((np.abs(l3) + np.abs(t3) <= 1.0)
-            & (4.0 * l1**2 + t3**2 <= (1.0 + l3) ** 2))
 
 
 def _uniform_theta(rng: np.random.Generator) -> float:
@@ -110,7 +103,7 @@ def volume_mc(n: int, seed: int) -> VolumeEstimate:
     hits = negs = 0
     for start in range(0, n, _VOLUME_CHUNK):
         rows = rng.uniform(-1.0, 1.0, size=(min(_VOLUME_CHUNK, n - start), 3))
-        hit = cp_mask(rows[:, 0], rows[:, 1], rows[:, 2])
+        hit = cp_contains(rows[:, 0], rows[:, 1], rows[:, 2])
         hits += int(hit.sum())
         negs += int((hit & (rows[:, 2] < 0.0)).sum())
     total, total_err = rate_err(hits)

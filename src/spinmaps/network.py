@@ -35,6 +35,11 @@ def t_scale(j_perp: float) -> float:
     return 2.0 * np.pi / abs(j_perp)
 
 
+def isotropic(j_perp: float, j_par: float) -> bool:
+    """Whether J_par = J_perp to 1e-12 relative; ring N=5 is solved there only."""
+    return abs(j_par - j_perp) <= 1e-12 * max(1.0, abs(j_perp), abs(j_par))
+
+
 @dataclass(frozen=True)
 class PairSpec:
     """One disjoint XX pair: fields h1, h2 and hopping j."""
@@ -65,6 +70,12 @@ class NetworkSpec:
                 raise ValueError("xx_pairs needs at least one PairSpec")
             if self.n != 2 * len(self.pairs):
                 raise ValueError("xx_pairs total qubit count must be 2 * len(pairs)")
+
+    @property
+    def family(self) -> str:
+        """The topology whose closed forms and steady tables cover the
+        network: the 3-ring is the 3-clique."""
+        return "complete" if self.topology == "ring" and self.n == 3 else self.topology
 
 
 def _two_site(op_a, op_b, i, j, n):

@@ -68,18 +68,18 @@ class FixedPoint:
     degenerate: bool = False
 
 
-def cp_ok(lambda1: float, tau3: float, lambda3: float, tol: float = 0.0) -> bool:
+def cp_ok(lambda1, tau3, lambda3, tol: float = 0.0):
     """Complete-positivity inequalities for the phase-covariant pattern.
 
-    The sign of lambda1 does not enter. At tol 0, measure.cp_mask evaluates
-    the same float expressions over arrays, so the two agree bit for bit
-    even on the boundary (rewriting an inequality, e.g. moving tau3^2
-    across, flips knife-edge cases).
+    Takes floats or equal-shape arrays (then returns a boolean array). The
+    sign of lambda1 does not enter. Squares are products x*x, which numpy
+    also uses for an array's x**2, so a float and the same float in an
+    array get the same verdict even on the boundary (rewriting an
+    inequality, e.g. moving tau3^2 across, flips knife-edge cases).
     """
-    return (
-        abs(lambda3) + abs(tau3) <= 1.0 + tol
-        and 4.0 * lambda1**2 + tau3**2 <= (1.0 + lambda3) ** 2 + tol
-    )
+    return ((abs(lambda3) + abs(tau3) <= 1.0 + tol)
+            & (4.0 * (lambda1 * lambda1) + tau3 * tau3
+               <= (1.0 + lambda3) * (1.0 + lambda3) + tol))
 
 
 def _env_inputs(n: int, site: int, env_blochs):

@@ -16,7 +16,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.optimize import linear_sum_assignment
 
-from spinmaps.analytic import cc_params, ring_params
+from spinmaps.analytic import closed_form
 from spinmaps.cli import main as cli_main
 from spinmaps.disorder import (DisorderSpec, _sample_phi, mc_disorder_map,
                                max_tau3_trunc_tanh, trunc_tanh_pdf)
@@ -25,9 +25,8 @@ from spinmaps.ensemble import (GENERIC_H_RATIO, SpectralAverage,
                                network_series, quench_demo, steady_channel,
                                time_average)
 from spinmaps.measure import (MeasureSpec, broken_uniform_sample, cp_contains,
-                              cp_mask, eigenvalues_broken, eigenvalues_pc,
-                              time_grid, trajectory_sample, uniform_sample,
-                              volume_mc)
+                              eigenvalues_broken, eigenvalues_pc, time_grid,
+                              trajectory_sample, uniform_sample, volume_mc)
 from spinmaps.network import NetworkSpec, build_hamiltonian, t_scale
 from spinmaps.qlinalg import HermitianEvolver, pauli
 from spinmaps.reduced import (MapExtractor, PCParams, choi_check, cp_ok, fit_pc,
@@ -53,9 +52,9 @@ def env_absolute(z, focal):
     return [(0.0, 0.0, z[s]) for s in range(len(z)) if s != focal]
 
 
-def env_cyclic(z, focal):
-    n = len(z)
-    return [z[(focal + 1 + k) % n] for k in range(n - 1)]
+def family_spec(topo, n):
+    """The isotropic network of a steady-table family at the generic field."""
+    return NetworkSpec(topology=topo, n=n, h=H_GENERIC, j_perp=J, j_par=J)
 
 
 @pytest.fixture(scope="module")
@@ -64,8 +63,7 @@ def hier_running():
     at 200 t_J for all families, exact (SpectralAverage)."""
     out = {}
     for topo, n in FAMILIES:
-        spec = NetworkSpec(topology=topo, n=n, h=H_GENERIC, j_perp=J, j_par=J)
-        out[(topo, n)] = SpectralAverage(spec, hierarchy(n))([200.0 * T_J])[0]
+        out[(topo, n)] = SpectralAverage(family_spec(topo, n), hierarchy(n))([200.0 * T_J])[0]
     return out
 
 
@@ -76,18 +74,12 @@ def smallz_flucts():
     out = {}
     for topo, n in [("complete", 4), ("complete", 5), ("complete", 6),
                     ("ring", 4), ("ring", 5)]:
-        spec = NetworkSpec(topology=topo, n=n, h=H_GENERIC, j_perp=J, j_par=J)
+        spec = family_spec(topo, n)
         times = np.linspace(0.0, 100.0 * T_J, 100 * 10 + 1)
-        steady = steady_channel(n, topo, [Fraction(1, 5)] * n)
+        steady = steady_channel(spec, [Fraction(1, 5)] * n)
         out[(topo, n)] = converged_fluctuations(
             SpectralAverage(spec, [0.2] * n), steady, T_J, times, onset=20.0)
     return out
-
-
-def closed_form_transfer(topology, n, t, j_par, z, focal):
-    """Closed-form 4x4 transfer; entries with no closed form are NaN."""
-    params = cc_params if topology == "complete" else ring_params
-    return params(n, t, J, j_par, 0.37, env_cyclic(z, focal)).transfer()
 
 
 def test_criterion_01_closed_forms_match_numeric_extraction():
@@ -102,10 +94,11 @@ def test_criterion_01_closed_forms_match_numeric_extraction():
         for _ in range(20):
             z = rng.uniform(-1.0, 1.0, n)
             for focal in range(n):
-                extractor = MapExtractor(h_mat, focal, env_absolute(z, focal))
+                env = env_absolute(z, focal)
+                extractor = MapExtractor(h_mat, focal, env)
                 for t in times:
                     numeric = extractor.transfer(t)
-                    analytic = closed_form_transfer(topo, n, t, j_par, z, focal)
+                    analytic = closed_form(spec, focal, env, t)
                     mask = ~np.isnan(analytic)
                     worst = max(worst,
                                 float(np.abs(analytic - numeric)[mask].max()))
@@ -128,7 +121,7 @@ def test_criterion_02_steady_tables_and_constraint(hier_running):
     rng = np.random.default_rng(2)
     for topo, n in FAMILIES:
         zx = hierarchy_exact(n)
-        steady = steady_channel(n, topo, zx)
+        steady = steady_channel(family_spec(topo, n), zx)
 
         # numeric long-time average vs the table value
         avg = hier_running[(topo, n)]
@@ -139,7 +132,7 @@ def test_criterion_02_steady_tables_and_constraint(hier_running):
         if (topo, n) in _PRINTED:
             assert steady.coeffs == _PRINTED[(topo, n)]
         zr = [Fraction(rng.integers(-9, 10), 10) for _ in range(n)]
-        sr = steady_channel(n, topo, zr)
+        sr = steady_channel(family_spec(topo, n), zr)
         e = [esym(zr, k) for k in range(n + 1)]
         if topo == "complete" and n == 3:
             assert sr.tau3_exact == Fraction(4, 9) * e[1] / 3
@@ -164,8 +157,8 @@ def test_criterion_02_steady_tables_and_constraint(hier_running):
                                      - Fraction(2, 45) * e[3] / 10)
 
         # polarized constraint, exact: tau +- lambda = +-1 at z = +-1
-        up = steady_channel(n, topo, [Fraction(1)] * n)
-        down = steady_channel(n, topo, [Fraction(-1)] * n)
+        up = steady_channel(family_spec(topo, n), [Fraction(1)] * n)
+        down = steady_channel(family_spec(topo, n), [Fraction(-1)] * n)
         assert up.tau3_exact + up.lambda3_exact == 1
         assert down.tau3_exact - down.lambda3_exact == -1
         assert up.constraint_ok() and down.constraint_ok()
@@ -228,7 +221,7 @@ def test_criterion_05_cp_certificates_agree():
     l1 = rng.uniform(-1.0, 1.0, 100000)
     t3 = rng.uniform(-1.0, 1.0, 100000)
     l3 = rng.uniform(-1.0, 1.0, 100000)
-    ineq = cp_mask(l1, t3, l3)
+    ineq = cp_ok(l1, t3, l3)
     s = [pauli(a) for a in "0xyz"]
     basis = np.stack([np.kron(s[0], s[0].T),
                       np.kron(s[1], s[1].T) + np.kron(s[2], s[2].T),
@@ -309,7 +302,7 @@ def test_criterion_09_channel_spectra():
 
 
 def test_criterion_10_trajectory_measure():
-    steady = steady_channel(3, "complete", hierarchy_exact(3))
+    steady = steady_channel(family_spec("complete", 3), hierarchy_exact(3))
     spec = MeasureSpec.from_steady(steady, t_ref=1.0,
                                    times=time_grid(1.0, 60.0, 120), C=1.0)
     traj = trajectory_sample(spec, seed=0)

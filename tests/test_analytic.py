@@ -8,11 +8,13 @@ from spinmaps.analytic import (
     _XX_ROWS,
     TRANSCRIPTION_FIXES,
     cc_params,
+    closed_form,
     ring_params,
     xx_eigenparams,
     xx_reduced_map,
     xx_unitary_components,
 )
+from spinmaps.ensemble import UnsupportedNetwork
 from spinmaps.network import NetworkSpec, PairSpec, build_hamiltonian
 from spinmaps.reduced import MapExtractor, fit_pc
 
@@ -81,12 +83,17 @@ def test_ring5_isotropic_z_sector_matches_dense():
 
 def test_ring_params_rejections():
     env = [0.1, 0.2, 0.3, 0.4]
-    with pytest.raises(ValueError):
+    with pytest.raises(UnsupportedNetwork):
         ring_params(5, 1.0, 1.0, 0.5, 0.0, env)  # anisotropic N=5
-    with pytest.raises(ValueError):
+    with pytest.raises(UnsupportedNetwork):
         ring_params(6, 1.0, 1.0, 1.0, 0.0, [0.0] * 5)
-    with pytest.raises(ValueError):
+    with pytest.raises(UnsupportedNetwork):
         cc_params(7, 1.0, 1.0, 0.5, 0.0, [0.0] * 6)
+    with pytest.raises(ValueError):  # the XXZ closed forms hold for diagonal partners only
+        closed_form(NetworkSpec("complete", 3), 0, [(0.1, 0.0, 0.5), (0.0, 0.0, 0.2)], 1.0)
+    xx = NetworkSpec("xx_pairs", 2, pairs=(PairSpec(1.0, 0.5, 1.0),))
+    with pytest.raises(ValueError):  # the focal site's own state is not a partner
+        closed_form(xx, 0, [(0.0, 0.0, 1.0), (0.3, 0.0, 0.5)], 1.0)
     with pytest.raises(ValueError):
         cc_params(3, 1.0, 1.0, 0.5, 0.0, [0.0, 0.0, 0.0])  # env length
 
@@ -180,6 +187,20 @@ def test_xx_reduced_map_matches_dense_both_sites():
         for t in (0.0, 0.8, 2.9):
             m = xx_reduced_map(t, params, env, which)
             assert np.max(np.abs(m - ex.transfer(t))) < 1e-11
+
+
+def test_closed_form_matches_dense_on_xx_pairs():
+    # two pairs, every partner transverse: closed_form must find each site's
+    # partner among the other three in ascending order, and its side of the pair
+    spec = NetworkSpec(topology="xx_pairs", n=4,
+                       pairs=(PairSpec(1.0, 0.4, 0.8), PairSpec(-0.3, 0.9, 1.1)))
+    hm = build_hamiltonian(spec)
+    blochs = [(0.3, 0.1, -0.6), (-0.5, 0.4, 0.2), (0.1, -0.7, 0.5), (0.6, 0.2, -0.3)]
+    for focal in range(4):
+        env = [b for s, b in enumerate(blochs) if s != focal]
+        ex = MapExtractor(hm, focal, env)
+        for t in (0.0, 0.8, 2.9):
+            assert np.max(np.abs(closed_form(spec, focal, env, t) - ex.transfer(t))) < 1e-12
 
 
 def test_xx_full_transfer_matches_dense_two_qubit():

@@ -169,6 +169,46 @@ def test_missing_steady_table_exits_4(tmp_path, capsys):
     assert "isotropic" in err
 
 
+def test_closed_forms_and_tables_cover_what_the_cli_runs(tmp_path, capsys):
+    # analytic.closed_form raises exactly where maps runs numeric-only (with
+    # its message), and ensemble.steady_table exactly where steady exits 4
+    networks = [(topology, n, j_par) for topology, sizes in (("complete", range(3, 8)),
+                                                             ("ring", range(3, 7)))
+                for n in sizes for j_par in (1.0, 0.6)]
+    for topology, n, j_par in networks:
+        spec = spinmaps.NetworkSpec(topology, n, h=0.37, j_perp=1.0, j_par=j_par)
+        flags = ["--topology", topology, "--n", str(n), "--j-par", str(j_par), "--h", "0.37",
+                 "--state", "uniform", "--z", "0.5", "--outdir", str(tmp_path)]
+        try:
+            spinmaps.closed_form(spec, 0, [(0.0, 0.0, 0.5)] * (n - 1), 1.0)
+            numeric_only = None
+        except spinmaps.ensemble.UnsupportedNetwork as exc:
+            numeric_only = f"warning: running numeric-only ({exc})"
+        rc, _, err = run_cli(["maps", "--t-max-tj", "0.05"] + flags, capsys)
+        assert rc == 0
+        assert (numeric_only in err) if numeric_only else ("numeric-only" not in err)
+        try:
+            spinmaps.ensemble.steady_table(spec)
+            has_table = True
+        except spinmaps.ensemble.UnsupportedNetwork:
+            has_table = False
+        rc, _, _ = run_cli(["steady", "--horizon-tj", "0.1", "--tol", "1"] + flags, capsys)
+        assert (rc == 4) != has_table, (topology, n, j_par, rc)
+    rc, _, err = run_cli(["maps", "--topology", "xx_pairs", "--x2", "0.3", "--t-max-tj", "0.1",
+                          "--outdir", str(tmp_path)], capsys)
+    assert rc == 0 and "numeric-only" not in err
+
+
+@pytest.mark.parametrize("argv", [["steady", "--n", "1"],
+                                  ["steady", "--topology", "ring", "--n", "2"],
+                                  ["steady", "--topology", "xx_pairs"],
+                                  ["fluct", "--topology", "xx_pairs"]])
+def test_non_network_exits_2_without_run_dir(tmp_path, capsys, argv):
+    rc, out, err = run_cli(argv + ["--outdir", str(tmp_path / "runs")], capsys)
+    assert rc == 2 and err.startswith("config error") and out == ""
+    assert not (tmp_path / "runs").exists()
+
+
 def test_steady_short_horizon_exits_3(tmp_path, capsys):
     # 2.3 t_J is far from converged, so a tight tolerance must trip
     rc, out, err = run_cli(["steady", "--horizon-tj", "2.3", "--tol", "1e-6",

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from spinmaps.ensemble import (
     GENERIC_H_RATIO,
     SpectralAverage,
+    UnsupportedNetwork,
     converged_fluctuations,
     esym,
     fluctuations,
@@ -25,6 +26,11 @@ from spinmaps.reduced import PCParams, fit_pc, transfer_from_unitary
 RNG = np.random.default_rng(31)
 
 HIER3 = [1.0, 1.0 / 3.0, 2.0 / 3.0]
+
+
+def iso(topology, n):
+    """The isotropic network (J_par = J_perp = 1), which every steady table covers."""
+    return NetworkSpec(topology=topology, n=n, j_perp=1.0, j_par=1.0)
 
 
 def network_avg_series(topology, n, z, t_max_tj, ppt, j_perp=1.0, j_par=1.0,
@@ -111,7 +117,7 @@ def test_time_average_grid_validation():
 def test_running_average_converges_to_steady_table():
     grid, series = network_avg_series("complete", 3, HIER3, 61.3, 20)
     avg = time_average(grid, series)[-1]
-    sc = steady_channel(3, "complete", HIER3)
+    sc = steady_channel(iso("complete", 3), HIER3)
     bound = 5.0 * t_scale(1.0) / (3 * grid[-1])
     assert abs(avg[3, 3] - sc.lambda3) < bound
     assert abs(avg[3, 0] - sc.tau3) < bound
@@ -135,7 +141,7 @@ def spectral_average(topology, n, z, j_perp=1.0, j_par=1.0):
 def test_spectral_limit_is_the_steady_table():
     for topo in ("complete", "ring"):
         sa = spectral_average(topo, 4, [0.2] * 4)
-        sc = steady_channel(4, topo, [Fraction(1, 5)] * 4)
+        sc = steady_channel(iso(topo, 4), [Fraction(1, 5)] * 4)
         assert abs(sa.limit[3, 3] - sc.lambda3) < 1e-12
         assert abs(sa.limit[3, 0] - sc.tau3) < 1e-12
         assert np.hypot(sa.limit[1, 1], sa.limit[2, 1]) < 1e-12
@@ -161,7 +167,7 @@ def test_converged_fluctuation_constant_complete4():
     # the doubling test alone stops at 0.2295 here: the 10 and 20 points/t_J
     # grids both miss the same peak of the nearly periodic envelope
     t_j = t_scale(1.0)
-    sc = steady_channel(4, "complete", [Fraction(1, 5)] * 4)
+    sc = steady_channel(iso("complete", 4), [Fraction(1, 5)] * 4)
     grid = np.linspace(0.0, 100.0 * t_j, 1001)
     f = converged_fluctuations(spectral_average("complete", 4, [0.2] * 4), sc,
                                t_j, grid, onset=20.0)
@@ -180,7 +186,7 @@ def test_converged_fluctuation_constant_complete4():
 
 def test_steady_cc3_exact_values():
     z = [Fraction(1), Fraction(1, 3), Fraction(2, 3)]
-    sc = steady_channel(3, "complete", z)
+    sc = steady_channel(iso("complete", 3), z)
     e1 = sum(z)
     assert sc.lambda3_exact == Fraction(5, 9)
     assert sc.tau3_exact == Fraction(4, 9) * e1 / 3
@@ -198,13 +204,13 @@ def test_steady_coefficient_tables():
         (4, "ring"): {0: Fraction(7, 16), 2: Fraction(3, 16)},
     }
     for (n, topo), coeffs in want.items():
-        sc = steady_channel(n, topo, [Fraction(1, 2)] * n)
+        sc = steady_channel(iso(topo, n), [Fraction(1, 2)] * n)
         assert sc.coeffs == coeffs
 
 
 def test_steady_ring4_antipodal_term():
     z = [Fraction(1), Fraction(1, 2), Fraction(-1, 3), Fraction(1, 4)]
-    sc = steady_channel(4, "ring", z)
+    sc = steady_channel(iso("ring", 4), z)
     e = [esym(z, k) for k in range(5)]
     pair = e[2] - 4 * (z[0] * z[2] + z[1] * z[3])
     assert sc.lambda3_exact == Fraction(7, 16) + Fraction(3, 16) * pair / 6
@@ -214,8 +220,8 @@ def test_steady_ring4_antipodal_term():
 def test_steady_constraint_at_polarized_states():
     for n, topo in [(3, "complete"), (4, "complete"), (5, "complete"),
                     (6, "complete"), (4, "ring"), (5, "ring")]:
-        up = steady_channel(n, topo, [1] * n)
-        dn = steady_channel(n, topo, [-1] * n)
+        up = steady_channel(iso(topo, n), [1] * n)
+        dn = steady_channel(iso(topo, n), [-1] * n)
         assert up.tau3_exact + up.lambda3_exact == 1
         assert dn.tau3_exact - dn.lambda3_exact == -1
         assert up.constraint_ok() and dn.constraint_ok()
@@ -225,30 +231,33 @@ def test_steady_constraint_at_polarized_states():
 def test_steady_permutation_invariance(perm):
     z = [Fraction(1), Fraction(-1, 2), Fraction(1, 3), Fraction(2, 3),
          Fraction(-1, 5)]
-    base_cc = steady_channel(5, "complete", z)
-    perm_cc = steady_channel(5, "complete", [z[i] for i in perm])
+    base_cc = steady_channel(iso("complete", 5), z)
+    perm_cc = steady_channel(iso("complete", 5), [z[i] for i in perm])
     assert base_cc.lambda3_exact == perm_cc.lambda3_exact
     assert base_cc.tau3_exact == perm_cc.tau3_exact
-    base_r = steady_channel(5, "ring", z)
-    perm_r = steady_channel(5, "ring", [z[i] for i in perm])
+    base_r = steady_channel(iso("ring", 5), z)
+    perm_r = steady_channel(iso("ring", 5), [z[i] for i in perm])
     assert base_r.lambda3_exact == perm_r.lambda3_exact
     assert base_r.tau3_exact == perm_r.tau3_exact
 
 
 def test_steady_ring4_cyclic_but_not_transposition():
     z = [Fraction(1), Fraction(-1, 2), Fraction(1, 3), Fraction(2, 3)]
-    base = steady_channel(4, "ring", z)
-    cyc = steady_channel(4, "ring", z[1:] + z[:1])
+    base = steady_channel(iso("ring", 4), z)
+    cyc = steady_channel(iso("ring", 4), z[1:] + z[:1])
     assert base.lambda3_exact == cyc.lambda3_exact
-    swapped = steady_channel(4, "ring", [z[1], z[0], z[2], z[3]])
+    swapped = steady_channel(iso("ring", 4), [z[1], z[0], z[2], z[3]])
     assert base.lambda3_exact != swapped.lambda3_exact
 
 
 def test_steady_channel_validation():
+    z = [Fraction(1), Fraction(-1, 3), Fraction(1, 2)]
+    # the 3-ring is the 3-clique: the same table, the same values
+    assert steady_channel(iso("ring", 3), z) == steady_channel(iso("complete", 3), z)
+    with pytest.raises(UnsupportedNetwork):
+        steady_channel(NetworkSpec("ring", 5, j_perp=1.0, j_par=0.6), [0] * 5)
     with pytest.raises(ValueError):
-        steady_channel(3, "ring", [0, 0, 0])  # no ring-3 table; use complete
-    with pytest.raises(ValueError):
-        steady_channel(3, "complete", [0, 0])  # wrong length
+        steady_channel(iso("complete", 3), [0, 0])  # wrong length
 
 
 # ---------------------------------------------------------------------------
@@ -268,7 +277,7 @@ def synthetic_series(steady, t_j, c0, n_pts=201, t_max_tj=60.0):
 
 
 def test_fluctuations_fits_the_planted_constant():
-    sc = steady_channel(3, "complete", HIER3)
+    sc = steady_channel(iso("complete", 3), HIER3)
     t_j = t_scale(1.0)
     grid, series = synthetic_series(sc, t_j, c0=2.5)
     f = fluctuations(grid, series, sc, t_j, onset=20.0)
@@ -282,7 +291,7 @@ def test_fluctuations_fits_the_planted_constant():
 
 
 def test_fluctuations_absolute_mode_when_steady_is_zero():
-    sc = steady_channel(3, "complete", [0.5, -0.5, 0.0])  # e1 = 0 -> tau3 = 0
+    sc = steady_channel(iso("complete", 3), [0.5, -0.5, 0.0])  # e1 = 0 -> tau3 = 0
     assert sc.tau3_exact == 0
     t_j = t_scale(1.0)
     grid = np.linspace(0.0, 30.0 * t_j, 301)
@@ -296,7 +305,7 @@ def test_fluctuations_absolute_mode_when_steady_is_zero():
 
 
 def test_fluctuations_needs_tail_samples():
-    sc = steady_channel(3, "complete", HIER3)
+    sc = steady_channel(iso("complete", 3), HIER3)
     grid = np.linspace(0.0, 5.0, 6)
     with pytest.raises(ValueError):
         fluctuations(grid, np.zeros((6, 4, 4)), sc, t_j=1.0, onset=20.0)

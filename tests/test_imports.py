@@ -11,8 +11,8 @@ EXPORTS = [
     "NetworkSpec", "PCParams", "PairEig", "PairSpec", "SpectralAverage",
     "SteadyChannel", "TRANSCRIPTION_FIXES", "VolumeEstimate",
     "broken_uniform_sample", "build_hamiltonian", "cc_params", "charge_operator",
-    "choi_check", "choi_matrix", "closedform_disorder_components",
-    "converged_fluctuations", "cp_contains", "cp_mask", "cp_ok",
+    "choi_check", "choi_matrix", "closed_form", "closedform_disorder_components",
+    "converged_fluctuations", "cp_contains", "cp_ok",
     "disorder_components", "eigenvalues_broken", "eigenvalues_pc", "esym",
     "fit_pc", "fixed_point", "fluctuations", "max_tau3_trunc_tanh",
     "mc_disorder_map", "network_average", "network_series", "partial_trace_keep",

@@ -20,7 +20,6 @@ from spinmaps.measure import (
     VolumeEstimate,
     broken_uniform_sample,
     cp_contains,
-    cp_mask,
     eigenvalues_broken,
     eigenvalues_pc,
     time_grid,
@@ -29,6 +28,7 @@ from spinmaps.measure import (
     uniform_sample,
     volume_mc,
 )
+from spinmaps.network import NetworkSpec
 from spinmaps.qlinalg import PAULI_AXES, pauli
 from spinmaps.reduced import PCParams, choi_check, cp_ok
 
@@ -51,12 +51,19 @@ def test_cp_contains_matches_choi_sign(l1, t3, l3):
     assert cp_contains(l1, t3, l3) == (margin >= 0.0)
 
 
-def test_cp_mask_vectorizes_scalar_rule():
+def test_cp_contains_on_arrays_equals_scalar_rule():
     rng = np.random.default_rng(5)
     draws = rng.uniform(-1, 1, size=(500, 3))
-    mask = cp_mask(draws[:, 0], draws[:, 1], draws[:, 2])
-    for k in range(500):
-        assert mask[k] == cp_contains(*draws[k])
+    # and 60,000 points within one ulp of 4 l1^2 + t3^2 = (1 + l3)^2, where
+    # a libm pow square and a product square can round apart
+    l3 = rng.uniform(-1.0, 1.0, 20_000)
+    t3 = rng.uniform(-1.0, 1.0, 20_000) * (1.0 - np.abs(l3))
+    l1 = 0.5 * np.sqrt((1.0 + l3) ** 2 - t3 ** 2)
+    edge = np.stack([np.concatenate([np.nextafter(l1, -1.0), l1, np.nextafter(l1, 2.0)]),
+                     np.tile(t3, 3), np.tile(l3, 3)], axis=1)
+    for points in (draws, edge):
+        mask = cp_contains(points[:, 0], points[:, 1], points[:, 2])
+        assert mask.tolist() == [cp_contains(*row) for row in points.tolist()]
 
 
 def test_uniform_sample_properties():
@@ -74,7 +81,7 @@ def test_uniform_sample_properties():
 def one_shot_volume(n, seed):
     """volume_mc's estimates from one n x 3 draw, the unchunked definition."""
     draws = np.random.default_rng(seed).uniform(-1.0, 1.0, size=(n, 3))
-    hit = cp_mask(draws[:, 0], draws[:, 1], draws[:, 2])
+    hit = cp_contains(draws[:, 0], draws[:, 1], draws[:, 2])
     hits, negs = int(hit.sum()), int((hit & (draws[:, 2] < 0.0)).sum())
 
     def rate_err(k):
@@ -306,7 +313,7 @@ def test_measure_spec_validation():
 
 
 def test_measure_spec_from_steady():
-    sc = steady_channel(3, "complete", [1.0, 1.0 / 3.0, 2.0 / 3.0])
+    sc = steady_channel(NetworkSpec("complete", 3), [1.0, 1.0 / 3.0, 2.0 / 3.0])
     spec = MeasureSpec.from_steady(sc, t_ref=1.0, times=time_grid(1.0, 60.0, 50))
     assert spec.mu_lambda3 == sc.lambda3 and spec.mu_tau3 == sc.tau3
     assert spec.n == 3
@@ -316,7 +323,7 @@ def test_measure_spec_from_steady():
 
 
 def test_trajectory_deterministic_and_cp():
-    sc = steady_channel(3, "complete", [1.0, 1.0 / 3.0, 2.0 / 3.0])
+    sc = steady_channel(NetworkSpec("complete", 3), [1.0, 1.0 / 3.0, 2.0 / 3.0])
     spec = MeasureSpec.from_steady(sc, t_ref=1.0, times=time_grid(1.0, 60.0, 80))
     a = trajectory_sample(spec, seed=4)
     b = trajectory_sample(spec, seed=4)
@@ -331,7 +338,7 @@ def test_trajectory_deterministic_and_cp():
 
 
 def test_trajectory_signed_rule_pins_tau3_sign():
-    sc = steady_channel(3, "complete", [1.0, 1.0 / 3.0, 2.0 / 3.0])
+    sc = steady_channel(NetworkSpec("complete", 3), [1.0, 1.0 / 3.0, 2.0 / 3.0])
     assert sc.tau3 > 0
     spec = MeasureSpec.from_steady(sc, t_ref=1.0,
                                    times=time_grid(1.0, 30.0, 60),
