@@ -17,14 +17,13 @@ from types import ModuleType as _ModuleType
 __version__ = "0.1.0"
 
 from .qlinalg import HermitianEvolver, partial_trace_keep
-from .network import NetworkSpec, PairSpec, build_hamiltonian, charge_operator, t_scale
+from .network import NetworkSpec, PairSpec, build_hamiltonian, t_scale
 from .reduced import (FixedPoint, MapExtractor, PCParams, choi_check, choi_matrix, cp_ok,
                       fit_pc, fixed_point, transfer_from_unitary)
 from .ensemble import (GENERIC_H_RATIO, FluctuationSeries, SpectralAverage, SteadyChannel,
                        converged_fluctuations, esym, fluctuations, network_average,
                        network_series, quench_demo, steady_channel, time_average)
-from .analytic import (TRANSCRIPTION_FIXES, cc_params, closed_form, ring_params,
-                       xx_eigenparams, xx_reduced_map)
+from .analytic import cc_params, closed_form, ring_params, xx_eigenparams, xx_reduced_map
 from .disorder import (DisorderSpec, PairEig, closedform_disorder_components,
                        disorder_components, max_tau3_trunc_tanh, mc_disorder_map,
                        sample_pair, trunc_tanh_pdf)

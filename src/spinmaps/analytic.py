@@ -26,16 +26,15 @@ to (-pi, pi] to match what fit_pc reads off a transfer matrix.
 
 Every formula here is cross-checked against dense map extraction (module
 `reduced`) by the test suite. Where the implemented coefficients depart
-from the source tables they were transcribed from, the departure is listed
-in TRANSCRIPTION_FIXES (and described in TRANSCRIPTION_NOTES.md); the one
-wholesale re-derivation is the ring N=4 alpha/beta table, whose source
-could not be repaired term by term.
+from the source tables they were transcribed from, the departure is
+recorded in TRANSCRIPTION_NOTES.md with its printed reading, implemented
+reading and evidence; the one wholesale re-derivation is the ring N=4
+alpha/beta table, whose source could not be repaired term by term.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -43,79 +42,6 @@ import numpy as np
 from .ensemble import UnsupportedNetwork, esym
 from .network import NetworkSpec, isotropic
 from .reduced import PCParams
-
-
-@dataclass(frozen=True)
-class TranscriptionFix:
-    """One documented departure of the implementation from its source table."""
-
-    family: str
-    quantity: str
-    printed: str
-    implemented: str
-    evidence: str
-
-
-TRANSCRIPTION_FIXES = (
-    TranscriptionFix(
-        family="complete N=3",
-        quantity="alpha/beta",
-        printed="oscillation at (J_par + 2 J_perp) t",
-        implemented="oscillation at (2 J_par + J_perp) t",
-        evidence="dense-map check at generic couplings agrees to 3e-15 after "
-                 "the change; both readings coincide at J_par = J_perp",
-    ),
-    TranscriptionFix(
-        family="complete N=4",
-        quantity="alpha/beta",
-        printed="coefficients attached to the (3 J_perp + J_par) and "
-                "(J_perp + 3 J_par) oscillations",
-        implemented="the two coefficient sets interchanged, uniformly in all "
-                    "four partial components",
-        evidence="fit against dense maps at two coupling pairs, residual 3e-14",
-    ),
-    TranscriptionFix(
-        family="ring N=4",
-        quantity="lambda3",
-        printed="pair-correlation group contains a bare cos(4 J_perp t)",
-        implemented="(1/16) cos(4 J_perp t)",
-        evidence="restores lambda3 = 1 at t = 0; dense-map agreement 1e-15",
-    ),
-    TranscriptionFix(
-        family="ring N=4",
-        quantity="alpha/beta",
-        printed="partial components failing their own t = 0 identities "
-                "(constant part 3/4, a malformed angle-times-time factor)",
-        implemented="re-derived 76-term table with exact rational "
-                    "coefficients in J_par/J_cross and J_perp/J_cross",
-        evidence="dense-map agreement 3e-15 at four coupling pairs "
-                 "including J_par = 0 and J_par < 0",
-    ),
-    TranscriptionFix(
-        family="ring N=5 (isotropic)",
-        quantity="lambda3 partial z00z",
-        printed="final term +((5 - sqrt5)/450) cos(3 (1 + sqrt5)/2 J t)",
-        implemented="same term with a minus sign",
-        evidence="t = 0 sum of the printed partial is (10 - 2 sqrt5)/450, not "
-                 "0; the sign flip restores it and matches dense maps to 1e-15",
-    ),
-    TranscriptionFix(
-        family="ring N=5 (isotropic)",
-        quantity="tau3 partial z0zz",
-        printed="final term +(2/45) cos(sqrt5 J t)",
-        implemented="same term with a minus sign",
-        evidence="t = 0 sum of the printed partial is 80/900, not 0; the sign "
-                 "flip restores it and matches dense maps to 1e-15",
-    ),
-    TranscriptionFix(
-        family="xx pair",
-        quantity="two channel components",
-        printed="row labels pair (xx|0z) with itself and (yx|0z) with (yx|z0)",
-        implemented="the (xx, z0) and (yx, 0z) components carry those values",
-        evidence="orthogonality of the assembled 16x16 transfer matrix and "
-                 "dense two-qubit checks",
-    ),
-)
 
 
 def _wrap_angle(x: float) -> float:

@@ -145,8 +145,8 @@ def _network(cfg: dict, topology: str | None = None) -> network.NetworkSpec:
     topology defaults to the run's --topology. quench has no XXZ couplings:
     its cluster is the complete graph with J_perp = J_par = 2j, the isotropic
     coupling j per pair, and its default field keeps the sign of j. Callers
-    take t_J = t_scale(spec.j_perp) after any table check: a network without
-    a table exits 4 even at J_perp = 0.
+    take t_J = t_scale(spec.j_perp) after any table check, so a command that
+    needs a steady table exits 4 at J_perp = 0, where no network has one.
     """
     if "j_perp" in cfg:
         j_perp, j_par, scale = cfg["j_perp"], cfg["j_par"], abs(cfg["j_perp"])

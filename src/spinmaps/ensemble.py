@@ -262,8 +262,11 @@ def steady_table(spec: NetworkSpec) -> dict:
 
     Tables exist for the complete graph with N = 3..6 (the 3-ring among
     them), the ring with N = 4, and the ring with N = 5 at the isotropic
-    point J_par = J_perp. Any other network raises UnsupportedNetwork.
+    point J_par = J_perp, each with exchange (J_perp != 0: without it
+    nothing relaxes). Any other network raises UnsupportedNetwork.
     """
+    if spec.j_perp == 0:
+        raise UnsupportedNetwork("no steady table without exchange (J_perp = 0)")
     family, n = spec.family, spec.n
     if family == "complete" and n in _STEADY_COMPLETE:
         return _STEADY_COMPLETE[n]

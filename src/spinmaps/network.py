@@ -13,8 +13,9 @@ An isotropic (XXX) cluster J sum_{i<j} (XX + YY + ZZ), as in the quench
 ensemble, is the complete graph with J_perp = J_par = 2J.
 
 All topologies conserve the charge Q = sum Z_i; ring and complete also
-commute with the cyclic left shift of the sites. Hamiltonians are dense:
-at N <= 6 the eigendecomposition costs far less than the build.
+commute with the cyclic left shift of the sites. A network is its field
+and its bond list, NetworkSpec.bonds; H is dense, written from the bits of
+the basis index (Sandvik, arXiv:1101.3281, sec. 4).
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qlinalg import SX, SY, SZ, embed, kron_all  # kron_all: patched by bench/tracing.py
+from .qlinalg import kron_all, z_signs  # kron_all unused here: bench/tracing.py patches it
 
 TOPOLOGIES = ("ring", "complete", "xx_pairs")
 
@@ -77,39 +78,34 @@ class NetworkSpec:
         network: the 3-ring is the 3-clique."""
         return "complete" if self.topology == "ring" and self.n == 3 else self.topology
 
-
-def _two_site(op_a, op_b, i, j, n):
-    return embed(op_a, i, n) @ embed(op_b, j, n)
-
-
-def _xxz_bond(i, j, n, j_perp, j_par):
-    return 0.5 * j_perp * (
-        _two_site(SX, SX, i, j, n) + _two_site(SY, SY, i, j, n)
-    ) + 0.5 * j_par * _two_site(SZ, SZ, i, j, n)
-
-
-def charge_operator(n: int) -> np.ndarray:
-    return sum(embed(SZ, i, n) for i in range(n))
+    @property
+    def bonds(self) -> tuple:
+        """(i, j, J_perp, J_par) per coupled pair, in the order H sums them: (i, i+1 mod N)
+        on the ring, every i < j on the complete graph, (2k, 2k+1, j, 0) for XX pair k."""
+        if self.topology == "xx_pairs":
+            return tuple((2 * k, 2 * k + 1, p.j, 0.0) for k, p in enumerate(self.pairs))
+        pairs = ([(i, (i + 1) % self.n) for i in range(self.n)] if self.topology == "ring"
+                 else [(i, j) for i in range(self.n) for j in range(i + 1, self.n)])
+        return tuple((i, j, self.j_perp, self.j_par) for i, j in pairs)
 
 
 def build_hamiltonian(spec: NetworkSpec) -> np.ndarray:
-    """Dense Hamiltonian of the network."""
-    n = spec.n
-    dim = 2**spec.n
-    h_mat = np.zeros((dim, dim), dtype=complex)
-    if spec.topology != "xx_pairs":
-        h_mat += spec.h * charge_operator(n)
-
-    if spec.topology == "ring":
-        for i in range(n):
-            h_mat += _xxz_bond(i, (i + 1) % n, n, spec.j_perp, spec.j_par)
-    elif spec.topology == "complete":
-        for i in range(n):
-            for j in range(i + 1, n):
-                h_mat += _xxz_bond(i, j, n, spec.j_perp, spec.j_par)
-    elif spec.topology == "xx_pairs":
-        for p_idx, pair in enumerate(spec.pairs):
-            a, b = 2 * p_idx, 2 * p_idx + 1
-            h_mat += pair.h1 * embed(SZ, a, n) + pair.h2 * embed(SZ, b, n)
-            h_mat += _xxz_bond(a, b, n, pair.j, 0.0)
+    """Dense H: the field plus (J_par/2) z_i z_j per bond on the diagonal, and
+    J_perp where bits i and j differ, at the index with both flipped. Summed
+    in the order of the embedded-Pauli sum (field, then bonds), so H holds
+    that sum's bytes."""
+    z = z_signs(spec.n)
+    site_bit = np.argmin(z, axis=0)  # first state with site i at -1: site i's bit
+    diag = np.zeros(len(z))
+    if spec.topology == "xx_pairs":
+        for k, pair in enumerate(spec.pairs):
+            diag += pair.h1 * z[:, 2 * k] + pair.h2 * z[:, 2 * k + 1]
+    else:
+        diag += spec.h * z.sum(axis=1)
+    h_mat = np.zeros((len(z), len(z)), dtype=complex)
+    for i, j, j_perp, j_par in spec.bonds:
+        diag += 0.5 * j_par * (z[:, i] * z[:, j])
+        hop = np.flatnonzero(z[:, i] != z[:, j])
+        h_mat[hop, hop ^ site_bit[i] ^ site_bit[j]] += j_perp
+    np.fill_diagonal(h_mat, diag)
     return h_mat

@@ -3,9 +3,7 @@
 Conventions fixed here and used everywhere else:
 
 - Computational basis index = big-endian bit string, site 0 is the most
-  significant bit.
-- Bit value 1 denotes the Z-eigenvalue -1 state. The charge Q = sum_i Z_i
-  then has eigenvalue 2q - N on a string with q zero-bits.
+  significant bit. Bit value 1 is the Z-eigenvalue -1 state (z_signs).
 - Transfer matrices are real 4x4 in the Pauli basis (1, X, Y, Z) with
   entries L[i, j] = tr(sigma_i L(sigma_j)) / 2.
 
@@ -56,6 +54,12 @@ def kron_all(ops) -> np.ndarray:
         a, b = op.shape
         out = (out[:, None, :, None] * op[None, :, None, :]).reshape(r * a, c * b)
     return out
+
+
+def z_signs(n: int) -> np.ndarray:
+    """(2**n, n) Z eigenvalues of the basis: [s, i] is +1 where site i of state s is 0, else -1."""
+    bits = (np.arange(2**n)[:, None] >> np.arange(n - 1, -1, -1)) & 1
+    return 1.0 - 2.0 * bits
 
 
 def embed(op: np.ndarray, site: int, n: int) -> np.ndarray:

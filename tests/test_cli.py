@@ -209,6 +209,16 @@ def test_non_network_exits_2_without_run_dir(tmp_path, capsys, argv):
     assert not (tmp_path / "runs").exists()
 
 
+@pytest.mark.parametrize("argv", [["steady", "--n", "4"],
+                                  ["fluct"],
+                                  ["measure", "--no-overlay", "--steps", "5"]])
+def test_no_exchange_has_no_steady_table(tmp_path, capsys, argv):
+    # at J_perp = 0 nothing relaxes: exit 4 before any run directory
+    rc, out, err = run_cli(argv + ["--j-perp", "0", "--outdir", str(tmp_path / "runs")], capsys)
+    assert rc == 4 and "without exchange" in err and out == ""
+    assert not (tmp_path / "runs").exists()
+
+
 def test_steady_short_horizon_exits_3(tmp_path, capsys):
     # 2.3 t_J is far from converged, so a tight tolerance must trip
     rc, out, err = run_cli(["steady", "--horizon-tj", "2.3", "--tol", "1e-6",

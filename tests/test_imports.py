@@ -9,8 +9,8 @@ EXPORTS = [
     "BrokenPCParams", "DisorderSpec", "FixedPoint", "FluctuationSeries",
     "GENERIC_H_RATIO", "HermitianEvolver", "MapExtractor", "MeasureSpec",
     "NetworkSpec", "PCParams", "PairEig", "PairSpec", "SpectralAverage",
-    "SteadyChannel", "TRANSCRIPTION_FIXES", "VolumeEstimate",
-    "broken_uniform_sample", "build_hamiltonian", "cc_params", "charge_operator",
+    "SteadyChannel", "VolumeEstimate",
+    "broken_uniform_sample", "build_hamiltonian", "cc_params",
     "choi_check", "choi_matrix", "closed_form", "closedform_disorder_components",
     "converged_fluctuations", "cp_contains", "cp_ok",
     "disorder_components", "eigenvalues_broken", "eigenvalues_pc", "esym",

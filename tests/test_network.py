@@ -1,15 +1,49 @@
 import numpy as np
 import pytest
 
-from spinmaps.network import NetworkSpec, PairSpec, build_hamiltonian, charge_operator, t_scale
-from spinmaps.qlinalg import SX, embed
+from spinmaps.network import NetworkSpec, PairSpec, build_hamiltonian, t_scale
+from spinmaps.qlinalg import SX, SY, SZ, embed, z_signs
 
 RING4 = NetworkSpec(topology="ring", n=4, h=0.3, j_perp=1.0, j_par=0.7)
 CC5 = NetworkSpec(topology="complete", n=5, h=-0.2, j_perp=0.9, j_par=0.4)
 
 
+# complete N=2..7 and ring N=3..7 at five coupling sets, and 1-3 XX pairs
+COUPLINGS = [(0.31, 1.0, 0.6), (-0.3, 1.0, 0.0), (-0.0, -0.7, -2.0), (0.37, 0.9, 0.45),
+             (0.2, -0.7, 1.0)]
+PAIRS = [PairSpec(1.0, 0.5, 0.8), PairSpec(-0.3, 0.2, 1.2), PairSpec(0.1, -0.0, -0.7)]
+SPECS = ([NetworkSpec(topology, n, h, j_perp, j_par) for h, j_perp, j_par in COUPLINGS
+          for topology, sizes in (("complete", range(2, 8)), ("ring", range(3, 8)))
+          for n in sizes]
+         + [NetworkSpec("xx_pairs", 2 * k, pairs=tuple(PAIRS[:k])) for k in (1, 2, 3)])
+
+
 def comm(a, b):
     return a @ b - b @ a
+
+
+def embedded_pauli_hamiltonian(spec):
+    """Reference: the sum of embedded Pauli products, field first, then
+    (J_perp/2)(X_i X_j + Y_i Y_j) + (J_par/2) Z_i Z_j for each bond."""
+    n = spec.n
+    h_mat = np.zeros((2**n, 2**n), dtype=complex)
+
+    def bond(i, j, j_perp, j_par):
+        def two(op):
+            return embed(op, i, n) @ embed(op, j, n)
+        return 0.5 * j_perp * (two(SX) + two(SY)) + 0.5 * j_par * two(SZ)
+
+    if spec.topology == "xx_pairs":
+        for k, pair in enumerate(spec.pairs):
+            h_mat += pair.h1 * embed(SZ, 2 * k, n) + pair.h2 * embed(SZ, 2 * k + 1, n)
+            h_mat += bond(2 * k, 2 * k + 1, pair.j, 0.0)
+        return h_mat
+    h_mat += spec.h * sum(embed(SZ, i, n) for i in range(n))
+    pairs = ([(i, (i + 1) % n) for i in range(n)] if spec.topology == "ring"
+             else [(i, j) for i in range(n) for j in range(i + 1, n)])
+    for i, j in pairs:
+        h_mat += bond(i, j, spec.j_perp, spec.j_par)
+    return h_mat
 
 
 def cyclic_shift(n):
@@ -40,11 +74,30 @@ def test_spec_validation():
         NetworkSpec(topology="xx_pairs", n=3, pairs=(PairSpec(1.0, 0.5, 1.0),))
 
 
+def test_bonds_list_every_coupled_pair_in_summation_order():
+    for n in range(3, 8):
+        ring = NetworkSpec("ring", n, j_perp=0.9, j_par=0.4).bonds
+        assert ring == tuple((i, (i + 1) % n, 0.9, 0.4) for i in range(n))
+        complete = NetworkSpec("complete", n, j_perp=0.9, j_par=0.4).bonds
+        assert len(complete) == n * (n - 1) // 2
+        assert complete == tuple((i, j, 0.9, 0.4) for i in range(n) for j in range(i + 1, n))
+    pairs = NetworkSpec("xx_pairs", 4, pairs=tuple(PAIRS[:2])).bonds
+    assert pairs == ((0, 1, 0.8, 0.0), (2, 3, 1.2, 0.0))
+
+
+def test_build_hamiltonian_is_byte_identical_to_embedded_pauli_sum():
+    assert len(SPECS) == 58
+    for spec in SPECS:
+        got, want = build_hamiltonian(spec), embedded_pauli_hamiltonian(spec)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), spec
+
+
 def test_hamiltonians_are_hermitian_and_conserve_charge():
     for spec in (RING4, CC5):
         h = build_hamiltonian(spec)
         assert np.max(np.abs(h - h.conj().T)) < 1e-12
-        assert np.max(np.abs(comm(h, charge_operator(spec.n)))) < 1e-12
+        charge = np.diag(z_signs(spec.n).sum(axis=1))
+        assert np.max(np.abs(comm(h, charge))) < 1e-12
 
 
 def test_ring_commutes_with_translation_but_generic_complete_state_check():

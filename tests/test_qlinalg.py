@@ -17,6 +17,7 @@ from spinmaps.qlinalg import (
     partial_trace_keep,
     pauli,
     transfer_readout,
+    z_signs,
 )
 
 RNG = np.random.default_rng(7)
@@ -34,6 +35,14 @@ def test_pauli_algebra():
         assert np.allclose(pauli(ax) @ pauli(ax), SI)
     with pytest.raises(ValueError):
         pauli("w")
+
+
+def test_z_signs_are_the_diagonals_of_embedded_z():
+    for n in range(1, 6):
+        z = z_signs(n)
+        assert z.shape == (2**n, n)
+        for site in range(n):
+            assert np.array_equal(z[:, site], embed(SZ, site, n).diagonal().real)
 
 
 def test_kron_all_ordering():
