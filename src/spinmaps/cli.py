@@ -18,6 +18,7 @@ combination.
 
 Times in data files are in units of t_J except the disorder command, whose
 absolute t shares units with 1/B, 1/Omega (no exchange scale there).
+Only maps, steady and fluct sample a time grid (--points-per-tj).
 """
 
 from __future__ import annotations
@@ -171,7 +172,15 @@ def _steady(cfg: dict, spec: network.NetworkSpec):
 # ---------------------------------------------------------------------------
 
 def cmd_maps(cfg: dict) -> RunOutput:
-    if cfg["topology"] == "xx_pairs":
+    # what only the other setup reads keeps its built-in (not --config) default
+    pair = cfg["topology"] == "xx_pairs"
+    defaults = build_parser().commands["maps"]
+    unread = ("n", "h", "j_perp", "j_par", "state", "z", "z_list") if pair else (
+        "h1", "h2", "j", "x2", "y2", "z2")
+    for name in unread:
+        if cfg[name] != defaults.get_default(name):
+            raise ConfigError(f"{name}: not read with --topology {cfg['topology']}")
+    if pair:
         if cfg["z2"] is None:
             # longest partner vector consistent with the transverse components
             planar = cfg["x2"] ** 2 + cfg["y2"] ** 2
@@ -385,13 +394,10 @@ def cmd_measure(cfg: dict) -> RunOutput:
                [_fmt(p.tau3) for p in traj],
                [_fmt(p.lambda1) for p in traj]]
     if cfg["overlay"]:
-        t_j = network.t_scale(spec.j_perp)
-        grid = _uniform_grid(t_j, cfg["t_max_tj"], cfg["points_per_tj"])
-        running = ensemble.time_average(grid, ensemble.network_series(spec, z, grid))
-        l3 = np.interp(times_tj * t_j, grid, running[:, 3, 3])
-        t3 = np.interp(times_tj * t_j, grid, running[:, 3, 0])
+        # the exact running average at the trajectory's own times
+        running = ensemble.SpectralAverage(spec, z)(times_tj * network.t_scale(spec.j_perp))
         header += ["lambda3_timeavg", "tau3_timeavg"]
-        columns += [[_fmt(v) for v in l3], [_fmt(v) for v in t3]]
+        columns += [[_fmt(v) for v in running[:, 3, 3]], [_fmt(v) for v in running[:, 3, 0]]]
     tables = {"data.csv": (header, list(zip(*columns)))}
 
     if int(cfg["scatter_samples"]) > 0:
@@ -453,12 +459,10 @@ def cmd_quench(cfg: dict) -> RunOutput:
         schedule = rng.uniform(0.0, cfg["window_tj"] * t_j, n_cl)
     else:
         raise ConfigError("schedule: expected 'staggered' or 'random'")
-    cluster_avg = ensemble.quench_demo(spec, z, schedule, cfg["t_eval_tj"] * t_j)
-
-    # reference: running time average of one always-coupled cluster
-    grid = _uniform_grid(t_j, cfg["t_eval_tj"], cfg["points_per_tj"])
-    reference = ensemble.time_average(
-        grid, ensemble.network_series(spec, z, grid, sites=(0,)))[-1]
+    t_eval = cfg["t_eval_tj"] * t_j
+    cluster_avg = ensemble.quench_demo(spec, z, schedule, t_eval)
+    # reference: the exact running average of site 0 in one always-coupled cluster
+    reference = ensemble.SpectralAverage(spec, z, sites=(0,))([t_eval])[0]
 
     diff = np.abs(cluster_avg - reference)
     rows = [(str(i), str(jj), _fmt(cluster_avg[i, jj]), _fmt(reference[i, jj]),
@@ -491,9 +495,8 @@ def _add_command(sub, name: str, func, help: str):
 
 def _add_network_flags(sp, n: int, state: str, z=None, topology=None,
                        j_par=1.0, xxz=True):
-    """--n, the field --h, the initial state and the time-grid density
-    --points-per-tj; --topology when it has a default here, and the XXZ
-    couplings --j-perp/--j-par when xxz is set."""
+    """--n, the field --h and the initial state; --topology when it has a
+    default here, and the XXZ couplings --j-perp/--j-par when xxz is set."""
     if topology is not None:
         sp.add_argument("--topology", choices=("complete", "ring", "xx_pairs"),
                         default=topology)
@@ -505,7 +508,7 @@ def _add_network_flags(sp, n: int, state: str, z=None, topology=None,
     sp.add_argument("--state", choices=_STATES, default=state)
     sp.add_argument("--z", type=float, default=z)
     sp.add_argument("--z-list", dest="z_list", type=_float_list)
-    sp.add_argument("--points-per-tj", dest="points_per_tj", type=float, default=20)
+
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -528,15 +531,18 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--y2", type=float, default=0.0)
     sp.add_argument("--z2", type=float)
     sp.add_argument("--t-max-tj", dest="t_max_tj", type=float, default=10.0)
+    sp.add_argument("--points-per-tj", dest="points_per_tj", type=float, default=20)
 
     sp = _add_command(sub, "steady", cmd_steady, "long-time averages vs exact tables")
     _add_network_flags(sp, n=3, state="hierarchy", topology="complete")
     sp.add_argument("--horizon-tj", dest="horizon_tj", type=float, default=200.0)
+    sp.add_argument("--points-per-tj", dest="points_per_tj", type=float, default=20)
     sp.add_argument("--tol", type=float, default=5e-3)
 
     sp = _add_command(sub, "fluct", cmd_fluct, "running-average fluctuation constants")
     _add_network_flags(sp, n=4, state="uniform", z=0.2, topology="complete")
     sp.add_argument("--horizon-tj", dest="horizon_tj", type=float, default=200.0)
+    sp.add_argument("--points-per-tj", dest="points_per_tj", type=float, default=20)
     sp.add_argument("--onset-tj", dest="onset_tj", type=float, default=20.0)
 
     sp = _add_command(sub, "disorder", cmd_disorder,

@@ -6,10 +6,10 @@ mean of transfer matrices is again a valid (and physically meaningful)
 channel. Long-time averages of the closed-form families settle on steady
 channels whose lambda3/tau3 are polynomials in the elementary symmetric
 functions e_k of the environment z values with exact rational coefficients;
-those tables live here. `SpectralAverage` gives the exact running average
-at any horizon from one eigendecomposition; its infinite-time limit is the
-diagonal ensemble, which the tables reproduce. Residual oscillations around
-the steady values decay like t_J/(N t). The bounding constant c, the sup of
+those tables live here. `SpectralAverage` gives exact maps and running
+averages, of one site or the site average, from one eigendecomposition; its
+infinite-time limit is the diagonal ensemble, which the tables reproduce.
+Residual oscillations around the steady values decay like t_J/(N t). The bounding constant c, the sup of
 |delta| N t/t_J past an onset, comes from `converged_fluctuations` as a
 converged number: its tail grid is refined until doubling it moves c by less
 than 1% and the grid maximum is certified within 1% of the sup.
@@ -31,7 +31,7 @@ import numpy as np
 
 from .network import NetworkSpec, build_hamiltonian, isotropic, t_scale
 from .qlinalg import HERM_TOL, PAULI_AXES, HermitianEvolver, NumericalError, embed, pauli
-from .reduced import MapExtractor, _env_inputs, transfer_from_unitary
+from .reduced import _env_inputs, transfer_from_unitary
 
 # Default field-to-coupling ratio used when a "generic" (incommensurate)
 # uniform field is needed: irrational, so the precession phase never locks
@@ -92,27 +92,23 @@ def time_average(times, transfers) -> np.ndarray:
     return out
 
 
-def network_series(spec: NetworkSpec, z, times, sites=None) -> np.ndarray:
+def network_series(spec: NetworkSpec, z, times) -> np.ndarray:
     """Site-averaged transfer matrix at each time in `times`, shape (T, 4, 4).
 
-    z lists all N site polarizations in absolute site order; each site in
-    `sites` (default: all N) is focal once, with the other sites as its
-    diagonal environment, and the maps are combined by network_average at
-    every time. sites=(0,) is the series of site 0 alone. One
-    eigendecomposition serves the whole grid; running averages are
-    time_average(times, network_series(...)).
+    z lists all N site polarizations in absolute site order; each site is focal
+    once, the others its diagonal environment. One unitary per time; only
+    `steady` still uses it, as time_average(times, network_series(...)).
     """
     n = spec.n
     z = [float(v) for v in z]
     if len(z) != n:
         raise ValueError(f"need {n} site values, got {len(z)}")
-    sites = range(n) if sites is None else sites
-    envs = {s: [(0.0, 0.0, z[k]) for k in range(n) if k != s] for s in sites}
+    envs = [[(0.0, 0.0, z[k]) for k in range(n) if k != s] for s in range(n)]
     evolver = HermitianEvolver(build_hamiltonian(spec))
     out = np.empty((len(times), 4, 4))
     for k, t in enumerate(times):
         u = evolver.unitary(t)
-        out[k] = network_average([transfer_from_unitary(u, s, envs[s]) for s in sites])
+        out[k] = network_average([transfer_from_unitary(u, s, envs[s]) for s in range(n)])
     return out
 
 
@@ -126,34 +122,37 @@ _DEGEN_TOL = 1e-9
 
 
 class SpectralAverage:
-    """Exact running time average of the site-averaged transfer matrix.
+    """Exact maps and running averages of the transfer matrix averaged over
+    `sites` (default: all N; sites=(0,) is site 0 alone).
 
-    One eigendecomposition H = sum_k E_k |k><k| writes every entry of the
-    site-averaged transfer matrix as sum_{k,l} C_kl e^{-i w_kl t} with gaps
-    w_kl = E_k - E_l. Its running mean over [0, T] is then
-    sum_{k,l} C_kl (1 - e^{-i w_kl T}) / (i w_kl T): no time grid and no
-    quadrature error. Gaps within _DEGEN_TOL * max(1, spectral width) of 0
-    count as degenerate and get weight 1 at every T; together they make up
-    `limit`, the infinite-time (diagonal-ensemble) channel.
+    One eigendecomposition H = sum_k E_k |k><k| writes every entry as
+    sum_{k,l} C_kl e^{-i w_kl t} with gaps w_kl = E_k - E_l; C takes 16 * 4^N
+    complex numbers (16 MB at N=8). Its running mean over [0, T] is then
+    sum_{k,l} C_kl (1 - e^{-i w_kl T}) / (i w_kl T): no unitary per time, no
+    grid and no quadrature error. Gaps within _DEGEN_TOL * max(1, spectral
+    width) of 0 count as degenerate and get weight 1 at every T; together
+    they make up `limit`, the infinite-time (diagonal-ensemble) channel.
 
-    z lists all N site polarizations in absolute site order; every site is
-    focal once, with the other sites as its diagonal environment. The
+    z lists all N site polarizations in absolute site order; each site in
+    `sites` is focal once, with the others as its diagonal environment. The
     non-degenerate terms are kept once per pair k < l: `gaps` (G,) and
-    `amplitudes` (G, 4, 4) complex, so that the instantaneous average map
-    is limit + 2 Re sum_g amplitudes[g] e^{-i gaps[g] t}.
+    `amplitudes` (G, 4, 4) complex, so that `maps` (the instantaneous map) is
+    limit + 2 Re sum_g amplitudes[g] e^{-i gaps[g] t}.
     """
 
-    def __init__(self, spec: NetworkSpec, z):
+    def __init__(self, spec: NetworkSpec, z, sites=None):
         n = spec.n
         z = [float(v) for v in z]
         if len(z) != n:
             raise ValueError(f"need {n} site values, got {len(z)}")
+        sites = range(n) if sites is None else tuple(sites)
+        if not sites or any(not 0 <= s < n for s in sites):
+            raise ValueError(f"sites must be a non-empty subset of 0..{n - 1}, got {sites}")
         evolver = HermitianEvolver(build_hamiltonian(spec))
         energies, modes = evolver.energies, evolver.modes
-        dim = energies.size
 
-        coef = np.zeros((dim, dim, 4, 4), dtype=complex)
-        for site in range(n):
+        coef = np.zeros(modes.shape + (4, 4), dtype=complex)
+        for site in sites:
             env = [(0.0, 0.0, z[s]) for s in range(n) if s != site]
             outs = np.stack([modes.conj().T @ embed(pauli(ax), site, n) @ modes
                              for ax in PAULI_AXES])
@@ -161,7 +160,7 @@ class SpectralAverage:
                             for op in _env_inputs(n, site, env)])
             # 0.5 tr(sigma_i U X_j U^dag) = 0.5 sum_kl (O_i)_lk (X_j)_kl e^{-i w_kl t}
             coef += np.einsum("ilk,jkl->klij", outs, ins)
-        coef *= 0.5 / n
+        coef *= 0.5 / len(sites)
 
         gaps = energies[:, None] - energies[None, :]
         degenerate = np.abs(gaps) <= _DEGEN_TOL * max(1.0, float(np.ptp(energies)))
@@ -174,23 +173,27 @@ class SpectralAverage:
         self.gaps = gaps[pairs]
         self.amplitudes = coef[pairs]
 
-    def __call__(self, times) -> np.ndarray:
-        """Running averages (1/T) int_0^T at each horizon T in `times`.
-
-        Returns shape (len(times), 4, 4); T = 0 gives the map at t = 0.
-        """
+    def _series(self, times, weight) -> np.ndarray:
+        """limit + 2 Re sum_g weight(t gaps[g]) amplitudes[g] at each t in `times`."""
         t = np.asarray(times, dtype=float)
         if t.ndim != 1 or np.any(t < 0.0):
-            raise ValueError("horizons must be a 1-d array of times >= 0")
+            raise ValueError("times must be a 1-d array of values >= 0")
         flat = self.amplitudes.reshape(-1, 16)
         out = np.empty((t.size, 4, 4))
         block = max(1, _WEIGHTS_PER_BLOCK // max(1, self.gaps.size))
         for a in range(0, t.size, block):
             x = np.multiply.outer(t[a:a + block], self.gaps)
-            # (1 - e^{-ix}) / (ix), written to stay finite at x = 0
-            weights = np.exp(-0.5j * x) * np.sinc(x / (2.0 * np.pi))
-            out[a:a + block] = self.limit + 2.0 * (weights @ flat).real.reshape(-1, 4, 4)
+            out[a:a + block] = self.limit + 2.0 * (weight(x) @ flat).real.reshape(-1, 4, 4)
         return out
+
+    def __call__(self, times) -> np.ndarray:
+        """Running averages (1/T) int_0^T, shape (len(times), 4, 4); T = 0
+        gives the map at t = 0. The weight (1 - e^{-ix}) / (ix) stays finite at x = 0."""
+        return self._series(times, lambda x: np.exp(-0.5j * x) * np.sinc(x / (2.0 * np.pi)))
+
+    def maps(self, times) -> np.ndarray:
+        """Instantaneous maps at each time in `times`, shape (len(times), 4, 4)."""
+        return self._series(times, lambda x: np.exp(-1j * x))
 
     def curvature(self) -> np.ndarray:
         """Entry-wise bound 2 sum_g |amplitudes[g]| |gaps[g]| on the rate of
@@ -480,20 +483,18 @@ def converged_fluctuations(average: SpectralAverage, steady: SteadyChannel,
 
 
 def quench_demo(spec: NetworkSpec, z, schedule, t_eval: float) -> np.ndarray:
-    """Cluster-averaged reduced map of a staggered-quench ensemble.
+    """Cluster-averaged 4x4 reduced map of a staggered-quench ensemble.
 
     One identical cluster, the network `spec`, per switch-on time in
     `schedule`. Each sits idle until its own switch-on, after which its
     Hamiltonian acts; site 0 is focal and z[1:] are the diagonal partner
-    polarizations. Cluster k's map is taken from its switch-on: the
-    pre-quench segment only rotates the focal spin about z and leaves the
-    diagonal partners untouched, so each cluster contributes the always-on
-    map evaluated at its own elapsed time t_eval - t_on. With switch-on
-    times spread over a window much longer than t_J, the average over
-    clusters reproduces the running time average of a single always-on
-    cluster (up to O(t_J/window) discretization); a cluster whose quench
-    lies in the future contributes the identity map. Returns the averaged
-    4x4 transfer matrix.
+    polarizations. The pre-quench segment only rotates the focal spin about
+    z and leaves the diagonal partners untouched, so each cluster contributes
+    the always-on map at its own elapsed time t_eval - t_on (SpectralAverage
+    of site 0), and a cluster whose quench lies in the future the identity.
+    With switch-on times spread over a window much longer than t_J, the
+    average reproduces the running time average of one always-on cluster, up
+    to O(t_J/window) discretization.
     """
     schedule = np.asarray(schedule, dtype=float)
     if schedule.ndim != 1 or schedule.size == 0:
@@ -503,14 +504,7 @@ def quench_demo(spec: NetworkSpec, z, schedule, t_eval: float) -> np.ndarray:
         warnings.warn(
             "switch-on times span less than one t_J; the cluster average "
             "will not resemble a time average", stacklevel=2)
-    env = [(0.0, 0.0, float(v)) for v in z[1:]]
-    always_on = MapExtractor(build_hamiltonian(spec), 0, env)
-
-    acc = np.zeros((4, 4))
-    for t_on in schedule:
-        dt = t_eval - t_on
-        if dt <= 0.0:
-            acc += np.eye(4)  # quench still in the future for this cluster
-            continue
-        acc += always_on.transfer(dt)
-    return acc / schedule.size
+    elapsed = t_eval - schedule
+    maps = SpectralAverage(spec, z, sites=(0,)).maps(np.maximum(elapsed, 0.0))
+    maps[elapsed <= 0.0] = np.eye(4)  # quench still in the future for these clusters
+    return maps.mean(axis=0)

@@ -2,8 +2,10 @@
 
 Each test pins one headline result at its stated tolerance; together they
 exercise every module through the public API. The two long-horizon
-fixtures are exact spectral averages shared across tests; criterion 01, a
-dense extraction on 200-point grids, takes most of this file's time.
+fixtures are exact spectral averages shared across tests. Criterion 01
+reads its numeric maps off one per-site SpectralAverage per (state, focal
+site) and checks them against the closed forms on 200-point grids; the
+engine itself is checked against dense extraction in tests/test_ensemble.py.
 """
 
 import json
@@ -22,14 +24,13 @@ from spinmaps.disorder import (DisorderSpec, _sample_phi, mc_disorder_map,
                                max_tau3_trunc_tanh, trunc_tanh_pdf)
 from spinmaps.ensemble import (GENERIC_H_RATIO, SpectralAverage,
                                converged_fluctuations, esym, network_average,
-                               network_series, quench_demo, steady_channel,
-                               time_average)
+                               quench_demo, steady_channel)
 from spinmaps.measure import (MeasureSpec, broken_uniform_sample, cp_contains,
                               eigenvalues_broken, eigenvalues_pc, time_grid,
                               trajectory_sample, uniform_sample, volume_mc)
 from spinmaps.network import NetworkSpec, build_hamiltonian, t_scale
 from spinmaps.qlinalg import HermitianEvolver, pauli
-from spinmaps.reduced import (MapExtractor, PCParams, choi_check, cp_ok, fit_pc,
+from spinmaps.reduced import (PCParams, choi_check, cp_ok, fit_pc,
                               transfer_from_unitary)
 
 J = 1.0
@@ -89,15 +90,13 @@ def test_criterion_01_closed_forms_match_numeric_extraction():
     for topo, n, j_par in cases:
         rng = np.random.default_rng(100 * n + (7 if topo == "ring" else 0))
         spec = NetworkSpec(topology=topo, n=n, h=0.37, j_perp=J, j_par=j_par)
-        h_mat = build_hamiltonian(spec)
         times = np.linspace(0.0, 10.0 * T_J, 200)
         for _ in range(20):
             z = rng.uniform(-1.0, 1.0, n)
             for focal in range(n):
                 env = env_absolute(z, focal)
-                extractor = MapExtractor(h_mat, focal, env)
-                for t in times:
-                    numeric = extractor.transfer(t)
+                maps = SpectralAverage(spec, z, sites=(focal,)).maps(times)
+                for t, numeric in zip(times, maps):
                     analytic = closed_form(spec, focal, env, t)
                     mask = ~np.isnan(analytic)
                     worst = max(worst,
@@ -321,9 +320,8 @@ def test_criterion_11_quench_cluster_average():
     spec = NetworkSpec(topology="complete", n=3, h=GENERIC_H_RATIO * 2.0 * J,
                        j_perp=2.0 * J, j_par=2.0 * J)
     cluster_avg = quench_demo(spec, [1.0] * 3, schedule, 100.0 * t_j)
-    grid = np.linspace(0.0, 100.0 * t_j, 2001)
-    reference = time_average(grid, network_series(spec, [1.0] * 3, grid,
-                                                  sites=(0,)))[-1]
+    # the exact running time average of site 0 in one always-on cluster
+    reference = SpectralAverage(spec, [1.0] * 3, sites=(0,))([100.0 * t_j])[0]
     assert float(np.abs(cluster_avg - reference).max()) < 0.02
 
 
@@ -337,7 +335,6 @@ def test_criterion_12_deterministic_artifacts(tmp_path, capsys):
     stochastic = [run(["volume", "--samples", "100000", "--seed", "11",
                        "--outdir", str(tmp_path / f"v{k}")]) for k in range(2)]
     assert stochastic[0] == stochastic[1]
-    sampled = [run(["measure", "--steps", "10", "--t-max-tj", "4",
-                    "--points-per-tj", "4", "--seed", "3",
+    sampled = [run(["measure", "--steps", "10", "--t-max-tj", "4", "--seed", "3",
                     "--outdir", str(tmp_path / f"m{k}")]) for k in range(2)]
     assert sampled[0] == sampled[1]

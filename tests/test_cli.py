@@ -5,6 +5,7 @@ import re
 import shlex
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import spinmaps
@@ -297,7 +298,6 @@ def test_run_dir_collision_gets_counter(tmp_path, monkeypatch):
 
 
 def test_numerical_failure_exits_3(tmp_path, capsys, monkeypatch):
-    import numpy as np
     import spinmaps.network
 
     def non_hermitian(spec):
@@ -381,7 +381,7 @@ def test_disorder_trunc_tanh_needs_a_phi(tmp_path, capsys):
 
 def test_measure_quick_with_scatter(tmp_path, capsys):
     rc, out, _ = run_cli(["measure", "--steps", "12", "--t-max-tj", "5",
-                          "--points-per-tj", "4", "--scatter-samples", "50",
+                          "--scatter-samples", "50",
                           "--outdir", str(tmp_path)], capsys)
     assert rc == 0
     run = last_run_dir(out)
@@ -401,9 +401,61 @@ def test_measure_quick_with_scatter(tmp_path, capsys):
     assert families == {"rot+", "rot-", "mu+", "mu-", "l3"}
 
 
+def test_measure_overlay_is_the_exact_running_average(tmp_path, capsys):
+    # the grid of the README measure line, whose first trajectory time is 0.1 t_J
+    rc, out, _ = run_cli(["measure", "--steps", "60", "--t-max-tj", "30", "--seed", "0",
+                          "--outdir", str(tmp_path)], capsys)
+    assert rc == 0
+    with open(last_run_dir(out) / "data.csv") as fh:
+        first = next(csv.DictReader(fh))
+    # trapezoid running average at 4,000 points per t_J up to that time
+    t_j = spinmaps.t_scale(1.0)
+    t1 = float(first["t_over_tref"]) * t_j
+    spec = spinmaps.NetworkSpec("complete", 3, h=spinmaps.GENERIC_H_RATIO, j_perp=1.0, j_par=0.0)
+    grid = np.linspace(0.0, t1, int(round(4000 * t1 / t_j)) + 1)
+    want = spinmaps.time_average(grid, spinmaps.network_series(spec, [1.0, 1 / 3, 2 / 3], grid))[-1]
+    assert abs(float(first["lambda3_timeavg"]) - want[3, 3]) < 1e-6
+    assert abs(float(first["tau3_timeavg"]) - want[3, 0]) < 1e-6
+
+
+def test_grid_density_is_no_option_of_measure_or_quench(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["measure", "--points-per-tj", "4", "--outdir", str(tmp_path / "runs")])
+    assert exc.value.code == 2
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"points_per_tj": 4}))
+    rc, out, err = run_cli(["quench", "--config", str(cfg), "--outdir", str(tmp_path / "runs")],
+                           capsys)
+    assert rc == 2 and "config.points_per_tj: unknown field" in err
+    assert out == "" and not (tmp_path / "runs").exists()
+
+
+@pytest.mark.parametrize("line, field", [
+    ("--topology xx_pairs --n 4", "n"),
+    ("--topology xx_pairs --h 0.3", "h"),
+    ("--topology xx_pairs --j-perp 2", "j_perp"),
+    ("--topology xx_pairs --j-par 0.5", "j_par"),
+    ("--topology xx_pairs --state neel", "state"),
+    ("--topology xx_pairs --z 0.5", "z"),
+    ("--topology xx_pairs --z-list 0.1,0.2", "z_list"),
+    ("--topology ring --n 4 --h1 7 --x2 0.3", "h1"),
+    ("--topology ring --h2 0.1", "h2"),
+    ("--topology complete --j 2", "j"),
+    ("--topology ring --x2 0.3", "x2"),
+    ("--topology ring --y2 0.3", "y2"),
+    ("--topology complete --z2 0.5", "z2"),
+])
+def test_maps_refuses_flags_of_the_other_setup(tmp_path, capsys, line, field):
+    rc, out, err = run_cli(["maps"] + line.split() + ["--outdir", str(tmp_path / "runs")],
+                           capsys)
+    assert rc == 2
+    assert err.startswith(f"config error: {field}: ")
+    assert out == "" and not (tmp_path / "runs").exists()
+
+
 def test_quench_quick_random_schedule(tmp_path, capsys):
     rc, out, _ = run_cli(["quench", "--n-cl", "40", "--window-tj", "10",
-                          "--t-eval-tj", "20", "--points-per-tj", "4",
+                          "--t-eval-tj", "20",
                           "--schedule", "random", "--seed", "3",
                           "--outdir", str(tmp_path)], capsys)
     assert rc == 0

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -20,8 +21,8 @@ from spinmaps.ensemble import (
     time_average,
 )
 from spinmaps.network import NetworkSpec, build_hamiltonian, t_scale
-from spinmaps.qlinalg import HermitianEvolver
-from spinmaps.reduced import PCParams, fit_pc, transfer_from_unitary
+from spinmaps.qlinalg import PAULI_STACK, HermitianEvolver, partial_trace_keep
+from spinmaps.reduced import MapExtractor, PCParams, fit_pc, transfer_from_unitary
 
 RNG = np.random.default_rng(31)
 
@@ -161,6 +162,60 @@ def test_spectral_average_matches_trapezoid_within_its_error():
     assert bound.max() < 1e-3
     diff = np.abs(time_average(grid, series) - exact)
     assert np.all(diff <= bound[None] + 1e-13)
+
+
+ENGINE_SPECS = [NetworkSpec(topology=topo, n=n, h=0.37, j_perp=1.0, j_par=j_par)
+                for topo, sizes in (("complete", (3, 4, 5, 6)), ("ring", (4, 5)))
+                for n in sizes for j_par in (0.6, 1.0)]
+
+
+@pytest.mark.parametrize("spec", ENGINE_SPECS, ids=lambda s: f"{s.topology}{s.n}-{s.j_par}")
+def test_spectral_maps_match_map_extractor_at_every_site(spec):
+    rng = np.random.default_rng(10 * spec.n + int(10 * spec.j_par))
+    z = rng.uniform(-1.0, 1.0, spec.n)
+    times = np.linspace(0.0, 10.0 * t_scale(1.0), 101)
+    h_mat = build_hamiltonian(spec)
+    per_site = []
+    for s in range(spec.n):
+        env = [(0.0, 0.0, z[k]) for k in range(spec.n) if k != s]
+        extractor = MapExtractor(h_mat, s, env)
+        want = np.stack([extractor.transfer(t) for t in times])
+        got = SpectralAverage(spec, z, sites=(s,)).maps(times)
+        assert np.max(np.abs(got - want)) <= 1e-12
+        per_site.append(want)
+    # the default, every site, is the site average
+    got = SpectralAverage(spec, z).maps(times)
+    assert np.max(np.abs(got - np.mean(per_site, axis=0))) <= 1e-12
+
+
+def expm_transfer(spec, z, site, t):
+    """Transfer matrix of `site` from scipy's expm and np.kron inputs alone."""
+    u = scipy.linalg.expm(-1j * t * build_hamiltonian(spec))
+    out = np.empty((4, 4))
+    for j, sigma in enumerate(PAULI_STACK):
+        rho = np.ones((1, 1))
+        for k in range(spec.n):
+            rho = np.kron(rho, sigma if k == site else np.diag([1.0 + z[k], 1.0 - z[k]]) / 2)
+        reduced = partial_trace_keep(u @ rho @ u.conj().T, site)
+        out[:, j] = [0.5 * np.trace(p @ reduced).real for p in PAULI_STACK]
+    return out
+
+
+@pytest.mark.parametrize("topology, n", [("complete", 3), ("ring", 4)])
+def test_spectral_maps_match_expm_reference(topology, n):
+    spec = NetworkSpec(topology=topology, n=n, h=0.37, j_perp=1.0, j_par=0.6)
+    z = [0.9, -0.3, 0.5, 0.1][:n]
+    times = np.array([0.0, 0.7, 3.1, 17.0])
+    for site in range(n):
+        got = SpectralAverage(spec, z, sites=(site,)).maps(times)
+        for t, tr in zip(times, got):
+            assert np.max(np.abs(tr - expm_transfer(spec, z, site, t))) <= 1e-12
+
+
+@pytest.mark.parametrize("sites", [(3,), (-1,), (0, 5), ()])
+def test_spectral_sites_out_of_range(sites):
+    with pytest.raises(ValueError):
+        SpectralAverage(iso("complete", 3), HIER3, sites=sites)
 
 
 def test_converged_fluctuation_constant_complete4():
@@ -356,6 +411,6 @@ def test_quench_average_tracks_time_average():
     t_j = t_scale(2.0)
     # staggered over [0, 50 t_J], evaluated at the last switch-on
     avg = quench_demo(QUENCH, POLARIZED, np.linspace(0.0, 50.0 * t_j, 200), 50.0 * t_j)
-    grid = np.linspace(0.0, 50.0 * t_j, 50 * 20 + 1)
-    ref = time_average(grid, network_series(QUENCH, POLARIZED, grid, sites=(0,)))[-1]
+    # the exact running time average of site 0 in one always-on cluster
+    ref = SpectralAverage(QUENCH, POLARIZED, sites=(0,))([50.0 * t_j])[0]
     assert np.max(np.abs(avg - ref)) < 0.02
