@@ -21,8 +21,8 @@ from .network import NetworkSpec, PairSpec, build_hamiltonian, t_scale
 from .reduced import (FixedPoint, MapExtractor, PCParams, choi_check, choi_matrix, cp_ok,
                       fit_pc, fixed_point, transfer_from_unitary)
 from .ensemble import (GENERIC_H_RATIO, FluctuationSeries, SpectralAverage, SteadyChannel,
-                       converged_fluctuations, esym, fluctuations, network_average,
-                       network_series, quench_demo, steady_channel, time_average)
+                       converged_fluctuations, esym, network_average, network_series,
+                       quench_demo, steady_channel, time_average)
 from .analytic import cc_params, closed_form, ring_params, xx_eigenparams, xx_reduced_map
 from .disorder import (DisorderSpec, PairEig, closedform_disorder_components,
                        disorder_components, max_tau3_trunc_tanh, mc_disorder_map,

@@ -336,14 +336,22 @@ def cmd_fluct(cfg: dict) -> RunOutput:
 # disorder
 # ---------------------------------------------------------------------------
 
+def _check_width(cfg: dict, name: str, least: float):
+    # checked with the family that reads it: the other family's width is unread
+    if not cfg[name] >= least:
+        raise ConfigError(f"{name}: must be at least {least}, got {cfg[name]}")
+
+
 def _disorder_spec(cfg):
     common = dict(B=cfg["b"], Omega=cfg["omega"],
                   sigma_h=cfg["sigma_h"], sigma_omega=cfg["sigma_omega"])
     if cfg["phi_dist"] == "gaussian":
+        _check_width(cfg, "varphi", disorder.MIN_VARPHI)
         return disorder.DisorderSpec.from_varphi(varphi=cfg["varphi"], **common)
     if cfg["phi_dist"] == "trunc_tanh":
         if cfg["a_phi"] is None:
             raise ConfigError("a_phi: trunc_tanh family needs --a-phi")
+        _check_width(cfg, "a_phi", disorder.MIN_A_PHI)
         return disorder.DisorderSpec(phi_dist="trunc_tanh", a_phi=cfg["a_phi"], **common)
     raise ConfigError(f"phi_dist: unknown family {cfg['phi_dist']!r}")
 
@@ -383,8 +391,10 @@ def cmd_measure(cfg: dict) -> RunOutput:
     spec = _network(cfg, topology)
     z, steady = _steady(cfg, spec)
 
-    times_tj = measure.time_grid(1.0, cfg["t_max_tj"], int(cfg["steps"]))
-    mspec = measure.MeasureSpec.from_steady(steady, t_ref=1.0, times=tuple(times_tj),
+    if cfg["t_max_tj"] <= measure.T_FIRST:
+        raise ConfigError(f"t_max_tj: must exceed {measure.T_FIRST}, got {cfg['t_max_tj']}")
+    times_tj = measure.time_grid(cfg["t_max_tj"], int(cfg["steps"]))
+    mspec = measure.MeasureSpec.from_steady(steady, times=tuple(times_tj),
                                             C=cfg["c"], tau3_rule=cfg["tau3_rule"])
     traj = measure.trajectory_sample(mspec, int(cfg["seed"]))  # refuses non-CP triples itself
 
@@ -460,9 +470,10 @@ def cmd_quench(cfg: dict) -> RunOutput:
     else:
         raise ConfigError("schedule: expected 'staggered' or 'random'")
     t_eval = cfg["t_eval_tj"] * t_j
-    cluster_avg = ensemble.quench_demo(spec, z, schedule, t_eval)
+    average = ensemble.SpectralAverage(spec, z, sites=(0,))
+    cluster_avg = ensemble.quench_demo(average, schedule, t_eval, t_j)
     # reference: the exact running average of site 0 in one always-coupled cluster
-    reference = ensemble.SpectralAverage(spec, z, sites=(0,))([t_eval])[0]
+    reference = average([t_eval])[0]
 
     diff = np.abs(cluster_avg - reference)
     rows = [(str(i), str(jj), _fmt(cluster_avg[i, jj]), _fmt(reference[i, jj]),
@@ -606,7 +617,7 @@ def _finite(v) -> bool:
 _FIELD_CHECKS = (
     (("t_max_tj", "horizon_tj", "t_eval_tj", "t_max", "window_tj", "onset_tj"),
      lambda v: _finite(v) and v >= 0, "must be finite and >= 0"),
-    (("points_per_tj", "tol"), lambda v: _finite(v) and v > 0, "must be finite and > 0"),
+    (("points_per_tj", "tol", "c"), lambda v: _finite(v) and v > 0, "must be finite and > 0"),
     (("steps", "n_cl"), lambda v: v >= 1, "must be at least 1"),
     # one dense 2^16 register matrix is already 64 GiB
     (("n",), lambda v: v <= 16, "must be at most 16"),

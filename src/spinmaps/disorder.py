@@ -18,6 +18,7 @@ standard errors instead of silently accepting it).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -27,6 +28,14 @@ from .analytic import xx_reduced_map
 
 _PHI_FAMILIES = ("gaussian", "trunc_tanh")
 MIN_SAMPLES = 100
+# Smallest phase-law widths the arithmetic holds at. The closed forms divide
+# by varphi^2, which underflows to 0 below 2^-537.5 (this value, rounded up).
+MIN_VARPHI = 1.5717277847026288e-162
+# The trunc_tanh sampler compares u tanh^2(a_phi pi/2) with tanh^2(a_phi phi).
+# Below this a_phi the ceiling tanh^2(a_phi pi/2) ~ (a_phi pi/2)^2 leaves the
+# normal floats: it loses digits, then underflows to 0, where every candidate
+# passes and phi comes out uniform.
+MIN_A_PHI = 2.0 / math.pi * math.sqrt(sys.float_info.min)
 
 
 class PairEig(NamedTuple):
@@ -85,10 +94,21 @@ class DisorderSpec:
 
 
 def trunc_tanh_pdf(phi, a_phi: float):
-    """Normalized density proportional to tanh^2(a_phi phi) on [-pi/2, pi/2]."""
+    """Normalized density proportional to tanh^2(a_phi phi) on [-pi/2, pi/2].
+
+    With x = a_phi pi/2 the norm pi - (2/a_phi) tanh x is (pi/x)(x - tanh x),
+    which cancels at small x: below x = 0.1 it comes from the Taylor series
+    x - tanh x = x^3/3 - 2x^5/15 + ..., truncated at a relative 5e-15.
+    """
     if a_phi <= 0:
         raise ValueError("a_phi must be positive")
-    norm = math.pi - (2.0 / a_phi) * math.tanh(a_phi * math.pi / 2.0)
+    x = a_phi * math.pi / 2.0
+    if x < 0.1:
+        x2 = x * x
+        norm = math.pi * x2 * (1 / 3 - x2 * (2 / 15 - x2 * (17 / 315 - x2 * (
+            62 / 2835 - x2 * (1382 / 155925 - x2 * 21844 / 6081075)))))
+    else:
+        norm = math.pi - (2.0 / a_phi) * math.tanh(x)
     phi = np.asarray(phi, dtype=float)
     inside = np.abs(phi) <= math.pi / 2.0
     return np.where(inside, np.tanh(a_phi * phi) ** 2 / norm, 0.0)

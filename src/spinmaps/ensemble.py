@@ -13,7 +13,6 @@ Residual oscillations around the steady values decay like t_J/(N t). The boundin
 |delta| N t/t_J past an onset, comes from `converged_fluctuations` as a
 converged number: its tail grid is refined until doubling it moves c by less
 than 1% and the grid maximum is certified within 1% of the sup.
-`fluctuations` reads c off given samples only.
 
 Times are absolute throughout; callers divide by network.t_scale(J_perp)
 when they want t/t_J units.
@@ -21,7 +20,6 @@ when they want t/t_J units.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import warnings
 from dataclasses import dataclass
@@ -29,7 +27,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .network import NetworkSpec, build_hamiltonian, isotropic, t_scale
+from .network import NetworkSpec, build_hamiltonian, isotropic
 from .qlinalg import HERM_TOL, PAULI_AXES, HermitianEvolver, NumericalError, embed, pauli
 from .reduced import _env_inputs, transfer_from_unitary
 
@@ -163,7 +161,8 @@ class SpectralAverage:
         coef *= 0.5 / len(sites)
 
         gaps = energies[:, None] - energies[None, :]
-        degenerate = np.abs(gaps) <= _DEGEN_TOL * max(1.0, float(np.ptp(energies)))
+        self._degen_tol = _DEGEN_TOL * max(1.0, float(np.ptp(energies)))
+        degenerate = np.abs(gaps) <= self._degen_tol
         limit = coef[degenerate].sum(axis=0)
         if np.max(np.abs(limit.imag)) > HERM_TOL:
             raise NumericalError("time-averaged map has complex transfer entries")
@@ -196,9 +195,16 @@ class SpectralAverage:
         return self._series(times, lambda x: np.exp(-1j * x))
 
     def curvature(self) -> np.ndarray:
-        """Entry-wise bound 2 sum_g |amplitudes[g]| |gaps[g]| on the rate of
-        change of the instantaneous map, i.e. on |d^2/dT^2 (T avg(T))|."""
-        return 2.0 * np.einsum("g,gij->ij", np.abs(self.gaps), np.abs(self.amplitudes))
+        """Entry-wise bound 2 sum_w w |sum_{g: |gaps[g]| = w} amplitudes[g]| on
+        the rate of change of the instantaneous map, i.e. on |d^2/dT^2 (T avg(T))|.
+        Gaps equal within the tolerance of `limit` are one frequency w, their
+        largest: eigenpairs at equal gaps cancel where a symmetry pins an entry."""
+        order = np.argsort(np.abs(self.gaps), kind="stable")
+        freqs = np.abs(self.gaps[order])
+        starts = np.flatnonzero(np.diff(freqs, prepend=-np.inf) > self._degen_tol)
+        summed = np.add.reduceat(self.amplitudes[order], starts, axis=0)
+        top = np.maximum.reduceat(freqs, starts)
+        return 2.0 * np.einsum("g,gij->ij", top, np.abs(summed))
 
 
 # ---------------------------------------------------------------------------
@@ -227,20 +233,18 @@ class SteadyChannel:
     fixed by exact rational polynomials in the environment e_k."""
 
     n: int
-    topology: str
     coeffs: dict
     lambda3: float
     tau3: float
     lambda3_exact: Fraction
     tau3_exact: Fraction
-    esym_scaled: tuple
+    e1: Fraction  # sum of the z values
 
     def constraint_ok(self) -> bool:
         """tau +/- lambda = +/-1 must hold exactly at z_i all +/-1."""
-        e1 = self.esym_scaled[1] * self.n
-        if e1 == self.n:
+        if self.e1 == self.n:
             return self.tau3_exact + self.lambda3_exact == 1
-        if e1 == -self.n:
+        if self.e1 == -self.n:
             return self.tau3_exact - self.lambda3_exact == -1
         return True
 
@@ -290,29 +294,27 @@ def steady_channel(spec: NetworkSpec, z) -> SteadyChannel:
     in exact rationals.
     """
     coeffs = steady_table(spec)
-    n, topology = spec.n, spec.family
+    n = spec.n
     zf = [Fraction(v) for v in z]
     if len(zf) != n:
         raise ValueError(f"need {n} site values, got {len(zf)}")
     e = [esym(zf, k) for k in range(n + 1)]
 
-    if topology == "ring" and n == 4:
+    if spec.family == "ring" and n == 4:
         pair_corr = e[2] - 4 * (zf[0] * zf[2] + zf[1] * zf[3])
         lam = coeffs[0] + coeffs[2] * pair_corr / 6
         tau = (1 - coeffs[0]) * e[1] / 4 + _F(1, 16) * e[3] / 4
     else:
         lam, tau = _general_steady(n, coeffs, e)
 
-    scaled = tuple(e[k] / math.comb(n, k) for k in range(n + 1))
     return SteadyChannel(
         n=n,
-        topology=topology,
         coeffs=dict(coeffs),
         lambda3=float(lam),
         tau3=float(tau),
         lambda3_exact=lam,
         tau3_exact=tau,
-        esym_scaled=scaled,
+        e1=e[1],
     )
 
 
@@ -330,12 +332,11 @@ class FluctuationSeries:
     bounding constant: sup of |delta| * N * t/t_J over the tail
     t > onset * t_J, so |delta| <= c t_J/(N t) there.
 
-    From `converged_fluctuations`, c_* is a converged sup: it is read off the
-    exact running average on a tail grid of `points_per_tj` points per t_J.
-    `rel_change` is the larger relative move of the two constants when that
-    grid was last doubled, and `sup_gap` bounds how far, relative to c_*,
-    the true sup can lie above the grid maximum. From `fluctuations`, c_* is
-    the maximum over the given samples only, and these fields are NaN.
+    c_* is a converged sup, read off the exact running average on a tail
+    grid of `points_per_tj` points per t_J. `rel_change` is the larger
+    relative move of the two constants when that grid was last doubled, and
+    `sup_gap` bounds how far, relative to c_*, the true sup can lie above
+    the grid maximum.
     """
 
     t_over_tj: np.ndarray
@@ -347,9 +348,9 @@ class FluctuationSeries:
     tau3_normalized: bool
     n: int
     onset: float
-    points_per_tj: float = math.nan
-    rel_change: float = math.nan
-    sup_gap: float = math.nan
+    points_per_tj: float
+    rel_change: float
+    sup_gap: float
 
 
 def _deviation(series, steady_exact, steady_float):
@@ -365,43 +366,6 @@ def _bound_constants(t_over_tj, avg, steady: SteadyChannel):
     scale = steady.n * t_over_tj
     return (float(np.max(np.abs(d_lam) * scale)),
             float(np.max(np.abs(d_tau) * scale)))
-
-
-def fluctuations(times, avg_series, steady: SteadyChannel, t_j: float,
-                 onset: float = 20.0) -> FluctuationSeries:
-    """Fluctuation series and bounding constants of sampled running averages.
-
-    avg_series holds the running averages at `times` (time_average output
-    or SpectralAverage values). c_* is the maximum over the samples beyond
-    onset * t_J, so it is only as good as the sampling: use
-    converged_fluctuations for a converged sup. The fit needs samples
-    beyond onset * t_J.
-    """
-    t = np.asarray(times, dtype=float)
-    avg = np.asarray(avg_series, dtype=float)
-    if avg.shape != (t.size, 4, 4):
-        raise ValueError("avg_series must align with times")
-    if t_j <= 0:
-        raise ValueError("t_j must be positive")
-    tt = t / t_j
-    tail = tt > onset
-    if not np.any(tail):
-        raise ValueError(f"series ends before the onset {onset} t_J; extend the grid")
-
-    d_lam, lam_norm = _deviation(avg[:, 3, 3], steady.lambda3_exact, steady.lambda3)
-    d_tau, tau_norm = _deviation(avg[:, 3, 0], steady.tau3_exact, steady.tau3)
-    c_lam, c_tau = _bound_constants(tt[tail], avg[tail], steady)
-    return FluctuationSeries(
-        t_over_tj=tt,
-        delta_lambda3=d_lam,
-        delta_tau3=d_tau,
-        c_lambda3=c_lam,
-        c_tau3=c_tau,
-        lambda3_normalized=lam_norm,
-        tau3_normalized=tau_norm,
-        n=steady.n,
-        onset=onset,
-    )
 
 
 # Relative tolerance to which fluctuation constants are converged, and the
@@ -449,11 +413,17 @@ def converged_fluctuations(average: SpectralAverage, steady: SteadyChannel,
     t = np.asarray(times, dtype=float)
     if t.ndim != 1 or t.size < 2 or t[0] != 0.0:
         raise ValueError("times must be a 1-d grid from t = 0 with at least 2 points")
-    report = fluctuations(t, average(t), steady, t_j, onset)
+    if t_j <= 0:
+        raise ValueError("t_j must be positive")
+    if not np.any(t / t_j > onset):
+        raise ValueError(f"series ends before the onset {onset} t_J; extend the grid")
+    avg = average(t)
+    d_lam, lam_norm = _deviation(avg[:, 3, 3], steady.lambda3_exact, steady.lambda3)
+    d_tau, tau_norm = _deviation(avg[:, 3, 0], steady.tau3_exact, steady.tau3)
     horizon, start = float(t[-1]), onset * t_j
     segments = max(1, math.ceil((horizon - start) / (t[1] - t[0]) - 1e-9))
-    scale_l3 = abs(steady.lambda3) if report.lambda3_normalized else 1.0
-    scale_t3 = abs(steady.tau3) if report.tau3_normalized else 1.0
+    scale_l3 = abs(steady.lambda3) if lam_norm else 1.0
+    scale_t3 = abs(steady.tau3) if tau_norm else 1.0
     curv = average.curvature()
     # how far |delta| N t/t_J can rise above its grid maximum, per dt^2
     excess = (steady.n * curv[3, 3] / (8.0 * t_j * scale_l3),
@@ -471,10 +441,11 @@ def converged_fluctuations(average: SpectralAverage, steady: SteadyChannel,
         gap = max(_rel_excess(e * step * step, c) for e, c in zip(excess, consts))
         if change is not None and change < FLUCT_RTOL and gap < FLUCT_RTOL:
             break
-    return dataclasses.replace(
-        report, c_lambda3=consts[0], c_tau3=consts[1],
-        points_per_tj=segments * t_j / (horizon - start), rel_change=change,
-        sup_gap=gap)
+    return FluctuationSeries(
+        t_over_tj=t / t_j, delta_lambda3=d_lam, delta_tau3=d_tau,
+        c_lambda3=consts[0], c_tau3=consts[1], lambda3_normalized=lam_norm,
+        tau3_normalized=tau_norm, n=steady.n, onset=onset,
+        points_per_tj=segments * t_j / (horizon - start), rel_change=change, sup_gap=gap)
 
 
 # ---------------------------------------------------------------------------
@@ -482,29 +453,28 @@ def converged_fluctuations(average: SpectralAverage, steady: SteadyChannel,
 # ---------------------------------------------------------------------------
 
 
-def quench_demo(spec: NetworkSpec, z, schedule, t_eval: float) -> np.ndarray:
+def quench_demo(average: SpectralAverage, schedule, t_eval: float, t_j: float) -> np.ndarray:
     """Cluster-averaged 4x4 reduced map of a staggered-quench ensemble.
 
-    One identical cluster, the network `spec`, per switch-on time in
-    `schedule`. Each sits idle until its own switch-on, after which its
-    Hamiltonian acts; site 0 is focal and z[1:] are the diagonal partner
-    polarizations. The pre-quench segment only rotates the focal spin about
-    z and leaves the diagonal partners untouched, so each cluster contributes
-    the always-on map at its own elapsed time t_eval - t_on (SpectralAverage
-    of site 0), and a cluster whose quench lies in the future the identity.
-    With switch-on times spread over a window much longer than t_J, the
-    average reproduces the running time average of one always-on cluster, up
-    to O(t_J/window) discretization.
+    One identical cluster per switch-on time in `schedule`, each idle until
+    its own switch-on and then driven by its Hamiltonian; `average` is the
+    cluster's SpectralAverage of site 0, the focal site, and t_j its exchange
+    time. The pre-quench segment only rotates the focal spin about z and
+    leaves its diagonal partners untouched, so each cluster contributes
+    average.maps at its elapsed time t_eval - t_on, or the identity while
+    its quench lies ahead. Over a window much longer than t_J the result
+    approaches the running average average([t_eval]) of one always-on
+    cluster, up to O(t_J/window) discretization.
     """
     schedule = np.asarray(schedule, dtype=float)
     if schedule.ndim != 1 or schedule.size == 0:
         raise ValueError("schedule must list one switch-on time per cluster")
     window = float(schedule.max() - schedule.min())
-    if schedule.size > 1 and window < t_scale(spec.j_perp):
+    if schedule.size > 1 and window < t_j:
         warnings.warn(
             "switch-on times span less than one t_J; the cluster average "
             "will not resemble a time average", stacklevel=2)
     elapsed = t_eval - schedule
-    maps = SpectralAverage(spec, z, sites=(0,)).maps(np.maximum(elapsed, 0.0))
+    maps = average.maps(np.maximum(elapsed, 0.0))
     maps[elapsed <= 0.0] = np.eye(4)  # quench still in the future for these clusters
     return maps.mean(axis=0)

@@ -4,7 +4,7 @@ Geometry of the completely positive region in (lambda1, tau3, lambda3),
 uniform and truncated-Gaussian sampling over it, eigenvalue statistics of
 the sampled maps (including a minimally broken family with lambda2 !=
 lambda1), Monte Carlo volume estimates, and the time-dependent trajectory
-construction whose width shrinks as sigma(t) = (C/N)(t_ref/t).
+construction whose width shrinks as sigma(t) = (C/N)(1/t), t in units of t_J.
 """
 
 from __future__ import annotations
@@ -29,6 +29,8 @@ MIN_VOLUME_SAMPLES = 10**5
 # bounds of a broken candidate's draws: (lambda1, lambda2, tau3, lambda3), theta
 _BROKEN_LOW = np.array([-1.0, -1.0, -1.0, -1.0, 0.0])
 _BROKEN_HIGH = np.array([1.0, 1.0, 1.0, 1.0, _TWO_PI])
+# first time of every trajectory grid, in t_J: sigma(t) is largest there
+T_FIRST = 0.1
 
 
 def _uniform_theta(rng: np.random.Generator) -> float:
@@ -220,11 +222,11 @@ def trunc_gauss_sample(mu: float, sigma: float, a: float, b: float,
     return min(max(x, a), b)
 
 
-def time_grid(t_ref: float, t_max: float, n_steps: int) -> np.ndarray:
-    """Geometric grid from t_ref/10 (where sigma(t) is largest) to t_max."""
-    if t_max <= t_ref / 10.0:
-        raise ValueError("t_max must exceed t_ref/10")
-    return np.geomspace(t_ref / 10.0, t_max, n_steps)
+def time_grid(t_max: float, n_steps: int) -> np.ndarray:
+    """Geometric grid of n_steps times from T_FIRST to t_max."""
+    if t_max <= T_FIRST:
+        raise ValueError(f"t_max must exceed {T_FIRST}")
+    return np.geomspace(T_FIRST, t_max, n_steps)
 
 
 @dataclass(frozen=True)
@@ -232,24 +234,21 @@ class MeasureSpec:
     """Trajectory-measure parameters around a steady channel.
 
     Means usually come from a SteadyChannel (from_steady); sigma(t) =
-    (C/n)(t_ref/t) shrinks the truncated Gaussians toward them. tau3_rule
-    picks the tau3 interval at each step: 'symmetric' uses
+    (C/n)(1/t), t in units of t_J, shrinks the truncated Gaussians toward
+    them, and toward lambda1 = 0, where every steady channel has it.
+    tau3_rule picks the tau3 interval at each step: 'symmetric' uses
     |tau3| <= 1 - |lambda3| (always CP-safe), 'signed' additionally
     restricts tau3 to the sign of mu_tau3.
     """
 
     mu_lambda3: float
     mu_tau3: float
-    t_ref: float
     n: int
     times: tuple = field(default=())
-    mu_lambda1: float = 0.0
     C: float = 1.0
     tau3_rule: str = "symmetric"
 
     def __post_init__(self):
-        if self.t_ref <= 0:
-            raise ValueError("t_ref must be positive")
         if self.n < 1:
             raise ValueError("n must be at least 1")
         if self.C <= 0:
@@ -259,23 +258,22 @@ class MeasureSpec:
         times = tuple(float(t) for t in self.times)
         if not times:
             raise ValueError("times must be non-empty")
-        if times[0] < self.t_ref / 10.0 * (1.0 - 1e-12):
-            raise ValueError("grid must start at or after t_ref/10")
+        if times[0] < T_FIRST * (1.0 - 1e-12):
+            raise ValueError(f"grid must start at or after {T_FIRST}")
         if any(t2 <= t1 for t1, t2 in zip(times, times[1:])):
             raise ValueError("times must be strictly increasing")
         object.__setattr__(self, "times", times)
 
     @classmethod
-    def from_steady(cls, steady, t_ref: float, times, C: float = 1.0,
+    def from_steady(cls, steady, times, C: float = 1.0,
                     tau3_rule: str = "symmetric") -> "MeasureSpec":
         return cls(mu_lambda3=float(steady.lambda3), mu_tau3=float(steady.tau3),
-                   t_ref=t_ref, n=steady.n, times=tuple(times), C=C,
-                   tau3_rule=tau3_rule)
+                   n=steady.n, times=tuple(times), C=C, tau3_rule=tau3_rule)
 
     def sigma(self, t: float) -> float:
         if t <= 0:
             raise ValueError("sigma(t) needs t > 0")
-        return (self.C / self.n) * (self.t_ref / t)
+        return (self.C / self.n) * (1.0 / t)
 
 
 def trajectory_sample(spec: MeasureSpec, seed: int) -> list:
@@ -298,7 +296,7 @@ def trajectory_sample(spec: MeasureSpec, seed: int) -> list:
             a, b = -lim, lim
         t3 = trunc_gauss_sample(spec.mu_tau3, s, a, b, rng) if lim > 0.0 else 0.0
         top = 0.5 * math.sqrt(max((1.0 + l3) ** 2 - t3 * t3, 0.0))
-        l1 = trunc_gauss_sample(spec.mu_lambda1, s, 0.0, top, rng) if top > 0.0 else 0.0
+        l1 = trunc_gauss_sample(0.0, s, 0.0, top, rng) if top > 0.0 else 0.0
         if not cp_contains(l1, t3, l3):
             raise NumericalError("nested truncation emitted a non-CP triple")
         out.append(PCParams(lambda1=l1, theta=0.0, lambda3=l3, tau3=t3))

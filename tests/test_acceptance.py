@@ -302,8 +302,7 @@ def test_criterion_09_channel_spectra():
 
 def test_criterion_10_trajectory_measure():
     steady = steady_channel(family_spec("complete", 3), hierarchy_exact(3))
-    spec = MeasureSpec.from_steady(steady, t_ref=1.0,
-                                   times=time_grid(1.0, 60.0, 120), C=1.0)
+    spec = MeasureSpec.from_steady(steady, times=time_grid(60.0, 120), C=1.0)
     traj = trajectory_sample(spec, seed=0)
     assert len(traj) == 120
     for p in traj:
@@ -319,9 +318,10 @@ def test_criterion_11_quench_cluster_average():
     # the always-on cluster: isotropic J per pair is J_perp = J_par = 2J
     spec = NetworkSpec(topology="complete", n=3, h=GENERIC_H_RATIO * 2.0 * J,
                        j_perp=2.0 * J, j_par=2.0 * J)
-    cluster_avg = quench_demo(spec, [1.0] * 3, schedule, 100.0 * t_j)
+    average = SpectralAverage(spec, [1.0] * 3, sites=(0,))
+    cluster_avg = quench_demo(average, schedule, 100.0 * t_j, t_j)
     # the exact running time average of site 0 in one always-on cluster
-    reference = SpectralAverage(spec, [1.0] * 3, sites=(0,))([100.0 * t_j])[0]
+    reference = average([100.0 * t_j])[0]
     assert float(np.abs(cluster_avg - reference).max()) < 0.02
 
 

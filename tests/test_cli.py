@@ -83,6 +83,13 @@ def test_readme_library_example_runs(capsys):
     # sample counts under the option's name, not the library argument's
     ("volume --samples 0", None, "samples"),
     ("disorder --n-samples 5", None, "n_samples"),
+    # measure's range errors name its options, not MeasureSpec's fields
+    ("measure --t-max-tj 0.05", None, "t_max_tj"),
+    ("measure --c 0", None, "c"),
+    # phase-law widths whose arithmetic fails: varphi^2 underflows to 0, and
+    # the trunc_tanh acceptance ceiling leaves the normal floats
+    ("disorder --varphi 1e-170", None, "varphi"),
+    ("disorder --phi-dist trunc_tanh --a-phi 1e-170", None, "a_phi"),
 ])
 def test_out_of_range_grid_or_count_exits_2(tmp_path, capsys, line, config, field):
     argv = line.split() + ["--outdir", str(tmp_path / "runs")]
@@ -373,6 +380,14 @@ def test_disorder_trunc_tanh_headroom(tmp_path, capsys):
     assert "mc_sin2_phi" in diag and "mc_sin2_phi_stderr" in diag
 
 
+def test_disorder_width_of_the_other_family_is_not_checked(tmp_path, capsys):
+    # each family reads one width; the other one is not range-checked
+    for line in ("--varphi 1e-170 --phi-dist trunc_tanh --a-phi 1", "--a-phi 1e-170"):
+        rc, _, err = run_cli(["disorder"] + line.split() + ["--steps", "2", "--n-samples", "200",
+                                                            "--outdir", str(tmp_path)], capsys)
+        assert rc == 0, err
+
+
 def test_disorder_trunc_tanh_needs_a_phi(tmp_path, capsys):
     rc, _, err = run_cli(["disorder", "--phi-dist", "trunc_tanh",
                           "--outdir", str(tmp_path)], capsys)
@@ -453,6 +468,21 @@ def test_maps_refuses_flags_of_the_other_setup(tmp_path, capsys, line, field):
     assert out == "" and not (tmp_path / "runs").exists()
 
 
+def test_quench_builds_one_engine(tmp_path, capsys, monkeypatch):
+    built = []
+
+    class Counted(spinmaps.ensemble.SpectralAverage):
+        def __init__(self, *args, **kwargs):
+            built.append(args)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(spinmaps.ensemble, "SpectralAverage", Counted)
+    rc, _, _ = run_cli(["quench", "--n-cl", "20", "--window-tj", "5", "--t-eval-tj", "10",
+                        "--outdir", str(tmp_path)], capsys)
+    assert rc == 0
+    assert len(built) == 1
+
+
 def test_quench_quick_random_schedule(tmp_path, capsys):
     rc, out, _ = run_cli(["quench", "--n-cl", "40", "--window-tj", "10",
                           "--t-eval-tj", "20",
@@ -497,3 +527,17 @@ def test_fluct_quick(tmp_path, capsys):
         rows = list(csv.reader(fh))
     assert rows[0] == ["t_over_tj", "delta_lambda3", "delta_tau3"]
     assert len(rows) == 60 * 6 + 2
+
+
+@pytest.mark.parametrize("line", [
+    "--topology ring --n 4 --state neel",
+    "--topology complete --n 3 --state custom --z-list 0.5,-0.5,0 --horizon-tj 40",
+])
+def test_fluct_converges_where_a_deviation_vanishes(tmp_path, capsys, line):
+    # tau3 stays at its steady value 0 up to roundoff: the sup bound of its
+    # deviation must see the eigenpairs at equal gaps cancel
+    rc, out, err = run_cli(["fluct"] + line.split() + ["--outdir", str(tmp_path)], capsys)
+    assert rc == 0, err
+    diag = json.loads((last_run_dir(out) / "diagnostics.json").read_text())
+    assert diag["converged"] and not diag["tau3_normalized"]
+    assert diag["c_tau3"] < 1e-9

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -7,6 +8,8 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from spinmaps.disorder import (
+    MIN_A_PHI,
+    MIN_VARPHI,
     DisorderSpec,
     PairEig,
     SampleStreams,
@@ -57,11 +60,25 @@ def test_spec_validation():
         TANH.varphi
 
 
+def test_width_bounds_sit_where_the_arithmetic_fails():
+    below = math.nextafter(MIN_VARPHI, 0.0)
+    assert MIN_VARPHI ** 2 > 0.0 and below ** 2 == 0.0
+    ceiling = math.tanh(MIN_A_PHI * math.pi / 2.0) ** 2
+    below = math.nextafter(MIN_A_PHI, 0.0)
+    assert ceiling >= sys.float_info.min > math.tanh(below * math.pi / 2.0) ** 2
+    # the closed form holds at the bound: no phase coherence is left
+    spec = DisorderSpec.from_varphi(B=1.0, Omega=1.0, sigma_h=1.0, sigma_omega=1.0,
+                                    varphi=MIN_VARPHI)
+    comps = closedform_disorder_components(spec, 0.5)
+    assert comps["z0z"] == 0.25 * (1.0 - math.cos(1.0) * math.exp(-0.5))
+
+
 def test_trunc_tanh_pdf_normalized_and_supported():
-    for a in (0.01, 1.0, 5.0):
-        integral, err = quad(lambda x: float(trunc_tanh_pdf(x, a)),
-                             -math.pi / 2, math.pi / 2, limit=200)
-        assert abs(integral - 1.0) < 1e-9
+    # the norm pi - (2/a) tanh(a pi/2) cancels at small a
+    for a in (1e-10, 1e-8, 1e-6, 1e-3, 0.01, 1.0, 5.0, 1e3):
+        integral, err = quad(lambda x: float(trunc_tanh_pdf(x, a)), -math.pi / 2, math.pi / 2,
+                             epsabs=1e-14, epsrel=1e-13, limit=200)
+        assert abs(integral - 1.0) < 1e-12, a
     assert trunc_tanh_pdf(2.0, 1.0) == 0.0
     assert trunc_tanh_pdf(-2.0, 1.0) == 0.0
     with pytest.raises(ValueError):

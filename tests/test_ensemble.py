@@ -13,7 +13,6 @@ from spinmaps.ensemble import (
     UnsupportedNetwork,
     converged_fluctuations,
     esym,
-    fluctuations,
     network_average,
     network_series,
     quench_demo,
@@ -320,25 +319,48 @@ def test_steady_channel_validation():
 # ---------------------------------------------------------------------------
 
 
-def synthetic_series(steady, t_j, c0, n_pts=201, t_max_tj=60.0):
-    grid = np.linspace(0.0, t_max_tj * t_j, n_pts)
-    series = np.zeros((n_pts, 4, 4))
-    series[:, 0, 0] = 1.0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        dev = np.where(grid > 0, c0 * t_j / (steady.n * grid), 1.0)
-    series[:, 3, 3] = steady.lambda3 * (1.0 + dev)
-    series[:, 3, 0] = steady.tau3 * (1.0 + dev)
-    return grid, series
+class PlantedEngine:
+    """Stand-in for a SpectralAverage: the running averages `series(t)` at any
+    times, and a zero curvature bound (no sup to certify between points)."""
+
+    def __init__(self, series):
+        self.series = series
+
+    def __call__(self, times):
+        return self.series(np.asarray(times, dtype=float))
+
+    def curvature(self):
+        return np.zeros((4, 4))
+
+
+def planted_engine(lambda3, tau3):
+    """Engine whose (lambda3, tau3) running averages are the given functions of t."""
+    def series(t):
+        out = np.zeros((t.size, 4, 4))
+        out[:, 0, 0] = 1.0
+        out[:, 3, 3] = lambda3(t)
+        out[:, 3, 0] = tau3(t)
+        return out
+    return PlantedEngine(series)
 
 
 def test_fluctuations_fits_the_planted_constant():
     sc = steady_channel(iso("complete", 3), HIER3)
     t_j = t_scale(1.0)
-    grid, series = synthetic_series(sc, t_j, c0=2.5)
-    f = fluctuations(grid, series, sc, t_j, onset=20.0)
+    c0 = 2.5
+
+    def dev(t):
+        with np.errstate(divide="ignore"):
+            return np.where(t > 0, c0 * t_j / (sc.n * t), 1.0)
+
+    engine = planted_engine(lambda t: sc.lambda3 * (1.0 + dev(t)),
+                            lambda t: sc.tau3 * (1.0 + dev(t)))
+    grid = np.linspace(0.0, 60.0 * t_j, 201)
+    f = converged_fluctuations(engine, sc, t_j, grid, onset=20.0)
     assert f.lambda3_normalized and f.tau3_normalized
-    assert abs(f.c_lambda3 - 2.5) < 1e-9
-    assert abs(f.c_tau3 - 2.5) < 1e-9
+    assert abs(f.c_lambda3 - c0) < 1e-9
+    assert abs(f.c_tau3 - c0) < 1e-9
+    assert f.rel_change < 1e-9 and f.sup_gap == 0.0
     # deviations beyond the onset are bounded by C t_J / (N t)
     tail = f.t_over_tj > f.onset
     assert np.all(np.abs(f.delta_lambda3[tail])
@@ -349,21 +371,41 @@ def test_fluctuations_absolute_mode_when_steady_is_zero():
     sc = steady_channel(iso("complete", 3), [0.5, -0.5, 0.0])  # e1 = 0 -> tau3 = 0
     assert sc.tau3_exact == 0
     t_j = t_scale(1.0)
-    grid = np.linspace(0.0, 30.0 * t_j, 301)
-    series = np.zeros((301, 4, 4))
-    series[:, 0, 0] = 1.0
-    series[:, 3, 3] = sc.lambda3
-    series[:, 3, 0] = 0.01
-    f = fluctuations(grid, series, sc, t_j)
+    engine = planted_engine(lambda t: np.full(t.size, sc.lambda3),
+                            lambda t: np.full(t.size, 0.01))
+    f = converged_fluctuations(engine, sc, t_j, np.linspace(0.0, 30.0 * t_j, 301))
     assert not f.tau3_normalized
     assert np.max(np.abs(f.delta_tau3 - 0.01)) < 1e-12
+    # |delta| N t/t_J peaks at the horizon
+    assert abs(f.c_tau3 - 0.01 * sc.n * 30.0) < 1e-12
 
 
 def test_fluctuations_needs_tail_samples():
     sc = steady_channel(iso("complete", 3), HIER3)
+    engine = planted_engine(lambda t: np.zeros(t.size), lambda t: np.zeros(t.size))
     grid = np.linspace(0.0, 5.0, 6)
-    with pytest.raises(ValueError):
-        fluctuations(grid, np.zeros((6, 4, 4)), sc, t_j=1.0, onset=20.0)
+    with pytest.raises(ValueError, match="onset"):
+        converged_fluctuations(engine, sc, 1.0, grid, onset=20.0)
+    with pytest.raises(ValueError, match="t_j"):
+        converged_fluctuations(engine, sc, 0.0, grid, onset=20.0)
+
+
+@pytest.mark.parametrize("topology, z", [("ring", [1, -1, 1, -1]),  # Neel
+                                         ("complete", [0.5, -0.5, 0.0]),  # e1 = 0
+                                         ("complete", [0.2] * 4)])
+def test_curvature_bounds_the_rate_of_change(topology, z):
+    sa = spectral_average(topology, len(z), z)
+    bound = sa.curvature()
+    t = np.linspace(0.0, 20.0 * t_scale(1.0), 8001)
+    dt = t[1] - t[0]
+    rate = np.max(np.abs(np.diff(sa.maps(t), axis=0)), axis=0) / dt
+    # the difference quotient never exceeds the sup of the derivative; the
+    # slack is the roundoff of two maps, divided by the step
+    assert np.all(rate <= bound + 1e-13 / dt)
+    if sum(z) == 0:
+        # symmetric states pin tau3 to 0 at every t: the eigenpairs that share
+        # a gap cancel, and so does the bound
+        assert bound[3, 0] < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -375,42 +417,48 @@ def test_fluctuations_needs_tail_samples():
 QUENCH = NetworkSpec(topology="complete", n=3, h=GENERIC_H_RATIO * 2.0,
                      j_perp=2.0, j_par=2.0)
 POLARIZED = [1.0] * 3
+QUENCH_T_J = t_scale(2.0)
 
 
-def test_quench_single_cluster_contract():
+@pytest.fixture(scope="module")
+def site0():
+    return SpectralAverage(QUENCH, POLARIZED, sites=(0,))
+
+
+def test_quench_single_cluster_contract(site0):
     ev = HermitianEvolver(build_hamiltonian(QUENCH))
     env = [(0.0, 0.0, 1.0)] * 2
     want = transfer_from_unitary(ev.unitary(5.5 - 1.2), 0, env)
-    got = quench_demo(QUENCH, POLARIZED, [1.2], 5.5)
+    got = quench_demo(site0, [1.2], 5.5, QUENCH_T_J)
     assert np.max(np.abs(got - want)) < 1e-12
     # all clusters quenched at the same time degenerate to the same map
     with pytest.warns(UserWarning):
-        same = quench_demo(QUENCH, POLARIZED, [1.2] * 4, 5.5)
+        same = quench_demo(site0, [1.2] * 4, 5.5, QUENCH_T_J)
     assert np.max(np.abs(same - want)) < 1e-12
 
 
-def test_quench_future_switch_is_identity():
-    got = quench_demo(QUENCH, POLARIZED, [3.0], 1.0)
+def test_quench_future_switch_is_identity(site0):
+    got = quench_demo(site0, [3.0], 1.0, QUENCH_T_J)
     assert np.max(np.abs(got - np.eye(4))) < 1e-12
 
 
-def test_quench_schedule_shape_checked():
+def test_quench_schedule_shape_checked(site0):
     with pytest.raises(ValueError):
-        quench_demo(QUENCH, POLARIZED, [], 1.0)
+        quench_demo(site0, [], 1.0, QUENCH_T_J)
     with pytest.raises(ValueError):
-        quench_demo(QUENCH, POLARIZED, [[0.0, 1.0]], 1.0)
+        quench_demo(site0, [[0.0, 1.0]], 1.0, QUENCH_T_J)
 
 
-def test_quench_warns_on_narrow_window():
+def test_quench_warns_on_narrow_window(site0):
     with pytest.warns(UserWarning):
-        quench_demo(QUENCH, POLARIZED, np.linspace(0.0, 0.5, 5), 8.0)
+        quench_demo(site0, np.linspace(0.0, 0.5, 5), 8.0, QUENCH_T_J)
 
 
-def test_quench_average_tracks_time_average():
+def test_quench_average_tracks_time_average(site0):
     # moderate size; the acceptance suite runs the full-size benchmark
-    t_j = t_scale(2.0)
+    t_j = QUENCH_T_J
     # staggered over [0, 50 t_J], evaluated at the last switch-on
-    avg = quench_demo(QUENCH, POLARIZED, np.linspace(0.0, 50.0 * t_j, 200), 50.0 * t_j)
+    avg = quench_demo(site0, np.linspace(0.0, 50.0 * t_j, 200), 50.0 * t_j, t_j)
     # the exact running time average of site 0 in one always-on cluster
-    ref = SpectralAverage(QUENCH, POLARIZED, sites=(0,))([50.0 * t_j])[0]
+    ref = site0([50.0 * t_j])[0]
     assert np.max(np.abs(avg - ref)) < 0.02

@@ -14,7 +14,7 @@ EXPORTS = [
     "choi_check", "choi_matrix", "closed_form", "closedform_disorder_components",
     "converged_fluctuations", "cp_contains", "cp_ok",
     "disorder_components", "eigenvalues_broken", "eigenvalues_pc", "esym",
-    "fit_pc", "fixed_point", "fluctuations", "max_tau3_trunc_tanh",
+    "fit_pc", "fixed_point", "max_tau3_trunc_tanh",
     "mc_disorder_map", "network_average", "network_series", "partial_trace_keep",
     "quench_demo", "ring_params", "sample_pair", "steady_channel", "t_scale",
     "time_average", "time_grid", "trajectory_sample", "transfer_from_unitary",

@@ -284,37 +284,35 @@ def test_trunc_gauss_argument_validation():
 
 
 def test_time_grid_shape():
-    g = time_grid(2.0, 80.0, 25)
+    g = time_grid(80.0, 25)
     assert g.size == 25
-    assert abs(g[0] - 0.2) < 1e-12 and abs(g[-1] - 80.0) < 1e-9
+    assert g[0] == 0.1 and abs(g[-1] - 80.0) < 1e-9
     ratios = g[1:] / g[:-1]
     assert np.max(np.abs(ratios - ratios[0])) < 1e-9
     with pytest.raises(ValueError):
-        time_grid(2.0, 0.1, 10)
+        time_grid(0.1, 10)
 
 
 def test_measure_spec_validation():
-    times = tuple(time_grid(1.0, 30.0, 40))
-    MeasureSpec(mu_lambda3=0.5, mu_tau3=0.2, t_ref=1.0, n=3, times=times)
+    times = tuple(time_grid(30.0, 40))
+    MeasureSpec(mu_lambda3=0.5, mu_tau3=0.2, n=3, times=times)
     with pytest.raises(ValueError):
-        MeasureSpec(0.5, 0.2, t_ref=0.0, n=3, times=times)
+        MeasureSpec(0.5, 0.2, n=0, times=times)
     with pytest.raises(ValueError):
-        MeasureSpec(0.5, 0.2, t_ref=1.0, n=0, times=times)
+        MeasureSpec(0.5, 0.2, n=3, times=times, C=0.0)
     with pytest.raises(ValueError):
-        MeasureSpec(0.5, 0.2, t_ref=1.0, n=3, times=times, C=0.0)
+        MeasureSpec(0.5, 0.2, n=3, times=times, tau3_rule="odd")
     with pytest.raises(ValueError):
-        MeasureSpec(0.5, 0.2, t_ref=1.0, n=3, times=times, tau3_rule="odd")
+        MeasureSpec(0.5, 0.2, n=3, times=())
     with pytest.raises(ValueError):
-        MeasureSpec(0.5, 0.2, t_ref=1.0, n=3, times=())
+        MeasureSpec(0.5, 0.2, n=3, times=(0.01, 1.0))  # before the grid start 0.1
     with pytest.raises(ValueError):
-        MeasureSpec(0.5, 0.2, t_ref=1.0, n=3, times=(0.01, 1.0))  # before t_ref/10
-    with pytest.raises(ValueError):
-        MeasureSpec(0.5, 0.2, t_ref=1.0, n=3, times=(1.0, 1.0))
+        MeasureSpec(0.5, 0.2, n=3, times=(1.0, 1.0))
 
 
 def test_measure_spec_from_steady():
     sc = steady_channel(NetworkSpec("complete", 3), [1.0, 1.0 / 3.0, 2.0 / 3.0])
-    spec = MeasureSpec.from_steady(sc, t_ref=1.0, times=time_grid(1.0, 60.0, 50))
+    spec = MeasureSpec.from_steady(sc, times=time_grid(60.0, 50))
     assert spec.mu_lambda3 == sc.lambda3 and spec.mu_tau3 == sc.tau3
     assert spec.n == 3
     assert abs(spec.sigma(10.0) - (1.0 / 3.0) * 0.1) < 1e-15
@@ -324,7 +322,7 @@ def test_measure_spec_from_steady():
 
 def test_trajectory_deterministic_and_cp():
     sc = steady_channel(NetworkSpec("complete", 3), [1.0, 1.0 / 3.0, 2.0 / 3.0])
-    spec = MeasureSpec.from_steady(sc, t_ref=1.0, times=time_grid(1.0, 60.0, 80))
+    spec = MeasureSpec.from_steady(sc, times=time_grid(60.0, 80))
     a = trajectory_sample(spec, seed=4)
     b = trajectory_sample(spec, seed=4)
     assert a == b
@@ -340,8 +338,7 @@ def test_trajectory_deterministic_and_cp():
 def test_trajectory_signed_rule_pins_tau3_sign():
     sc = steady_channel(NetworkSpec("complete", 3), [1.0, 1.0 / 3.0, 2.0 / 3.0])
     assert sc.tau3 > 0
-    spec = MeasureSpec.from_steady(sc, t_ref=1.0,
-                                   times=time_grid(1.0, 30.0, 60),
+    spec = MeasureSpec.from_steady(sc, times=time_grid(30.0, 60),
                                    tau3_rule="signed")
     for p in trajectory_sample(spec, seed=9):
         assert p.tau3 >= 0.0
