@@ -14,6 +14,9 @@ Families covered, all against diagonal (Bloch-z) environments:
 - closed_form: the transfer matrix of any NetworkSpec that a family above
   covers; the families' own checks raise UnsupportedNetwork for the rest.
 
+cc_params, ring_params and closed_form take a time or an array of times t,
+one code path for both; closed_form loops the XX pair, built per time, over t.
+
 Environment convention of cc_params and ring_params: env_z[k] is the
 polarization of site (focal + 1 + k) mod N, i.e. the non-focal sites listed
 cyclically after the focal one. The complete graph is permutation symmetric
@@ -44,10 +47,6 @@ from .network import NetworkSpec, isotropic
 from .reduced import PCParams
 
 
-def _wrap_angle(x: float) -> float:
-    return math.atan2(math.sin(x), math.cos(x))
-
-
 def _check_env(env_z, n: int):
     env = [float(v) for v in env_z]
     if len(env) != n - 1:
@@ -59,9 +58,9 @@ def _check_env(env_z, n: int):
 
 
 def _assemble(lam3, tau3, alpha, beta, h, t):
-    theta = _wrap_angle(2.0 * h * t + math.atan2(beta, alpha))
-    return PCParams(lambda1=math.hypot(alpha, beta), theta=theta,
-                    lambda3=float(lam3), tau3=float(tau3))
+    phase = 2.0 * h * t + np.arctan2(beta, alpha)
+    return PCParams(lambda1=np.hypot(alpha, beta), theta=np.arctan2(np.sin(phase), np.cos(phase)),
+                    lambda3=lam3, tau3=tau3)
 
 
 # ---------------------------------------------------------------------------
@@ -72,25 +71,25 @@ def _assemble(lam3, tau3, alpha, beta, h, t):
 def _cc3(t, jp, jz, env):
     e1 = esym(env, 1)
     pz = esym(env, 2)
-    c3 = math.cos(3.0 * jp * t)
+    c3 = np.cos(3.0 * jp * t)
     lam3 = (5.0 + 4.0 * c3) / 9.0
     tau3 = (2.0 / 9.0) * e1 * (1.0 - c3)
     wa = (2.0 * jz - 2.0 * jp) * t
     wb = (2.0 * jz + jp) * t
     alpha = ((1.0 - pz) * (7.0 + 2.0 * c3)
-             + (1.0 + pz) * (3.0 * math.cos(wa) + 6.0 * math.cos(wb))) / 18.0
-    beta = e1 * (3.0 * math.sin(wa) + 6.0 * math.sin(wb)) / 18.0
+             + (1.0 + pz) * (3.0 * np.cos(wa) + 6.0 * np.cos(wb))) / 18.0
+    beta = e1 * (3.0 * np.sin(wa) + 6.0 * np.sin(wb)) / 18.0
     return lam3, tau3, alpha, beta
 
 
 def _cc4(t, jp, jz, env):
     e1, e2, e3 = (esym(env, k) for k in (1, 2, 3))
-    c2, c4 = math.cos(2.0 * jp * t), math.cos(4.0 * jp * t)
+    c2, c4 = np.cos(2.0 * jp * t), np.cos(4.0 * jp * t)
     lam3 = (7 / 16 + c2 / 4 + 5 * c4 / 16) + (1 / 16 - c2 / 12 + c4 / 48) * e2
     tau3 = (3 / 16 - c2 / 12 - 5 * c4 / 48) * e1 - (3 / 16 - c2 / 4 + c4 / 16) * e3
     # Oscillations of the transverse sector.
-    w = np.array([3 * (jp - jz), jp + 3 * jz, jp - jz,
-                  3 * jp + jz, 5 * jp - jz, jp + jz]) * t
+    w = np.multiply.outer([3 * (jp - jz), jp + 3 * jz, jp - jz,
+                           3 * jp + jz, 5 * jp - jz, jp + jz], t)
     cw, sw = np.cos(w), np.sin(w)
     a0 = (cw[0] / 16 + 3 * cw[1] / 16 + 3 * cw[2] / 8
           + 3 * cw[3] / 32 + cw[4] / 32 + cw[5] / 4)
@@ -105,12 +104,12 @@ def _cc4(t, jp, jz, env):
 
 def _cc5(t, jp, jz, env):
     e1, e2, e3, e4 = (esym(env, k) for k in (1, 2, 3, 4))
-    c3, c5 = math.cos(3.0 * jp * t), math.cos(5.0 * jp * t)
+    c3, c5 = np.cos(3.0 * jp * t), np.cos(5.0 * jp * t)
     lam3 = (7 / 15 + c3 / 3 + c5 / 5) + (8 / 225 - c3 / 18 + c5 / 50) * e2
     tau3 = ((2 / 15 - c3 / 12 - c5 / 20) * e1
             - (4 / 75 - c3 / 12 + 3 * c5 / 100) * e3)
-    w = np.array([3 * jp + 2 * jz, 4 * (jp - jz), 7 * jp - 2 * jz,
-                  2 * (jp - jz), jp + 2 * jz, jp + 4 * jz]) * t
+    w = np.multiply.outer([3 * jp + 2 * jz, 4 * (jp - jz), 7 * jp - 2 * jz,
+                           2 * (jp - jz), jp + 2 * jz, jp + 4 * jz], t)
     cw, sw = np.cos(w), np.sin(w)
     a0 = (157 / 600 + c3 / 12 + 3 * c5 / 100 + 3 * cw[0] / 50 + cw[1] / 40
           + cw[2] / 100 + 9 * cw[3] / 50 + cw[4] / 4 + cw[5] / 10)
@@ -145,20 +144,18 @@ _CC6_B = np.array([
 
 def _cc6(t, jp, jz, env):
     e1, e2, e3, e4, e5 = (esym(env, k) for k in (1, 2, 3, 4, 5))
-    c2 = math.cos(2.0 * jp * t)
-    c4 = math.cos(4.0 * jp * t)
-    c6 = math.cos(6.0 * jp * t)
+    c2, c4, c6 = np.cos(np.multiply.outer([2.0 * jp, 4.0 * jp, 6.0 * jp], t))
     lam3 = ((59 / 144 + 5 * c2 / 32 + 5 * c4 / 16 + 35 * c6 / 288)
             + (1 / 24 - c2 / 32 - c4 / 40 + 7 * c6 / 480) * e2
             - (1 / 48 - c2 / 32 + c4 / 80 - c6 / 480) * e4)
     tau3 = ((17 / 144 - c2 / 32 - c4 / 16 - 7 * c6 / 288) * e1
             - (1 / 24 - c2 / 32 - c4 / 40 + 7 * c6 / 480) * e3
             + (5 / 48 - 5 * c2 / 32 + c4 / 16 - c6 / 96) * e5)
-    w = np.array([jp + 5 * jz, 5 * (jp - jz), jp + 3 * jz, 3 * (jp - jz),
-                  9 * jp - 3 * jz, 5 * jp + jz, 3 * jp + jz, jp + jz,
-                  jp - jz, 5 * jp - jz, 7 * jp - jz, 3 * (jp + jz)]) * t
-    ca = _CC6_A @ np.cos(w)
-    sb = _CC6_B @ np.sin(w)
+    w = np.multiply.outer([jp + 5 * jz, 5 * (jp - jz), jp + 3 * jz, 3 * (jp - jz),
+                           9 * jp - 3 * jz, 5 * jp + jz, 3 * jp + jz, jp + jz,
+                           jp - jz, 5 * jp - jz, 7 * jp - jz, 3 * (jp + jz)], t)
+    ca = np.tensordot(_CC6_A, np.cos(w), axes=1)
+    sb = np.tensordot(_CC6_B, np.sin(w), axes=1)
     alpha = ca[0] + ca[1] * e2 + ca[2] * e4
     beta = sb[0] * e1 + sb[1] * e3 + sb[2] * e5
     return lam3, tau3, alpha, beta
@@ -167,9 +164,8 @@ def _cc6(t, jp, jz, env):
 _CC_EVALUATORS = {3: _cc3, 4: _cc4, 5: _cc5, 6: _cc6}
 
 
-def cc_params(n: int, t: float, j_perp: float, j_par: float, h: float,
-              env_z) -> PCParams:
-    """Closed-form channel of the complete graph, N = 3..6.
+def cc_params(n: int, t, j_perp: float, j_par: float, h: float, env_z) -> PCParams:
+    """Closed-form channel of the complete graph, N = 3..6; fields of t's shape.
 
     env_z lists the N-1 non-focal polarizations; the result only depends on
     their symmetric functions, so their order does not matter here.
@@ -177,6 +173,7 @@ def cc_params(n: int, t: float, j_perp: float, j_par: float, h: float,
     if n not in _CC_EVALUATORS:
         raise UnsupportedNetwork(f"no closed form for complete N={n}")
     env = _check_env(env_z, n)
+    t = np.asarray(t, dtype=float)
     lam3, tau3, alpha, beta = _CC_EVALUATORS[n](t, j_perp, j_par, env)
     return _assemble(lam3, tau3, alpha, beta, h, t)
 
@@ -189,9 +186,9 @@ def cc_params(n: int, t: float, j_perp: float, j_par: float, h: float,
 def _ring4_l3t3(t, jp, jz, env):
     s1, s2, s3 = env
     jx = math.sqrt(jz * jz + 8.0 * jp * jp)
-    c2, c4 = math.cos(2.0 * jp * t), math.cos(4.0 * jp * t)
-    cc = math.cos(jz * t) * math.cos(jx * t)
-    ss = 0.0 if jx == 0.0 else (jz / jx) * math.sin(jz * t) * math.sin(jx * t)
+    c2, c4 = np.cos(2.0 * jp * t), np.cos(4.0 * jp * t)
+    cc = np.cos(jz * t) * np.cos(jx * t)
+    ss = 0.0 if jx == 0.0 else (jz / jx) * np.sin(jz * t) * np.sin(jx * t)
     lam3 = ((7 / 16 + c2 / 4 + c4 / 16 + cc / 4 + ss / 4)
             + (1 / 16 + c4 / 16 - cc / 8 - ss / 8) * (s1 * s2 + s2 * s3)
             - (3 / 16 - c2 / 4 + c4 / 16) * (s1 * s3))
@@ -286,30 +283,23 @@ _RING4_AB_ROWS = (
     ("b", "s1s2s3", 2, 1, 1, "-3/64", "1/64", "1/8"),
 )
 
-_RING4_AB = tuple(
-    (kind, mono, float(m1), float(m2), float(m3),
-     float(Fraction(r0)), float(Fraction(r1)), float(Fraction(r2)))
-    for kind, mono, m1, m2, m3, r0, r1, r2 in _RING4_AB_ROWS
-)
+_RING4_MONOMIALS = ("1", "s1s2", "s2s3", "s1s3", "s1", "s2", "s3", "s1s2s3")
+_RING4_IS_ALPHA = np.array([row[0] == "a" for row in _RING4_AB_ROWS])
+_RING4_MONO = np.array([_RING4_MONOMIALS.index(row[1]) for row in _RING4_AB_ROWS])
+_RING4_FREQ = np.array([row[2:5] for row in _RING4_AB_ROWS], dtype=float)
+_RING4_COEF = np.array([[float(Fraction(r)) for r in row[5:]] for row in _RING4_AB_ROWS])
 
 
 def _ring4_ab(t, jp, jz, env):
     s1, s2, s3 = env
     jx = math.sqrt(jz * jz + 8.0 * jp * jp)
     if jx == 0.0:
-        return 1.0, 0.0  # free precession only
-    u, v = jz / jx, jp / jx
-    mono_a = {"1": 1.0, "s1s2": s1 * s2, "s2s3": s2 * s3, "s1s3": s1 * s3}
-    mono_b = {"s1": s1, "s2": s2, "s3": s3, "s1s2s3": s1 * s2 * s3}
-    alpha = beta = 0.0
-    for kind, mono, m1, m2, m3, r0, r1, r2 in _RING4_AB:
-        w = m1 * jp + m2 * jz + m3 * jx
-        coef = r0 + r1 * u + r2 * v
-        if kind == "a":
-            alpha += coef * math.cos(w * t) * mono_a[mono]
-        else:
-            beta += coef * math.sin(w * t) * mono_b[mono]
-    return alpha, beta
+        return np.ones_like(t), np.zeros_like(t)  # free precession only
+    monomials = np.array([1.0, s1 * s2, s2 * s3, s1 * s3, s1, s2, s3, s1 * s2 * s3])
+    weights = (_RING4_COEF @ [1.0, jz / jx, jp / jx]) * monomials[_RING4_MONO]
+    phases = np.multiply.outer(_RING4_FREQ @ [jp, jz, jx], t)
+    return (np.tensordot(weights[_RING4_IS_ALPHA], np.cos(phases[_RING4_IS_ALPHA]), axes=1),
+            np.tensordot(weights[~_RING4_IS_ALPHA], np.sin(phases[~_RING4_IS_ALPHA]), axes=1))
 
 
 # Ring N=5 at the isotropic point: all oscillations live at eight fixed
@@ -350,11 +340,11 @@ _RING5_TZ0ZZ = (-1 / 90, np.array([
 
 def _ring5_l3t3(t, jp, env):
     s1, s2, s3, s4 = env
-    cw = np.cos(_RING5_FREQ * (jp * t))
+    cw = np.cos(np.multiply.outer(_RING5_FREQ, jp * t))
 
     def ev(part):
         const, coefs = part
-        return const + float(coefs @ cw)
+        return const + np.tensordot(coefs, cw, axes=1)
 
     lam3 = (ev(_RING5_L0000)
             + ev(_RING5_LZZ00) * (s1 * s2 + s3 * s4)
@@ -368,15 +358,15 @@ def _ring5_l3t3(t, jp, env):
     return lam3, tau3
 
 
-def ring_params(n: int, t: float, j_perp: float, j_par: float, h: float,
-                env_z) -> PCParams:
-    """Closed-form channel of the ring: N=4, and N=5 at the isotropic point.
+def ring_params(n: int, t, j_perp: float, j_par: float, h: float, env_z) -> PCParams:
+    """Closed-form channel of the ring (N=4; N=5 isotropic); fields of t's shape.
 
     env_z[k] is the polarization of ring site (focal + 1 + k) mod N; the
     order matters. For N=5 only the z sector is known in closed form, so
     lambda1 and theta come back NaN.
     """
     env = _check_env(env_z, n)
+    t = np.asarray(t, dtype=float)
     if n == 4:
         lam3, tau3 = _ring4_l3t3(t, j_perp, j_par, env)
         alpha, beta = _ring4_ab(t, j_perp, j_par, env)
@@ -385,8 +375,7 @@ def ring_params(n: int, t: float, j_perp: float, j_par: float, h: float,
         if not isotropic(j_perp, j_par):
             raise UnsupportedNetwork("ring N=5 closed form needs J_par = J_perp")
         lam3, tau3 = _ring5_l3t3(t, j_perp, env)
-        return PCParams(lambda1=float("nan"), theta=float("nan"),
-                        lambda3=float(lam3), tau3=float(tau3))
+        return _assemble(lam3, tau3, *np.full((2,) + t.shape, np.nan), h, t)  # alpha, beta open
     raise UnsupportedNetwork(f"no closed form for (ring, N={n})")
 
 
@@ -534,24 +523,27 @@ def xx_reduced_map(t: float, pair_params, env_bloch, which: int = 1) -> np.ndarr
 # ---------------------------------------------------------------------------
 
 
-def closed_form(spec: NetworkSpec, site: int, env_blochs, t: float) -> np.ndarray:
-    """Closed-form 4x4 transfer of `site` at time t, NaN where the family
-    leaves an entry open.
+def closed_form(spec: NetworkSpec, site: int, env_blochs, t) -> np.ndarray:
+    """Closed-form transfer of `site`, shape np.shape(t) + (4, 4) for a time
+    or an array of times t, NaN where the family leaves an entry open.
 
     Takes MapExtractor's arguments: the partners' Bloch vectors in ascending
     site order, the focal site skipped. The complete graph and the 3-ring go
-    to cc_params, other rings to ring_params (diagonal partners only), and
-    xx_pairs to xx_reduced_map of the site's pair. A network that no family
-    covers raises UnsupportedNetwork.
+    to cc_params, other rings to ring_params (diagonal partners only), one
+    call for all of t; xx_pairs go to xx_reduced_map of the site's pair, one
+    call per time. A network that no family covers raises UnsupportedNetwork.
     """
     env = list(env_blochs)
     if len(env) != spec.n - 1:
         raise ValueError(f"need {spec.n - 1} partner Bloch vectors, got {len(env)}")
+    if not 0 <= site < spec.n:
+        raise ValueError(f"site must be in 0..{spec.n - 1}, got {site}")
     if spec.topology == "xx_pairs":
         pair = spec.pairs[site // 2]
         eig = xx_eigenparams(pair.h1, pair.h2, pair.j)
         # the partner is env[site] for an even site and env[site - 1] for an odd one
-        return xx_reduced_map(t, eig, env[site - site % 2], which=site % 2 + 1)
+        return np.reshape([xx_reduced_map(tk, eig, env[site - site % 2], which=site % 2 + 1)
+                           for tk in np.ravel(t)], np.shape(t) + (4, 4))
     if any(b[0] or b[1] for b in env):
         raise ValueError("the XXZ closed forms need diagonal partners (x = y = 0)")
     params = cc_params if spec.family == "complete" else ring_params

@@ -140,6 +140,14 @@ def _uniform_grid(t_j: float, t_max_tj: float, points_per_tj: float):
     return np.linspace(0.0, t_max_tj * t_j, n_pts)
 
 
+def _horizon_grid(cfg: dict, t_j: float):
+    """The grid to horizon_tj that steady and fluct average over: 2 points at least."""
+    times = _uniform_grid(t_j, cfg["horizon_tj"], cfg["points_per_tj"])
+    if times.size < 2:
+        raise ConfigError(f"horizon_tj: must exceed half a grid step, got {cfg['horizon_tj']}")
+    return times
+
+
 def _network(cfg: dict, topology: str | None = None) -> network.NetworkSpec:
     """The NetworkSpec of the run's XXZ network.
 
@@ -171,14 +179,13 @@ def _steady(cfg: dict, spec: network.NetworkSpec):
 # maps
 # ---------------------------------------------------------------------------
 
-def cmd_maps(cfg: dict) -> RunOutput:
+def cmd_maps(cfg: dict, defaults: dict) -> RunOutput:
     # what only the other setup reads keeps its built-in (not --config) default
     pair = cfg["topology"] == "xx_pairs"
-    defaults = build_parser().commands["maps"]
     unread = ("n", "h", "j_perp", "j_par", "state", "z", "z_list") if pair else (
         "h1", "h2", "j", "x2", "y2", "z2")
     for name in unread:
-        if cfg[name] != defaults.get_default(name):
+        if cfg[name] != defaults[name]:
             raise ConfigError(f"{name}: not read with --topology {cfg['topology']}")
     if pair:
         if cfg["z2"] is None:
@@ -202,16 +209,23 @@ def cmd_maps(cfg: dict) -> RunOutput:
     times = _uniform_grid(t_j, cfg["t_max_tj"], cfg["points_per_tj"])
     h_mat = network.build_hamiltonian(spec)
     extractors = {s: reduced.MapExtractor(h_mat, s, env) for s, env in envs.items()}
+    try:
+        oracle = {s: analytic.closed_form(spec, s, env, times) for s, env in envs.items()}
+        analytic_reason = None
+    except ensemble.UnsupportedNetwork as exc:
+        oracle, analytic_reason = None, str(exc)
+        print(f"warning: running numeric-only ({analytic_reason})", file=sys.stderr)
 
     rows = []
     max_resid = 0.0
     analytic_err = 0.0
-    analytic_reason = None
-    for t in times:
+    for k, t in enumerate(times):
         per_site = []
         for s, extractor in extractors.items():
             tr = extractor.transfer(t)
             per_site.append(tr)
+            if oracle is not None:
+                analytic_err = max(analytic_err, float(np.nanmax(np.abs(oracle[s][k] - tr))))
             p = reduced.fit_pc(tr)
             max_resid = max(max_resid, p.residual)
             if not reduced.cp_ok(p.lambda1, p.tau3, p.lambda3, tol=1e-9):
@@ -220,15 +234,6 @@ def cmd_maps(cfg: dict) -> RunOutput:
                     f"(l1={p.lambda1}, tau3={p.tau3}, l3={p.lambda3})")
             rows.append((_fmt(t / t_j), str(s), _fmt(p.lambda1), _fmt(p.theta),
                          _fmt(p.lambda3), _fmt(p.tau3), _fmt(p.residual)))
-            if analytic_reason is None:
-                try:
-                    ana = analytic.closed_form(spec, s, envs[s], t)
-                except ensemble.UnsupportedNetwork as exc:
-                    analytic_reason = str(exc)
-                else:
-                    mask = ~np.isnan(ana)
-                    analytic_err = max(analytic_err,
-                                       float(np.abs(ana - tr)[mask].max()))
         avg = ensemble.network_average(per_site)
         pa = reduced.fit_pc(avg)
         if not reduced.cp_ok(pa.lambda1, pa.tau3, pa.lambda3, tol=1e-9):
@@ -236,8 +241,6 @@ def cmd_maps(cfg: dict) -> RunOutput:
         rows.append((_fmt(t / t_j), "avg", _fmt(pa.lambda1), _fmt(pa.theta),
                      _fmt(pa.lambda3), _fmt(pa.tau3), _fmt(pa.residual)))
 
-    if analytic_reason is not None:
-        print(f"warning: running numeric-only ({analytic_reason})", file=sys.stderr)
     header = ("t_over_tj", "site", "lambda1", "theta", "lambda3", "tau3", "residual")
     return RunOutput({"data.csv": (header, rows)}, {
         "phase_covariant": bool(max_resid < 1e-8),
@@ -257,7 +260,7 @@ def cmd_steady(cfg: dict) -> RunOutput:
     z, steady = _steady(cfg, spec)
     fixed = reduced.fixed_point(reduced.PCParams(0.0, 0.0, steady.lambda3, steady.tau3))
     t_j = network.t_scale(spec.j_perp)
-    times = _uniform_grid(t_j, cfg["horizon_tj"], cfg["points_per_tj"])
+    times = _horizon_grid(cfg, t_j)
     running = ensemble.time_average(times, ensemble.network_series(spec, z, times))
 
     num_l3 = float(running[-1, 3, 3])
@@ -301,7 +304,9 @@ def cmd_fluct(cfg: dict) -> RunOutput:
     spec = _network(cfg)
     z, steady = _steady(cfg, spec)
     t_j = network.t_scale(spec.j_perp)
-    times = _uniform_grid(t_j, cfg["horizon_tj"], cfg["points_per_tj"])
+    times = _horizon_grid(cfg, t_j)
+    if not np.any(times / t_j > cfg["onset_tj"]):  # converged_fluctuations' own test
+        raise ConfigError(f"onset_tj: must be below horizon_tj, got {cfg['onset_tj']}")
     series = ensemble.converged_fluctuations(ensemble.SpectralAverage(spec, z), steady, t_j,
                                              times, onset=cfg["onset_tj"])
     rtol = ensemble.FLUCT_RTOL
@@ -533,7 +538,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     # ring + J_par = J_perp is the reference figure setup; the 3-ring is the
     # 3-clique, so the N=3 default reproduces the complete-graph series too.
-    sp = _add_command(sub, "maps", cmd_maps, "per-site map parameter time series")
+    sp = _add_command(sub, "maps", None, "per-site map parameter time series")
     _add_network_flags(sp, n=3, state="hierarchy", topology="ring")
     sp.add_argument("--h1", type=float, default=1.0)
     sp.add_argument("--h2", type=float, default=0.5)
@@ -543,6 +548,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--z2", type=float)
     sp.add_argument("--t-max-tj", dest="t_max_tj", type=float, default=10.0)
     sp.add_argument("--points-per-tj", dest="points_per_tj", type=float, default=20)
+    # the built-in defaults, read before a --config file replaces the parser's own
+    builtin = {action.dest: action.default for action in sp._actions}
+    sp.set_defaults(func=lambda cfg: cmd_maps(cfg, builtin))
 
     sp = _add_command(sub, "steady", cmd_steady, "long-time averages vs exact tables")
     _add_network_flags(sp, n=3, state="hierarchy", topology="complete")
@@ -622,6 +630,8 @@ _FIELD_CHECKS = (
     # one dense 2^16 register matrix is already 64 GiB
     (("n",), lambda v: v <= 16, "must be at most 16"),
     (("scatter_samples", "seed"), lambda v: v >= 0, "must be >= 0"),
+    # a partner's polarization, with the 1e-12 slack of analytic.xx_reduced_map's norm test
+    (("z2",), lambda v: v is None or v * v <= 1.0 + 1e-12, "must be in [-1, 1]"),
     (("samples",), lambda v: v >= measure.MIN_VOLUME_SAMPLES,
      f"must be at least {measure.MIN_VOLUME_SAMPLES}"),
     (("n_samples",), lambda v: v >= disorder.MIN_SAMPLES,
@@ -698,9 +708,6 @@ def main(argv=None) -> int:
                 writer.writerow(header)
                 writer.writerows(rows)
         _write_json(out / "diagnostics.json", result.diagnostics)
-    except (ConfigError, json.JSONDecodeError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except MemoryError as exc:
         print(f"config error: out of memory: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -713,7 +720,7 @@ def main(argv=None) -> int:
     except qlinalg.NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
-    except ValueError as exc:
+    except ValueError as exc:  # ConfigError, invalid JSON and the library's input checks
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     print(out)

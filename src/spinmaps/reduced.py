@@ -38,7 +38,8 @@ from .qlinalg import (
 
 @dataclass(frozen=True)
 class PCParams:
-    """Phase-covariant channel parameters plus the off-pattern residual."""
+    """Phase-covariant channel parameters plus the off-pattern residual. The
+    parameters are floats, or equal-shape arrays for a channel per time."""
 
     lambda1: float
     theta: float
@@ -47,15 +48,14 @@ class PCParams:
     residual: float = 0.0
 
     def transfer(self) -> np.ndarray:
+        """The transfer matrix, shape (..., 4, 4) for parameters of shape (...)."""
         c, s = self.lambda1 * np.cos(self.theta), self.lambda1 * np.sin(self.theta)
-        return np.array(
-            [
-                [1.0, 0.0, 0.0, 0.0],
-                [0.0, c, -s, 0.0],
-                [0.0, s, c, 0.0],
-                [self.tau3, 0.0, 0.0, self.lambda3],
-            ]
-        )
+        m = np.zeros(np.shape(c) + (4, 4))
+        m[..., 0, 0] = 1.0
+        m[..., 1, 1] = m[..., 2, 2] = c
+        m[..., 1, 2], m[..., 2, 1] = -s, s
+        m[..., 3, 0], m[..., 3, 3] = self.tau3, self.lambda3
+        return m
 
 
 @dataclass(frozen=True)

@@ -99,6 +99,11 @@ def test_ring_params_rejections():
         closed_form(xx, 0, [(0.0, 0.0, 1.0), (0.3, 0.0, 0.5)], 1.0)
     with pytest.raises(ValueError):
         cc_params(3, 1.0, 1.0, 0.5, 0.0, [0.0, 0.0, 0.0])  # env length
+    # a site outside the network, not an index that wraps or overruns
+    two_pairs = NetworkSpec("xx_pairs", 4, pairs=(PairSpec(1.0, 0.5, 1.0),) * 2)
+    for spec, site in ((two_pairs, -1), (two_pairs, 4), (NetworkSpec("complete", 4), 7)):
+        with pytest.raises(ValueError, match=rf"0\.\.{spec.n - 1}, got {site}"):
+            closed_form(spec, site, [(0.0, 0.0, 0.5)] * (spec.n - 1), 1.0)
 
 
 @given(st.lists(unit_floats, min_size=2, max_size=2), times)
@@ -204,6 +209,29 @@ def test_closed_form_matches_dense_on_xx_pairs():
         ex = MapExtractor(hm, focal, env)
         for t in (0.0, 0.8, 2.9):
             assert np.max(np.abs(closed_form(spec, focal, env, t) - ex.transfer(t))) < 1e-12
+
+
+@pytest.mark.parametrize("spec", [
+    *(NetworkSpec("complete", n, h=0.31, j_perp=1.0, j_par=0.45) for n in (3, 4, 5, 6)),
+    NetworkSpec("ring", 4, h=0.23, j_perp=1.0, j_par=-0.6),
+    NetworkSpec("ring", 5, h=0.23, j_perp=1.0, j_par=1.0),  # NaN transverse sector
+    NetworkSpec("xx_pairs", 4, pairs=(PairSpec(1.0, 0.4, 0.8), PairSpec(-0.3, 0.9, 1.1))),
+], ids=lambda spec: f"{spec.topology}{spec.n}")
+def test_closed_form_over_a_grid_stacks_pointwise_calls(spec):
+    grid = np.linspace(0.0, 40.0, 33)
+    if spec.topology == "xx_pairs":  # every partner transverse
+        blochs = [(0.3, 0.1, -0.6), (-0.5, 0.4, 0.2), (0.1, -0.7, 0.5), (0.6, 0.2, -0.3)]
+    else:
+        blochs = [(0.0, 0.0, z) for z in RNG.uniform(-1, 1, spec.n)]
+    for focal in range(spec.n):
+        env = [b for s, b in enumerate(blochs) if s != focal]
+        maps = closed_form(spec, focal, env, grid)
+        assert maps.shape == (grid.size, 4, 4)
+        points = [closed_form(spec, focal, env, t) for t in grid]
+        assert all(m.shape == (4, 4) for m in points)
+        assert np.array_equal(np.isnan(maps), np.isnan(points))
+        assert np.nanmax(np.abs(maps - points)) < 1e-13
+        assert closed_form(spec, focal, env, grid.reshape(3, 11)).shape == (3, 11, 4, 4)
 
 
 def test_xx_full_transfer_matches_dense_two_qubit():

@@ -90,6 +90,11 @@ def test_readme_library_example_runs(capsys):
     # the trunc_tanh acceptance ceiling leaves the normal floats
     ("disorder --varphi 1e-170", None, "varphi"),
     ("disorder --phi-dist trunc_tanh --a-phi 1e-170", None, "a_phi"),
+    # the library's own checks, named by the option that fails them
+    ("disorder --z2 2", None, "z2"),
+    ("steady --horizon-tj 0", None, "horizon_tj"),
+    ("fluct --horizon-tj 0", None, "horizon_tj"),
+    ("fluct --onset-tj 300 --horizon-tj 100", None, "onset_tj"),
 ])
 def test_out_of_range_grid_or_count_exits_2(tmp_path, capsys, line, config, field):
     argv = line.split() + ["--outdir", str(tmp_path / "runs")]
