@@ -194,7 +194,7 @@ def cmd_maps(cfg: dict, defaults: dict) -> RunOutput:
             cfg["z2"] = math.sqrt(max(1.0 - planar, 0.0))
         partner = (cfg["x2"], cfg["y2"], cfg["z2"])
         if math.hypot(math.hypot(*partner[:2]), partner[2]) > 1.0 + 1e-12:
-            raise ConfigError("state: partner Bloch vector longer than 1")
+            raise ConfigError("x2: partner Bloch vector (x2, y2, z2) longer than 1")
         spec = network.NetworkSpec(
             topology="xx_pairs", n=2,
             pairs=(network.PairSpec(h1=cfg["h1"], h2=cfg["h2"], j=cfg["j"]),))
@@ -208,44 +208,44 @@ def cmd_maps(cfg: dict, defaults: dict) -> RunOutput:
 
     times = _uniform_grid(t_j, cfg["t_max_tj"], cfg["points_per_tj"])
     h_mat = network.build_hamiltonian(spec)
-    extractors = {s: reduced.MapExtractor(h_mat, s, env) for s, env in envs.items()}
+    extractors = [reduced.MapExtractor(h_mat, s, env) for s, env in envs.items()]
     try:
-        oracle = {s: analytic.closed_form(spec, s, env, times) for s, env in envs.items()}
+        oracle = np.stack([analytic.closed_form(spec, s, env, times) for s, env in envs.items()])
         analytic_reason = None
     except ensemble.UnsupportedNetwork as exc:
         oracle, analytic_reason = None, str(exc)
         print(f"warning: running numeric-only ({analytic_reason})", file=sys.stderr)
 
-    rows = []
-    max_resid = 0.0
-    analytic_err = 0.0
+    # maps[i, k]: site i at times[k]; the last row is their network average
+    maps = np.empty((len(extractors) + 1, times.size, 4, 4))
     for k, t in enumerate(times):
-        per_site = []
-        for s, extractor in extractors.items():
-            tr = extractor.transfer(t)
-            per_site.append(tr)
-            if oracle is not None:
-                analytic_err = max(analytic_err, float(np.nanmax(np.abs(oracle[s][k] - tr))))
-            p = reduced.fit_pc(tr)
-            max_resid = max(max_resid, p.residual)
-            if not reduced.cp_ok(p.lambda1, p.tau3, p.lambda3, tol=1e-9):
-                raise InvariantError(
-                    f"CP violation at t={t/t_j:.3f} t_J, site {s}: "
-                    f"(l1={p.lambda1}, tau3={p.tau3}, l3={p.lambda3})")
-            rows.append((_fmt(t / t_j), str(s), _fmt(p.lambda1), _fmt(p.theta),
-                         _fmt(p.lambda3), _fmt(p.tau3), _fmt(p.residual)))
-        avg = ensemble.network_average(per_site)
-        pa = reduced.fit_pc(avg)
-        if not reduced.cp_ok(pa.lambda1, pa.tau3, pa.lambda3, tol=1e-9):
-            raise InvariantError(f"CP violation in network average at t={t/t_j:.3f} t_J")
-        rows.append((_fmt(t / t_j), "avg", _fmt(pa.lambda1), _fmt(pa.theta),
-                     _fmt(pa.lambda3), _fmt(pa.tau3), _fmt(pa.residual)))
+        for i, extractor in enumerate(extractors):
+            maps[i, k] = extractor.transfer(t)
+    maps[-1] = ensemble.network_average(maps[:-1])
+    p = reduced.fit_pc(maps)
+    labels = [str(s) for s in envs] + ["avg"]
+    bad = np.argwhere(~reduced.cp_ok(p.lambda1, p.tau3, p.lambda3, tol=1e-9).T)
+    if bad.size:  # the first failure in row order: by time, sites before the average
+        k, i = bad[0]
+        at = f"t={times[k] / t_j:.3f} t_J"
+        if labels[i] == "avg":
+            raise InvariantError(f"CP violation in network average at {at}")
+        raise InvariantError(
+            f"CP violation at {at}, site {labels[i]}: (l1={float(p.lambda1[i, k])}, "
+            f"tau3={float(p.tau3[i, k])}, l3={float(p.lambda3[i, k])})")
+
+    columns = [c.T.tolist() for c in (p.lambda1, p.theta, p.lambda3, p.tau3, p.residual)]
+    rows = [(_fmt(t / t_j), label, *(_fmt(c[k][i]) for c in columns))
+            for k, t in enumerate(times) for i, label in enumerate(labels)]
+    max_resid = float(p.residual[:-1].max())
+    analytic_check = None if oracle is None else {
+        "max_abs_err": float(np.nanmax(np.abs(oracle - maps[:-1])))}
 
     header = ("t_over_tj", "site", "lambda1", "theta", "lambda3", "tau3", "residual")
     return RunOutput({"data.csv": (header, rows)}, {
         "phase_covariant": bool(max_resid < 1e-8),
         "max_residual": max_resid,
-        "analytic_check": None if analytic_reason else {"max_abs_err": analytic_err},
+        "analytic_check": analytic_check,
         "analytic_skip_reason": analytic_reason,
         "t_j": t_j,
     })
@@ -261,17 +261,16 @@ def cmd_steady(cfg: dict) -> RunOutput:
     fixed = reduced.fixed_point(reduced.PCParams(0.0, 0.0, steady.lambda3, steady.tau3))
     t_j = network.t_scale(spec.j_perp)
     times = _horizon_grid(cfg, t_j)
-    running = ensemble.time_average(times, ensemble.network_series(spec, z, times))
+    series = ensemble.network_series(spec, z, times)
+    running = reduced.fit_pc(ensemble.time_average(times, series))
+    l3s, t3s, l1s = running.lambda3.tolist(), running.tau3.tolist(), running.lambda1.tolist()
 
-    num_l3 = float(running[-1, 3, 3])
-    num_t3 = float(running[-1, 3, 0])
-    num_l1 = float(np.hypot(running[-1, 1, 1], running[-1, 2, 1]))
+    num_l3, num_t3, num_l1 = l3s[-1], t3s[-1], l1s[-1]
     diff_l3 = abs(num_l3 - steady.lambda3)
     diff_t3 = abs(num_t3 - steady.tau3)
 
-    rows = [(_fmt(t / t_j), _fmt(running[k, 3, 3]), _fmt(running[k, 3, 0]),
-             _fmt(np.hypot(running[k, 1, 1], running[k, 2, 1])))
-            for k, t in enumerate(times)]
+    rows = [(_fmt(t / t_j), _fmt(l3), _fmt(t3), _fmt(l1))
+            for t, l3, t3, l1 in zip(times, l3s, t3s, l1s)]
     diagnostics = {
         "exact": {
             "lambda3": steady.lambda3, "tau3": steady.tau3,

@@ -55,12 +55,13 @@ def esym(z, k: int):
 
 
 def network_average(maps) -> np.ndarray:
-    """Entry-wise mean of a collection of 4x4 transfer matrices."""
+    """Entry-wise mean of m transfer matrices, or of m equal-shape stacks:
+    (m, ..., 4, 4) gives (..., 4, 4)."""
     stack = np.asarray(list(maps), dtype=float)
     if stack.size == 0:
         raise ValueError("need at least one map to average")
-    if stack.ndim != 3 or stack.shape[1:] != (4, 4):
-        raise ValueError(f"expected shape (m, 4, 4), got {stack.shape}")
+    if stack.ndim < 3 or stack.shape[-2:] != (4, 4):
+        raise ValueError(f"expected shape (m, ..., 4, 4), got {stack.shape}")
     return stack.mean(axis=0)
 
 

@@ -5,6 +5,8 @@ uniform and truncated-Gaussian sampling over it, eigenvalue statistics of
 the sampled maps (including a minimally broken family with lambda2 !=
 lambda1), Monte Carlo volume estimates, and the time-dependent trajectory
 construction whose width shrinks as sigma(t) = (C/N)(1/t), t in units of t_J.
+BrokenPCParams, like reduced.PCParams, gives one transfer matrix or a stack,
+so each rejection sampler certifies a block of candidates in one call.
 """
 
 from __future__ import annotations
@@ -57,19 +59,20 @@ def uniform_sample(rng: np.random.Generator) -> PCParams:
     is folded away (the map depends on lambda1 only through the rotation
     block, and we keep lambda1 >= 0). Each candidate is one
     rng.uniform(-1, 1, size=3) call and theta is drawn after acceptance.
-    Candidates are drawn _BLOCK at a time and tested in order by
-    cp_contains on the same floats; the first accepted one is then drawn
-    again by that call, so the stream, and every draw, is the one a
+    Candidates are drawn _BLOCK at a time and certified by one cp_contains
+    call on the same floats; the first accepted one is then drawn again by
+    that call, so the stream, and every draw, is the one a
     candidate-by-candidate loop makes.
     """
     while True:
         state = rng.bit_generator.state
-        for j, (l1, t3, l3) in enumerate(rng.uniform(-1.0, 1.0, size=(_BLOCK, 3)).tolist()):
-            if cp_contains(l1, t3, l3):
-                _rewind(rng, state, 3 * j)
-                l1, t3, l3 = rng.uniform(-1.0, 1.0, size=3)
-                return PCParams(lambda1=abs(float(l1)), theta=_uniform_theta(rng),
-                                lambda3=float(l3), tau3=float(t3))
+        l1, t3, l3 = rng.uniform(-1.0, 1.0, size=(_BLOCK, 3)).T
+        hits = np.flatnonzero(cp_contains(l1, t3, l3))
+        if hits.size:
+            _rewind(rng, state, 3 * int(hits[0]))
+            l1, t3, l3 = rng.uniform(-1.0, 1.0, size=3)
+            return PCParams(lambda1=abs(float(l1)), theta=_uniform_theta(rng),
+                            lambda3=float(l3), tau3=float(t3))
 
 
 @dataclass(frozen=True)
@@ -120,7 +123,8 @@ class BrokenPCParams:
     """Phase covariance minimally broken: the rotation block carries two radii.
 
     xy block [[lambda1 cos, -lambda1 sin], [lambda2 sin, lambda2 cos]];
-    lambda2 = lambda1 restores the covariant family.
+    lambda2 = lambda1 restores the covariant family. Fields are floats, or
+    equal-shape arrays for a block of candidates.
     """
 
     lambda1: float
@@ -130,13 +134,14 @@ class BrokenPCParams:
     tau3: float
 
     def transfer(self) -> np.ndarray:
-        c, s = math.cos(self.theta), math.sin(self.theta)
-        return np.array([
-            [1.0, 0.0, 0.0, 0.0],
-            [0.0, self.lambda1 * c, -self.lambda1 * s, 0.0],
-            [0.0, self.lambda2 * s, self.lambda2 * c, 0.0],
-            [self.tau3, 0.0, 0.0, self.lambda3],
-        ])
+        """The transfer matrix, shape (..., 4, 4) for parameters of shape (...)."""
+        c, s = np.cos(self.theta), np.sin(self.theta)
+        m = np.zeros(np.shape(c) + (4, 4))
+        m[..., 0, 0] = 1.0
+        m[..., 1, 1], m[..., 1, 2] = self.lambda1 * c, -self.lambda1 * s
+        m[..., 2, 1], m[..., 2, 2] = self.lambda2 * s, self.lambda2 * c
+        m[..., 3, 0], m[..., 3, 3] = self.tau3, self.lambda3
+        return m
 
 
 def eigenvalues_pc(p: PCParams) -> np.ndarray:
@@ -173,16 +178,9 @@ def broken_uniform_sample(rng: np.random.Generator) -> BrokenPCParams:
         state = rng.bit_generator.state
         # row j holds candidate j's five scalar draws, in stream order
         l1, l2, t3, l3, theta = rng.uniform(_BROKEN_LOW, _BROKEN_HIGH, size=(_BLOCK, 5)).T
-        # math.cos/sin of the scalar theta, as BrokenPCParams.transfer takes them
-        thetas = (math.pi - theta).tolist()
-        c = np.array([math.cos(x) for x in thetas])
-        s = np.array([math.sin(x) for x in thetas])
-        t = np.zeros((_BLOCK, 4, 4))
-        t[:, 0, 0] = 1.0
-        t[:, 1, 1], t[:, 1, 2] = l1 * c, -l1 * s
-        t[:, 2, 1], t[:, 2, 2] = l2 * s, l2 * c
-        t[:, 3, 0], t[:, 3, 3] = t3, l3
-        hits = np.flatnonzero(choi_check(t) >= -1e-9)
+        block = BrokenPCParams(lambda1=l1, lambda2=l2, theta=math.pi - theta,
+                               lambda3=l3, tau3=t3)
+        hits = np.flatnonzero(choi_check(block.transfer()) >= -1e-9)
         if hits.size:
             _rewind(rng, state, 5 * int(hits[0]))
             l1, l2, t3, l3 = rng.uniform(-1.0, 1.0, size=4)

@@ -15,7 +15,9 @@ equivalent to
     |l3| + |t3| <= 1   and   4 l1^2 + t3^2 <= (1 + l3)^2,
 
 and choi_check provides the pattern-free certificate (minimum eigenvalue of
-the reconstructed Choi operator).
+the reconstructed Choi operator). fit_pc and choi_check read one map or a
+whole (..., 4, 4) stack, and cp_ok floats or arrays, each through one code
+path.
 """
 
 from __future__ import annotations
@@ -39,7 +41,8 @@ from .qlinalg import (
 @dataclass(frozen=True)
 class PCParams:
     """Phase-covariant channel parameters plus the off-pattern residual. The
-    parameters are floats, or equal-shape arrays for a channel per time."""
+    parameters are floats, or equal-shape arrays for a channel per time or
+    per matrix of a stack."""
 
     lambda1: float
     theta: float
@@ -133,37 +136,29 @@ class MapExtractor:
         return _transfer_entries(self.evolver.unitary(t), self.inputs, self.site)
 
 
-def fit_pc(transfer: np.ndarray) -> PCParams:
-    """Read phase-covariant parameters off a transfer matrix.
+# the entries a phase-covariant transfer matrix has at zero, then (0, 0),
+# (1, 1) and (1, 2), which fit_pc shifts into deviations
+_RESIDUAL_ROWS = [0, 0, 0, 1, 2, 1, 2, 3, 3, 0, 1, 1]
+_RESIDUAL_COLS = [1, 2, 3, 0, 0, 3, 3, 1, 2, 0, 1, 2]
 
-    The residual is the largest absolute deviation from the pattern: the
-    entries that must vanish, |T00 - 1|, and the rotation-block asymmetries
-    |Txx - Tyy| and |Txy + Tyx|. It reports non-covariance, never raises.
+
+def fit_pc(transfer: np.ndarray) -> PCParams:
+    """Read phase-covariant parameters off a transfer matrix or a stack.
+
+    A (4, 4) matrix gives float fields, a (..., 4, 4) stack fields of
+    shape (...), each entry the reading of its own matrix. The residual is
+    the largest absolute deviation from the pattern: the entries that must
+    vanish, |T00 - 1|, and the rotation-block asymmetries |Txx - Tyy| and
+    |Txy + Tyx|. It reports non-covariance, never raises.
     """
-    t = np.asarray(transfer, dtype=float)
-    lambda1 = float(np.hypot(t[1, 1], t[2, 1]))
-    theta = float(np.arctan2(t[2, 1], t[1, 1]))
-    deviations = [
-        abs(t[0, 0] - 1.0),
-        abs(t[0, 1]),
-        abs(t[0, 2]),
-        abs(t[0, 3]),
-        abs(t[1, 0]),
-        abs(t[2, 0]),
-        abs(t[1, 3]),
-        abs(t[2, 3]),
-        abs(t[3, 1]),
-        abs(t[3, 2]),
-        abs(t[1, 1] - t[2, 2]),
-        abs(t[1, 2] + t[2, 1]),
-    ]
-    return PCParams(
-        lambda1=lambda1,
-        theta=theta,
-        lambda3=float(t[3, 3]),
-        tau3=float(t[3, 0]),
-        residual=float(max(deviations)),
-    )
+    t = np.array(transfer, dtype=float)  # a copy: lambda3 and tau3 are views of it
+    dev = t[..., _RESIDUAL_ROWS, _RESIDUAL_COLS]
+    dev[..., -3] -= 1.0
+    dev[..., -2] -= t[..., 2, 2]
+    dev[..., -1] += t[..., 2, 1]
+    fields = (np.hypot(t[..., 1, 1], t[..., 2, 1]), np.arctan2(t[..., 2, 1], t[..., 1, 1]),
+              t[..., 3, 3], t[..., 3, 0], np.abs(dev).max(axis=-1))
+    return PCParams(*(map(float, fields) if t.ndim == 2 else fields))
 
 
 # row 4i + j is (1/4) sigma_i tensor sigma_j^T, flattened

@@ -95,6 +95,8 @@ def test_readme_library_example_runs(capsys):
     ("steady --horizon-tj 0", None, "horizon_tj"),
     ("fluct --horizon-tj 0", None, "horizon_tj"),
     ("fluct --onset-tj 300 --horizon-tj 100", None, "onset_tj"),
+    # the partner of an XX pair is (x2, y2, z2); state is not read there
+    ("maps --topology xx_pairs --x2 0.9 --y2 0.9", None, "x2"),
 ])
 def test_out_of_range_grid_or_count_exits_2(tmp_path, capsys, line, config, field):
     argv = line.split() + ["--outdir", str(tmp_path / "runs")]
@@ -346,6 +348,45 @@ def test_measure_non_cp_trajectory_exits_3(tmp_path, capsys, monkeypatch):
                            capsys)
     assert rc == 3
     assert "non-CP triple" in err
+    assert out == "" and not (tmp_path / "runs").exists()
+
+
+@pytest.mark.parametrize("bad, where", [
+    ({(2, 3)}, "t=0.600 t_J, site 2"),
+    ({(1, 3), (2, 3)}, "t=0.600 t_J, site 1"),  # sites in order within a time
+    ({(0, 3), (1, 3), (2, 2)}, "t=0.400 t_J, site 2"),  # the earliest time first
+])
+def test_maps_cp_violation_exits_3(tmp_path, capsys, monkeypatch, bad, where):
+    import spinmaps.reduced
+
+    extract = spinmaps.reduced.MapExtractor.transfer
+    calls = {}
+
+    def transfer(self, t):
+        # (site, k): the k-th map of that site, which is the one at times[k]
+        k = calls[self.site] = calls.get(self.site, -1) + 1
+        if (self.site, k) in bad:
+            return spinmaps.reduced.PCParams(0.0, 0.0, 1.0, 0.5).transfer()
+        return extract(self, t)
+
+    monkeypatch.setattr(spinmaps.reduced.MapExtractor, "transfer", transfer)
+    rc, out, err = run_cli(["maps", "--t-max-tj", "1", "--points-per-tj", "5",
+                            "--outdir", str(tmp_path / "runs")], capsys)
+    assert rc == 3
+    assert f"CP violation at {where}: (l1=0.0, tau3=0.5, l3=1.0)" in err
+    assert out == "" and not (tmp_path / "runs").exists()
+
+
+def test_maps_cp_violation_of_the_average_exits_3(tmp_path, capsys, monkeypatch):
+    import spinmaps.ensemble
+
+    bad = spinmaps.reduced.PCParams(0.0, 0.0, 1.0, 0.5).transfer()
+    monkeypatch.setattr(spinmaps.ensemble, "network_average",
+                        lambda maps: np.broadcast_to(bad, np.shape(maps)[1:]))
+    rc, out, err = run_cli(["maps", "--t-max-tj", "1", "--outdir", str(tmp_path / "runs")],
+                           capsys)
+    assert rc == 3
+    assert err.endswith("CP violation in network average at t=0.000 t_J\n")
     assert out == "" and not (tmp_path / "runs").exists()
 
 

@@ -78,6 +78,15 @@ def test_network_average_is_entrywise_mean_and_validates():
         network_average([np.eye(3)])
 
 
+def test_network_average_of_stacks_equals_per_time_calls():
+    maps = RNG.normal(size=(10, 7, 4, 4))  # (m, T, 4, 4)
+    whole = network_average(maps)
+    assert whole.shape == (7, 4, 4)
+    assert whole.tobytes() == np.array([network_average(maps[:, k]) for k in range(7)]).tobytes()
+    with pytest.raises(ValueError):
+        network_average(np.ones((3, 7, 4, 3)))
+
+
 def test_convex_closure_of_pc_pattern():
     # averaging PC transfers never leaves the pattern
     ps = [PCParams(*RNG.uniform(-0.5, 0.5, 4)) for _ in range(5)]

@@ -128,6 +128,17 @@ def test_broken_transfer_pattern():
     assert abs(m[2, 1] - 0.2 * math.sin(0.5)) < 1e-15
 
 
+def test_broken_transfer_over_arrays_stacks_scalar_transfers():
+    rng = np.random.default_rng(5)
+    l1, l2, l3, t3 = rng.uniform(-1.0, 1.0, size=(4, 6, 3))
+    theta = rng.uniform(-math.pi, math.pi, size=(6, 3))
+    block = BrokenPCParams(lambda1=l1, lambda2=l2, theta=theta, lambda3=l3, tau3=t3).transfer()
+    assert block.shape == (6, 3, 4, 4)
+    points = [BrokenPCParams(*args).transfer()
+              for args in zip(*(x.ravel().tolist() for x in (l1, l2, theta, l3, t3)))]
+    assert block.tobytes() == np.array(points).reshape(block.shape).tobytes()
+
+
 @given(unit_floats, st.floats(-math.pi, math.pi), unit_floats, unit_floats)
 def test_pc_eigenvalues_ignore_tau3(l1, th, l3, t3):
     base = eigenvalues_pc(PCParams(abs(l1), th, l3, 0.0))

@@ -98,6 +98,40 @@ def test_fit_pc_roundtrip(l1, th, l3, t3):
         assert min(d, 2 * np.pi - d) < 1e-9
 
 
+PC_FIELDS = ("lambda1", "theta", "lambda3", "tau3", "residual")
+
+
+def test_fit_pc_over_a_stack_equals_pointwise_calls():
+    # covariant maps, maps against a tilted environment and arbitrary
+    # matrices, so every field, the residual included, is read off-pattern too
+    diag = MapExtractor(CC3, 0, random_env(3, RNG))
+    tilted = MapExtractor(CC3, 1, [(0.6, 0.0, 0.2), (0.0, 0.0, 0.5)])
+    stack = np.array([[diag.transfer(t), tilted.transfer(t), RNG.normal(size=(4, 4))]
+                      for t in np.linspace(0.0, 6.0, 13)])  # (T, S, 4, 4)
+    for maps in (stack[:, 1], stack):
+        whole = fit_pc(maps)
+        points = [fit_pc(m) for m in maps.reshape(-1, 4, 4)]
+        for field in PC_FIELDS:
+            got = getattr(whole, field)
+            assert got.shape == maps.shape[:-2]
+            want = np.array([getattr(p, field) for p in points]).reshape(got.shape)
+            assert got.tobytes() == want.tobytes(), field
+    one = fit_pc(stack[4, 1])
+    assert all(type(getattr(one, field)) is float for field in PC_FIELDS)
+
+
+def test_fit_pc_residual_reads_every_off_pattern_deviation():
+    base = PCParams(lambda1=0.4, theta=0.7, lambda3=0.2, tau3=-0.3).transfer()
+    assert fit_pc(base).residual == 0.0
+    for i in range(4):
+        for j in range(4):
+            m = base.copy()
+            m[i, j] += 0.5
+            # T30 and T33 are tau3 and lambda3; every other entry is constrained
+            want = 0.0 if (i, j) in ((3, 0), (3, 3)) else 0.5
+            assert fit_pc(m).residual == pytest.approx(want, abs=1e-15), (i, j)
+
+
 @given(unit_floats, unit_floats, unit_floats)
 @example(0.0, 1.0, 1e-10)  # outside CP by 2.5e-11: cp_ok rejects, choi_check accepts
 def test_cp_ok_agrees_with_choi(l1, t3, l3):
