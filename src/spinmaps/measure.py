@@ -59,20 +59,20 @@ def uniform_sample(rng: np.random.Generator) -> PCParams:
     is folded away (the map depends on lambda1 only through the rotation
     block, and we keep lambda1 >= 0). Each candidate is one
     rng.uniform(-1, 1, size=3) call and theta is drawn after acceptance.
-    Candidates are drawn _BLOCK at a time and certified by one cp_contains
-    call on the same floats; the first accepted one is then drawn again by
-    that call, so the stream, and every draw, is the one a
+    Candidates are drawn _BLOCK at a time and tested in order, as Python
+    floats, by cp_contains (its verdict on a float is the one it gives
+    inside an array); the generator is then put just past the first
+    accepted one, so the stream, and every draw, is the one a
     candidate-by-candidate loop makes.
     """
     while True:
         state = rng.bit_generator.state
-        l1, t3, l3 = rng.uniform(-1.0, 1.0, size=(_BLOCK, 3)).T
-        hits = np.flatnonzero(cp_contains(l1, t3, l3))
-        if hits.size:
-            _rewind(rng, state, 3 * int(hits[0]))
-            l1, t3, l3 = rng.uniform(-1.0, 1.0, size=3)
-            return PCParams(lambda1=abs(float(l1)), theta=_uniform_theta(rng),
-                            lambda3=float(l3), tau3=float(t3))
+        block = rng.uniform(-1.0, 1.0, size=(_BLOCK, 3)).tolist()
+        for k, (l1, t3, l3) in enumerate(block):
+            if cp_contains(l1, t3, l3):
+                _rewind(rng, state, 3 * (k + 1))
+                return PCParams(lambda1=abs(l1), theta=_uniform_theta(rng),
+                                lambda3=l3, tau3=t3)
 
 
 @dataclass(frozen=True)

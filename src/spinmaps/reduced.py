@@ -2,7 +2,13 @@
 
 The reduced map of a focal site is Lambda_i(t)[rho] =
 tr_env[U(t) (rho tensor rho_env) U(t)^dag]; its Pauli transfer matrix is the
-working representation. A phase-covariant map has the pattern
+working representation. transfer_from_unitary evaluates that definition
+literally. MapExtractor uses that rho_env is a product state: with R the
+product of the partners' square roots (I at the focal site),
+rho tensor rho_env = R (rho tensor I) R, so the map is
+tr_env[V (rho tensor I) V^dag] with V = U(t) R, the square-root
+purification of the environment, read off a 4x4 Gram matrix of V.
+A phase-covariant map has the pattern
 
     [ 1       0           0        0   ]
     [ 0   l1 cos(th)  -l1 sin(th)  0   ]
@@ -29,6 +35,7 @@ import numpy as np
 from .qlinalg import (
     PAULI_AXES,
     PAULI_STACK,
+    SI,
     HermitianEvolver,
     density_of,
     kron_all,
@@ -85,12 +92,19 @@ def cp_ok(lambda1, tau3, lambda3, tol: float = 0.0):
                <= (1.0 + lambda3) * (1.0 + lambda3) + tol))
 
 
-def _env_inputs(n: int, site: int, env_blochs):
-    """Full-register input operators: focal Pauli tensored with the env state."""
+def _partners(n: int, site: int, env_blochs) -> list:
+    """The n - 1 partner Bloch vectors of focal `site`, checked."""
     env_blochs = list(env_blochs)
+    if not 0 <= site < n:
+        raise ValueError(f"site {site} out of range for n={n}")
     if len(env_blochs) != n - 1:
         raise ValueError(f"need {n - 1} environment Bloch vectors, got {len(env_blochs)}")
-    env_iter = iter(env_blochs)
+    return env_blochs
+
+
+def _env_inputs(n: int, site: int, env_blochs):
+    """Full-register input operators: focal Pauli tensored with the env state."""
+    env_iter = iter(_partners(n, site, env_blochs))
     factors = [None] * n
     for k in range(n):
         if k != site:
@@ -102,38 +116,63 @@ def _env_inputs(n: int, site: int, env_blochs):
     return inputs
 
 
-def _transfer_entries(u: np.ndarray, inputs, site: int) -> np.ndarray:
-    u_dag = u.conj().T
-    return transfer_readout(partial_trace_keep(np.stack([u @ op @ u_dag for op in inputs]), site))
-
-
 def transfer_from_unitary(u: np.ndarray, site: int, env_blochs) -> np.ndarray:
     """Transfer matrix of the map induced by an explicit global unitary.
 
-    Covers evolutions that are not exp(-iHt) of a single Hamiltonian, e.g.
-    piecewise-constant schedules composed from several propagators.
+    The literal definition: four dense inputs sigma_j tensor rho_env, each
+    conjugated by u and partially traced. Covers evolutions that are not
+    exp(-iHt) of a single Hamiltonian, e.g. piecewise-constant schedules
+    composed from several propagators.
     """
     n = u.shape[0].bit_length() - 1
-    return _transfer_entries(u, _env_inputs(n, site, env_blochs), site)
+    u_dag = u.conj().T
+    outs = [u @ op @ u_dag for op in _env_inputs(n, site, env_blochs)]
+    return transfer_readout(partial_trace_keep(np.stack(outs), site))
+
+
+def _sqrt_density(bloch) -> np.ndarray:
+    """Principal square root of one partner's 2x2 density matrix.
+
+    sqrt(rho) = (rho + s I) / sqrt(tr rho + 2 s) with s = sqrt(det rho);
+    det rho is clipped at 0, so pure partners (|r| = 1, and norms inside
+    density_of's slack) give the rank-1 root rho itself.
+    """
+    rho = density_of([bloch])
+    s = np.sqrt(max((rho[0, 0] * rho[1, 1] - rho[0, 1] * rho[1, 0]).real, 0.0))
+    return (rho + s * SI) / np.sqrt(rho.trace().real + 2.0 * s)
 
 
 class MapExtractor:
     """Reduced dynamical map of one focal site against a fixed environment.
 
-    Diagonalizes H once; each time point costs one unitary assembly and four
-    partial traces. env_blochs lists the Bloch vectors of the other n-1
-    sites in site order (the focal site skipped).
+    The environment is a product state rho_env = R^2, R the product of the
+    partners' principal square roots, so sigma_j tensor rho_env =
+    R (sigma_j tensor I) R, with I at the focal site in R. The image of
+    sigma_j is then tr_env[V (sigma_j tensor I) V^dag] with V = U(t) R, the
+    square-root purification of the environment. With the focal row and
+    column bits of V moved to the front, V becomes A of shape (4, 4^n / 4);
+    its Gram matrix G = A A^dag gives every image at once:
+    out_j[a, b] = sum_{c, c'} G[(a, c), (b, c')] sigma_j[c, c'].
+
+    Diagonalizes H once; each time point costs one unitary assembly, one
+    product with R and the 4x4 Gram matrix. env_blochs lists the Bloch
+    vectors of the other n-1 sites in site order (the focal site skipped).
     """
 
     def __init__(self, h_mat: np.ndarray, site: int, env_blochs):
-        dim = h_mat.shape[0]
-        n = dim.bit_length() - 1
+        n = h_mat.shape[0].bit_length() - 1
+        roots = [_sqrt_density(v) for v in _partners(n, site, env_blochs)]
         self.n, self.site = n, site
         self.evolver = HermitianEvolver(h_mat)
-        self.inputs = _env_inputs(n, site, env_blochs)
+        self.root = kron_all(roots[:site] + [SI] + roots[site:])
 
     def transfer(self, t: float) -> np.ndarray:
-        return _transfer_entries(self.evolver.unitary(t), self.inputs, self.site)
+        v = self.evolver.unitary(t) @ self.root
+        lo, hi = 2**self.site, 2 ** (self.n - 1 - self.site)
+        # rows (x, a, y) and columns (z, c, w) -> A[(a, c), (x, y, z, w)]
+        a = v.reshape(lo, 2, hi, lo, 2, hi).transpose(1, 4, 0, 2, 3, 5).reshape(4, -1)
+        gram = (a @ a.conj().T).reshape(2, 2, 2, 2)
+        return transfer_readout(np.einsum("acbd,jcd->jab", gram, PAULI_STACK))
 
 
 # the entries a phase-covariant transfer matrix has at zero, then (0, 0),

@@ -30,9 +30,8 @@ from spinmaps.measure import (MeasureSpec, broken_uniform_sample, cp_contains,
                               eigenvalues_broken, eigenvalues_pc, time_grid,
                               trajectory_sample, uniform_sample, volume_mc)
 from spinmaps.network import NetworkSpec, build_hamiltonian, t_scale
-from spinmaps.qlinalg import HermitianEvolver, pauli
-from spinmaps.reduced import (PCParams, choi_check, cp_ok, fit_pc,
-                              transfer_from_unitary)
+from spinmaps.qlinalg import pauli
+from spinmaps.reduced import MapExtractor, PCParams, choi_check, cp_ok, fit_pc
 
 J = 1.0
 T_J = t_scale(J)
@@ -192,7 +191,8 @@ def test_criterion_04_fluctuation_constants_and_ring_ratio(smallz_flucts):
 
 
 def test_criterion_05_cp_certificates_agree():
-    # every extracted map passes both CP certificates
+    # every map `maps` extracts, and their network average, passes both CP
+    # certificates: one (sites + average, T, 4, 4) stack per state
     for topo, n in FAMILIES:
         rng = np.random.default_rng(500 + n)
         states = [hierarchy(n),
@@ -200,17 +200,17 @@ def test_criterion_05_cp_certificates_agree():
                   [0.2] * n,
                   list(rng.uniform(-1.0, 1.0, n))]
         spec = NetworkSpec(topology=topo, n=n, h=H_GENERIC, j_perp=J, j_par=J)
-        ev = HermitianEvolver(build_hamiltonian(spec))
+        h_mat = build_hamiltonian(spec)
         times = np.linspace(0.0, 10.0 * T_J, 50)
-        unitaries = [ev.unitary(t) for t in times]
         for z in states:
-            for u in unitaries:
-                per_site = [transfer_from_unitary(u, f, env_absolute(z, f))
-                            for f in range(n)]
-                for tr in per_site + [network_average(per_site)]:
-                    p = fit_pc(tr)
-                    assert cp_ok(p.lambda1, p.tau3, p.lambda3, tol=1e-9)
-                    assert choi_check(tr) >= -1e-9
+            maps = np.empty((n + 1, times.size, 4, 4))
+            for f in range(n):
+                extractor = MapExtractor(h_mat, f, env_absolute(z, f))
+                maps[f] = [extractor.transfer(t) for t in times]
+            maps[-1] = network_average(maps[:-1])
+            p = fit_pc(maps)
+            assert cp_ok(p.lambda1, p.tau3, p.lambda3, tol=1e-9).all()
+            assert (choi_check(maps) >= -1e-9).all()
 
     # inequality test and Choi spectrum agree in sign across the pattern box
     rng = np.random.default_rng(55)

@@ -214,10 +214,14 @@ def test_spectral_maps_match_expm_reference(topology, n):
     spec = NetworkSpec(topology=topology, n=n, h=0.37, j_perp=1.0, j_par=0.6)
     z = [0.9, -0.3, 0.5, 0.1][:n]
     times = np.array([0.0, 0.7, 3.1, 17.0])
+    h_mat = build_hamiltonian(spec)
     for site in range(n):
         got = SpectralAverage(spec, z, sites=(site,)).maps(times)
+        extractor = MapExtractor(h_mat, site, [(0.0, 0.0, z[k]) for k in range(n) if k != site])
         for t, tr in zip(times, got):
-            assert np.max(np.abs(tr - expm_transfer(spec, z, site, t))) <= 1e-12
+            want = expm_transfer(spec, z, site, t)
+            assert np.max(np.abs(tr - want)) <= 1e-12
+            assert np.max(np.abs(extractor.transfer(t) - want)) <= 1e-12
 
 
 @pytest.mark.parametrize("sites", [(3,), (-1,), (0, 5), ()])

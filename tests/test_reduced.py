@@ -37,15 +37,31 @@ def test_reduced_map_is_identity_at_t0():
     assert np.max(np.abs(MapExtractor(CC3, 0, env).transfer(0.0) - np.eye(4))) < 1e-12
 
 
+def partner_sets(n, rng):
+    """Diagonal, transverse and pure environments of n - 1 partners: mixed z,
+    random vectors inside the ball, z = +-1 and unit-norm tilted vectors
+    (rank-1 square roots)."""
+    tilted = rng.normal(size=(n - 1, 3))
+    tilted /= np.linalg.norm(tilted, axis=1)[:, None]
+    return [random_env(n, rng),
+            random_env(n, rng, diagonal=False),
+            [(0.0, 0.0, float(z)) for z in rng.choice([-1.0, 1.0], n - 1)],
+            [tuple(v) for v in tilted]]
+
+
 def test_extractor_matches_one_shot_and_unitary_path():
-    env = random_env(3, RNG, diagonal=False)
-    ex = MapExtractor(CC3, 1, env)
-    for t in (0.3, 1.7):
-        m1 = ex.transfer(t)
-        m2 = MapExtractor(CC3, 1, env).transfer(t)
-        m3 = transfer_from_unitary(ex.evolver.unitary(t), 1, env)
-        assert np.max(np.abs(m1 - m2)) < 1e-12
-        assert np.max(np.abs(m1 - m3)) < 1e-12
+    for n in range(2, 7):
+        h = build_hamiltonian(NetworkSpec(topology="ring" if n >= 3 else "complete", n=n,
+                                          h=0.37, j_perp=1.0, j_par=0.6))
+        for site in range(n):
+            for env in partner_sets(n, RNG):
+                ex = MapExtractor(h, site, env)
+                for t in (0.3, 1.7):
+                    m1 = ex.transfer(t)
+                    m2 = MapExtractor(h, site, env).transfer(t)
+                    m3 = transfer_from_unitary(ex.evolver.unitary(t), site, env)
+                    assert np.max(np.abs(m1 - m2)) < 1e-12
+                    assert np.max(np.abs(m1 - m3)) < 1e-12
 
 
 def test_transfer_from_unitary_is_bit_identical_to_trace_loop():
@@ -203,3 +219,8 @@ def test_transfer_entries_reject_bad_env_count():
         MapExtractor(CC3, 0, [(0.0, 0.0, 1.0)])
     with pytest.raises(ValueError):
         transfer_from_unitary(np.eye(8), 0, [(0.0, 0.0, 1.0)] * 3)
+    for site in (-1, 3):  # a focal site outside the register
+        with pytest.raises(ValueError):
+            MapExtractor(CC3, site, [(0.0, 0.0, 1.0)] * 2)
+        with pytest.raises(ValueError):
+            transfer_from_unitary(np.eye(8), site, [(0.0, 0.0, 1.0)] * 2)
