@@ -207,8 +207,8 @@ def cmd_maps(cfg: dict, defaults: dict) -> RunOutput:
         envs = {s: [(0.0, 0.0, z[k]) for k in range(spec.n) if k != s] for s in range(spec.n)}
 
     times = _uniform_grid(t_j, cfg["t_max_tj"], cfg["points_per_tj"])
-    h_mat = network.build_hamiltonian(spec)
-    extractors = [reduced.MapExtractor(h_mat, s, env) for s, env in envs.items()]
+    evolver = qlinalg.HermitianEvolver(network.build_hamiltonian(spec))
+    extractors = [reduced.MapExtractor(evolver, s, env) for s, env in envs.items()]
     try:
         oracle = np.stack([analytic.closed_form(spec, s, env, times) for s, env in envs.items()])
         analytic_reason = None

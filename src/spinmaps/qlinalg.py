@@ -72,7 +72,9 @@ def embed(op: np.ndarray, site: int, n: int) -> np.ndarray:
 def density_of(sites) -> np.ndarray:
     """Product density matrix from per-site Bloch vectors (x, y, z).
 
-    Each factor is (1 + x X + y Y + z Z)/2; Bloch norms above 1 are refused
+    Each factor is (1 + x X + y Y + z Z)/2, written entry by entry with the
+    bytes of that Pauli sum, signed zeros included (x + 0.0 and 0.0 - y are
+    the sum's +0 where x or y is a zero). Bloch norms above 1 are refused
     since they do not describe states.
     """
     factors = []
@@ -80,7 +82,9 @@ def density_of(sites) -> np.ndarray:
         x, y, z = (float(c) for c in v)
         if x * x + y * y + z * z > 1.0 + 1e-12:
             raise ValueError(f"Bloch vector {(x, y, z)} has norm > 1")
-        factors.append(0.5 * (SI + x * SX + y * SY + z * SZ))
+        factors.append(np.array([
+            [0.5 * (1.0 + z), complex(0.5 * (x + 0.0), 0.5 * (0.0 - y))],
+            [complex(0.5 * (x + 0.0), 0.5 * (y + 0.0)), 0.5 * (1.0 - z)]]))
     return kron_all(factors)
 
 

@@ -2,8 +2,11 @@
 
 The reduced map of a focal site is Lambda_i(t)[rho] =
 tr_env[U(t) (rho tensor rho_env) U(t)^dag]; its Pauli transfer matrix is the
-working representation. transfer_from_unitary evaluates that definition
-literally. MapExtractor uses that rho_env is a product state: with R the
+working representation. transfer_from_unitary reads that definition in the
+Heisenberg picture: the partial trace moves onto U, as three blocks
+N_ab = U_a^T conj(U_b) of its rows split by the focal bit a, and the four
+dense inputs sigma_j tensor rho_env are read against them in one product.
+MapExtractor uses that rho_env is a product state: with R the
 product of the partners' square roots (I at the focal site),
 rho tensor rho_env = R (rho tensor I) R, so the map is
 tr_env[V (rho tensor I) V^dag] with V = U(t) R, the square-root
@@ -39,7 +42,7 @@ from .qlinalg import (
     HermitianEvolver,
     density_of,
     kron_all,
-    partial_trace_keep,
+    partial_trace_keep,  # unused here: bench/tracing.py patches it
     pauli,
     transfer_readout,
 )
@@ -103,31 +106,32 @@ def _partners(n: int, site: int, env_blochs) -> list:
 
 
 def _env_inputs(n: int, site: int, env_blochs):
-    """Full-register input operators: focal Pauli tensored with the env state."""
-    env_iter = iter(_partners(n, site, env_blochs))
-    factors = [None] * n
-    for k in range(n):
-        if k != site:
-            factors[k] = density_of([next(env_iter)])
-    inputs = []
-    for ax in PAULI_AXES:
-        factors[site] = pauli(ax)
-        inputs.append(kron_all(factors))
-    return inputs
+    """Full-register input operators: focal Pauli tensored with the env state,
+    left partners (x) sigma_j (x) right partners."""
+    partners = _partners(n, site, env_blochs)
+    left, right = density_of(partners[:site]), density_of(partners[site:])
+    return [kron_all([left, pauli(ax), right]) for ax in PAULI_AXES]
 
 
 def transfer_from_unitary(u: np.ndarray, site: int, env_blochs) -> np.ndarray:
-    """Transfer matrix of the map induced by an explicit global unitary.
+    """Transfer matrix of the map induced by an explicit global operator u.
 
-    The literal definition: four dense inputs sigma_j tensor rho_env, each
-    conjugated by u and partially traced. Covers evolutions that are not
-    exp(-iHt) of a single Hamiltonian, e.g. piecewise-constant schedules
-    composed from several propagators.
+    Heisenberg picture: with U_a the rows of u whose focal bit is a, the
+    image of an input X is tr_env[u X u^dag][a, b] = sum_kl X[k, l] N_ab[k, l],
+    N_ab = U_a^T conj(U_b). The blocks N_00, N_01 and N_11 (N_10 = N_01^dag)
+    read the four dense inputs sigma_j tensor rho_env in one (4, d^2) @
+    (d^2, 4) product. N_11 is formed, not taken as I - N_00, so nothing
+    assumes u is unitary. Covers evolutions that are not exp(-iHt) of a
+    single Hamiltonian, e.g. piecewise-constant schedules composed from
+    several propagators.
     """
-    n = u.shape[0].bit_length() - 1
-    u_dag = u.conj().T
-    outs = [u @ op @ u_dag for op in _env_inputs(n, site, env_blochs)]
-    return transfer_readout(partial_trace_keep(np.stack(outs), site))
+    d = u.shape[0]
+    inputs = np.stack(_env_inputs(d.bit_length() - 1, site, env_blochs)).reshape(4, -1)
+    rows = u.reshape(2**site, 2, -1, d)
+    u0, u1 = rows[:, 0].reshape(-1, d), rows[:, 1].reshape(-1, d)
+    n01 = u0.T @ u1.conj()
+    blocks = np.stack([u0.T @ u0.conj(), n01, n01.conj().T, u1.T @ u1.conj()])
+    return transfer_readout((inputs @ blocks.reshape(4, -1).T).reshape(4, 2, 2))
 
 
 def _sqrt_density(bloch) -> np.ndarray:
@@ -154,16 +158,18 @@ class MapExtractor:
     its Gram matrix G = A A^dag gives every image at once:
     out_j[a, b] = sum_{c, c'} G[(a, c), (b, c')] sigma_j[c, c'].
 
-    Diagonalizes H once; each time point costs one unitary assembly, one
-    product with R and the 4x4 Gram matrix. env_blochs lists the Bloch
-    vectors of the other n-1 sites in site order (the focal site skipped).
+    Evolves with the caller's HermitianEvolver, so extractors of several
+    sites share one eigendecomposition of H; each time point costs one
+    unitary assembly, one product with R and the 4x4 Gram matrix. env_blochs
+    lists the Bloch vectors of the other n-1 sites in site order (the focal
+    site skipped).
     """
 
-    def __init__(self, h_mat: np.ndarray, site: int, env_blochs):
-        n = h_mat.shape[0].bit_length() - 1
+    def __init__(self, evolver: HermitianEvolver, site: int, env_blochs):
+        n = evolver.modes.shape[0].bit_length() - 1
         roots = [_sqrt_density(v) for v in _partners(n, site, env_blochs)]
         self.n, self.site = n, site
-        self.evolver = HermitianEvolver(h_mat)
+        self.evolver = evolver
         self.root = kron_all(roots[:site] + [SI] + roots[site:])
 
     def transfer(self, t: float) -> np.ndarray:

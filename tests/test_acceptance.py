@@ -30,7 +30,7 @@ from spinmaps.measure import (MeasureSpec, broken_uniform_sample, cp_contains,
                               eigenvalues_broken, eigenvalues_pc, time_grid,
                               trajectory_sample, uniform_sample, volume_mc)
 from spinmaps.network import NetworkSpec, build_hamiltonian, t_scale
-from spinmaps.qlinalg import pauli
+from spinmaps.qlinalg import HermitianEvolver, pauli
 from spinmaps.reduced import MapExtractor, PCParams, choi_check, cp_ok, fit_pc
 
 J = 1.0
@@ -200,12 +200,12 @@ def test_criterion_05_cp_certificates_agree():
                   [0.2] * n,
                   list(rng.uniform(-1.0, 1.0, n))]
         spec = NetworkSpec(topology=topo, n=n, h=H_GENERIC, j_perp=J, j_par=J)
-        h_mat = build_hamiltonian(spec)
+        evolver = HermitianEvolver(build_hamiltonian(spec))
         times = np.linspace(0.0, 10.0 * T_J, 50)
         for z in states:
             maps = np.empty((n + 1, times.size, 4, 4))
             for f in range(n):
-                extractor = MapExtractor(h_mat, f, env_absolute(z, f))
+                extractor = MapExtractor(evolver, f, env_absolute(z, f))
                 maps[f] = [extractor.transfer(t) for t in times]
             maps[-1] = network_average(maps[:-1])
             p = fit_pc(maps)

@@ -17,6 +17,7 @@ from spinmaps.analytic import (
 )
 from spinmaps.ensemble import UnsupportedNetwork
 from spinmaps.network import NetworkSpec, PairSpec, build_hamiltonian
+from spinmaps.qlinalg import HermitianEvolver
 from spinmaps.reduced import MapExtractor, fit_pc
 
 RNG = np.random.default_rng(23)
@@ -29,7 +30,7 @@ def dense_params(topology, n, t, j_perp, j_par, h, z, focal):
     """Numeric (lambda3, tau3, transfer) for absolute site polarizations z."""
     spec = NetworkSpec(topology=topology, n=n, h=h, j_perp=j_perp, j_par=j_par)
     env = [(0.0, 0.0, z[s]) for s in range(n) if s != focal]
-    m = MapExtractor(build_hamiltonian(spec), focal, env).transfer(t)
+    m = MapExtractor(HermitianEvolver(build_hamiltonian(spec)), focal, env).transfer(t)
     return m[3, 3], m[3, 0], m
 
 
@@ -191,7 +192,7 @@ def test_xx_reduced_map_matches_dense_both_sites():
     params = xx_eigenparams(h1, h2, j)
     env = (0.3, 0.1, -0.6)
     for which, focal in ((1, 0), (2, 1)):
-        ex = MapExtractor(hm, focal, [env])
+        ex = MapExtractor(HermitianEvolver(hm), focal, [env])
         for t in (0.0, 0.8, 2.9):
             m = xx_reduced_map(t, params, env, which)
             assert np.max(np.abs(m - ex.transfer(t))) < 1e-11
@@ -206,7 +207,7 @@ def test_closed_form_matches_dense_on_xx_pairs():
     blochs = [(0.3, 0.1, -0.6), (-0.5, 0.4, 0.2), (0.1, -0.7, 0.5), (0.6, 0.2, -0.3)]
     for focal in range(4):
         env = [b for s, b in enumerate(blochs) if s != focal]
-        ex = MapExtractor(hm, focal, env)
+        ex = MapExtractor(HermitianEvolver(hm), focal, env)
         for t in (0.0, 0.8, 2.9):
             assert np.max(np.abs(closed_form(spec, focal, env, t) - ex.transfer(t))) < 1e-12
 

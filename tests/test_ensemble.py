@@ -182,11 +182,11 @@ def test_spectral_maps_match_map_extractor_at_every_site(spec):
     rng = np.random.default_rng(10 * spec.n + int(10 * spec.j_par))
     z = rng.uniform(-1.0, 1.0, spec.n)
     times = np.linspace(0.0, 10.0 * t_scale(1.0), 101)
-    h_mat = build_hamiltonian(spec)
+    evolver = HermitianEvolver(build_hamiltonian(spec))
     per_site = []
     for s in range(spec.n):
         env = [(0.0, 0.0, z[k]) for k in range(spec.n) if k != s]
-        extractor = MapExtractor(h_mat, s, env)
+        extractor = MapExtractor(evolver, s, env)
         want = np.stack([extractor.transfer(t) for t in times])
         got = SpectralAverage(spec, z, sites=(s,)).maps(times)
         assert np.max(np.abs(got - want)) <= 1e-12
@@ -214,10 +214,10 @@ def test_spectral_maps_match_expm_reference(topology, n):
     spec = NetworkSpec(topology=topology, n=n, h=0.37, j_perp=1.0, j_par=0.6)
     z = [0.9, -0.3, 0.5, 0.1][:n]
     times = np.array([0.0, 0.7, 3.1, 17.0])
-    h_mat = build_hamiltonian(spec)
+    evolver = HermitianEvolver(build_hamiltonian(spec))
     for site in range(n):
         got = SpectralAverage(spec, z, sites=(site,)).maps(times)
-        extractor = MapExtractor(h_mat, site, [(0.0, 0.0, z[k]) for k in range(n) if k != site])
+        extractor = MapExtractor(evolver, site, [(0.0, 0.0, z[k]) for k in range(n) if k != site])
         for t, tr in zip(times, got):
             want = expm_transfer(spec, z, site, t)
             assert np.max(np.abs(tr - want)) <= 1e-12

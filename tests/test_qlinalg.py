@@ -90,6 +90,21 @@ def test_density_of_refuses_long_bloch():
         density_of([(0.9, 0.9, 0.0)])
 
 
+def test_density_of_is_byte_identical_to_pauli_sum():
+    # signed zeros count: x = y = 0, z = +-1 and -0.0 components
+    rng = np.random.default_rng(3)
+    vs = rng.normal(size=(20000, 3))
+    vs /= np.maximum(1.0, np.linalg.norm(vs, axis=1))[:, None]
+    edges = [(x, y, z) for x in (0.0, -0.0, 0.6) for y in (0.0, -0.0, -0.8)
+             for z in (1.0, -1.0, 0.0, -0.0) if x * x + y * y + z * z <= 1.0]
+    for x, y, z in [tuple(map(float, v)) for v in vs] + edges:
+        want = 0.5 * (SI + x * SX + y * SY + z * SZ)
+        assert density_of([(x, y, z)]).tobytes() == want.tobytes()
+    blochs = edges[:4]
+    assert density_of(blochs).tobytes() == kron_all(
+        [0.5 * (SI + x * SX + y * SY + z * SZ) for x, y, z in blochs]).tobytes()
+
+
 @given(st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=4))
 def test_diagonal_state_is_a_state(zs):
     rho = density_of([(0.0, 0.0, z) for z in zs])

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from spinmaps.network import NetworkSpec, build_hamiltonian
-from spinmaps.qlinalg import PAULI_AXES, density_of, kron_all, partial_trace_keep, pauli
+from spinmaps.qlinalg import (PAULI_AXES, HermitianEvolver, density_of, kron_all,
+                              partial_trace_keep, pauli)
 from spinmaps.reduced import (
     MapExtractor,
     PCParams,
@@ -18,8 +20,8 @@ from spinmaps.reduced import (
 
 RNG = np.random.default_rng(11)
 
-CC3 = build_hamiltonian(NetworkSpec(topology="complete", n=3, h=0.37,
-                                    j_perp=1.0, j_par=0.4))
+CC3 = HermitianEvolver(build_hamiltonian(NetworkSpec(topology="complete", n=3, h=0.37,
+                                                     j_perp=1.0, j_par=0.4)))
 
 unit_floats = st.floats(-1.0, 1.0)
 
@@ -55,22 +57,22 @@ def test_extractor_matches_one_shot_and_unitary_path():
                                           h=0.37, j_perp=1.0, j_par=0.6))
         for site in range(n):
             for env in partner_sets(n, RNG):
-                ex = MapExtractor(h, site, env)
+                ex = MapExtractor(HermitianEvolver(h), site, env)
                 for t in (0.3, 1.7):
                     m1 = ex.transfer(t)
-                    m2 = MapExtractor(h, site, env).transfer(t)
+                    m2 = MapExtractor(HermitianEvolver(h), site, env).transfer(t)
                     m3 = transfer_from_unitary(ex.evolver.unitary(t), site, env)
                     assert np.max(np.abs(m1 - m2)) < 1e-12
                     assert np.max(np.abs(m1 - m3)) < 1e-12
 
 
-def test_transfer_from_unitary_is_bit_identical_to_trace_loop():
-    # one partial trace per Pauli input and one np.trace per entry; bytes,
-    # so signed zeros count
+def test_transfer_from_unitary_matches_trace_loop():
+    # one partial trace per Pauli input and one np.trace per entry; the
+    # Heisenberg-picture kernel sums in another order, so roundoff only
     for n in range(2, 7):
         h = build_hamiltonian(NetworkSpec(topology="ring" if n >= 3 else "complete", n=n,
                                           h=0.37, j_perp=1.0, j_par=0.6))
-        u = MapExtractor(h, 0, random_env(n, RNG)).evolver.unitary(1.3)
+        u = MapExtractor(HermitianEvolver(h), 0, random_env(n, RNG)).evolver.unitary(1.3)
         for site in range(n):
             env = random_env(n, RNG, diagonal=False)
             envs = iter(env)
@@ -81,7 +83,30 @@ def test_transfer_from_unitary_is_bit_identical_to_trace_loop():
                 out = partial_trace_keep(u @ op @ u.conj().T, site)
                 for i, ai in enumerate(PAULI_AXES):
                     want[i, j] = 0.5 * np.trace(pauli(ai) @ out)
-            assert transfer_from_unitary(u, site, env).tobytes() == want.real.tobytes()
+            assert np.max(np.abs(transfer_from_unitary(u, site, env) - want.real)) <= 1e-14
+
+
+def test_transfer_from_unitary_of_composed_propagators():
+    # a piecewise-constant schedule U = U2 U1 under two different Hamiltonians,
+    # against scipy's expm, np.kron inputs and the partial trace
+    rng = np.random.default_rng(19)
+    for n in range(3, 6):
+        h1 = build_hamiltonian(NetworkSpec(topology="ring", n=n, h=0.37, j_perp=1.0, j_par=0.6))
+        h2 = build_hamiltonian(NetworkSpec(topology="complete", n=n, h=-0.8, j_perp=0.7,
+                                           j_par=1.3))
+        u = scipy.linalg.expm(-2.1j * h2) @ scipy.linalg.expm(-0.9j * h1)
+        for site in range(n):
+            env = random_env(n, rng, diagonal=False)
+            rest = [density_of([b]) for b in env]
+            rest.insert(site, None)
+            want = np.empty((4, 4))
+            for j, aj in enumerate(PAULI_AXES):
+                op = np.ones((1, 1))
+                for k, f in enumerate(rest):
+                    op = np.kron(op, pauli(aj) if k == site else f)
+                out = partial_trace_keep(u @ op @ u.conj().T, site)
+                want[:, j] = [0.5 * np.trace(pauli(ai) @ out).real for ai in PAULI_AXES]
+            assert np.max(np.abs(transfer_from_unitary(u, site, env) - want)) <= 1e-12
 
 
 def test_reduced_maps_preserve_trace_and_are_cp():
