@@ -6,11 +6,14 @@ Families covered, all against diagonal (Bloch-z) environments:
 - ring_params: ring N = 4 (full XXZ, every parameter) and ring N = 5 at the
   isotropic point J_par = J_perp (lambda3/tau3 only; the transverse sector
   has no closed form there and is returned as NaN).
-- xx_unitary_components / xx_reduced_map: one detuned XX pair, including the
-  full two-qubit channel in the Pauli basis. That channel has 70 nonzero
-  entries taking 17 distinct values up to sign; a module-level table of
+- xx_reduced_map / xx_unitary_components: one detuned XX pair. The full
+  two-qubit channel in the Pauli basis has 70 nonzero entries taking 17
+  distinct values up to sign. xx_reduced_map writes the focal qubit's 4x4
+  straight from those values, byte for byte the partner-weighted sum over
+  the 16x16 channel. xx_unitary_components builds that 16x16 channel, the
+  reference the tests hold xx_reduced_map to: a module-level table of
   (row, col, value slot, sign), built once from the Pauli labels, places
-  them with one numpy scatter per call.
+  the values with one numpy scatter per call.
 - closed_form: the transfer matrix of any NetworkSpec that a family above
   covers; the families' own checks raise UnsupportedNetwork for the rest.
 
@@ -455,16 +458,8 @@ def _xx_table():
 _XX_ROWS, _XX_COLS, _XX_SLOTS, _XX_SIGNS = _xx_table()
 
 
-def xx_unitary_components(t: float, h12: float, omega12: float,
-                          phi12: float) -> np.ndarray:
-    """Full 16x16 Pauli transfer matrix of the XX-pair unitary channel.
-
-    Row/column index 4*i + j pairs the first-site axis i with the
-    second-site axis j, axes ordered (identity, x, y, z). The result is
-    orthogonal; 70 entries are nonzero. The distinct values are computed
-    once and scattered into place through the _XX_ENTRIES table; a sign of
-    -1 multiplies exactly, so each entry is the negated value bit for bit.
-    """
+def _xx_values(t: float, h12: float, omega12: float, phi12: float) -> tuple:
+    """The 17 distinct values of the XX-pair channel, in _XX_SLOT_NAMES order."""
     a = 2.0 * h12 * t
     b = omega12 * t
     c, s = math.cos(phi12), math.sin(phi12)
@@ -472,7 +467,7 @@ def xx_unitary_components(t: float, h12: float, omega12: float,
     cb, sb = math.cos(b), math.sin(b)
     sin2a, sin2b = math.sin(2.0 * a), math.sin(2.0 * b)
     z_ex = s * s * sb * sb
-    values = np.array([
+    return (
         1.0,
         cb * ca + c * sb * sa,  # r
         cb * sa - c * sb * ca,  # s_rot
@@ -490,7 +485,22 @@ def xx_unitary_components(t: float, h12: float, omega12: float,
         sa * sa - c * c * sb * sb,  # xx_yy
         ca * ca - sb * sb,  # xy_xy
         sb * sb - sa * sa,  # xy_yx
-    ])
+    )
+
+
+def xx_unitary_components(t: float, h12: float, omega12: float,
+                          phi12: float) -> np.ndarray:
+    """Full 16x16 Pauli transfer matrix of the XX-pair unitary channel.
+
+    Row/column index 4*i + j pairs the first-site axis i with the
+    second-site axis j, axes ordered (identity, x, y, z). The result is
+    orthogonal; 70 entries are nonzero. The distinct values are computed
+    once and scattered into place through the _XX_ENTRIES table; a sign of
+    -1 multiplies exactly, so each entry is the negated value bit for bit.
+    It is the reference the reduced maps of xx_reduced_map are tested
+    against.
+    """
+    values = np.array(_xx_values(t, h12, omega12, phi12))
     m = np.zeros((16, 16))
     m[_XX_ROWS, _XX_COLS] = values[_XX_SLOTS] * _XX_SIGNS
     return m
@@ -504,18 +514,28 @@ def xx_reduced_map(t: float, pair_params, env_bloch, which: int = 1) -> np.ndarr
     state of the traced-out partner. which selects the surviving site. The
     partner's transverse components feed the map's phase-covariance-breaking
     entries; a diagonal partner (x = y = 0) leaves a phase-covariant map.
+
+    The 4x4 block is written directly from the channel values: it equals,
+    byte for byte, the partner-weighted sum over the 16x16
+    xx_unitary_components. Each `+ 0.0` turns a -0.0 (a vanishing rotation
+    at t = 0, or a zero product with a diagonal partner) into the +0.0 that
+    sum gives; p (or r) has a nonzero cos * cos term and is never -0.0.
     """
     h12, omega12, phi12 = pair_params
-    x, y, z = (float(v) for v in env_bloch)
+    x, y, z = map(float, env_bloch)
     if x * x + y * y + z * z > 1.0 + 1e-12:
         raise ValueError("environment Bloch vector has norm > 1")
-    weights = np.array([1.0, x, y, z])
-    u4 = xx_unitary_components(t, h12, omega12, phi12).reshape(4, 4, 4, 4)
-    if which == 1:
-        return np.einsum("ilk,k->il", u4[:, 0, :, :], weights)
+    if which not in (1, 2):
+        raise ValueError("which must be 1 or 2")
+    _, r, s_rot, p, q, f, e, z_stay, z_ex, g, k, *_ = _xx_values(t, h12, omega12, phi12)
     if which == 2:
-        return np.einsum("iml,m->il", u4[0, :, :, :], weights)
-    raise ValueError("which must be 1 or 2")
+        p, q, g = r, s_rot, -g
+    return np.fromiter((
+        1.0, 0.0, 0.0, 0.0,
+        0.0, p, -q + 0.0, f * x + e * y + 0.0,
+        0.0, q + 0.0, p, -e * x + f * y + 0.0,
+        z_ex * z + 0.0, g * x - k * y + 0.0, k * x + g * y + 0.0, z_stay,
+    ), float, 16).reshape(4, 4)
 
 
 # ---------------------------------------------------------------------------

@@ -115,23 +115,29 @@ def trunc_tanh_pdf(phi, a_phi: float):
 
 
 def _sample_phi(spec: DisorderSpec, rng: np.random.Generator) -> float:
+    # The raw primitives standard_normal() and random() with the affine maps
+    # written out: normal(loc, scale) and uniform(lo, hi) compute exactly
+    # loc + scale * z and lo + (hi - lo) * u, with hi - lo = pi here, so the
+    # draws and the generator state are theirs bit for bit. The 0.0 + keeps
+    # normal(0, scale)'s +0.0 where scale * z is -0.0.
     if spec.phi_dist == "gaussian":
-        return float(rng.normal(0.0, spec.sigma_phi))
+        return 0.0 + spec.sigma_phi * rng.standard_normal()
     # Rejection with a uniform proposal; the density peaks at the endpoints,
     # and acceptance stays above 1/3 for every a_phi.
-    ceil = math.tanh(spec.a_phi * math.pi / 2.0) ** 2
+    a_phi = spec.a_phi
+    ceil = math.tanh(a_phi * math.pi / 2.0) ** 2
     while True:
-        phi = float(rng.uniform(-math.pi / 2.0, math.pi / 2.0))
-        if rng.uniform() * ceil <= math.tanh(spec.a_phi * phi) ** 2:
+        phi = -math.pi / 2.0 + math.pi * rng.random()
+        if rng.random() * ceil <= math.tanh(a_phi * phi) ** 2:
             return phi
 
 
 def sample_pair(spec: DisorderSpec, rng: np.random.Generator) -> PairEig:
-    """One draw of the pair eigen-parameters."""
-    h = float(rng.normal(spec.B, spec.sigma_h))
-    omega = float(rng.normal(spec.Omega, spec.sigma_omega))
-    phi = _sample_phi(spec, rng)
-    return PairEig(h, omega, phi)
+    """One draw of the pair eigen-parameters: h, omega and phi in that order,
+    each from the generator's raw primitives (see _sample_phi)."""
+    h = spec.B + spec.sigma_h * rng.standard_normal()
+    omega = spec.Omega + spec.sigma_omega * rng.standard_normal()
+    return PairEig(h, omega, _sample_phi(spec, rng))
 
 
 class SampleStreams:
@@ -205,6 +211,7 @@ def closedform_disorder_components(spec: DisorderSpec, t: float) -> dict:
 _COMPONENT_SLOTS = {"xx0": (1, 1), "yx0": (2, 1), "z0z": (3, 0), "zz0": (3, 3)}
 
 PULL_LIMIT = 5.0  # a closed form further than this many stderr from MC is flagged
+ZERO_SPREAD_TOL = 1e-12  # the agreement a component without MC spread must show
 
 
 @dataclass(frozen=True)
@@ -220,8 +227,12 @@ class ComponentCheck:
     @property
     def pull(self) -> float:
         """(closed - mc) / stderr: the closed form's distance from the Monte
-        Carlo mean in standard errors, 0 where the MC spread vanishes."""
-        return (self.closed_form - self.mc_mean) / self.mc_stderr if self.mc_stderr > 0 else 0.0
+        Carlo mean in standard errors. Where the MC spread vanishes it is 0
+        if the two agree to ZERO_SPREAD_TOL and +-inf if they do not."""
+        gap = self.closed_form - self.mc_mean
+        if self.mc_stderr > 0:
+            return gap / self.mc_stderr
+        return math.copysign(math.inf, gap) if abs(gap) > ZERO_SPREAD_TOL else 0.0
 
     @property
     def flagged(self) -> bool:

@@ -185,6 +185,60 @@ def test_xx_swap_relation(t, h12, w, phi):
     assert np.max(np.abs(a - b)) < 1e-12
 
 
+def einsum_reduced_map(t, pair_params, env_bloch, which):
+    """The partner-weighted sum over the 16x16 channel: xx_reduced_map's
+    definition, which its direct 4x4 must equal byte for byte."""
+    weights = np.array([1.0, *env_bloch])
+    u4 = xx_unitary_components(t, *pair_params).reshape(4, 4, 4, 4)
+    if which == 1:
+        return np.einsum("ilk,k->il", u4[:, 0, :, :], weights)
+    return np.einsum("iml,m->il", u4[0, :, :, :], weights)
+
+
+def xx_edge_inputs():
+    """t = 0 (both signs), rotations that vanish with either sign, phi at 0
+    and +-pi/2, and diagonal, polarized, signed-zero and unit partners."""
+    params = [(0.5, 1.1, 0.4), (-0.5, -1.1, 0.4), (-0.5, 1.1, -0.4), (0.5, -1.1, 0.0),
+              (0.3, 0.7, np.pi / 2), (-0.3, -0.7, -np.pi / 2), (0.0, 0.0, 0.0),
+              (-0.0, -0.0, -0.0)]
+    envs = [(0.0, 0.0, 1.0), (0.0, 0.0, -1.0), (0.0, 0.0, 0.0), (-0.0, -0.0, -0.0),
+            (-0.0, 0.0, -1.0), (0.0, -0.0, 0.4), (0.3, -0.0, 0.5), (-0.0, -0.6, -0.0),
+            (0.6, 0.8, 0.0), (-0.6, 0.0, -0.8)]
+    return [(t, p, e) for t in (0.0, -0.0, 1.3) for p in params for e in envs]
+
+
+def xx_random_inputs(count, rng):
+    """Random times, eigen-parameters and partners, a quarter of the
+    partners diagonal and a quarter of them on the unit sphere."""
+    ts = rng.uniform(-20.0, 20.0, count)
+    pars = np.column_stack([rng.normal(0.0, 3.0, count), rng.normal(0.0, 3.0, count),
+                            rng.uniform(-np.pi, np.pi, count)])
+    envs = rng.normal(size=(count, 3))
+    envs *= (rng.uniform(size=count) / np.linalg.norm(envs, axis=1))[:, None]
+    envs[: count // 4, :2] = 0.0
+    envs[count // 4: count // 2] /= np.linalg.norm(envs[count // 4: count // 2], axis=1)[:, None]
+    return [(float(t), tuple(p.tolist()), tuple(e.tolist())) for t, p, e in zip(ts, pars, envs)]
+
+
+@pytest.mark.parametrize("which", [1, 2])
+def test_xx_reduced_map_is_byte_identical_to_einsum_over_the_channel(which):
+    inputs = xx_edge_inputs() + xx_random_inputs(50_000, np.random.default_rng(11 + which))
+    direct = np.stack([xx_reduced_map(t, p, e, which) for t, p, e in inputs])
+    summed = np.stack([einsum_reduced_map(t, p, e, which) for t, p, e in inputs])
+    same = [a.tobytes() == b.tobytes() for a, b in zip(direct, summed)]
+    assert all(same), [inputs[k] for k, ok in enumerate(same) if not ok][:5]
+
+
+def test_xx_reduced_map_rejections():
+    with pytest.raises(ValueError, match="norm > 1"):
+        xx_reduced_map(0.5, (0.3, 1.1, 0.4), (0.8, 0.8, 0.0))
+    with pytest.raises(ValueError, match="norm > 1"):  # the norm is checked first
+        xx_reduced_map(0.5, (0.3, 1.1, 0.4), (0.8, 0.8, 0.0), which=3)
+    for which in (0, 3):
+        with pytest.raises(ValueError, match="which must be 1 or 2"):
+            xx_reduced_map(0.5, (0.3, 1.1, 0.4), (0.0, 0.0, 1.0), which)
+
+
 def test_xx_reduced_map_matches_dense_both_sites():
     h1, h2, j = 1.0, 0.4, 0.8
     spec = NetworkSpec(topology="xx_pairs", n=2, pairs=(PairSpec(h1, h2, j),))

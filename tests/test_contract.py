@@ -81,3 +81,20 @@ def test_edge_lines_parse(line):
     # an edge line must reach the command's own checks, not argparse's exit 2
     assert line.startswith("spinmaps ")
     cli.build_parser().parse_args(shlex.split(line)[1:])
+
+
+@pytest.mark.parametrize("full", [False, True], ids=["capped", "full"])
+def test_variants_cap_disorder_samples_unless_full(full):
+    lines = ["spinmaps disorder --phi-dist trunc_tanh --a-phi 1e-3 --n-samples 200000",
+             "spinmaps disorder --varphi 3 --seed 0",
+             "spinmaps measure --c 0.5",
+             "spinmaps steady --n 4"]
+    capped = contract.DISORDER_SAMPLES
+    assert contract.variants(lines, full) == [
+        ["disorder", "--phi-dist", "trunc_tanh", "--a-phi", "1e-3", "--n-samples",
+         "200000" if full else capped],
+        ["disorder", "--varphi", "3", "--seed", "0"] + ([] if full else ["--n-samples", capped]),
+        ["measure", "--c", "0.5"],
+        ["measure", "--c", "0.5", "--no-overlay"],
+        ["steady", "--n", "4"],
+    ]

@@ -10,9 +10,11 @@ from scipy.integrate import quad
 from spinmaps.disorder import (
     MIN_A_PHI,
     MIN_VARPHI,
+    ComponentCheck,
     DisorderSpec,
     PairEig,
     SampleStreams,
+    _sample_phi,
     closedform_disorder_components,
     disorder_components,
     max_tau3_trunc_tanh,
@@ -136,6 +138,65 @@ def test_mc_disorder_map_equals_fresh_philox_loop(spec):
     assert np.array_equal(stderr, maps.std(axis=0, ddof=1) / math.sqrt(200))
 
 
+def reference_phi(spec, rng):
+    """_sample_phi through numpy's normal(loc, scale) and uniform(lo, hi)."""
+    if spec.phi_dist == "gaussian":
+        return float(rng.normal(0.0, spec.sigma_phi))
+    ceil = math.tanh(spec.a_phi * math.pi / 2.0) ** 2
+    while True:
+        phi = float(rng.uniform(-math.pi / 2.0, math.pi / 2.0))
+        if rng.uniform() * ceil <= math.tanh(spec.a_phi * phi) ** 2:
+            return phi
+
+
+def reference_pair(spec, rng):
+    h = float(rng.normal(spec.B, spec.sigma_h))
+    omega = float(rng.normal(spec.Omega, spec.sigma_omega))
+    return PairEig(h, omega, reference_phi(spec, rng))
+
+
+DRAW_SPECS = [
+    GAUSS, TANH,
+    DisorderSpec(B=-0.3, Omega=2.5, sigma_h=0.2, sigma_omega=3.0, sigma_phi=1e-3),
+    # sigma_phi * z underflows to -0.0 for every negative z below 0.5
+    DisorderSpec(B=1.0, Omega=1.0, sigma_h=1.0, sigma_omega=1.0, sigma_phi=5e-324),
+    DisorderSpec(B=0.7, Omega=-1.2, sigma_h=2.0, sigma_omega=0.1, phi_dist="trunc_tanh",
+                 a_phi=1e-3),
+    DisorderSpec(B=1.0, Omega=1.0, sigma_h=1.0, sigma_omega=1.0, phi_dist="trunc_tanh",
+                 a_phi=MIN_A_PHI),
+    DisorderSpec(B=1.0, Omega=1.0, sigma_h=1.0, sigma_omega=1.0, phi_dist="trunc_tanh",
+                 a_phi=50.0),
+]
+
+
+def plain_state(rng):
+    """The generator's state with its arrays as lists, for ==."""
+    def plain(v):
+        if isinstance(v, dict):
+            return {k: plain(x) for k, x in v.items()}
+        return v.tolist() if isinstance(v, np.ndarray) else v
+    return plain(rng.bit_generator.state)
+
+
+@pytest.mark.parametrize("spec", DRAW_SPECS, ids=["gaussian", "trunc_tanh", "narrow_gaussian",
+                                                  "subnormal_gaussian", "a_phi_1e-3", "a_phi_min", "a_phi_50"])
+@pytest.mark.parametrize("draw, reference", [(sample_pair, reference_pair),
+                                             (_sample_phi, reference_phi)],
+                         ids=["sample_pair", "_sample_phi"])
+def test_draws_equal_numpy_normal_and_uniform_bit_for_bit(spec, draw, reference):
+    # per-index Philox streams, as mc_disorder_map draws, then one PCG64
+    # stream drawn on and on, as criterion 07 does
+    streams, ref_streams = SampleStreams(17), SampleStreams(17)
+    pcg, ref_pcg = np.random.default_rng(17), np.random.default_rng(17)
+    for k in range(3300):
+        rng, ref_rng = (streams.at(k), ref_streams.at(k)) if k < 300 else (pcg, ref_pcg)
+        got, want = draw(spec, rng), reference(spec, ref_rng)
+        assert type(got) is type(want)
+        got, want = (got, want) if isinstance(got, tuple) else ((got,), (want,))
+        assert [v.hex() for v in got] == [v.hex() for v in want]
+        assert plain_state(rng) == plain_state(ref_rng)
+
+
 def test_sample_pair_moments():
     streams = SampleStreams(0)
     draws = [sample_pair(GAUSS, streams.at(i)) for i in range(2000)]
@@ -164,6 +225,15 @@ def test_closedform_matches_mc_at_fixed_seed():
     assert not any(c.flagged for c in checks)
     for c in checks:
         assert abs(c.pull) < 5.0
+
+
+def test_zero_spread_component_is_flagged_unless_it_agrees():
+    assert ComponentCheck("xx0", 1.0, 0.0, 0.9).flagged
+    assert ComponentCheck("xx0", 1.0, 0.0, 0.9).pull == -math.inf
+    assert ComponentCheck("xx0", 0.9, 0.0, 1.0).pull == math.inf
+    assert not ComponentCheck("xx0", 1.0, 0.0, 1.0).flagged
+    assert not ComponentCheck("xx0", 1.0, 0.0, 1.0 + 1e-13).flagged
+    assert not ComponentCheck("xx0", 1.0, 0.0).flagged  # no closed form
 
 
 def test_closedform_t0_is_exact_identity():

@@ -1,13 +1,15 @@
 """Compare the CLI outputs of this tree against another git revision.
 
-    python3 tools/contract.py --against <rev>
+    python3 tools/contract.py --against <rev> [--full]
 
 Checks <rev> out with `git worktree add` into a temporary directory (and
 removes the worktree when done), then runs every `spinmaps` line of the
 README's command blocks, read as tests/test_cli.py's readme_commands reads
 them, and every line of EDGE_LINES, once against each tree's src/. Each run is a fresh process with BLAS
 at 1 thread and its own output directory. `disorder` lines run at
---n-samples 2000, and each `measure` line runs once more with --no-overlay.
+--n-samples 2000 unless --full runs them at the sample counts they give
+(several minutes for the README's 200,000-sample line), and each `measure`
+line runs once more with --no-overlay.
 
 Prints one row per line and file (data.csv, eigenvalues.csv,
 diagnostics.json): "identical", or the largest absolute difference per CSV
@@ -72,12 +74,14 @@ def readme_commands(readme: Path) -> list:
             if line.startswith("spinmaps ")]
 
 
-def variants(lines) -> list:
-    """argv lists to run: disorder at DISORDER_SAMPLES, measure also without overlay."""
+def variants(lines, full: bool = False) -> list:
+    """argv lists to run: each `measure` line also without overlay, and
+    `disorder` at DISORDER_SAMPLES unless full (a cap shrinks only the
+    sample count, never a grid, a horizon or a seed)."""
     out = []
     for line in lines:
         argv = shlex.split(line)[1:]
-        if argv[0] == "disorder":
+        if argv[0] == "disorder" and not full:
             if "--n-samples" in argv:
                 argv[argv.index("--n-samples") + 1] = DISORDER_SAMPLES
             else:
@@ -195,8 +199,11 @@ def compare(old: dict, new: dict) -> list:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--against", required=True, help="git revision to compare with")
+    parser.add_argument("--full", action="store_true",
+                        help="run disorder at the README sample counts, not at "
+                             f"--n-samples {DISORDER_SAMPLES}")
     args = parser.parse_args(argv)
-    lines = variants(readme_commands(ROOT / "README.md") + list(EDGE_LINES))
+    lines = variants(readme_commands(ROOT / "README.md") + list(EDGE_LINES), args.full)
     changed = False
     with tempfile.TemporaryDirectory(prefix="spinmaps-contract-") as tmp:
         base = Path(tmp) / "tree"
