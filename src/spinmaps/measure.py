@@ -5,8 +5,9 @@ uniform and truncated-Gaussian sampling over it, eigenvalue statistics of
 the sampled maps (including a minimally broken family with lambda2 !=
 lambda1), Monte Carlo volume estimates, and the time-dependent trajectory
 construction whose width shrinks as sigma(t) = (C/N)(1/t), t in units of t_J.
-BrokenPCParams, like reduced.PCParams, gives one transfer matrix or a stack,
-so each rejection sampler certifies a block of candidates in one call.
+The rejection samplers draw one candidate at a time from the generator's raw
+doubles; the broken family is pruned by its closed-form Choi margin
+(broken_cp_margin) and every accepted draw is certified by choi_check.
 """
 
 from __future__ import annotations
@@ -23,33 +24,22 @@ from .reduced import PCParams, choi_check, cp_ok as cp_contains
 
 _TAU3_RULES = ("symmetric", "signed")
 _TWO_PI = 2.0 * math.pi
-# candidates drawn and certified at once by the rejection samplers, and
-# rows drawn at once by volume_mc; neither changes a draw or an estimate
-_BLOCK = 8
-_VOLUME_CHUNK = 2**16
+# rows drawn at once by volume_mc; the chunk changes no draw or estimate
+_VOLUME_CHUNK = 2**14
 MIN_VOLUME_SAMPLES = 10**5
-# bounds of a broken candidate's draws: (lambda1, lambda2, tau3, lambda3), theta
-_BROKEN_LOW = np.array([-1.0, -1.0, -1.0, -1.0, 0.0])
-_BROKEN_HIGH = np.array([1.0, 1.0, 1.0, 1.0, _TWO_PI])
+# broken_uniform_sample accepts at choi_check >= _CHOI_FLOOR; a candidate
+# whose closed-form margin lies more than _MARGIN_BAND below it is rejected
+# without the Choi test (the two agree to 1e-14, tests/test_measure.py)
+_CHOI_FLOOR = -1e-9
+_MARGIN_BAND = 1e-13
 # first time of every trajectory grid, in t_J: sigma(t) is largest there
 T_FIRST = 0.1
 
 
 def _uniform_theta(rng: np.random.Generator) -> float:
-    # uniform on (-pi, pi]
-    return math.pi - float(rng.uniform(0.0, _TWO_PI))
-
-
-def _rewind(rng: np.random.Generator, state: dict, skip: int):
-    """Put rng back at state, then past skip doubles.
-
-    Restoring the whole state and drawing through the Generator is exact
-    for any bit generator: each double is one next_double, and a pending
-    32-bit value (which PCG64.advance would clear) is kept.
-    """
-    rng.bit_generator.state = state
-    if skip:
-        rng.random(skip)
+    # uniform on (-pi, pi]: pi - rng.uniform(0, 2 pi), which numpy computes
+    # as 0 + 2 pi u from the raw double u
+    return math.pi - (0.0 + _TWO_PI * rng.random())
 
 
 def uniform_sample(rng: np.random.Generator) -> PCParams:
@@ -57,22 +47,17 @@ def uniform_sample(rng: np.random.Generator) -> PCParams:
 
     Rejection from the bounding box [-1, 1]^3; the sign of the lambda1 draw
     is folded away (the map depends on lambda1 only through the rotation
-    block, and we keep lambda1 >= 0). Each candidate is one
-    rng.uniform(-1, 1, size=3) call and theta is drawn after acceptance.
-    Candidates are drawn _BLOCK at a time and tested in order, as Python
-    floats, by cp_contains (its verdict on a float is the one it gives
-    inside an array); the generator is then put just past the first
-    accepted one, so the stream, and every draw, is the one a
-    candidate-by-candidate loop makes.
+    block, and we keep lambda1 >= 0). Each candidate is three raw doubles u,
+    mapped to -1 + 2u as rng.uniform(-1, 1) maps them (the same draws and
+    the same generator state), and tested as Python floats by cp_contains;
+    theta is drawn after acceptance.
     """
     while True:
-        state = rng.bit_generator.state
-        block = rng.uniform(-1.0, 1.0, size=(_BLOCK, 3)).tolist()
-        for k, (l1, t3, l3) in enumerate(block):
-            if cp_contains(l1, t3, l3):
-                _rewind(rng, state, 3 * (k + 1))
-                return PCParams(lambda1=abs(l1), theta=_uniform_theta(rng),
-                                lambda3=l3, tau3=t3)
+        u1, u2, u3 = rng.random(3).tolist()
+        l1, t3, l3 = -1.0 + 2.0 * u1, -1.0 + 2.0 * u2, -1.0 + 2.0 * u3
+        if cp_contains(l1, t3, l3):
+            return PCParams(lambda1=abs(l1), theta=_uniform_theta(rng),
+                            lambda3=l3, tau3=t3)
 
 
 @dataclass(frozen=True)
@@ -104,13 +89,15 @@ def volume_mc(n: int, seed: int) -> VolumeEstimate:
         p = k / n
         return box * p, box * math.sqrt(p * (1.0 - p) / n)
 
-    # row chunks of the one n x 3 draw: same rows, integer counts, flat memory
+    # row chunks of the one n x 3 draw, read as contiguous columns: same
+    # rows, integer counts, flat memory
     hits = negs = 0
     for start in range(0, n, _VOLUME_CHUNK):
         rows = rng.uniform(-1.0, 1.0, size=(min(_VOLUME_CHUNK, n - start), 3))
-        hit = cp_contains(rows[:, 0], rows[:, 1], rows[:, 2])
-        hits += int(hit.sum())
-        negs += int((hit & (rows[:, 2] < 0.0)).sum())
+        l1, t3, l3 = rows.T.copy()
+        hit = cp_contains(l1, t3, l3)
+        hits += np.count_nonzero(hit)
+        negs += np.count_nonzero(hit & (l3 < 0.0))
     total, total_err = rate_err(hits)
     negative, negative_err = rate_err(negs)
     positive, positive_err = rate_err(hits - negs)
@@ -124,7 +111,7 @@ class BrokenPCParams:
 
     xy block [[lambda1 cos, -lambda1 sin], [lambda2 sin, lambda2 cos]];
     lambda2 = lambda1 restores the covariant family. Fields are floats, or
-    equal-shape arrays for a block of candidates.
+    equal-shape arrays for a stack of transfer matrices.
     """
 
     lambda1: float
@@ -163,30 +150,44 @@ def eigenvalues_broken(b: BrokenPCParams) -> np.ndarray:
                      b.lambda3], dtype=complex)
 
 
+def broken_cp_margin(lambda1: float, lambda2: float, tau3: float,
+                     lambda3: float) -> float:
+    """Minimum Choi eigenvalue of the broken family, in closed form.
+
+    The Choi matrix splits into two 2x2 blocks, on |00>, |11> and on
+    |01>, |10>, with eigenvalues (1 + l3 +- hypot(t3, l1 + l2))/4 and
+    (1 - l3 +- hypot(t3, l1 - l2))/4. theta drops out: a z-rotation of the
+    input is a unitary pre-composition, which leaves the spectrum alone.
+    """
+    return 0.25 * min(1.0 + lambda3 - math.hypot(tau3, lambda1 + lambda2),
+                      1.0 - lambda3 - math.hypot(tau3, lambda1 - lambda2))
+
+
 def broken_uniform_sample(rng: np.random.Generator) -> BrokenPCParams:
     """Uniform draw of the broken family, CP-certified through the Choi test.
 
-    (lambda1, lambda2, tau3, lambda3) from [-1, 1]^4 and theta uniform;
-    there is no closed inequality set here, so acceptance is
-    choi_check >= -1e-9 on the assembled transfer matrix. Each candidate is
-    one rng.uniform(-1, 1, size=4) call and one _uniform_theta. Candidates
-    are certified _BLOCK at a time by one stacked choi_check; the first
-    accepted one is then drawn again by those calls, so the stream, and
-    every draw, is the one a candidate-by-candidate loop makes.
+    (lambda1, lambda2, tau3, lambda3) from [-1, 1]^4 and theta uniform:
+    five raw doubles per candidate, mapped as uniform_sample and
+    _uniform_theta map theirs. Acceptance is choi_check >= -1e-9 on the
+    assembled transfer matrix. A candidate whose broken_cp_margin lies
+    more than 1e-13 below -1e-9 is rejected without it; any other gets one
+    choi_check, which decides it. A Choi rejection of a margin more than
+    1e-13 above -1e-9 means the two disagree and raises NumericalError.
     """
     while True:
-        state = rng.bit_generator.state
-        # row j holds candidate j's five scalar draws, in stream order
-        l1, l2, t3, l3, theta = rng.uniform(_BROKEN_LOW, _BROKEN_HIGH, size=(_BLOCK, 5)).T
-        block = BrokenPCParams(lambda1=l1, lambda2=l2, theta=math.pi - theta,
-                               lambda3=l3, tau3=t3)
-        hits = np.flatnonzero(choi_check(block.transfer()) >= -1e-9)
-        if hits.size:
-            _rewind(rng, state, 5 * int(hits[0]))
-            l1, l2, t3, l3 = rng.uniform(-1.0, 1.0, size=4)
-            return BrokenPCParams(lambda1=float(l1), lambda2=float(l2),
-                                  theta=_uniform_theta(rng),
-                                  lambda3=float(l3), tau3=float(t3))
+        u1, u2, u3, u4, u5 = rng.random(5).tolist()
+        l1, l2 = -1.0 + 2.0 * u1, -1.0 + 2.0 * u2
+        t3, l3 = -1.0 + 2.0 * u3, -1.0 + 2.0 * u4
+        margin = broken_cp_margin(l1, l2, t3, l3)
+        if margin < _CHOI_FLOOR - _MARGIN_BAND:
+            continue
+        theta = math.pi - (0.0 + _TWO_PI * u5)  # as _uniform_theta maps its double
+        cand = BrokenPCParams(lambda1=l1, lambda2=l2, theta=theta, lambda3=l3, tau3=t3)
+        if choi_check(cand.transfer()) >= _CHOI_FLOOR:
+            return cand
+        if margin > _CHOI_FLOOR + _MARGIN_BAND:
+            raise NumericalError(f"Choi test rejects a broken candidate whose "
+                                 f"closed-form margin is {margin:.3e}")
 
 
 def trunc_gauss_sample(mu: float, sigma: float, a: float, b: float,

@@ -351,6 +351,18 @@ def test_measure_non_cp_trajectory_exits_3(tmp_path, capsys, monkeypatch):
     assert out == "" and not (tmp_path / "runs").exists()
 
 
+def test_measure_broken_margin_contradicted_by_choi_exits_3(tmp_path, capsys, monkeypatch):
+    import spinmaps.measure
+
+    monkeypatch.setattr(spinmaps.measure, "broken_cp_margin", lambda *args: 1.0)
+    rc, out, err = run_cli(["measure", "--no-overlay", "--steps", "5",
+                            "--scatter-samples", "20", "--outdir", str(tmp_path / "runs")],
+                           capsys)
+    assert rc == 3
+    assert err.startswith("numerical failure: Choi test rejects a broken candidate")
+    assert out == "" and not (tmp_path / "runs").exists()
+
+
 @pytest.mark.parametrize("bad, where", [
     ({(2, 3)}, "t=0.600 t_J, site 2"),
     ({(1, 3), (2, 3)}, "t=0.600 t_J, site 1"),  # sites in order within a time

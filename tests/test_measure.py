@@ -11,6 +11,7 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from spinmaps import measure
 from spinmaps.ensemble import steady_channel
 from spinmaps.measure import _uniform_theta
 from spinmaps.measure import (
@@ -18,6 +19,7 @@ from spinmaps.measure import (
     BrokenPCParams,
     MeasureSpec,
     VolumeEstimate,
+    broken_cp_margin,
     broken_uniform_sample,
     cp_contains,
     eigenvalues_broken,
@@ -29,7 +31,7 @@ from spinmaps.measure import (
     volume_mc,
 )
 from spinmaps.network import NetworkSpec
-from spinmaps.qlinalg import PAULI_AXES, pauli
+from spinmaps.qlinalg import PAULI_AXES, NumericalError, pauli
 from spinmaps.reduced import PCParams, choi_check, cp_ok
 
 unit_floats = st.floats(-1.0, 1.0)
@@ -92,7 +94,9 @@ def one_shot_volume(n, seed):
 
 
 def test_volume_mc_chunks_equal_one_shot_draw():
-    n = 3 * 2**16 + 17  # not a multiple of the row chunk
+    # the fewest whole chunks volume_mc allows, plus a partial one
+    chunk = measure._VOLUME_CHUNK
+    n = (MIN_VOLUME_SAMPLES // chunk + 1) * chunk + 17
     for seed in (0, 7):
         assert volume_mc(n, seed) == one_shot_volume(n, seed)
 
@@ -200,6 +204,93 @@ def test_broken_uniform_sample_accepts_as_choi_definition():
     rng, ref = np.random.default_rng(11), np.random.default_rng(11)
     for _ in range(300):
         assert broken_uniform_sample(rng) == definition_sample(ref)
+
+
+def test_uniform_theta_draws_as_numpy_uniform():
+    rng, ref = np.random.default_rng(8), np.random.default_rng(8)
+    for _ in range(2000):
+        want = math.pi - float(ref.uniform(0.0, 2.0 * math.pi))
+        assert _uniform_theta(rng).hex() == want.hex()
+    assert rng.bit_generator.state == ref.bit_generator.state
+
+
+def broken_choi(l1, l2, t3, l3, theta):
+    """choi_check of the broken family; floats or equal-shape arrays."""
+    return choi_check(BrokenPCParams(lambda1=l1, lambda2=l2, theta=theta,
+                                     lambda3=l3, tau3=t3).transfer())
+
+
+@given(unit_floats, unit_floats, unit_floats, unit_floats, st.floats(-math.pi, math.pi))
+def test_broken_cp_margin_is_the_min_choi_eigenvalue_at_every_theta(l1, l2, t3, l3, theta):
+    margin = broken_cp_margin(l1, l2, t3, l3)
+    # 1e-14 leaves 100x headroom under the 1e-13 band broken_uniform_sample trusts
+    for th in (theta, 0.0, math.pi / 2.0, -math.pi):
+        assert abs(margin - broken_choi(l1, l2, t3, l3, th)) <= 1e-14
+
+
+def closed_form_margins(l1, l2, t3, l3):
+    """broken_cp_margin point by point over equal-shape arrays."""
+    return np.array([broken_cp_margin(*p) for p in zip(
+        l1.tolist(), l2.tolist(), t3.tolist(), l3.tolist())])
+
+
+def boundary_points(rng, n, block, margin):
+    """Broken parameters with closed-form margin `margin` set by one Choi block.
+
+    block 0 solves hypot(t3, l1 + l2) = 1 + l3 - 4 margin, block 1 solves
+    hypot(t3, l1 - l2) = 1 - l3 - 4 margin; points where the other block
+    is lower or |t3| > 1 are dropped.
+    """
+    l1, l2, l3 = rng.uniform(-1.0, 1.0, size=(3, n))
+    sign = (1.0, -1.0)[block]
+    radius = 1.0 + sign * l3 - 4.0 * margin
+    pair = l1 + sign * l2
+    t3 = rng.choice([-1.0, 1.0], n) * np.sqrt(np.maximum(radius**2 - pair**2, 0.0))
+    other = 1.0 - sign * l3 - np.hypot(t3, l1 - sign * l2)
+    keep = (np.abs(pair) <= radius) & (np.abs(t3) <= 1.0) & (other >= 4.0 * margin)
+    return l1[keep], l2[keep], t3[keep], l3[keep]
+
+
+def test_broken_cp_margin_on_the_cp_boundary_and_the_acceptance_edge():
+    rng = np.random.default_rng(21)
+    for block in (0, 1):
+        for edge in (0.0, -1e-9):
+            l1, l2, t3, l3 = boundary_points(rng, 40_000, block, edge)
+            assert l1.size > 5_000
+            theta = rng.uniform(-math.pi, math.pi, l1.size)
+            margins = closed_form_margins(l1, l2, t3, l3)
+            assert np.max(np.abs(margins - edge)) < 1e-15
+            assert np.max(np.abs(margins - broken_choi(l1, l2, t3, l3, theta))) <= 1e-14
+    # and a plain box draw, as the sampler makes them
+    l1, l2, t3, l3 = rng.uniform(-1.0, 1.0, size=(4, 50_000))
+    theta = rng.uniform(-math.pi, math.pi, 50_000)
+    margins = closed_form_margins(l1, l2, t3, l3)
+    assert np.max(np.abs(margins - broken_choi(l1, l2, t3, l3, theta))) <= 1e-14
+
+
+def test_broken_sampler_certifies_each_draw_once(monkeypatch):
+    calls = []
+
+    def counted(transfer):
+        calls.append(transfer.shape)
+        return choi_check(transfer)
+
+    monkeypatch.setattr(measure, "choi_check", counted)
+    rng = np.random.default_rng(6)
+    for _ in range(300):
+        broken_uniform_sample(rng)
+    # the margin prunes every candidate away from the acceptance edge
+    assert calls == [(4, 4)] * 300
+
+
+def test_broken_sampler_refuses_a_margin_its_certificate_contradicts(monkeypatch):
+    # a planted margin that passes every candidate: the first non-CP one
+    # reaches the Choi test, which refuses it
+    monkeypatch.setattr(measure, "broken_cp_margin", lambda *args: 1.0)
+    rng = np.random.default_rng(0)
+    with pytest.raises(NumericalError, match="closed-form margin"):
+        for _ in range(100):
+            broken_uniform_sample(rng)
 
 
 def definition_uniform_sample(rng):

@@ -165,6 +165,19 @@ def test_evolver_rejects_non_hermitian():
         HermitianEvolver(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
+@pytest.mark.parametrize("skew, refused", [(1e-6, True), (1e-12, False)])
+def test_evolver_hermiticity_tolerance_edge(skew, refused):
+    # an anti-Hermitian part far above roundoff is refused; one at roundoff is not
+    h = random_hermitian(8, np.random.default_rng(3))
+    h[0, 1] += skew
+    h[1, 0] -= skew
+    if refused:
+        with pytest.raises(NumericalError, match="not Hermitian"):
+            HermitianEvolver(h)
+    else:
+        HermitianEvolver(h)
+
+
 def test_transfer_readout_identity_and_unitary():
     assert np.allclose(transfer_readout(PAULI_STACK), np.eye(4))
     # conjugation by exp(-i phi Z / 2): rotation block about z by angle phi
@@ -179,3 +192,13 @@ def test_transfer_readout_identity_and_unitary():
 def test_transfer_readout_rejects_non_hermiticity_preserving():
     with pytest.raises(NumericalError):
         transfer_readout(1j * PAULI_STACK)
+
+
+@pytest.mark.parametrize("residue, refused", [(1e-6, True), (1e-12, False)])
+def test_transfer_readout_imaginary_residue_edge(residue, refused):
+    outs = (1.0 + 1j * residue) * PAULI_STACK
+    if refused:
+        with pytest.raises(NumericalError, match="Hermiticity-preserving"):
+            transfer_readout(outs)
+    else:
+        assert np.array_equal(transfer_readout(outs), np.eye(4))
