@@ -90,7 +90,7 @@ def _write_json(path: Path, obj):
 
 
 def _start_run(cfg: dict, command: str) -> Path:
-    stamp = time.strftime("%Y%m%dT%H%M%S")
+    stamp = time.strftime("%Y%m%dT%H%M%S", time.gmtime())
     base = Path(cfg["outdir"]) / f"{command}-{stamp}"
     base.parent.mkdir(parents=True, exist_ok=True)
     path, k = base, 0
@@ -234,9 +234,11 @@ def cmd_maps(cfg: dict, defaults: dict) -> RunOutput:
             f"CP violation at {at}, site {labels[i]}: (l1={float(p.lambda1[i, k])}, "
             f"tau3={float(p.tau3[i, k])}, l3={float(p.lambda3[i, k])})")
 
-    columns = [c.T.tolist() for c in (p.lambda1, p.theta, p.lambda3, p.tau3, p.residual)]
-    rows = [(_fmt(t / t_j), label, *(_fmt(c[k][i]) for c in columns))
-            for k, t in enumerate(times) for i, label in enumerate(labels)]
+    # each field column formatted once, in row order: by time, then by label
+    columns = [[format(v, ".17g") for v in c.T.ravel().tolist()]
+               for c in (p.lambda1, p.theta, p.lambda3, p.tau3, p.residual)]
+    stamps = [stamp for t in times for stamp in [_fmt(t / t_j)] * len(labels)]
+    rows = list(zip(stamps, labels * times.size, *columns))
     max_resid = float(p.residual[:-1].max())
     analytic_check = None if oracle is None else {
         "max_abs_err": float(np.nanmax(np.abs(oracle - maps[:-1])))}

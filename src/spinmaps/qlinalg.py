@@ -131,13 +131,26 @@ class HermitianEvolver:
         return (self.modes * phases) @ self.modes.conj().T
 
 
+# row 4i + j, column 4j + 2b + a holds sigma_i[a, b]: outs flattened in
+# (j, b, a) order read against it gives sum_ab sigma_i[a, b] outs[j][b, a]
+_READOUT = np.zeros((4, 4, 4, 2, 2), dtype=complex)
+_READOUT[:, range(4), range(4)] = PAULI_STACK.transpose(0, 2, 1)[:, None]
+_READOUT = _READOUT.reshape(16, 16)
+_READOUT.flags.writeable = False
+
+
 def transfer_readout(outs) -> np.ndarray:
     """Real transfer matrix from the images outs[j] of the Paulis (1, X, Y, Z).
 
-    L[i, j] = tr(sigma_i outs[j]) / 2. Imaginary residue beyond HERM_TOL
-    means the map is not Hermiticity-preserving and raises NumericalError.
+    L[i, j] = tr(sigma_i outs[j]) / 2, one product of the fixed (16, 16)
+    table _READOUT (entries 0, +-1, +-i, the Pauli entries as stored) with
+    the 16 flattened image entries, then the factor 0.5. Each entry sums two
+    products by +-1 or +-i, which are exact, so the result is byte-identical
+    to 0.5 * einsum("iab,jba->ij", PAULI_STACK, outs). Imaginary residue
+    beyond HERM_TOL means the map is not Hermiticity-preserving and raises
+    NumericalError.
     """
-    m = 0.5 * np.einsum("iab,jba->ij", PAULI_STACK, outs)
+    m = 0.5 * (_READOUT @ np.asarray(outs).reshape(16)).reshape(4, 4)
     if np.max(np.abs(m.imag)) > HERM_TOL:
         raise NumericalError("map is not Hermiticity-preserving (complex transfer entries)")
     return m.real.copy()

@@ -11,6 +11,9 @@ product of the partners' square roots (I at the focal site),
 rho tensor rho_env = R (rho tensor I) R, so the map is
 tr_env[V (rho tensor I) V^dag] with V = U(t) R, the square-root
 purification of the environment, read off a 4x4 Gram matrix of V.
+z-polarized partners (the class whose maps are phase-covariant) have
+diagonal roots: R is then a column scale of U(t) and costs O(d^2); only
+transverse partners take the dense product.
 A phase-covariant map has the pattern
 
     [ 1       0           0        0   ]
@@ -146,6 +149,15 @@ def _sqrt_density(bloch) -> np.ndarray:
     return (rho + s * SI) / np.sqrt(rho.trace().real + 2.0 * s)
 
 
+# row 4j + 2a + b, column 8a + 4c + 2b + d holds sigma_j[c, d]: the Gram
+# matrix G[(a, c), (b, d)] flattened and read against it gives the images
+# out_j[a, b] = sum_cd G[(a, c), (b, d)] sigma_j[c, d]
+_GRAM_IMAGES = np.zeros((4, 2, 2, 2, 2, 2, 2), dtype=complex)
+_GRAM_IMAGES[:, [0, 0, 1, 1], [0, 1, 0, 1], [0, 0, 1, 1], :, [0, 1, 0, 1]] = PAULI_STACK
+_GRAM_IMAGES = _GRAM_IMAGES.reshape(16, 16)
+_GRAM_IMAGES.flags.writeable = False
+
+
 class MapExtractor:
     """Reduced dynamical map of one focal site against a fixed environment.
 
@@ -156,29 +168,47 @@ class MapExtractor:
     square-root purification of the environment. With the focal row and
     column bits of V moved to the front, V becomes A of shape (4, 4^n / 4);
     its Gram matrix G = A A^dag gives every image at once:
-    out_j[a, b] = sum_{c, c'} G[(a, c), (b, c')] sigma_j[c, c'].
+    out_j[a, b] = sum_{c, c'} G[(a, c), (b, c')] sigma_j[c, c'], one
+    product of the fixed (16, 16) table _GRAM_IMAGES with G's 16 entries.
+
+    When every partner has x = y = 0 (z-polarized, as in every network
+    `maps` runs), each root is diagonal and so is R: the extractor keeps
+    R's real diagonal as `scale` (and `root` is None), and V = U(t) * scale
+    scales U's columns, byte for byte the dense product. A transverse
+    partner keeps the dense R as `root` and V = U(t) @ R.
 
     Evolves with the caller's HermitianEvolver, so extractors of several
     sites share one eigendecomposition of H; each time point costs one
-    unitary assembly, one product with R and the 4x4 Gram matrix. env_blochs
-    lists the Bloch vectors of the other n-1 sites in site order (the focal
-    site skipped).
+    unitary assembly, the column scale (or the product with R) and the 4x4
+    Gram matrix. env_blochs lists the Bloch vectors of the other n-1 sites
+    in site order (the focal site skipped).
     """
 
     def __init__(self, evolver: HermitianEvolver, site: int, env_blochs):
         n = evolver.modes.shape[0].bit_length() - 1
-        roots = [_sqrt_density(v) for v in _partners(n, site, env_blochs)]
+        partners = _partners(n, site, env_blochs)
+        roots = [_sqrt_density(v) for v in partners]
+        factors = roots[:site] + [SI] + roots[site:]
         self.n, self.site = n, site
         self.evolver = evolver
-        self.root = kron_all(roots[:site] + [SI] + roots[site:])
+        self._split = (2**site, 2, 2 ** (n - 1 - site)) * 2
+        if all(v[0] == 0.0 and v[1] == 0.0 for v in partners):
+            # R's diagonal in kron_all's fold order: the same products of
+            # nonnegative reals, so the same bytes
+            self.root = None
+            self.scale = np.ones(1)
+            for root in factors:
+                self.scale = np.multiply.outer(self.scale, root.diagonal().real).ravel()
+        else:
+            self.root = kron_all(factors)
 
     def transfer(self, t: float) -> np.ndarray:
-        v = self.evolver.unitary(t) @ self.root
-        lo, hi = 2**self.site, 2 ** (self.n - 1 - self.site)
+        u = self.evolver.unitary(t)
+        v = u * self.scale if self.root is None else u @ self.root
         # rows (x, a, y) and columns (z, c, w) -> A[(a, c), (x, y, z, w)]
-        a = v.reshape(lo, 2, hi, lo, 2, hi).transpose(1, 4, 0, 2, 3, 5).reshape(4, -1)
-        gram = (a @ a.conj().T).reshape(2, 2, 2, 2)
-        return transfer_readout(np.einsum("acbd,jcd->jab", gram, PAULI_STACK))
+        a = v.reshape(self._split).transpose(1, 4, 0, 2, 3, 5).reshape(4, -1)
+        gram = a @ a.conj().T
+        return transfer_readout((_GRAM_IMAGES @ gram.reshape(16)).reshape(4, 2, 2))
 
 
 # the entries a phase-covariant transfer matrix has at zero, then (0, 0),

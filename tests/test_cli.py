@@ -3,6 +3,7 @@ import json
 import math
 import re
 import shlex
+import time
 from pathlib import Path
 
 import numpy as np
@@ -301,7 +302,7 @@ def test_manifest_records_package_version(tmp_path, capsys):
 
 
 def test_run_dir_collision_gets_counter(tmp_path, monkeypatch):
-    monkeypatch.setattr(cli.time, "strftime", lambda fmt: "20260101T000000")
+    monkeypatch.setattr(cli.time, "strftime", lambda fmt, *args: "20260101T000000")
     # an existence check that loses the race to a concurrent run must not
     # matter: the name is claimed by the exclusive mkdir alone
     monkeypatch.setattr(Path, "exists", lambda self: False)
@@ -309,6 +310,23 @@ def test_run_dir_collision_gets_counter(tmp_path, monkeypatch):
     names = [cli._start_run(cfg, "maps").name for _ in range(3)]
     assert names == ["maps-20260101T000000", "maps-20260101T000000-01",
                      "maps-20260101T000000-02"]
+
+
+def test_run_dir_is_stamped_in_utc(tmp_path, monkeypatch):
+    # a zone 5 hours behind UTC all year: a local stamp would differ
+    monkeypatch.setenv("TZ", "EST+05")
+    time.tzset()
+    try:
+        before = time.gmtime()
+        path = cli._start_run({"outdir": str(tmp_path), "seed": 0}, "maps")
+        after = time.gmtime()
+    finally:
+        monkeypatch.undo()
+        time.tzset()
+    stamps = {time.strftime("%Y%m%dT%H%M%S", t) for t in (before, after)}
+    created = json.loads((path / "manifest.json").read_text())["created"]
+    assert path.name.removeprefix("maps-") in stamps
+    assert created == path.name.removeprefix("maps-")
 
 
 def test_numerical_failure_exits_3(tmp_path, capsys, monkeypatch):

@@ -4,6 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from spinmaps.qlinalg import (
+    HERM_TOL,
     HermitianEvolver,
     NumericalError,
     PAULI_STACK,
@@ -202,3 +203,30 @@ def test_transfer_readout_imaginary_residue_edge(residue, refused):
             transfer_readout(outs)
     else:
         assert np.array_equal(transfer_readout(outs), np.eye(4))
+
+
+def test_transfer_readout_is_byte_identical_to_einsum():
+    # accepted inputs: random complex stacks of Hermitian images plus a
+    # residue below HERM_TOL, and stacks whose entries come from signed
+    # zeros, +-1, subnormals and other exact values, with the two
+    # off-diagonal real parts equal up to the sign of a zero
+    rng = np.random.default_rng(29)
+    a, b = rng.normal(size=(2, 2, 3000, 4, 2, 2))
+    hermitian = (a[0] + 1j * a[1]) + (a[0] + 1j * a[1]).conj().transpose(0, 1, 3, 2)
+    residue = 1e-12 * (b[0] + 1j * b[1])
+    re = rng.choice([0.0, -0.0, 1.0, -1.0, 2.5, -3.0, 5e-324, -1e-320], size=(20000, 4, 2, 2))
+    re[..., 1, 0] = np.where(re[..., 0, 1] == 0.0, rng.choice([0.0, -0.0], size=(20000, 4)),
+                             re[..., 0, 1])
+    im = rng.choice([0.0, -0.0, 5e-324, -1e-320], size=(20000, 4, 2, 2))
+    for outs in [*(hermitian + residue), *(re + 1j * im)]:
+        want = 0.5 * np.einsum("iab,jba->ij", PAULI_STACK, outs)
+        assert np.max(np.abs(want.imag)) <= HERM_TOL
+        assert transfer_readout(outs).tobytes() == want.real.tobytes()
+    # rejected inputs: random complex stacks, refused exactly when the einsum
+    # reading has imaginary residue beyond HERM_TOL
+    c = rng.normal(size=(2, 500, 4, 2, 2))
+    for outs in c[0] + 1j * c[1]:
+        want = 0.5 * np.einsum("iab,jba->ij", PAULI_STACK, outs)
+        assert np.max(np.abs(want.imag)) > HERM_TOL
+        with pytest.raises(NumericalError):
+            transfer_readout(outs)

@@ -4,11 +4,12 @@ import scipy.linalg
 from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
-from spinmaps.network import NetworkSpec, build_hamiltonian
-from spinmaps.qlinalg import (PAULI_AXES, HermitianEvolver, density_of, kron_all,
-                              partial_trace_keep, pauli)
+from spinmaps.network import NetworkSpec, build_hamiltonian, t_scale
+from spinmaps.qlinalg import (PAULI_AXES, PAULI_STACK, SI, HermitianEvolver, density_of,
+                              kron_all, partial_trace_keep, pauli)
 from spinmaps.reduced import (
     MapExtractor,
+    _sqrt_density,
     PCParams,
     choi_check,
     choi_matrix,
@@ -64,6 +65,46 @@ def test_extractor_matches_one_shot_and_unitary_path():
                     m3 = transfer_from_unitary(ex.evolver.unitary(t), site, env)
                     assert np.max(np.abs(m1 - m2)) < 1e-12
                     assert np.max(np.abs(m1 - m3)) < 1e-12
+
+
+def dense_einsum_transfer(u, site, env):
+    """The map as read before the column scale and the fixed tables: V = U R
+    with the dense root product R, then two einsums over its Gram matrix."""
+    n = u.shape[0].bit_length() - 1
+    roots = [_sqrt_density(v) for v in env]
+    v = u @ kron_all(roots[:site] + [SI] + roots[site:])
+    lo, hi = 2**site, 2 ** (n - 1 - site)
+    a = v.reshape(lo, 2, hi, lo, 2, hi).transpose(1, 4, 0, 2, 3, 5).reshape(4, -1)
+    gram = (a @ a.conj().T).reshape(2, 2, 2, 2)
+    outs = np.einsum("acbd,jcd->jab", gram, PAULI_STACK)
+    return (0.5 * np.einsum("iab,jba->ij", PAULI_STACK, outs)).real
+
+
+def test_extractor_is_byte_identical_to_dense_product_and_einsums():
+    """Diagonal partners (mixed z, z = +-1 with zero root entries, z = +-0.0)
+    take the column scale, transverse ones the dense product; both equal the
+    dense-product, two-einsum kernel byte for byte at t = 0 and on the
+    ed-maps grid. At t = 1e-300 the Gram entries underflow, where the two
+    may differ by subnormals, so that time is bounded at 1e-300."""
+    rng = np.random.default_rng(23)
+    times = np.linspace(0.0, 4 * t_scale(1.0), 81)
+    for n in range(2, 7):
+        h = build_hamiltonian(NetworkSpec(topology="ring" if n >= 3 else "complete", n=n,
+                                          h=0.37, j_perp=1.0, j_par=0.6))
+        evolver = HermitianEvolver(h)
+        for site in range(n):
+            sets = {"mixed": random_env(n, rng),
+                    "pure": [(0.0, 0.0, z) for z in rng.choice([-1.0, 1.0], n - 1)],
+                    "zero": [(0.0, 0.0, z) for z in rng.choice([-0.0, 0.0], n - 1)],
+                    "transverse": random_env(n, rng, diagonal=False)}
+            for name, env in sets.items():
+                ex = MapExtractor(evolver, site, env)
+                assert (ex.root is None) == (name != "transverse"), name
+                for t in times:
+                    want = dense_einsum_transfer(evolver.unitary(t), site, env)
+                    assert ex.transfer(t).tobytes() == want.tobytes(), (n, site, name, t)
+                want = dense_einsum_transfer(evolver.unitary(1e-300), site, env)
+                assert np.max(np.abs(ex.transfer(1e-300) - want)) <= 1e-300
 
 
 def test_transfer_from_unitary_matches_trace_loop():
