@@ -165,7 +165,7 @@ class SpectralAverage:
         self._degen_tol = _DEGEN_TOL * max(1.0, float(np.ptp(energies)))
         degenerate = np.abs(gaps) <= self._degen_tol
         limit = coef[degenerate].sum(axis=0)
-        if np.max(np.abs(limit.imag)) > HERM_TOL:
+        if not np.max(np.abs(limit.imag)) <= HERM_TOL:  # NaN fails too
             raise NumericalError("time-averaged map has complex transfer entries")
         pairs = np.triu(~degenerate, k=1)
         pairs &= np.max(np.abs(coef), axis=(2, 3)) > _AMPLITUDE_FLOOR

@@ -122,7 +122,7 @@ class HermitianEvolver:
 
     def __init__(self, h: np.ndarray):
         h = np.asarray(h, dtype=complex)
-        if np.max(np.abs(h - h.conj().T)) > HERM_TOL:
+        if not np.max(np.abs(h - h.conj().T)) <= HERM_TOL:  # NaN fails too
             raise NumericalError("generator is not Hermitian")
         self.energies, self.modes = np.linalg.eigh(h)
 
@@ -151,6 +151,6 @@ def transfer_readout(outs) -> np.ndarray:
     NumericalError.
     """
     m = 0.5 * (_READOUT @ np.asarray(outs).reshape(16)).reshape(4, 4)
-    if np.max(np.abs(m.imag)) > HERM_TOL:
+    if not np.max(np.abs(m.imag)) <= HERM_TOL:  # NaN fails too
         raise NumericalError("map is not Hermiticity-preserving (complex transfer entries)")
     return m.real.copy()

@@ -20,7 +20,7 @@ from spinmaps.ensemble import (
     time_average,
 )
 from spinmaps.network import NetworkSpec, build_hamiltonian, t_scale
-from spinmaps.qlinalg import PAULI_STACK, HermitianEvolver, partial_trace_keep
+from spinmaps.qlinalg import PAULI_STACK, HermitianEvolver, NumericalError, partial_trace_keep
 from spinmaps.reduced import MapExtractor, PCParams, fit_pc, transfer_from_unitary
 
 RNG = np.random.default_rng(31)
@@ -228,6 +228,55 @@ def test_spectral_maps_match_expm_reference(topology, n):
 def test_spectral_sites_out_of_range(sites):
     with pytest.raises(ValueError):
         SpectralAverage(iso("complete", 3), HIER3, sites=sites)
+
+
+def test_spectral_limit_refuses_nan():
+    # a NaN partner polarization makes every limit entry NaN, which no
+    # tolerance comparison rejects unless NaN fails the guard
+    with pytest.raises(NumericalError, match="time-averaged"):
+        SpectralAverage(iso("complete", 3), [1.0, np.nan, 2.0 / 3.0])
+
+
+def test_spectral_limit_degeneracy_tolerance_edge():
+    # The Zeeman gap 2h splits levels that are degenerate at h = 0. Within
+    # _DEGEN_TOL (1e-9) it still counts as degenerate, and the rotation block
+    # keeps its h = 0 value; a gap of 1e-7 is resolved, and the block
+    # averages out.
+    def lambda1_limit(h):
+        limit = SpectralAverage(NetworkSpec("complete", 3, h=h), HIER3).limit
+        return np.hypot(limit[1, 1], limit[2, 1])
+
+    at_zero = lambda1_limit(0.0)
+    assert at_zero > 0.2
+    assert abs(lambda1_limit(5e-12) - at_zero) <= 1e-12
+    assert lambda1_limit(5e-8) <= 1e-12
+
+
+RING_SYMMETRY_TIMES = np.linspace(0.0, 20.0, 41)
+FLIP = np.diag([1.0, 1.0, -1.0, -1.0])
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_ring_maps_are_shift_covariant(n):
+    # rings that `maps` runs numeric-only: the cyclic shift s -> s + 1 takes
+    # the site-0 map at z to the site-1 map at z shifted by one site
+    spec = NetworkSpec("ring", n, h=0.618, j_par=0.6)
+    z = np.random.default_rng(40 + n).uniform(-1.0, 1.0, n)
+    at_0 = SpectralAverage(spec, z, sites=(0,)).maps(RING_SYMMETRY_TIMES)
+    at_1 = SpectralAverage(spec, np.roll(z, 1), sites=(1,)).maps(RING_SYMMETRY_TIMES)
+    assert np.max(np.abs(at_0 - at_1)) <= 1e-12
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_ring_maps_are_flip_covariant(n):
+    # the global spin flip takes (h, z) to (-h, -z) and T to D T D,
+    # D = diag(1, 1, -1, -1)
+    z = np.random.default_rng(50 + n).uniform(-1.0, 1.0, n)
+    maps = {sign: SpectralAverage(NetworkSpec("ring", n, h=sign * 0.618, j_par=0.6),
+                                  sign * z, sites=(0,)).maps(RING_SYMMETRY_TIMES)
+            for sign in (1.0, -1.0)}
+    assert np.max(np.abs(FLIP @ maps[1.0] @ FLIP - maps[-1.0])) <= 1e-12
+    assert np.max(np.abs(maps[1.0] - maps[-1.0])) > 0.1  # the flip is not trivial
 
 
 def test_converged_fluctuation_constant_complete4():

@@ -10,10 +10,11 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.special import ndtr, ndtri
 
 from spinmaps import measure
 from spinmaps.ensemble import steady_channel
-from spinmaps.measure import _uniform_theta
+from spinmaps.measure import _ndtr, _ndtri, _uniform_theta
 from spinmaps.measure import (
     MIN_VOLUME_SAMPLES,
     BrokenPCParams,
@@ -377,6 +378,100 @@ def test_trunc_gauss_far_tail_branch():
     assert -9.0 <= lo <= -8.0
 
 
+def ndtr_branches():
+    """1e5 points (both signs) per branch of Cephes' ndtr: erf for |x|/sqrt2
+    below sqrt(1/2), erfc's two rational forms (|x|/sqrt2 below and above 8),
+    and erfc past its underflow (|x|/sqrt2 > sqrt(log DBL_MAX), |x| > 37.7)."""
+    rng = np.random.default_rng(23)
+    sign = rng.choice((-1.0, 1.0), size=(4, 100_000))
+    edges = ((0.0, 1.0), (1.0, 8.0 * math.sqrt(2.0)), (8.0 * math.sqrt(2.0), 38.6), (37.7, 1e3))
+    return {name: sign[k] * rng.uniform(lo, hi, 100_000)
+            for k, (name, (lo, hi)) in enumerate(zip(("erf", "erfc_pq", "erfc_rs", "underflow"),
+                                                     edges))}
+
+
+def ndtri_branches():
+    """1e5 points per branch of Cephes' ndtri: the centre |y - 1/2| < 1/2 -
+    e^-2, the tail y < e^-2 with sqrt(-2 log y) below 8 (y > e^-32) and
+    above it (down to the least subnormal), and y near 1 (1 - y < e^-2)."""
+    rng = np.random.default_rng(29)
+    return {
+        "centre": rng.uniform(math.exp(-2.0), 1.0 - math.exp(-2.0), 100_000),
+        "tail_p1": np.exp(-rng.uniform(2.0, 32.0, 100_000)),
+        "tail_p2": np.exp(-rng.uniform(32.0, 744.4, 100_000)),
+        "near_one": 1.0 - np.exp(-rng.uniform(0.0, 2.0, 100_000)) * math.exp(-2.0)
+        * 10.0 ** -rng.uniform(0.0, 14.0, 100_000),
+    }
+
+
+@pytest.mark.parametrize("branch", ["erf", "erfc_pq", "erfc_rs", "underflow"])
+def test_ndtr_port_equals_scipy_bit_for_bit(branch):
+    xs = ndtr_branches()[branch]
+    got = np.array([_ndtr(x) for x in xs.tolist()])
+    want = ndtr(xs)
+    assert got.tobytes() == want.tobytes(), f"{np.sum(got != want)} of {xs.size} differ"
+
+
+@pytest.mark.parametrize("branch", ["centre", "tail_p1", "tail_p2", "near_one"])
+def test_ndtri_port_equals_scipy_bit_for_bit(branch):
+    ys = ndtri_branches()[branch]
+    assert np.all((ys > 0.0) & (ys < 1.0))
+    got = np.array([_ndtri(y) for y in ys.tolist()])
+    want = ndtri(ys)
+    assert got.tobytes() == want.tobytes(), f"{np.sum(got != want)} of {ys.size} differ"
+
+
+def test_ndtr_and_ndtri_ends():
+    assert _ndtr(-math.inf) == 0.0 and _ndtr(math.inf) == 1.0
+    assert _ndtri(0.0) == -math.inf and _ndtri(1.0) == math.inf
+    assert math.isnan(_ndtri(-0.25)) and math.isnan(_ndtri(1.25))
+    assert math.isnan(_ndtr(math.nan)) and math.isnan(_ndtri(math.nan))
+    for got, want in ((_ndtr(-math.inf), ndtr(-np.inf)), (_ndtr(math.inf), ndtr(np.inf)),
+                      (_ndtri(0.0), ndtri(0.0)), (_ndtri(1.0), ndtri(1.0))):
+        assert got == want
+
+
+# scipy 1.17.1's ndtr/ndtri, pinned so that a later scipy cannot move the
+# reference unseen
+NDTR_PINNED = [
+    (0.0, "0x1.0000000000000p-1"),
+    (-0.5, "0x1.3bf143b9aa712p-2"),
+    (0.7, "0x1.841d5715c32a8p-1"),
+    (1.0, "0x1.aec4bd120d37dp-1"),
+    (-3.0, "0x1.61de1f985b5d1p-10"),
+    (5.0, "0x1.fffff661ae86fp-1"),
+    (-12.0, "0x1.272b3136661edp-109"),
+    (-20.0, "0x1.c0bd0f18806a3p-295"),
+    (-37.5, "0x1.08eda98086fd0p-1021"),
+    (-38.6, "0x0.0p+0"),
+    (40.0, "0x1.0000000000000p+0"),
+]
+NDTRI_PINNED = [
+    (0.5, "0x0.0p+0"),
+    (0.3, "-0x1.0c7e39582c5fcp-1"),
+    (0.9, "0x1.4813c36e26d32p+0"),
+    (0.1, "-0x1.4813c36e26d32p+0"),
+    (1e-10, "-0x1.97203597a2154p+2"),
+    (1e-20, "-0x1.2865170b43a4dp+3"),
+    (1e-300, "-0x1.286074064c26ep+5"),
+    (5e-324, "-0x1.33bd3f27fcd03p+5"),
+    (0.9999999999, "0x1.97203589fd4f6p+2"),
+    (0.95, "0x1.a515209676abbp+0"),
+]
+
+
+@pytest.mark.parametrize("x, want", NDTR_PINNED)
+def test_ndtr_pinned_values(x, want):
+    assert _ndtr(x).hex() == want
+    assert float(ndtr(x)).hex() == want
+
+
+@pytest.mark.parametrize("y, want", NDTRI_PINNED)
+def test_ndtri_pinned_values(y, want):
+    assert _ndtri(y).hex() == want
+    assert float(ndtri(y)).hex() == want
+
+
 def test_trunc_gauss_argument_validation():
     rng = np.random.default_rng(0)
     with pytest.raises(ValueError):
@@ -447,10 +542,22 @@ def test_trajectory_signed_rule_pins_tau3_sign():
 
 
 def test_library_import_leaves_scipy_special_unloaded():
-    # scipy.special is imported by trunc_gauss_sample alone, on first use
     code = ("import sys, spinmaps.cli, spinmaps.disorder, spinmaps.measure; "
             "print('scipy.special' in sys.modules)")
     src = Path(__file__).resolve().parents[1] / "src"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           check=True, env={**os.environ, "PYTHONPATH": str(src)})
     assert proc.stdout.strip() == "False"
+
+
+def test_measure_run_loads_no_scipy(tmp_path):
+    # trunc_gauss_sample computes the normal CDF and its inverse in Python:
+    # a full run (trajectory, overlay and scatter) imports no scipy module
+    code = ("import sys; from spinmaps import cli; "
+            f"rc = cli.main(['measure', '--steps', '20', '--scatter-samples', '50', "
+            f"'--outdir', {str(tmp_path)!r}]); "
+            "print(rc, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True, env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.stdout.strip().splitlines()[-1] == "0 []"

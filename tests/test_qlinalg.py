@@ -179,6 +179,12 @@ def test_evolver_hermiticity_tolerance_edge(skew, refused):
         HermitianEvolver(h)
 
 
+def test_evolver_refuses_nan_generator():
+    # a NaN residue compares False against any tolerance: the guard must fail on it
+    with pytest.raises(NumericalError, match="not Hermitian"):
+        HermitianEvolver(np.array([[0.0, np.nan], [np.nan, 1.0]]))
+
+
 def test_transfer_readout_identity_and_unitary():
     assert np.allclose(transfer_readout(PAULI_STACK), np.eye(4))
     # conjugation by exp(-i phi Z / 2): rotation block about z by angle phi
@@ -203,6 +209,11 @@ def test_transfer_readout_imaginary_residue_edge(residue, refused):
             transfer_readout(outs)
     else:
         assert np.array_equal(transfer_readout(outs), np.eye(4))
+
+
+def test_transfer_readout_refuses_nan_images():
+    with pytest.raises(NumericalError, match="Hermiticity-preserving"):
+        transfer_readout(np.full((4, 2, 2), np.nan + 0j))
 
 
 def test_transfer_readout_is_byte_identical_to_einsum():

@@ -43,7 +43,8 @@ ONE_THREAD = {name: "1" for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
 # setup (exit 2), a steady horizon too short for its tolerance (exit 3),
 # networks without a steady table or without exchange (exit 4), and the two
 # `fluct` states whose equal-gap amplitudes cancel (exit 3 until
-# `curvature()` summed them, exit 0 since).
+# `curvature()` summed them, exit 0 since), and two `measure` lines that
+# take trunc_gauss_sample to both ends of its sigma range (exit 0).
 EDGE_LINES = (
     "spinmaps steady --n 1",
     "spinmaps steady --topology ring --n 2",
@@ -64,6 +65,8 @@ EDGE_LINES = (
     "spinmaps steady --topology complete --n 7 --horizon-tj 1",
     "spinmaps fluct --topology ring --n 4 --state neel",
     "spinmaps fluct --topology complete --n 3 --state custom --z-list 0.5,-0.5,0 --horizon-tj 40",
+    "spinmaps measure --c 20 --steps 200 --t-max-tj 600 --seed 3",
+    "spinmaps measure --c 0.05 --steps 200 --t-max-tj 600 --seed 4 --tau3-rule signed",
 )
 
 
