@@ -69,19 +69,27 @@ def embed(op: np.ndarray, site: int, n: int) -> np.ndarray:
     return kron_all(op if k == site else SI for k in range(n))
 
 
+def bloch_vector(v) -> tuple:
+    """One Bloch vector as floats (x, y, z), refused (ValueError) when its
+    norm exceeds 1 beyond a 1e-12 slack or it holds a NaN: it describes no
+    state."""
+    x, y, z = (float(c) for c in v)
+    if not x * x + y * y + z * z <= 1.0 + 1e-12:  # NaN fails too
+        raise ValueError(f"Bloch vector {(x, y, z)} has norm > 1")
+    return x, y, z
+
+
 def density_of(sites) -> np.ndarray:
     """Product density matrix from per-site Bloch vectors (x, y, z).
 
     Each factor is (1 + x X + y Y + z Z)/2, written entry by entry with the
     bytes of that Pauli sum, signed zeros included (x + 0.0 and 0.0 - y are
-    the sum's +0 where x or y is a zero). Bloch norms above 1 are refused
-    since they do not describe states.
+    the sum's +0 where x or y is a zero). Bloch norms above 1 and NaN
+    components are refused (bloch_vector) since they do not describe states.
     """
     factors = []
     for v in sites:
-        x, y, z = (float(c) for c in v)
-        if x * x + y * y + z * z > 1.0 + 1e-12:
-            raise ValueError(f"Bloch vector {(x, y, z)} has norm > 1")
+        x, y, z = bloch_vector(v)
         factors.append(np.array([
             [0.5 * (1.0 + z), complex(0.5 * (x + 0.0), 0.5 * (0.0 - y))],
             [complex(0.5 * (x + 0.0), 0.5 * (y + 0.0)), 0.5 * (1.0 - z)]]))

@@ -2,10 +2,13 @@
 
 The reduced map of a focal site is Lambda_i(t)[rho] =
 tr_env[U(t) (rho tensor rho_env) U(t)^dag]; its Pauli transfer matrix is the
-working representation. transfer_from_unitary reads that definition in the
-Heisenberg picture: the partial trace moves onto U, as three blocks
-N_ab = U_a^T conj(U_b) of its rows split by the focal bit a, and the four
-dense inputs sigma_j tensor rho_env are read against them in one product.
+working representation. transfer_from_unitary reads that definition off
+the environment's diagonal band: in the partners' eigenbases rho_env is
+diagonal, so each input sigma_j tensor rho_env is zero away from the
+environment diagonal and only the d/2 column groups of U with equal
+environment bits enter, as d/2 Gram matrices of size 4x4 (4 d^2
+multiply-adds). z-polarized partners need no change of basis; a transverse
+partner first rotates U's columns on its qubit by one 2x2 product.
 MapExtractor uses that rho_env is a product state: with R the
 product of the partners' square roots (I at the focal site),
 rho tensor rho_env = R (rho tensor I) R, so the map is
@@ -34,6 +37,7 @@ path.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,6 +47,7 @@ from .qlinalg import (
     PAULI_STACK,
     SI,
     HermitianEvolver,
+    bloch_vector,
     density_of,
     kron_all,
     partial_trace_keep,  # unused here: bench/tracing.py patches it
@@ -110,31 +115,68 @@ def _partners(n: int, site: int, env_blochs) -> list:
 
 def _env_inputs(n: int, site: int, env_blochs):
     """Full-register input operators: focal Pauli tensored with the env state,
-    left partners (x) sigma_j (x) right partners."""
+    left partners (x) sigma_j (x) right partners, dense (SpectralAverage's;
+    transfer_from_unitary reads only their environment-diagonal band)."""
     partners = _partners(n, site, env_blochs)
     left, right = density_of(partners[:site]), density_of(partners[site:])
     return [kron_all([left, pauli(ax), right]) for ax in PAULI_AXES]
 
 
+def _eigen_weights(bloch):
+    """One partner as rho = W diag(p) W^dag: the weight row p, shape (1, 2),
+    and the 2x2 unitary W of its eigenvectors, None for x = y = 0.
+
+    A z-polarized partner is diagonal already: p = ((1 + z)/2, (1 - z)/2)
+    with the entries density_of writes. Any other partner has
+    p = ((1 + r)/2, (1 - r)/2), r the Bloch norm, and W's columns are the
+    eigenvectors of n . sigma for n = (sin th cos ph, sin th sin ph, cos th):
+    (cos th/2, e^{i ph} sin th/2) and (-e^{-i ph} sin th/2, cos th/2).
+    """
+    x, y, z = bloch_vector(bloch)
+    if x == 0.0 and y == 0.0:
+        return np.array([[0.5 * (1.0 + z), 0.5 * (1.0 - z)]]), None
+    transverse, r = math.hypot(x, y), math.hypot(x, y, z)
+    half = 0.5 * math.atan2(transverse, z)
+    c, s, e = math.cos(half), math.sin(half), complex(x, y) / transverse
+    w = np.array([[c, -e.conjugate() * s], [e * s, c]])
+    return np.array([[0.5 * (1.0 + r), 0.5 * (1.0 - r)]]), w
+
+
 def transfer_from_unitary(u: np.ndarray, site: int, env_blochs) -> np.ndarray:
     """Transfer matrix of the map induced by an explicit global operator u.
 
-    Heisenberg picture: with U_a the rows of u whose focal bit is a, the
-    image of an input X is tr_env[u X u^dag][a, b] = sum_kl X[k, l] N_ab[k, l],
-    N_ab = U_a^T conj(U_b). The blocks N_00, N_01 and N_11 (N_10 = N_01^dag)
-    read the four dense inputs sigma_j tensor rho_env in one (4, d^2) @
-    (d^2, 4) product. N_11 is formed, not taken as I - N_00, so nothing
-    assumes u is unitary. Covers evolutions that are not exp(-iHt) of a
-    single Hamiltonian, e.g. piecewise-constant schedules composed from
-    several propagators.
+    Each partner is written as rho_k = W_k diag(p_k) W_k^dag; a transverse
+    partner's W_k rotates u's columns on its qubit (one 2x2 contraction),
+    a z-polarized one needs none. The inputs are then diagonal on the
+    environment: K_j[c, (x, c', y)] = left[x] sigma_j[c, c'] right[y], shape
+    (2, d), from the weight rows left and right of the partners before and
+    after the focal site. With rows of u indexed (m, a), a the focal bit,
+    and columns (x, c, y), the image of sigma_j is
+    out_j[a, b] = sum P[(a, b), (c, x, c', y)] K_j[c, (x, c', y)], where
+    P = sum_m u[(m, a), (x, c, y)] conj(u[(m, b), (x, c', y)]) reads only
+    the environment-diagonal band: d/2 Gram matrices of 4 x d/2 blocks (one
+    batched product, 4 d^2 multiply-adds), then one (4, 2d) @ (2d, 4)
+    product. Nothing assumes u is unitary, so evolutions that are not
+    exp(-iHt) of a single Hamiltonian work, e.g. piecewise-constant
+    schedules composed from several propagators.
     """
     d = u.shape[0]
-    inputs = np.stack(_env_inputs(d.bit_length() - 1, site, env_blochs)).reshape(4, -1)
-    rows = u.reshape(2**site, 2, -1, d)
-    u0, u1 = rows[:, 0].reshape(-1, d), rows[:, 1].reshape(-1, d)
-    n01 = u0.T @ u1.conj()
-    blocks = np.stack([u0.T @ u0.conj(), n01, n01.conj().T, u1.T @ u1.conj()])
-    return transfer_readout((inputs @ blocks.reshape(4, -1).T).reshape(4, 2, 2))
+    n = d.bit_length() - 1
+    rows = []
+    for k, bloch in enumerate(_partners(n, site, env_blochs)):
+        weights, w = _eigen_weights(bloch)
+        rows.append(weights)
+        if w is not None:
+            q = k + (k >= site)  # the partner's qubit
+            u = np.einsum("rxcy,cb->rxby", u.reshape(d, 2**q, 2, -1), w).reshape(d, d)
+    left, right = kron_all(rows[:site]), kron_all(rows[site:])
+    inputs = np.stack([kron_all([left, sigma, right]) for sigma in PAULI_STACK])
+    lo, hi = 2**site, 2 ** (n - 1 - site)
+    # rows (mx, a, my), columns (x, c, y) -> band[(x, y), (a, c), (mx, my)]
+    band = u.reshape(lo, 2, hi, lo, 2, hi).transpose(3, 5, 1, 4, 0, 2).reshape(d // 2, 4, -1)
+    gram = band @ band.conj().transpose(0, 2, 1)
+    p = gram.reshape(lo, hi, 2, 2, 2, 2).transpose(2, 4, 3, 0, 5, 1).reshape(4, -1)
+    return transfer_readout((p @ inputs.reshape(4, -1).T).T.reshape(4, 2, 2))
 
 
 def _sqrt_density(bloch) -> np.ndarray:

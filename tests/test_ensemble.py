@@ -7,6 +7,7 @@ import scipy.linalg
 from hypothesis import given
 from hypothesis import strategies as st
 
+from spinmaps import ensemble
 from spinmaps.ensemble import (
     GENERIC_H_RATIO,
     SpectralAverage,
@@ -191,9 +192,10 @@ def test_spectral_maps_match_map_extractor_at_every_site(spec):
         got = SpectralAverage(spec, z, sites=(s,)).maps(times)
         assert np.max(np.abs(got - want)) <= 1e-12
         per_site.append(want)
-    # the default, every site, is the site average
+    # the default, every site, is the site average, and steady's own path
     got = SpectralAverage(spec, z).maps(times)
     assert np.max(np.abs(got - np.mean(per_site, axis=0))) <= 1e-12
+    assert np.max(np.abs(network_series(spec, z, times) - got)) <= 1e-12
 
 
 def expm_transfer(spec, z, site, t):
@@ -230,11 +232,18 @@ def test_spectral_sites_out_of_range(sites):
         SpectralAverage(iso("complete", 3), HIER3, sites=sites)
 
 
-def test_spectral_limit_refuses_nan():
-    # a NaN partner polarization makes every limit entry NaN, which no
-    # tolerance comparison rejects unless NaN fails the guard
-    with pytest.raises(NumericalError, match="time-averaged"):
+def test_spectral_limit_refuses_nan(monkeypatch):
+    # a NaN partner polarization is bad input, refused where its density is
+    # built, not a library fault
+    with pytest.raises(ValueError, match="norm > 1") as caught:
         SpectralAverage(iso("complete", 3), [1.0, np.nan, 2.0 / 3.0])
+    assert not isinstance(caught.value, NumericalError)
+    # NaN inputs make every limit entry NaN, which no tolerance comparison
+    # rejects unless NaN fails the guard
+    monkeypatch.setattr(ensemble, "_env_inputs",
+                        lambda n, site, env: [np.full((8, 8), np.nan)] * 4)
+    with pytest.raises(NumericalError, match="time-averaged"):
+        SpectralAverage(iso("complete", 3), [1.0, 0.5, 2.0 / 3.0])
 
 
 def test_spectral_limit_degeneracy_tolerance_edge():

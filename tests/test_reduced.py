@@ -127,6 +127,43 @@ def test_transfer_from_unitary_matches_trace_loop():
             assert np.max(np.abs(transfer_from_unitary(u, site, env) - want.real)) <= 1e-14
 
 
+def dense_heisenberg_transfer(u, site, env):
+    """The kernel the band read replaced: four dense inputs sigma_j tensor
+    rho_env against the blocks N_ab = U_a^T conj(U_b) of u's rows split by
+    the focal bit, in one (4, d^2) @ (d^2, 4) product."""
+    d = u.shape[0]
+    left, right = density_of(env[:site]), density_of(env[site:])
+    inputs = np.stack([kron_all([left, sigma, right]) for sigma in PAULI_STACK]).reshape(4, -1)
+    rows = u.reshape(2**site, 2, -1, d)
+    u0, u1 = rows[:, 0].reshape(-1, d), rows[:, 1].reshape(-1, d)
+    n01 = u0.T @ u1.conj()
+    blocks = np.stack([u0.T @ u0.conj(), n01, n01.conj().T, u1.T @ u1.conj()])
+    outs = (inputs @ blocks.reshape(4, -1).T).reshape(4, 2, 2)
+    return (0.5 * np.einsum("iab,jba->ij", PAULI_STACK, outs)).real
+
+
+def test_transfer_from_unitary_matches_dense_kernel():
+    """The band read equals the dense Heisenberg kernel to roundoff for
+    diagonal, signed-zero, pure and transverse partners, and for a u that is
+    not unitary."""
+    rng = np.random.default_rng(31)
+    for n in range(2, 7):
+        d = 2**n
+        h = build_hamiltonian(NetworkSpec(topology="ring" if n >= 3 else "complete", n=n,
+                                          h=0.37, j_perp=1.0, j_par=0.6))
+        evolver = HermitianEvolver(h)
+        general = (rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))) / np.sqrt(2 * d)
+        ops = {"t=0": evolver.unitary(0.0), "t=1.3": evolver.unitary(1.3), "random": general}
+        for site in range(n):
+            sets = partner_sets(n, rng) + [
+                [(0.0, 0.0, z) for z in rng.choice([-0.0, 0.0], n - 1)]]
+            for env in sets:
+                for name, u in ops.items():
+                    got = transfer_from_unitary(u, site, env)
+                    want = dense_heisenberg_transfer(u, site, env)
+                    assert np.max(np.abs(got - want)) <= 1e-14, (n, site, env, name)
+
+
 def test_transfer_from_unitary_of_composed_propagators():
     # a piecewise-constant schedule U = U2 U1 under two different Hamiltonians,
     # against scipy's expm, np.kron inputs and the partial trace
@@ -278,6 +315,20 @@ def test_fixed_point_values():
         fixed_point(PCParams(0.0, 0.0, 1.0, 0.3))
     # a* -> 1 gives infinite effective inverse temperature
     assert fixed_point(PCParams(0.0, 0.0, 0.5, 0.5)).beta_star == np.inf
+
+
+@pytest.mark.parametrize("bad", [(0.0, 0.0, np.nan), (np.nan, 0.2, 0.1),
+                                 (0.0, 0.0, 1.1), (0.9, 0.9, 0.0)],
+                         ids=["nan-z", "nan-transverse", "long-z", "long-transverse"])
+def test_entry_points_refuse_nan_and_long_partners(bad):
+    env = [(0.0, 0.0, 0.3), bad]
+    with pytest.raises(ValueError, match="norm > 1"):
+        density_of([bad])
+    for site in range(3):
+        with pytest.raises(ValueError, match="norm > 1"):
+            transfer_from_unitary(CC3.unitary(0.7), site, env)
+        with pytest.raises(ValueError, match="norm > 1"):
+            MapExtractor(CC3, site, env)
 
 
 def test_transfer_entries_reject_bad_env_count():

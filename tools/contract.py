@@ -44,7 +44,9 @@ ONE_THREAD = {name: "1" for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
 # networks without a steady table or without exchange (exit 4), and the two
 # `fluct` states whose equal-gap amplitudes cancel (exit 3 until
 # `curvature()` summed them, exit 0 since), and two `measure` lines that
-# take trunc_gauss_sample to both ends of its sigma range (exit 0).
+# take trunc_gauss_sample to both ends of its sigma range (exit 0), and two
+# `steady` lines whose pure partners give steady's map kernel the weight
+# rows [1, 0] and [0, 1] exactly, with a signed zero among them (exit 0).
 EDGE_LINES = (
     "spinmaps steady --n 1",
     "spinmaps steady --topology ring --n 2",
@@ -67,6 +69,9 @@ EDGE_LINES = (
     "spinmaps fluct --topology complete --n 3 --state custom --z-list 0.5,-0.5,0 --horizon-tj 40",
     "spinmaps measure --c 20 --steps 200 --t-max-tj 600 --seed 3",
     "spinmaps measure --c 0.05 --steps 200 --t-max-tj 600 --seed 4 --tau3-rule signed",
+    "spinmaps steady --topology ring --n 4 --state custom --z-list=1,-1,0,-0.0 --horizon-tj 40",
+    "spinmaps steady --topology complete --n 6 --state custom --z-list=1,-1,1,-1,0.5,-0.0 "
+    "--horizon-tj 40",
 )
 
 
