@@ -176,8 +176,8 @@ class SpectralAverage:
     def _series(self, times, weight) -> np.ndarray:
         """limit + 2 Re sum_g weight(t gaps[g]) amplitudes[g] at each t in `times`."""
         t = np.asarray(times, dtype=float)
-        if t.ndim != 1 or np.any(t < 0.0):
-            raise ValueError("times must be a 1-d array of values >= 0")
+        if t.ndim != 1 or not np.all(np.isfinite(t) & (t >= 0.0)):
+            raise ValueError("times must be a 1-d array of finite values >= 0")
         flat = self.amplitudes.reshape(-1, 16)
         out = np.empty((t.size, 4, 4))
         block = max(1, _WEIGHTS_PER_BLOCK // max(1, self.gaps.size))

@@ -13,6 +13,8 @@ so dense eigendecomposition is exact to roundoff and nothing needs sparsity.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 SI = np.eye(2, dtype=complex)
@@ -124,8 +126,16 @@ def partial_trace_keep(rho: np.ndarray, site: int) -> np.ndarray:
 class HermitianEvolver:
     """Unitary evolution generated by a fixed Hermitian matrix.
 
-    Diagonalizes once, then serves e^{-iHt} for any t. This keeps a whole
-    time grid at one eigendecomposition instead of one expm per point.
+    Diagonalizes once, then serves e^{-iHt} for any finite t (NaN and +-inf
+    raise ValueError). This keeps a whole time grid at one eigendecomposition
+    instead of one expm per point.
+
+    unitary keeps the last matrix it assembled, as one (key, u) tuple, and
+    assembles anew only for a different t. The key is the exact bits of t
+    as a float, so 0.0 and -0.0 are different keys. Callers that ask for
+    the same t in a row, as the MapExtractor of every site of `maps` does
+    at each time, share one assembly. The returned array is read-only,
+    since every one of them holds the same object.
     """
 
     def __init__(self, h: np.ndarray):
@@ -133,10 +143,20 @@ class HermitianEvolver:
         if not np.max(np.abs(h - h.conj().T)) <= HERM_TOL:  # NaN fails too
             raise NumericalError("generator is not Hermitian")
         self.energies, self.modes = np.linalg.eigh(h)
+        self._last = (None, None)
 
     def unitary(self, t: float) -> np.ndarray:
-        phases = np.exp(-1j * self.energies * t)
-        return (self.modes * phases) @ self.modes.conj().T
+        t = float(t)
+        if not math.isfinite(t):
+            raise ValueError(f"time t={t} is not finite")
+        key = t.hex()  # exact: distinct floats, signed zeros included, give distinct keys
+        last_key, u = self._last
+        if key != last_key:
+            phases = np.exp(-1j * self.energies * t)
+            u = (self.modes * phases) @ self.modes.conj().T
+            u.flags.writeable = False
+            self._last = (key, u)
+        return u
 
 
 # row 4i + j, column 4j + 2b + a holds sigma_i[a, b]: outs flattened in
@@ -159,6 +179,6 @@ def transfer_readout(outs) -> np.ndarray:
     NumericalError.
     """
     m = 0.5 * (_READOUT @ np.asarray(outs).reshape(16)).reshape(4, 4)
-    if not np.max(np.abs(m.imag)) <= HERM_TOL:  # NaN fails too
+    if not abs(m.imag).max() <= HERM_TOL:  # NaN fails too
         raise NumericalError("map is not Hermiticity-preserving (complex transfer entries)")
     return m.real.copy()

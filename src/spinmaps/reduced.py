@@ -220,10 +220,11 @@ class MapExtractor:
     partner keeps the dense R as `root` and V = U(t) @ R.
 
     Evolves with the caller's HermitianEvolver, so extractors of several
-    sites share one eigendecomposition of H; each time point costs one
-    unitary assembly, the column scale (or the product with R) and the 4x4
-    Gram matrix. env_blochs lists the Bloch vectors of the other n-1 sites
-    in site order (the focal site skipped).
+    sites share one eigendecomposition of H and, asked for the same time in
+    turn, the one U(t) the evolver keeps; each map then costs the column
+    scale (or the product with R) and the 4x4 Gram matrix. env_blochs lists
+    the Bloch vectors of the other n-1 sites in site order (the focal site
+    skipped).
     """
 
     def __init__(self, evolver: HermitianEvolver, site: int, env_blochs):

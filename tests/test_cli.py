@@ -293,6 +293,32 @@ def test_maps_run_artifacts(tmp_path, capsys):
     assert diag["analytic_check"]["max_abs_err"] < 1e-9
 
 
+def test_maps_assembles_one_unitary_per_time(tmp_path, capsys, monkeypatch):
+    # every site asks for U(t) in turn and the evolver assembles it once per
+    # time; the output is that of an assembly per request
+    assemble = spinmaps.qlinalg.HermitianEvolver.unitary
+    returned = []
+
+    def counted(self, t):
+        returned.append(assemble(self, t))
+        return returned[-1]
+
+    def uncached(self, t):
+        self._last = (None, None)  # forget the kept matrix
+        return assemble(self, t)
+
+    csvs = []
+    for unitary in (counted, uncached):
+        monkeypatch.setattr(spinmaps.qlinalg.HermitianEvolver, "unitary", unitary)
+        rc, out, _ = run_cli(["maps", "--topology", "complete", "--n", "3", "--t-max-tj", "0.5",
+                              "--outdir", str(tmp_path / unitary.__name__)], capsys)
+        assert rc == 0
+        csvs.append((last_run_dir(out) / "data.csv").read_bytes())
+    assert len(returned) == 3 * 11
+    assert len({id(u) for u in returned}) == 11
+    assert csvs[0] == csvs[1]
+
+
 def test_manifest_records_package_version(tmp_path, capsys):
     rc, out, _ = run_cli(["maps", "--t-max-tj", "0.5", "--points-per-tj", "2",
                           "--outdir", str(tmp_path)], capsys)

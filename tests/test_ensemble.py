@@ -232,6 +232,14 @@ def test_spectral_sites_out_of_range(sites):
         SpectralAverage(iso("complete", 3), HIER3, sites=sites)
 
 
+@pytest.mark.parametrize("times", [[np.nan, 1.0], [1.0, np.inf], [-np.inf], [0.5, -1.0]])
+def test_spectral_series_refuse_non_finite_and_negative_times(times):
+    average = SpectralAverage(iso("complete", 3), HIER3)
+    for series in (average, average.maps):
+        with pytest.raises(ValueError, match="finite values >= 0"):
+            series(times)
+
+
 def test_spectral_limit_refuses_nan(monkeypatch):
     # a NaN partner polarization is bad input, refused where its density is
     # built, not a library fault
@@ -286,6 +294,51 @@ def test_ring_maps_are_flip_covariant(n):
             for sign in (1.0, -1.0)}
     assert np.max(np.abs(FLIP @ maps[1.0] @ FLIP - maps[-1.0])) <= 1e-12
     assert np.max(np.abs(maps[1.0] - maps[-1.0])) > 0.1  # the flip is not trivial
+
+
+# networks with no closed form, where these relations are the check: the
+# rings `maps` runs numeric-only and the complete graph past the tables
+SYMMETRY_NETWORKS = [("ring", 5), ("ring", 6), ("complete", 7)]
+
+
+def z_block(maps):
+    """Rows and columns (1, Z) of a stack of transfer matrices: lambda3, tau3."""
+    return maps[:, [0, 3]][:, :, [0, 3]]
+
+
+@pytest.mark.parametrize("topology, n", SYMMETRY_NETWORKS)
+def test_field_only_precesses_the_map(topology, n):
+    # the uniform field commutes with H, so U_h(t) = e^{-iht sum Z} U_0(t) and
+    # the environment's share of the phase is traced out: the site map at h
+    # is the h = 0 map followed by a rotation about z by 2ht
+    z = np.random.default_rng(60 + n).uniform(-1.0, 1.0, n)
+    maps = {h: SpectralAverage(NetworkSpec(topology, n, h=h, j_par=0.6), z, sites=(1,))
+            .maps(RING_SYMMETRY_TIMES) for h in (0.0, 0.618, -1.3)}
+    bare = maps[0.0]
+    for h in (0.618, -1.3):
+        angle = 2.0 * h * RING_SYMMETRY_TIMES
+        c, s = np.cos(angle), np.sin(angle)
+        rotation = np.stack([np.stack([c, -s], axis=-1), np.stack([s, c], axis=-1)], axis=-2)
+        assert np.max(np.abs(z_block(maps[h]) - z_block(bare))) <= 1e-12
+        assert np.max(np.abs(fit_pc(maps[h]).lambda1 - fit_pc(bare).lambda1)) <= 1e-12
+        assert np.max(np.abs(maps[h][:, 1:3] - rotation @ bare[:, 1:3])) <= 1e-12
+        assert np.max(np.abs(maps[h][:, 1:3] - bare[:, 1:3])) > 0.1  # the field does act
+
+
+@pytest.mark.parametrize("topology, n", SYMMETRY_NETWORKS)
+def test_z_block_ignores_j_par_on_the_complete_graph_only(topology, n):
+    # on the complete graph sum_{i<j} Z_i Z_j = (Q^2 - N)/2, a function of the
+    # conserved charge Q, so J_par leaves the focal site's populations alone;
+    # the ring's bonds are no function of Q, and there J_par does enter
+    z = np.random.default_rng(70 + n).uniform(-1.0, 1.0, n)
+    blocks = [z_block(SpectralAverage(NetworkSpec(topology, n, h=0.618, j_par=j_par), z,
+                                      sites=(1,)).maps(RING_SYMMETRY_TIMES))
+              for j_par in (0.0, 0.6, 1.7)]
+    gap = max(np.max(np.abs(b - blocks[0])) for b in blocks[1:])
+    if topology == "complete":
+        assert gap <= 1e-12
+    else:
+        assert gap > 0.1
 
 
 def test_converged_fluctuation_constant_complete4():

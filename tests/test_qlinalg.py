@@ -161,6 +161,38 @@ def test_evolver_is_unitary_and_composes():
     assert np.max(np.abs(ev.unitary(0.0) - np.eye(8))) < 1e-12
 
 
+def test_evolver_keeps_the_last_unitary():
+    # the kept matrix is the one a fresh evolver assembles for the same t, over
+    # repeats, switches back, signed zeros and both float types
+    h = random_hermitian(8, np.random.default_rng(11))
+    ev = HermitianEvolver(h)
+    sequence = [0.7, 0.7, 1.3, 0.7, 0.0, -0.0, 0.0, np.float64(1.3), 1.3, np.float64(0.7)]
+    for t in sequence:
+        u = ev.unitary(t)
+        assert u.tobytes() == HermitianEvolver(h).unitary(t).tobytes()
+        assert ev.unitary(t) is u
+        assert not u.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            u[0, 0] = 0.0
+    # a matrix handed out earlier stays as it was after a new t
+    earlier = ev.unitary(0.7)
+    kept = earlier.copy()
+    ev.unitary(2.9)
+    assert earlier.tobytes() == kept.tobytes()
+    # 0.0 and -0.0 are different keys: each is assembled from its own t
+    # (the sequence above held each to its own fresh result)
+    assert ev.unitary(-0.0) is not ev.unitary(0.0)
+
+
+@pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf, np.float64(np.nan)])
+def test_evolver_refuses_non_finite_times(t):
+    # bad input, not a library fault
+    ev = HermitianEvolver(random_hermitian(4, np.random.default_rng(12)))
+    with pytest.raises(ValueError, match="not finite") as caught:
+        ev.unitary(t)
+    assert not isinstance(caught.value, NumericalError)
+
+
 def test_evolver_rejects_non_hermitian():
     with pytest.raises(ValueError):
         HermitianEvolver(np.array([[0.0, 1.0], [0.0, 0.0]]))

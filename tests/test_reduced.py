@@ -5,8 +5,8 @@ from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from spinmaps.network import NetworkSpec, build_hamiltonian, t_scale
-from spinmaps.qlinalg import (PAULI_AXES, PAULI_STACK, SI, HermitianEvolver, density_of,
-                              kron_all, partial_trace_keep, pauli)
+from spinmaps.qlinalg import (PAULI_AXES, PAULI_STACK, SI, HermitianEvolver, NumericalError,
+                              density_of, kron_all, partial_trace_keep, pauli)
 from spinmaps.reduced import (
     MapExtractor,
     _sqrt_density,
@@ -329,6 +329,16 @@ def test_entry_points_refuse_nan_and_long_partners(bad):
             transfer_from_unitary(CC3.unitary(0.7), site, env)
         with pytest.raises(ValueError, match="norm > 1"):
             MapExtractor(CC3, site, env)
+
+
+@pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf])
+def test_extractor_refuses_non_finite_times(t):
+    # bad input, refused before a unitary of NaNs reaches the readout's
+    # Hermiticity guard (a NumericalError, the library-fault class)
+    for env in ([(0.0, 0.0, 0.3), (0.0, 0.0, -0.5)], [(0.3, 0.1, 0.2), (0.0, 0.0, 1.0)]):
+        with pytest.raises(ValueError, match="not finite") as caught:
+            MapExtractor(CC3, 1, env).transfer(t)
+        assert not isinstance(caught.value, NumericalError)
 
 
 def test_transfer_entries_reject_bad_env_count():

@@ -44,9 +44,12 @@ ONE_THREAD = {name: "1" for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
 # networks without a steady table or without exchange (exit 4), and the two
 # `fluct` states whose equal-gap amplitudes cancel (exit 3 until
 # `curvature()` summed them, exit 0 since), and two `measure` lines that
-# take trunc_gauss_sample to both ends of its sigma range (exit 0), and two
+# take trunc_gauss_sample to both ends of its sigma range (exit 0), two
 # `steady` lines whose pure partners give steady's map kernel the weight
-# rows [1, 0] and [0, 1] exactly, with a signed zero among them (exit 0).
+# rows [1, 0] and [0, 1] exactly, with a signed zero among them (exit 0),
+# and two `maps` lines (exit 0): pure partners, whose square roots scale
+# columns of the U(t) that every site shares by zero, and a grid of the
+# single time t = 0 on a network without a closed form.
 EDGE_LINES = (
     "spinmaps steady --n 1",
     "spinmaps steady --topology ring --n 2",
@@ -72,6 +75,8 @@ EDGE_LINES = (
     "spinmaps steady --topology ring --n 4 --state custom --z-list=1,-1,0,-0.0 --horizon-tj 40",
     "spinmaps steady --topology complete --n 6 --state custom --z-list=1,-1,1,-1,0.5,-0.0 "
     "--horizon-tj 40",
+    "spinmaps maps --topology complete --n 4 --state custom --z-list=1,-1,0,-0.0 --t-max-tj 2",
+    "spinmaps maps --topology ring --n 6 --state neel --t-max-tj 0",
 )
 
 
