@@ -9,9 +9,12 @@ that raises writes nothing; a failed verdict exits 3 after its files are
 written. Bodies are byte-identical under a fixed (config, seed); only the
 manifest carries the timestamp.
 
+Every option is declared once, in OPTIONS: its flag, type, default per
+command, range checks, choices, the `maps` setup that reads it and its help.
+The parser, the --config type checks and the range checks all read it.
+
 Config resolution: built-in defaults < JSON file (--config) < flags; the
-merged horizons, grid densities, counts, tolerance and seed are then
-checked once (_FIELD_CHECKS), and every float option must be finite. Exit
+merged values are then checked once, range by range in RANGES order. Exit
 codes: 0 success, 2 config error (a run too large for memory included), 3
 invariant violation or internal numerical failure, 4 unsupported
 combination.
@@ -25,13 +28,16 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
+import shutil
 import sys
 import time
+from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -179,15 +185,13 @@ def _steady(cfg: dict, spec: network.NetworkSpec):
 # maps
 # ---------------------------------------------------------------------------
 
-def cmd_maps(cfg: dict, defaults: dict) -> RunOutput:
+def cmd_maps(cfg: dict) -> RunOutput:
     # what only the other setup reads keeps its built-in (not --config) default
-    pair = cfg["topology"] == "xx_pairs"
-    unread = ("n", "h", "j_perp", "j_par", "state", "z", "z_list") if pair else (
-        "h1", "h2", "j", "x2", "y2", "z2")
-    for name in unread:
-        if cfg[name] != defaults[name]:
-            raise ConfigError(f"{name}: not read with --topology {cfg['topology']}")
-    if pair:
+    setup = "pair" if cfg["topology"] == "xx_pairs" else "network"
+    for opt in _BY_COMMAND["maps"]:
+        if opt.setup not in (None, setup) and cfg[opt.dest] != opt.defaults["maps"]:
+            raise ConfigError(f"{opt.dest}: not read with --topology {cfg['topology']}")
+    if setup == "pair":
         if cfg["z2"] is None:
             # longest partner vector consistent with the transverse components
             planar = cfg["x2"] ** 2 + cfg["y2"] ** 2
@@ -342,24 +346,14 @@ def cmd_fluct(cfg: dict) -> RunOutput:
 # disorder
 # ---------------------------------------------------------------------------
 
-def _check_width(cfg: dict, name: str, least: float):
-    # checked with the family that reads it: the other family's width is unread
-    if not cfg[name] >= least:
-        raise ConfigError(f"{name}: must be at least {least}, got {cfg[name]}")
-
-
 def _disorder_spec(cfg):
     common = dict(B=cfg["b"], Omega=cfg["omega"],
                   sigma_h=cfg["sigma_h"], sigma_omega=cfg["sigma_omega"])
     if cfg["phi_dist"] == "gaussian":
-        _check_width(cfg, "varphi", disorder.MIN_VARPHI)
         return disorder.DisorderSpec.from_varphi(varphi=cfg["varphi"], **common)
-    if cfg["phi_dist"] == "trunc_tanh":
-        if cfg["a_phi"] is None:
-            raise ConfigError("a_phi: trunc_tanh family needs --a-phi")
-        _check_width(cfg, "a_phi", disorder.MIN_A_PHI)
-        return disorder.DisorderSpec(phi_dist="trunc_tanh", a_phi=cfg["a_phi"], **common)
-    raise ConfigError(f"phi_dist: unknown family {cfg['phi_dist']!r}")
+    if cfg["a_phi"] is None:
+        raise ConfigError("a_phi: trunc_tanh family needs --a-phi")
+    return disorder.DisorderSpec(phi_dist="trunc_tanh", a_phi=cfg["a_phi"], **common)
 
 
 def cmd_disorder(cfg: dict) -> RunOutput:
@@ -391,10 +385,7 @@ def cmd_disorder(cfg: dict) -> RunOutput:
 # ---------------------------------------------------------------------------
 
 def cmd_measure(cfg: dict) -> RunOutput:
-    topology = {"cc": "complete", "ring": "ring"}.get(cfg["preset"])
-    if topology is None:
-        raise ConfigError(f"preset: unknown preset {cfg['preset']!r} (cc or ring)")
-    spec = _network(cfg, topology)
+    spec = _network(cfg, {"cc": "complete", "ring": "ring"}[cfg["preset"]])
     z, steady = _steady(cfg, spec)
 
     if cfg["t_max_tj"] <= measure.T_FIRST:
@@ -470,11 +461,9 @@ def cmd_quench(cfg: dict) -> RunOutput:
     n_cl = int(cfg["n_cl"])
     if cfg["schedule"] == "staggered":
         schedule = np.linspace(0.0, cfg["window_tj"] * t_j, n_cl)
-    elif cfg["schedule"] == "random":
+    else:
         rng = np.random.default_rng(int(cfg["seed"]))
         schedule = rng.uniform(0.0, cfg["window_tj"] * t_j, n_cl)
-    else:
-        raise ConfigError("schedule: expected 'staggered' or 'random'")
     t_eval = cfg["t_eval_tj"] * t_j
     average = ensemble.SpectralAverage(spec, z, sites=(0,))
     cluster_avg = ensemble.quench_demo(average, schedule, t_eval, t_j)
@@ -493,116 +482,184 @@ def cmd_quench(cfg: dict) -> RunOutput:
 
 
 # ---------------------------------------------------------------------------
-# parser / entry point
+# options / entry point
 # ---------------------------------------------------------------------------
 
 def _float_list(text: str) -> list:
     return [float(v) for v in text.split(",")]
 
 
-def _add_command(sub, name: str, func, help: str):
-    """Subparser for one command, with the options every command shares."""
-    sp = sub.add_parser(name, help=help)
-    sp.add_argument("--config", help="JSON config file; flags override it")
-    sp.add_argument("--outdir", default="runs", help="output root (default runs/)")
-    sp.add_argument("--seed", type=int, default=0)
-    sp.set_defaults(func=func)
-    return sp
+def _finite(v) -> bool:
+    """math.isfinite, False for an integer too large for a float."""
+    try:
+        return math.isfinite(v)
+    except OverflowError:
+        return False
 
 
-def _add_network_flags(sp, n: int, state: str, z=None, topology=None,
-                       j_par=1.0, xxz=True):
-    """--n, the field --h and the initial state; --topology when it has a
-    default here, and the XXZ couplings --j-perp/--j-par when xxz is set."""
-    if topology is not None:
-        sp.add_argument("--topology", choices=("complete", "ring", "xx_pairs"),
-                        default=topology)
-    sp.add_argument("--n", type=int, default=n)
-    sp.add_argument("--h", type=float, help="uniform field (default: generic)")
-    if xxz:
-        sp.add_argument("--j-perp", dest="j_perp", type=float, default=1.0)
-        sp.add_argument("--j-par", dest="j_par", type=float, default=j_par)
-    sp.add_argument("--state", choices=_STATES, default=state)
-    sp.add_argument("--z", type=float, default=z)
-    sp.add_argument("--z-list", dest="z_list", type=_float_list)
+@dataclass(frozen=True, eq=False)
+class Range:
+    """A check on an option's value, ok(value, cfg), and the requirement a
+    ConfigError states when it fails."""
 
+    ok: Callable
+    requirement: str
+
+
+# Ranges are checked in this order, each over a command's options in table
+# order, and the first failure is reported: horizons before the spans inside
+# them and counts before the seed keep that first field. _FINITE holds for
+# every float option, and the limits after it, where the float arithmetic of
+# a formula stops holding, only see finite values.
+_HORIZON = Range(lambda v, cfg: _finite(v) and v >= 0, "must be finite and >= 0")
+_SPAN = Range(lambda v, cfg: _finite(v) and v >= 0, "must be finite and >= 0")
+_POSITIVE = Range(lambda v, cfg: _finite(v) and v > 0, "must be finite and > 0")
+_AT_LEAST_ONE = Range(lambda v, cfg: v >= 1, "must be at least 1")
+# one dense 2^16 register matrix is already 64 GiB
+_REGISTER = Range(lambda v, cfg: v <= 16, "must be at most 16")
+_COUNT = Range(lambda v, cfg: v >= 0, "must be >= 0")
+_SEED = Range(lambda v, cfg: v >= 0, "must be >= 0")
+# a partner's polarization, with the 1e-12 slack of analytic.xx_reduced_map's norm test
+_POLARIZATION = Range(lambda v, cfg: v * v <= 1.0 + 1e-12, "must be in [-1, 1]")
+_VOLUME_SAMPLES = Range(lambda v, cfg: v >= measure.MIN_VOLUME_SAMPLES,
+                        f"must be at least {measure.MIN_VOLUME_SAMPLES}")
+_DISORDER_SAMPLES = Range(lambda v, cfg: v >= disorder.MIN_SAMPLES,
+                          f"must be at least {disorder.MIN_SAMPLES}")
+_FINITE = Range(lambda v, cfg: all(map(_finite, v if isinstance(v, list) else [v])),
+                "must be finite")
+# each phase law's width is checked with the family that reads it
+_VARPHI = Range(lambda v, cfg: cfg["phi_dist"] != "gaussian" or v >= disorder.MIN_VARPHI,
+                f"must be at least {disorder.MIN_VARPHI}")
+_A_PHI = Range(lambda v, cfg: cfg["phi_dist"] != "trunc_tanh" or v >= disorder.MIN_A_PHI,
+               f"must be at least {disorder.MIN_A_PHI}")
+_COUPLING = Range(lambda v, cfg: v == 0 or _finite(network.t_scale(v)),
+                  "must be 0 or of a magnitude whose t_J = 2 pi/|J| is finite")
+# the disorder envelope's rate, in float products that give inf on overflow:
+# sigma_h's own term first, then the sum, which names sigma_omega
+_ENVELOPE_H = Range(lambda v, cfg: _finite(4.0 * v * v),
+                    "must keep sigma_omega^2 + 4 sigma_h^2 finite")
+_ENVELOPE_OMEGA = Range(lambda v, cfg: _finite(v * v + 4.0 * cfg["sigma_h"] * cfg["sigma_h"]),
+                        _ENVELOPE_H.requirement)
+RANGES = (_HORIZON, _SPAN, _POSITIVE, _AT_LEAST_ONE, _REGISTER, _COUNT, _SEED, _POLARIZATION,
+          _VOLUME_SAMPLES, _DISORDER_SAMPLES, _FINITE, _VARPHI, _A_PHI, _COUPLING,
+          _ENVELOPE_H, _ENVELOPE_OMEGA)
+
+# name -> (function, help), in the order of `spinmaps --help`
+_COMMANDS = {
+    "maps": (cmd_maps, "per-site map parameter time series"),
+    "steady": (cmd_steady, "long-time averages vs exact tables"),
+    "fluct": (cmd_fluct, "running-average fluctuation constants"),
+    "disorder": (cmd_disorder, "disorder-averaged pair maps, MC vs closed form"),
+    "measure": (cmd_measure, "trajectory measure over CP channel params"),
+    "volume": (cmd_volume, "MC volume of the CP region"),
+    "quench": (cmd_quench, "staggered-quench cluster average demo"),
+}
+_XXZ = ("maps", "steady", "fluct", "measure")  # the commands with XXZ couplings
+_GRID = ("maps", "steady", "fluct")  # the commands that sample a time grid
+
+
+class Option(NamedTuple):
+    """One command-line option of every command that reads it.
+
+    type is bool for a --flag/--no-flag pair and str for text. defaults maps
+    each command that reads the option to its built-in default, which keeps
+    its literal type (points_per_tj 20, not 20.0): the manifest echoes the
+    configuration as parsed. checks are the option's Ranges besides the
+    finiteness of every float option. setup is the `maps` setup that reads
+    it, "network" or "pair"; the other setup refuses it away from its default.
+    """
+
+    flag: str
+    type: type
+    defaults: dict
+    checks: tuple = ()
+    choices: tuple | None = None
+    setup: str | None = None
+    help: str | None = None
+
+    @property
+    def dest(self) -> str:
+        return self.flag[2:].replace("-", "_")
+
+
+# In the order of every command's --help.
+OPTIONS = (
+    Option("--config", str, dict.fromkeys(_COMMANDS), help="JSON config file; flags override it"),
+    Option("--outdir", str, dict.fromkeys(_COMMANDS, "runs"), help="output root (default runs/)"),
+    Option("--seed", int, dict.fromkeys(_COMMANDS, 0), (_SEED,)),
+    # ring + J_par = J_perp is the reference figure setup; the 3-ring is the
+    # 3-clique, so the N=3 default reproduces the complete-graph series too.
+    Option("--topology", str, {"maps": "ring", "steady": "complete", "fluct": "complete"},
+           choices=("complete", "ring", "xx_pairs")),
+    Option("--n", int, {"maps": 3, "steady": 3, "fluct": 4, "measure": 3, "quench": 3},
+           (_REGISTER,), setup="network"),
+    Option("--h", float, dict.fromkeys(_XXZ + ("quench",)), setup="network",
+           help="uniform field (default: generic)"),
+    Option("--j-perp", float, dict.fromkeys(_XXZ, 1.0), (_COUPLING,), setup="network"),
+    Option("--j-par", float, {"maps": 1.0, "steady": 1.0, "fluct": 1.0, "measure": 0.0},
+           setup="network"),
+    Option("--state", str, {"maps": "hierarchy", "steady": "hierarchy", "fluct": "uniform",
+                            "measure": "hierarchy", "quench": "uniform"},
+           choices=_STATES, setup="network"),
+    Option("--z", float, {"maps": None, "steady": None, "fluct": 0.2, "measure": None,
+                          "quench": 1.0}, setup="network"),
+    Option("--z-list", _float_list, dict.fromkeys(_XXZ + ("quench",)), setup="network"),
+    Option("--b", float, {"disorder": 1.0}),
+    Option("--omega", float, {"disorder": 1.0}),
+    Option("--sigma-h", float, {"disorder": 1.0}, (_ENVELOPE_H,)),
+    Option("--sigma-omega", float, {"disorder": 1.0}, (_ENVELOPE_OMEGA,)),
+    Option("--phi-dist", str, {"disorder": "gaussian"}, choices=("gaussian", "trunc_tanh")),
+    Option("--varphi", float, {"disorder": 3.0}, (_VARPHI,)),
+    Option("--a-phi", float, {"disorder": None}, (_A_PHI,)),
+    Option("--preset", str, {"measure": "cc"}, choices=("cc", "ring")),
+    Option("--c", float, {"measure": 1.0}, (_POSITIVE,)),
+    Option("--h1", float, {"maps": 1.0}, setup="pair"),
+    Option("--h2", float, {"maps": 0.5}, setup="pair"),
+    Option("--n-cl", int, {"quench": 400}, (_AT_LEAST_ONE,)),
+    Option("--j", float, {"maps": 1.0, "quench": 1.0}, (_COUPLING,), setup="pair"),
+    Option("--x2", float, {"maps": 0.0}, setup="pair"),
+    Option("--y2", float, {"maps": 0.0}, setup="pair"),
+    Option("--z2", float, {"maps": None, "disorder": 1.0}, (_POLARIZATION,), setup="pair"),
+    Option("--t-max", float, {"disorder": 2.0}, (_HORIZON,)),
+    Option("--t-max-tj", float, {"maps": 10.0, "measure": 60.0}, (_HORIZON,)),
+    Option("--horizon-tj", float, {"steady": 200.0, "fluct": 200.0}, (_HORIZON,)),
+    Option("--points-per-tj", float, dict.fromkeys(_GRID, 20), (_POSITIVE,)),
+    Option("--tol", float, {"steady": 5e-3}, (_POSITIVE,)),
+    Option("--onset-tj", float, {"fluct": 20.0}, (_SPAN,)),
+    Option("--steps", int, {"disorder": 21, "measure": 120}, (_AT_LEAST_ONE,)),
+    Option("--n-samples", int, {"disorder": 10000}, (_DISORDER_SAMPLES,)),
+    Option("--tau3-rule", str, {"measure": "symmetric"}, choices=("symmetric", "signed")),
+    Option("--overlay", bool, {"measure": True}),
+    Option("--scatter-samples", int, {"measure": 0}, (_COUNT,)),
+    Option("--samples", int, {"volume": 10**6}, (_VOLUME_SAMPLES,)),
+    Option("--window-tj", float, {"quench": 50.0}, (_SPAN,)),
+    Option("--t-eval-tj", float, {"quench": 100.0}, (_HORIZON,)),
+    # staggered: evenly spaced over the window; random: iid uniform over it
+    Option("--schedule", str, {"quench": "staggered"}, choices=("staggered", "random")),
+)
+_BY_COMMAND = {name: [opt for opt in OPTIONS if name in opt.defaults] for name in _COMMANDS}
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # add_argument checks each option with a fresh help formatter, which asks
+    # for the terminal size: one query per parser gives every one its width
+    formatter = functools.partial(argparse.HelpFormatter,
+                                  width=shutil.get_terminal_size().columns - 2)
     parser = argparse.ArgumentParser(
-        prog="spinmaps",
+        prog="spinmaps", formatter_class=formatter,
         description="ensembles of reduced qubit maps from small spin networks")
     sub = parser.add_subparsers(dest="command", required=True)
     parser.commands = sub.choices  # name -> subparser, for --config
-    # Defaults keep their literal types (points_per_tj 20, not 20.0): the
-    # manifest echoes the configuration as parsed.
-
-    # ring + J_par = J_perp is the reference figure setup; the 3-ring is the
-    # 3-clique, so the N=3 default reproduces the complete-graph series too.
-    sp = _add_command(sub, "maps", None, "per-site map parameter time series")
-    _add_network_flags(sp, n=3, state="hierarchy", topology="ring")
-    sp.add_argument("--h1", type=float, default=1.0)
-    sp.add_argument("--h2", type=float, default=0.5)
-    sp.add_argument("--j", type=float, default=1.0)
-    sp.add_argument("--x2", type=float, default=0.0)
-    sp.add_argument("--y2", type=float, default=0.0)
-    sp.add_argument("--z2", type=float)
-    sp.add_argument("--t-max-tj", dest="t_max_tj", type=float, default=10.0)
-    sp.add_argument("--points-per-tj", dest="points_per_tj", type=float, default=20)
-    # the built-in defaults, read before a --config file replaces the parser's own
-    builtin = {action.dest: action.default for action in sp._actions}
-    sp.set_defaults(func=lambda cfg: cmd_maps(cfg, builtin))
-
-    sp = _add_command(sub, "steady", cmd_steady, "long-time averages vs exact tables")
-    _add_network_flags(sp, n=3, state="hierarchy", topology="complete")
-    sp.add_argument("--horizon-tj", dest="horizon_tj", type=float, default=200.0)
-    sp.add_argument("--points-per-tj", dest="points_per_tj", type=float, default=20)
-    sp.add_argument("--tol", type=float, default=5e-3)
-
-    sp = _add_command(sub, "fluct", cmd_fluct, "running-average fluctuation constants")
-    _add_network_flags(sp, n=4, state="uniform", z=0.2, topology="complete")
-    sp.add_argument("--horizon-tj", dest="horizon_tj", type=float, default=200.0)
-    sp.add_argument("--points-per-tj", dest="points_per_tj", type=float, default=20)
-    sp.add_argument("--onset-tj", dest="onset_tj", type=float, default=20.0)
-
-    sp = _add_command(sub, "disorder", cmd_disorder,
-                      "disorder-averaged pair maps, MC vs closed form")
-    sp.add_argument("--b", type=float, default=1.0)
-    sp.add_argument("--omega", type=float, default=1.0)
-    sp.add_argument("--sigma-h", dest="sigma_h", type=float, default=1.0)
-    sp.add_argument("--sigma-omega", dest="sigma_omega", type=float, default=1.0)
-    sp.add_argument("--phi-dist", dest="phi_dist", choices=("gaussian", "trunc_tanh"),
-                    default="gaussian")
-    sp.add_argument("--varphi", type=float, default=3.0)
-    sp.add_argument("--a-phi", dest="a_phi", type=float)
-    sp.add_argument("--z2", type=float, default=1.0)
-    sp.add_argument("--t-max", dest="t_max", type=float, default=2.0)
-    sp.add_argument("--steps", type=int, default=21)
-    sp.add_argument("--n-samples", dest="n_samples", type=int, default=10000)
-
-    sp = _add_command(sub, "measure", cmd_measure,
-                      "trajectory measure over CP channel params")
-    _add_network_flags(sp, n=3, state="hierarchy", j_par=0.0)
-    sp.add_argument("--preset", choices=("cc", "ring"), default="cc")
-    sp.add_argument("--c", type=float, default=1.0)
-    sp.add_argument("--t-max-tj", dest="t_max_tj", type=float, default=60.0)
-    sp.add_argument("--steps", type=int, default=120)
-    sp.add_argument("--tau3-rule", dest="tau3_rule", choices=("symmetric", "signed"),
-                    default="symmetric")
-    sp.add_argument("--overlay", action=argparse.BooleanOptionalAction, default=True)
-    sp.add_argument("--scatter-samples", dest="scatter_samples", type=int, default=0)
-
-    sp = _add_command(sub, "volume", cmd_volume, "MC volume of the CP region")
-    sp.add_argument("--samples", type=int, default=10**6)
-
-    sp = _add_command(sub, "quench", cmd_quench, "staggered-quench cluster average demo")
-    _add_network_flags(sp, n=3, state="uniform", z=1.0, xxz=False)
-    sp.add_argument("--n-cl", dest="n_cl", type=int, default=400)
-    sp.add_argument("--j", type=float, default=1.0)
-    sp.add_argument("--window-tj", dest="window_tj", type=float, default=50.0)
-    sp.add_argument("--t-eval-tj", dest="t_eval_tj", type=float, default=100.0)
-    # staggered: evenly spaced over the window; random: iid uniform over it
-    sp.add_argument("--schedule", choices=("staggered", "random"), default="staggered")
+    for name, (func, summary) in _COMMANDS.items():
+        sp = sub.add_parser(name, help=summary, formatter_class=formatter)
+        for opt in _BY_COMMAND[name]:
+            kwargs = {"default": opt.defaults[name], "help": opt.help}
+            if opt.type is bool:
+                kwargs["action"] = argparse.BooleanOptionalAction
+            else:
+                kwargs.update(type=None if opt.type is str else opt.type, choices=opt.choices)
+            sp.add_argument(opt.flag, **kwargs)
+        sp.set_defaults(func=func)
     return parser
 
 
@@ -614,66 +671,39 @@ def _config(args: argparse.Namespace) -> dict:
     return {k: v for k, v in vars(args).items() if k not in _NOT_CONFIG}
 
 
-def _finite(v) -> bool:
-    """math.isfinite, False for an integer too large for a float."""
-    try:
-        return math.isfinite(v)
-    except OverflowError:
-        return False
+def _check_fields(cfg: dict, command: str):
+    """ConfigError for the first value of the command out of range, in
+    RANGES order. A value that is not set (None) is not checked."""
+    for rng in RANGES:
+        for opt in _BY_COMMAND[command]:
+            value = cfg.get(opt.dest)
+            applies = rng in opt.checks or (rng is _FINITE and opt.type in (float, _float_list))
+            if applies and value is not None and not rng.ok(value, cfg):
+                raise ConfigError(f"{opt.dest}: {rng.requirement}, got {value}")
 
 
-# ranges shared by every command that has the field: (fields, check, requirement)
-_FIELD_CHECKS = (
-    (("t_max_tj", "horizon_tj", "t_eval_tj", "t_max", "window_tj", "onset_tj"),
-     lambda v: _finite(v) and v >= 0, "must be finite and >= 0"),
-    (("points_per_tj", "tol", "c"), lambda v: _finite(v) and v > 0, "must be finite and > 0"),
-    (("steps", "n_cl"), lambda v: v >= 1, "must be at least 1"),
-    # one dense 2^16 register matrix is already 64 GiB
-    (("n",), lambda v: v <= 16, "must be at most 16"),
-    (("scatter_samples", "seed"), lambda v: v >= 0, "must be >= 0"),
-    # a partner's polarization, with the 1e-12 slack of analytic.xx_reduced_map's norm test
-    (("z2",), lambda v: v is None or v * v <= 1.0 + 1e-12, "must be in [-1, 1]"),
-    (("samples",), lambda v: v >= measure.MIN_VOLUME_SAMPLES,
-     f"must be at least {measure.MIN_VOLUME_SAMPLES}"),
-    (("n_samples",), lambda v: v >= disorder.MIN_SAMPLES,
-     f"must be at least {disorder.MIN_SAMPLES}"),
-)
+def _config_type_error(opt: Option, command: str, value):
+    """Why a --config value does not fit the command's option, or None if it does.
 
-
-def _check_fields(cfg: dict, command: argparse.ArgumentParser):
-    """ConfigError for the first value out of range: the _FIELD_CHECKS, then
-    any float option (or float list) of the command that is set but not finite."""
-    for fields, ok, requirement in _FIELD_CHECKS:
-        for name in fields:
-            if name in cfg and not ok(cfg[name]):
-                raise ConfigError(f"{name}: {requirement}, got {cfg[name]}")
-    for action in command._actions:
-        value = cfg.get(action.dest)
-        if value is None or action.type not in (float, _float_list):
-            continue
-        if not all(map(_finite, value if action.type is _float_list else [value])):
-            raise ConfigError(f"{action.dest}: must be finite, got {value}")
-
-
-def _config_type_error(action: argparse.Action, value):
-    """Why a --config value does not fit its option, or None if it does.
-
-    A string goes through the option's converter, like the text of a flag;
-    null stands for an option that has no default. Any other value must
-    already have the JSON type the option parses to.
+    A string goes through the option's converter, like the text of a flag,
+    and must be one of its choices if it has them; null stands for an option
+    that has no default. Any other value must already have the JSON type the
+    option parses to.
     """
     def number(v):
         return isinstance(v, (int, float)) and not isinstance(v, bool)
 
-    if isinstance(action, argparse.BooleanOptionalAction):
+    if opt.type is bool:
         want, ok = "true or false", isinstance(value, bool)
-    elif isinstance(value, str) or (value is None and action.default is None):
+    elif isinstance(value, str) and opt.choices:
+        want, ok = "one of " + ", ".join(map(json.dumps, opt.choices)), value in opt.choices
+    elif isinstance(value, str) or (value is None and opt.defaults[command] is None):
         return None
-    elif action.type is int:
+    elif opt.type is int:
         want, ok = "an integer", number(value) and isinstance(value, int)
-    elif action.type is float:
+    elif opt.type is float:
         want, ok = "a number", number(value)
-    elif action.type is _float_list:
+    elif opt.type is _float_list:
         want, ok = "a list of numbers", isinstance(value, list) and all(map(number, value))
     else:
         want, ok = "a string", False
@@ -688,19 +718,17 @@ def main(argv=None) -> int:
             # built-in defaults < file < flags: the file's values become the
             # command's defaults and argv is parsed again over them
             data = _read_config(args.config)
-            fields = _config(args)
-            command = parser.commands[args.command]
-            actions = {action.dest: action for action in command._actions}
+            options = {opt.dest: opt for opt in _BY_COMMAND[args.command]}
             for key, value in data.items():
-                if key not in fields:
+                if key not in options or key in _NOT_CONFIG:
                     raise ConfigError(f"config.{key}: unknown field for this command")
-                problem = _config_type_error(actions[key], value)
+                problem = _config_type_error(options[key], args.command, value)
                 if problem is not None:
                     raise ConfigError(f"config.{key}: {problem}")
-            command.set_defaults(**data)
+            parser.commands[args.command].set_defaults(**data)
             args = parser.parse_args(argv)
         cfg = _config(args)
-        _check_fields(cfg, parser.commands[args.command])
+        _check_fields(cfg, args.command)
         result = args.func(cfg)
         out = _start_run(cfg, args.command)  # after the command: cfg holds what it set
         for name, (header, rows) in result.tables.items():

@@ -232,11 +232,12 @@ class ComponentCheck:
         gap = self.closed_form - self.mc_mean
         if self.mc_stderr > 0:
             return gap / self.mc_stderr
-        return math.copysign(math.inf, gap) if abs(gap) > ZERO_SPREAD_TOL else 0.0
+        return 0.0 if abs(gap) <= ZERO_SPREAD_TOL else math.copysign(math.inf, gap)
 
     @property
     def flagged(self) -> bool:
-        return self.closed_form is not None and abs(self.pull) > PULL_LIMIT
+        # not <=, so that a NaN closed form (or pull) is flagged
+        return self.closed_form is not None and not abs(self.pull) <= PULL_LIMIT
 
 
 def disorder_components(spec: DisorderSpec, t: float, z2: float, n_samples: int,

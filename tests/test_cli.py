@@ -36,12 +36,41 @@ def readme_commands():
 def test_readme_command_parses(line):
     parser = cli.build_parser()
     args = parser.parse_args(shlex.split(line)[1:])
-    cli._check_fields(cli._config(args), parser.commands[args.command])
+    cli._check_fields(cli._config(args), args.command)
 
 
 def test_readme_covers_every_command():
     assert {line.split()[1] for line in readme_commands()} == set(
         cli.build_parser().commands)
+
+
+def readme_ranges():
+    """(option names, text) of each item of the README's range list."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(r"in the order of\s+this list.*?:\n\n((?:- [^\n]*\n)+)", text, flags=re.S)
+    items = [line[2:] for line in block.group(1).splitlines()]
+    return [(set(re.findall(r"`(\w+)`", names)), rest)
+            for names, _, rest in (item.partition(": ") for item in items)]
+
+
+def test_readme_range_list_is_the_table():
+    # every range of the table, in checking order, with the options it
+    # checks; and no range the table does not have
+    documented = readme_ranges()
+    assert len(documented) == len(cli.RANGES)
+    for (names, text), rng in zip(documented, cli.RANGES):
+        assert names == {opt.dest for opt in cli.OPTIONS if rng in opt.checks}, text
+        assert text.startswith(rng.requirement), (names, text)
+
+
+def test_each_flag_is_declared_once():
+    src = Path(spinmaps.__file__).parent
+    literals = [flag for path in sorted(src.glob("*.py"))
+                for flag in re.findall(r'"(--[a-z0-9-]+)"', path.read_text())]
+    assert len(literals) == len(set(literals))
+    parsed = {flag for sp in cli.build_parser().commands.values() for action in sp._actions
+              for flag in action.option_strings}
+    assert set(literals) == parsed - {"-h", "--help", "--no-overlay"}
 
 
 def test_readme_library_example_runs(capsys):
@@ -109,6 +138,69 @@ def test_out_of_range_grid_or_count_exits_2(tmp_path, capsys, line, config, fiel
     assert rc == 2
     assert err.startswith(f"config error: {field}: ")
     assert out == "" and not (tmp_path / "runs").exists()
+
+
+@pytest.mark.parametrize("line, field", [
+    # the disorder envelope's rate sigma_omega^2 + 4 sigma_h^2 overflows
+    ("disorder --sigma-h 1e300", "sigma_h"),
+    ("disorder --sigma-omega 1.5e154", "sigma_omega"),
+    ("disorder --sigma-h 1e154", "sigma_h"),
+    # t_J = 2 pi/|J| is inf at a coupling this small
+    ("fluct --j-perp 5e-324", "j_perp"),
+    ("steady --j-perp 1e-310", "j_perp"),
+    ("quench --j 5e-324", "j"),
+    ("measure --j-perp=-1e-310 --no-overlay --steps 5", "j_perp"),
+])
+def test_float_arithmetic_limits_exit_2(tmp_path, capsys, line, field):
+    small = ["--steps", "2", "--n-samples", "200"] if line.startswith("disorder") else []
+    argv = line.split() + small
+    rc, out, err = run_cli(argv + ["--outdir", str(tmp_path / "runs")], capsys)
+    assert rc == 2
+    assert err.startswith(f"config error: {field}: must ") and err.count("\n") == 1
+    assert out == "" and not (tmp_path / "runs").exists()
+
+
+@pytest.mark.parametrize("line", ["maps --j-perp 0", "quench --j 0"])
+def test_zero_coupling_is_no_float_limit(tmp_path, capsys, line):
+    # no exchange: t_scale refuses it (steady, fluct and measure exit 4 first)
+    rc, _, err = run_cli(line.split() + ["--outdir", str(tmp_path)], capsys)
+    assert rc == 2 and err == "config error: t_scale undefined for J_perp = 0\n"
+
+
+@pytest.mark.parametrize("line, field", [
+    # ranges in their table order, each over the command's options in
+    # --help order: horizons before the spans inside them, counts before
+    # the seed, every float's finiteness before the float-arithmetic limits
+    ("quench --window-tj -1 --t-eval-tj -1", "t_eval_tj"),
+    ("fluct --onset-tj -1 --horizon-tj -1", "horizon_tj"),
+    ("measure --seed -1 --scatter-samples -1", "scatter_samples"),
+    ("maps --n 17 --t-max-tj -1", "t_max_tj"),
+    ("maps --h nan --z2 2", "z2"),
+    ("disorder --varphi 1e-170 --b nan", "b"),
+    ("maps --topology xx_pairs --h nan", "h"),
+])
+def test_first_field_out_of_range_is_reported(tmp_path, capsys, line, field):
+    rc, _, err = run_cli(line.split() + ["--outdir", str(tmp_path)], capsys)
+    assert rc == 2 and err.startswith(f"config error: {field}: ")
+
+
+CHOICE_CASES = [("maps", "topology"), ("steady", "state"), ("disorder", "phi_dist"),
+                ("measure", "preset"), ("measure", "tau3_rule"), ("quench", "schedule")]
+
+
+@pytest.mark.parametrize("command, key", CHOICE_CASES)
+def test_config_choice_outside_its_list_exits_2(tmp_path, capsys, command, key):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: "bogus"}))
+    rc, out, err = run_cli([command, "--config", str(cfg), "--outdir", str(tmp_path / "runs")],
+                           capsys)
+    choices = next(a.choices for a in cli.build_parser().commands[command]._actions
+                   if a.dest == key)
+    assert rc == 2
+    assert err == (f"config error: config.{key}: expected one of "
+                   f"{', '.join(json.dumps(c) for c in choices)}, got \"bogus\"\n")
+    assert out == "" and not (tmp_path / "runs").exists()
+    assert {k for _, k in CHOICE_CASES} == {opt.dest for opt in cli.OPTIONS if opt.choices}
 
 
 def test_unknown_config_key_exits_2(tmp_path, capsys):
@@ -317,6 +409,15 @@ def test_maps_assembles_one_unitary_per_time(tmp_path, capsys, monkeypatch):
     assert len(returned) == 3 * 11
     assert len({id(u) for u in returned}) == 11
     assert csvs[0] == csvs[1]
+
+
+def test_manifest_echoes_defaults_with_their_literal_types(tmp_path, capsys):
+    rc, out, _ = run_cli(["steady", "--horizon-tj", "0.5", "--tol", "1",
+                          "--outdir", str(tmp_path)], capsys)
+    assert rc == 0
+    config = json.loads((last_run_dir(out) / "manifest.json").read_text())["config"]
+    assert config["points_per_tj"] == 20 and type(config["points_per_tj"]) is int
+    assert type(config["horizon_tj"]) is float and type(config["n"]) is int
 
 
 def test_manifest_records_package_version(tmp_path, capsys):

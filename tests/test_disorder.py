@@ -236,6 +236,13 @@ def test_zero_spread_component_is_flagged_unless_it_agrees():
     assert not ComponentCheck("xx0", 1.0, 0.0).flagged  # no closed form
 
 
+def test_non_finite_closed_form_is_flagged():
+    # a NaN compares False both ways: it must not pass the pull limit
+    for stderr in (0.0, 0.1):
+        for closed in (math.nan, math.inf, -math.inf):
+            assert ComponentCheck("xx0", 1.0, stderr, closed).flagged, (stderr, closed)
+
+
 def test_closedform_t0_is_exact_identity():
     closed = closedform_disorder_components(GAUSS, 0.0)
     assert closed["xx0"] == 1.0 and closed["yx0"] == 0.0

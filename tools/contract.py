@@ -49,7 +49,11 @@ ONE_THREAD = {name: "1" for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
 # rows [1, 0] and [0, 1] exactly, with a signed zero among them (exit 0),
 # and two `maps` lines (exit 0): pure partners, whose square roots scale
 # columns of the U(t) that every site shares by zero, and a grid of the
-# single time t = 0 on a network without a closed form.
+# single time t = 0 on a network without a closed form. The last five are
+# float-arithmetic limits (exit 2, naming the option): disorder widths whose
+# envelope rate sigma_omega^2 + 4 sigma_h^2 overflows (1e300 raised
+# OverflowError and 1e154 wrote a NaN closed form before the limit), and
+# couplings so small that t_J = 2 pi/|J| is inf.
 EDGE_LINES = (
     "spinmaps steady --n 1",
     "spinmaps steady --topology ring --n 2",
@@ -77,6 +81,11 @@ EDGE_LINES = (
     "--horizon-tj 40",
     "spinmaps maps --topology complete --n 4 --state custom --z-list=1,-1,0,-0.0 --t-max-tj 2",
     "spinmaps maps --topology ring --n 6 --state neel --t-max-tj 0",
+    "spinmaps disorder --sigma-h 1e300",
+    "spinmaps disorder --sigma-h 1e154",
+    "spinmaps fluct --j-perp 5e-324",
+    "spinmaps steady --j-perp 1e-310",
+    "spinmaps quench --j 5e-324",
 )
 
 
