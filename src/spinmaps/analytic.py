@@ -2,7 +2,11 @@
 
 Families covered, all against diagonal (Bloch-z) environments:
 
-- cc_params: complete graph, N = 3..6, full XXZ, every parameter.
+- cc_params: complete graph, any N >= 2, full XXZ, every parameter. It is
+  derived, not transcribed: the complete graph's H is a function of the
+  collective spin, so the focal site's dynamics splits into 2x2
+  Clebsch-Gordan blocks per partner spin J' and total M
+  (ensemble.collective_blocks).
 - ring_params: ring N = 4 (full XXZ, every parameter) and ring N = 5 at the
   isotropic point J_par = J_perp (lambda3/tau3 only; the transverse sector
   has no closed form there and is returned as NaN).
@@ -31,21 +35,22 @@ lambda1 = hypot(alpha, beta) and theta = 2 h t + atan2(beta, alpha), wrapped
 to (-pi, pi] to match what fit_pc reads off a transfer matrix.
 
 Every formula here is cross-checked against dense map extraction (module
-`reduced`) by the test suite. Where the implemented coefficients depart
-from the source tables they were transcribed from, the departure is
-recorded in TRANSCRIPTION_NOTES.md with its printed reading, implemented
-reading and evidence; the one wholesale re-derivation is the ring N=4
-alpha/beta table, whose source could not be repaired term by term.
+`reduced`) by the test suite. Where the ring coefficients depart from the
+source tables they were transcribed from, the departure is recorded in
+TRANSCRIPTION_NOTES.md with its printed reading, implemented reading and
+evidence; the one wholesale re-derivation is the ring N=4 alpha/beta table,
+whose source could not be repaired term by term.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 
 import numpy as np
 
-from .ensemble import UnsupportedNetwork, esym
+from .ensemble import UnsupportedNetwork, collective_blocks
 from .network import NetworkSpec, isotropic
 from .reduced import PCParams
 
@@ -67,118 +72,53 @@ def _assemble(lam3, tau3, alpha, beta, h, t):
 
 
 # ---------------------------------------------------------------------------
-# Complete graph, N = 3..6
+# Complete graph
 # ---------------------------------------------------------------------------
 
 
-def _cc3(t, jp, jz, env):
-    e1 = esym(env, 1)
-    pz = esym(env, 2)
-    c3 = np.cos(3.0 * jp * t)
-    lam3 = (5.0 + 4.0 * c3) / 9.0
-    tau3 = (2.0 / 9.0) * e1 * (1.0 - c3)
-    wa = (2.0 * jz - 2.0 * jp) * t
-    wb = (2.0 * jz + jp) * t
-    alpha = ((1.0 - pz) * (7.0 + 2.0 * c3)
-             + (1.0 + pz) * (3.0 * np.cos(wa) + 6.0 * np.cos(wb))) / 18.0
-    beta = e1 * (3.0 * np.sin(wa) + 6.0 * np.sin(wb)) / 18.0
-    return lam3, tau3, alpha, beta
-
-
-def _cc4(t, jp, jz, env):
-    e1, e2, e3 = (esym(env, k) for k in (1, 2, 3))
-    c2, c4 = np.cos(2.0 * jp * t), np.cos(4.0 * jp * t)
-    lam3 = (7 / 16 + c2 / 4 + 5 * c4 / 16) + (1 / 16 - c2 / 12 + c4 / 48) * e2
-    tau3 = (3 / 16 - c2 / 12 - 5 * c4 / 48) * e1 - (3 / 16 - c2 / 4 + c4 / 16) * e3
-    # Oscillations of the transverse sector.
-    w = np.multiply.outer([3 * (jp - jz), jp + 3 * jz, jp - jz,
-                           3 * jp + jz, 5 * jp - jz, jp + jz], t)
-    cw, sw = np.cos(w), np.sin(w)
-    a0 = (cw[0] / 16 + 3 * cw[1] / 16 + 3 * cw[2] / 8
-          + 3 * cw[3] / 32 + cw[4] / 32 + cw[5] / 4)
-    a2 = (cw[0] / 16 + 3 * cw[1] / 16 - cw[2] / 8
-          - cw[3] / 32 - cw[4] / 96 - cw[5] / 12)
-    b1 = (-sw[0] / 16 + 3 * sw[1] / 16 - sw[2] / 8
-          + sw[3] / 32 - sw[4] / 96 + sw[5] / 12)
-    b3 = (-sw[0] / 16 + 3 * sw[1] / 16 + 3 * sw[2] / 8
-          - 3 * sw[3] / 32 + sw[4] / 32 - sw[5] / 4)
-    return lam3, tau3, a0 + a2 * e2, b1 * e1 + b3 * e3
-
-
-def _cc5(t, jp, jz, env):
-    e1, e2, e3, e4 = (esym(env, k) for k in (1, 2, 3, 4))
-    c3, c5 = np.cos(3.0 * jp * t), np.cos(5.0 * jp * t)
-    lam3 = (7 / 15 + c3 / 3 + c5 / 5) + (8 / 225 - c3 / 18 + c5 / 50) * e2
-    tau3 = ((2 / 15 - c3 / 12 - c5 / 20) * e1
-            - (4 / 75 - c3 / 12 + 3 * c5 / 100) * e3)
-    w = np.multiply.outer([3 * jp + 2 * jz, 4 * (jp - jz), 7 * jp - 2 * jz,
-                           2 * (jp - jz), jp + 2 * jz, jp + 4 * jz], t)
-    cw, sw = np.cos(w), np.sin(w)
-    a0 = (157 / 600 + c3 / 12 + 3 * c5 / 100 + 3 * cw[0] / 50 + cw[1] / 40
-          + cw[2] / 100 + 9 * cw[3] / 50 + cw[4] / 4 + cw[5] / 10)
-    a2 = -(157 / 1800 + c3 / 36 + c5 / 100 - cw[1] / 40 - cw[5] / 10)
-    a4 = (157 / 600 + c3 / 12 + 3 * c5 / 100 + cw[5] / 10 - cw[4] / 4
-          - 3 * cw[0] / 50 - cw[2] / 100 - 9 * cw[3] / 50 + cw[1] / 40)
-    b1 = (3 * sw[0] / 100 - sw[1] / 40 - sw[2] / 200 - 9 * sw[3] / 100
-          + sw[4] / 8 + sw[5] / 10)
-    b3 = -(3 * sw[0] / 100 + sw[1] / 40 - sw[2] / 200 - 9 * sw[3] / 100
-           + sw[4] / 8 - sw[5] / 10)
-    return lam3, tau3, a0 + a2 * e2 + a4 * e4, b1 * e1 + b3 * e3
-
-
-# N=6 transverse oscillation frequencies, shared by all partial components.
-_CC6_A = np.array([
-    [5 / 96, 1 / 96, 3 / 16, 25 / 288, 1 / 288, 1 / 48,
-     3 / 32, 5 / 32, 5 / 16, 1 / 32, 1 / 96, 5 / 144],
-    [5 / 96, 1 / 96, 3 / 80, 5 / 288, 1 / 1440, -1 / 240,
-     -3 / 160, -1 / 32, -1 / 16, -1 / 160, -1 / 480, 1 / 144],
-    [5 / 96, 1 / 96, -9 / 80, -5 / 96, -1 / 480, 1 / 240,
-     3 / 160, 1 / 32, 1 / 16, 1 / 160, 1 / 480, -1 / 48],
-])
-_CC6_B = np.array([
-    [5 / 96, -1 / 96, 9 / 80, -5 / 96, -1 / 480, 1 / 240,
-     3 / 160, 1 / 32, -1 / 16, -1 / 160, -1 / 480, 1 / 48],
-    [5 / 96, -1 / 96, -3 / 80, 5 / 288, 1 / 1440, -1 / 240,
-     -3 / 160, -1 / 32, 1 / 16, 1 / 160, 1 / 480, -1 / 144],
-    [5 / 96, -1 / 96, -3 / 16, 25 / 288, 1 / 288, 1 / 48,
-     3 / 32, 5 / 32, -5 / 16, -1 / 32, -1 / 96, -5 / 144],
-])
-
-
-def _cc6(t, jp, jz, env):
-    e1, e2, e3, e4, e5 = (esym(env, k) for k in (1, 2, 3, 4, 5))
-    c2, c4, c6 = np.cos(np.multiply.outer([2.0 * jp, 4.0 * jp, 6.0 * jp], t))
-    lam3 = ((59 / 144 + 5 * c2 / 32 + 5 * c4 / 16 + 35 * c6 / 288)
-            + (1 / 24 - c2 / 32 - c4 / 40 + 7 * c6 / 480) * e2
-            - (1 / 48 - c2 / 32 + c4 / 80 - c6 / 480) * e4)
-    tau3 = ((17 / 144 - c2 / 32 - c4 / 16 - 7 * c6 / 288) * e1
-            - (1 / 24 - c2 / 32 - c4 / 40 + 7 * c6 / 480) * e3
-            + (5 / 48 - 5 * c2 / 32 + c4 / 16 - c6 / 96) * e5)
-    w = np.multiply.outer([jp + 5 * jz, 5 * (jp - jz), jp + 3 * jz, 3 * (jp - jz),
-                           9 * jp - 3 * jz, 5 * jp + jz, 3 * jp + jz, jp + jz,
-                           jp - jz, 5 * jp - jz, 7 * jp - jz, 3 * (jp + jz)], t)
-    ca = np.tensordot(_CC6_A, np.cos(w), axes=1)
-    sb = np.tensordot(_CC6_B, np.sin(w), axes=1)
-    alpha = ca[0] + ca[1] * e2 + ca[2] * e4
-    beta = sb[0] * e1 + sb[1] * e3 + sb[2] * e5
-    return lam3, tau3, alpha, beta
-
-
-_CC_EVALUATORS = {3: _cc3, 4: _cc4, 5: _cc5, 6: _cc6}
+@functools.cache
+def _block_columns(n: int):
+    """collective_blocks(n) as columns: up as ints, the rest as floats."""
+    up, *rest = zip(*collective_blocks(n))
+    return (np.array(up), *(np.array(col, dtype=float) for col in rest))
 
 
 def cc_params(n: int, t, j_perp: float, j_par: float, h: float, env_z) -> PCParams:
-    """Closed-form channel of the complete graph, N = 3..6; fields of t's shape.
+    """Closed-form channel of the complete graph, any N >= 2; fields of t's shape.
+
+    A sum over the collective-spin blocks of ensemble.collective_blocks,
+    each weighted by the Poisson-binomial probability of its count of
+    partners up. In a block the focal z populations beat at the one gap
+    J_perp (2J'+1) between J = J' +- 1/2, and the coherence at the four
+    gaps between the levels of |up>|J', M'> and of |down>|J', M'>.
 
     env_z lists the N-1 non-focal polarizations; the result only depends on
     their symmetric functions, so their order does not matter here.
     """
-    if n not in _CC_EVALUATORS:
-        raise UnsupportedNetwork(f"no closed form for complete N={n}")
+    if n < 2:
+        raise ValueError(f"the complete graph needs N >= 2, got {n}")
     env = _check_env(env_z, n)
     t = np.asarray(t, dtype=float)
-    lam3, tau3, alpha, beta = _CC_EVALUATORS[n](t, j_perp, j_par, env)
-    return _assemble(lam3, tau3, alpha, beta, h, t)
+    up, weight, spin, u, v = _block_columns(n)
+    law = np.ones(1)  # of the number of partners up
+    for z in env:
+        law = np.convolve(law, [(1.0 - z) / 2.0, (1.0 + z) / 2.0])
+    w = weight * law[up]
+    m_up, m_down = up - (n - 2) / 2.0, up - n / 2.0  # total M, focal spin up or down
+
+    def energy(j, m):  # E(J, M) without the field; _assemble adds its 2 h t
+        return j_perp * j * (j + 1.0) + (j_par - j_perp) * m * m
+
+    levels_up = (energy(spin + 0.5, m_up), energy(spin - 0.5, m_up))
+    levels_down = (energy(spin + 0.5, m_down), energy(spin - 0.5, m_down))
+    flip = 1.0 - np.cos(np.multiply.outer(levels_up[0] - levels_up[1], t.ravel()))
+    lam3 = 1.0 - 2.0 * (w * (u * (1.0 - u) + v * (1.0 - v))) @ flip
+    tau3 = 2.0 * (w * (v * (1.0 - v) - u * (1.0 - u))) @ flip
+    amp = np.concatenate([w * a * b for a in (u, 1.0 - u) for b in (v, 1.0 - v)])
+    gaps = np.concatenate([a - b for a in levels_up for b in levels_down])
+    phase = np.multiply.outer(gaps, t.ravel())
+    alpha, beta = amp @ np.cos(phase), amp @ np.sin(phase)
+    return _assemble(*(x.reshape(t.shape)[()] for x in (lam3, tau3, alpha, beta)), h, t)
 
 
 # ---------------------------------------------------------------------------

@@ -532,8 +532,22 @@ _VARPHI = Range(lambda v, cfg: cfg["phi_dist"] != "gaussian" or v >= disorder.MI
                 f"must be at least {disorder.MIN_VARPHI}")
 _A_PHI = Range(lambda v, cfg: cfg["phi_dist"] != "trunc_tanh" or v >= disorder.MIN_A_PHI,
                f"must be at least {disorder.MIN_A_PHI}")
-_COUPLING = Range(lambda v, cfg: v == 0 or _finite(network.t_scale(v)),
-                  "must be 0 or of a magnitude whose t_J = 2 pi/|J| is finite")
+_TIMES_TJ = ("t_max_tj", "horizon_tj", "t_eval_tj", "window_tj")
+
+
+def _longest_time_finite(j: float, cfg: dict) -> bool:
+    """Whether t_J of coupling j, times the longest horizon or span in t_J
+    that the command turns into a time (and at least 1), is finite. quench's
+    cluster, the one network without j_perp, has J_perp = 2j; measure turns
+    t_max_tj into a time only for its overlay."""
+    t_j = network.t_scale(j if "j_perp" in cfg else 2.0 * j)
+    spans = [] if cfg.get("overlay") is False else [cfg[k] for k in _TIMES_TJ if k in cfg]
+    return _finite(t_j * max([1.0] + spans))
+
+
+_COUPLING = Range(lambda v, cfg: v == 0 or _longest_time_finite(v, cfg),
+                  "must be 0 or of a magnitude whose t_J, times the longest horizon or span "
+                  "in t_J, is finite")
 # the disorder envelope's rate, in float products that give inf on overflow:
 # sigma_h's own term first, then the sum, which names sigma_omega
 _ENVELOPE_H = Range(lambda v, cfg: _finite(4.0 * v * v),

@@ -6,7 +6,8 @@ mean of transfer matrices is again a valid (and physically meaningful)
 channel. Long-time averages of the closed-form families settle on steady
 channels whose lambda3/tau3 are polynomials in the elementary symmetric
 functions e_k of the environment z values with exact rational coefficients;
-those tables live here. `SpectralAverage` gives exact maps and running
+those tables live here, the complete graph's derived at any N from its
+collective-spin blocks. `SpectralAverage` gives exact maps and running
 averages, of one site or the site average, from one eigendecomposition; its
 infinite-time limit is the diagonal ensemble, which the tables reproduce.
 Residual oscillations around the steady values decay like t_J/(N t). The bounding constant c, the sup of
@@ -20,6 +21,7 @@ when they want t/t_J units.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -216,16 +218,56 @@ _F = Fraction
 
 # lambda3_inf = a_0 + sum_k a_k e_k / C(N, k) over even k >= 2;
 # tau3_inf = (1 - a_0) e_1 / N - sum_k a_k e_{k+1} / C(N, k+1).
-_STEADY_COMPLETE = {
-    3: {0: _F(5, 9)},
-    4: {0: _F(7, 16), 2: _F(3, 16)},
-    5: {0: _F(7, 15), 2: _F(16, 75)},
-    6: {0: _F(59, 144), 2: _F(5, 12), 4: _F(-5, 48)},
-}
 _STEADY_RING5 = {0: _F(71, 225), 2: _F(2, 45)}
 # Ring N=4 does not fit the pattern: the e_2 term is corrected by the two
 # antipodal pairs, and the e_3 term enters with the opposite sign.
 _STEADY_RING4 = {0: _F(7, 16), 2: _F(3, 16)}
+
+
+@functools.cache
+def collective_blocks(n: int) -> tuple:
+    """The blocks of one focal site on the complete graph of n sites, exact.
+
+    There H = 2h S_z + J_perp (S^2 - S_z^2) + J_par S_z^2 + const, with
+    levels E(J, M) = J_perp J(J+1) + (J_par - J_perp) M^2 + 2hM (Dicke,
+    Phys. Rev. 93, 99 (1954)). H and the focal Paulis commute with the
+    partners' permutations, so the partners' diagonal state can be averaged
+    over them: every basis state with `up` of the n - 1 partners up gets
+    P(up) / C(n-1, up), P the Poisson-binomial law of that count. Split by
+    partner spin J', with d(J') copies, and M' = up - (n-1)/2, the focal
+    spin up or down couples to J = J' +- 1/2 at total M = M' +- 1/2.
+
+    One entry (up, weight, J', u, v) per (J', M'): weight = d(J') / C(n-1,
+    up), and u, v the squared Clebsch-Gordan weights (J' +- M + 1/2) /
+    (2J' + 1) of J = J' + 1/2 in |up>|J', M'> and in |down>|J', M'>.
+    """
+    m = n - 1
+    blocks = []
+    for two_j in range(m, -1, -2):
+        j, low = _F(two_j, 2), (m - two_j) // 2  # low: the fewest partners up at spin J'
+        copies = math.comb(m, low) - (math.comb(m, low - 1) if low else 0)
+        for up in range(low, m - low + 1):
+            mp = up - _F(m, 2)
+            blocks.append((up, _F(copies, math.comb(m, up)), j,
+                           (j + mp + 1) / (2 * j + 1), (j - mp + 1) / (2 * j + 1)))
+    return tuple(blocks)
+
+
+@functools.cache
+def _complete_table(n: int) -> dict:
+    """The complete graph's {a_k}, from the time-independent part of the z
+    block: the focal spin flips at the one gap J_perp (2J'+1) != 0 per
+    block, so a block keeps 1 - 2 (u(1-u) + v(1-v)) of lambda3. That is
+    sum_k b_k e_k' in the partners' e_k'; at uniform polarization x, e_k' =
+    C(n-1, k) x^k and the x^k coefficient is a_k = b_k C(n-1, k)."""
+    poly = [_F(0)] * n
+    for up, weight, _, u, v in collective_blocks(n):
+        term = [weight * math.comb(n - 1, up) * (1 - 2 * (u * (1 - u) + v * (1 - v)))]
+        # times ((1 + x)/2)^up ((1 - x)/2)^(n-1-up): the binomial law at x
+        for sign in [1] * up + [-1] * (n - 1 - up):
+            term = [(a + sign * b) / 2 for a, b in zip(term + [0], [0] + term)]
+        poly = [a + b for a, b in zip(poly, term)]
+    return {k: a for k, a in enumerate(poly) if k == 0 or a}
 
 
 @dataclass(frozen=True)
@@ -268,16 +310,17 @@ class UnsupportedNetwork(ValueError):
 def steady_table(spec: NetworkSpec) -> dict:
     """The rational coefficient table of the network `spec`.
 
-    Tables exist for the complete graph with N = 3..6 (the 3-ring among
-    them), the ring with N = 4, and the ring with N = 5 at the isotropic
-    point J_par = J_perp, each with exchange (J_perp != 0: without it
-    nothing relaxes). Any other network raises UnsupportedNetwork.
+    Tables exist for the complete graph at every N (the 3-ring among them),
+    derived from collective_blocks, the ring with N = 4, and the ring with
+    N = 5 at the isotropic point J_par = J_perp, each with exchange
+    (J_perp != 0: without it nothing relaxes). Any other network raises
+    UnsupportedNetwork.
     """
     if spec.j_perp == 0:
         raise UnsupportedNetwork("no steady table without exchange (J_perp = 0)")
     family, n = spec.family, spec.n
-    if family == "complete" and n in _STEADY_COMPLETE:
-        return _STEADY_COMPLETE[n]
+    if family == "complete":
+        return _complete_table(n)
     if family == "ring" and n == 4:
         return _STEADY_RING4
     if family == "ring" and n == 5:

@@ -15,10 +15,10 @@ from spinmaps.analytic import (
     xx_reduced_map,
     xx_unitary_components,
 )
-from spinmaps.ensemble import UnsupportedNetwork
+from spinmaps.ensemble import SpectralAverage, UnsupportedNetwork
 from spinmaps.network import NetworkSpec, PairSpec, build_hamiltonian
 from spinmaps.qlinalg import HermitianEvolver
-from spinmaps.reduced import MapExtractor, fit_pc
+from spinmaps.reduced import MapExtractor
 
 RNG = np.random.default_rng(23)
 
@@ -47,20 +47,22 @@ def test_transcription_notes_record_every_repair():
         assert all(f"*{field}:*" in repair for field in ("Printed", "Implemented", "Evidence"))
 
 
-@pytest.mark.parametrize("n", [3, 4, 5, 6])
+# (J_perp, J_par, h): generic, the degenerate h = 0 and J_par = J_perp, and J_perp < 0
+CC_COUPLINGS = [(1.0, 0.45, 0.31), (0.8, 0.8, 0.0), (-0.7, 0.25, -0.4)]
+
+
+@pytest.mark.parametrize("n", range(2, 9))
 def test_cc_params_match_dense(n):
-    jp, jz, h = 1.0, 0.45, 0.31
-    z = RNG.uniform(-1, 1, n)
-    for focal in (0, n - 1):
-        for t in (0.7, 3.9):
-            pc = cc_params(n, t, jp, jz, h, cyclic_env(z, focal, n))
-            lam3, tau3, m = dense_params("complete", n, t, jp, jz, h, z, focal)
-            assert abs(pc.lambda3 - lam3) < 1e-11
-            assert abs(pc.tau3 - tau3) < 1e-11
-            fit = fit_pc(m)
-            assert fit.residual < 1e-10
-            assert abs(pc.lambda1 - fit.lambda1) < 1e-11
-            assert np.max(np.abs(pc.transfer() - m)) < 1e-11
+    # against the engine at every focal site; pure partners (z = +-1) and
+    # a signed zero among random polarizations
+    z = np.concatenate([[1.0, -0.0, -1.0][:n], RNG.uniform(-1.0, 1.0, max(0, n - 3))])
+    times = np.linspace(0.0, 9.0, 23)
+    for j_perp, j_par, h in CC_COUPLINGS:
+        spec = NetworkSpec("complete", n, h=h, j_perp=j_perp, j_par=j_par)
+        for focal in range(n):
+            want = SpectralAverage(spec, z, sites=(focal,)).maps(times)
+            got = cc_params(n, times, j_perp, j_par, h, cyclic_env(z, focal, n)).transfer()
+            assert np.max(np.abs(got - want)) <= 1e-12, (j_perp, j_par, h, focal)
 
 
 def test_ring4_params_match_dense():
@@ -91,8 +93,8 @@ def test_ring_params_rejections():
         ring_params(5, 1.0, 1.0, 0.5, 0.0, env)  # anisotropic N=5
     with pytest.raises(UnsupportedNetwork):
         ring_params(6, 1.0, 1.0, 1.0, 0.0, [0.0] * 5)
-    with pytest.raises(UnsupportedNetwork):
-        cc_params(7, 1.0, 1.0, 0.5, 0.0, [0.0] * 6)
+    with pytest.raises(UnsupportedNetwork):  # the dispatch, for a ring with no closed form
+        closed_form(NetworkSpec("ring", 6), 0, [(0.0, 0.0, 0.0)] * 5, 1.0)
     with pytest.raises(ValueError):  # the XXZ closed forms hold for diagonal partners only
         closed_form(NetworkSpec("complete", 3), 0, [(0.1, 0.0, 0.5), (0.0, 0.0, 0.2)], 1.0)
     xx = NetworkSpec("xx_pairs", 2, pairs=(PairSpec(1.0, 0.5, 1.0),))

@@ -150,6 +150,11 @@ def test_out_of_range_grid_or_count_exits_2(tmp_path, capsys, line, config, fiel
     ("steady --j-perp 1e-310", "j_perp"),
     ("quench --j 5e-324", "j"),
     ("measure --j-perp=-1e-310 --no-overlay --steps 5", "j_perp"),
+    # t_J is finite, but the longest span times t_J is not
+    ("steady --j-perp 1e-307", "j_perp"),
+    ("fluct --j-perp 1e-307", "j_perp"),
+    ("maps --j-perp 1e-307", "j_perp"),
+    ("quench --j 1e-307", "j"),
 ])
 def test_float_arithmetic_limits_exit_2(tmp_path, capsys, line, field):
     small = ["--steps", "2", "--n-samples", "200"] if line.startswith("disorder") else []
@@ -158,6 +163,17 @@ def test_float_arithmetic_limits_exit_2(tmp_path, capsys, line, field):
     assert rc == 2
     assert err.startswith(f"config error: {field}: must ") and err.count("\n") == 1
     assert out == "" and not (tmp_path / "runs").exists()
+
+
+@pytest.mark.parametrize("line", [
+    # measure turns no time in t_J into an absolute one without its overlay
+    "measure --j-perp 1e-307 --no-overlay --steps 5",
+    # the quench cluster's t_J is 2 pi/|2j|: its 100 t_J is 1.6e308 here
+    "quench --j 2e-306 --n-cl 20",
+])
+def test_small_coupling_with_finite_times_runs(tmp_path, capsys, line):
+    rc, _, err = run_cli(line.split() + ["--outdir", str(tmp_path)], capsys)
+    assert rc == 0 and err == ""
 
 
 @pytest.mark.parametrize("line", ["maps --j-perp 0", "quench --j 0"])
@@ -266,7 +282,7 @@ def test_state_preset_errors_exit_2(tmp_path, capsys):
 
 
 def test_missing_steady_table_exits_4(tmp_path, capsys):
-    rc, _, err = run_cli(["steady", "--topology", "complete", "--n", "7",
+    rc, _, err = run_cli(["steady", "--topology", "ring", "--n", "6",
                           "--outdir", str(tmp_path)], capsys)
     assert rc == 4
     assert "no steady table" in err
@@ -280,7 +296,7 @@ def test_missing_steady_table_exits_4(tmp_path, capsys):
 def test_closed_forms_and_tables_cover_what_the_cli_runs(tmp_path, capsys):
     # analytic.closed_form raises exactly where maps runs numeric-only (with
     # its message), and ensemble.steady_table exactly where steady exits 4
-    networks = [(topology, n, j_par) for topology, sizes in (("complete", range(3, 8)),
+    networks = [(topology, n, j_par) for topology, sizes in (("complete", range(2, 9)),
                                                              ("ring", range(3, 7)))
                 for n in sizes for j_par in (1.0, 0.6)]
     for topology, n, j_par in networks:
@@ -302,6 +318,8 @@ def test_closed_forms_and_tables_cover_what_the_cli_runs(tmp_path, capsys):
             has_table = False
         rc, _, _ = run_cli(["steady", "--horizon-tj", "0.1", "--tol", "1"] + flags, capsys)
         assert (rc == 4) != has_table, (topology, n, j_par, rc)
+        # the complete graph has both at every N
+        assert topology == "ring" or (has_table and numeric_only is None), (n, j_par)
     rc, _, err = run_cli(["maps", "--topology", "xx_pairs", "--x2", "0.3", "--t-max-tj", "0.1",
                           "--outdir", str(tmp_path)], capsys)
     assert rc == 0 and "numeric-only" not in err

@@ -1,4 +1,5 @@
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -371,19 +372,64 @@ def test_steady_cc3_exact_values():
     assert sc.coeffs == {0: Fraction(5, 9)}
 
 
+# The complete graph's tables as the paper gives them (N = 3..6), and as
+# fitted to the engine's limit at N = 7, 8; the library derives them.
+STEADY_COMPLETE = {
+    3: {0: Fraction(5, 9)},
+    4: {0: Fraction(7, 16), 2: Fraction(3, 16)},
+    5: {0: Fraction(7, 15), 2: Fraction(16, 75)},
+    6: {0: Fraction(59, 144), 2: Fraction(5, 12), 4: Fraction(-5, 48)},
+    7: {0: Fraction(3, 7), 2: Fraction(16, 35), 4: Fraction(-32, 245)},
+    8: {0: Fraction(605, 1536), 2: Fraction(1015, 1536), 4: Fraction(-175, 512),
+        6: Fraction(35, 512)},
+}
+
+
 def test_steady_coefficient_tables():
-    want = {
-        (3, "complete"): {0: Fraction(5, 9)},
-        (4, "complete"): {0: Fraction(7, 16), 2: Fraction(3, 16)},
-        (5, "complete"): {0: Fraction(7, 15), 2: Fraction(16, 75)},
-        (6, "complete"): {0: Fraction(59, 144), 2: Fraction(5, 12),
-                          4: Fraction(-5, 48)},
-        (5, "ring"): {0: Fraction(71, 225), 2: Fraction(2, 45)},
-        (4, "ring"): {0: Fraction(7, 16), 2: Fraction(3, 16)},
-    }
+    want = {(n, "complete"): coeffs for n, coeffs in STEADY_COMPLETE.items()}
+    want[5, "ring"] = {0: Fraction(71, 225), 2: Fraction(2, 45)}
+    want[4, "ring"] = {0: Fraction(7, 16), 2: Fraction(3, 16)}
     for (n, topo), coeffs in want.items():
         sc = steady_channel(iso(topo, n), [Fraction(1, 2)] * n)
         assert sc.coeffs == coeffs
+
+
+@pytest.mark.parametrize("n", sorted(STEADY_COMPLETE))
+def test_complete_table_is_exact_at_any_coupling(n):
+    # the z block's gap J_perp (2J'+1) never vanishes: one table for every
+    # field and J_par, and for either sign of J_perp
+    for j_perp, j_par, h in [(1.0, 1.0, 0.0), (1.0, 0.3, 0.7), (-2.0, 0.0, 0.0)]:
+        spec = NetworkSpec("complete", n, h=h, j_perp=j_perp, j_par=j_par)
+        assert ensemble.steady_table(spec) == STEADY_COMPLETE[n]
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_complete_table_tau3_is_the_blocks_time_average(n):
+    # steady_channel's tau3 = (1 - a_0) e_1/N - sum_k a_k e_{k+1}/C(N, k+1),
+    # against the time-independent part of the blocks' focal tau3 (and the
+    # lambda3 the table is read from), exactly: at uniform x both sides are
+    # polynomials of degree <= n in x, so n + 1 points decide
+    m = n - 1
+    for x in (Fraction(k, n) for k in range(-n, n + 1, 2)):
+        lam = tau = Fraction(0)
+        for up, weight, _, u, v in ensemble.collective_blocks(n):
+            prob = weight * math.comb(m, up) * ((1 + x) / 2) ** up * ((1 - x) / 2) ** (m - up)
+            lam += prob * (1 - 2 * (u * (1 - u) + v * (1 - v)))
+            tau += prob * 2 * (v * (1 - v) - u * (1 - u))
+        sc = steady_channel(iso("complete", n), [x] * n)
+        assert (sc.lambda3_exact, sc.tau3_exact) == (lam, tau)
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_complete_steady_channel_is_the_engine_limit_at_degenerate_couplings(n):
+    # h = 0 (levels M and -M meet) and J_par = J_perp (every M meets):
+    # the table still holds, degenerate gaps and all
+    z = [Fraction(k, 7) for k in (7, -3, 5, -7, 1, 0, 2)][:n]
+    for j_par, h in [(0.4, 0.0), (1.0, 0.37), (1.0, 0.0)]:
+        spec = NetworkSpec("complete", n, h=h, j_perp=1.0, j_par=j_par)
+        limit = SpectralAverage(spec, z).limit
+        sc = steady_channel(spec, z)
+        assert abs(limit[3, 3] - sc.lambda3) <= 1e-12 and abs(limit[3, 0] - sc.tau3) <= 1e-12
 
 
 def test_steady_ring4_antipodal_term():

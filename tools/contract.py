@@ -41,19 +41,22 @@ ONE_THREAD = {name: "1" for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
 # Lines the README does not run, each pinning an exit code: inputs that
 # describe no network, fields out of range and flags of the other `maps`
 # setup (exit 2), a steady horizon too short for its tolerance (exit 3),
-# networks without a steady table or without exchange (exit 4), and the two
+# networks without a steady table or without exchange (exit 4), a complete
+# N=7 steady line whose table is derived (exit 0), and the two
 # `fluct` states whose equal-gap amplitudes cancel (exit 3 until
 # `curvature()` summed them, exit 0 since), and two `measure` lines that
 # take trunc_gauss_sample to both ends of its sigma range (exit 0), two
 # `steady` lines whose pure partners give steady's map kernel the weight
 # rows [1, 0] and [0, 1] exactly, with a signed zero among them (exit 0),
-# and two `maps` lines (exit 0): pure partners, whose square roots scale
-# columns of the U(t) that every site shares by zero, and a grid of the
-# single time t = 0 on a network without a closed form. The last five are
+# and three `maps` lines (exit 0): pure partners, whose square roots scale
+# columns of the U(t) that every site shares by zero, a grid of the single
+# time t = 0 on a network without a closed form, and complete N=7, whose
+# closed form is derived from collective spin. The last nine are
 # float-arithmetic limits (exit 2, naming the option): disorder widths whose
 # envelope rate sigma_omega^2 + 4 sigma_h^2 overflows (1e300 raised
-# OverflowError and 1e154 wrote a NaN closed form before the limit), and
-# couplings so small that t_J = 2 pi/|J| is inf.
+# OverflowError and 1e154 wrote a NaN closed form before the limit),
+# couplings so small that t_J = 2 pi/|J| is inf, and couplings whose t_J is
+# finite but whose longest span in t_J times t_J is not.
 EDGE_LINES = (
     "spinmaps steady --n 1",
     "spinmaps steady --topology ring --n 2",
@@ -72,6 +75,7 @@ EDGE_LINES = (
     "spinmaps measure --j-perp 0",
     "spinmaps steady --topology ring --n 5 --j-par 0.6",
     "spinmaps steady --topology complete --n 7 --horizon-tj 1",
+    "spinmaps steady --topology ring --n 6 --horizon-tj 1",
     "spinmaps fluct --topology ring --n 4 --state neel",
     "spinmaps fluct --topology complete --n 3 --state custom --z-list 0.5,-0.5,0 --horizon-tj 40",
     "spinmaps measure --c 20 --steps 200 --t-max-tj 600 --seed 3",
@@ -81,11 +85,16 @@ EDGE_LINES = (
     "--horizon-tj 40",
     "spinmaps maps --topology complete --n 4 --state custom --z-list=1,-1,0,-0.0 --t-max-tj 2",
     "spinmaps maps --topology ring --n 6 --state neel --t-max-tj 0",
+    "spinmaps maps --topology complete --n 7 --t-max-tj 1",
     "spinmaps disorder --sigma-h 1e300",
     "spinmaps disorder --sigma-h 1e154",
     "spinmaps fluct --j-perp 5e-324",
     "spinmaps steady --j-perp 1e-310",
     "spinmaps quench --j 5e-324",
+    "spinmaps steady --j-perp 1e-307",
+    "spinmaps fluct --j-perp 1e-307",
+    "spinmaps maps --j-perp 1e-307",
+    "spinmaps quench --j 1e-307",
 )
 
 
