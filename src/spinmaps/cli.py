@@ -1,17 +1,23 @@
 """Run driver: each pipeline as a reproducible command emitting CSV/JSON.
 
 Subcommands: maps, steady, fluct, disorder, measure, volume, quench. Each
-cmd_* only computes and returns a RunOutput; main then claims
+cmd_* only computes and returns a RunOutput whose tables are columns:
+floats, or text labels. main renders every table, then claims
 <outdir>/<command>-<timestamp>[-NN]/ and writes manifest.json (full config
-echo, seed, tool version), the command's CSV files (RFC-4180, 17
-significant digits) and diagnostics.json, and prints the directory. A run
+echo, seed, tool version), the command's CSV files and diagnostics.json,
+and prints the directory. One renderer writes every CSV: a per-row
+%-template, "%.17g" for a float (format(x, ".17g"), enough digits to read
+the same double back) and "%s" for a label, CRLF line ends, one write per
+file. Labels never need RFC 4180 quoting; one that would is refused. A run
 that raises writes nothing; a failed verdict exits 3 after its files are
 written. Bodies are byte-identical under a fixed (config, seed); only the
 manifest carries the timestamp.
 
 Every option is declared once, in OPTIONS: its flag, type, default per
 command, range checks, choices, the `maps` setup that reads it and its help.
-The parser, the --config type checks and the range checks all read it.
+The parser, the --config type checks and the range checks all read it. The
+parser is built on the first main call and reused by every later call in
+the process; a --config file's defaults are set on it for one call only.
 
 Config resolution: built-in defaults < JSON file (--config) < flags; the
 merged values are then checked once, range by range in RANGES order. Exit
@@ -27,7 +33,6 @@ Only maps, steady and fluct sample a time grid (--points-per-tj).
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import json
 import math
@@ -85,8 +90,28 @@ def preset_state(n: int, state: str, z=None, z_list=None):
     return tuple(vals)
 
 
-def _fmt(x) -> str:
-    return format(float(x), ".17g")
+# a text field with any of these would need RFC 4180 quoting
+_NEEDS_QUOTES = (",", '"', "\r", "\n")
+
+
+def render_csv(header, columns) -> str:
+    """One CSV table as text: the header, then a row per index of the
+    columns, each row one %-template with CRLF line ends.
+
+    A column whose first field is a str is text ("%s") and every field of
+    it must be a str; any other column holds floats ("%.17g", the bytes of
+    format(x, ".17g")). A text field that would need RFC 4180 quoting raises
+    InvariantError: no label the commands write holds a delimiter, a quote
+    or a line break.
+    """
+    kinds = ["%s" if len(col) and isinstance(col[0], str) else "%.17g" for col in columns]
+    for col in [header] + [col for col, kind in zip(columns, kinds) if kind == "%s"]:
+        joined = "".join(col)  # TypeError for a field that is not a str
+        if any(c in joined for c in _NEEDS_QUOTES):
+            field = next(v for v in col if any(c in v for c in _NEEDS_QUOTES))
+            raise InvariantError(f"CSV field {field!r} would need quoting")
+    template = ",".join(kinds) + "\r\n"
+    return ",".join(header) + "\r\n" + "".join([template % row for row in zip(*columns)])
 
 
 def _write_json(path: Path, obj):
@@ -133,8 +158,8 @@ def _read_config(path) -> dict:
 
 class RunOutput(NamedTuple):
     """What a command computed, for main to write: CSV tables by file name as
-    (header, rows), the diagnostics.json object, and the failed verdict, if
-    any, that exits 3 once the files are written."""
+    (header, columns) for render_csv, the diagnostics.json object, and the
+    failed verdict, if any, that exits 3 once the files are written."""
 
     tables: dict
     diagnostics: dict
@@ -185,6 +210,11 @@ def _steady(cfg: dict, spec: network.NetworkSpec):
 # maps
 # ---------------------------------------------------------------------------
 
+ORACLE_TOL = 1e-9  # how far maps may be from their closed form
+# the roundoff budget eps max|E| t_max below which ORACLE_TOL holds with a 4x margin
+ROUNDOFF_LIMIT = 2.5e-10
+
+
 def cmd_maps(cfg: dict) -> RunOutput:
     # what only the other setup reads keeps its built-in (not --config) default
     setup = "pair" if cfg["topology"] == "xx_pairs" else "network"
@@ -212,6 +242,13 @@ def cmd_maps(cfg: dict) -> RunOutput:
 
     times = _uniform_grid(t_j, cfg["t_max_tj"], cfg["points_per_tj"])
     evolver = qlinalg.HermitianEvolver(network.build_hamiltonian(spec))
+    # the phases e^{-iEt} of both sides carry an absolute error of about eps |E| t
+    budget = sys.float_info.epsilon * float(np.abs(evolver.energies).max()) * float(times[-1])
+    if not budget < ROUNDOFF_LIMIT:
+        options = "h1, h2, j" if setup == "pair" else "h, j_perp, j_par"
+        raise ensemble.UnsupportedNetwork(
+            f"roundoff budget eps max|E| t_max = {budget:.2e}, set by {options} and t_max_tj, "
+            f"is not below {ROUNDOFF_LIMIT:g}: maps cannot hold {ORACLE_TOL:g} here")
     extractors = [reduced.MapExtractor(evolver, s, env) for s, env in envs.items()]
     try:
         oracle = np.stack([analytic.closed_form(spec, s, env, times) for s, env in envs.items()])
@@ -238,23 +275,24 @@ def cmd_maps(cfg: dict) -> RunOutput:
             f"CP violation at {at}, site {labels[i]}: (l1={float(p.lambda1[i, k])}, "
             f"tau3={float(p.tau3[i, k])}, l3={float(p.lambda3[i, k])})")
 
-    # each field column formatted once, in row order: by time, then by label
-    columns = [[format(v, ".17g") for v in c.T.ravel().tolist()]
-               for c in (p.lambda1, p.theta, p.lambda3, p.tau3, p.residual)]
-    stamps = [stamp for t in times for stamp in [_fmt(t / t_j)] * len(labels)]
-    rows = list(zip(stamps, labels * times.size, *columns))
+    # rows by time, then by label
+    columns = [np.repeat(times / t_j, len(labels)).tolist(), labels * times.size]
+    columns += [c.T.ravel().tolist() for c in (p.lambda1, p.theta, p.lambda3, p.tau3, p.residual)]
     max_resid = float(p.residual[:-1].max())
     analytic_check = None if oracle is None else {
         "max_abs_err": float(np.nanmax(np.abs(oracle - maps[:-1])))}
 
     header = ("t_over_tj", "site", "lambda1", "theta", "lambda3", "tau3", "residual")
-    return RunOutput({"data.csv": (header, rows)}, {
+    return RunOutput({"data.csv": (header, columns)}, {
         "phase_covariant": bool(max_resid < 1e-8),
         "max_residual": max_resid,
         "analytic_check": analytic_check,
         "analytic_skip_reason": analytic_reason,
+        "roundoff_budget": budget,
         "t_j": t_j,
-    })
+    }, None if analytic_check is None or analytic_check["max_abs_err"] <= ORACLE_TOL else
+        f"closed form and numeric maps disagree: max_abs_err "
+        f"{analytic_check['max_abs_err']:.2e} > {ORACLE_TOL:g}")
 
 
 # ---------------------------------------------------------------------------
@@ -275,8 +313,7 @@ def cmd_steady(cfg: dict) -> RunOutput:
     diff_l3 = abs(num_l3 - steady.lambda3)
     diff_t3 = abs(num_t3 - steady.tau3)
 
-    rows = [(_fmt(t / t_j), _fmt(l3), _fmt(t3), _fmt(l1))
-            for t, l3, t3, l1 in zip(times, l3s, t3s, l1s)]
+    columns = [(times / t_j).tolist(), l3s, t3s, l1s]
     diagnostics = {
         "exact": {
             "lambda3": steady.lambda3, "tau3": steady.tau3,
@@ -295,7 +332,7 @@ def cmd_steady(cfg: dict) -> RunOutput:
         "pass": bool(diff_l3 < cfg["tol"] and diff_t3 < cfg["tol"]),
     }
     header = ("t_over_tj", "lambda3_avg", "tau3_avg", "lambda1_avg")
-    return RunOutput({"data.csv": (header, rows)}, diagnostics,
+    return RunOutput({"data.csv": (header, columns)}, diagnostics,
                      None if diagnostics["pass"] else
                      f"horizon too short: |diff| = ({diff_l3:.2e}, {diff_t3:.2e}) "
                      f"> tol {cfg['tol']}")
@@ -317,9 +354,8 @@ def cmd_fluct(cfg: dict) -> RunOutput:
     rtol = ensemble.FLUCT_RTOL
     converged = bool(series.rel_change < rtol and series.sup_gap < rtol)
 
-    rows = [(_fmt(series.t_over_tj[k]), _fmt(series.delta_lambda3[k]),
-             _fmt(series.delta_tau3[k]))
-            for k in range(series.t_over_tj.size)]
+    columns = [series.t_over_tj.tolist(), series.delta_lambda3.tolist(),
+               series.delta_tau3.tolist()]
     diagnostics = {
         "c_lambda3": series.c_lambda3,
         "c_tau3": series.c_tau3,
@@ -335,7 +371,7 @@ def cmd_fluct(cfg: dict) -> RunOutput:
         "converged": converged,
     }
     header = ("t_over_tj", "delta_lambda3", "delta_tau3")
-    return RunOutput({"data.csv": (header, rows)}, diagnostics,
+    return RunOutput({"data.csv": (header, columns)}, diagnostics,
                      None if converged else
                      f"fluctuation constants not converged: doubling change "
                      f"{series.rel_change:.2e}, sup gap {series.sup_gap:.2e} "
@@ -361,12 +397,13 @@ def cmd_disorder(cfg: dict) -> RunOutput:
     n_samples, seed, z2 = int(cfg["n_samples"]), int(cfg["seed"]), float(cfg["z2"])
     rows = []
     flagged = []
-    for t in np.linspace(0.0, cfg["t_max"], int(cfg["steps"])):
-        for c in disorder.disorder_components(spec, float(t), z2, n_samples, seed):
-            cf = "" if c.closed_form is None else _fmt(c.closed_form)
-            rows.append((_fmt(t), c.name, _fmt(c.mc_mean), _fmt(c.mc_stderr), cf))
+    for t in np.linspace(0.0, cfg["t_max"], int(cfg["steps"])).tolist():
+        for c in disorder.disorder_components(spec, t, z2, n_samples, seed):
+            # a family without a closed form leaves its column empty
+            cf = "" if c.closed_form is None else c.closed_form
+            rows.append((t, c.name, c.mc_mean, c.mc_stderr, cf))
             if c.flagged:
-                flagged.append({"t": float(t), "component": c.name,
+                flagged.append({"t": t, "component": c.name,
                                 "closed_form": c.closed_form,
                                 "mc_mean": c.mc_mean, "mc_stderr": c.mc_stderr})
 
@@ -375,7 +412,7 @@ def cmd_disorder(cfg: dict) -> RunOutput:
         diagnostics.update(disorder.sin2_phi_headroom(spec, n_samples, seed))
 
     header = ("t", "component", "mc_mean", "mc_stderr", "closed_form")
-    return RunOutput({"data.csv": (header, rows)}, diagnostics,
+    return RunOutput({"data.csv": (header, list(zip(*rows)))}, diagnostics,
                      f"{len(flagged)} closed-form/MC disagreements beyond "
                      f"{disorder.PULL_LIMIT:g} stderr (see diagnostics.json)" if flagged else None)
 
@@ -396,28 +433,26 @@ def cmd_measure(cfg: dict) -> RunOutput:
     traj = measure.trajectory_sample(mspec, int(cfg["seed"]))  # refuses non-CP triples itself
 
     header = ["t_over_tref", "lambda3", "tau3", "lambda1"]
-    columns = [[_fmt(t) for t in times_tj],
-               [_fmt(p.lambda3) for p in traj],
-               [_fmt(p.tau3) for p in traj],
-               [_fmt(p.lambda1) for p in traj]]
+    columns = [times_tj.tolist(), [p.lambda3 for p in traj], [p.tau3 for p in traj],
+               [p.lambda1 for p in traj]]
     if cfg["overlay"]:
         # the exact running average at the trajectory's own times
         running = ensemble.SpectralAverage(spec, z)(times_tj * network.t_scale(spec.j_perp))
         header += ["lambda3_timeavg", "tau3_timeavg"]
-        columns += [[_fmt(v) for v in running[:, 3, 3]], [_fmt(v) for v in running[:, 3, 0]]]
-    tables = {"data.csv": (header, list(zip(*columns)))}
+        columns += [running[:, 3, 3].tolist(), running[:, 3, 0].tolist()]
+    tables = {"data.csv": (header, columns)}
 
-    if int(cfg["scatter_samples"]) > 0:
+    draws = int(cfg["scatter_samples"])
+    if draws > 0:
         rng = np.random.default_rng(int(cfg["seed"]))
-        scatter = []
-        for _ in range(int(cfg["scatter_samples"])):
-            evs = measure.eigenvalues_pc(measure.uniform_sample(rng))
-            for which, ev in zip(("rot+", "rot-", "l3"), evs[1:]):
-                scatter.append(("pc", which, _fmt(ev.real), _fmt(ev.imag)))
-            evb = measure.eigenvalues_broken(measure.broken_uniform_sample(rng))
-            for which, ev in zip(("mu+", "mu-", "l3"), evb[1:]):
-                scatter.append(("broken", which, _fmt(ev.real), _fmt(ev.imag)))
-        tables["eigenvalues.csv"] = (("family", "which", "re", "im"), scatter)
+        evs = []  # per draw: the phase-covariant triple, then the broken one
+        for _ in range(draws):
+            evs += measure.eigenvalues_pc(measure.uniform_sample(rng))[1:].tolist()
+            evs += measure.eigenvalues_broken(measure.broken_uniform_sample(rng))[1:].tolist()
+        tables["eigenvalues.csv"] = (("family", "which", "re", "im"), [
+            (["pc"] * 3 + ["broken"] * 3) * draws,
+            ["rot+", "rot-", "l3", "mu+", "mu-", "l3"] * draws,
+            [ev.real for ev in evs], [ev.imag for ev in evs]])
     return RunOutput(tables, {
         "mu_lambda3": mspec.mu_lambda3, "mu_tau3": mspec.mu_tau3,
         "sigma_first": mspec.sigma(times_tj[0]),
@@ -434,16 +469,14 @@ def cmd_volume(cfg: dict) -> RunOutput:
     v = measure.volume_mc(int(cfg["samples"]), int(cfg["seed"]))
     exact = {"total": 16.0 / 9.0, "negative": math.pi / 6.0,
              "positive": 16.0 / 9.0 - math.pi / 6.0}
-    rows = []
-    pulls = {}
-    for region in ("total", "negative", "positive"):
-        est = getattr(v, region)
-        err = getattr(v, region + "_err")
-        pulls[region] = (est - exact[region]) / err if err > 0 else 0.0
-        rows.append((region, _fmt(est), _fmt(err), _fmt(exact[region]),
-                     _fmt(pulls[region])))
+    regions = ("total", "negative", "positive")
+    est = [getattr(v, region) for region in regions]
+    err = [getattr(v, region + "_err") for region in regions]
+    pulls = {region: (e - exact[region]) / s if s > 0 else 0.0
+             for region, e, s in zip(regions, est, err)}
+    columns = [list(regions), est, err, [exact[r] for r in regions], list(pulls.values())]
     header = ("region", "estimate", "stderr", "exact", "pull")
-    return RunOutput({"data.csv": (header, rows)}, {
+    return RunOutput({"data.csv": (header, columns)}, {
         "estimate": v.as_dict(),
         "pulls": pulls,
         "pass": bool(all(abs(p) < 3.0 for p in pulls.values())),
@@ -471,10 +504,10 @@ def cmd_quench(cfg: dict) -> RunOutput:
     reference = average([t_eval])[0]
 
     diff = np.abs(cluster_avg - reference)
-    rows = [(str(i), str(jj), _fmt(cluster_avg[i, jj]), _fmt(reference[i, jj]),
-             _fmt(diff[i, jj])) for i in range(4) for jj in range(4)]
+    columns = [[str(i) for i in range(4) for _ in range(4)], [str(jj) for jj in range(4)] * 4]
+    columns += [m.ravel().tolist() for m in (cluster_avg, reference, diff)]
     header = ("row", "col", "cluster_avg", "time_avg", "abs_diff")
-    return RunOutput({"data.csv": (header, rows)}, {
+    return RunOutput({"data.csv": (header, columns)}, {
         "max_abs_diff": float(diff.max()),
         "n_cl": n_cl, "window_tj": cfg["window_tj"], "t_eval_tj": cfg["t_eval_tj"],
         "schedule": cfg["schedule"], "t_j": t_j,
@@ -654,7 +687,10 @@ OPTIONS = (
 _BY_COMMAND = {name: [opt for opt in OPTIONS if name in opt.defaults] for name in _COMMANDS}
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process, built on the first call. Callers must
+    leave its defaults as they found them (main restores what --config sets)."""
     # add_argument checks each option with a fresh help formatter, which asks
     # for the terminal size: one query per parser gives every one its width
     formatter = functools.partial(argparse.HelpFormatter,
@@ -685,15 +721,21 @@ def _config(args: argparse.Namespace) -> dict:
     return {k: v for k, v in vars(args).items() if k not in _NOT_CONFIG}
 
 
+@functools.cache
+def _check_plan(command: str) -> tuple:
+    """The (range, option) pairs _check_fields runs for the command, by
+    range in RANGES order, then by option in table order."""
+    return tuple((rng, opt) for rng in RANGES for opt in _BY_COMMAND[command]
+                 if rng in opt.checks or (rng is _FINITE and opt.type in (float, _float_list)))
+
+
 def _check_fields(cfg: dict, command: str):
     """ConfigError for the first value of the command out of range, in
     RANGES order. A value that is not set (None) is not checked."""
-    for rng in RANGES:
-        for opt in _BY_COMMAND[command]:
-            value = cfg.get(opt.dest)
-            applies = rng in opt.checks or (rng is _FINITE and opt.type in (float, _float_list))
-            if applies and value is not None and not rng.ok(value, cfg):
-                raise ConfigError(f"{opt.dest}: {rng.requirement}, got {value}")
+    for rng, opt in _check_plan(command):
+        value = cfg.get(opt.dest)
+        if value is not None and not rng.ok(value, cfg):
+            raise ConfigError(f"{opt.dest}: {rng.requirement}, got {value}")
 
 
 def _config_type_error(opt: Option, command: str, value):
@@ -739,17 +781,21 @@ def main(argv=None) -> int:
                 problem = _config_type_error(options[key], args.command, value)
                 if problem is not None:
                     raise ConfigError(f"config.{key}: {problem}")
-            parser.commands[args.command].set_defaults(**data)
-            args = parser.parse_args(argv)
+            sub = parser.commands[args.command]
+            built_in = {key: sub.get_default(key) for key in data}
+            sub.set_defaults(**data)
+            try:
+                args = parser.parse_args(argv)
+            finally:  # the parser is the process's: the next call sees the built-in defaults
+                sub.set_defaults(**built_in)
         cfg = _config(args)
         _check_fields(cfg, args.command)
         result = args.func(cfg)
+        texts = {name: render_csv(*table) for name, table in result.tables.items()}
         out = _start_run(cfg, args.command)  # after the command: cfg holds what it set
-        for name, (header, rows) in result.tables.items():
+        for name, text in texts.items():
             with open(out / name, "w", newline="") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(header)
-                writer.writerows(rows)
+                fh.write(text)
         _write_json(out / "diagnostics.json", result.diagnostics)
     except MemoryError as exc:
         print(f"config error: out of memory: {exc}", file=sys.stderr)

@@ -1,9 +1,12 @@
 import csv
+import io
 import json
 import math
 import re
 import shlex
+import struct
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -565,6 +568,55 @@ def test_maps_cp_violation_of_the_average_exits_3(tmp_path, capsys, monkeypatch)
     assert out == "" and not (tmp_path / "runs").exists()
 
 
+@pytest.mark.parametrize("line, options", [
+    # the field's phases: 2.3e-9 and 3.6e-6 from the closed form, exit 0 before
+    ("maps --h 1e5", "h, j_perp, j_par"),
+    ("maps --h 1e8", "h, j_perp, j_par"),
+    # J_par/J_perp astronomical: a warning and exit 3 inside the numerics before
+    ("maps --j-perp 5e-307", "h, j_perp, j_par"),
+    ("maps --j-perp 1e-300", "h, j_perp, j_par"),
+    ("maps --topology xx_pairs --h1 1e9", "h1, h2, j"),
+])
+def test_maps_beyond_its_roundoff_budget_exits_4(tmp_path, capsys, line, options):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc, out, err = run_cli(line.split() + ["--outdir", str(tmp_path / "runs")], capsys)
+    assert rc == 4 and not caught
+    assert re.fullmatch(rf"unsupported: roundoff budget eps max\|E\| t_max = \S+, set by "
+                        rf"{options} and t_max_tj, is not below 2.5e-10: maps cannot hold "
+                        rf"1e-09 here\n", err)
+    assert out == "" and not (tmp_path / "runs").exists()
+
+
+def test_maps_records_its_roundoff_budget(tmp_path, capsys):
+    rc, out, _ = run_cli(["maps", "--h", "1e3", "--outdir", str(tmp_path)], capsys)
+    assert rc == 0
+    diag = json.loads((last_run_dir(out) / "diagnostics.json").read_text())
+    spec = spinmaps.NetworkSpec(topology="ring", n=3, h=1e3, j_perp=1.0, j_par=1.0)
+    energies = np.linalg.eigvalsh(spinmaps.network.build_hamiltonian(spec))
+    expected = np.finfo(float).eps * np.abs(energies).max() * 10.0 * diag["t_j"]
+    assert diag["roundoff_budget"] == pytest.approx(expected, rel=1e-12)
+    assert diag["roundoff_budget"] < cli.ROUNDOFF_LIMIT
+    # the budget bounds the measured gap, within 4x where the gap is above roundoff
+    err = diag["analytic_check"]["max_abs_err"]
+    assert diag["roundoff_budget"] / 4 < err <= diag["roundoff_budget"]
+
+
+def test_maps_oracle_disagreement_exits_3(tmp_path, capsys, monkeypatch):
+    # a sign flipped in the complete graph's gaps: J_par enters as -J_par
+    import spinmaps.analytic
+
+    cc_params = spinmaps.analytic.cc_params
+    monkeypatch.setattr(spinmaps.analytic, "cc_params",
+                        lambda n, t, j_perp, j_par, h, env: cc_params(n, t, j_perp, -j_par, h, env))
+    rc, out, err = run_cli(["maps", "--t-max-tj", "1", "--outdir", str(tmp_path)], capsys)
+    assert rc == 3
+    assert re.fullmatch(r"error: closed form and numeric maps disagree: max_abs_err \S+ > 1e-09\n",
+                        err)
+    diag = json.loads((last_run_dir(out) / "diagnostics.json").read_text())
+    assert diag["analytic_check"]["max_abs_err"] > 1e-9
+
+
 def test_volume_rerun_is_byte_identical(tmp_path, capsys):
     bodies = []
     for sub in ("a", "b"):
@@ -762,3 +814,104 @@ def test_fluct_converges_where_a_deviation_vanishes(tmp_path, capsys, line):
     diag = json.loads((last_run_dir(out) / "diagnostics.json").read_text())
     assert diag["converged"] and not diag["tau3_normalized"]
     assert diag["c_tau3"] < 1e-9
+
+
+SPECIAL_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+                  -1.7976931348623157e308, math.inf, -math.inf, math.nan, 0.1, 1.0 / 3.0]
+
+
+def float_bits(x: float) -> bytes:
+    return struct.pack("<d", x)
+
+
+def check_csv(text: str, header, float_columns) -> list:
+    """Rows of an RFC 4180 table with CRLF ends read back by csv.reader;
+    every field of the float columns reads as a double that prints as itself."""
+    lines = text.split("\r\n")
+    assert lines[-1] == "" and not any("\r" in line or "\n" in line for line in lines)
+    rows = list(csv.reader(io.StringIO(text, newline="")))
+    assert rows[0] == list(header)
+    assert all(len(row) == len(header) for row in rows)
+    for row in rows[1:]:
+        for k in float_columns:
+            assert row[k] == format(float(row[k]), ".17g"), row[k]
+    return rows[1:]
+
+
+def test_render_csv_round_trips_every_double():
+    rng = np.random.default_rng(7)
+    bits = rng.integers(0, 2**64, size=5000, dtype=np.uint64).view(np.float64)
+    values = [v if not math.isnan(v) else math.nan for v in bits.tolist()]  # NaN: one payload
+    values += rng.standard_normal(2000).tolist() + SPECIAL_FLOATS
+    labels = [f"site{k % 7}" for k in range(len(values))]
+    header = ("label", "x", "x_reversed")
+    text = cli.render_csv(header, [labels, values, values[::-1]])
+    rows = check_csv(text, header, (1, 2))
+    assert len(rows) == len(values)
+    for row, label, v, w in zip(rows, labels, values, values[::-1]):
+        assert row[0] == label
+        assert float_bits(float(row[1])) == float_bits(v)
+        assert float_bits(float(row[2])) == float_bits(w)
+
+
+@pytest.mark.parametrize("char", [",", '"', "\r", "\n"])
+def test_render_csv_refuses_a_field_that_needs_quoting(char):
+    with pytest.raises(cli.InvariantError, match="would need quoting"):
+        cli.render_csv(("t", "site"), [[0.0, 1.0], ["0", f"a{char}b"]])
+    with pytest.raises(cli.InvariantError, match="would need quoting"):
+        cli.render_csv(("t", f"si{char}te"), [[0.0], ["0"]])
+
+
+def test_render_csv_keeps_a_column_to_one_kind():
+    with pytest.raises(TypeError):
+        cli.render_csv(("t",), [[0.5, "x"]])
+    with pytest.raises(TypeError):
+        cli.render_csv(("t",), [["x", 0.5]])
+
+
+@pytest.mark.parametrize("argv, float_columns", [
+    (["maps", "--t-max-tj", "1", "--points-per-tj", "5"], (0, 2, 3, 4, 5, 6)),
+    # the closed_form column of a family without one is empty text
+    (["disorder", "--phi-dist", "trunc_tanh", "--a-phi", "1e-3", "--steps", "3",
+      "--n-samples", "200"], (0, 2, 3)),
+    (["quench", "--n-cl", "5"], (2, 3, 4)),
+])
+def test_written_tables_are_rfc4180_with_exact_doubles(tmp_path, capsys, argv, float_columns):
+    rc, out, _ = run_cli(argv + ["--outdir", str(tmp_path)], capsys)
+    assert rc == 0
+    text = (last_run_dir(out) / "data.csv").read_bytes().decode()
+    rows = check_csv(text, text.split("\r\n", 1)[0].split(","), float_columns)
+    if argv[0] == "disorder":
+        assert {row[4] for row in rows} == {""}
+
+
+def test_reused_parser_keeps_its_built_in_defaults(tmp_path, capsys):
+    # one parser serves every main call of the process: a --config file's
+    # values are its defaults for that call only, even one that argparse refuses
+    def help_text():
+        with pytest.raises(SystemExit):
+            main(["maps", "--help"])
+        return capsys.readouterr().out
+
+    def manifest_config(argv):
+        rc, out, err = run_cli(argv + ["--t-max-tj", "0.5", "--outdir", str(tmp_path)], capsys)
+        assert rc == 0, err
+        return json.loads((last_run_dir(out) / "manifest.json").read_text())["config"]
+
+    built_in = {opt.dest: opt.defaults["maps"] for opt in cli.OPTIONS
+                if "maps" in opt.defaults and opt.dest != "config"}
+    built_in.update(t_max_tj=0.5, outdir=str(tmp_path))
+    before = help_text()
+    assert manifest_config(["maps"]) == built_in
+    good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+    good.write_text(json.dumps({"n": 4, "j_par": 0.5}))
+    bad.write_text(json.dumps({"n": "four", "j_par": 0.5}))  # argparse's int() refuses it
+    config = manifest_config(["maps", "--config", str(good)])
+    assert (config["n"], config["j_par"]) == (4, 0.5)
+    assert manifest_config(["maps"]) == built_in
+    with pytest.raises(SystemExit):
+        main(["maps", "--config", str(bad), "--outdir", str(tmp_path)])
+    capsys.readouterr()
+    assert manifest_config(["maps"]) == built_in
+    assert help_text() == before
+    assert cli.build_parser() is cli.build_parser()
