@@ -8,7 +8,12 @@ diagonal, so each input sigma_j tensor rho_env is zero away from the
 environment diagonal and only the d/2 column groups of U with equal
 environment bits enter, as d/2 Gram matrices of size 4x4 (4 d^2
 multiply-adds). z-polarized partners need no change of basis; a transverse
-partner first rotates U's columns on its qubit by one 2x2 product.
+partner first rotates U's columns on its qubit by one 2x2 product. The
+partners' eigenbases and weight rows depend only on (n, site, partners), so
+a bounded cache builds them once per environment for every time of a
+series; each map still rotates U, folds the four band inputs with kron_all
+(bench/selftest.py's Routing check counts those per map, until `steady`
+moves to SpectralAverage) and reads the Gram matrices.
 MapExtractor uses that rho_env is a product state: with R the
 product of the partners' square roots (I at the focal site),
 rho tensor rho_env = R (rho tensor I) R, so the map is
@@ -37,6 +42,7 @@ path.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -142,6 +148,35 @@ def _eigen_weights(bloch):
     return np.array([[0.5 * (1.0 + r), 0.5 * (1.0 - r)]]), w
 
 
+def _bloch_key(partners) -> tuple:
+    """The partners as exact hex strings of their float components: distinct
+    floats, signed zeros included, give distinct keys."""
+    return tuple(tuple(float(c).hex() for c in v) for v in partners)
+
+
+# a series of N sites keeps N entries; 32 is twice the largest register the
+# CLI accepts, and keeps the cache to tens of kB
+@functools.lru_cache(maxsize=32)
+def _band_environment(n: int, site: int, key: tuple) -> tuple:
+    """The part of transfer_from_unitary that depends only on the environment:
+    (rotations, left, right), with rotations the (qubit, W) pairs of the
+    transverse partners in site order and left, right the kron_all folds of
+    the weight rows before and after the focal site. key is _bloch_key of
+    the checked partners. A partner that describes no state raises here,
+    and lru_cache keeps no entry for a call that raised. The arrays are
+    read-only, since every hit returns the same objects."""
+    rows, rotations = [], []
+    for k, hexes in enumerate(key):
+        weights, w = _eigen_weights([float.fromhex(h) for h in hexes])
+        rows.append(weights)
+        if w is not None:
+            w.flags.writeable = False
+            rotations.append((k + (k >= site), w))  # the partner's qubit
+    left, right = kron_all(rows[:site]), kron_all(rows[site:])
+    left.flags.writeable = right.flags.writeable = False
+    return tuple(rotations), left, right
+
+
 def transfer_from_unitary(u: np.ndarray, site: int, env_blochs) -> np.ndarray:
     """Transfer matrix of the map induced by an explicit global operator u.
 
@@ -159,18 +194,24 @@ def transfer_from_unitary(u: np.ndarray, site: int, env_blochs) -> np.ndarray:
     product. Nothing assumes u is unitary, so evolutions that are not
     exp(-iHt) of a single Hamiltonian work, e.g. piecewise-constant
     schedules composed from several propagators.
+
+    The W_k and the rows left and right depend only on (n, site, env_blochs)
+    and come from _band_environment, built once per environment and
+    reused at every later time. The site and the partner count are checked
+    on every call. The four inputs K_j are still folded with kron_all on
+    every call, into one preallocated (4, 2, d) array: bench/selftest.py's
+    Routing check counts at least 4 kron_all calls per map on this path,
+    until `steady` moves to SpectralAverage and this function goes.
     """
     d = u.shape[0]
     n = d.bit_length() - 1
-    rows = []
-    for k, bloch in enumerate(_partners(n, site, env_blochs)):
-        weights, w = _eigen_weights(bloch)
-        rows.append(weights)
-        if w is not None:
-            q = k + (k >= site)  # the partner's qubit
-            u = np.einsum("rxcy,cb->rxby", u.reshape(d, 2**q, 2, -1), w).reshape(d, d)
-    left, right = kron_all(rows[:site]), kron_all(rows[site:])
-    inputs = np.stack([kron_all([left, sigma, right]) for sigma in PAULI_STACK])
+    partners = _partners(n, site, env_blochs)
+    rotations, left, right = _band_environment(n, site, _bloch_key(partners))
+    for q, w in rotations:
+        u = np.einsum("rxcy,cb->rxby", u.reshape(d, 2**q, 2, -1), w).reshape(d, d)
+    inputs = np.empty((4, 2, d), dtype=complex)
+    for j, sigma in enumerate(PAULI_STACK):
+        inputs[j] = kron_all([left, sigma, right])
     lo, hi = 2**site, 2 ** (n - 1 - site)
     # rows (mx, a, my), columns (x, c, y) -> band[(x, y), (a, c), (mx, my)]
     band = u.reshape(lo, 2, hi, lo, 2, hi).transpose(3, 5, 1, 4, 0, 2).reshape(d // 2, 4, -1)

@@ -8,7 +8,7 @@ import scipy.linalg
 from hypothesis import given
 from hypothesis import strategies as st
 
-from spinmaps import ensemble
+from spinmaps import ensemble, reduced
 from spinmaps.ensemble import (
     GENERIC_H_RATIO,
     SpectralAverage,
@@ -197,6 +197,27 @@ def test_spectral_maps_match_map_extractor_at_every_site(spec):
     got = SpectralAverage(spec, z).maps(times)
     assert np.max(np.abs(got - np.mean(per_site, axis=0))) <= 1e-12
     assert np.max(np.abs(network_series(spec, z, times) - got)) <= 1e-12
+
+
+def test_network_series_decomposes_each_environment_once(monkeypatch):
+    """N focal sites over T times: N cache misses and N (T - 1) hits, so the
+    partners are decomposed N (N - 1) times, not N (N - 1) T times."""
+    spec = NetworkSpec(topology="ring", n=5, h=0.2, j_perp=1.0, j_par=0.6)
+    times = np.linspace(0.0, 3.0, 17)
+    decompositions = []
+
+    def counted(bloch):
+        decompositions.append(bloch)
+        return eigen_weights(bloch)
+
+    eigen_weights = reduced._eigen_weights
+    monkeypatch.setattr(reduced, "_eigen_weights", counted)
+    reduced._band_environment.cache_clear()
+    network_series(spec, [0.5, -0.25, 0.0, 1.0, -0.0], times)
+    info = reduced._band_environment.cache_info()
+    n, t = spec.n, len(times)
+    assert (info.misses, info.hits) == (n, n * (t - 1))
+    assert len(decompositions) == n * (n - 1)
 
 
 def expm_transfer(spec, z, site, t):

@@ -9,6 +9,8 @@ from spinmaps.qlinalg import (PAULI_AXES, PAULI_STACK, SI, HermitianEvolver, Num
                               density_of, kron_all, partial_trace_keep, pauli)
 from spinmaps.reduced import (
     MapExtractor,
+    _band_environment,
+    _bloch_key,
     _sqrt_density,
     PCParams,
     choi_check,
@@ -351,3 +353,68 @@ def test_transfer_entries_reject_bad_env_count():
             MapExtractor(CC3, site, [(0.0, 0.0, 1.0)] * 2)
         with pytest.raises(ValueError):
             transfer_from_unitary(np.eye(8), site, [(0.0, 0.0, 1.0)] * 2)
+
+
+def test_cached_environments_give_the_bytes_of_a_fresh_build():
+    """Transverse partners differing only in the sign of a zero, pure
+    partners, and one environment read from every focal site: the second
+    and later calls, served from the cache, equal a build on an empty
+    cache byte for byte."""
+    h4 = HermitianEvolver(build_hamiltonian(NetworkSpec(topology="ring", n=4, h=0.37,
+                                                        j_perp=1.0, j_par=0.6)))
+    calls = []
+    for z in (0.2, -0.7):
+        for x in (-0.0, 0.0):
+            env = [(x, 0.3, z), (0.0, 0.0, 0.5)]
+            calls += [(CC3.unitary(t), site, env) for t in (0.7, 2.9) for site in range(3)]
+    pure = [(0.0, 0.0, 1.0), (0.0, 0.0, -1.0), (0.6, 0.0, 0.8)]
+    shared = [(0.1, -0.2, 0.3), (0.0, 0.0, -0.0), (0.0, 0.0, 0.4)]
+    for env in (pure, shared):
+        calls += [(h4.unitary(t), site, env) for t in (0.0, 1.3) for site in range(4)]
+    want = []
+    for call in calls:
+        _band_environment.cache_clear()
+        want.append(transfer_from_unitary(*call).tobytes())
+    _band_environment.cache_clear()
+    assert [transfer_from_unitary(*c).tobytes() for c in calls] == want
+    # 2 z x 2 signed zeros x 3 sites, then 2 environments x 4 sites, one miss each
+    info = _band_environment.cache_info()
+    assert (info.misses, info.hits) == (12 + 8, len(calls) - 20)
+
+
+def test_environment_checks_run_after_a_cached_call():
+    good = [(0.0, 0.0, 0.3), (0.2, 0.1, 0.0)]
+    u = CC3.unitary(0.7)
+    for site in range(3):
+        _band_environment.cache_clear()
+        transfer_from_unitary(u, site, good)
+        for bad in ((0.0, 0.0, np.nan), (0.9, 0.9, 0.0)):  # NaN, norm above 1
+            with pytest.raises(ValueError, match="norm > 1"):
+                transfer_from_unitary(u, site, [good[0], bad])
+        with pytest.raises(ValueError, match="environment Bloch vectors"):
+            transfer_from_unitary(u, site, good + [good[0]])
+        assert _band_environment.cache_info().currsize == 1  # the raising calls kept nothing
+    for site in (-1, 3):
+        with pytest.raises(ValueError, match="out of range"):
+            transfer_from_unitary(u, site, good)
+
+
+def test_cached_environment_arrays_refuse_writes():
+    env = [(0.3, -0.1, 0.2), (0.0, 0.0, 0.5)]
+    _band_environment.cache_clear()
+    transfer_from_unitary(CC3.unitary(0.7), 1, env)
+    rotations, left, right = _band_environment(3, 1, _bloch_key(env))
+    assert _band_environment.cache_info().hits == 1
+    for array in (left, right, rotations[0][1]):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0, 0] = 1.0
+
+
+def test_environment_cache_stays_bounded():
+    size = _band_environment.cache_info().maxsize
+    u = np.eye(4)
+    _band_environment.cache_clear()
+    for k in range(size + 50):
+        transfer_from_unitary(u, k % 2, [(0.0, 0.0, k / (size + 50))])
+    info = _band_environment.cache_info()
+    assert (info.misses, info.currsize) == (size + 50, size)
