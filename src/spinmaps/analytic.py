@@ -9,7 +9,9 @@ Families covered, all against diagonal (Bloch-z) environments:
   (ensemble.collective_blocks).
 - ring_params: ring N = 4 (full XXZ, every parameter) and ring N = 5 at the
   isotropic point J_par = J_perp (lambda3/tau3 only; the transverse sector
-  has no closed form there and is returned as NaN).
+  has no closed form there and is returned as NaN). Ring N = 4 is derived,
+  not transcribed: it is K_{2,2}, so its H is a function of two sublattice
+  spins, and the channel is a sum over its closed-form eigenbasis.
 - xx_reduced_map / xx_unitary_components: one detuned XX pair. The full
   two-qubit channel in the Pauli basis has 70 nonzero entries taking 17
   distinct values up to sign. xx_reduced_map writes the focal qubit's 4x4
@@ -35,18 +37,16 @@ lambda1 = hypot(alpha, beta) and theta = 2 h t + atan2(beta, alpha), wrapped
 to (-pi, pi] to match what fit_pc reads off a transfer matrix.
 
 Every formula here is cross-checked against dense map extraction (module
-`reduced`) by the test suite. Where the ring coefficients depart from the
-source tables they were transcribed from, the departure is recorded in
+`reduced`) by the test suite. Where the ring N = 5 coefficients depart from
+the source tables they were transcribed from, the departure is recorded in
 TRANSCRIPTION_NOTES.md with its printed reading, implemented reading and
-evidence; the one wholesale re-derivation is the ring N=4 alpha/beta table,
-whose source could not be repaired term by term.
+evidence.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from fractions import Fraction
 
 import numpy as np
 
@@ -126,123 +126,68 @@ def cc_params(n: int, t, j_perp: float, j_par: float, h: float, env_z) -> PCPara
 # ---------------------------------------------------------------------------
 
 
-def _ring4_l3t3(t, jp, jz, env):
-    s1, s2, s3 = env
-    jx = math.sqrt(jz * jz + 8.0 * jp * jp)
-    c2, c4 = np.cos(2.0 * jp * t), np.cos(4.0 * jp * t)
-    cc = np.cos(jz * t) * np.cos(jx * t)
-    ss = 0.0 if jx == 0.0 else (jz / jx) * np.sin(jz * t) * np.sin(jx * t)
-    lam3 = ((7 / 16 + c2 / 4 + c4 / 16 + cc / 4 + ss / 4)
-            + (1 / 16 + c4 / 16 - cc / 8 - ss / 8) * (s1 * s2 + s2 * s3)
-            - (3 / 16 - c2 / 4 + c4 / 16) * (s1 * s3))
-    tau3 = ((1 / 16 - c2 / 4 - c4 / 16 + cc / 4 + ss / 4) * (s1 * s2 * s3)
-            + (3 / 16 - c4 / 16 - cc / 8 - ss / 8) * (s1 + s3)
-            + (3 / 16 - c2 / 4 + c4 / 16) * s2)
-    return lam3, tau3
+# Ring N=4 is K_{2,2}: its four bonds join the sublattices A = {focal,
+# antipode} and B = {the two neighbours}, so with S = sigma/2 its H is
+# 2hM + J_perp (S_A^+ S_B^- + S_A^- S_B^+) + 2 J_par S_A^z S_B^z (Lieb and
+# Mattis, J. Math. Phys. 3, 749 (1962)). Its eigenbasis without the field, in
+# the product basis focal (x) antipode (x) B, B = (M_B = +1, 0, -1 of S_B = 1,
+# then S_B = 0): each state has the energy n_perp J_perp + n_par J_par +
+# n_cross J_cross, J_cross = sqrt(J_par^2 + 8 J_perp^2). The last two are the
+# M = 0 pair (|T+>|-1> + |T->|+1>)/sqrt2 and |T0>|0>, which H mixes through
+# 2 sqrt2 J_perp; _ring4_terms rotates them by the mixing angle.
+def _ring4_eigenbasis():
+    up, down = np.eye(2)
+    r = math.sqrt(0.5)
+    pair = {"T+": np.kron(up, up), "T0": r * (np.kron(up, down) + np.kron(down, up)),
+            "T-": np.kron(down, down), "S": r * (np.kron(up, down) - np.kron(down, up))}
+    spin_b = dict(zip((1, 0, -1, "S"), np.eye(4)))
+    states = [  # (n_perp, n_par, n_cross), [(amplitude, S_A state, B state)]
+        *[((0, 0, 0), [(1.0, s, "S")]) for s in pair],  # S_B = 0: the focal spin only precesses
+        *[((0, 0, 0), [(1.0, "S", m)]) for m in (1, 0, -1)],  # S_A = 0
+        ((0, 2, 0), [(1.0, "T+", 1)]), ((0, 2, 0), [(1.0, "T-", -1)]),  # M = +-2
+        *[((2 * sign, 0, 0), [(r, t, 0), (sign * r, "T0", m)])  # M = +-1
+          for t, m in (("T+", 1), ("T-", -1)) for sign in (1, -1)],
+        ((0, -2, 0), [(r, "T+", -1), (-r, "T-", 1)]),  # M = 0
+        ((0, -1, 1), [(r, "T+", -1), (r, "T-", 1)]),
+        ((0, -1, -1), [(1.0, "T0", 0)]),
+    ]
+    modes = [sum(a * np.kron(pair[s], spin_b[m]) for a, s, m in terms) for _, terms in states]
+    levels, level_of = np.unique([level for level, _ in states], axis=0, return_inverse=True)
+    return np.array(modes).T, levels, np.eye(len(levels))[level_of.ravel()]
 
 
-# Transverse sector of the N=4 ring: alpha rows attach cos(w t) to the even
-# environment monomials {1, s1 s2, s2 s3, s1 s3}, beta rows attach sin(w t)
-# to the odd ones {s1, s2, s3, s1 s2 s3}. Frequencies are signed,
-# w = m1 J_perp + m2 J_par + m3 J_cross with J_cross = sqrt(J_par^2 + 8 J_perp^2),
-# and each coefficient is r0 + r1 (J_par/J_cross) + r2 (J_perp/J_cross), the
-# ratio J_par/J_cross keeping the sign of J_par.
-_RING4_AB_ROWS = (
-    ("a", "1", 0, 0, 0, "1/4", "0", "0"),
-    ("a", "s1s3", 0, 0, 0, "-1/4", "0", "0"),
-    ("a", "1", -2, -1, 1, "3/64", "1/64", "1/8"),
-    ("a", "s1s2", -2, -1, 1, "-1/64", "1/64", "-1/16"),
-    ("a", "s1s3", -2, -1, 1, "-1/64", "-3/64", "0"),
-    ("a", "s2s3", -2, -1, 1, "-1/64", "1/64", "-1/16"),
-    ("a", "1", 0, 2, 0, "3/16", "0", "0"),
-    ("a", "s1s2", 0, 2, 0, "1/16", "0", "0"),
-    ("a", "s1s3", 0, 2, 0, "3/16", "0", "0"),
-    ("a", "s2s3", 0, 2, 0, "1/16", "0", "0"),
-    ("a", "1", -2, 1, 1, "3/64", "-1/64", "1/8"),
-    ("a", "s1s2", -2, 1, 1, "-1/64", "-1/64", "-1/16"),
-    ("a", "s1s3", -2, 1, 1, "-1/64", "3/64", "0"),
-    ("a", "s2s3", -2, 1, 1, "-1/64", "-1/64", "-1/16"),
-    ("a", "1", 2, -2, 0, "3/32", "0", "0"),
-    ("a", "s1s2", 2, -2, 0, "1/32", "0", "0"),
-    ("a", "s1s3", 2, -2, 0, "3/32", "0", "0"),
-    ("a", "s2s3", 2, -2, 0, "1/32", "0", "0"),
-    ("a", "1", 2, 0, 0, "1/8", "0", "0"),
-    ("a", "s1s3", 2, 0, 0, "-1/8", "0", "0"),
-    ("a", "1", 0, -1, 1, "1/32", "-1/32", "0"),
-    ("a", "s1s2", 0, -1, 1, "-1/32", "1/32", "0"),
-    ("a", "s1s3", 0, -1, 1, "1/32", "-1/32", "0"),
-    ("a", "s2s3", 0, -1, 1, "-1/32", "1/32", "0"),
-    ("a", "1", 2, 2, 0, "3/32", "0", "0"),
-    ("a", "s1s2", 2, 2, 0, "1/32", "0", "0"),
-    ("a", "s1s3", 2, 2, 0, "3/32", "0", "0"),
-    ("a", "s2s3", 2, 2, 0, "1/32", "0", "0"),
-    ("a", "1", 0, 1, 1, "1/32", "1/32", "0"),
-    ("a", "s1s2", 0, 1, 1, "-1/32", "-1/32", "0"),
-    ("a", "s1s3", 0, 1, 1, "1/32", "1/32", "0"),
-    ("a", "s2s3", 0, 1, 1, "-1/32", "-1/32", "0"),
-    ("a", "1", 2, -1, 1, "3/64", "1/64", "-1/8"),
-    ("a", "s1s2", 2, -1, 1, "-1/64", "1/64", "1/16"),
-    ("a", "s1s3", 2, -1, 1, "-1/64", "-3/64", "0"),
-    ("a", "s2s3", 2, -1, 1, "-1/64", "1/64", "1/16"),
-    ("a", "1", 2, 1, 1, "3/64", "-1/64", "-1/8"),
-    ("a", "s1s2", 2, 1, 1, "-1/64", "-1/64", "1/16"),
-    ("a", "s1s3", 2, 1, 1, "-1/64", "3/64", "0"),
-    ("a", "s2s3", 2, 1, 1, "-1/64", "-1/64", "1/16"),
-    ("b", "s1", -2, -1, 1, "-1/64", "1/64", "-1/16"),
-    ("b", "s2", -2, -1, 1, "-1/64", "-3/64", "0"),
-    ("b", "s3", -2, -1, 1, "-1/64", "1/64", "-1/16"),
-    ("b", "s1s2s3", -2, -1, 1, "3/64", "1/64", "1/8"),
-    ("b", "s1", 0, 2, 0, "3/16", "0", "0"),
-    ("b", "s2", 0, 2, 0, "1/16", "0", "0"),
-    ("b", "s3", 0, 2, 0, "3/16", "0", "0"),
-    ("b", "s1s2s3", 0, 2, 0, "1/16", "0", "0"),
-    ("b", "s1", -2, 1, 1, "1/64", "1/64", "1/16"),
-    ("b", "s2", -2, 1, 1, "1/64", "-3/64", "0"),
-    ("b", "s3", -2, 1, 1, "1/64", "1/64", "1/16"),
-    ("b", "s1s2s3", -2, 1, 1, "-3/64", "1/64", "-1/8"),
-    ("b", "s1", 2, -2, 0, "-3/32", "0", "0"),
-    ("b", "s2", 2, -2, 0, "-1/32", "0", "0"),
-    ("b", "s3", 2, -2, 0, "-3/32", "0", "0"),
-    ("b", "s1s2s3", 2, -2, 0, "-1/32", "0", "0"),
-    ("b", "s1", 0, -1, 1, "-1/32", "1/32", "0"),
-    ("b", "s2", 0, -1, 1, "1/32", "-1/32", "0"),
-    ("b", "s3", 0, -1, 1, "-1/32", "1/32", "0"),
-    ("b", "s1s2s3", 0, -1, 1, "1/32", "-1/32", "0"),
-    ("b", "s1", 2, 2, 0, "3/32", "0", "0"),
-    ("b", "s2", 2, 2, 0, "1/32", "0", "0"),
-    ("b", "s3", 2, 2, 0, "3/32", "0", "0"),
-    ("b", "s1s2s3", 2, 2, 0, "1/32", "0", "0"),
-    ("b", "s1", 0, 1, 1, "1/32", "1/32", "0"),
-    ("b", "s2", 0, 1, 1, "-1/32", "-1/32", "0"),
-    ("b", "s3", 0, 1, 1, "1/32", "1/32", "0"),
-    ("b", "s1s2s3", 0, 1, 1, "-1/32", "-1/32", "0"),
-    ("b", "s1", 2, -1, 1, "-1/64", "1/64", "1/16"),
-    ("b", "s2", 2, -1, 1, "-1/64", "-3/64", "0"),
-    ("b", "s3", 2, -1, 1, "-1/64", "1/64", "1/16"),
-    ("b", "s1s2s3", 2, -1, 1, "3/64", "1/64", "-1/8"),
-    ("b", "s1", 2, 1, 1, "1/64", "1/64", "-1/16"),
-    ("b", "s2", 2, 1, 1, "1/64", "-3/64", "0"),
-    ("b", "s3", 2, 1, 1, "1/64", "1/64", "-1/16"),
-    ("b", "s1s2s3", 2, 1, 1, "-3/64", "1/64", "1/8"),
-)
-
-_RING4_MONOMIALS = ("1", "s1s2", "s2s3", "s1s3", "s1", "s2", "s3", "s1s2s3")
-_RING4_IS_ALPHA = np.array([row[0] == "a" for row in _RING4_AB_ROWS])
-_RING4_MONO = np.array([_RING4_MONOMIALS.index(row[1]) for row in _RING4_AB_ROWS])
-_RING4_FREQ = np.array([row[2:5] for row in _RING4_AB_ROWS], dtype=float)
-_RING4_COEF = np.array([[float(Fraction(r)) for r in row[5:]] for row in _RING4_AB_ROWS])
+# the eigenbasis before the mixing rotation, the distinct levels, and the
+# indicator of each eigenstate's level; the gap E_p - E_q of every level pair
+_RING4_MODES, _RING4_LEVELS, _RING4_GROUP = _ring4_eigenbasis()
+_RING4_GAPS = (_RING4_LEVELS[:, None] - _RING4_LEVELS[None, :]).reshape(-1, 3)
+# the focal sigma_i out, with the map's 1/2, and sigma_j in of lambda3, tau3,
+# alpha and beta (sigma_y = i sigma_x sigma_z)
+_X, _Z = np.array([[0.0, 1.0], [1.0, 0.0]]), np.diag([1.0, -1.0])
+_RING4_OUTS = np.stack([0.5 * np.kron(op, np.eye(8)) for op in (_Z, _Z, _X, 1j * _X @ _Z)])
+_RING4_INS = np.stack([np.kron(op, np.eye(8)) for op in (_Z, np.eye(2), _X, _X)])
 
 
-def _ring4_ab(t, jp, jz, env):
-    s1, s2, s3 = env
-    jx = math.sqrt(jz * jz + 8.0 * jp * jp)
-    if jx == 0.0:
-        return np.ones_like(t), np.zeros_like(t)  # free precession only
-    monomials = np.array([1.0, s1 * s2, s2 * s3, s1 * s3, s1, s2, s3, s1 * s2 * s3])
-    weights = (_RING4_COEF @ [1.0, jz / jx, jp / jx]) * monomials[_RING4_MONO]
-    phases = np.multiply.outer(_RING4_FREQ @ [jp, jz, jx], t)
-    return (np.tensordot(weights[_RING4_IS_ALPHA], np.cos(phases[_RING4_IS_ALPHA]), axes=1),
-            np.tensordot(weights[~_RING4_IS_ALPHA], np.sin(phases[~_RING4_IS_ALPHA]), axes=1))
+def _ring4_terms(j_perp: float, j_par: float, env):
+    """(gaps, amplitudes) of ring N=4's focal channel without the field:
+    (lambda3, tau3, alpha, beta) = Re sum_g amplitudes[:, g] e^{-i gaps[g] t},
+    the map 1/2 sum_kl <l|sigma_i|k> <k|sigma_j (x) rho_env|l> e^{-i(E_k - E_l)t}
+    summed within each pair of levels. The reflection through the focal site
+    swaps the neighbours and fixes H and the focal Paulis, so their state is
+    replaced by its swap average, diagonal in B's basis."""
+    z1, z2, z3 = env
+    r = math.sqrt(8.0) * j_perp
+    j_cross = math.hypot(j_par, r)
+    angle = 0.5 * math.atan2(r, -j_par)  # no division, J_perp = 0 included
+    c, s = math.cos(angle), math.sin(angle)
+    modes = _RING4_MODES.copy()
+    modes[:, -2:] = _RING4_MODES[:, -2:] @ [[c, -s], [s, c]]
+    spin_b = [(1 + z1) * (1 + z3) / 4, (1 - z1 * z3) / 4, (1 - z1) * (1 - z3) / 4,
+              (1 - z1 * z3) / 4]  # the neighbours' Poisson-binomial law, then S_B = 0
+    weights = np.tile(np.kron([(1 + z2) / 2, (1 - z2) / 2], spin_b), 2)
+    outs = modes.T @ _RING4_OUTS @ modes
+    ins = modes.T @ (_RING4_INS * weights) @ modes
+    amps = _RING4_GROUP.T @ (outs.transpose(0, 2, 1) * ins) @ _RING4_GROUP
+    return _RING4_GAPS @ [j_perp, j_par, j_cross], amps.reshape(4, -1)
 
 
 # Ring N=5 at the isotropic point: all oscillations live at eight fixed
@@ -304,16 +249,15 @@ def _ring5_l3t3(t, jp, env):
 def ring_params(n: int, t, j_perp: float, j_par: float, h: float, env_z) -> PCParams:
     """Closed-form channel of the ring (N=4; N=5 isotropic); fields of t's shape.
 
-    env_z[k] is the polarization of ring site (focal + 1 + k) mod N; the
-    order matters. For N=5 only the z sector is known in closed form, so
-    lambda1 and theta come back NaN.
+    env_z[k] is the polarization of ring site (focal + 1 + k) mod N. For N=5
+    only the z sector is known in closed form: lambda1 and theta come back NaN.
     """
     env = _check_env(env_z, n)
     t = np.asarray(t, dtype=float)
     if n == 4:
-        lam3, tau3 = _ring4_l3t3(t, j_perp, j_par, env)
-        alpha, beta = _ring4_ab(t, j_perp, j_par, env)
-        return _assemble(lam3, tau3, alpha, beta, h, t)
+        gaps, amps = _ring4_terms(j_perp, j_par, env)
+        phases = np.exp(-1j * np.multiply.outer(gaps, t))
+        return _assemble(*np.tensordot(amps, phases, axes=1).real, h, t)
     if n == 5:
         if not isotropic(j_perp, j_par):
             raise UnsupportedNetwork("ring N=5 closed form needs J_par = J_perp")

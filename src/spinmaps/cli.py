@@ -172,10 +172,13 @@ def _uniform_grid(t_j: float, t_max_tj: float, points_per_tj: float):
 
 
 def _horizon_grid(cfg: dict, t_j: float):
-    """The grid to horizon_tj that steady and fluct average over: 2 points at least."""
+    """The grid to horizon_tj that steady and fluct average over: 2 points at
+    least, and for fluct a point past onset_tj (converged_fluctuations' own test)."""
     times = _uniform_grid(t_j, cfg["horizon_tj"], cfg["points_per_tj"])
     if times.size < 2:
         raise ConfigError(f"horizon_tj: must exceed half a grid step, got {cfg['horizon_tj']}")
+    if "onset_tj" in cfg and not np.any(times / t_j > cfg["onset_tj"]):
+        raise ConfigError(f"onset_tj: must be below horizon_tj, got {cfg['onset_tj']}")
     return times
 
 
@@ -204,6 +207,26 @@ def _steady(cfg: dict, spec: network.NetworkSpec):
     ensemble.steady_table(spec)
     z = preset_state(spec.n, cfg["state"], cfg["z"], cfg["z_list"])
     return z, ensemble.steady_channel(spec, z)
+
+
+def _steady_run(cfg: dict, tol: float, name: str, command: str):
+    """(spec, z, exact steady channel, t_J, averaging grid) of a steady or
+    fluct run; UnsupportedNetwork where the roundoff budget eps ||H|| t_max of
+    the phases e^{-iEt} is not below tol/4, a 4x margin under the command's
+    tolerance `name`. ||H|| <= N|h| + sum over bonds of |J_perp| + |J_par|/2,
+    in Python floats: an overflow gives inf, without a warning."""
+    spec = _network(cfg)
+    z, steady = _steady(cfg, spec)
+    t_j = network.t_scale(spec.j_perp)
+    times = _horizon_grid(cfg, t_j)
+    norm = spec.n * abs(spec.h) + sum(abs(jp) + abs(jz) / 2 for _, _, jp, jz in spec.bonds)
+    budget = sys.float_info.epsilon * norm * float(times[-1])
+    if not budget < tol / 4:
+        raise ensemble.UnsupportedNetwork(
+            f"roundoff budget eps ||H|| t_max = {budget:.2e}, set by n, h, j_perp, j_par and "
+            f"horizon_tj, is not below {name}/4 = {tol / 4:g}: {command} cannot hold its "
+            f"{name} {tol:g} here")
+    return spec, z, steady, t_j, times
 
 
 # ---------------------------------------------------------------------------
@@ -300,11 +323,8 @@ def cmd_maps(cfg: dict) -> RunOutput:
 # ---------------------------------------------------------------------------
 
 def cmd_steady(cfg: dict) -> RunOutput:
-    spec = _network(cfg)
-    z, steady = _steady(cfg, spec)
+    spec, z, steady, t_j, times = _steady_run(cfg, cfg["tol"], "tol", "steady")
     fixed = reduced.fixed_point(reduced.PCParams(0.0, 0.0, steady.lambda3, steady.tau3))
-    t_j = network.t_scale(spec.j_perp)
-    times = _horizon_grid(cfg, t_j)
     series = ensemble.network_series(spec, z, times)
     running = reduced.fit_pc(ensemble.time_average(times, series))
     l3s, t3s, l1s = running.lambda3.tolist(), running.tau3.tolist(), running.lambda1.tolist()
@@ -343,12 +363,7 @@ def cmd_steady(cfg: dict) -> RunOutput:
 # ---------------------------------------------------------------------------
 
 def cmd_fluct(cfg: dict) -> RunOutput:
-    spec = _network(cfg)
-    z, steady = _steady(cfg, spec)
-    t_j = network.t_scale(spec.j_perp)
-    times = _horizon_grid(cfg, t_j)
-    if not np.any(times / t_j > cfg["onset_tj"]):  # converged_fluctuations' own test
-        raise ConfigError(f"onset_tj: must be below horizon_tj, got {cfg['onset_tj']}")
+    spec, z, steady, t_j, times = _steady_run(cfg, ensemble.FLUCT_RTOL, "rtol", "fluct")
     series = ensemble.converged_fluctuations(ensemble.SpectralAverage(spec, z), steady, t_j,
                                              times, onset=cfg["onset_tj"])
     rtol = ensemble.FLUCT_RTOL

@@ -13,9 +13,10 @@ An isotropic (XXX) cluster J sum_{i<j} (XX + YY + ZZ), as in the quench
 ensemble, is the complete graph with J_perp = J_par = 2J.
 
 All topologies conserve the charge Q = sum Z_i; ring and complete also
-commute with the cyclic left shift of the sites. A network is its field
-and its bond list, NetworkSpec.bonds; H is dense, written from the bits of
-the basis index (Sandvik, arXiv:1101.3281, sec. 4).
+commute with the cyclic left shift of the sites. The ring of 4 is the
+complete bipartite graph K_{2,2} between the sublattices {0, 2} and {1, 3}.
+A network is its field and its bond list, NetworkSpec.bonds; H is dense,
+written from the bits of the basis index (Sandvik, arXiv:1101.3281, sec. 4).
 """
 
 from __future__ import annotations

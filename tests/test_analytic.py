@@ -1,3 +1,4 @@
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from spinmaps.analytic import (
     _XX_COLS,
     _XX_ROWS,
+    _ring4_terms,
     cc_params,
     closed_form,
     ring_params,
@@ -15,7 +17,7 @@ from spinmaps.analytic import (
     xx_reduced_map,
     xx_unitary_components,
 )
-from spinmaps.ensemble import SpectralAverage, UnsupportedNetwork
+from spinmaps.ensemble import SpectralAverage, UnsupportedNetwork, steady_channel
 from spinmaps.network import NetworkSpec, PairSpec, build_hamiltonian
 from spinmaps.qlinalg import HermitianEvolver
 from spinmaps.reduced import MapExtractor
@@ -65,14 +67,41 @@ def test_cc_params_match_dense(n):
             assert np.max(np.abs(got - want)) <= 1e-12, (j_perp, j_par, h, focal)
 
 
+# (J_perp, J_par, h): generic, the XX ring (J_par = 0), J_par = J_perp at
+# h = 0, J_par < 0, J_perp < 0, and no exchange at all (J_perp = 0)
+RING4_COUPLINGS = [(1.0, 0.45, 0.31), (1.0, 0.0, 0.2), (0.8, 0.8, 0.0), (1.0, -0.6, 0.23),
+                   (-0.7, 0.25, -0.4), (0.0, 0.7, 0.3)]
+
+
 def test_ring4_params_match_dense():
-    jp, jz, h = 1.0, -0.6, 0.23
-    z = RNG.uniform(-1, 1, 4)
-    for focal in range(4):
-        for t in (0.9, 4.4):
-            pc = ring_params(4, t, jp, jz, h, cyclic_env(z, focal, 4))
-            _, _, m = dense_params("ring", 4, t, jp, jz, h, z, focal)
-            assert np.max(np.abs(pc.transfer() - m)) < 1e-11
+    # against the engine at every focal site; pure partners (z = +-1) and a
+    # signed zero next to a random polarization, then four random ones
+    times = np.linspace(0.0, 9.0, 23)
+    for z in ([1.0, -0.0, -1.0, RNG.uniform(-1.0, 1.0)], RNG.uniform(-1.0, 1.0, 4)):
+        for j_perp, j_par, h in RING4_COUPLINGS:
+            spec = NetworkSpec("ring", 4, h=h, j_perp=j_perp, j_par=j_par)
+            for focal in range(4):
+                want = SpectralAverage(spec, z, sites=(focal,)).maps(times)
+                got = ring_params(4, times, j_perp, j_par, h, cyclic_env(z, focal, 4)).transfer()
+                assert np.max(np.abs(got - want)) <= 1e-12, (z, j_perp, j_par, h, focal)
+
+
+@pytest.mark.parametrize("j_par", [0.0, -0.6, 1.0, 2.5])
+def test_ring4_steady_table_is_the_closed_form_limit(j_par):
+    # the derivation's own zero-gap terms, averaged over the four focal
+    # sites, are the infinite-time channel: a check of the exact table that
+    # does not go through the engine
+    rng = np.random.default_rng(4)
+    spec = NetworkSpec("ring", 4, h=0.3, j_perp=1.0, j_par=j_par)
+    for _ in range(10):
+        z = [Fraction(int(k), 97) for k in rng.integers(-97, 98, 4)]
+        limit = np.zeros(2)
+        for focal in range(4):
+            gaps, amps = _ring4_terms(1.0, j_par, cyclic_env([float(v) for v in z], focal, 4))
+            limit += amps[:2, gaps == 0].sum(axis=1).real / 4
+        steady = steady_channel(spec, z)
+        assert abs(limit[0] - steady.lambda3) <= 1e-14, z
+        assert abs(limit[1] - steady.tau3) <= 1e-14, z
 
 
 def test_ring5_isotropic_z_sector_matches_dense():

@@ -588,6 +588,27 @@ def test_maps_beyond_its_roundoff_budget_exits_4(tmp_path, capsys, line, options
     assert out == "" and not (tmp_path / "runs").exists()
 
 
+STEADY_TOL = "tol/4 = 0.00125: steady cannot hold its tol 0.005"
+
+
+@pytest.mark.parametrize("line, tol", [
+    # eps ||H|| t_max is 4e291: exit 3, "horizon too short", before
+    ("steady --j-perp 1e-305 --horizon-tj 20", STEADY_TOL),
+    # E t overflows: a warning and exit 3, "numerical failure", before
+    ("steady --h 1e300 --j-perp 1e-300", STEADY_TOL),
+    # a warning and exit 3, "doubling change nan", before
+    ("fluct --j-perp 3e-306 --horizon-tj 40", "rtol/4 = 0.0025: fluct cannot hold its rtol 0.01"),
+])
+def test_steady_and_fluct_beyond_their_roundoff_budget_exit_4(tmp_path, capsys, line, tol):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc, out, err = run_cli(line.split() + ["--outdir", str(tmp_path / "runs")], capsys)
+    assert rc == 4 and not caught
+    assert re.fullmatch(rf"unsupported: roundoff budget eps \|\|H\|\| t_max = \S+, set by n, h, "
+                        rf"j_perp, j_par and horizon_tj, is not below {re.escape(tol)} here\n", err)
+    assert out == "" and not (tmp_path / "runs").exists()
+
+
 def test_maps_records_its_roundoff_budget(tmp_path, capsys):
     rc, out, _ = run_cli(["maps", "--h", "1e3", "--outdir", str(tmp_path)], capsys)
     assert rc == 0
