@@ -7,11 +7,11 @@ Families covered, all against diagonal (Bloch-z) environments:
   collective spin, so the focal site's dynamics splits into 2x2
   Clebsch-Gordan blocks per partner spin J' and total M
   (ensemble.collective_blocks).
-- ring_params: ring N = 4 (full XXZ, every parameter) and ring N = 5 at the
-  isotropic point J_par = J_perp (lambda3/tau3 only; the transverse sector
-  has no closed form there and is returned as NaN). Ring N = 4 is derived,
-  not transcribed: it is K_{2,2}, so its H is a function of two sublattice
-  spins, and the channel is a sum over its closed-form eigenbasis.
+- ring_params: rings N = 4 and 5, full XXZ, every parameter. Both are
+  derived, not transcribed: H conserves the charge and commutes with the
+  cyclic shift, and at N <= 5 each (charge, momentum) block is at most 2x2,
+  so the channel is a sum over an eigenbasis with closed-form roots and
+  mixing angles (_ring_basis, _ring_terms).
 - xx_reduced_map / xx_unitary_components: one detuned XX pair. The full
   two-qubit channel in the Pauli basis has 70 nonzero entries taking 17
   distinct values up to sign. xx_reduced_map writes the focal qubit's 4x4
@@ -37,10 +37,8 @@ lambda1 = hypot(alpha, beta) and theta = 2 h t + atan2(beta, alpha), wrapped
 to (-pi, pi] to match what fit_pc reads off a transfer matrix.
 
 Every formula here is cross-checked against dense map extraction (module
-`reduced`) by the test suite. Where the ring N = 5 coefficients depart from
-the source tables they were transcribed from, the departure is recorded in
-TRANSCRIPTION_NOTES.md with its printed reading, implemented reading and
-evidence.
+`reduced`) by the test suite. The ring builder shares no code with that
+engine: it writes its own H from the basis bits.
 """
 
 from __future__ import annotations
@@ -51,7 +49,7 @@ import math
 import numpy as np
 
 from .ensemble import UnsupportedNetwork, collective_blocks
-from .network import NetworkSpec, isotropic
+from .network import NetworkSpec
 from .reduced import PCParams
 
 
@@ -126,144 +124,97 @@ def cc_params(n: int, t, j_perp: float, j_par: float, h: float, env_z) -> PCPara
 # ---------------------------------------------------------------------------
 
 
-# Ring N=4 is K_{2,2}: its four bonds join the sublattices A = {focal,
-# antipode} and B = {the two neighbours}, so with S = sigma/2 its H is
-# 2hM + J_perp (S_A^+ S_B^- + S_A^- S_B^+) + 2 J_par S_A^z S_B^z (Lieb and
-# Mattis, J. Math. Phys. 3, 749 (1962)). Its eigenbasis without the field, in
-# the product basis focal (x) antipode (x) B, B = (M_B = +1, 0, -1 of S_B = 1,
-# then S_B = 0): each state has the energy n_perp J_perp + n_par J_par +
-# n_cross J_cross, J_cross = sqrt(J_par^2 + 8 J_perp^2). The last two are the
-# M = 0 pair (|T+>|-1> + |T->|+1>)/sqrt2 and |T0>|0>, which H mixes through
-# 2 sqrt2 J_perp; _ring4_terms rotates them by the mixing angle.
-def _ring4_eigenbasis():
-    up, down = np.eye(2)
-    r = math.sqrt(0.5)
-    pair = {"T+": np.kron(up, up), "T0": r * (np.kron(up, down) + np.kron(down, up)),
-            "T-": np.kron(down, down), "S": r * (np.kron(up, down) - np.kron(down, up))}
-    spin_b = dict(zip((1, 0, -1, "S"), np.eye(4)))
-    states = [  # (n_perp, n_par, n_cross), [(amplitude, S_A state, B state)]
-        *[((0, 0, 0), [(1.0, s, "S")]) for s in pair],  # S_B = 0: the focal spin only precesses
-        *[((0, 0, 0), [(1.0, "S", m)]) for m in (1, 0, -1)],  # S_A = 0
-        ((0, 2, 0), [(1.0, "T+", 1)]), ((0, 2, 0), [(1.0, "T-", -1)]),  # M = +-2
-        *[((2 * sign, 0, 0), [(r, t, 0), (sign * r, "T0", m)])  # M = +-1
-          for t, m in (("T+", 1), ("T-", -1)) for sign in (1, -1)],
-        ((0, -2, 0), [(r, "T+", -1), (-r, "T-", 1)]),  # M = 0
-        ((0, -1, 1), [(r, "T+", -1), (r, "T-", 1)]),
-        ((0, -1, -1), [(1.0, "T0", 0)]),
-    ]
-    modes = [sum(a * np.kron(pair[s], spin_b[m]) for a, s, m in terms) for _, terms in states]
-    levels, level_of = np.unique([level for level, _ in states], axis=0, return_inverse=True)
-    return np.array(modes).T, levels, np.eye(len(levels))[level_of.ravel()]
+@functools.cache
+def _ring_basis(n: int):
+    """The ring's field-free H in its (charge, momentum) basis, n = 4 or 5.
+
+    H conserves the charge Q = sum Z_i and commutes with the cyclic shift T,
+    so the states sum_r e^{-2 pi i q r / n} T^r |s> of each shift orbit of
+    basis states s, normalised, block-diagonalise it by (Q, q) (Sandvik,
+    arXiv:1101.3281, sec. 4-5). For n <= 5 no block holds more than two of
+    them. The basis columns come in pairs, one pair per 2x2 block: a
+    two-state sector, or two one-state sectors side by side.
+
+    Returns the basis, the blocks of the hop (J_perp = 1) and Ising (J_par =
+    1) terms, shape (2^(n-1), 2, 2), the focal (site 0) Paulis out, with the
+    map's 1/2, and in, of lambda3, tau3, alpha and beta (sigma_y = i sigma_x
+    sigma_z), and the Z signs of the partners, sites 1 .. n-1. Site i is bit
+    n-1-i of the basis index, as in the engine.
+    """
+    dim = 1 << n
+    states = np.arange(dim)
+    spins = 1 - 2 * ((states[:, None] >> np.arange(n - 1, -1, -1)) & 1)
+    hop, ising = np.zeros((dim, dim)), np.zeros(dim)
+    for i in range(n):
+        j = (i + 1) % n
+        ising += 0.5 * spins[:, i] * spins[:, j]
+        flip = np.flatnonzero(spins[:, i] != spins[:, j])
+        hop[flip ^ (1 << (n - 1 - i)) ^ (1 << (n - 1 - j)), flip] = 1.0
+    shift = (states >> 1) | ((states & 1) << (n - 1))  # site i's spin moves to site i + 1
+    sectors = {}
+    for s in states:
+        orbit = [s]
+        while len(orbit) < n:
+            orbit.append(shift[orbit[-1]])
+        if min(orbit) < s:
+            continue  # s is not its orbit's representative
+        for q in range(n):
+            mode = np.zeros(dim, dtype=complex)
+            np.add.at(mode, orbit, np.exp(-2j * np.pi * q * np.arange(n) / n))
+            norm = np.linalg.norm(mode)
+            if norm > 0.5:  # the orbit's period admits momentum q
+                sectors.setdefault((spins[s].sum(), q), []).append(mode / norm)
+    order = sorted(sectors, key=lambda label: -len(sectors[label]))  # the one-state ones last
+    basis = np.array([mode for label in order for mode in sectors[label]]).T
+    sector = np.repeat(np.arange(len(order)), [len(sectors[label]) for label in order])
+    same = np.equal.outer(sector, sector)
+
+    def blocks(op):  # exact zeros between sectors
+        full = np.where(same, basis.conj().T @ op @ basis, 0.0)
+        return np.einsum("aiaj->aij", full.reshape(dim // 2, 2, dim // 2, 2))
+
+    z = np.diag(spins[:, 0].astype(float))
+    x = np.eye(dim)[states ^ (1 << (n - 1))]
+    outs = 0.5 * np.stack([z, z, x, 1j * x @ z])
+    ins = np.stack([z, np.eye(dim), x, x])
+    return basis, blocks(hop), blocks(np.diag(ising)), outs, ins, spins[:, 1:]
 
 
-# the eigenbasis before the mixing rotation, the distinct levels, and the
-# indicator of each eigenstate's level; the gap E_p - E_q of every level pair
-_RING4_MODES, _RING4_LEVELS, _RING4_GROUP = _ring4_eigenbasis()
-_RING4_GAPS = (_RING4_LEVELS[:, None] - _RING4_LEVELS[None, :]).reshape(-1, 3)
-# the focal sigma_i out, with the map's 1/2, and sigma_j in of lambda3, tau3,
-# alpha and beta (sigma_y = i sigma_x sigma_z)
-_X, _Z = np.array([[0.0, 1.0], [1.0, 0.0]]), np.diag([1.0, -1.0])
-_RING4_OUTS = np.stack([0.5 * np.kron(op, np.eye(8)) for op in (_Z, _Z, _X, 1j * _X @ _Z)])
-_RING4_INS = np.stack([np.kron(op, np.eye(8)) for op in (_Z, np.eye(2), _X, _X)])
-
-
-def _ring4_terms(j_perp: float, j_par: float, env):
-    """(gaps, amplitudes) of ring N=4's focal channel without the field:
-    (lambda3, tau3, alpha, beta) = Re sum_g amplitudes[:, g] e^{-i gaps[g] t},
-    the map 1/2 sum_kl <l|sigma_i|k> <k|sigma_j (x) rho_env|l> e^{-i(E_k - E_l)t}
-    summed within each pair of levels. The reflection through the focal site
-    swaps the neighbours and fixes H and the focal Paulis, so their state is
-    replaced by its swap average, diagonal in B's basis."""
-    z1, z2, z3 = env
-    r = math.sqrt(8.0) * j_perp
-    j_cross = math.hypot(j_par, r)
-    angle = 0.5 * math.atan2(r, -j_par)  # no division, J_perp = 0 included
-    c, s = math.cos(angle), math.sin(angle)
-    modes = _RING4_MODES.copy()
-    modes[:, -2:] = _RING4_MODES[:, -2:] @ [[c, -s], [s, c]]
-    spin_b = [(1 + z1) * (1 + z3) / 4, (1 - z1 * z3) / 4, (1 - z1) * (1 - z3) / 4,
-              (1 - z1 * z3) / 4]  # the neighbours' Poisson-binomial law, then S_B = 0
-    weights = np.tile(np.kron([(1 + z2) / 2, (1 - z2) / 2], spin_b), 2)
-    outs = modes.T @ _RING4_OUTS @ modes
-    ins = modes.T @ (_RING4_INS * weights) @ modes
-    amps = _RING4_GROUP.T @ (outs.transpose(0, 2, 1) * ins) @ _RING4_GROUP
-    return _RING4_GAPS @ [j_perp, j_par, j_cross], amps.reshape(4, -1)
-
-
-# Ring N=5 at the isotropic point: all oscillations live at eight fixed
-# multiples of J_perp. Partial components are (constant, eight cosine
-# coefficients) in the frequency order below.
-_R5 = math.sqrt(5.0)
-_RING5_FREQ = np.array([
-    (3.0 - _R5) / 2.0, (5.0 - _R5) / 2.0, 3.0 * (_R5 - 1.0) / 2.0, _R5,
-    (3.0 + _R5) / 2.0, (5.0 + _R5) / 2.0, 2.0 * _R5, 3.0 * (1.0 + _R5) / 2.0,
-])
-_RING5_L0000 = (71 / 225, np.array([
-    13 / 90, 1 / 10, 1 / 45, 32 / 225, 13 / 90, 1 / 10, 2 / 225, 1 / 45]))
-_RING5_LZZ00 = (0.0, np.array([
-    (6 * _R5 - 25) / 900, 1 / 100, -_R5 / 450, 2 / 45,
-    -(6 * _R5 + 25) / 900, 1 / 100, -2 / 225, _R5 / 450]))
-_RING5_LZ0Z0 = (0.0, np.array([
-    -(6 * _R5 + 25) / 900, 1 / 100, _R5 / 450, 2 / 45,
-    (6 * _R5 - 25) / 900, 1 / 100, -2 / 225, -_R5 / 450]))
-_RING5_L0ZZ0 = (1 / 45, np.array([
-    (3 * _R5 - 5) / 300, (1 - _R5) / 100, -(5 - _R5) / 450, 0.0,
-    -(3 * _R5 + 5) / 300, (1 + _R5) / 100, 1 / 75, -(5 + _R5) / 450]))
-_RING5_LZ00Z = (1 / 45, np.array([
-    -(3 * _R5 + 5) / 300, (1 + _R5) / 100, -(5 + _R5) / 450, 0.0,
-    (3 * _R5 - 5) / 300, (1 - _R5) / 100, 1 / 75, -(5 - _R5) / 450]))
-_RING5_TZ000 = (77 / 450, np.array([
-    -(13 - 3 * _R5) / 360, -(1 - _R5) / 40, -(1 - _R5) / 180, -8 / 225,
-    -(13 + 3 * _R5) / 360, -(1 + _R5) / 40, -1 / 450, -(1 + _R5) / 180]))
-_RING5_T0Z00 = (77 / 450, np.array([
-    -(13 + 3 * _R5) / 360, -(1 + _R5) / 40, -(1 + _R5) / 180, -8 / 225,
-    -(13 - 3 * _R5) / 360, -(1 - _R5) / 40, -1 / 450, -(1 - _R5) / 180]))
-_RING5_TZZZ0 = (-1 / 90, np.array([
-    (65 - 3 * _R5) / 1800, -(3 + _R5) / 200, (5 + 3 * _R5) / 900, -2 / 45,
-    (65 + 3 * _R5) / 1800, -(3 - _R5) / 200, 1 / 450, (5 - 3 * _R5) / 900]))
-_RING5_TZ0ZZ = (-1 / 90, np.array([
-    (65 + 3 * _R5) / 1800, -(3 - _R5) / 200, (5 - 3 * _R5) / 900, -2 / 45,
-    (65 - 3 * _R5) / 1800, -(3 + _R5) / 200, 1 / 450, (5 + 3 * _R5) / 900]))
-
-
-def _ring5_l3t3(t, jp, env):
-    s1, s2, s3, s4 = env
-    cw = np.cos(np.multiply.outer(_RING5_FREQ, jp * t))
-
-    def ev(part):
-        const, coefs = part
-        return const + np.tensordot(coefs, cw, axes=1)
-
-    lam3 = (ev(_RING5_L0000)
-            + ev(_RING5_LZZ00) * (s1 * s2 + s3 * s4)
-            + ev(_RING5_LZ0Z0) * (s1 * s3 + s2 * s4)
-            + ev(_RING5_L0ZZ0) * (s2 * s3)
-            + ev(_RING5_LZ00Z) * (s1 * s4))
-    tau3 = (ev(_RING5_TZ000) * (s1 + s4)
-            + ev(_RING5_T0Z00) * (s2 + s3)
-            + ev(_RING5_TZZZ0) * (s1 * s2 * s3 + s2 * s3 * s4)
-            + ev(_RING5_TZ0ZZ) * (s1 * s3 * s4 + s1 * s2 * s4))
-    return lam3, tau3
+def _ring_terms(n: int, j_perp: float, j_par: float, env):
+    """(energies, amplitudes) of ring n's focal channel without the field:
+    (lambda3, tau3, alpha, beta) = Re[(phi @ amplitudes) . conj(phi)] with
+    phi = e^{-i energies t}, i.e. the map 1/2 sum_kl <l|sigma_i|k>
+    <k|sigma_j (x) rho_env|l> e^{-i(E_k - E_l)t} over the eigenstates k, l.
+    Each 2x2 block [[a, conj(c)], [c, d]] has the roots (a + d)/2 +- r,
+    r = hypot((a - d)/2, |c|), and the mixing angle atan2(|c|, (a - d)/2)/2."""
+    basis, hop, ising, outs, ins, partners = _ring_basis(n)
+    block = j_perp * hop + j_par * ising
+    a, d, mix = block[:, 0, 0].real, block[:, 1, 1].real, block[:, 1, 0]
+    mean, half = 0.5 * (a + d), 0.5 * (a - d)
+    root = np.hypot(half, np.abs(mix))
+    angle = 0.5 * np.arctan2(np.abs(mix), half)  # no division, a zero mix included
+    c, s = np.cos(angle), np.sin(angle) * np.exp(1j * np.angle(mix))
+    rot = np.stack([np.stack([c, -s.conj()], axis=-1), np.stack([s, c], axis=-1)], axis=-2)
+    modes = np.einsum("dbi,bij->dbj", basis.reshape(len(basis), -1, 2), rot).reshape(basis.shape)
+    weights = np.prod((1.0 + partners * env) / 2.0, axis=1)  # the partners' diagonal state
+    out = modes.conj().T @ outs @ modes
+    inn = modes.conj().T @ (ins * weights) @ modes
+    return np.stack([mean + root, mean - root], axis=-1).ravel(), out.transpose(0, 2, 1) * inn
 
 
 def ring_params(n: int, t, j_perp: float, j_par: float, h: float, env_z) -> PCParams:
-    """Closed-form channel of the ring (N=4; N=5 isotropic); fields of t's shape.
+    """Closed-form channel of the ring, N = 4 or 5, full XXZ; fields of t's shape.
 
-    env_z[k] is the polarization of ring site (focal + 1 + k) mod N. For N=5
-    only the z sector is known in closed form: lambda1 and theta come back NaN.
+    env_z[k] is the polarization of ring site (focal + 1 + k) mod N.
     """
+    if n not in (4, 5):
+        raise UnsupportedNetwork(f"no closed form for (ring, N={n})")
     env = _check_env(env_z, n)
     t = np.asarray(t, dtype=float)
-    if n == 4:
-        gaps, amps = _ring4_terms(j_perp, j_par, env)
-        phases = np.exp(-1j * np.multiply.outer(gaps, t))
-        return _assemble(*np.tensordot(amps, phases, axes=1).real, h, t)
-    if n == 5:
-        if not isotropic(j_perp, j_par):
-            raise UnsupportedNetwork("ring N=5 closed form needs J_par = J_perp")
-        lam3, tau3 = _ring5_l3t3(t, j_perp, env)
-        return _assemble(lam3, tau3, *np.full((2,) + t.shape, np.nan), h, t)  # alpha, beta open
-    raise UnsupportedNetwork(f"no closed form for (ring, N={n})")
+    energies, amps = _ring_terms(n, j_perp, j_par, env)
+    phases = np.exp(-1j * np.multiply.outer(t.ravel(), energies))
+    values = np.einsum("ptk,tk->pt", phases @ amps, phases.conj()).real
+    return _assemble(*(x.reshape(t.shape)[()] for x in values), h, t)
 
 
 # ---------------------------------------------------------------------------
@@ -429,7 +380,7 @@ def xx_reduced_map(t: float, pair_params, env_bloch, which: int = 1) -> np.ndarr
 
 def closed_form(spec: NetworkSpec, site: int, env_blochs, t) -> np.ndarray:
     """Closed-form transfer of `site`, shape np.shape(t) + (4, 4) for a time
-    or an array of times t, NaN where the family leaves an entry open.
+    or an array of times t.
 
     Takes MapExtractor's arguments: the partners' Bloch vectors in ascending
     site order, the focal site skipped. The complete graph and the 3-ring go

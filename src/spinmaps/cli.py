@@ -303,7 +303,7 @@ def cmd_maps(cfg: dict) -> RunOutput:
     columns += [c.T.ravel().tolist() for c in (p.lambda1, p.theta, p.lambda3, p.tau3, p.residual)]
     max_resid = float(p.residual[:-1].max())
     analytic_check = None if oracle is None else {
-        "max_abs_err": float(np.nanmax(np.abs(oracle - maps[:-1])))}
+        "max_abs_err": float(np.max(np.abs(oracle - maps[:-1])))}
 
     header = ("t_over_tj", "site", "lambda1", "theta", "lambda3", "tau3", "residual")
     return RunOutput({"data.csv": (header, columns)}, {

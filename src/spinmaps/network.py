@@ -38,7 +38,7 @@ def t_scale(j_perp: float) -> float:
 
 
 def isotropic(j_perp: float, j_par: float) -> bool:
-    """Whether J_par = J_perp to 1e-12 relative; ring N=5 is solved there only."""
+    """Whether J_par = J_perp to 1e-12 relative; ring N=5's steady table holds there only."""
     return abs(j_par - j_perp) <= 1e-12 * max(1.0, abs(j_perp), abs(j_par))
 
 

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from spinmaps.analytic import (
     _XX_COLS,
     _XX_ROWS,
-    _ring4_terms,
+    _ring_basis,
+    _ring_terms,
     cc_params,
     closed_form,
     ring_params,
@@ -26,14 +27,6 @@ RNG = np.random.default_rng(23)
 
 unit_floats = st.floats(-1.0, 1.0)
 times = st.floats(0.0, 12.0)
-
-
-def dense_params(topology, n, t, j_perp, j_par, h, z, focal):
-    """Numeric (lambda3, tau3, transfer) for absolute site polarizations z."""
-    spec = NetworkSpec(topology=topology, n=n, h=h, j_perp=j_perp, j_par=j_par)
-    env = [(0.0, 0.0, z[s]) for s in range(n) if s != focal]
-    m = MapExtractor(HermitianEvolver(build_hamiltonian(spec)), focal, env).transfer(t)
-    return m[3, 3], m[3, 0], m
 
 
 def cyclic_env(z, focal, n):
@@ -67,59 +60,76 @@ def test_cc_params_match_dense(n):
             assert np.max(np.abs(got - want)) <= 1e-12, (j_perp, j_par, h, focal)
 
 
-# (J_perp, J_par, h): generic, the XX ring (J_par = 0), J_par = J_perp at
-# h = 0, J_par < 0, J_perp < 0, and no exchange at all (J_perp = 0)
-RING4_COUPLINGS = [(1.0, 0.45, 0.31), (1.0, 0.0, 0.2), (0.8, 0.8, 0.0), (1.0, -0.6, 0.23),
-                   (-0.7, 0.25, -0.4), (0.0, 0.7, 0.3)]
+# (J_perp, J_par, h): generic, the XX ring (J_par = 0), J_par = J_perp with
+# and without a field, J_par < 0, J_perp < 0, a strong field, J_par > J_perp
+# and no exchange at all (J_perp = 0)
+RING_COUPLINGS = [(1.0, 0.45, 0.31), (1.0, 0.0, 0.2), (1.0, 0.0, 0.618), (0.8, 0.8, 0.0),
+                  (1.0, 1.0, 0.618), (1.0, -0.6, 0.23), (1.0, -0.6, 0.2), (-0.7, 0.25, -0.4),
+                  (1.0, 0.37, 1.3), (-0.7, 2.5, 0.0), (0.0, 0.7, 0.3)]
 
 
-def test_ring4_params_match_dense():
-    # against the engine at every focal site; pure partners (z = +-1) and a
-    # signed zero next to a random polarization, then four random ones
+@pytest.mark.parametrize("n", [4, 5])
+def test_ring_params_match_dense(n):
+    # against the engine at every focal site and entry; pure partners
+    # (z = +-1) and a signed zero next to random polarizations, then random ones
     times = np.linspace(0.0, 9.0, 23)
-    for z in ([1.0, -0.0, -1.0, RNG.uniform(-1.0, 1.0)], RNG.uniform(-1.0, 1.0, 4)):
-        for j_perp, j_par, h in RING4_COUPLINGS:
-            spec = NetworkSpec("ring", 4, h=h, j_perp=j_perp, j_par=j_par)
-            for focal in range(4):
+    for z in ([1.0, -0.0, -1.0, *RNG.uniform(-1.0, 1.0, n - 3)], RNG.uniform(-1.0, 1.0, n)):
+        for j_perp, j_par, h in RING_COUPLINGS:
+            spec = NetworkSpec("ring", n, h=h, j_perp=j_perp, j_par=j_par)
+            for focal in range(n):
                 want = SpectralAverage(spec, z, sites=(focal,)).maps(times)
-                got = ring_params(4, times, j_perp, j_par, h, cyclic_env(z, focal, 4)).transfer()
+                got = ring_params(n, times, j_perp, j_par, h, cyclic_env(z, focal, n)).transfer()
                 assert np.max(np.abs(got - want)) <= 1e-12, (z, j_perp, j_par, h, focal)
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_ring_basis_block_diagonalises_h(n):
+    # the (charge, momentum) basis is unitary, and the engine's H, field
+    # included, has no entry in it outside the 2x2 blocks on its diagonal
+    basis = _ring_basis(n)[0]
+    assert np.max(np.abs(basis.conj().T @ basis - np.eye(2**n))) <= 1e-14
+    outside = 1.0 - np.kron(np.eye(2 ** (n - 1)), np.ones((2, 2)))
+    for j_perp, j_par, h in RING_COUPLINGS:
+        h_mat = build_hamiltonian(NetworkSpec("ring", n, h=h, j_perp=j_perp, j_par=j_par))
+        assert np.max(np.abs(outside * (basis.conj().T @ h_mat @ basis))) <= 1e-14
+
+
+def zero_gap_limit(n, j_par, z):
+    """(lambda3, tau3) of the derivation's terms at zero gap, averaged over
+    the focal sites: the infinite-time channel, without the engine."""
+    limit = np.zeros(2)
+    for focal in range(n):
+        energies, amps = _ring_terms(n, 1.0, j_par, cyclic_env([float(v) for v in z], focal, n))
+        gaps = np.subtract.outer(energies, energies)
+        zero = np.abs(gaps) <= 1e-9 * max(1.0, np.ptp(energies))
+        limit += amps[:2, zero].sum(axis=-1).real / n
+    return limit
 
 
 @pytest.mark.parametrize("j_par", [0.0, -0.6, 1.0, 2.5])
 def test_ring4_steady_table_is_the_closed_form_limit(j_par):
-    # the derivation's own zero-gap terms, averaged over the four focal
-    # sites, are the infinite-time channel: a check of the exact table that
-    # does not go through the engine
+    # a check of the exact table that does not go through the engine
     rng = np.random.default_rng(4)
     spec = NetworkSpec("ring", 4, h=0.3, j_perp=1.0, j_par=j_par)
     for _ in range(10):
         z = [Fraction(int(k), 97) for k in rng.integers(-97, 98, 4)]
-        limit = np.zeros(2)
-        for focal in range(4):
-            gaps, amps = _ring4_terms(1.0, j_par, cyclic_env([float(v) for v in z], focal, 4))
-            limit += amps[:2, gaps == 0].sum(axis=1).real / 4
-        steady = steady_channel(spec, z)
+        limit, steady = zero_gap_limit(4, j_par, z), steady_channel(spec, z)
         assert abs(limit[0] - steady.lambda3) <= 1e-14, z
         assert abs(limit[1] - steady.tau3) <= 1e-14, z
 
 
-def test_ring5_isotropic_z_sector_matches_dense():
-    jp = 1.0
-    z = RNG.uniform(-1, 1, 5)
-    for focal in (0, 2):
-        for t in (1.3, 5.1):
-            pc = ring_params(5, t, jp, jp, 0.0, cyclic_env(z, focal, 5))
-            lam3, tau3, _ = dense_params("ring", 5, t, jp, jp, 0.0, z, focal)
-            assert np.isnan(pc.lambda1) and np.isnan(pc.theta)
-            assert abs(pc.lambda3 - lam3) < 1e-11
-            assert abs(pc.tau3 - tau3) < 1e-11
+def test_ring5_steady_table_is_the_closed_form_limit():
+    # the ring N=5 table holds at J_par = J_perp only
+    rng = np.random.default_rng(5)
+    spec = NetworkSpec("ring", 5, h=0.3, j_perp=1.0, j_par=1.0)
+    for _ in range(12):
+        z = [Fraction(int(k), 97) for k in rng.integers(-97, 98, 5)]
+        limit, steady = zero_gap_limit(5, 1.0, z), steady_channel(spec, z)
+        assert abs(limit[0] - steady.lambda3) <= 1e-14, z
+        assert abs(limit[1] - steady.tau3) <= 1e-14, z
 
 
 def test_ring_params_rejections():
-    env = [0.1, 0.2, 0.3, 0.4]
-    with pytest.raises(UnsupportedNetwork):
-        ring_params(5, 1.0, 1.0, 0.5, 0.0, env)  # anisotropic N=5
     with pytest.raises(UnsupportedNetwork):
         ring_params(6, 1.0, 1.0, 1.0, 0.0, [0.0] * 5)
     with pytest.raises(UnsupportedNetwork):  # the dispatch, for a ring with no closed form
@@ -300,7 +310,7 @@ def test_closed_form_matches_dense_on_xx_pairs():
 @pytest.mark.parametrize("spec", [
     *(NetworkSpec("complete", n, h=0.31, j_perp=1.0, j_par=0.45) for n in (3, 4, 5, 6)),
     NetworkSpec("ring", 4, h=0.23, j_perp=1.0, j_par=-0.6),
-    NetworkSpec("ring", 5, h=0.23, j_perp=1.0, j_par=1.0),  # NaN transverse sector
+    NetworkSpec("ring", 5, h=0.23, j_perp=1.0, j_par=1.0),
     NetworkSpec("xx_pairs", 4, pairs=(PairSpec(1.0, 0.4, 0.8), PairSpec(-0.3, 0.9, 1.1))),
 ], ids=lambda spec: f"{spec.topology}{spec.n}")
 def test_closed_form_over_a_grid_stacks_pointwise_calls(spec):
@@ -315,8 +325,8 @@ def test_closed_form_over_a_grid_stacks_pointwise_calls(spec):
         assert maps.shape == (grid.size, 4, 4)
         points = [closed_form(spec, focal, env, t) for t in grid]
         assert all(m.shape == (4, 4) for m in points)
-        assert np.array_equal(np.isnan(maps), np.isnan(points))
-        assert np.nanmax(np.abs(maps - points)) < 1e-13
+        assert np.all(np.isfinite(maps))
+        assert np.max(np.abs(maps - points)) < 1e-13
         assert closed_form(spec, focal, env, grid.reshape(3, 11)).shape == (3, 11, 4, 4)
 
 

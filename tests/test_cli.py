@@ -638,6 +638,25 @@ def test_maps_oracle_disagreement_exits_3(tmp_path, capsys, monkeypatch):
     assert diag["analytic_check"]["max_abs_err"] > 1e-9
 
 
+def test_maps_oracle_fails_on_a_nan_closed_form(tmp_path, capsys, monkeypatch):
+    # every family gives every entry, so a NaN is a failed check, not an open entry
+    import spinmaps.analytic
+
+    closed_form = spinmaps.analytic.closed_form
+
+    def one_nan(spec, site, env, t):
+        out = closed_form(spec, site, env, t)
+        out[-1, 1, 1] = np.nan
+        return out
+
+    monkeypatch.setattr(spinmaps.analytic, "closed_form", one_nan)
+    rc, out, err = run_cli(["maps", "--t-max-tj", "1", "--outdir", str(tmp_path)], capsys)
+    assert rc == 3
+    assert err == "error: closed form and numeric maps disagree: max_abs_err nan > 1e-09\n"
+    diag = json.loads((last_run_dir(out) / "diagnostics.json").read_text())
+    assert math.isnan(diag["analytic_check"]["max_abs_err"])
+
+
 def test_volume_rerun_is_byte_identical(tmp_path, capsys):
     bodies = []
     for sub in ("a", "b"):

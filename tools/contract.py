@@ -61,8 +61,11 @@ ONE_THREAD = {name: "1" for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
 # where the 1e-9 closed-form check cannot hold (exit 4; before the budget a
 # large field exited 0 with max_abs_err 2.3e-9 and 3.6e-6, and a tiny j_perp
 # exited 3 as a map that is not Hermiticity-preserving or a CP violation).
-# Then two ring N=4 `maps` lines (exit 0) that hold the closed form derived
-# from the two sublattice spins to the engine: the XX ring (J_par = 0), and
+# Then five ring `maps` lines (exit 0) that hold the closed form derived
+# from the (charge, momentum) blocks to the engine: ring N=4 as the XX ring
+# (J_par = 0) and at J_par < 0 with pure partners and a signed zero, and
+# ring N=5, which ran numeric-only away from J_par = J_perp before the
+# derivation, at J_par = 0.37 in a strong field, as the XX ring, and at
 # J_par < 0 with pure partners and a signed zero. The last three are
 # `steady` and `fluct` lines whose roundoff budget eps ||H|| t_max is at or
 # above a quarter of their tolerance (exit 4; before the budget they exited
@@ -111,6 +114,10 @@ EDGE_LINES = (
     "spinmaps maps --j-perp 1e-300",
     "spinmaps maps --topology ring --n 4 --j-par 0 --t-max-tj 2",
     "spinmaps maps --topology ring --n 4 --j-par -0.6 --state custom --z-list=1,-1,0,-0.0 "
+    "--t-max-tj 2",
+    "spinmaps maps --topology ring --n 5 --j-par 0.37 --h 1.3 --t-max-tj 2",
+    "spinmaps maps --topology ring --n 5 --j-par 0 --t-max-tj 2",
+    "spinmaps maps --topology ring --n 5 --j-par -0.6 --state custom --z-list=1,-1,0,-0.0,0.5 "
     "--t-max-tj 2",
     "spinmaps steady --j-perp 1e-305 --horizon-tj 20",
     "spinmaps steady --h 1e300 --j-perp 1e-300",
