@@ -11,7 +11,7 @@ Families covered, all against diagonal (Bloch-z) environments:
   derived, not transcribed: H conserves the charge and commutes with the
   cyclic shift, and at N <= 5 each (charge, momentum) block is at most 2x2,
   so the channel is a sum over an eigenbasis with closed-form roots and
-  mixing angles (_ring_basis, _ring_terms).
+  mixing angles (_ring_basis, _ring_couplings, _ring_terms).
 - xx_reduced_map / xx_unitary_components: one detuned XX pair. The full
   two-qubit channel in the Pauli basis has 70 nonzero entries taking 17
   distinct values up to sign. xx_reduced_map writes the focal qubit's 4x4
@@ -45,6 +45,7 @@ from __future__ import annotations
 
 import functools
 import math
+import struct
 
 import numpy as np
 
@@ -180,14 +181,24 @@ def _ring_basis(n: int):
     return basis, blocks(hop), blocks(np.diag(ising)), outs, ins, spins[:, 1:]
 
 
-def _ring_terms(n: int, j_perp: float, j_par: float, env):
-    """(energies, amplitudes) of ring n's focal channel without the field:
-    (lambda3, tau3, alpha, beta) = Re[(phi @ amplitudes) . conj(phi)] with
-    phi = e^{-i energies t}, i.e. the map 1/2 sum_kl <l|sigma_i|k>
-    <k|sigma_j (x) rho_env|l> e^{-i(E_k - E_l)t} over the eigenstates k, l.
-    Each 2x2 block [[a, conj(c)], [c, d]] has the roots (a + d)/2 +- r,
-    r = hypot((a - d)/2, |c|), and the mixing angle atan2(|c|, (a - d)/2)/2."""
-    basis, hop, ising, outs, ins, partners = _ring_basis(n)
+# the couplings (j_perp, j_par) as two packed doubles: the exact bits, so
+# J_par = -0.0 and 0.0 are different keys
+_COUPLINGS = struct.Struct("2d")
+
+
+# a maps run asks for one set of couplings at every focal site; 16 entries
+# of at most 4 (32, 32) complex matrices stay under 2 MB
+@functools.lru_cache(maxsize=16)
+def _ring_couplings(n: int, key: bytes):
+    """The part of _ring_terms that depends only on the couplings, built once
+    per (n, J_perp, J_par): the 2^N energies, the eigenmodes and their
+    conjugate transpose, and the four out-operator sandwiches, transposed.
+    key is _COUPLINGS.pack(j_perp, j_par). Each 2x2 block
+    [[a, conj(c)], [c, d]] has the roots (a + d)/2 +- r,
+    r = hypot((a - d)/2, |c|), and the mixing angle atan2(|c|, (a - d)/2)/2.
+    The arrays are read-only, since every hit returns the same objects."""
+    j_perp, j_par = _COUPLINGS.unpack(key)
+    basis, hop, ising, outs, _, _ = _ring_basis(n)
     block = j_perp * hop + j_par * ising
     a, d, mix = block[:, 0, 0].real, block[:, 1, 1].real, block[:, 1, 0]
     mean, half = 0.5 * (a + d), 0.5 * (a - d)
@@ -196,10 +207,25 @@ def _ring_terms(n: int, j_perp: float, j_par: float, env):
     c, s = np.cos(angle), np.sin(angle) * np.exp(1j * np.angle(mix))
     rot = np.stack([np.stack([c, -s.conj()], axis=-1), np.stack([s, c], axis=-1)], axis=-2)
     modes = np.einsum("dbi,bij->dbj", basis.reshape(len(basis), -1, 2), rot).reshape(basis.shape)
+    modes_h = modes.conj().T
+    energies = np.stack([mean + root, mean - root], axis=-1).ravel()
+    out = (modes_h @ outs @ modes).transpose(0, 2, 1)
+    for array in (energies, modes, modes_h, out):
+        array.flags.writeable = False
+    return energies, modes, modes_h, out
+
+
+def _ring_terms(n: int, j_perp: float, j_par: float, env):
+    """(energies, amplitudes) of ring n's focal channel without the field:
+    (lambda3, tau3, alpha, beta) = Re[(phi @ amplitudes) . conj(phi)] with
+    phi = e^{-i energies t}, i.e. the map 1/2 sum_kl <l|sigma_i|k>
+    <k|sigma_j (x) rho_env|l> e^{-i(E_k - E_l)t} over the eigenstates k, l.
+    Only the in-operator sandwiches depend on the partners and are built per
+    call; the rest comes from _ring_couplings."""
+    energies, modes, modes_h, out = _ring_couplings(n, _COUPLINGS.pack(j_perp, j_par))
+    _, _, _, _, ins, partners = _ring_basis(n)
     weights = np.prod((1.0 + partners * env) / 2.0, axis=1)  # the partners' diagonal state
-    out = modes.conj().T @ outs @ modes
-    inn = modes.conj().T @ (ins * weights) @ modes
-    return np.stack([mean + root, mean - root], axis=-1).ravel(), out.transpose(0, 2, 1) * inn
+    return energies, out * (modes_h @ (ins * weights) @ modes)
 
 
 def ring_params(n: int, t, j_perp: float, j_par: float, h: float, env_z) -> PCParams:

@@ -407,8 +407,27 @@ def _disorder_spec(cfg):
     return disorder.DisorderSpec(phi_dist="trunc_tanh", a_phi=cfg["a_phi"], **common)
 
 
+# the roundoff budget eps (2|B| + |Omega| + 4 sigma_h + sigma_omega) t_max
+# below which the phases 2ht and omega t keep four correct digits: more than
+# 10x under the standard error of a 200,000-sample run, and four decades
+# under the smallest budget (1.4) at which the closed form and Monte Carlo
+# were seen to disagree
+DISORDER_ROUNDOFF_LIMIT = 1e-4
+
+
 def cmd_disorder(cfg: dict) -> RunOutput:
     spec = _disorder_spec(cfg)
+    # the phases carry an absolute error of about eps times the largest
+    # |2h| and |omega| drawn (two sigma out) at t_max, in Python floats:
+    # an overflow gives inf, without a warning
+    rate = 2.0 * abs(spec.B) + abs(spec.Omega) + 4.0 * spec.sigma_h + spec.sigma_omega
+    budget = sys.float_info.epsilon * rate * cfg["t_max"]
+    if not budget < DISORDER_ROUNDOFF_LIMIT:
+        raise ensemble.UnsupportedNetwork(
+            f"roundoff budget eps (2|b| + |omega| + 4 sigma_h + sigma_omega) t_max = "
+            f"{budget:.2e}, set by b, omega, sigma_h, sigma_omega and t_max, is not below "
+            f"{DISORDER_ROUNDOFF_LIMIT:g}: disorder's phases 2ht and omega t keep fewer than four "
+            f"correct digits here")
     n_samples, seed, z2 = int(cfg["n_samples"]), int(cfg["seed"]), float(cfg["z2"])
     rows = []
     flagged = []

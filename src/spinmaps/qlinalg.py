@@ -42,20 +42,34 @@ def pauli(axis: str) -> np.ndarray:
         raise ValueError(f"unknown Pauli axis {axis!r}") from None
 
 
+# the fold's seed; read-only, since kron_all never hands it out
+_ONE = np.ones((1, 1), dtype=complex)
+_ONE.flags.writeable = False
+
+
 def kron_all(ops) -> np.ndarray:
     """Tensor product of a sequence of 2-D matrices, first factor most significant.
 
     Each step is the broadcast product np.kron computes for 2-D operands,
-    without its per-call shape set-up, folded left to right from [[1+0j]]:
-    the result is byte-identical to that np.kron fold, signed zeros included.
+    without its per-call shape set-up: reshape views of the running product
+    and the factor (ndarrays are not passed through np.asarray again), folded
+    left to right from the shared read-only seed [[1+0j]], whose own step is
+    a plain 2-D product. The products and their order are the np.kron
+    fold's, so the result is byte-identical to it, signed zeros included.
+    Every result is a fresh array; an empty sequence gives a copy of the
+    seed.
     """
-    out = np.array([[1.0 + 0j]])
+    out = _ONE
     for op in ops:
-        op = np.asarray(op)
-        r, c = out.shape
+        if not isinstance(op, np.ndarray):
+            op = np.asarray(op)
         a, b = op.shape
-        out = (out[:, None, :, None] * op[None, :, None, :]).reshape(r * a, c * b)
-    return out
+        if out is _ONE:  # the seed's products need no 4-D broadcast
+            out = _ONE * op
+        else:
+            r, c = out.shape
+            out = (out.reshape(r, 1, c, 1) * op.reshape(1, a, 1, b)).reshape(r * a, c * b)
+    return _ONE.copy() if out is _ONE else out
 
 
 def z_signs(n: int) -> np.ndarray:
@@ -136,6 +150,10 @@ class HermitianEvolver:
     the same t in a row, as the MapExtractor of every site of `maps` does
     at each time, share one assembly. The returned array is read-only,
     since every one of them holds the same object.
+
+    The conjugate transpose of the modes is taken once, here: every
+    assembly multiplies by the same transposed view of one conjugated copy,
+    the layout (and so the BLAS call) of an inline modes.conj().T.
     """
 
     def __init__(self, h: np.ndarray):
@@ -143,6 +161,7 @@ class HermitianEvolver:
         if not np.max(np.abs(h - h.conj().T)) <= HERM_TOL:  # NaN fails too
             raise NumericalError("generator is not Hermitian")
         self.energies, self.modes = np.linalg.eigh(h)
+        self._modes_h = self.modes.conj().T
         self._last = (None, None)
 
     def unitary(self, t: float) -> np.ndarray:
@@ -153,7 +172,7 @@ class HermitianEvolver:
         last_key, u = self._last
         if key != last_key:
             phases = np.exp(-1j * self.energies * t)
-            u = (self.modes * phases) @ self.modes.conj().T
+            u = (self.modes * phases) @ self._modes_h
             u.flags.writeable = False
             self._last = (key, u)
         return u
@@ -170,15 +189,20 @@ _READOUT.flags.writeable = False
 def transfer_readout(outs) -> np.ndarray:
     """Real transfer matrix from the images outs[j] of the Paulis (1, X, Y, Z).
 
-    L[i, j] = tr(sigma_i outs[j]) / 2, one product of the fixed (16, 16)
-    table _READOUT (entries 0, +-1, +-i, the Pauli entries as stored) with
-    the 16 flattened image entries, then the factor 0.5. Each entry sums two
-    products by +-1 or +-i, which are exact, so the result is byte-identical
-    to 0.5 * einsum("iab,jba->ij", PAULI_STACK, outs). Imaginary residue
-    beyond HERM_TOL means the map is not Hermiticity-preserving and raises
-    NumericalError.
+    outs is (4, 2, 2), or its 16 entries flattened in (j, a, b) order, which
+    the map kernels pass straight from their last product. L[i, j] =
+    tr(sigma_i outs[j]) / 2, one product of the fixed (16, 16) table
+    _READOUT (entries 0, +-1, +-i, the Pauli entries as stored) with the 16
+    image entries, then the factor 0.5, applied in place. Each entry sums
+    two products by +-1 or +-i, which are exact, so the result is
+    byte-identical to 0.5 * einsum("iab,jba->ij", PAULI_STACK, outs).
+    Imaginary residue beyond HERM_TOL means the map is not
+    Hermiticity-preserving and raises NumericalError.
     """
-    m = 0.5 * (_READOUT @ np.asarray(outs).reshape(16)).reshape(4, 4)
+    if not isinstance(outs, np.ndarray):
+        outs = np.asarray(outs)
+    m = _READOUT @ outs.reshape(16)
+    m *= 0.5
     if not abs(m.imag).max() <= HERM_TOL:  # NaN fails too
         raise NumericalError("map is not Hermiticity-preserving (complex transfer entries)")
-    return m.real.copy()
+    return m.real.reshape(4, 4).copy()

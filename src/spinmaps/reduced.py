@@ -10,18 +10,22 @@ environment bits enter, as d/2 Gram matrices of size 4x4 (4 d^2
 multiply-adds). z-polarized partners need no change of basis; a transverse
 partner first rotates U's columns on its qubit by one 2x2 product. The
 partners' eigenbases and weight rows depend only on (n, site, partners), so
-a bounded cache builds them once per environment for every time of a
-series; each map still rotates U, folds the four band inputs with kron_all
-(bench/selftest.py's Routing check counts those per map, until `steady`
-moves to SpectralAverage) and reads the Gram matrices.
+a bounded cache, keyed by the partners' exact bits packed as doubles, builds
+them once per environment for every time of a series. Each map still
+checks the site and the partner count, packs that key, rotates U, folds
+the four band inputs with kron_all (bench/selftest.py's Routing check
+counts those per map, until `steady` moves to SpectralAverage), reads the
+Gram matrices and passes its last product to transfer_readout without a
+reshaping copy of its own.
 MapExtractor uses that rho_env is a product state: with R the
 product of the partners' square roots (I at the focal site),
 rho tensor rho_env = R (rho tensor I) R, so the map is
 tr_env[V (rho tensor I) V^dag] with V = U(t) R, the square-root
 purification of the environment, read off a 4x4 Gram matrix of V.
 z-polarized partners (the class whose maps are phase-covariant) have
-diagonal roots: R is then a column scale of U(t) and costs O(d^2); only
-transverse partners take the dense product.
+diagonal roots: R is then a column scale of U(t) and costs O(d^2), one
+product written straight into the Gram matrix's layout; only transverse
+partners take the dense product.
 A phase-covariant map has the pattern
 
     [ 1       0           0        0   ]
@@ -44,6 +48,7 @@ from __future__ import annotations
 
 import functools
 import math
+import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -148,26 +153,34 @@ def _eigen_weights(bloch):
     return np.array([[0.5 * (1.0 + r), 0.5 * (1.0 - r)]]), w
 
 
-def _bloch_key(partners) -> tuple:
-    """The partners as exact hex strings of their float components: distinct
-    floats, signed zeros included, give distinct keys."""
-    return tuple(tuple(float(c).hex() for c in v) for v in partners)
+# one partner's (x, y, z) as three packed doubles
+_BLOCH = struct.Struct("3d")
+
+
+def _bloch_key(partners) -> bytes:
+    """The partners' float components packed as doubles, partner by partner:
+    the exact bits, so distinct floats, signed zeros included, give distinct
+    keys. A partner that is not three real numbers raises ValueError."""
+    try:
+        return b"".join([_BLOCH.pack(*v) for v in partners])
+    except struct.error as exc:
+        raise ValueError(f"a Bloch vector is three real numbers: {exc}") from None
 
 
 # a series of N sites keeps N entries; 32 is twice the largest register the
 # CLI accepts, and keeps the cache to tens of kB
 @functools.lru_cache(maxsize=32)
-def _band_environment(n: int, site: int, key: tuple) -> tuple:
+def _band_environment(n: int, site: int, key: bytes) -> tuple:
     """The part of transfer_from_unitary that depends only on the environment:
     (rotations, left, right), with rotations the (qubit, W) pairs of the
     transverse partners in site order and left, right the kron_all folds of
     the weight rows before and after the focal site. key is _bloch_key of
-    the checked partners. A partner that describes no state raises here,
-    and lru_cache keeps no entry for a call that raised. The arrays are
-    read-only, since every hit returns the same objects."""
+    the checked partners, unpacked here. A partner that describes no state
+    raises here, and lru_cache keeps no entry for a call that raised. The
+    arrays are read-only, since every hit returns the same objects."""
     rows, rotations = [], []
-    for k, hexes in enumerate(key):
-        weights, w = _eigen_weights([float.fromhex(h) for h in hexes])
+    for k, bloch in enumerate(_BLOCH.iter_unpack(key)):
+        weights, w = _eigen_weights(bloch)
         rows.append(weights)
         if w is not None:
             w.flags.writeable = False
@@ -198,8 +211,9 @@ def transfer_from_unitary(u: np.ndarray, site: int, env_blochs) -> np.ndarray:
     The W_k and the rows left and right depend only on (n, site, env_blochs)
     and come from _band_environment, built once per environment and
     reused at every later time. The site and the partner count are checked
-    on every call. The four inputs K_j are still folded with kron_all on
-    every call, into one preallocated (4, 2, d) array: bench/selftest.py's
+    on every call, and the cache key is packed anew (one struct call per
+    partner). The four inputs K_j are still folded with kron_all on every
+    call, into one preallocated (4, 2, d) array: bench/selftest.py's
     Routing check counts at least 4 kron_all calls per map on this path,
     until `steady` moves to SpectralAverage and this function goes.
     """
@@ -217,7 +231,8 @@ def transfer_from_unitary(u: np.ndarray, site: int, env_blochs) -> np.ndarray:
     band = u.reshape(lo, 2, hi, lo, 2, hi).transpose(3, 5, 1, 4, 0, 2).reshape(d // 2, 4, -1)
     gram = band @ band.conj().transpose(0, 2, 1)
     p = gram.reshape(lo, hi, 2, 2, 2, 2).transpose(2, 4, 3, 0, 5, 1).reshape(4, -1)
-    return transfer_readout((p @ inputs.reshape(4, -1).T).T.reshape(4, 2, 2))
+    # the product's entry [(a, b), j] is out_j[a, b]: its transpose lists the images
+    return transfer_readout((p @ inputs.reshape(4, -1).T).T)
 
 
 def _sqrt_density(bloch) -> np.ndarray:
@@ -256,9 +271,11 @@ class MapExtractor:
 
     When every partner has x = y = 0 (z-polarized, as in every network
     `maps` runs), each root is diagonal and so is R: the extractor keeps
-    R's real diagonal as `scale` (and `root` is None), and V = U(t) * scale
-    scales U's columns, byte for byte the dense product. A transverse
-    partner keeps the dense R as `root` and V = U(t) @ R.
+    R's real diagonal as `scale`, as the complex s + 0j laid out on the axes
+    of A below (and `root` is None), and V = U(t) * scale scales U's
+    columns, byte for byte the dense product, written straight into A's
+    layout: one pass over U(t) and one d x d allocation per map. A
+    transverse partner keeps the dense R as `root` and V = U(t) @ R.
 
     Evolves with the caller's HermitianEvolver, so extractors of several
     sites share one eigendecomposition of H and, asked for the same time in
@@ -275,24 +292,34 @@ class MapExtractor:
         factors = roots[:site] + [SI] + roots[site:]
         self.n, self.site = n, site
         self.evolver = evolver
-        self._split = (2**site, 2, 2 ** (n - 1 - site)) * 2
+        lo, hi = 2**site, 2 ** (n - 1 - site)
+        self._split = (lo, 2, hi) * 2
+        self._shape = (2, 2, lo, hi, lo, hi)
         if all(v[0] == 0.0 and v[1] == 0.0 for v in partners):
             # R's diagonal in kron_all's fold order: the same products of
             # nonnegative reals, so the same bytes
             self.root = None
-            self.scale = np.ones(1)
+            scale = np.ones(1)
             for root in factors:
-                self.scale = np.multiply.outer(self.scale, root.diagonal().real).ravel()
+                scale = np.multiply.outer(scale, root.diagonal().real).ravel()
+            # column (z, c, w)'s factor on A's axes (a, c, x, y, z, w), as the
+            # complex s + 0j that u * scale multiplies by
+            self.scale = scale.reshape(lo, 2, hi).transpose(1, 0, 2).reshape(
+                1, 2, 1, 1, lo, hi).astype(complex)
         else:
             self.root = kron_all(factors)
 
     def transfer(self, t: float) -> np.ndarray:
         u = self.evolver.unitary(t)
-        v = u * self.scale if self.root is None else u @ self.root
         # rows (x, a, y) and columns (z, c, w) -> A[(a, c), (x, y, z, w)]
-        a = v.reshape(self._split).transpose(1, 4, 0, 2, 3, 5).reshape(4, -1)
+        if self.root is None:
+            # u * scale, each entry the same product, written straight into A's layout
+            a = np.multiply(u.reshape(self._split).transpose(1, 4, 0, 2, 3, 5), self.scale,
+                            out=np.empty(self._shape, dtype=complex)).reshape(4, -1)
+        else:
+            a = (u @ self.root).reshape(self._split).transpose(1, 4, 0, 2, 3, 5).reshape(4, -1)
         gram = a @ a.conj().T
-        return transfer_readout((_GRAM_IMAGES @ gram.reshape(16)).reshape(4, 2, 2))
+        return transfer_readout(_GRAM_IMAGES @ gram.reshape(16))
 
 
 # the entries a phase-covariant transfer matrix has at zero, then (0, 0),

@@ -10,6 +10,7 @@ from spinmaps.analytic import (
     _XX_COLS,
     _XX_ROWS,
     _ring_basis,
+    _ring_couplings,
     _ring_terms,
     cc_params,
     closed_form,
@@ -92,6 +93,31 @@ def test_ring_basis_block_diagonalises_h(n):
     for j_perp, j_par, h in RING_COUPLINGS:
         h_mat = build_hamiltonian(NetworkSpec("ring", n, h=h, j_perp=j_perp, j_par=j_par))
         assert np.max(np.abs(outside * (basis.conj().T @ h_mat @ basis))) <= 1e-14
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_ring_params_on_a_warm_cache_equal_a_cold_call(n):
+    # the coupling-only part is built once per (n, J_perp, J_par) and keyed
+    # by their exact bits: a site served from the cache, after every other
+    # site and after the couplings with J_par negated (at 0, its other
+    # signed zero), equals a call on an empty cache byte for byte
+    times = np.linspace(0.0, 9.0, 23)
+    z = [0.5, -0.0, 1.0, -0.25, 0.75][:n]
+    couplings = [(1.0, 0.0, 0.3), (1.0, -0.0, 0.3), (-0.7, 2.5, 0.0), (1.0, 1.0, 0.618)]
+    for j_perp, j_par, h in couplings:
+        cold = []
+        for focal in range(n):
+            _ring_couplings.cache_clear()
+            cold.append(ring_params(n, times, j_perp, j_par, h, cyclic_env(z, focal, n)))
+        _ring_couplings.cache_clear()
+        ring_params(n, times, j_perp, -j_par, h, cyclic_env(z, 0, n))  # J_par negated first
+        for focal in range(n):
+            warm = ring_params(n, times, j_perp, j_par, h, cyclic_env(z, focal, n))
+            for field in ("lambda1", "theta", "lambda3", "tau3"):
+                got, want = getattr(warm, field), getattr(cold[focal], field)
+                assert got.tobytes() == want.tobytes(), (j_perp, j_par, focal, field)
+        info = _ring_couplings.cache_info()
+        assert (info.misses, info.hits) == (2, n - 1)
 
 
 def zero_gap_limit(n, j_par, z):

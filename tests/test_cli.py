@@ -609,6 +609,34 @@ def test_steady_and_fluct_beyond_their_roundoff_budget_exit_4(tmp_path, capsys, 
     assert out == "" and not (tmp_path / "runs").exists()
 
 
+@pytest.mark.parametrize("line", [
+    # cos(2Bt) keeps no correct digit: exit 3, closed-form/MC disagreements, before
+    "disorder --b 1e300",
+    "disorder --omega=-1e300 --phi-dist trunc_tanh --a-phi 1e-3",
+    "disorder --sigma-omega 1e20",
+    "disorder --t-max 1e13",
+])
+def test_disorder_beyond_its_roundoff_budget_exits_4(tmp_path, capsys, line):
+    rc, out, err = run_cli(line.split() + ["--outdir", str(tmp_path / "runs")], capsys)
+    assert rc == 4
+    assert re.fullmatch(r"unsupported: roundoff budget eps \(2\|b\| \+ \|omega\| \+ 4 sigma_h \+ "
+                        r"sigma_omega\) t_max = \S+, set by b, omega, sigma_h, sigma_omega and "
+                        r"t_max, is not below 0.0001: disorder's phases 2ht and omega t keep "
+                        r"fewer than four correct digits here\n", err)
+    assert out == "" and not (tmp_path / "runs").exists()
+
+
+def test_disorder_budget_runs_after_the_range_checks_and_below_its_limit(tmp_path, capsys):
+    # a field out of range is still a configuration error
+    rc, _, err = run_cli(["disorder", "--b", "1e300", "--sigma-h", "1e300",
+                          "--outdir", str(tmp_path)], capsys)
+    assert rc == 2 and err.startswith("config error: sigma_h:")
+    # eps (2e11 + 6) 2 = 8.9e-5 is below the limit: the run goes ahead
+    rc, _, _ = run_cli(["disorder", "--b", "1e11", "--n-samples", "100", "--steps", "3",
+                        "--outdir", str(tmp_path)], capsys)
+    assert rc == 0
+
+
 def test_maps_records_its_roundoff_budget(tmp_path, capsys):
     rc, out, _ = run_cli(["maps", "--h", "1e3", "--outdir", str(tmp_path)], capsys)
     assert rc == 0

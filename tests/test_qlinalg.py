@@ -79,6 +79,20 @@ def test_kron_all_is_byte_identical_to_np_kron_fold():
     assert got.tobytes() == kron_fold([SI, SX, SI]).tobytes()
 
 
+def test_kron_all_returns_fresh_writeable_arrays():
+    # the empty product is a fresh [[1+0j]]: writing into one result changes
+    # neither a later empty product nor any later fold
+    first = kron_all([])
+    assert first.tobytes() == np.array([[1.0 + 0j]]).tobytes() and first.flags.writeable
+    first[0, 0] = 7.0
+    assert kron_all([])[0, 0] == 1.0 and kron_all([SZ]).tobytes() == kron_fold([SZ]).tobytes()
+    assert kron_all([]) is not kron_all([])
+    single = kron_all([SX])
+    assert single.flags.writeable and not np.shares_memory(single, SX)
+    single[:] = 3.0
+    assert kron_all([SX]).tobytes() == kron_fold([SX]).tobytes()
+
+
 def test_embed_matches_kron():
     assert np.allclose(embed(SX, 0, 2), np.kron(SX, SI))
     assert np.allclose(embed(SX, 1, 2), np.kron(SI, SX))

@@ -399,6 +399,22 @@ def test_environment_checks_run_after_a_cached_call():
             transfer_from_unitary(u, site, good)
 
 
+def test_bloch_key_is_the_exact_bits():
+    z = 0.3
+    key = _bloch_key([(-0.0, 0.3, z), (0.0, 0.0, 0.5)])
+    # equal bits, as floats, numpy scalars or an array row, give equal keys
+    assert key == _bloch_key([(-0.0, 0.3, z), (0.0, 0.0, 0.5)])
+    assert key == _bloch_key([np.array([-0.0, 0.3, z]), (np.float64(0.0), 0.0, 0.5)])
+    # a signed zero, one ulp, or the partners' order gives another key
+    assert key != _bloch_key([(0.0, 0.3, z), (0.0, 0.0, 0.5)])
+    assert key != _bloch_key([(-0.0, 0.3, np.nextafter(z, 1.0)), (0.0, 0.0, 0.5)])
+    assert key != _bloch_key([(0.0, 0.0, 0.5), (-0.0, 0.3, z)])
+    # each partner is three real numbers; no regrouping across partners
+    for bad in ([(0.0, 0.3), (z, 0.0, 0.0, 0.5)], [(0.0, 0.3, 1j)]):
+        with pytest.raises(ValueError, match="three real numbers"):
+            _bloch_key(bad)
+
+
 def test_cached_environment_arrays_refuse_writes():
     env = [(0.3, -0.1, 0.2), (0.0, 0.0, 0.5)]
     _band_environment.cache_clear()

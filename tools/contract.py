@@ -66,10 +66,13 @@ ONE_THREAD = {name: "1" for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
 # (J_par = 0) and at J_par < 0 with pure partners and a signed zero, and
 # ring N=5, which ran numeric-only away from J_par = J_perp before the
 # derivation, at J_par = 0.37 in a strong field, as the XX ring, and at
-# J_par < 0 with pure partners and a signed zero. The last three are
+# J_par < 0 with pure partners and a signed zero. Then three
 # `steady` and `fluct` lines whose roundoff budget eps ||H|| t_max is at or
 # above a quarter of their tolerance (exit 4; before the budget they exited
 # 3 as a horizon too short, a numerical failure and a NaN doubling change).
+# Last, a `disorder` line whose roundoff budget
+# eps (2|B| + |Omega| + 4 sigma_h + sigma_omega) t_max is at or above 1e-4
+# (exit 4; before the budget it exited 3 as closed-form/MC disagreements).
 EDGE_LINES = (
     "spinmaps steady --n 1",
     "spinmaps steady --topology ring --n 2",
@@ -122,6 +125,7 @@ EDGE_LINES = (
     "spinmaps steady --j-perp 1e-305 --horizon-tj 20",
     "spinmaps steady --h 1e300 --j-perp 1e-300",
     "spinmaps fluct --j-perp 3e-306 --horizon-tj 40",
+    "spinmaps disorder --b 1e300",
 )
 
 
