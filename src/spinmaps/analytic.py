@@ -14,12 +14,14 @@ Families covered, all against diagonal (Bloch-z) environments:
   mixing angles (_ring_basis, _ring_couplings, _ring_terms).
 - xx_reduced_map / xx_unitary_components: one detuned XX pair. The full
   two-qubit channel in the Pauli basis has 70 nonzero entries taking 17
-  distinct values up to sign. xx_reduced_map writes the focal qubit's 4x4
-  straight from those values, byte for byte the partner-weighted sum over
-  the 16x16 channel. xx_unitary_components builds that 16x16 channel, the
-  reference the tests hold xx_reduced_map to: a module-level table of
-  (row, col, value slot, sign), built once from the Pauli labels, places
-  the values with one numpy scatter per call.
+  distinct values up to sign. xx_reduced_map computes only the values the
+  focal qubit's 4x4 places and writes that block straight from them, byte
+  for byte the partner-weighted sum over the 16x16 channel.
+  xx_unitary_components builds that 16x16 channel, the reference the tests
+  hold xx_reduced_map to, from all 17 values (_xx_values, which feeds only
+  this reference): a module-level table of (row, col, value slot, sign),
+  built once from the Pauli labels, places them with one numpy scatter per
+  call. The kernel and the reference share the expressions, not the code.
 - closed_form: the transfer matrix of any NetworkSpec that a family above
   covers; the families' own checks raise UnsupportedNetwork for the rest.
 
@@ -320,7 +322,11 @@ _XX_ROWS, _XX_COLS, _XX_SLOTS, _XX_SIGNS = _xx_table()
 
 
 def _xx_values(t: float, h12: float, omega12: float, phi12: float) -> tuple:
-    """The 17 distinct values of the XX-pair channel, in _XX_SLOT_NAMES order."""
+    """The 17 distinct values of the XX-pair channel, in _XX_SLOT_NAMES order.
+
+    The value source of the 16x16 reference xx_unitary_components only;
+    xx_reduced_map computes the values it places with these expressions.
+    """
     a = 2.0 * h12 * t
     b = omega12 * t
     c, s = math.cos(phi12), math.sin(phi12)
@@ -376,8 +382,10 @@ def xx_reduced_map(t: float, pair_params, env_bloch, which: int = 1) -> np.ndarr
     partner's transverse components feed the map's phase-covariance-breaking
     entries; a diagonal partner (x = y = 0) leaves a phase-covariant map.
 
-    The 4x4 block is written directly from the channel values: it equals,
-    byte for byte, the partner-weighted sum over the 16x16
+    The 4x4 block is written directly from the channel values it places,
+    computed here with _xx_values' expressions: p, q and g for which=1; r,
+    s_rot and -g in their slots for which=2; f, e, z_ex, 1 - z_ex and k for
+    both. It equals, byte for byte, the partner-weighted sum over the 16x16
     xx_unitary_components. Each `+ 0.0` turns a -0.0 (a vanishing rotation
     at t = 0, or a zero product with a diagonal partner) into the +0.0 that
     sum gives; p (or r) has a nonzero cos * cos term and is never -0.0.
@@ -388,14 +396,24 @@ def xx_reduced_map(t: float, pair_params, env_bloch, which: int = 1) -> np.ndarr
         raise ValueError("environment Bloch vector has norm > 1")
     if which not in (1, 2):
         raise ValueError("which must be 1 or 2")
-    _, r, s_rot, p, q, f, e, z_stay, z_ex, g, k, *_ = _xx_values(t, h12, omega12, phi12)
-    if which == 2:
-        p, q, g = r, s_rot, -g
+    a = 2.0 * h12 * t
+    b = omega12 * t
+    c, s = math.cos(phi12), math.sin(phi12)
+    ca, sa = math.cos(a), math.sin(a)
+    cb, sb = math.cos(b), math.sin(b)
+    if which == 1:
+        p, q, g = cb * ca - c * sb * sa, cb * sa + c * sb * ca, c * s * sb * sb
+    else:  # r, s_rot and -g of _xx_values
+        p, q, g = cb * ca + c * sb * sa, cb * sa - c * sb * ca, -(c * s * sb * sb)
+    f = s * sa * sb
+    e = s * sb * ca
+    z_ex = s * s * sb * sb
+    k = 0.5 * s * math.sin(2.0 * b)
     return np.fromiter((
         1.0, 0.0, 0.0, 0.0,
         0.0, p, -q + 0.0, f * x + e * y + 0.0,
         0.0, q + 0.0, p, -e * x + f * y + 0.0,
-        z_ex * z + 0.0, g * x - k * y + 0.0, k * x + g * y + 0.0, z_stay,
+        z_ex * z + 0.0, g * x - k * y + 0.0, k * x + g * y + 0.0, 1.0 - z_ex,
     ), float, 16).reshape(4, 4)
 
 

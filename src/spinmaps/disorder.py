@@ -75,9 +75,14 @@ class DisorderSpec:
         if self.phi_dist == "gaussian":
             if self.sigma_phi is None or self.sigma_phi <= 0 or self.a_phi is not None:
                 raise ValueError("gaussian family needs sigma_phi > 0 (and no a_phi)")
+            # not >=, so that a NaN width is refused too
+            if not math.pi / self.sigma_phi >= MIN_VARPHI:
+                raise ValueError(f"varphi = pi / sigma_phi must be at least {MIN_VARPHI}")
         else:
             if self.a_phi is None or self.a_phi <= 0 or self.sigma_phi is not None:
                 raise ValueError("trunc_tanh family needs a_phi > 0 (and no sigma_phi)")
+            if not self.a_phi >= MIN_A_PHI:
+                raise ValueError(f"a_phi must be at least {MIN_A_PHI}")
 
     @property
     def varphi(self) -> float:
@@ -87,8 +92,10 @@ class DisorderSpec:
 
     @classmethod
     def from_varphi(cls, B, Omega, sigma_h, sigma_omega, varphi) -> "DisorderSpec":
-        if varphi <= 0:
-            raise ValueError("varphi must be positive")
+        # varphi itself, not only pi / (pi / varphi), which can round up to
+        # the floor from below it
+        if not varphi >= MIN_VARPHI:
+            raise ValueError(f"varphi must be at least {MIN_VARPHI}")
         return cls(B=B, Omega=Omega, sigma_h=sigma_h, sigma_omega=sigma_omega,
                    phi_dist="gaussian", sigma_phi=math.pi / varphi)
 
@@ -115,11 +122,16 @@ def trunc_tanh_pdf(phi, a_phi: float):
 
 
 def _sample_phi(spec: DisorderSpec, rng: np.random.Generator) -> float:
-    # The raw primitives standard_normal() and random() with the affine maps
-    # written out: normal(loc, scale) and uniform(lo, hi) compute exactly
-    # loc + scale * z and lo + (hi - lo) * u, with hi - lo = pi here, so the
-    # draws and the generator state are theirs bit for bit. The 0.0 + keeps
-    # normal(0, scale)'s +0.0 where scale * z is -0.0.
+    """One phase from the generator's raw primitives.
+
+    standard_normal() and random() with the affine maps written out:
+    normal(loc, scale) and uniform(lo, hi) compute exactly loc + scale * z
+    and lo + (hi - lo) * u, with hi - lo = pi here, so the draws and the
+    generator state are theirs bit for bit. The 0.0 + keeps normal(0,
+    scale)'s +0.0 where scale * z is -0.0. A trunc_tanh candidate takes its
+    (u, v) from one random(2) call: a block fill draws what that many
+    scalar calls draw, in their order, and leaves the same generator state.
+    """
     if spec.phi_dist == "gaussian":
         return 0.0 + spec.sigma_phi * rng.standard_normal()
     # Rejection with a uniform proposal; the density peaks at the endpoints,
@@ -127,17 +139,28 @@ def _sample_phi(spec: DisorderSpec, rng: np.random.Generator) -> float:
     a_phi = spec.a_phi
     ceil = math.tanh(a_phi * math.pi / 2.0) ** 2
     while True:
-        phi = -math.pi / 2.0 + math.pi * rng.random()
-        if rng.random() * ceil <= math.tanh(a_phi * phi) ** 2:
+        u, v = rng.random(2).tolist()
+        phi = -math.pi / 2.0 + math.pi * u
+        if v * ceil <= math.tanh(a_phi * phi) ** 2:
             return phi
 
 
 def sample_pair(spec: DisorderSpec, rng: np.random.Generator) -> PairEig:
     """One draw of the pair eigen-parameters: h, omega and phi in that order,
-    each from the generator's raw primitives (see _sample_phi)."""
-    h = spec.B + spec.sigma_h * rng.standard_normal()
-    omega = spec.Omega + spec.sigma_omega * rng.standard_normal()
-    return PairEig(h, omega, _sample_phi(spec, rng))
+    each from the generator's raw primitives (see _sample_phi).
+
+    The normals come from one standard_normal block per pair: h, omega and
+    the Gaussian phi's three, or h's and omega's two before the trunc_tanh
+    rejection loop. A block holds only draws the pair consumes, so a
+    generator reused after the call is where the scalar draws leave it.
+    """
+    if spec.phi_dist == "gaussian":
+        z_h, z_omega, z_phi = rng.standard_normal(3).tolist()
+        phi = 0.0 + spec.sigma_phi * z_phi  # as _sample_phi
+    else:
+        z_h, z_omega = rng.standard_normal(2).tolist()
+        phi = _sample_phi(spec, rng)
+    return PairEig(spec.B + spec.sigma_h * z_h, spec.Omega + spec.sigma_omega * z_omega, phi)
 
 
 class SampleStreams:
@@ -177,9 +200,9 @@ def mc_disorder_map(spec: DisorderSpec, t: float, env_bloch, n_samples: int,
     if n_samples < MIN_SAMPLES:
         raise ValueError(f"n_samples must be at least {MIN_SAMPLES}")
     maps = np.empty((n_samples, 4, 4))
-    streams = SampleStreams(seed)
+    stream_at = SampleStreams(seed).at
     for i in range(n_samples):
-        maps[i] = xx_reduced_map(t, sample_pair(spec, streams.at(i)), env_bloch, which)
+        maps[i] = xx_reduced_map(t, sample_pair(spec, stream_at(i)), env_bloch, which)
     mean = maps.mean(axis=0)
     stderr = maps.std(axis=0, ddof=1) / math.sqrt(n_samples)
     return mean, stderr

@@ -22,7 +22,7 @@ from spinmaps.disorder import (
     sample_pair,
     trunc_tanh_pdf,
 )
-from spinmaps.analytic import xx_eigenparams, xx_reduced_map
+from spinmaps.analytic import xx_eigenparams, xx_reduced_map, xx_unitary_components
 
 GAUSS = DisorderSpec.from_varphi(B=1.0, Omega=1.0, sigma_h=1.0,
                                  sigma_omega=1.0, varphi=3.0)
@@ -73,6 +73,29 @@ def test_width_bounds_sit_where_the_arithmetic_fails():
                                     varphi=MIN_VARPHI)
     comps = closedform_disorder_components(spec, 0.5)
     assert comps["z0z"] == 0.25 * (1.0 - math.cos(1.0) * math.exp(-0.5))
+
+
+def test_spec_refuses_widths_below_the_floors():
+    # the floors hold in the spec itself, not only in the CLI's range checks
+    common = dict(B=1.0, Omega=1.0, sigma_h=1.0, sigma_omega=1.0)
+    widest = math.pi / MIN_VARPHI  # the sigma_phi whose varphi is the floor
+    for sigma_phi in (widest, 1.0, 5e-324, math.nextafter(widest, 0.0)):
+        spec = DisorderSpec(sigma_phi=sigma_phi, **common)
+        assert spec.varphi >= MIN_VARPHI
+        assert all(math.isfinite(v) for v in closedform_disorder_components(spec, 0.5).values())
+    for sigma_phi in (math.nextafter(widest, math.inf), 1e200, math.inf, math.nan):
+        with pytest.raises(ValueError, match="varphi = pi / sigma_phi must be at least"):
+            DisorderSpec(sigma_phi=sigma_phi, **common)
+    assert DisorderSpec.from_varphi(varphi=MIN_VARPHI, **common).varphi == MIN_VARPHI
+    # pi / (pi / varphi) rounds this one up to the floor: varphi itself is checked
+    for varphi in (math.nextafter(MIN_VARPHI, 0.0), 1e-170, 0.0, -2.0, math.nan):
+        with pytest.raises(ValueError, match="varphi must be at least"):
+            DisorderSpec.from_varphi(varphi=varphi, **common)
+    for a_phi in (MIN_A_PHI, math.nextafter(MIN_A_PHI, math.inf), 1e-3):
+        assert DisorderSpec(phi_dist="trunc_tanh", a_phi=a_phi, **common).a_phi == a_phi
+    for a_phi in (math.nextafter(MIN_A_PHI, 0.0), 1e-170, 5e-324, math.nan):
+        with pytest.raises(ValueError, match="a_phi must be at least"):
+            DisorderSpec(phi_dist="trunc_tanh", a_phi=a_phi, **common)
 
 
 def test_trunc_tanh_pdf_normalized_and_supported():
@@ -195,6 +218,66 @@ def test_draws_equal_numpy_normal_and_uniform_bit_for_bit(spec, draw, reference)
         got, want = (got, want) if isinstance(got, tuple) else ((got,), (want,))
         assert [v.hex() for v in got] == [v.hex() for v in want]
         assert plain_state(rng) == plain_state(ref_rng)
+
+
+def scalar_pair(spec, rng):
+    """sample_pair with one generator call per draw: h's normal, omega's,
+    then phi's normal or each candidate's u and v."""
+    h = spec.B + spec.sigma_h * rng.standard_normal()
+    omega = spec.Omega + spec.sigma_omega * rng.standard_normal()
+    if spec.phi_dist == "gaussian":
+        return PairEig(h, omega, 0.0 + spec.sigma_phi * rng.standard_normal())
+    ceil = math.tanh(spec.a_phi * math.pi / 2.0) ** 2
+    while True:
+        u = rng.random()
+        v = rng.random()
+        phi = -math.pi / 2.0 + math.pi * u
+        if v * ceil <= math.tanh(spec.a_phi * phi) ** 2:
+            return PairEig(h, omega, phi)
+
+
+@pytest.mark.parametrize("spec", DRAW_SPECS[:2] + DRAW_SPECS[4:5],
+                         ids=["gaussian", "trunc_tanh", "a_phi_1e-3"])
+@pytest.mark.parametrize("make_rng", [lambda seed: SampleStreams(seed).at(seed),
+                                      np.random.default_rng], ids=["philox", "pcg64"])
+def test_one_call_draws_leave_the_generator_where_scalar_draws_do(spec, make_rng):
+    # two pairs on one generator, then one more draw of each primitive: the
+    # block fills consume exactly the scalar draws, in their order
+    for seed in range(200):
+        rng, ref = make_rng(seed), make_rng(seed)
+        for _ in range(2):
+            got, want = sample_pair(spec, rng), scalar_pair(spec, ref)
+            assert [v.hex() for v in got] == [v.hex() for v in want]
+        assert rng.standard_normal() == ref.standard_normal()
+        assert rng.random() == ref.random()
+        assert plain_state(rng) == plain_state(ref)
+
+
+def reference_mc(spec, t, env, n_samples, seed, which):
+    """mc_disorder_map as a loop of scalar draws on fresh Philox streams,
+    each map the partner-weighted sum over the 16x16 XX-pair channel."""
+    weights = np.array([1.0, *env])
+    maps = []
+    for i in range(n_samples):
+        u4 = xx_unitary_components(t, *scalar_pair(spec, fresh_rng(seed, i))).reshape(4, 4, 4, 4)
+        if which == 1:
+            maps.append(np.einsum("ilk,k->il", u4[:, 0, :, :], weights))
+        else:
+            maps.append(np.einsum("iml,m->il", u4[0, :, :, :], weights))
+    maps = np.array(maps)
+    return maps.mean(axis=0), maps.std(axis=0, ddof=1) / math.sqrt(n_samples)
+
+
+@pytest.mark.parametrize("spec", [GAUSS, TANH], ids=["gaussian", "trunc_tanh"])
+@pytest.mark.parametrize("which", [1, 2])
+@pytest.mark.parametrize("t, env", [(0.0, (0.0, 0.0, 0.6)), (0.0, (0.3, -0.4, 0.5)),
+                                    (1.7, (0.0, 0.0, -0.8)), (1.7, (-0.6, 0.0, 0.8))],
+                         ids=["t0_diagonal", "t0_transverse", "diagonal", "transverse"])
+def test_mc_disorder_map_is_byte_identical_to_a_scalar_reference_loop(spec, which, t, env):
+    mean, stderr = mc_disorder_map(spec, t, env, 150, seed=29, which=which)
+    ref_mean, ref_stderr = reference_mc(spec, t, env, 150, 29, which)
+    assert mean.tobytes() == ref_mean.tobytes()
+    assert stderr.tobytes() == ref_stderr.tobytes()
 
 
 def test_sample_pair_moments():
