@@ -61,7 +61,7 @@ def _check_env(env_z, n: int):
     if len(env) != n - 1:
         raise ValueError(f"need {n - 1} environment z values, got {len(env)}")
     for v in env:
-        if abs(v) > 1.0 + 1e-12:
+        if not abs(v) <= 1.0 + 1e-12:  # NaN fails too
             raise ValueError(f"|z| = {abs(v)} exceeds 1")
     return env
 
@@ -392,7 +392,7 @@ def xx_reduced_map(t: float, pair_params, env_bloch, which: int = 1) -> np.ndarr
     """
     h12, omega12, phi12 = pair_params
     x, y, z = map(float, env_bloch)
-    if x * x + y * y + z * z > 1.0 + 1e-12:
+    if not x * x + y * y + z * z <= 1.0 + 1e-12:  # NaN fails too
         raise ValueError("environment Bloch vector has norm > 1")
     if which not in (1, 2):
         raise ValueError("which must be 1 or 2")

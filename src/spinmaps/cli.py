@@ -249,9 +249,10 @@ def cmd_maps(cfg: dict) -> RunOutput:
             # longest partner vector consistent with the transverse components
             planar = cfg["x2"] ** 2 + cfg["y2"] ** 2
             cfg["z2"] = math.sqrt(max(1.0 - planar, 0.0))
-        partner = (cfg["x2"], cfg["y2"], cfg["z2"])
-        if math.hypot(math.hypot(*partner[:2]), partner[2]) > 1.0 + 1e-12:
-            raise ConfigError("x2: partner Bloch vector (x2, y2, z2) longer than 1")
+        try:
+            partner = qlinalg.bloch_vector((cfg["x2"], cfg["y2"], cfg["z2"]))
+        except ValueError:
+            raise ConfigError("x2: partner Bloch vector (x2, y2, z2) longer than 1") from None
         spec = network.NetworkSpec(
             topology="xx_pairs", n=2,
             pairs=(network.PairSpec(h1=cfg["h1"], h2=cfg["h2"], j=cfg["j"]),))
@@ -340,6 +341,7 @@ def cmd_steady(cfg: dict) -> RunOutput:
             "lambda3_fraction": str(steady.lambda3_exact),
             "tau3_fraction": str(steady.tau3_exact),
             "coeffs": {str(k): str(v) for k, v in steady.coeffs.items()},
+            "tau3_coeffs": {str(k): str(v) for k, v in steady.tau3_coeffs.items()},
         },
         "numeric": {"lambda3": num_l3, "tau3": num_t3, "lambda1": num_l1},
         "abs_diff": {"lambda3": diff_l3, "tau3": diff_t3},

@@ -3,17 +3,20 @@ staggered-quench ensemble of clusters.
 
 Phase-covariant maps are closed under convex combination, so the entry-wise
 mean of transfer matrices is again a valid (and physically meaningful)
-channel. Long-time averages of the closed-form families settle on steady
-channels whose lambda3/tau3 are polynomials in the elementary symmetric
-functions e_k of the environment z values with exact rational coefficients;
-those tables live here, the complete graph's derived at any N from its
+channel. Long-time averages settle on steady channels whose lambda3 and
+tau3 are exact polynomials in the site z values, one table each, of the form
+{orbit: coefficient}: a coefficient multiplies the mean of prod_{i in S} z_i
+over the site subsets S of one orbit of the network's symmetry (all
+k-subsets, named k, or a ring orbit, named by its smallest member). Those
+tables live here, the complete graph's derived at any N from its
 collective-spin blocks. `SpectralAverage` gives exact maps and running
 averages, of one site or the site average, from one eigendecomposition; its
 infinite-time limit is the diagonal ensemble, which the tables reproduce.
-Residual oscillations around the steady values decay like t_J/(N t). The bounding constant c, the sup of
-|delta| N t/t_J past an onset, comes from `converged_fluctuations` as a
-converged number: its tail grid is refined until doubling it moves c by less
-than 1% and the grid maximum is certified within 1% of the sup.
+Residual oscillations around the steady values decay like t_J/(N t). The
+bounding constant c, the sup of |delta| N t/t_J past an onset, comes from
+`converged_fluctuations` as a converged number: its tail grid is refined
+until doubling it moves c by less than 1% and the grid maximum is certified
+within 1% of the sup.
 
 Times are absolute throughout; callers divide by network.t_scale(J_perp)
 when they want t/t_J units.
@@ -216,12 +219,11 @@ class SpectralAverage:
 
 _F = Fraction
 
-# lambda3_inf = a_0 + sum_k a_k e_k / C(N, k) over even k >= 2;
-# tau3_inf = (1 - a_0) e_1 / N - sum_k a_k e_{k+1} / C(N, k+1).
-_STEADY_RING5 = {0: _F(71, 225), 2: _F(2, 45)}
-# Ring N=4 does not fit the pattern: the e_2 term is corrected by the two
-# antipodal pairs, and the e_3 term enters with the opposite sign.
-_STEADY_RING4 = {0: _F(7, 16), 2: _F(3, 16)}
+# (lambda3_inf, tau3_inf) of the rings, as {orbit: coefficient} (steady_tables)
+_STEADY_RING = {
+    4: ({0: _F(7, 16), 2: _F(3, 16), (0, 2): _F(-1, 4)}, {1: _F(9, 16), 3: _F(1, 16)}),
+    5: ({0: _F(71, 225), 2: _F(2, 45)}, {1: _F(154, 225), 3: _F(-2, 45)}),
+}
 
 
 @functools.cache
@@ -254,29 +256,32 @@ def collective_blocks(n: int) -> tuple:
 
 
 @functools.cache
-def _complete_table(n: int) -> dict:
-    """The complete graph's {a_k}, from the time-independent part of the z
-    block: the focal spin flips at the one gap J_perp (2J'+1) != 0 per
-    block, so a block keeps 1 - 2 (u(1-u) + v(1-v)) of lambda3. That is
-    sum_k b_k e_k' in the partners' e_k'; at uniform polarization x, e_k' =
-    C(n-1, k) x^k and the x^k coefficient is a_k = b_k C(n-1, k)."""
-    poly = [_F(0)] * n
+def _complete_table(n: int) -> tuple:
+    """The complete graph's (lambda3_inf, tau3_inf) tables, from the time-
+    independent part of the z block: the focal spin flips at the one gap
+    J_perp (2J'+1) != 0 per block, so a block keeps 1 - 2 (u(1-u) + v(1-v))
+    of lambda3 and 2 (v(1-v) - u(1-u)) of tau3. At uniform polarization x,
+    orbit k's mean is x^k: its coefficient is the block sum's x^k one."""
+    polys = ([_F(0)] * n, [_F(0)] * n)
     for up, weight, _, u, v in collective_blocks(n):
-        term = [weight * math.comb(n - 1, up) * (1 - 2 * (u * (1 - u) + v * (1 - v)))]
+        law = [weight * math.comb(n - 1, up)]
         # times ((1 + x)/2)^up ((1 - x)/2)^(n-1-up): the binomial law at x
         for sign in [1] * up + [-1] * (n - 1 - up):
-            term = [(a + sign * b) / 2 for a, b in zip(term + [0], [0] + term)]
-        poly = [a + b for a, b in zip(poly, term)]
-    return {k: a for k, a in enumerate(poly) if k == 0 or a}
+            law = [(a + sign * b) / 2 for a, b in zip(law + [0], [0] + law)]
+        flip_up, flip_down = u * (1 - u), v * (1 - v)
+        for poly, kept in zip(polys, (1 - 2 * (flip_up + flip_down), 2 * (flip_down - flip_up))):
+            poly[:] = [a + kept * b for a, b in zip(poly, law)]
+    return tuple({k: a for k, a in enumerate(poly) if a} for poly in polys)
 
 
 @dataclass(frozen=True)
 class SteadyChannel:
     """Late-time network-and-time-averaged channel: lambda1 -> 0, z sector
-    fixed by exact rational polynomials in the environment e_k."""
+    fixed by exact polynomials in the environment z (see steady_tables)."""
 
     n: int
-    coeffs: dict
+    coeffs: dict  # the lambda3_inf table
+    tau3_coeffs: dict  # the tau3_inf table
     lambda3: float
     tau3: float
     lambda3_exact: Fraction
@@ -292,23 +297,27 @@ class SteadyChannel:
         return True
 
 
-def _general_steady(n: int, coeffs: dict, e):
-    lam = coeffs[0]
-    tau = (1 - coeffs[0]) * e[1] / n
-    for k, a_k in coeffs.items():
-        if k == 0:
-            continue
-        lam = lam + a_k * e[k] / math.comb(n, k)
-        tau = tau - a_k * e[k + 1] / math.comb(n, k + 1)
-    return lam, tau
+def _orbit_mean(orbit, z):
+    """Mean of prod_{i in S} z_i over the site subsets S of one orbit: all
+    k-subsets for orbit = k, else the images of the sites `orbit` under the
+    ring's 2N rotations and reflections."""
+    n = len(z)
+    if isinstance(orbit, int):
+        return esym(z, orbit) / _F(math.comb(n, orbit))
+    return sum(math.prod(z[(r + s * i) % n] for i in orbit)
+               for r in range(n) for s in (1, -1)) / _F(2 * n)
 
 
 class UnsupportedNetwork(ValueError):
     """A network that no closed form or exact steady table covers."""
 
 
-def steady_table(spec: NetworkSpec) -> dict:
-    """The rational coefficient table of the network `spec`.
+def steady_tables(spec: NetworkSpec) -> tuple:
+    """The exact (lambda3_inf, tau3_inf) of the network `spec`, each a
+    polynomial {orbit: coefficient} whose terms are coefficient times
+    _orbit_mean: orbit k is all k-subsets, and any other ring orbit is named
+    by its smallest member. The form is complete, since both values are
+    multi-affine in z and invariant under the graph's automorphisms.
 
     Tables exist for the complete graph at every N (the 3-ring among them),
     derived from collective_blocks, the ring with N = 4, and the ring with
@@ -321,44 +330,43 @@ def steady_table(spec: NetworkSpec) -> dict:
     family, n = spec.family, spec.n
     if family == "complete":
         return _complete_table(n)
-    if family == "ring" and n == 4:
-        return _STEADY_RING4
-    if family == "ring" and n == 5:
-        if not isotropic(spec.j_perp, spec.j_par):
-            raise UnsupportedNetwork("ring N=5 steady table holds at the isotropic point only")
-        return _STEADY_RING5
+    if family == "ring" and n == 5 and not isotropic(spec.j_perp, spec.j_par):
+        raise UnsupportedNetwork("ring N=5 steady table holds at the isotropic point only")
+    if family == "ring" and n in _STEADY_RING:
+        return _STEADY_RING[n]
     raise UnsupportedNetwork(f"no steady table for ({family}, N={n})")
 
 
-def steady_channel(spec: NetworkSpec, z) -> SteadyChannel:
-    """Steady-channel values of a network that has a steady_table.
+def steady_table(spec: NetworkSpec) -> dict:
+    """The lambda3_inf table of steady_tables(spec), SteadyChannel.coeffs."""
+    return steady_tables(spec)[0]
 
-    z lists all N site polarizations (absolute site order; for the N=4 ring
-    the antipodal pairs are (z[0], z[2]) and (z[1], z[3])). Arithmetic runs
-    in exact rationals.
+
+def steady_channel(spec: NetworkSpec, z) -> SteadyChannel:
+    """Steady-channel values of a network that has steady_tables, in exact
+    rationals: lambda3 and tau3 are each their table's sum of coefficient
+    times _orbit_mean at the N site polarizations z (absolute site order),
+    each |z| <= 1.
     """
-    coeffs = steady_table(spec)
+    tables = steady_tables(spec)
     n = spec.n
     zf = [Fraction(v) for v in z]
     if len(zf) != n:
         raise ValueError(f"need {n} site values, got {len(zf)}")
-    e = [esym(zf, k) for k in range(n + 1)]
-
-    if spec.family == "ring" and n == 4:
-        pair_corr = e[2] - 4 * (zf[0] * zf[2] + zf[1] * zf[3])
-        lam = coeffs[0] + coeffs[2] * pair_corr / 6
-        tau = (1 - coeffs[0]) * e[1] / 4 + _F(1, 16) * e[3] / 4
-    else:
-        lam, tau = _general_steady(n, coeffs, e)
-
+    for site, v in enumerate(zf):
+        if abs(v) > 1:
+            raise ValueError(f"site {site}: |z| = {v} exceeds 1")
+    lam, tau = (sum(c * _orbit_mean(orbit, zf) for orbit, c in table.items())
+                for table in tables)
     return SteadyChannel(
         n=n,
-        coeffs=dict(coeffs),
+        coeffs=dict(tables[0]),
+        tau3_coeffs=dict(tables[1]),
         lambda3=float(lam),
         tau3=float(tau),
         lambda3_exact=lam,
         tau3_exact=tau,
-        e1=e[1],
+        e1=esym(zf, 1),
     )
 
 

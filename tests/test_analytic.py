@@ -306,6 +306,22 @@ def test_xx_reduced_map_rejections():
             xx_reduced_map(0.5, (0.3, 1.1, 0.4), (0.0, 0.0, 1.0), which)
 
 
+# a NaN partner describes no state: refused, not turned into a NaN channel
+def test_cc_params_refuses_a_nan_partner():
+    with pytest.raises(ValueError, match="exceeds 1"):
+        cc_params(3, 1.0, 1.0, 0.5, 0.3, [float("nan"), 0.2])
+
+
+def test_ring_params_refuses_a_nan_partner():
+    with pytest.raises(ValueError, match="exceeds 1"):
+        ring_params(4, 1.0, 1.0, 0.5, 0.3, [0.1, float("nan"), 0.2])
+
+
+def test_xx_reduced_map_refuses_a_nan_partner():
+    with pytest.raises(ValueError, match="norm > 1"):
+        xx_reduced_map(1.0, xx_eigenparams(1.0, 0.5, 1.0), (float("nan"), 0.0, 0.0))
+
+
 def test_xx_reduced_map_matches_dense_both_sites():
     h1, h2, j = 1.0, 0.4, 0.8
     spec = NetworkSpec(topology="xx_pairs", n=2, pairs=(PairSpec(h1, h2, j),))

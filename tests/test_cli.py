@@ -1,5 +1,7 @@
+import ast
 import csv
 import io
+import itertools
 import json
 import math
 import re
@@ -7,6 +9,7 @@ import shlex
 import struct
 import time
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -130,6 +133,8 @@ def test_readme_library_example_runs(capsys):
     ("fluct --onset-tj 300 --horizon-tj 100", None, "onset_tj"),
     # the partner of an XX pair is (x2, y2, z2); state is not read there
     ("maps --topology xx_pairs --x2 0.9 --y2 0.9", None, "x2"),
+    # a norm within 1 + 1e-12 by hypot, whose square x^2 + y^2 + z^2 is not
+    ("maps --topology xx_pairs --x2 1.0000000000008", None, "x2"),
 ])
 def test_out_of_range_grid_or_count_exits_2(tmp_path, capsys, line, config, field):
     argv = line.split() + ["--outdir", str(tmp_path / "runs")]
@@ -382,6 +387,42 @@ def test_steady_fixed_point_of_polarized_state_has_no_temperature(tmp_path, caps
     assert rc == 0
     diag = json.loads((last_run_dir(out) / "diagnostics.json").read_text())
     assert diag["fixed_point"] == {"a_star": 1.0, "beta_star": None, "degenerate": False}
+
+
+def written_table_value(table: dict, z) -> Fraction:
+    """A written {orbit: coefficient} table at z, each orbit read as the set of
+    its distinct subsets: all k-subsets for a key k, else the images of the
+    key's sites under the ring's rotations and reflections."""
+    n, total = len(z), Fraction(0)
+    for key, coeff in table.items():
+        orbit = ast.literal_eval(key)
+        if isinstance(orbit, int):
+            subsets = set(itertools.combinations(range(n), orbit))
+        else:
+            subsets = {tuple(sorted((r + s * i) % n for i in orbit))
+                       for r in range(n) for s in (1, -1)}
+        mean = Fraction(sum(math.prod(z[i] for i in subset) for subset in subsets), len(subsets))
+        total += Fraction(coeff) * mean
+    return total
+
+
+@pytest.mark.parametrize("topology, n", [("complete", n) for n in range(2, 9)]
+                         + [("ring", 4), ("ring", 5)])
+def test_written_steady_tables_reproduce_the_written_fractions(tmp_path, capsys, topology, n):
+    # diagnostics.json's coeffs and tau3_coeffs describe the channel the run checks
+    rng = np.random.default_rng(n)
+    picks = [int(k) for k in rng.integers(-100, 101, n)]
+    states = [(["--state", "hierarchy"], cli.preset_state(n, "hierarchy")),
+              (["--state", "custom", "--z-list=" + ",".join(str(k / 100) for k in picks)],
+               [Fraction(k, 100) for k in picks])]
+    for flags, z in states:
+        rc, out, _ = run_cli(["steady", "--topology", topology, "--n", str(n), *flags,
+                              "--horizon-tj", "0.1", "--tol", "1",
+                              "--outdir", str(tmp_path)], capsys)
+        assert rc == 0
+        exact = json.loads((last_run_dir(out) / "diagnostics.json").read_text())["exact"]
+        assert str(written_table_value(exact["coeffs"], z)) == exact["lambda3_fraction"]
+        assert str(written_table_value(exact["tau3_coeffs"], z)) == exact["tau3_fraction"]
 
 
 def test_maps_run_artifacts(tmp_path, capsys):

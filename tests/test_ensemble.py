@@ -409,7 +409,7 @@ STEADY_COMPLETE = {
 def test_steady_coefficient_tables():
     want = {(n, "complete"): coeffs for n, coeffs in STEADY_COMPLETE.items()}
     want[5, "ring"] = {0: Fraction(71, 225), 2: Fraction(2, 45)}
-    want[4, "ring"] = {0: Fraction(7, 16), 2: Fraction(3, 16)}
+    want[4, "ring"] = {0: Fraction(7, 16), 2: Fraction(3, 16), (0, 2): Fraction(-1, 4)}
     for (n, topo), coeffs in want.items():
         sc = steady_channel(iso(topo, n), [Fraction(1, 2)] * n)
         assert sc.coeffs == coeffs
@@ -489,8 +489,10 @@ def test_steady_permutation_invariance(perm):
 def test_steady_ring4_cyclic_but_not_transposition():
     z = [Fraction(1), Fraction(-1, 2), Fraction(1, 3), Fraction(2, 3)]
     base = steady_channel(iso("ring", 4), z)
-    cyc = steady_channel(iso("ring", 4), z[1:] + z[:1])
-    assert base.lambda3_exact == cyc.lambda3_exact
+    # a rotation, the reversal and the reflection through site 0
+    for image in (z[1:] + z[:1], z[::-1], [z[0], z[3], z[2], z[1]]):
+        other = steady_channel(iso("ring", 4), image)
+        assert (base.lambda3_exact, base.tau3_exact) == (other.lambda3_exact, other.tau3_exact)
     swapped = steady_channel(iso("ring", 4), [z[1], z[0], z[2], z[3]])
     assert base.lambda3_exact != swapped.lambda3_exact
 
@@ -503,6 +505,15 @@ def test_steady_channel_validation():
         steady_channel(NetworkSpec("ring", 5, j_perp=1.0, j_par=0.6), [0] * 5)
     with pytest.raises(ValueError):
         steady_channel(iso("complete", 3), [0, 0])  # wrong length
+
+
+def test_steady_channel_refuses_unphysical_z():
+    # |z| <= 1 exactly, checked on the Fractions, the site named
+    with pytest.raises(ValueError, match="site 0"):
+        steady_channel(iso("complete", 3), [2, 0, 0])
+    with pytest.raises(ValueError, match="site 2"):
+        steady_channel(iso("ring", 4), [1, -1, Fraction(-10**17 - 1, 10**17), 0])
+    assert steady_channel(iso("ring", 4), [1, -1, -1, 0]).n == 4
 
 
 # ---------------------------------------------------------------------------

@@ -2,11 +2,12 @@
 
     python3 tools/contract.py --against <rev> [--full]
 
-Checks <rev> out with `git worktree add` into a temporary directory (and
-removes the worktree when done), then runs every `spinmaps` line of the
-README's command blocks, read as tests/test_cli.py's readme_commands reads
-them, and every line of EDGE_LINES, once against each tree's src/. Each run is a fresh process with BLAS
-at 1 thread and its own output directory. `disorder` lines run at
+Unpacks <rev> with `git archive <rev> | tar -x` into a temporary directory
+(nothing under .git is written, and nothing is left to clean up), then runs
+every `spinmaps` line of the README's command blocks, read as
+tests/test_cli.py's readme_commands reads them, and every line of
+EDGE_LINES, once against each tree's src/. Each run is a fresh process with
+BLAS at 1 thread and its own output directory. `disorder` lines run at
 --n-samples 2000 unless --full runs them at the sample counts they give
 (several minutes for the README's 200,000-sample line), and each `measure`
 line runs once more with --no-overlay.
@@ -70,9 +71,12 @@ ONE_THREAD = {name: "1" for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
 # `steady` and `fluct` lines whose roundoff budget eps ||H|| t_max is at or
 # above a quarter of their tolerance (exit 4; before the budget they exited
 # 3 as a horizon too short, a numerical failure and a NaN doubling change).
-# Last, a `disorder` line whose roundoff budget
+# Then a `disorder` line whose roundoff budget
 # eps (2|B| + |Omega| + 4 sigma_h + sigma_omega) t_max is at or above 1e-4
 # (exit 4; before the budget it exited 3 as closed-form/MC disagreements).
+# Last, an `xx_pairs` partner whose norm passes a hypot test but not
+# bloch_vector's x^2 + y^2 + z^2 <= 1 + 1e-12 (exit 2, naming x2; before,
+# the message named no option).
 EDGE_LINES = (
     "spinmaps steady --n 1",
     "spinmaps steady --topology ring --n 2",
@@ -126,6 +130,7 @@ EDGE_LINES = (
     "spinmaps steady --h 1e300 --j-perp 1e-300",
     "spinmaps fluct --j-perp 3e-306 --horizon-tj 40",
     "spinmaps disorder --b 1e300",
+    "spinmaps maps --topology xx_pairs --x2 1.0000000000008",
 )
 
 
@@ -269,21 +274,19 @@ def main(argv=None) -> int:
     changed = False
     with tempfile.TemporaryDirectory(prefix="spinmaps-contract-") as tmp:
         base = Path(tmp) / "tree"
-        subprocess.run(["git", "-C", str(ROOT), "worktree", "add", "--detach", "--quiet",
-                        str(base), args.against], check=True)
-        try:
-            for k, argv_k in enumerate(lines):
-                results = []
-                for side, tree in (("rev", base), ("new", ROOT)):
-                    outdir = Path(tmp) / f"{side}-{k}" / "out"
-                    outdir.parent.mkdir()
-                    results.append(run(tree, argv_k, outdir))
-                for name, verdict in compare(*results):
-                    changed |= verdict != "identical"
-                    print(f"spinmaps {shlex.join(argv_k)} | {name} | {verdict}", flush=True)
-        finally:
-            subprocess.run(["git", "-C", str(ROOT), "worktree", "remove", "--force", str(base)],
-                           check=True)
+        base.mkdir()
+        archive = subprocess.run(["git", "-C", str(ROOT), "archive", args.against],
+                                 check=True, stdout=subprocess.PIPE).stdout
+        subprocess.run(["tar", "-x", "-C", str(base)], input=archive, check=True)
+        for k, argv_k in enumerate(lines):
+            results = []
+            for side, tree in (("rev", base), ("new", ROOT)):
+                outdir = Path(tmp) / f"{side}-{k}" / "out"
+                outdir.parent.mkdir()
+                results.append(run(tree, argv_k, outdir))
+            for name, verdict in compare(*results):
+                changed |= verdict != "identical"
+                print(f"spinmaps {shlex.join(argv_k)} | {name} | {verdict}", flush=True)
     return 1 if changed else 0
 
 
