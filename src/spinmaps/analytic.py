@@ -24,6 +24,8 @@ Families covered, all against diagonal (Bloch-z) environments:
   call. The kernel and the reference share the expressions, not the code.
 - closed_form: the transfer matrix of any NetworkSpec that a family above
   covers; the families' own checks raise UnsupportedNetwork for the rest.
+- map_series: the `maps` pipeline, numeric maps held to closed_form within
+  ORACLE_TOL where the roundoff budget stays under ROUNDOFF_LIMIT.
 
 cc_params, ring_params and closed_form take a time or an array of times t,
 one code path for both; closed_form loops the XX pair, built per time, over t.
@@ -51,8 +53,10 @@ import struct
 
 import numpy as np
 
+from . import ensemble, network, reduced
 from .ensemble import UnsupportedNetwork, collective_blocks
 from .network import NetworkSpec
+from .qlinalg import HermitianEvolver, InvariantError, Result, roundoff_budget
 from .reduced import PCParams
 
 
@@ -448,3 +452,71 @@ def closed_form(spec: NetworkSpec, site: int, env_blochs, t) -> np.ndarray:
     params = cc_params if spec.family == "complete" else ring_params
     env_z = [b[2] for b in env[site:] + env[:site]]
     return params(spec.n, t, spec.j_perp, spec.j_par, spec.h, env_z).transfer()
+
+
+ORACLE_TOL = 1e-9  # how far maps may be from their closed form
+# the roundoff budget eps max|E| t_max below which ORACLE_TOL holds with a 4x margin
+ROUNDOFF_LIMIT = 2.5e-10
+CP_TOL = 1e-9  # the slack of map_series' CP gate
+COVARIANCE_TOL = 1e-8  # the residual below which map_series reports phase_covariant
+
+
+def map_series(spec: NetworkSpec, envs: dict, t_j: float, t_max_tj: float,
+               points_per_tj: float, warn=lambda reason: None) -> Result:
+    """Maps of each site of `envs` ({site: partner Bloch vectors}) and their
+    average, to t_max_tj. A CP violation raises InvariantError; the check
+    fails beyond ORACLE_TOL from the closed form, or calls warn(reason) where
+    none exists. UnsupportedNetwork where eps max|E| t_max >= ROUNDOFF_LIMIT."""
+    times = ensemble.uniform_grid(t_j, t_max_tj, points_per_tj)
+    evolver = HermitianEvolver(network.build_hamiltonian(spec))
+    # the phases e^{-iEt} of both sides carry an absolute error of about eps |E| t
+    budget = roundoff_budget(float(np.abs(evolver.energies).max()), float(times[-1]))
+    if not budget < ROUNDOFF_LIMIT:
+        options = "h1, h2, j" if spec.topology == "xx_pairs" else "h, j_perp, j_par"
+        raise UnsupportedNetwork(
+            f"roundoff budget eps max|E| t_max = {budget:.2e}, set by {options} and t_max_tj, "
+            f"is not below {ROUNDOFF_LIMIT:g}: maps cannot hold {ORACLE_TOL:g} here")
+    extractors = [reduced.MapExtractor(evolver, s, env) for s, env in envs.items()]
+    try:
+        oracle = np.stack([closed_form(spec, s, env, times) for s, env in envs.items()])
+        analytic_reason = None
+    except UnsupportedNetwork as exc:
+        oracle, analytic_reason = None, str(exc)
+        warn(analytic_reason)
+
+    # maps[i, k]: site i at times[k]; the last row is their network average
+    maps = np.empty((len(extractors) + 1, times.size, 4, 4))
+    for k, t in enumerate(times):
+        for i, extractor in enumerate(extractors):
+            maps[i, k] = extractor.transfer(t)
+    maps[-1] = ensemble.network_average(maps[:-1])
+    p = reduced.fit_pc(maps)
+    labels = [str(s) for s in envs] + ["avg"]
+    bad = np.argwhere(~reduced.cp_ok(p.lambda1, p.tau3, p.lambda3, tol=CP_TOL).T)
+    if bad.size:  # the first failure in row order: by time, sites before the average
+        k, i = bad[0]
+        at = f"t={times[k] / t_j:.3f} t_J"
+        if labels[i] == "avg":
+            raise InvariantError(f"CP violation in network average at {at}")
+        raise InvariantError(
+            f"CP violation at {at}, site {labels[i]}: (l1={float(p.lambda1[i, k])}, "
+            f"tau3={float(p.tau3[i, k])}, l3={float(p.lambda3[i, k])})")
+
+    # rows by time, then by label
+    columns = [np.repeat(times / t_j, len(labels)).tolist(), labels * times.size]
+    columns += [c.T.ravel().tolist() for c in (p.lambda1, p.theta, p.lambda3, p.tau3, p.residual)]
+    max_resid = float(p.residual[:-1].max())
+    analytic_check = None if oracle is None else {
+        "max_abs_err": float(np.max(np.abs(oracle - maps[:-1])))}
+
+    header = ("t_over_tj", "site", "lambda1", "theta", "lambda3", "tau3", "residual")
+    return Result({"data.csv": (header, columns)}, {
+        "phase_covariant": bool(max_resid < COVARIANCE_TOL),
+        "max_residual": max_resid,
+        "analytic_check": analytic_check,
+        "analytic_skip_reason": analytic_reason,
+        "roundoff_budget": budget,
+        "t_j": t_j,
+    }, None if analytic_check is None or analytic_check["max_abs_err"] <= ORACLE_TOL else
+        f"closed form and numeric maps disagree: max_abs_err "
+        f"{analytic_check['max_abs_err']:.2e} > {ORACLE_TOL:g}")

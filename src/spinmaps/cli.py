@@ -1,17 +1,17 @@
-"""Run driver: each pipeline as a reproducible command emitting CSV/JSON.
+"""Run driver: the command-line shell over the library's pipelines.
 
-Subcommands: maps, steady, fluct, disorder, measure, volume, quench. Each
-cmd_* only computes and returns a RunOutput whose tables are columns:
-floats, or text labels. main renders every table, then claims
+Subcommands: maps, steady, fluct, disorder, measure, volume, quench. Each is
+one library function with its thresholds and verdict, returning a
+qlinalg.Result: CSV tables as columns, diagnostics, and the failed verdict,
+if any. The shell owns the rest: the option table and its range checks,
+state presets, --config, each command's mapping from options to its library
+call, run directories, the one CSV renderer (render_csv), and the mapping
+from error or verdict to exit code. main renders every table, then claims
 <outdir>/<command>-<timestamp>[-NN]/ and writes manifest.json (full config
-echo, seed, tool version), the command's CSV files and diagnostics.json,
-and prints the directory. One renderer writes every CSV: a per-row
-%-template, "%.17g" for a float (format(x, ".17g"), enough digits to read
-the same double back) and "%s" for a label, CRLF line ends, one write per
-file. Labels never need RFC 4180 quoting; one that would is refused. A run
-that raises writes nothing; a failed verdict exits 3 after its files are
-written. Bodies are byte-identical under a fixed (config, seed); only the
-manifest carries the timestamp.
+echo, seed, tool version), the CSV files and diagnostics.json, and prints
+the directory. A run that raises writes nothing; a failed verdict exits 3
+after its files are written. Bodies are byte-identical under a fixed
+(config, seed); only the manifest carries the timestamp.
 
 Every option is declared once, in OPTIONS: its flag, type, default per
 command, range checks, choices, the `maps` setup that reads it and its help.
@@ -21,13 +21,9 @@ the process; a --config file's defaults are set on it for one call only.
 
 Config resolution: built-in defaults < JSON file (--config) < flags; the
 merged values are then checked once, range by range in RANGES order. Exit
-codes: 0 success, 2 config error (a run too large for memory included), 3
-invariant violation or internal numerical failure, 4 unsupported
-combination.
-
-Times in data files are in units of t_J except the disorder command, whose
-absolute t shares units with 1/B, 1/Omega (no exchange scale there).
-Only maps, steady and fluct sample a time grid (--points-per-tj).
+codes: 0 success, 2 config error (any ValueError, a run too large for
+memory included), 3 invariant violation, numerical failure or failed
+verdict, 4 unsupported combination.
 """
 
 from __future__ import annotations
@@ -44,9 +40,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Callable, NamedTuple
 
-import numpy as np
-
-from . import __version__, analytic, disorder, ensemble, measure, network, qlinalg, reduced
+from . import __version__, analytic, disorder, ensemble, measure, network, qlinalg
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -60,8 +54,7 @@ class ConfigError(ValueError):
     pass
 
 
-class InvariantError(RuntimeError):
-    pass
+InvariantError = qlinalg.InvariantError  # render_csv's refusal, as a run's stop
 
 
 def preset_state(n: int, state: str, z=None, z_list=None):
@@ -156,32 +149,6 @@ def _read_config(path) -> dict:
     return data
 
 
-class RunOutput(NamedTuple):
-    """What a command computed, for main to write: CSV tables by file name as
-    (header, columns) for render_csv, the diagnostics.json object, and the
-    failed verdict, if any, that exits 3 once the files are written."""
-
-    tables: dict
-    diagnostics: dict
-    failure: str | None = None
-
-
-def _uniform_grid(t_j: float, t_max_tj: float, points_per_tj: float):
-    n_pts = int(round(t_max_tj * points_per_tj)) + 1
-    return np.linspace(0.0, t_max_tj * t_j, n_pts)
-
-
-def _horizon_grid(cfg: dict, t_j: float):
-    """The grid to horizon_tj that steady and fluct average over: 2 points at
-    least, and for fluct a point past onset_tj (converged_fluctuations' own test)."""
-    times = _uniform_grid(t_j, cfg["horizon_tj"], cfg["points_per_tj"])
-    if times.size < 2:
-        raise ConfigError(f"horizon_tj: must exceed half a grid step, got {cfg['horizon_tj']}")
-    if "onset_tj" in cfg and not np.any(times / t_j > cfg["onset_tj"]):
-        raise ConfigError(f"onset_tj: must be below horizon_tj, got {cfg['onset_tj']}")
-    return times
-
-
 def _network(cfg: dict, topology: str | None = None) -> network.NetworkSpec:
     """The NetworkSpec of the run's XXZ network.
 
@@ -201,44 +168,16 @@ def _network(cfg: dict, topology: str | None = None) -> network.NetworkSpec:
                                j_perp=j_perp, j_par=j_par)
 
 
-def _steady(cfg: dict, spec: network.NetworkSpec):
-    """(initial z, exact steady channel) of the run. A network without a
+def _steady(cfg: dict, topology: str | None = None):
+    """(spec, initial z, exact steady channel) of the run. A network without a
     table raises UnsupportedNetwork before the state is checked."""
+    spec = _network(cfg, topology)
     ensemble.steady_table(spec)
     z = preset_state(spec.n, cfg["state"], cfg["z"], cfg["z_list"])
-    return z, ensemble.steady_channel(spec, z)
+    return spec, z, ensemble.steady_channel(spec, z)
 
 
-def _steady_run(cfg: dict, tol: float, name: str, command: str):
-    """(spec, z, exact steady channel, t_J, averaging grid) of a steady or
-    fluct run; UnsupportedNetwork where the roundoff budget eps ||H|| t_max of
-    the phases e^{-iEt} is not below tol/4, a 4x margin under the command's
-    tolerance `name`. ||H|| <= N|h| + sum over bonds of |J_perp| + |J_par|/2,
-    in Python floats: an overflow gives inf, without a warning."""
-    spec = _network(cfg)
-    z, steady = _steady(cfg, spec)
-    t_j = network.t_scale(spec.j_perp)
-    times = _horizon_grid(cfg, t_j)
-    norm = spec.n * abs(spec.h) + sum(abs(jp) + abs(jz) / 2 for _, _, jp, jz in spec.bonds)
-    budget = sys.float_info.epsilon * norm * float(times[-1])
-    if not budget < tol / 4:
-        raise ensemble.UnsupportedNetwork(
-            f"roundoff budget eps ||H|| t_max = {budget:.2e}, set by n, h, j_perp, j_par and "
-            f"horizon_tj, is not below {name}/4 = {tol / 4:g}: {command} cannot hold its "
-            f"{name} {tol:g} here")
-    return spec, z, steady, t_j, times
-
-
-# ---------------------------------------------------------------------------
-# maps
-# ---------------------------------------------------------------------------
-
-ORACLE_TOL = 1e-9  # how far maps may be from their closed form
-# the roundoff budget eps max|E| t_max below which ORACLE_TOL holds with a 4x margin
-ROUNDOFF_LIMIT = 2.5e-10
-
-
-def cmd_maps(cfg: dict) -> RunOutput:
+def cmd_maps(cfg: dict) -> qlinalg.Result:
     # what only the other setup reads keeps its built-in (not --config) default
     setup = "pair" if cfg["topology"] == "xx_pairs" else "network"
     for opt in _BY_COMMAND["maps"]:
@@ -263,291 +202,50 @@ def cmd_maps(cfg: dict) -> RunOutput:
         z = [float(v) for v in preset_state(spec.n, cfg["state"], cfg["z"], cfg["z_list"])]
         t_j = network.t_scale(spec.j_perp)
         envs = {s: [(0.0, 0.0, z[k]) for k in range(spec.n) if k != s] for s in range(spec.n)}
-
-    times = _uniform_grid(t_j, cfg["t_max_tj"], cfg["points_per_tj"])
-    evolver = qlinalg.HermitianEvolver(network.build_hamiltonian(spec))
-    # the phases e^{-iEt} of both sides carry an absolute error of about eps |E| t
-    budget = sys.float_info.epsilon * float(np.abs(evolver.energies).max()) * float(times[-1])
-    if not budget < ROUNDOFF_LIMIT:
-        options = "h1, h2, j" if setup == "pair" else "h, j_perp, j_par"
-        raise ensemble.UnsupportedNetwork(
-            f"roundoff budget eps max|E| t_max = {budget:.2e}, set by {options} and t_max_tj, "
-            f"is not below {ROUNDOFF_LIMIT:g}: maps cannot hold {ORACLE_TOL:g} here")
-    extractors = [reduced.MapExtractor(evolver, s, env) for s, env in envs.items()]
-    try:
-        oracle = np.stack([analytic.closed_form(spec, s, env, times) for s, env in envs.items()])
-        analytic_reason = None
-    except ensemble.UnsupportedNetwork as exc:
-        oracle, analytic_reason = None, str(exc)
-        print(f"warning: running numeric-only ({analytic_reason})", file=sys.stderr)
-
-    # maps[i, k]: site i at times[k]; the last row is their network average
-    maps = np.empty((len(extractors) + 1, times.size, 4, 4))
-    for k, t in enumerate(times):
-        for i, extractor in enumerate(extractors):
-            maps[i, k] = extractor.transfer(t)
-    maps[-1] = ensemble.network_average(maps[:-1])
-    p = reduced.fit_pc(maps)
-    labels = [str(s) for s in envs] + ["avg"]
-    bad = np.argwhere(~reduced.cp_ok(p.lambda1, p.tau3, p.lambda3, tol=1e-9).T)
-    if bad.size:  # the first failure in row order: by time, sites before the average
-        k, i = bad[0]
-        at = f"t={times[k] / t_j:.3f} t_J"
-        if labels[i] == "avg":
-            raise InvariantError(f"CP violation in network average at {at}")
-        raise InvariantError(
-            f"CP violation at {at}, site {labels[i]}: (l1={float(p.lambda1[i, k])}, "
-            f"tau3={float(p.tau3[i, k])}, l3={float(p.lambda3[i, k])})")
-
-    # rows by time, then by label
-    columns = [np.repeat(times / t_j, len(labels)).tolist(), labels * times.size]
-    columns += [c.T.ravel().tolist() for c in (p.lambda1, p.theta, p.lambda3, p.tau3, p.residual)]
-    max_resid = float(p.residual[:-1].max())
-    analytic_check = None if oracle is None else {
-        "max_abs_err": float(np.max(np.abs(oracle - maps[:-1])))}
-
-    header = ("t_over_tj", "site", "lambda1", "theta", "lambda3", "tau3", "residual")
-    return RunOutput({"data.csv": (header, columns)}, {
-        "phase_covariant": bool(max_resid < 1e-8),
-        "max_residual": max_resid,
-        "analytic_check": analytic_check,
-        "analytic_skip_reason": analytic_reason,
-        "roundoff_budget": budget,
-        "t_j": t_j,
-    }, None if analytic_check is None or analytic_check["max_abs_err"] <= ORACLE_TOL else
-        f"closed form and numeric maps disagree: max_abs_err "
-        f"{analytic_check['max_abs_err']:.2e} > {ORACLE_TOL:g}")
+    return analytic.map_series(
+        spec, envs, t_j, cfg["t_max_tj"], cfg["points_per_tj"],
+        warn=lambda why: print(f"warning: running numeric-only ({why})", file=sys.stderr))
 
 
-# ---------------------------------------------------------------------------
-# steady
-# ---------------------------------------------------------------------------
-
-def cmd_steady(cfg: dict) -> RunOutput:
-    spec, z, steady, t_j, times = _steady_run(cfg, cfg["tol"], "tol", "steady")
-    fixed = reduced.fixed_point(reduced.PCParams(0.0, 0.0, steady.lambda3, steady.tau3))
-    series = ensemble.network_series(spec, z, times)
-    running = reduced.fit_pc(ensemble.time_average(times, series))
-    l3s, t3s, l1s = running.lambda3.tolist(), running.tau3.tolist(), running.lambda1.tolist()
-
-    num_l3, num_t3, num_l1 = l3s[-1], t3s[-1], l1s[-1]
-    diff_l3 = abs(num_l3 - steady.lambda3)
-    diff_t3 = abs(num_t3 - steady.tau3)
-
-    columns = [(times / t_j).tolist(), l3s, t3s, l1s]
-    diagnostics = {
-        "exact": {
-            "lambda3": steady.lambda3, "tau3": steady.tau3,
-            "lambda3_fraction": str(steady.lambda3_exact),
-            "tau3_fraction": str(steady.tau3_exact),
-            "coeffs": {str(k): str(v) for k, v in steady.coeffs.items()},
-            "tau3_coeffs": {str(k): str(v) for k, v in steady.tau3_coeffs.items()},
-        },
-        "numeric": {"lambda3": num_l3, "tau3": num_t3, "lambda1": num_l1},
-        "abs_diff": {"lambda3": diff_l3, "tau3": diff_t3},
-        "constraint_ok": steady.constraint_ok(),
-        # late-time invariant Bloch z and inverse temperature (null: infinite)
-        "fixed_point": {"a_star": fixed.a_star, "degenerate": fixed.degenerate,
-                        "beta_star": None if math.isinf(fixed.beta_star) else fixed.beta_star},
-        "horizon_tj": cfg["horizon_tj"],
-        "tol": cfg["tol"],
-        "pass": bool(diff_l3 < cfg["tol"] and diff_t3 < cfg["tol"]),
-    }
-    header = ("t_over_tj", "lambda3_avg", "tau3_avg", "lambda1_avg")
-    return RunOutput({"data.csv": (header, columns)}, diagnostics,
-                     None if diagnostics["pass"] else
-                     f"horizon too short: |diff| = ({diff_l3:.2e}, {diff_t3:.2e}) "
-                     f"> tol {cfg['tol']}")
+def cmd_steady(cfg: dict) -> qlinalg.Result:
+    return ensemble.steady_series(*_steady(cfg), cfg["horizon_tj"], cfg["points_per_tj"],
+                                  cfg["tol"])
 
 
-# ---------------------------------------------------------------------------
-# fluct
-# ---------------------------------------------------------------------------
-
-def cmd_fluct(cfg: dict) -> RunOutput:
-    spec, z, steady, t_j, times = _steady_run(cfg, ensemble.FLUCT_RTOL, "rtol", "fluct")
-    series = ensemble.converged_fluctuations(ensemble.SpectralAverage(spec, z), steady, t_j,
-                                             times, onset=cfg["onset_tj"])
-    rtol = ensemble.FLUCT_RTOL
-    converged = bool(series.rel_change < rtol and series.sup_gap < rtol)
-
-    columns = [series.t_over_tj.tolist(), series.delta_lambda3.tolist(),
-               series.delta_tau3.tolist()]
-    diagnostics = {
-        "c_lambda3": series.c_lambda3,
-        "c_tau3": series.c_tau3,
-        "lambda3_normalized": series.lambda3_normalized,
-        "tau3_normalized": series.tau3_normalized,
-        "onset_tj": series.onset,
-        "n": series.n,
-        "steady": {"lambda3": steady.lambda3, "tau3": steady.tau3},
-        "sup_points_per_tj": series.points_per_tj,
-        "rel_change": series.rel_change,
-        "sup_gap": series.sup_gap,
-        "rtol": rtol,
-        "converged": converged,
-    }
-    header = ("t_over_tj", "delta_lambda3", "delta_tau3")
-    return RunOutput({"data.csv": (header, columns)}, diagnostics,
-                     None if converged else
-                     f"fluctuation constants not converged: doubling change "
-                     f"{series.rel_change:.2e}, sup gap {series.sup_gap:.2e} "
-                     f"(rtol {rtol}); start finer with --points-per-tj")
+def cmd_fluct(cfg: dict) -> qlinalg.Result:
+    return ensemble.fluct_series(*_steady(cfg), cfg["horizon_tj"], cfg["points_per_tj"],
+                                 cfg["onset_tj"])
 
 
-# ---------------------------------------------------------------------------
-# disorder
-# ---------------------------------------------------------------------------
-
-def _disorder_spec(cfg):
+def cmd_disorder(cfg: dict) -> qlinalg.Result:
     common = dict(B=cfg["b"], Omega=cfg["omega"],
                   sigma_h=cfg["sigma_h"], sigma_omega=cfg["sigma_omega"])
     if cfg["phi_dist"] == "gaussian":
-        return disorder.DisorderSpec.from_varphi(varphi=cfg["varphi"], **common)
-    if cfg["a_phi"] is None:
+        spec = disorder.DisorderSpec.from_varphi(varphi=cfg["varphi"], **common)
+    elif cfg["a_phi"] is None:
         raise ConfigError("a_phi: trunc_tanh family needs --a-phi")
-    return disorder.DisorderSpec(phi_dist="trunc_tanh", a_phi=cfg["a_phi"], **common)
+    else:
+        spec = disorder.DisorderSpec(phi_dist="trunc_tanh", a_phi=cfg["a_phi"], **common)
+    return disorder.disorder_series(spec, cfg["z2"], cfg["t_max"], cfg["steps"],
+                                    cfg["n_samples"], cfg["seed"])
 
 
-# the roundoff budget eps (2|B| + |Omega| + 4 sigma_h + sigma_omega) t_max
-# below which the phases 2ht and omega t keep four correct digits: more than
-# 10x under the standard error of a 200,000-sample run, and four decades
-# under the smallest budget (1.4) at which the closed form and Monte Carlo
-# were seen to disagree
-DISORDER_ROUNDOFF_LIMIT = 1e-4
+def cmd_measure(cfg: dict) -> qlinalg.Result:
+    preset = {"cc": "complete", "ring": "ring"}[cfg["preset"]]
+    return measure.measure_series(*_steady(cfg, preset), cfg["t_max_tj"], cfg["steps"], cfg["c"],
+                                  cfg["tau3_rule"], cfg["seed"], cfg["scatter_samples"],
+                                  cfg["overlay"])
 
 
-def cmd_disorder(cfg: dict) -> RunOutput:
-    spec = _disorder_spec(cfg)
-    # the phases carry an absolute error of about eps times the largest
-    # |2h| and |omega| drawn (two sigma out) at t_max, in Python floats:
-    # an overflow gives inf, without a warning
-    rate = 2.0 * abs(spec.B) + abs(spec.Omega) + 4.0 * spec.sigma_h + spec.sigma_omega
-    budget = sys.float_info.epsilon * rate * cfg["t_max"]
-    if not budget < DISORDER_ROUNDOFF_LIMIT:
-        raise ensemble.UnsupportedNetwork(
-            f"roundoff budget eps (2|b| + |omega| + 4 sigma_h + sigma_omega) t_max = "
-            f"{budget:.2e}, set by b, omega, sigma_h, sigma_omega and t_max, is not below "
-            f"{DISORDER_ROUNDOFF_LIMIT:g}: disorder's phases 2ht and omega t keep fewer than four "
-            f"correct digits here")
-    n_samples, seed, z2 = int(cfg["n_samples"]), int(cfg["seed"]), float(cfg["z2"])
-    rows = []
-    flagged = []
-    for t in np.linspace(0.0, cfg["t_max"], int(cfg["steps"])).tolist():
-        for c in disorder.disorder_components(spec, t, z2, n_samples, seed):
-            # a family without a closed form leaves its column empty
-            cf = "" if c.closed_form is None else c.closed_form
-            rows.append((t, c.name, c.mc_mean, c.mc_stderr, cf))
-            if c.flagged:
-                flagged.append({"t": t, "component": c.name,
-                                "closed_form": c.closed_form,
-                                "mc_mean": c.mc_mean, "mc_stderr": c.mc_stderr})
-
-    diagnostics = {"flagged": flagged, "phi_dist": spec.phi_dist}
-    if spec.phi_dist != "gaussian":
-        diagnostics.update(disorder.sin2_phi_headroom(spec, n_samples, seed))
-
-    header = ("t", "component", "mc_mean", "mc_stderr", "closed_form")
-    return RunOutput({"data.csv": (header, list(zip(*rows)))}, diagnostics,
-                     f"{len(flagged)} closed-form/MC disagreements beyond "
-                     f"{disorder.PULL_LIMIT:g} stderr (see diagnostics.json)" if flagged else None)
+def cmd_volume(cfg: dict) -> qlinalg.Result:
+    return measure.volume_check(cfg["samples"], cfg["seed"])
 
 
-# ---------------------------------------------------------------------------
-# measure
-# ---------------------------------------------------------------------------
-
-def cmd_measure(cfg: dict) -> RunOutput:
-    spec = _network(cfg, {"cc": "complete", "ring": "ring"}[cfg["preset"]])
-    z, steady = _steady(cfg, spec)
-
-    if cfg["t_max_tj"] <= measure.T_FIRST:
-        raise ConfigError(f"t_max_tj: must exceed {measure.T_FIRST}, got {cfg['t_max_tj']}")
-    times_tj = measure.time_grid(cfg["t_max_tj"], int(cfg["steps"]))
-    mspec = measure.MeasureSpec.from_steady(steady, times=tuple(times_tj),
-                                            C=cfg["c"], tau3_rule=cfg["tau3_rule"])
-    traj = measure.trajectory_sample(mspec, int(cfg["seed"]))  # refuses non-CP triples itself
-
-    header = ["t_over_tref", "lambda3", "tau3", "lambda1"]
-    columns = [times_tj.tolist(), [p.lambda3 for p in traj], [p.tau3 for p in traj],
-               [p.lambda1 for p in traj]]
-    if cfg["overlay"]:
-        # the exact running average at the trajectory's own times
-        running = ensemble.SpectralAverage(spec, z)(times_tj * network.t_scale(spec.j_perp))
-        header += ["lambda3_timeavg", "tau3_timeavg"]
-        columns += [running[:, 3, 3].tolist(), running[:, 3, 0].tolist()]
-    tables = {"data.csv": (header, columns)}
-
-    draws = int(cfg["scatter_samples"])
-    if draws > 0:
-        rng = np.random.default_rng(int(cfg["seed"]))
-        evs = []  # per draw: the phase-covariant triple, then the broken one
-        for _ in range(draws):
-            evs += measure.eigenvalues_pc(measure.uniform_sample(rng))[1:].tolist()
-            evs += measure.eigenvalues_broken(measure.broken_uniform_sample(rng))[1:].tolist()
-        tables["eigenvalues.csv"] = (("family", "which", "re", "im"), [
-            (["pc"] * 3 + ["broken"] * 3) * draws,
-            ["rot+", "rot-", "l3", "mu+", "mu-", "l3"] * draws,
-            [ev.real for ev in evs], [ev.imag for ev in evs]])
-    return RunOutput(tables, {
-        "mu_lambda3": mspec.mu_lambda3, "mu_tau3": mspec.mu_tau3,
-        "sigma_first": mspec.sigma(times_tj[0]),
-        "sigma_last": mspec.sigma(times_tj[-1]),
-        "all_cp": True,
-    })
-
-
-# ---------------------------------------------------------------------------
-# volume
-# ---------------------------------------------------------------------------
-
-def cmd_volume(cfg: dict) -> RunOutput:
-    v = measure.volume_mc(int(cfg["samples"]), int(cfg["seed"]))
-    exact = {"total": 16.0 / 9.0, "negative": math.pi / 6.0,
-             "positive": 16.0 / 9.0 - math.pi / 6.0}
-    regions = ("total", "negative", "positive")
-    est = [getattr(v, region) for region in regions]
-    err = [getattr(v, region + "_err") for region in regions]
-    pulls = {region: (e - exact[region]) / s if s > 0 else 0.0
-             for region, e, s in zip(regions, est, err)}
-    columns = [list(regions), est, err, [exact[r] for r in regions], list(pulls.values())]
-    header = ("region", "estimate", "stderr", "exact", "pull")
-    return RunOutput({"data.csv": (header, columns)}, {
-        "estimate": v.as_dict(),
-        "pulls": pulls,
-        "pass": bool(all(abs(p) < 3.0 for p in pulls.values())),
-    })
-
-
-# ---------------------------------------------------------------------------
-# quench
-# ---------------------------------------------------------------------------
-
-def cmd_quench(cfg: dict) -> RunOutput:
+def cmd_quench(cfg: dict) -> qlinalg.Result:
     spec = _network(cfg)
     z = preset_state(spec.n, cfg["state"], cfg["z"], cfg["z_list"])
-    t_j = network.t_scale(spec.j_perp)
-    n_cl = int(cfg["n_cl"])
-    if cfg["schedule"] == "staggered":
-        schedule = np.linspace(0.0, cfg["window_tj"] * t_j, n_cl)
-    else:
-        rng = np.random.default_rng(int(cfg["seed"]))
-        schedule = rng.uniform(0.0, cfg["window_tj"] * t_j, n_cl)
-    t_eval = cfg["t_eval_tj"] * t_j
-    average = ensemble.SpectralAverage(spec, z, sites=(0,))
-    cluster_avg = ensemble.quench_demo(average, schedule, t_eval, t_j)
-    # reference: the exact running average of site 0 in one always-coupled cluster
-    reference = average([t_eval])[0]
-
-    diff = np.abs(cluster_avg - reference)
-    columns = [[str(i) for i in range(4) for _ in range(4)], [str(jj) for jj in range(4)] * 4]
-    columns += [m.ravel().tolist() for m in (cluster_avg, reference, diff)]
-    header = ("row", "col", "cluster_avg", "time_avg", "abs_diff")
-    return RunOutput({"data.csv": (header, columns)}, {
-        "max_abs_diff": float(diff.max()),
-        "n_cl": n_cl, "window_tj": cfg["window_tj"], "t_eval_tj": cfg["t_eval_tj"],
-        "schedule": cfg["schedule"], "t_j": t_j,
-    })
+    return ensemble.quench_series(spec, z, cfg["n_cl"], cfg["window_tj"], cfg["t_eval_tj"],
+                                  cfg["schedule"], cfg["seed"])
 
 
 # ---------------------------------------------------------------------------
@@ -836,7 +534,7 @@ def main(argv=None) -> int:
     except MemoryError as exc:
         print(f"config error: out of memory: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except InvariantError as exc:
+    except qlinalg.InvariantError as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
     except ensemble.UnsupportedNetwork as exc:

@@ -32,8 +32,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from .network import NetworkSpec, build_hamiltonian, isotropic
-from .qlinalg import HERM_TOL, PAULI_AXES, HermitianEvolver, NumericalError, embed, pauli
+from . import reduced
+from .network import NetworkSpec, build_hamiltonian, isotropic, norm_bound, t_scale
+from .qlinalg import (HERM_TOL, PAULI_AXES, HermitianEvolver, NumericalError, Result,
+                      check_count, embed, pauli, roundoff_budget)
 from .reduced import _env_inputs, transfer_from_unitary
 
 # Default field-to-coupling ratio used when a "generic" (incommensurate)
@@ -94,6 +96,35 @@ def time_average(times, transfers) -> np.ndarray:
     out[0] = y[0]
     out[1:] = np.cumsum(segments, axis=0) / t[1:, None, None]
     return out
+
+
+def uniform_grid(t_j: float, span_tj: float, points_per_tj: float, name: str = "t_max_tj"):
+    """round(span_tj points_per_tj) + 1 even times from 0 to span_tj t_J; a
+    count no array holds raises ValueError naming `name` and points_per_tj."""
+    check_count(span_tj * points_per_tj, f"{name} * points_per_tj")
+    return np.linspace(0.0, span_tj * t_j, int(round(span_tj * points_per_tj)) + 1)
+
+
+_BUDGET_MARGIN = 4  # how far under its tolerance the budget of steady or fluct must lie
+
+
+def _averaging_grid(spec, horizon_tj, points_per_tj, tol, name, command, onset_tj=None):
+    """(t_J, grid to horizon_tj) of a steady or fluct run: 2 points at least,
+    and for fluct one past onset_tj. UnsupportedNetwork where the roundoff
+    budget eps ||H|| t_max is not below tol/_BUDGET_MARGIN, tol named `name`."""
+    t_j = t_scale(spec.j_perp)
+    times = uniform_grid(t_j, horizon_tj, points_per_tj, "horizon_tj")
+    if times.size < 2:
+        raise ValueError(f"horizon_tj: must exceed half a grid step, got {horizon_tj}")
+    if onset_tj is not None and not np.any(times / t_j > onset_tj):
+        raise ValueError(f"onset_tj: must be below horizon_tj, got {onset_tj}")
+    budget = roundoff_budget(norm_bound(spec), float(times[-1]))
+    if not budget < tol / _BUDGET_MARGIN:
+        raise UnsupportedNetwork(
+            f"roundoff budget eps ||H|| t_max = {budget:.2e}, set by n, h, j_perp, j_par and "
+            f"horizon_tj, is not below {name}/{_BUDGET_MARGIN} = {tol / _BUDGET_MARGIN:g}: "
+            f"{command} cannot hold its {name} {tol:g} here")
+    return t_j, times
 
 
 def network_series(spec: NetworkSpec, z, times) -> np.ndarray:
@@ -370,6 +401,46 @@ def steady_channel(spec: NetworkSpec, z) -> SteadyChannel:
     )
 
 
+def steady_series(spec: NetworkSpec, z, steady: SteadyChannel, horizon_tj: float,
+                  points_per_tj: float, tol: float) -> Result:
+    """The running site average of `spec` from the site polarizations z to
+    horizon_tj (network_series, time_average), against its steady channel:
+    it fails where lambda3 or tau3 at the horizon is tol or more away."""
+    t_j, times = _averaging_grid(spec, horizon_tj, points_per_tj, tol, "tol", "steady")
+    fixed = reduced.fixed_point(reduced.PCParams(0.0, 0.0, steady.lambda3, steady.tau3))
+    series = network_series(spec, z, times)
+    running = reduced.fit_pc(time_average(times, series))
+    l3s, t3s, l1s = running.lambda3.tolist(), running.tau3.tolist(), running.lambda1.tolist()
+
+    num_l3, num_t3, num_l1 = l3s[-1], t3s[-1], l1s[-1]
+    diff_l3 = abs(num_l3 - steady.lambda3)
+    diff_t3 = abs(num_t3 - steady.tau3)
+
+    columns = [(times / t_j).tolist(), l3s, t3s, l1s]
+    diagnostics = {
+        "exact": {
+            "lambda3": steady.lambda3, "tau3": steady.tau3,
+            "lambda3_fraction": str(steady.lambda3_exact),
+            "tau3_fraction": str(steady.tau3_exact),
+            "coeffs": {str(k): str(v) for k, v in steady.coeffs.items()},
+            "tau3_coeffs": {str(k): str(v) for k, v in steady.tau3_coeffs.items()},
+        },
+        "numeric": {"lambda3": num_l3, "tau3": num_t3, "lambda1": num_l1},
+        "abs_diff": {"lambda3": diff_l3, "tau3": diff_t3},
+        "constraint_ok": steady.constraint_ok(),
+        # late-time invariant Bloch z and inverse temperature (null: infinite)
+        "fixed_point": {"a_star": fixed.a_star, "degenerate": fixed.degenerate,
+                        "beta_star": None if math.isinf(fixed.beta_star) else fixed.beta_star},
+        "horizon_tj": horizon_tj,
+        "tol": tol,
+        "pass": bool(diff_l3 < tol and diff_t3 < tol),
+    }
+    header = ("t_over_tj", "lambda3_avg", "tau3_avg", "lambda1_avg")
+    return Result({"data.csv": (header, columns)}, diagnostics,
+                  None if diagnostics["pass"] else
+                  f"horizon too short: |diff| = ({diff_l3:.2e}, {diff_t3:.2e}) > tol {tol}")
+
+
 # ---------------------------------------------------------------------------
 # Fluctuations around the steady channel
 # ---------------------------------------------------------------------------
@@ -403,6 +474,7 @@ class FluctuationSeries:
     points_per_tj: float
     rel_change: float
     sup_gap: float
+    converged: bool  # rel_change and sup_gap both below FLUCT_RTOL
 
 
 def _deviation(series, steady_exact, steady_float):
@@ -491,13 +563,48 @@ def converged_fluctuations(average: SpectralAverage, steady: SteadyChannel,
         consts = new
         step = (horizon - start) / segments
         gap = max(_rel_excess(e * step * step, c) for e, c in zip(excess, consts))
-        if change is not None and change < FLUCT_RTOL and gap < FLUCT_RTOL:
+        converged = bool(change is not None and change < FLUCT_RTOL and gap < FLUCT_RTOL)
+        if converged:
             break
     return FluctuationSeries(
         t_over_tj=t / t_j, delta_lambda3=d_lam, delta_tau3=d_tau,
         c_lambda3=consts[0], c_tau3=consts[1], lambda3_normalized=lam_norm,
         tau3_normalized=tau_norm, n=steady.n, onset=onset,
-        points_per_tj=segments * t_j / (horizon - start), rel_change=change, sup_gap=gap)
+        points_per_tj=segments * t_j / (horizon - start), rel_change=change, sup_gap=gap,
+        converged=converged)
+
+
+def fluct_series(spec: NetworkSpec, z, steady: SteadyChannel, horizon_tj: float,
+                 points_per_tj: float, onset_tj: float) -> Result:
+    """converged_fluctuations of `spec` from the site polarizations z around
+    its steady channel, to horizon_tj: it fails where the constants are not
+    converged to FLUCT_RTOL."""
+    t_j, times = _averaging_grid(spec, horizon_tj, points_per_tj, FLUCT_RTOL, "rtol", "fluct",
+                                 onset_tj)
+    series = converged_fluctuations(SpectralAverage(spec, z), steady, t_j, times,
+                                    onset=onset_tj)
+    columns = [series.t_over_tj.tolist(), series.delta_lambda3.tolist(),
+               series.delta_tau3.tolist()]
+    diagnostics = {
+        "c_lambda3": series.c_lambda3,
+        "c_tau3": series.c_tau3,
+        "lambda3_normalized": series.lambda3_normalized,
+        "tau3_normalized": series.tau3_normalized,
+        "onset_tj": series.onset,
+        "n": series.n,
+        "steady": {"lambda3": steady.lambda3, "tau3": steady.tau3},
+        "sup_points_per_tj": series.points_per_tj,
+        "rel_change": series.rel_change,
+        "sup_gap": series.sup_gap,
+        "rtol": FLUCT_RTOL,
+        "converged": series.converged,
+    }
+    header = ("t_over_tj", "delta_lambda3", "delta_tau3")
+    return Result({"data.csv": (header, columns)}, diagnostics,
+                  None if series.converged else
+                  f"fluctuation constants not converged: doubling change "
+                  f"{series.rel_change:.2e}, sup gap {series.sup_gap:.2e} "
+                  f"(rtol {FLUCT_RTOL}); start finer with --points-per-tj")
 
 
 # ---------------------------------------------------------------------------
@@ -530,3 +637,31 @@ def quench_demo(average: SpectralAverage, schedule, t_eval: float, t_j: float) -
     maps = average.maps(np.maximum(elapsed, 0.0))
     maps[elapsed <= 0.0] = np.eye(4)  # quench still in the future for these clusters
     return maps.mean(axis=0)
+
+
+def quench_series(spec: NetworkSpec, z, n_cl: int, window_tj: float, t_eval_tj: float,
+                  schedule: str, seed: int) -> Result:
+    """quench_demo of n_cl clusters switched on over window_tj, evenly or
+    iid uniform from `seed` (schedule "staggered" or "random"), against the
+    exact running average of site 0 in one always-coupled cluster."""
+    t_j = t_scale(spec.j_perp)
+    check_count(n_cl, "n_cl")
+    if schedule == "staggered":
+        starts = np.linspace(0.0, window_tj * t_j, n_cl)
+    else:
+        rng = np.random.default_rng(seed)
+        starts = rng.uniform(0.0, window_tj * t_j, n_cl)
+    t_eval = t_eval_tj * t_j
+    average = SpectralAverage(spec, z, sites=(0,))
+    cluster_avg = quench_demo(average, starts, t_eval, t_j)
+    reference = average([t_eval])[0]
+
+    diff = np.abs(cluster_avg - reference)
+    columns = [[str(i) for i in range(4) for _ in range(4)], [str(jj) for jj in range(4)] * 4]
+    columns += [m.ravel().tolist() for m in (cluster_avg, reference, diff)]
+    header = ("row", "col", "cluster_avg", "time_avg", "abs_diff")
+    return Result({"data.csv": (header, columns)}, {
+        "max_abs_diff": float(diff.max()),
+        "n_cl": n_cl, "window_tj": window_tj, "t_eval_tj": t_eval_tj,
+        "schedule": schedule, "t_j": t_j,
+    })

@@ -17,8 +17,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import ensemble
 from .disorder import SampleStreams
-from .qlinalg import NumericalError
+from .network import t_scale
+from .qlinalg import NumericalError, Result, check_count
 # cp_contains is the CP predicate of reduced (floats or arrays) under this module's name
 from .reduced import PCParams, choi_check, cp_ok as cp_contains
 
@@ -75,6 +77,12 @@ class VolumeEstimate:
         return dict(self.__dict__)
 
 
+# the CP solid's exact volumes over [-1, 1]^3, in total and by the sign of lambda3
+VOLUME_EXACT = {"total": 16.0 / 9.0, "negative": math.pi / 6.0}
+VOLUME_EXACT["positive"] = VOLUME_EXACT["total"] - VOLUME_EXACT["negative"]
+VOLUME_PULL_LIMIT = 3.0  # volume_check passes where every |pull| is below this
+
+
 def volume_mc(n: int, seed: int) -> VolumeEstimate:
     """Hit-or-miss volume of the CP solid over [-1, 1]^3, split by sign(lambda3).
 
@@ -103,6 +111,25 @@ def volume_mc(n: int, seed: int) -> VolumeEstimate:
     positive, positive_err = rate_err(hits - negs)
     return VolumeEstimate(total, total_err, negative, negative_err,
                           positive, positive_err, n, seed)
+
+
+def volume_check(samples: int, seed: int) -> Result:
+    """volume_mc(samples, seed) against VOLUME_EXACT: each region's pull, and
+    `pass` where every |pull| is below VOLUME_PULL_LIMIT. A statistical
+    check: a failed pull is reported in the diagnostics, not a failure."""
+    v = volume_mc(samples, seed)
+    regions = ("total", "negative", "positive")
+    est = [getattr(v, region) for region in regions]
+    err = [getattr(v, region + "_err") for region in regions]
+    pulls = {region: (e - VOLUME_EXACT[region]) / s if s > 0 else 0.0
+             for region, e, s in zip(regions, est, err)}
+    columns = [list(regions), est, err, [VOLUME_EXACT[r] for r in regions], list(pulls.values())]
+    header = ("region", "estimate", "stderr", "exact", "pull")
+    return Result({"data.csv": (header, columns)}, {
+        "estimate": v.as_dict(),
+        "pulls": pulls,
+        "pass": bool(all(abs(p) < VOLUME_PULL_LIMIT for p in pulls.values())),
+    })
 
 
 @dataclass(frozen=True)
@@ -364,11 +391,12 @@ def _ndtri(y0: float) -> float:
     return -x if negate else x
 
 
-def time_grid(t_max: float, n_steps: int) -> np.ndarray:
-    """Geometric grid of n_steps times from T_FIRST to t_max."""
-    if t_max <= T_FIRST:
-        raise ValueError(f"t_max must exceed {T_FIRST}")
-    return np.geomspace(T_FIRST, t_max, n_steps)
+def time_grid(t_max_tj: float, steps: int) -> np.ndarray:
+    """Geometric grid of `steps` times from T_FIRST to t_max_tj."""
+    if t_max_tj <= T_FIRST:
+        raise ValueError(f"t_max_tj: must exceed {T_FIRST}, got {t_max_tj}")
+    check_count(steps, "steps")
+    return np.geomspace(T_FIRST, t_max_tj, steps)
 
 
 @dataclass(frozen=True)
@@ -443,3 +471,40 @@ def trajectory_sample(spec: MeasureSpec, seed: int) -> list:
             raise NumericalError("nested truncation emitted a non-CP triple")
         out.append(PCParams(lambda1=l1, theta=0.0, lambda3=l3, tau3=t3))
     return out
+
+
+def measure_series(spec, z, steady, t_max_tj: float, steps: int, c: float, tau3_rule: str,
+                   seed: int, scatter_samples: int, overlay: bool) -> Result:
+    """trajectory_sample at `steps` times to t_max_tj around `steady`, the
+    exact running average of `spec` from z at those times if `overlay`, and
+    scatter_samples eigenvalue draws of each family."""
+    times_tj = time_grid(t_max_tj, steps)
+    mspec = MeasureSpec.from_steady(steady, times=tuple(times_tj), C=c, tau3_rule=tau3_rule)
+    traj = trajectory_sample(mspec, seed)  # refuses non-CP triples itself
+
+    header = ["t_over_tref", "lambda3", "tau3", "lambda1"]
+    columns = [times_tj.tolist(), [p.lambda3 for p in traj], [p.tau3 for p in traj],
+               [p.lambda1 for p in traj]]
+    if overlay:
+        # the exact running average at the trajectory's own times
+        running = ensemble.SpectralAverage(spec, z)(times_tj * t_scale(spec.j_perp))
+        header += ["lambda3_timeavg", "tau3_timeavg"]
+        columns += [running[:, 3, 3].tolist(), running[:, 3, 0].tolist()]
+    tables = {"data.csv": (header, columns)}
+
+    if scatter_samples > 0:
+        rng = np.random.default_rng(seed)
+        evs = []  # per draw: the phase-covariant triple, then the broken one
+        for _ in range(scatter_samples):
+            evs += eigenvalues_pc(uniform_sample(rng))[1:].tolist()
+            evs += eigenvalues_broken(broken_uniform_sample(rng))[1:].tolist()
+        tables["eigenvalues.csv"] = (("family", "which", "re", "im"), [
+            (["pc"] * 3 + ["broken"] * 3) * scatter_samples,
+            ["rot+", "rot-", "l3", "mu+", "mu-", "l3"] * scatter_samples,
+            [ev.real for ev in evs], [ev.imag for ev in evs]])
+    return Result(tables, {
+        "mu_lambda3": mspec.mu_lambda3, "mu_tau3": mspec.mu_tau3,
+        "sigma_first": mspec.sigma(times_tj[0]),
+        "sigma_last": mspec.sigma(times_tj[-1]),
+        "all_cp": True,
+    })

@@ -64,12 +64,12 @@ class NetworkSpec:
         if self.topology not in TOPOLOGIES:
             raise ValueError(f"unknown topology {self.topology!r}")
         if self.topology == "ring" and self.n < 3:
-            raise ValueError("ring needs N >= 3")
+            raise ValueError(f"n: a ring needs N >= 3, got {self.n}")
         if self.n < 2:
-            raise ValueError("N >= 2 required")
+            raise ValueError(f"n: N >= 2 required, got {self.n}")
         if self.topology == "xx_pairs":
             if not self.pairs:
-                raise ValueError("xx_pairs needs at least one PairSpec")
+                raise ValueError("topology: xx_pairs needs at least one PairSpec")
             if self.n != 2 * len(self.pairs):
                 raise ValueError("xx_pairs total qubit count must be 2 * len(pairs)")
 
@@ -88,6 +88,11 @@ class NetworkSpec:
         pairs = ([(i, (i + 1) % self.n) for i in range(self.n)] if self.topology == "ring"
                  else [(i, j) for i in range(self.n) for j in range(i + 1, self.n)])
         return tuple((i, j, self.j_perp, self.j_par) for i, j in pairs)
+
+
+def norm_bound(spec: NetworkSpec) -> float:
+    """||H|| <= N|h| + sum over bonds of |J_perp| + |J_par|/2, in Python floats."""
+    return spec.n * abs(spec.h) + sum(abs(jp) + abs(jz) / 2 for _, _, jp, jz in spec.bonds)
 
 
 def build_hamiltonian(spec: NetworkSpec) -> np.ndarray:

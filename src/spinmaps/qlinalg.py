@@ -9,11 +9,14 @@ Conventions fixed here and used everywhere else:
 
 Everything is a pure function on immutable arrays; dimensions stay <= 256
 so dense eigendecomposition is exact to roundoff and nothing needs sparsity.
+What every pipeline shares lives here too: its Result, InvariantError, the
+roundoff_budget and check_count.
 """
 
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -32,6 +35,34 @@ HERM_TOL = 1e-10
 
 class NumericalError(ValueError):
     """A numerical invariant failed inside the library (not bad user input)."""
+
+
+class InvariantError(RuntimeError):
+    """A run's invariant failed, such as a CP violation: the run stops."""
+
+
+class Result(NamedTuple):
+    """A pipeline's CSV tables by file name, each (header, columns), its
+    diagnostics object, and its failed verdict (None where every check passed)."""
+
+    tables: dict
+    diagnostics: dict
+    failure: str | None = None
+
+
+def roundoff_budget(norm: float, t_max: float) -> float:
+    """eps norm t_max, the absolute error of the phases e^{-iEt} at |E| <= norm
+    up to t_max, in Python floats: an overflow gives inf, without a warning."""
+    return math.ulp(1.0) * norm * t_max  # ulp(1) is the double epsilon
+
+
+MAX_DOUBLES = np.iinfo(np.intp).max // 8  # numpy refuses more bytes than an intp counts
+
+
+def check_count(count, name: str):
+    """ValueError naming `name` where `count` doubles exceed MAX_DOUBLES."""
+    if not count <= MAX_DOUBLES:
+        raise ValueError(f"{name}: {count:.3g} values, more than one array can hold")
 
 
 def pauli(axis: str) -> np.ndarray:

@@ -388,3 +388,40 @@ def test_xx_full_transfer_matches_dense_two_qubit():
                         kron_all([pauli(ai), pauli(aj)])
                         @ u @ kron_all([pauli(ak), pauli(al)]) @ u.conj().T)
                     assert abs(m[4 * i + jdx, 4 * k + ldx] - want.real) < 1e-10
+
+
+def test_map_series_gives_the_verdict_maps_exits_on(monkeypatch):
+    # the library call, no argparse: a closed form planted 2e-9 off fails the
+    # 1e-9 oracle, and a map outside the CP set stops the run
+    from spinmaps import analytic, reduced
+    from spinmaps.network import t_scale
+    from spinmaps.qlinalg import InvariantError
+
+    spec = NetworkSpec("complete", 3, h=0.37, j_perp=1.0, j_par=0.6)
+    envs = {s: [(0.0, 0.0, 0.5)] * 2 for s in range(3)}
+    args = (spec, envs, t_scale(1.0), 1.0, 10)
+    exact = analytic.map_series(*args)
+    assert exact.failure is None
+    assert exact.diagnostics["analytic_check"]["max_abs_err"] <= analytic.ORACLE_TOL
+    assert exact.diagnostics["roundoff_budget"] < analytic.ROUNDOFF_LIMIT
+    closed_form = analytic.closed_form
+    monkeypatch.setattr(analytic, "closed_form", lambda *a: closed_form(*a) + 2e-9)
+    planted = analytic.map_series(*args)
+    assert planted.failure.startswith("closed form and numeric maps disagree: max_abs_err 2.")
+    assert planted.tables["data.csv"] == exact.tables["data.csv"]
+    monkeypatch.setattr(reduced.MapExtractor, "transfer",
+                        lambda self, t: np.diag([1.0, 1.5, 1.5, 1.0]))
+    with pytest.raises(InvariantError, match=r"^CP violation at t=0.000 t_J, site 0: \(l1=1.5"):
+        analytic.map_series(*args)
+
+
+def test_map_series_reports_a_numeric_only_run_through_warn():
+    from spinmaps import analytic
+    from spinmaps.network import t_scale
+
+    spec = NetworkSpec("ring", 6, h=0.37, j_perp=1.0, j_par=1.0)
+    envs = {s: [(0.0, 0.0, 0.5)] * 5 for s in range(6)}
+    reasons = []
+    result = analytic.map_series(spec, envs, t_scale(1.0), 0.1, 10, warn=reasons.append)
+    assert reasons == [result.diagnostics["analytic_skip_reason"]] and reasons[0]
+    assert result.failure is None and result.diagnostics["analytic_check"] is None

@@ -135,6 +135,26 @@ def test_readme_library_example_runs(capsys):
     ("maps --topology xx_pairs --x2 0.9 --y2 0.9", None, "x2"),
     # a norm within 1 + 1e-12 by hypot, whose square x^2 + y^2 + z^2 is not
     ("maps --topology xx_pairs --x2 1.0000000000008", None, "x2"),
+    # register sizes and topologies that describe no network
+    ("maps --n 1", None, "n"),
+    ("fluct --n 1", None, "n"),
+    ("quench --n 1", None, "n"),
+    ("measure --n 1", None, "n"),
+    ("steady --topology ring --n 2", None, "n"),
+    ("measure --preset ring --n 2", None, "n"),
+    ("steady --topology xx_pairs", None, "topology"),
+    ("fluct --topology xx_pairs", None, "topology"),
+    # seeds that no Philox key holds, where one keys the streams
+    ("disorder --seed 340282366920938463463374607431768211456", None, "seed"),
+    ("measure --seed 340282366920938463463374607431768211456 --no-overlay", None, "seed"),
+    # grids and counts larger than any array (an overflowing count included)
+    ("maps --points-per-tj 1e300", None, "t_max_tj * points_per_tj"),
+    ("maps --t-max-tj 1e300 --points-per-tj 1e300", None, "t_max_tj * points_per_tj"),
+    ("steady --horizon-tj 1e300", None, "horizon_tj * points_per_tj"),
+    ("disorder --steps 100000000000000000000", None, "steps"),
+    ("measure --steps 100000000000000000000 --no-overlay", None, "steps"),
+    ("quench --n-cl 100000000000000000000", None, "n_cl"),
+    ("quench --n-cl 100000000000000000000 --schedule random", None, "n_cl"),
 ])
 def test_out_of_range_grid_or_count_exits_2(tmp_path, capsys, line, config, field):
     argv = line.split() + ["--outdir", str(tmp_path / "runs")]
@@ -686,7 +706,7 @@ def test_maps_records_its_roundoff_budget(tmp_path, capsys):
     energies = np.linalg.eigvalsh(spinmaps.network.build_hamiltonian(spec))
     expected = np.finfo(float).eps * np.abs(energies).max() * 10.0 * diag["t_j"]
     assert diag["roundoff_budget"] == pytest.approx(expected, rel=1e-12)
-    assert diag["roundoff_budget"] < cli.ROUNDOFF_LIMIT
+    assert diag["roundoff_budget"] < spinmaps.analytic.ROUNDOFF_LIMIT
     # the budget bounds the measured gap, within 4x where the gap is above roundoff
     err = diag["analytic_check"]["max_abs_err"]
     assert diag["roundoff_budget"] / 4 < err <= diag["roundoff_budget"]
@@ -1024,3 +1044,34 @@ def test_reused_parser_keeps_its_built_in_defaults(tmp_path, capsys):
     assert manifest_config(["maps"]) == built_in
     assert help_text() == before
     assert cli.build_parser() is cli.build_parser()
+
+
+@pytest.mark.parametrize("line", [
+    # no Philox stream takes the seed here
+    "volume --samples 100000 --seed 340282366920938463463374607431768211456",
+    "quench --n-cl 5 --schedule random --seed 340282366920938463463374607431768211456",
+])
+def test_any_seed_runs_where_no_stream_is_keyed(tmp_path, capsys, line):
+    rc, out, err = run_cli(line.split() + ["--outdir", str(tmp_path)], capsys)
+    assert rc == 0 and err == "" and last_run_dir(out).is_dir()
+
+
+def test_a_grid_an_array_can_hold_but_memory_cannot_is_out_of_memory(tmp_path, capsys):
+    # 2e17 points: below the array limit, so the allocation itself fails
+    rc, out, err = run_cli(["steady", "--horizon-tj", "1e16",
+                            "--outdir", str(tmp_path / "runs")], capsys)
+    assert rc == 2 and err.startswith("config error: out of memory: ")
+    assert out == "" and not (tmp_path / "runs").exists()
+
+
+def test_a_cp_violation_stops_maps_without_a_run_directory(tmp_path, capsys, monkeypatch):
+    # the numeric-only warning keeps its place ahead of the stop
+    monkeypatch.setattr(spinmaps.reduced.MapExtractor, "transfer",
+                        lambda self, t: np.diag([1.0, 1.5, 1.5, 1.0]))
+    rc, out, err = run_cli(["maps", "--topology", "ring", "--n", "6", "--t-max-tj", "0.1",
+                            "--outdir", str(tmp_path / "runs")], capsys)
+    assert rc == 3
+    warning, stop = err.splitlines()
+    assert warning == "warning: running numeric-only (no closed form for (ring, N=6))"
+    assert stop.startswith("invariant violation: CP violation at t=0.000 t_J, site 0: (l1=1.5")
+    assert out == "" and not (tmp_path / "runs").exists()

@@ -98,3 +98,24 @@ def test_variants_cap_disorder_samples_unless_full(full):
         ["measure", "--c", "0.5", "--no-overlay"],
         ["steady", "--n", "4"],
     ]
+
+
+def test_help_lines_cover_the_program_and_every_command():
+    assert contract.HELP_LINES[0] == "spinmaps --help"
+    assert [line.split()[1] for line in contract.HELP_LINES[1:]] == list(
+        cli.build_parser().commands)
+    assert all(line.endswith(" --help") for line in contract.HELP_LINES)
+
+
+def test_help_line_compares_stdout(tmp_path):
+    outdir = tmp_path / "out"
+    outdir.mkdir()
+    got = contract.run(contract.ROOT, ["maps", "--help"], outdir)
+    assert got["exit"] == 0 and got["files"] == {} and not any(outdir.iterdir())
+    assert got["stdout"].startswith("usage: spinmaps maps [-h]")
+    assert contract.compare(got, got) == [("stdout", "identical")]
+    lines = got["stdout"].splitlines()
+    edited = dict(got, stdout="\n".join(["changed"] + lines[1:]) + "\n")
+    assert contract.compare(got, edited) == [("stdout", f"1 of {len(lines)} lines differ")]
+    assert contract.compare(got, dict(got, stdout=got["stdout"] + "more\n")) == [
+        ("stdout", f"1 of {len(lines) + 1} lines differ")]

@@ -368,3 +368,30 @@ def test_even_phi_average_restores_phase_covariance():
     mean, stderr = mc_disorder_map(GAUSS, 0.9, env, 1000, seed=0)
     for i, j in PC_ZEROS:
         assert abs(mean[i, j]) <= 3.0 * stderr[i, j] + 1e-12
+
+
+def test_disorder_series_gives_the_verdict_disorder_exits_on(monkeypatch):
+    from spinmaps import disorder
+    from spinmaps.ensemble import UnsupportedNetwork
+
+    spec = DisorderSpec.from_varphi(B=1.0, Omega=1.0, sigma_h=1.0, sigma_omega=1.0, varphi=3.0)
+    honest = disorder.disorder_series(spec, 1.0, 2.0, 3, 200, 5)
+    assert honest.failure is None and honest.diagnostics["flagged"] == []
+    closed = disorder.closedform_disorder_components
+    monkeypatch.setattr(disorder, "closedform_disorder_components",
+                        lambda s, t: dict(closed(s, t), xx0=closed(s, t)["xx0"] + 0.05))
+    planted = disorder.disorder_series(spec, 1.0, 2.0, 3, 200, 5)
+    assert {f["component"] for f in planted.diagnostics["flagged"]} == {"xx0"}
+    assert planted.failure.startswith(f"{len(planted.diagnostics['flagged'])} closed-form/MC")
+    # eps (2|B| + 6) t_max: 8.9e-4 at B = 1e12 and inf at 1e300, both at or above 1e-4
+    for b in (1e12, 1e300):
+        wide = DisorderSpec.from_varphi(B=b, Omega=1.0, sigma_h=1.0, sigma_omega=1.0, varphi=3.0)
+        with pytest.raises(UnsupportedNetwork, match="is not below 0.0001"):
+            disorder.disorder_series(wide, 1.0, 2.0, 3, 200, 5)
+
+
+def test_sample_streams_refuse_a_seed_no_philox_key_holds():
+    SampleStreams(2**128 - 1)
+    for seed in (2**128, -1):
+        with pytest.raises(ValueError, match=r"^seed: must be >= 0 and below 2\*\*128"):
+            SampleStreams(seed)

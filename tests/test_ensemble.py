@@ -664,3 +664,53 @@ def test_quench_average_tracks_time_average(site0):
     # the exact running time average of site 0 in one always-on cluster
     ref = site0([50.0 * t_j])[0]
     assert np.max(np.abs(avg - ref)) < 0.02
+
+
+def _hierarchy_cc3():
+    spec = NetworkSpec("complete", 3, h=ensemble.GENERIC_H_RATIO, j_perp=1.0, j_par=1.0)
+    z = (Fraction(1), Fraction(1, 3), Fraction(2, 3))
+    return spec, z, steady_channel(spec, z)
+
+
+def test_steady_series_gives_the_verdict_steady_exits_on():
+    # the inputs of `steady --horizon-tj 2.3 --tol 1e-6`, without argparse
+    import dataclasses
+
+    spec, z, steady = _hierarchy_cc3()
+    short = ensemble.steady_series(spec, z, steady, 2.3, 20, 1e-6)
+    assert short.failure.startswith("horizon too short: |diff| = (5.57e-03, 3.72e-03)")
+    assert short.diagnostics["pass"] is False
+    # whole periods of every gap at 5 t_J: the running average is the limit
+    exact = ensemble.steady_series(spec, z, steady, 5.0, 20, 1e-6)
+    assert exact.failure is None and exact.diagnostics["pass"] is True
+    # either value planted off the numeric limit fails the verdict
+    for field in ("lambda3", "tau3"):
+        planted = dataclasses.replace(steady, **{field: getattr(steady, field) + 1e-3})
+        result = ensemble.steady_series(spec, z, planted, 5.0, 20, 1e-6)
+        assert result.diagnostics["pass"] is False and result.failure, field
+
+
+def test_steady_series_refuses_a_budget_at_a_quarter_of_tol():
+    spec, z, steady = _hierarchy_cc3()
+    norm = spec.n * abs(spec.h) + 3 * 1.5
+    # the horizon (in t_J) at which eps ||H|| t_max is tol/4 = 2.5e-13
+    edge = 2.5e-13 / (np.finfo(float).eps * norm * t_scale(1.0))
+    with pytest.raises(UnsupportedNetwork, match=r"is not below tol/4 = 2.5e-13: steady"):
+        ensemble.steady_series(spec, z, steady, 1.01 * edge, 1, 1e-12)
+    ensemble.steady_series(spec, z, steady, 0.99 * edge, 1, 1e-12)
+
+
+def test_fluct_series_is_not_converged_after_too_few_doublings(monkeypatch):
+    spec = NetworkSpec("complete", 4, h=ensemble.GENERIC_H_RATIO, j_perp=1.0, j_par=1.0)
+    z = (Fraction(1, 5),) * 4
+    steady = steady_channel(spec, z)
+    monkeypatch.setattr(ensemble, "_MAX_DOUBLINGS", 1)
+    result = ensemble.fluct_series(spec, z, steady, 60, 2, 20.0)
+    # one doubling moved neither constant, but the grid maximum is not certified
+    assert result.diagnostics["rel_change"] < ensemble.FLUCT_RTOL
+    assert result.diagnostics["sup_gap"] >= ensemble.FLUCT_RTOL
+    assert result.diagnostics["converged"] is False
+    assert result.failure.startswith("fluctuation constants not converged")
+    monkeypatch.setattr(ensemble, "_MAX_DOUBLINGS", 6)
+    converged = ensemble.fluct_series(spec, z, steady, 60, 2, 20.0)
+    assert converged.failure is None and converged.diagnostics["converged"] is True

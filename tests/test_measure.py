@@ -561,3 +561,14 @@ def test_measure_run_loads_no_scipy(tmp_path):
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           check=True, env={**os.environ, "PYTHONPATH": str(src)})
     assert proc.stdout.strip().splitlines()[-1] == "0 []"
+
+
+def test_volume_check_fails_the_pull_of_a_planted_exact_value(monkeypatch):
+    honest = measure.volume_check(100_000, 0)
+    assert honest.diagnostics["pass"] is True and honest.failure is None
+    planted = dict(measure.VOLUME_EXACT, negative=math.pi / 7.0)
+    monkeypatch.setattr(measure, "VOLUME_EXACT", planted)
+    result = measure.volume_check(100_000, 0)
+    pulls = result.diagnostics["pulls"]
+    assert abs(pulls["negative"]) >= measure.VOLUME_PULL_LIMIT
+    assert result.diagnostics["pass"] is False and result.failure is None  # statistical: no exit 3

@@ -126,3 +126,18 @@ def test_xx_pairs_block_structure():
     want = np.kron(build_hamiltonian(one), np.eye(4)) + np.kron(
         np.eye(4), build_hamiltonian(two))
     assert np.max(np.abs(h - want)) < 1e-12
+
+
+@pytest.mark.parametrize("topology, n, h, j_perp, j_par", [
+    ("ring", 4, 0.3, 1.0, 0.7), ("complete", 5, -0.2, 0.9, 0.4),
+    # Ising-dominated: the J_par terms carry the spectrum
+    ("ring", 4, 0.0, 0.01, 10.0), ("complete", 3, 0.0, 0.0, -4.0), ("ring", 5, 2.0, -1.0, 0.0),
+])
+def test_norm_bound_bounds_the_spectrum(topology, n, h, j_perp, j_par):
+    from spinmaps.network import norm_bound
+
+    spec = NetworkSpec(topology=topology, n=n, h=h, j_perp=j_perp, j_par=j_par)
+    bonds = len(spec.bonds)
+    assert norm_bound(spec) == pytest.approx(n * abs(h) + bonds * (abs(j_perp) + abs(j_par) / 2),
+                                             rel=1e-14)
+    assert np.abs(np.linalg.eigvalsh(build_hamiltonian(spec))).max() <= norm_bound(spec) + 1e-12

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -287,3 +289,14 @@ def test_transfer_readout_is_byte_identical_to_einsum():
         assert np.max(np.abs(want.imag)) > HERM_TOL
         with pytest.raises(NumericalError):
             transfer_readout(outs)
+
+
+def test_roundoff_budget_and_array_count_limits():
+    from spinmaps.qlinalg import MAX_DOUBLES, check_count, roundoff_budget
+
+    assert roundoff_budget(3.0, 2.0) == np.finfo(float).eps * 3.0 * 2.0
+    assert roundoff_budget(1e300, 1e300) == math.inf  # a Python float: no warning
+    check_count(MAX_DOUBLES, "steps")
+    for count in (MAX_DOUBLES + 1, 1e300, math.inf):
+        with pytest.raises(ValueError, match=r"^steps: "):
+            check_count(count, "steps")

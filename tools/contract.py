@@ -6,15 +6,16 @@ Unpacks <rev> with `git archive <rev> | tar -x` into a temporary directory
 (nothing under .git is written, and nothing is left to clean up), then runs
 every `spinmaps` line of the README's command blocks, read as
 tests/test_cli.py's readme_commands reads them, and every line of
-EDGE_LINES, once against each tree's src/. Each run is a fresh process with
+EDGE_LINES and HELP_LINES, once against each tree's src/. Each run is a fresh process with
 BLAS at 1 thread and its own output directory. `disorder` lines run at
 --n-samples 2000 unless --full runs them at the sample counts they give
 (several minutes for the README's 200,000-sample line), and each `measure`
 line runs once more with --no-overlay.
 
 Prints one row per line and file (data.csv, eigenvalues.csv,
-diagnostics.json): "identical", or the largest absolute difference per CSV
-column or JSON entry, with theta columns compared modulo 2 pi. A change of
+diagnostics.json, and stdout for a help line): "identical", or the largest
+absolute difference per CSV column or JSON entry, with theta columns
+compared modulo 2 pi, or the count of help lines that differ. A change of
 exit code or of stderr gets its own row. Exits 1 when anything differs.
 """
 
@@ -74,9 +75,15 @@ ONE_THREAD = {name: "1" for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
 # Then a `disorder` line whose roundoff budget
 # eps (2|B| + |Omega| + 4 sigma_h + sigma_omega) t_max is at or above 1e-4
 # (exit 4; before the budget it exited 3 as closed-form/MC disagreements).
-# Last, an `xx_pairs` partner whose norm passes a hypot test but not
+# Then an `xx_pairs` partner whose norm passes a hypot test but not
 # bloch_vector's x^2 + y^2 + z^2 <= 1 + 1e-12 (exit 2, naming x2; before,
-# the message named no option).
+# the message named no option). Then register sizes and topologies that
+# describe no network (exit 2, naming n or topology; before, the message
+# named neither), seeds of 2**128 and above, which no Philox stream takes
+# (exit 2 naming seed for disorder and measure, exit 0 for volume and
+# quench, which do not key a Philox stream), and grids and counts larger
+# than any array (exit 2, naming the option; before, numpy's "Maximum
+# allowed size exceeded", and a traceback where the point count overflowed).
 EDGE_LINES = (
     "spinmaps steady --n 1",
     "spinmaps steady --topology ring --n 2",
@@ -131,7 +138,28 @@ EDGE_LINES = (
     "spinmaps fluct --j-perp 3e-306 --horizon-tj 40",
     "spinmaps disorder --b 1e300",
     "spinmaps maps --topology xx_pairs --x2 1.0000000000008",
+    "spinmaps maps --n 1",
+    "spinmaps fluct --n 1",
+    "spinmaps quench --n 1",
+    "spinmaps measure --preset ring --n 2",
+    "spinmaps steady --topology xx_pairs",
+    "spinmaps disorder --seed 340282366920938463463374607431768211456",
+    "spinmaps measure --seed 340282366920938463463374607431768211456",
+    "spinmaps volume --samples 100000 --seed 340282366920938463463374607431768211456",
+    "spinmaps quench --n-cl 25 --schedule random --seed 340282366920938463463374607431768211456",
+    "spinmaps maps --points-per-tj 1e300",
+    "spinmaps maps --t-max-tj 1e300 --points-per-tj 1e300",
+    "spinmaps steady --horizon-tj 1e300",
+    "spinmaps disorder --steps 100000000000000000000",
+    "spinmaps measure --steps 100000000000000000000 --no-overlay",
+    "spinmaps quench --n-cl 100000000000000000000",
+    "spinmaps quench --n-cl 100000000000000000000 --schedule random",
 )
+
+# The help page of the program and of every command, compared on stdout.
+HELP_LINES = ("spinmaps --help",) + tuple(
+    f"spinmaps {name} --help"
+    for name in ("maps", "steady", "fluct", "disorder", "measure", "volume", "quench"))
 
 
 def readme_commands(readme: Path) -> list:
@@ -160,17 +188,21 @@ def variants(lines, full: bool = False) -> list:
 
 
 def run(tree: Path, argv: list, outdir: Path) -> dict:
-    """Exit code, stderr (tree path masked) and output files of one CLI run."""
+    """Exit code, stderr (tree path masked) and output files of one CLI run;
+    for a help line, its stdout and no files."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"), **ONE_THREAD)
-    proc = subprocess.run([sys.executable, "-m", "spinmaps.cli", *argv, "--outdir", str(outdir)],
+    help_page = "--help" in argv
+    proc = subprocess.run([sys.executable, "-m", "spinmaps.cli", *argv]
+                          + ([] if help_page else ["--outdir", str(outdir)]),
                           cwd=outdir.parent, env=env, capture_output=True, text=True)
     files = {}
-    if proc.stdout.strip():  # a failed verdict (exit 3) prints its run directory too
+    # a failed verdict (exit 3) prints its run directory too
+    if proc.stdout.strip() and not help_page:
         run_dir = Path(proc.stdout.strip().splitlines()[-1])
         files = {name: (run_dir / name).read_bytes() for name in FILES
                  if (run_dir / name).exists()}
     return {"exit": proc.returncode, "stderr": proc.stderr.replace(str(tree), "<tree>"),
-            "files": files}
+            "stdout": proc.stdout if help_page else "", "files": files}
 
 
 def _number(text):
@@ -242,6 +274,12 @@ def compare_json(old: bytes, new: bytes) -> str:
     return ", ".join(sorted(rows)) or "identical values"
 
 
+def compare_text(old: str, new: str) -> str:
+    a, b = old.splitlines(), new.splitlines()
+    changed = sum(x != y for x, y in zip(a, b)) + abs(len(a) - len(b))
+    return f"{changed} of {max(len(a), len(b))} lines differ" if changed else "identical"
+
+
 def compare(old: dict, new: dict) -> list:
     """(file, verdict) rows for one line; the verdict of an unchanged
     file, or of a run that wrote none on either side, is "identical"."""
@@ -250,6 +288,8 @@ def compare(old: dict, new: dict) -> list:
         rows.append(("exit", f"{old['exit']} -> {new['exit']}"))
     if old["stderr"] != new["stderr"]:
         rows.append(("stderr", f"{old['stderr'].strip()!r} -> {new['stderr'].strip()!r}"))
+    if old.get("stdout") or new.get("stdout"):
+        rows.append(("stdout", compare_text(old.get("stdout", ""), new.get("stdout", ""))))
     for name in FILES:
         a, b = old["files"].get(name), new["files"].get(name)
         if a is None and b is None:
@@ -271,6 +311,7 @@ def main(argv=None) -> int:
                              f"--n-samples {DISORDER_SAMPLES}")
     args = parser.parse_args(argv)
     lines = variants(readme_commands(ROOT / "README.md") + list(EDGE_LINES), args.full)
+    lines += [shlex.split(line)[1:] for line in HELP_LINES]
     changed = False
     with tempfile.TemporaryDirectory(prefix="spinmaps-contract-") as tmp:
         base = Path(tmp) / "tree"
