@@ -245,7 +245,8 @@ def cmd_quench(cfg: dict) -> qlinalg.Result:
     spec = _network(cfg)
     z = preset_state(spec.n, cfg["state"], cfg["z"], cfg["z_list"])
     return ensemble.quench_series(spec, z, cfg["n_cl"], cfg["window_tj"], cfg["t_eval_tj"],
-                                  cfg["schedule"], cfg["seed"])
+                                  cfg["schedule"], cfg["seed"],
+                                  warn=lambda why: print(f"warning: {why}", file=sys.stderr))
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import functools
 import math
-import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -612,27 +611,22 @@ def fluct_series(spec: NetworkSpec, z, steady: SteadyChannel, horizon_tj: float,
 # ---------------------------------------------------------------------------
 
 
-def quench_demo(average: SpectralAverage, schedule, t_eval: float, t_j: float) -> np.ndarray:
+def quench_demo(average: SpectralAverage, schedule, t_eval: float) -> np.ndarray:
     """Cluster-averaged 4x4 reduced map of a staggered-quench ensemble.
 
     One identical cluster per switch-on time in `schedule`, each idle until
     its own switch-on and then driven by its Hamiltonian; `average` is the
-    cluster's SpectralAverage of site 0, the focal site, and t_j its exchange
-    time. The pre-quench segment only rotates the focal spin about z and
-    leaves its diagonal partners untouched, so each cluster contributes
-    average.maps at its elapsed time t_eval - t_on, or the identity while
-    its quench lies ahead. Over a window much longer than t_J the result
-    approaches the running average average([t_eval]) of one always-on
-    cluster, up to O(t_J/window) discretization.
+    cluster's SpectralAverage of site 0, the focal site. The pre-quench
+    segment only rotates the focal spin about z and leaves its diagonal
+    partners untouched, so each cluster contributes average.maps at its
+    elapsed time t_eval - t_on, or the identity while its quench lies
+    ahead. Over a window much longer than t_J the result approaches the
+    running average average([t_eval]) of one always-on cluster, up to
+    O(t_J/window) discretization.
     """
     schedule = np.asarray(schedule, dtype=float)
     if schedule.ndim != 1 or schedule.size == 0:
         raise ValueError("schedule must list one switch-on time per cluster")
-    window = float(schedule.max() - schedule.min())
-    if schedule.size > 1 and window < t_j:
-        warnings.warn(
-            "switch-on times span less than one t_J; the cluster average "
-            "will not resemble a time average", stacklevel=2)
     elapsed = t_eval - schedule
     maps = average.maps(np.maximum(elapsed, 0.0))
     maps[elapsed <= 0.0] = np.eye(4)  # quench still in the future for these clusters
@@ -640,10 +634,13 @@ def quench_demo(average: SpectralAverage, schedule, t_eval: float, t_j: float) -
 
 
 def quench_series(spec: NetworkSpec, z, n_cl: int, window_tj: float, t_eval_tj: float,
-                  schedule: str, seed: int) -> Result:
+                  schedule: str, seed: int, warn=lambda reason: None) -> Result:
     """quench_demo of n_cl clusters switched on over window_tj, evenly or
     iid uniform from `seed` (schedule "staggered" or "random"), against the
-    exact running average of site 0 in one always-coupled cluster."""
+    exact running average of site 0 in one always-coupled cluster. Calls
+    warn(reason) where the switch-on times of two or more clusters span
+    less than one t_J, too little for the average to resemble a time
+    average."""
     t_j = t_scale(spec.j_perp)
     check_count(n_cl, "n_cl")
     if schedule == "staggered":
@@ -651,9 +648,12 @@ def quench_series(spec: NetworkSpec, z, n_cl: int, window_tj: float, t_eval_tj: 
     else:
         rng = np.random.default_rng(seed)
         starts = rng.uniform(0.0, window_tj * t_j, n_cl)
+    if n_cl > 1 and starts.max() - starts.min() < t_j:
+        warn("switch-on times span less than one t_J; the cluster average "
+             "will not resemble a time average")
     t_eval = t_eval_tj * t_j
     average = SpectralAverage(spec, z, sites=(0,))
-    cluster_avg = quench_demo(average, starts, t_eval, t_j)
+    cluster_avg = quench_demo(average, starts, t_eval)
     reference = average([t_eval])[0]
 
     diff = np.abs(cluster_avg - reference)

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from statistics import NormalDist
 
 import numpy as np
 
@@ -26,6 +27,8 @@ from .reduced import PCParams, choi_check, cp_ok as cp_contains
 
 _TAU3_RULES = ("symmetric", "signed")
 _TWO_PI = 2.0 * math.pi
+_SQRT1_2 = math.sqrt(0.5)
+_inv_cdf = NormalDist().inv_cdf  # the standard normal's inverse CDF (Wichura's AS241)
 # rows drawn at once by volume_mc; the chunk changes no draw or estimate
 _VOLUME_CHUNK = 2**14
 MIN_VOLUME_SAMPLES = 10**5
@@ -219,8 +222,10 @@ def broken_uniform_sample(rng: np.random.Generator) -> BrokenPCParams:
 
 def trunc_gauss_sample(mu: float, sigma: float, a: float, b: float,
                        rng: np.random.Generator) -> float:
-    """Two-sided truncated Gaussian on [a, b] by inverse CDF (_ndtr and
-    _ndtri, equal to scipy.special's ndtr and ndtri bit for bit).
+    """Two-sided truncated Gaussian on [a, b] by inverse CDF: one
+    rng.uniform draw between the normal CDF 0.5 erfc(-x/sqrt 2) (math.erfc)
+    at the standardised ends, mapped back by statistics.NormalDist().inv_cdf.
+    A draw of exactly 0 or 1, which inv_cdf refuses, maps to a or b.
 
     When the whole interval sits beyond 6 sigma from mu the CDF endpoints
     collide in floating point, so a tail rejection sampler (shifted
@@ -241,154 +246,11 @@ def trunc_gauss_sample(mu: float, sigma: float, a: float, b: float,
             z = lo + rng.exponential(1.0 / lam)
             if z <= hi and rng.uniform() <= math.exp(-0.5 * (z - lam) ** 2):
                 return mu + sigma * (-z if flip else z)
-    u = rng.uniform(_ndtr(alpha), _ndtr(beta))
-    x = mu + sigma * _ndtri(u)
-    return min(max(x, a), b)
-
-
-# Normal CDF and its inverse on Python floats: a port of Cephes' ndtr.c and
-# ndtri.c (Cephes Math Library, Copyright 1984-2000 Stephen L. Moshier), the
-# algorithms behind scipy.special.ndtr and ndtri. Same coefficient tables and
-# the same Horner order as Cephes' polevl (p1evl: leading coefficient 1, not
-# stored), unrolled per table, so every result equals scipy's bit for bit
-# (tests/test_measure.py).
-
-# erfc(x) = exp(-x^2) P(x)/Q(x) for 1 <= x < 8, R(x)/S(x) for x >= 8
-_ERFC_P = (2.46196981473530512524E-10, 5.64189564831068821977E-1,
-           7.46321056442269912687E0, 4.86371970985681366614E1,
-           1.96520832956077098242E2, 5.26445194995477358631E2,
-           9.34528527171957607540E2, 1.02755188689515710272E3,
-           5.57535335369399327526E2)
-_ERFC_Q = (1.32281951154744992508E1, 8.67072140885989742329E1,
-           3.54937778887819891062E2, 9.75708501743205489753E2,
-           1.82390916687909736289E3, 2.24633760818710981792E3,
-           1.65666309194161350182E3, 5.57535340817727675546E2)
-_ERFC_R = (5.64189583547755073984E-1, 1.27536670759978104416E0,
-           5.01905042251180477414E0, 6.16021097993053585195E0,
-           7.40974269950448939160E0, 2.97886665372100240670E0)
-_ERFC_S = (2.26052863220117276590E0, 9.39603524938001434673E0,
-           1.20489539808096656605E1, 1.70814450747565897222E1,
-           9.60896809063285878198E0, 3.36907645100081516050E0)
-# erf(x) = x T(x^2)/U(x^2) for |x| <= 1
-_ERF_T = (9.60497373987051638749E0, 9.00260197203842689217E1,
-          2.23200534594684319226E3, 7.00332514112805075473E3,
-          5.55923013010394962768E4)
-_ERF_U = (3.35617141647503099647E1, 5.21357949780152679795E2,
-          4.59432382970980127987E3, 2.26290000613890934246E4,
-          4.92673942608635921086E4)
-_MAXLOG = 7.09782712893383996843E2  # log(DBL_MAX)
-
-# ndtri: y - 1/2 for |y - 1/2| < 1/2 - e^-2 (P0/Q0); with z = sqrt(-2 log y),
-# 2 <= z < 8 (P1/Q1) and 8 <= z < 64 (P2/Q2)
-_NDTRI_P0 = (-5.99633501014107895267E1, 9.80010754185999661536E1,
-             -5.66762857469070293439E1, 1.39312609387279679503E1,
-             -1.23916583867381258016E0)
-_NDTRI_Q0 = (1.95448858338141759834E0, 4.67627912898881538453E0,
-             8.63602421390890590575E1, -2.25462687854119370527E2,
-             2.00260212380060660359E2, -8.20372256168333339912E1,
-             1.59056225126211695515E1, -1.18331621121330003142E0)
-_NDTRI_P1 = (4.05544892305962419923E0, 3.15251094599893866154E1,
-             5.71628192246421288162E1, 4.40805073893200834700E1,
-             1.46849561928858024014E1, 2.18663306850790267539E0,
-             -1.40256079171354495875E-1, -3.50424626827848203418E-2,
-             -8.57456785154685413611E-4)
-_NDTRI_Q1 = (1.57799883256466749731E1, 4.53907635128879210584E1,
-             4.13172038254672030440E1, 1.50425385692907503408E1,
-             2.50464946208309415979E0, -1.42182922854787788574E-1,
-             -3.80806407691578277194E-2, -9.33259480895457427372E-4)
-_NDTRI_P2 = (3.23774891776946035970E0, 6.91522889068984211695E0,
-             3.93881025292474443415E0, 1.33303460815807542389E0,
-             2.01485389549179081538E-1, 1.23716634817820021358E-2,
-             3.01581553508235416007E-4, 2.65806974686737550832E-6,
-             6.23974539184983293730E-9)
-_NDTRI_Q2 = (6.02427039364742014255E0, 3.67983563856160859403E0,
-             1.37702099489081330271E0, 2.16236993594496635890E-1,
-             1.34204006088543189037E-2, 3.28014464682127739104E-4,
-             2.89247864745380683936E-6, 6.79019408009981274425E-9)
-_S2PI = 2.50662827463100050242E0  # sqrt(2 pi)
-_EXP_M2 = 0.13533528323661269189  # exp(-2)
-_SQRT1_2 = 0.70710678118654752440
-
-
-def _erfc(x: float) -> float:
-    # for x >= sqrt(1/2), the only arguments _ndtr passes (Cephes' erfc also
-    # takes x < 0, as 2 - erfc(-x))
-    if x < 1.0:
-        return 1.0 - _erf(x)
-    z = -x * x
-    if z < -_MAXLOG:
-        return 0.0  # underflow
-    z = math.exp(z)
-    if x < 8.0:
-        p0, p1, p2, p3, p4, p5, p6, p7, p8 = _ERFC_P
-        q1, q2, q3, q4, q5, q6, q7, q8 = _ERFC_Q
-        p = (((((((p0 * x + p1) * x + p2) * x + p3) * x + p4) * x + p5) * x + p6) * x
-             + p7) * x + p8
-        q = (((((((x + q1) * x + q2) * x + q3) * x + q4) * x + q5) * x + q6) * x
-             + q7) * x + q8
-    else:
-        r0, r1, r2, r3, r4, r5 = _ERFC_R
-        s1, s2, s3, s4, s5, s6 = _ERFC_S
-        p = ((((r0 * x + r1) * x + r2) * x + r3) * x + r4) * x + r5
-        q = (((((x + s1) * x + s2) * x + s3) * x + s4) * x + s5) * x + s6
-    return (z * p) / q  # 0.0 when it underflows, as Cephes returns
-
-
-def _erf(x: float) -> float:
-    # for |x| < 1, the only arguments _ndtr and _erfc pass; Cephes' -erf(-x)
-    # for x < 0 equals this expression bit for bit
-    z = x * x
-    t0, t1, t2, t3, t4 = _ERF_T
-    u1, u2, u3, u4, u5 = _ERF_U
-    return (x * ((((t0 * z + t1) * z + t2) * z + t3) * z + t4)
-            / (((((z + u1) * z + u2) * z + u3) * z + u4) * z + u5))
-
-
-def _ndtr(a: float) -> float:
-    """Standard normal CDF, Cephes ndtr (equal to scipy.special.ndtr)."""
-    x = a * _SQRT1_2
-    z = abs(x)
-    if z < _SQRT1_2:
-        return 0.5 + 0.5 * _erf(x)
-    y = 0.5 * _erfc(z)
-    return 1.0 - y if x > 0.0 else y
-
-
-def _ndtri(y0: float) -> float:
-    """Inverse of the standard normal CDF, Cephes ndtri (equal to
-    scipy.special.ndtri): -inf at 0, inf at 1, nan outside [0, 1]."""
-    if y0 == 0.0:
-        return -math.inf
-    if y0 == 1.0:
-        return math.inf
-    if y0 < 0.0 or y0 > 1.0:
-        return math.nan
-    negate = True
-    y = y0
-    if y > 1.0 - _EXP_M2:
-        y = 1.0 - y
-        negate = False
-    if y > _EXP_M2:
-        y = y - 0.5
-        y2 = y * y
-        p0, p1, p2, p3, p4 = _NDTRI_P0
-        q1, q2, q3, q4, q5, q6, q7, q8 = _NDTRI_Q0
-        p = (((p0 * y2 + p1) * y2 + p2) * y2 + p3) * y2 + p4
-        q = (((((((y2 + q1) * y2 + q2) * y2 + q3) * y2 + q4) * y2 + q5) * y2 + q6) * y2
-             + q7) * y2 + q8
-        x = y + y * (y2 * p / q)
-        return x * _S2PI
-    x = math.sqrt(-2.0 * math.log(y))
-    x0 = x - math.log(x) / x
-    z = 1.0 / x
-    p0, p1, p2, p3, p4, p5, p6, p7, p8 = _NDTRI_P1 if x < 8.0 else _NDTRI_P2
-    q1, q2, q3, q4, q5, q6, q7, q8 = _NDTRI_Q1 if x < 8.0 else _NDTRI_Q2
-    p = (((((((p0 * z + p1) * z + p2) * z + p3) * z + p4) * z + p5) * z + p6) * z
-         + p7) * z + p8
-    q = (((((((z + q1) * z + q2) * z + q3) * z + q4) * z + q5) * z + q6) * z
-         + q7) * z + q8
-    x = x0 - z * p / q
-    return -x if negate else x
+    # 0.5 erfc(-x/sqrt 2), not NormalDist().cdf: its 1 + erf form loses the lower tail
+    u = rng.uniform(0.5 * math.erfc(-alpha * _SQRT1_2), 0.5 * math.erfc(-beta * _SQRT1_2))
+    if not 0.0 < u < 1.0:
+        return a if u <= 0.0 else b
+    return min(max(mu + sigma * _inv_cdf(u), a), b)
 
 
 def time_grid(t_max_tj: float, steps: int) -> np.ndarray:

@@ -317,7 +317,7 @@ def test_criterion_11_quench_cluster_average():
     spec = NetworkSpec(topology="complete", n=3, h=GENERIC_H_RATIO * 2.0 * J,
                        j_perp=2.0 * J, j_par=2.0 * J)
     average = SpectralAverage(spec, [1.0] * 3, sites=(0,))
-    cluster_avg = quench_demo(average, schedule, 100.0 * t_j, t_j)
+    cluster_avg = quench_demo(average, schedule, 100.0 * t_j)
     # the exact running time average of site 0 in one always-on cluster
     reference = average([100.0 * t_j])[0]
     assert float(np.abs(cluster_avg - reference).max()) < 0.02

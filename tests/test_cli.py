@@ -4,9 +4,12 @@ import io
 import itertools
 import json
 import math
+import os
 import re
 import shlex
 import struct
+import subprocess
+import sys
 import time
 import warnings
 from fractions import Fraction
@@ -756,6 +759,17 @@ def test_volume_rerun_is_byte_identical(tmp_path, capsys):
     assert bodies[0] == bodies[1]
 
 
+def test_volume_failed_pull_is_advisory(tmp_path, capsys, monkeypatch):
+    # the pull verdict lands in diagnostics.json; the run still exits 0
+    planted = dict(spinmaps.measure.VOLUME_EXACT, negative=math.pi / 7.0)
+    monkeypatch.setattr(spinmaps.measure, "VOLUME_EXACT", planted)
+    rc, out, err = run_cli(["volume", "--samples", "100000", "--seed", "0",
+                            "--outdir", str(tmp_path)], capsys)
+    assert rc == 0 and err == ""
+    diag = json.loads((last_run_dir(out) / "diagnostics.json").read_text())
+    assert diag["pass"] is False
+
+
 def test_disorder_gaussian_quick(tmp_path, capsys):
     rc, out, _ = run_cli(["disorder", "--steps", "3", "--n-samples", "300",
                           "--t-max", "1.5",
@@ -900,6 +914,19 @@ def test_quench_quick_random_schedule(tmp_path, capsys):
         rows = list(csv.reader(fh))
     assert rows[0] == ["row", "col", "cluster_avg", "time_avg", "abs_diff"]
     assert len(rows) == 17
+
+
+def test_quench_narrow_window_warns_without_a_python_warning(tmp_path):
+    # a fresh process under Python's default warning filters, as a user runs it
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run([sys.executable, "-m", "spinmaps.cli", "quench", "--window-tj", "0.5",
+                           "--n-cl", "5", "--outdir", str(tmp_path)],
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.startswith("warning: switch-on times span less than one t_J")
+    assert proc.stderr.count("\n") == 1
+    assert "UserWarning" not in proc.stderr and ".py" not in proc.stderr
 
 
 def test_config_file_merge_order(tmp_path, capsys):

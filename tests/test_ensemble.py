@@ -18,6 +18,7 @@ from spinmaps.ensemble import (
     network_average,
     network_series,
     quench_demo,
+    quench_series,
     steady_channel,
     time_average,
 )
@@ -620,6 +621,8 @@ QUENCH = NetworkSpec(topology="complete", n=3, h=GENERIC_H_RATIO * 2.0,
                      j_perp=2.0, j_par=2.0)
 POLARIZED = [1.0] * 3
 QUENCH_T_J = t_scale(2.0)
+NARROW_WINDOW = ("switch-on times span less than one t_J; the cluster average "
+                 "will not resemble a time average")
 
 
 @pytest.fixture(scope="module")
@@ -631,36 +634,43 @@ def test_quench_single_cluster_contract(site0):
     ev = HermitianEvolver(build_hamiltonian(QUENCH))
     env = [(0.0, 0.0, 1.0)] * 2
     want = transfer_from_unitary(ev.unitary(5.5 - 1.2), 0, env)
-    got = quench_demo(site0, [1.2], 5.5, QUENCH_T_J)
+    got = quench_demo(site0, [1.2], 5.5)
     assert np.max(np.abs(got - want)) < 1e-12
     # all clusters quenched at the same time degenerate to the same map
-    with pytest.warns(UserWarning):
-        same = quench_demo(site0, [1.2] * 4, 5.5, QUENCH_T_J)
+    same = quench_demo(site0, [1.2] * 4, 5.5)
     assert np.max(np.abs(same - want)) < 1e-12
 
 
 def test_quench_future_switch_is_identity(site0):
-    got = quench_demo(site0, [3.0], 1.0, QUENCH_T_J)
+    got = quench_demo(site0, [3.0], 1.0)
     assert np.max(np.abs(got - np.eye(4))) < 1e-12
 
 
 def test_quench_schedule_shape_checked(site0):
     with pytest.raises(ValueError):
-        quench_demo(site0, [], 1.0, QUENCH_T_J)
+        quench_demo(site0, [], 1.0)
     with pytest.raises(ValueError):
-        quench_demo(site0, [[0.0, 1.0]], 1.0, QUENCH_T_J)
+        quench_demo(site0, [[0.0, 1.0]], 1.0)
 
 
-def test_quench_warns_on_narrow_window(site0):
-    with pytest.warns(UserWarning):
-        quench_demo(site0, np.linspace(0.0, 0.5, 5), 8.0, QUENCH_T_J)
+def test_quench_warns_on_narrow_window():
+    def reasons(n_cl, window_tj, schedule="staggered"):
+        got = []
+        quench_series(QUENCH, POLARIZED, n_cl, window_tj, 8.0, schedule, 0, warn=got.append)
+        return got
+
+    assert reasons(5, 0.5) == [NARROW_WINDOW]
+    assert reasons(5, 0.5, "random") == [NARROW_WINDOW]
+    assert reasons(4, 0.0) == [NARROW_WINDOW]  # every cluster switched on at once
+    # a window of one t_J, or a single cluster, is no warning
+    assert reasons(5, 1.0) == [] and reasons(1, 0.5) == []
 
 
 def test_quench_average_tracks_time_average(site0):
     # moderate size; the acceptance suite runs the full-size benchmark
     t_j = QUENCH_T_J
     # staggered over [0, 50 t_J], evaluated at the last switch-on
-    avg = quench_demo(site0, np.linspace(0.0, 50.0 * t_j, 200), 50.0 * t_j, t_j)
+    avg = quench_demo(site0, np.linspace(0.0, 50.0 * t_j, 200), 50.0 * t_j)
     # the exact running time average of site 0 in one always-on cluster
     ref = site0([50.0 * t_j])[0]
     assert np.max(np.abs(avg - ref)) < 0.02

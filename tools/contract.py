@@ -84,6 +84,8 @@ ONE_THREAD = {name: "1" for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
 # quench, which do not key a Philox stream), and grids and counts larger
 # than any array (exit 2, naming the option; before, numpy's "Maximum
 # allowed size exceeded", and a traceback where the point count overflowed).
+# Last, a `quench` window under one t_J (exit 0, with a `warning: ...` line on
+# stderr; before, a raw UserWarning with its source path and line).
 EDGE_LINES = (
     "spinmaps steady --n 1",
     "spinmaps steady --topology ring --n 2",
@@ -154,6 +156,7 @@ EDGE_LINES = (
     "spinmaps measure --steps 100000000000000000000 --no-overlay",
     "spinmaps quench --n-cl 100000000000000000000",
     "spinmaps quench --n-cl 100000000000000000000 --schedule random",
+    "spinmaps quench --window-tj 0.5 --n-cl 5",
 )
 
 # The help page of the program and of every command, compared on stdout.
