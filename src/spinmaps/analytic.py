@@ -7,11 +7,11 @@ Families covered, all against diagonal (Bloch-z) environments:
   collective spin, so the focal site's dynamics splits into 2x2
   Clebsch-Gordan blocks per partner spin J' and total M
   (ensemble.collective_blocks).
-- ring_params: rings N = 4 and 5, full XXZ, every parameter. Both are
-  derived, not transcribed: H conserves the charge and commutes with the
-  cyclic shift, and at N <= 5 each (charge, momentum) block is at most 2x2,
-  so the channel is a sum over an eigenbasis with closed-form roots and
-  mixing angles (_ring_basis, _ring_couplings, _ring_terms).
+- ring_params: rings 3 <= N <= RING_ORACLE_MAX_N, full XXZ, every
+  parameter. Derived, not transcribed: H conserves the charge and commutes
+  with the cyclic shift, so it is block-diagonal by (charge, momentum);
+  eigh of each block gives the eigenbasis the channel is summed over
+  (_ring_basis, _ring_couplings, _ring_terms).
 - xx_reduced_map / xx_unitary_components: one detuned XX pair. The full
   two-qubit channel in the Pauli basis has 70 nonzero entries taking 17
   distinct values up to sign. xx_reduced_map computes only the values the
@@ -133,20 +133,19 @@ def cc_params(n: int, t, j_perp: float, j_par: float, h: float, env_z) -> PCPara
 
 @functools.cache
 def _ring_basis(n: int):
-    """The ring's field-free H in its (charge, momentum) basis, n = 4 or 5.
+    """The ring's field-free H and its (charge, momentum) sector bases, any n >= 3.
 
     H conserves the charge Q = sum Z_i and commutes with the cyclic shift T,
     so the states sum_r e^{-2 pi i q r / n} T^r |s> of each shift orbit of
     basis states s, normalised, block-diagonalise it by (Q, q) (Sandvik,
-    arXiv:1101.3281, sec. 4-5). For n <= 5 no block holds more than two of
-    them. The basis columns come in pairs, one pair per 2x2 block: a
-    two-state sector, or two one-state sectors side by side.
+    arXiv:1101.3281, sec. 4-5): one orthonormal basis per sector, its
+    columns the momentum-q states of the sector's orbits.
 
-    Returns the basis, the blocks of the hop (J_perp = 1) and Ising (J_par =
-    1) terms, shape (2^(n-1), 2, 2), the focal (site 0) Paulis out, with the
-    map's 1/2, and in, of lambda3, tau3, alpha and beta (sigma_y = i sigma_x
-    sigma_z), and the Z signs of the partners, sites 1 .. n-1. Site i is bit
-    n-1-i of the basis index, as in the engine.
+    Returns the sector bases, shape (2^n, sector size) each, the hop
+    (J_perp = 1) and Ising (J_par = 1) terms, the focal (site 0) Paulis out,
+    with the map's 1/2, and in, of lambda3, tau3, alpha and beta (sigma_y =
+    i sigma_x sigma_z), and the Z signs of the partners, sites 1 .. n-1.
+    Site i is bit n-1-i of the basis index, as in the engine.
     """
     dim = 1 << n
     states = np.arange(dim)
@@ -171,20 +170,12 @@ def _ring_basis(n: int):
             norm = np.linalg.norm(mode)
             if norm > 0.5:  # the orbit's period admits momentum q
                 sectors.setdefault((spins[s].sum(), q), []).append(mode / norm)
-    order = sorted(sectors, key=lambda label: -len(sectors[label]))  # the one-state ones last
-    basis = np.array([mode for label in order for mode in sectors[label]]).T
-    sector = np.repeat(np.arange(len(order)), [len(sectors[label]) for label in order])
-    same = np.equal.outer(sector, sector)
-
-    def blocks(op):  # exact zeros between sectors
-        full = np.where(same, basis.conj().T @ op @ basis, 0.0)
-        return np.einsum("aiaj->aij", full.reshape(dim // 2, 2, dim // 2, 2))
-
+    bases = tuple(np.array(modes).T for modes in sectors.values())
     z = np.diag(spins[:, 0].astype(float))
     x = np.eye(dim)[states ^ (1 << (n - 1))]
     outs = 0.5 * np.stack([z, z, x, 1j * x @ z])
     ins = np.stack([z, np.eye(dim), x, x])
-    return basis, blocks(hop), blocks(np.diag(ising)), outs, ins, spins[:, 1:]
+    return bases, hop, np.diag(ising), outs, ins, spins[:, 1:]
 
 
 # the couplings (j_perp, j_par) as two packed doubles: the exact bits, so
@@ -192,29 +183,23 @@ def _ring_basis(n: int):
 _COUPLINGS = struct.Struct("2d")
 
 
-# a maps run asks for one set of couplings at every focal site; 16 entries
-# of at most 4 (32, 32) complex matrices stay under 2 MB
+# a maps run asks for one set of couplings at every focal site; an entry is
+# 6 MB at N = 8, and 16 of them peaked at 159 MB RSS, the process included
 @functools.lru_cache(maxsize=16)
 def _ring_couplings(n: int, key: bytes):
     """The part of _ring_terms that depends only on the couplings, built once
     per (n, J_perp, J_par): the 2^N energies, the eigenmodes and their
     conjugate transpose, and the four out-operator sandwiches, transposed.
-    key is _COUPLINGS.pack(j_perp, j_par). Each 2x2 block
-    [[a, conj(c)], [c, d]] has the roots (a + d)/2 +- r,
-    r = hypot((a - d)/2, |c|), and the mixing angle atan2(|c|, (a - d)/2)/2.
-    The arrays are read-only, since every hit returns the same objects."""
+    key is _COUPLINGS.pack(j_perp, j_par). Each sector block B^dag H B is
+    diagonalised by eigh, and its eigenvectors V give the modes B V. The
+    arrays are read-only, since every hit returns the same objects."""
     j_perp, j_par = _COUPLINGS.unpack(key)
-    basis, hop, ising, outs, _, _ = _ring_basis(n)
-    block = j_perp * hop + j_par * ising
-    a, d, mix = block[:, 0, 0].real, block[:, 1, 1].real, block[:, 1, 0]
-    mean, half = 0.5 * (a + d), 0.5 * (a - d)
-    root = np.hypot(half, np.abs(mix))
-    angle = 0.5 * np.arctan2(np.abs(mix), half)  # no division, a zero mix included
-    c, s = np.cos(angle), np.sin(angle) * np.exp(1j * np.angle(mix))
-    rot = np.stack([np.stack([c, -s.conj()], axis=-1), np.stack([s, c], axis=-1)], axis=-2)
-    modes = np.einsum("dbi,bij->dbj", basis.reshape(len(basis), -1, 2), rot).reshape(basis.shape)
+    bases, hop, ising, outs, _, _ = _ring_basis(n)
+    h = j_perp * hop + j_par * ising
+    energies, vectors = zip(*(np.linalg.eigh(b.conj().T @ h @ b) for b in bases))
+    energies = np.concatenate(energies)
+    modes = np.concatenate([b @ v for b, v in zip(bases, vectors)], axis=1)
     modes_h = modes.conj().T
-    energies = np.stack([mean + root, mean - root], axis=-1).ravel()
     out = (modes_h @ outs @ modes).transpose(0, 2, 1)
     for array in (energies, modes, modes_h, out):
         array.flags.writeable = False
@@ -234,13 +219,17 @@ def _ring_terms(n: int, j_perp: float, j_par: float, env):
     return energies, out * (modes_h @ (ins * weights) @ modes)
 
 
-def ring_params(n: int, t, j_perp: float, j_par: float, h: float, env_z) -> PCParams:
-    """Closed-form channel of the ring, N = 4 or 5, full XXZ; fields of t's shape.
+# the largest ring ring_params serves: a _ring_couplings entry grows 4x per
+# site, and at N = 9 a full cache of 24 MB entries would hold 384 MB
+RING_ORACLE_MAX_N = 8
 
-    env_z[k] is the polarization of ring site (focal + 1 + k) mod N.
-    """
-    if n not in (4, 5):
-        raise UnsupportedNetwork(f"no closed form for (ring, N={n})")
+
+def ring_params(n: int, t, j_perp: float, j_par: float, h: float, env_z) -> PCParams:
+    """Closed-form channel of the ring, 3 <= N <= RING_ORACLE_MAX_N, full XXZ;
+    fields of t's shape. env_z[k] is the polarization of site (focal + 1 + k) mod N."""
+    if not 3 <= n <= RING_ORACLE_MAX_N:
+        raise UnsupportedNetwork(f"no closed form for (ring, N={n}): "
+                                 f"the ring oracle covers 3 <= N <= {RING_ORACLE_MAX_N}")
     env = _check_env(env_z, n)
     t = np.asarray(t, dtype=float)
     energies, amps = _ring_terms(n, j_perp, j_par, env)

@@ -183,6 +183,9 @@ def cmd_maps(cfg: dict) -> qlinalg.Result:
     for opt in _BY_COMMAND["maps"]:
         if opt.setup not in (None, setup) and cfg[opt.dest] != opt.defaults["maps"]:
             raise ConfigError(f"{opt.dest}: not read with --topology {cfg['topology']}")
+    coupling = "j" if setup == "pair" else "j_perp"
+    if cfg[coupling] == 0:
+        raise ConfigError(f"{coupling}: must be nonzero (t_J is undefined without exchange)")
     if setup == "pair":
         if cfg["z2"] is None:
             # longest partner vector consistent with the transverse components
@@ -242,6 +245,8 @@ def cmd_volume(cfg: dict) -> qlinalg.Result:
 
 
 def cmd_quench(cfg: dict) -> qlinalg.Result:
+    if cfg["j"] == 0:
+        raise ConfigError("j: must be nonzero (t_J is undefined without exchange)")
     spec = _network(cfg)
     z = preset_state(spec.n, cfg["state"], cfg["z"], cfg["z_list"])
     return ensemble.quench_series(spec, z, cfg["n_cl"], cfg["window_tj"], cfg["t_eval_tj"],

@@ -12,6 +12,7 @@ from spinmaps.analytic import (
     _ring_basis,
     _ring_couplings,
     _ring_terms,
+    RING_ORACLE_MAX_N,
     cc_params,
     closed_form,
     ring_params,
@@ -69,7 +70,7 @@ RING_COUPLINGS = [(1.0, 0.45, 0.31), (1.0, 0.0, 0.2), (1.0, 0.0, 0.618), (0.8, 0
                   (1.0, 0.37, 1.3), (-0.7, 2.5, 0.0), (0.0, 0.7, 0.3)]
 
 
-@pytest.mark.parametrize("n", [4, 5])
+@pytest.mark.parametrize("n", [3, 4, 5])
 def test_ring_params_match_dense(n):
     # against the engine at every focal site and entry; pure partners
     # (z = +-1) and a signed zero next to random polarizations, then random ones
@@ -83,16 +84,37 @@ def test_ring_params_match_dense(n):
                 assert np.max(np.abs(got - want)) <= 1e-12, (z, j_perp, j_par, h, focal)
 
 
-@pytest.mark.parametrize("n", [4, 5])
+@pytest.mark.parametrize("n", range(6, RING_ORACLE_MAX_N + 1))
+def test_ring_params_match_the_engine_up_to_the_cap(n):
+    # blocks of more than two states: against the engine's map extraction
+    # at every focal site, one eigendecomposition for all of them, at J_par
+    # = 0, +-J_perp and a random value; pure partners and both signed zeros
+    rng = np.random.default_rng(n)
+    times = np.linspace(0.0, 9.0, 7)
+    z = [1.0, -0.0, -1.0, 0.0, *rng.uniform(-1.0, 1.0, n - 4)]
+    for j_par in (0.0, 1.0, -1.0, rng.uniform(-1.5, 1.5)):
+        spec = NetworkSpec("ring", n, h=0.618, j_perp=1.0, j_par=j_par)
+        evolver = HermitianEvolver(build_hamiltonian(spec))
+        for focal in range(n):
+            env = [(0.0, 0.0, v) for s, v in enumerate(z) if s != focal]
+            want = [MapExtractor(evolver, focal, env).transfer(t) for t in times]
+            got = ring_params(n, times, 1.0, j_par, 0.618, cyclic_env(z, focal, n)).transfer()
+            assert np.max(np.abs(got - want)) <= 1e-12, (j_par, focal)
+
+
+@pytest.mark.parametrize("n", range(3, RING_ORACLE_MAX_N + 1))
 def test_ring_basis_block_diagonalises_h(n):
-    # the (charge, momentum) basis is unitary, and the engine's H, field
-    # included, has no entry in it outside the 2x2 blocks on its diagonal
-    basis = _ring_basis(n)[0]
+    # the (charge, momentum) sector bases together are unitary, and the
+    # engine's H, field included, has no entry in them outside the blocks
+    # of the sectors on its diagonal
+    bases = _ring_basis(n)[0]
+    basis = np.concatenate(bases, axis=1)
     assert np.max(np.abs(basis.conj().T @ basis - np.eye(2**n))) <= 1e-14
-    outside = 1.0 - np.kron(np.eye(2 ** (n - 1)), np.ones((2, 2)))
+    sector = np.repeat(np.arange(len(bases)), [b.shape[1] for b in bases])
+    outside = np.not_equal.outer(sector, sector)
     for j_perp, j_par, h in RING_COUPLINGS:
         h_mat = build_hamiltonian(NetworkSpec("ring", n, h=h, j_perp=j_perp, j_par=j_par))
-        assert np.max(np.abs(outside * (basis.conj().T @ h_mat @ basis))) <= 1e-14
+        assert np.max(np.abs((basis.conj().T @ h_mat @ basis)[outside])) <= 1e-14
 
 
 @pytest.mark.parametrize("n", [4, 5])
@@ -155,11 +177,32 @@ def test_ring5_steady_table_is_the_closed_form_limit():
         assert abs(limit[1] - steady.tau3) <= 1e-14, z
 
 
+# the paper's first example off the isotropic point, where ring N=5 has no
+# rational table: lambda3 at infinite time, z = RING_Z[:5], J_perp = 1, by J_par
+RING_Z = (0.3, -0.2, 0.5, 0.1, -0.7, 0.9, -0.4)
+RING5_LATE_LAMBDA3 = {1.0: 0.3136, 0.0: 0.36, 0.37: 0.27395082150557, -0.6: 0.29266254158764}
+
+
+@pytest.mark.parametrize("n", [5, 6, 7])
+def test_ring_late_time_limit_is_the_engines(n):
+    # the zero-gap sum of the oracle's terms against the engine's
+    # diagonal-ensemble channel, both averaged over the focal sites
+    for j_par, lambda3 in RING5_LATE_LAMBDA3.items():
+        spec = NetworkSpec("ring", n, h=0.618, j_perp=1.0, j_par=j_par)
+        limit = zero_gap_limit(n, j_par, RING_Z[:n])
+        engine = SpectralAverage(spec, RING_Z[:n]).limit
+        assert abs(limit[0] - engine[3, 3]) <= 1e-12, j_par
+        assert abs(limit[1] - engine[3, 0]) <= 1e-12, j_par
+        if n == 5:
+            assert abs(limit[0] - lambda3) <= 1e-12, j_par
+
+
 def test_ring_params_rejections():
-    with pytest.raises(UnsupportedNetwork):
-        ring_params(6, 1.0, 1.0, 1.0, 0.0, [0.0] * 5)
-    with pytest.raises(UnsupportedNetwork):  # the dispatch, for a ring with no closed form
-        closed_form(NetworkSpec("ring", 6), 0, [(0.0, 0.0, 0.0)] * 5, 1.0)
+    cap = rf"\(ring, N=9\): the ring oracle covers 3 <= N <= {RING_ORACLE_MAX_N}$"
+    with pytest.raises(UnsupportedNetwork, match=cap):  # the first ring above the cap
+        ring_params(9, 1.0, 1.0, 1.0, 0.0, [0.0] * 8)
+    with pytest.raises(UnsupportedNetwork, match=cap):  # the dispatch
+        closed_form(NetworkSpec("ring", 9), 0, [(0.0, 0.0, 0.0)] * 8, 1.0)
     with pytest.raises(ValueError):  # the XXZ closed forms hold for diagonal partners only
         closed_form(NetworkSpec("complete", 3), 0, [(0.1, 0.0, 0.5), (0.0, 0.0, 0.2)], 1.0)
     xx = NetworkSpec("xx_pairs", 2, pairs=(PairSpec(1.0, 0.5, 1.0),))
@@ -419,8 +462,8 @@ def test_map_series_reports_a_numeric_only_run_through_warn():
     from spinmaps import analytic
     from spinmaps.network import t_scale
 
-    spec = NetworkSpec("ring", 6, h=0.37, j_perp=1.0, j_par=1.0)
-    envs = {s: [(0.0, 0.0, 0.5)] * 5 for s in range(6)}
+    spec = NetworkSpec("ring", 9, h=0.37, j_perp=1.0, j_par=1.0)  # above the ring oracle's cap
+    envs = {s: [(0.0, 0.0, 0.5)] * 8 for s in range(9)}
     reasons = []
     result = analytic.map_series(spec, envs, t_scale(1.0), 0.1, 10, warn=reasons.append)
     assert reasons == [result.diagnostics["analytic_skip_reason"]] and reasons[0]

@@ -207,11 +207,16 @@ def test_small_coupling_with_finite_times_runs(tmp_path, capsys, line):
     assert rc == 0 and err == ""
 
 
-@pytest.mark.parametrize("line", ["maps --j-perp 0", "quench --j 0"])
+@pytest.mark.parametrize("line", ["maps --j-perp 0", "maps --topology xx_pairs --j 0",
+                                  "quench --j 0"])
 def test_zero_coupling_is_no_float_limit(tmp_path, capsys, line):
-    # no exchange: t_scale refuses it (steady, fluct and measure exit 4 first)
-    rc, _, err = run_cli(line.split() + ["--outdir", str(tmp_path)], capsys)
-    assert rc == 2 and err == "config error: t_scale undefined for J_perp = 0\n"
+    # no exchange, so no t_J: refused naming the coupling's option (steady,
+    # fluct and measure exit 4 first)
+    field = "j_perp" if "--j-perp" in line else "j"
+    rc, out, err = run_cli(line.split() + ["--outdir", str(tmp_path / "runs")], capsys)
+    assert rc == 2
+    assert err == f"config error: {field}: must be nonzero (t_J is undefined without exchange)\n"
+    assert out == "" and not (tmp_path / "runs").exists()
 
 
 @pytest.mark.parametrize("line, field", [
@@ -1092,13 +1097,15 @@ def test_a_grid_an_array_can_hold_but_memory_cannot_is_out_of_memory(tmp_path, c
 
 
 def test_a_cp_violation_stops_maps_without_a_run_directory(tmp_path, capsys, monkeypatch):
-    # the numeric-only warning keeps its place ahead of the stop
+    # the numeric-only warning of a ring above the oracle's cap keeps its
+    # place ahead of the stop
     monkeypatch.setattr(spinmaps.reduced.MapExtractor, "transfer",
                         lambda self, t: np.diag([1.0, 1.5, 1.5, 1.0]))
-    rc, out, err = run_cli(["maps", "--topology", "ring", "--n", "6", "--t-max-tj", "0.1",
+    rc, out, err = run_cli(["maps", "--topology", "ring", "--n", "9", "--t-max-tj", "0.1",
                             "--outdir", str(tmp_path / "runs")], capsys)
     assert rc == 3
     warning, stop = err.splitlines()
-    assert warning == "warning: running numeric-only (no closed form for (ring, N=6))"
+    assert warning == ("warning: running numeric-only (no closed form for (ring, N=9): "
+                       "the ring oracle covers 3 <= N <= 8)")
     assert stop.startswith("invariant violation: CP violation at t=0.000 t_J, site 0: (l1=1.5")
     assert out == "" and not (tmp_path / "runs").exists()

@@ -298,7 +298,7 @@ FLIP = np.diag([1.0, 1.0, -1.0, -1.0])
 
 @pytest.mark.parametrize("n", [5, 6])
 def test_ring_maps_are_shift_covariant(n):
-    # rings that `maps` runs numeric-only: the cyclic shift s -> s + 1 takes
+    # an engine symmetry that needs no closed form: the cyclic shift s -> s + 1 takes
     # the site-0 map at z to the site-1 map at z shifted by one site
     spec = NetworkSpec("ring", n, h=0.618, j_par=0.6)
     z = np.random.default_rng(40 + n).uniform(-1.0, 1.0, n)
@@ -319,8 +319,8 @@ def test_ring_maps_are_flip_covariant(n):
     assert np.max(np.abs(maps[1.0] - maps[-1.0])) > 0.1  # the flip is not trivial
 
 
-# networks with no closed form, where these relations are the check: the
-# rings `maps` runs numeric-only and the complete graph past the tables
+# engine relations that need no closed form, on rings N=5 and N=6 and on
+# the complete graph at N=7
 SYMMETRY_NETWORKS = [("ring", 5), ("ring", 6), ("complete", 7)]
 
 

@@ -52,8 +52,9 @@ ONE_THREAD = {name: "1" for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
 # rows [1, 0] and [0, 1] exactly, with a signed zero among them (exit 0),
 # and three `maps` lines (exit 0): pure partners, whose square roots scale
 # columns of the U(t) that every site shares by zero, a grid of the single
-# time t = 0 on a network without a closed form, and complete N=7, whose
-# closed form is derived from collective spin. The next nine are
+# time t = 0 on ring N=6 (numeric-only until the ring oracle took every
+# (charge, momentum) block to eigh), and complete N=7, whose closed form is
+# derived from collective spin. The next nine are
 # float-arithmetic limits (exit 2, naming the option): disorder widths whose
 # envelope rate sigma_omega^2 + 4 sigma_h^2 overflows (1e300 raised
 # OverflowError and 1e154 wrote a NaN closed form before the limit),
@@ -84,8 +85,14 @@ ONE_THREAD = {name: "1" for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
 # quench, which do not key a Philox stream), and grids and counts larger
 # than any array (exit 2, naming the option; before, numpy's "Maximum
 # allowed size exceeded", and a traceback where the point count overflowed).
-# Last, a `quench` window under one t_J (exit 0, with a `warning: ...` line on
-# stderr; before, a raw UserWarning with its source path and line).
+# Then a `quench` window under one t_J (exit 0, with a `warning: ...` line on
+# stderr; before, a raw UserWarning with its source path and line). Last, the
+# ring oracle's ends: ring N=8, the largest it serves (exit 0 with an
+# analytic_check; numeric-only before it diagonalised each (charge, momentum)
+# block with eigh), ring N=9, the first above that cap (exit 0, numeric-only,
+# the cap in the warning), and an `xx_pairs` pair without exchange (exit 2
+# naming j; `maps --j-perp 0` and `quench --j 0` above name j_perp and j
+# too, where all three named the function t_scale before).
 EDGE_LINES = (
     "spinmaps steady --n 1",
     "spinmaps steady --topology ring --n 2",
@@ -157,6 +164,9 @@ EDGE_LINES = (
     "spinmaps quench --n-cl 100000000000000000000",
     "spinmaps quench --n-cl 100000000000000000000 --schedule random",
     "spinmaps quench --window-tj 0.5 --n-cl 5",
+    "spinmaps maps --topology ring --n 8 --t-max-tj 1",
+    "spinmaps maps --topology ring --n 9 --t-max-tj 0",
+    "spinmaps maps --topology xx_pairs --j 0",
 )
 
 # The help page of the program and of every command, compared on stdout.
