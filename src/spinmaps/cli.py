@@ -308,6 +308,22 @@ _A_PHI = Range(lambda v, cfg: cfg["phi_dist"] != "trunc_tanh" or v >= disorder.M
 _TIMES_TJ = ("t_max_tj", "horizon_tj", "t_eval_tj", "window_tj")
 
 
+def _sigma_in_range(c: float, cfg: dict) -> bool:
+    """Whether measure's sigma(t) = (c/n)/t is finite at the grid's first
+    time and above 0 at its last, t_max_tj. A register size below 1 is left
+    to NetworkSpec, which names n."""
+    n = cfg["n"]
+    if n < 1:
+        return True
+    last = max(cfg["t_max_tj"], measure.T_FIRST)
+    return (_finite(measure.trajectory_sigma(c, n, measure.T_FIRST))
+            and measure.trajectory_sigma(c, n, last) > 0.0)
+
+
+_SIGMA = Range(_sigma_in_range,
+               "must keep sigma(t) = (c/n)/t finite and > 0 on the trajectory grid")
+
+
 def _longest_time_finite(j: float, cfg: dict) -> bool:
     """Whether t_J of coupling j, times the longest horizon or span in t_J
     that the command turns into a time (and at least 1), is finite. quench's
@@ -328,7 +344,7 @@ _ENVELOPE_H = Range(lambda v, cfg: _finite(4.0 * v * v),
 _ENVELOPE_OMEGA = Range(lambda v, cfg: _finite(v * v + 4.0 * cfg["sigma_h"] * cfg["sigma_h"]),
                         _ENVELOPE_H.requirement)
 RANGES = (_HORIZON, _SPAN, _POSITIVE, _AT_LEAST_ONE, _REGISTER, _COUNT, _SEED, _POLARIZATION,
-          _VOLUME_SAMPLES, _DISORDER_SAMPLES, _FINITE, _VARPHI, _A_PHI, _COUPLING,
+          _VOLUME_SAMPLES, _DISORDER_SAMPLES, _FINITE, _VARPHI, _A_PHI, _SIGMA, _COUPLING,
           _ENVELOPE_H, _ENVELOPE_OMEGA)
 
 # name -> (function, help), in the order of `spinmaps --help`
@@ -399,7 +415,7 @@ OPTIONS = (
     Option("--varphi", float, {"disorder": 3.0}, (_VARPHI,)),
     Option("--a-phi", float, {"disorder": None}, (_A_PHI,)),
     Option("--preset", str, {"measure": "cc"}, choices=("cc", "ring")),
-    Option("--c", float, {"measure": 1.0}, (_POSITIVE,)),
+    Option("--c", float, {"measure": 1.0}, (_POSITIVE, _SIGMA)),
     Option("--h1", float, {"maps": 1.0}, setup="pair"),
     Option("--h2", float, {"maps": 0.5}, setup="pair"),
     Option("--n-cl", int, {"quench": 400}, (_AT_LEAST_ONE,)),

@@ -7,7 +7,9 @@ lambda1), Monte Carlo volume estimates, and the time-dependent trajectory
 construction whose width shrinks as sigma(t) = (C/N)(1/t), t in units of t_J.
 The rejection samplers draw one candidate at a time from the generator's raw
 doubles; the broken family is pruned by its closed-form Choi margin
-(broken_cp_margin) and every accepted draw is certified by choi_check.
+(broken_cp_margin) and every accepted draw is certified by choi_check. The
+volume draws its raw doubles in fixed row chunks, mapped as rng.uniform maps
+them, into one reused column buffer.
 """
 
 from __future__ import annotations
@@ -90,6 +92,9 @@ def volume_mc(n: int, seed: int) -> VolumeEstimate:
     """Hit-or-miss volume of the CP solid over [-1, 1]^3, split by sign(lambda3).
 
     The exact values are 16/9 in total, of which pi/6 lies at lambda3 < 0.
+    Each row is three raw doubles u mapped to -1 + 2u, the values of
+    rng.uniform(-1, 1, (n, 3)), drawn in chunks of _VOLUME_CHUNK rows and
+    counted by cp_contains.
     """
     if n < MIN_VOLUME_SAMPLES:
         raise ValueError(f"n must be at least {MIN_VOLUME_SAMPLES}")
@@ -100,12 +105,17 @@ def volume_mc(n: int, seed: int) -> VolumeEstimate:
         p = k / n
         return box * p, box * math.sqrt(p * (1.0 - p) / n)
 
-    # row chunks of the one n x 3 draw, read as contiguous columns: same
-    # rows, integer counts, flat memory
+    # row chunks of the one n x 3 draw, as contiguous columns of one reused
+    # buffer: same rows, integer counts, flat memory. 2u is exact, so
+    # -1 + 2u is the value rng.uniform(-1, 1) returns for u
+    block = np.empty((3, _VOLUME_CHUNK))
     hits = negs = 0
     for start in range(0, n, _VOLUME_CHUNK):
-        rows = rng.uniform(-1.0, 1.0, size=(min(_VOLUME_CHUNK, n - start), 3))
-        l1, t3, l3 = rows.T.copy()
+        m = min(_VOLUME_CHUNK, n - start)
+        cols = block[:, :m]
+        np.multiply(rng.random((m, 3)).T, 2.0, out=cols)
+        cols -= 1.0
+        l1, t3, l3 = cols
         hit = cp_contains(l1, t3, l3)
         hits += np.count_nonzero(hit)
         negs += np.count_nonzero(hit & (l3 < 0.0))
@@ -253,6 +263,11 @@ def trunc_gauss_sample(mu: float, sigma: float, a: float, b: float,
     return min(max(mu + sigma * _inv_cdf(u), a), b)
 
 
+def trajectory_sigma(c: float, n: int, t: float) -> float:
+    """sigma(t) = (c/n)(1/t), t in t_J: the trajectory's width, which falls in t."""
+    return (c / n) * (1.0 / t)
+
+
 def time_grid(t_max_tj: float, steps: int) -> np.ndarray:
     """Geometric grid of `steps` times from T_FIRST to t_max_tj."""
     if t_max_tj <= T_FIRST:
@@ -305,7 +320,7 @@ class MeasureSpec:
     def sigma(self, t: float) -> float:
         if t <= 0:
             raise ValueError("sigma(t) needs t > 0")
-        return (self.C / self.n) * (1.0 / t)
+        return trajectory_sigma(self.C, self.n, t)
 
 
 def trajectory_sample(spec: MeasureSpec, seed: int) -> list:

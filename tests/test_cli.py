@@ -186,6 +186,11 @@ def test_out_of_range_grid_or_count_exits_2(tmp_path, capsys, line, config, fiel
     ("fluct --j-perp 1e-307", "j_perp"),
     ("maps --j-perp 1e-307", "j_perp"),
     ("quench --j 1e-307", "j"),
+    # the measure's width sigma(t) = (c/n)/t overflows at t = 0.1 t_J, or
+    # underflows to 0: at every t, or only at the grid's last time
+    ("measure --c 1e308 --steps 3", "c"),
+    ("measure --c 5e-324 --steps 3", "c"),
+    ("measure --c 1e-300 --t-max-tj 1e300 --steps 3", "c"),
 ])
 def test_float_arithmetic_limits_exit_2(tmp_path, capsys, line, field):
     small = ["--steps", "2", "--n-samples", "200"] if line.startswith("disorder") else []
@@ -364,7 +369,8 @@ def test_closed_forms_and_tables_cover_what_the_cli_runs(tmp_path, capsys):
 @pytest.mark.parametrize("argv", [["steady", "--n", "1"],
                                   ["steady", "--topology", "ring", "--n", "2"],
                                   ["steady", "--topology", "xx_pairs"],
-                                  ["fluct", "--topology", "xx_pairs"]])
+                                  ["fluct", "--topology", "xx_pairs"],
+                                  ["measure", "--n", "0", "--c", "1e308"]])
 def test_non_network_exits_2_without_run_dir(tmp_path, capsys, argv):
     rc, out, err = run_cli(argv + ["--outdir", str(tmp_path / "runs")], capsys)
     assert rc == 2 and err.startswith("config error") and out == ""

@@ -96,11 +96,13 @@ def one_shot_volume(n, seed):
 
 
 def test_volume_mc_chunks_equal_one_shot_draw():
-    # the fewest whole chunks volume_mc allows, plus a partial one
+    # the fewest whole chunks volume_mc allows, plus a partial one, and
+    # then whole chunks alone: each against one rng.uniform draw
     chunk = measure._VOLUME_CHUNK
-    n = (MIN_VOLUME_SAMPLES // chunk + 1) * chunk + 17
-    for seed in (0, 7):
-        assert volume_mc(n, seed) == one_shot_volume(n, seed)
+    whole = (MIN_VOLUME_SAMPLES // chunk + 1) * chunk
+    for n in (whole + 17, whole):
+        for seed in (0, 7, 12345):
+            assert volume_mc(n, seed) == one_shot_volume(n, seed)
 
 
 def test_volume_mc_memory_is_flat_in_n():

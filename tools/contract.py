@@ -86,13 +86,16 @@ ONE_THREAD = {name: "1" for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
 # than any array (exit 2, naming the option; before, numpy's "Maximum
 # allowed size exceeded", and a traceback where the point count overflowed).
 # Then a `quench` window under one t_J (exit 0, with a `warning: ...` line on
-# stderr; before, a raw UserWarning with its source path and line). Last, the
+# stderr; before, a raw UserWarning with its source path and line). Then the
 # ring oracle's ends: ring N=8, the largest it serves (exit 0 with an
 # analytic_check; numeric-only before it diagonalised each (charge, momentum)
 # block with eigh), ring N=9, the first above that cap (exit 0, numeric-only,
 # the cap in the warning), and an `xx_pairs` pair without exchange (exit 2
 # naming j; `maps --j-perp 0` and `quench --j 0` above name j_perp and j
-# too, where all three named the function t_scale before).
+# too, where all three named the function t_scale before). Last, a measure
+# width constant c whose sigma(t) = (c/n)/t leaves the double range: sigma
+# at t = 0.1 t_J overflows, or c/n underflows to 0 (exit 2 naming c; before,
+# exit 3 for a "non-CP triple" and exit 2 with a message naming no option).
 EDGE_LINES = (
     "spinmaps steady --n 1",
     "spinmaps steady --topology ring --n 2",
@@ -167,6 +170,8 @@ EDGE_LINES = (
     "spinmaps maps --topology ring --n 8 --t-max-tj 1",
     "spinmaps maps --topology ring --n 9 --t-max-tj 0",
     "spinmaps maps --topology xx_pairs --j 0",
+    "spinmaps measure --c 1e308 --steps 3",
+    "spinmaps measure --c 5e-324 --steps 3",
 )
 
 # The help page of the program and of every command, compared on stdout.
