@@ -2,16 +2,13 @@
 
 Families covered, all against diagonal (Bloch-z) environments:
 
-- cc_params: complete graph, any N >= 2, full XXZ, every parameter. It is
-  derived, not transcribed: the complete graph's H is a function of the
-  collective spin, so the focal site's dynamics splits into 2x2
-  Clebsch-Gordan blocks per partner spin J' and total M
-  (ensemble.collective_blocks).
-- ring_params: rings 3 <= N <= RING_ORACLE_MAX_N, full XXZ, every
-  parameter. Derived, not transcribed: H conserves the charge and commutes
-  with the cyclic shift, so it is block-diagonal by (charge, momentum);
-  eigh of each block gives the eigenbasis the channel is summed over
-  (_ring_basis, _ring_couplings, _ring_terms).
+- cc_params: complete graph, any N >= 2, full XXZ. Derived, not
+  transcribed: H is a function of the collective spin, so the focal
+  site's channel is a sum over blocks of four Clebsch-Gordan levels, one
+  per partner spin J' and M' (ensemble.collective_blocks).
+- ring_params: rings 3 <= N <= RING_ORACLE_MAX_N, full XXZ. Derived: H
+  conserves the charge and commutes with the cyclic shift, so eigh of each
+  (charge, momentum) block gives the eigenbasis (_ring_basis).
 - xx_reduced_map / xx_unitary_components: one detuned XX pair. The full
   two-qubit channel in the Pauli basis has 70 nonzero entries taking 17
   distinct values up to sign. xx_reduced_map computes only the values the
@@ -27,8 +24,10 @@ Families covered, all against diagonal (Bloch-z) environments:
 - map_series: the `maps` pipeline, numeric maps held to closed_form within
   ORACLE_TOL where the roundoff budget stays under ROUNDOFF_LIMIT.
 
-cc_params, ring_params and closed_form take a time or an array of times t,
-one code path for both; closed_form loops the XX pair, built per time, over t.
+Both XXZ families hand their eigenpairs, the field on the energies, to
+ensemble.SpectralAverage and read their PCParams off its maps with fit_pc:
+the engine's evaluator. cc_params, ring_params and closed_form take a time
+or an array of times t; closed_form loops the XX pair, built per time, over t.
 
 Environment convention of cc_params and ring_params: env_z[k] is the
 polarization of site (focal + 1 + k) mod N, i.e. the non-focal sites listed
@@ -36,13 +35,9 @@ cyclically after the focal one. The complete graph is permutation symmetric
 so the order is irrelevant there; for rings it matters. closed_form takes
 the ascending site order of MapExtractor and reorders.
 
-alpha/beta are the transverse components with the free precession removed:
-lambda1 = hypot(alpha, beta) and theta = 2 h t + atan2(beta, alpha), wrapped
-to (-pi, pi] to match what fit_pc reads off a transfer matrix.
-
 Every formula here is cross-checked against dense map extraction (module
-`reduced`) by the test suite. The ring builder shares no code with that
-engine: it writes its own H from the basis bits.
+`reduced`) by the test suite. The ring builder shares no diagonalization
+with that engine: it writes its own H from the basis bits.
 """
 
 from __future__ import annotations
@@ -54,7 +49,7 @@ import struct
 import numpy as np
 
 from . import ensemble, network, reduced
-from .ensemble import UnsupportedNetwork, collective_blocks
+from .ensemble import SpectralAverage, UnsupportedNetwork, collective_blocks
 from .network import NetworkSpec
 from .qlinalg import HermitianEvolver, InvariantError, Result, roundoff_budget
 from .reduced import PCParams
@@ -70,32 +65,52 @@ def _check_env(env_z, n: int):
     return env
 
 
-def _assemble(lam3, tau3, alpha, beta, h, t):
-    phase = 2.0 * h * t + np.arctan2(beta, alpha)
-    return PCParams(lambda1=np.hypot(alpha, beta), theta=np.arctan2(np.sin(phase), np.cos(phase)),
-                    lambda3=lam3, tau3=tau3)
-
-
 # ---------------------------------------------------------------------------
 # Complete graph
 # ---------------------------------------------------------------------------
 
 
 @functools.cache
-def _block_columns(n: int):
-    """collective_blocks(n) as columns: up as ints, the rest as floats."""
-    up, *rest = zip(*collective_blocks(n))
-    return (np.array(up), *(np.array(col, dtype=float) for col in rest))
+def _collective_levels(n: int):
+    """collective_blocks(n) as blocks of four levels, J = J' +- 1/2 at M =
+    M' + 1/2 and M' - 1/2, read-only: each block's count of partners up, the
+    levels' J(J+1) and M, and the coefficients (B, 4, 4, 4, 4) but for the
+    partners' law. With p, q the squared Clebsch-Gordan weights of |up>|J', M'>
+    and |down>|J', M'>, P_uu = sum_kl p_k p_l e^{-i w_kl t}, P_dd (q, q) and c
+    (p, q), a block holds its weight times T33 = P_uu + P_dd - 1, T30 = P_uu -
+    P_dd and T11 + i T21 = c*. J' = 0 has no J' - 1/2: it is at J = 1/2, weight 0."""
+    up, weight, spin, u, v = (np.array(col, dtype=float) for col in zip(*collective_blocks(n)))
+    j = np.stack([spin + 0.5, abs(spin - 0.5)] * 2, axis=1)
+    m = (up - (n - 1) / 2.0)[:, None] + [0.5, 0.5, -0.5, -0.5]
+    p = np.stack([u, 1.0 - u, 0.0 * u, 0.0 * u], axis=1)
+    q = np.stack([0.0 * v, 0.0 * v, v, 1.0 - v], axis=1)
+    pp, qq, pq, qp = (np.einsum("bk,bl->bkl", a, b) for a, b in ((p, p), (q, q), (p, q), (q, p)))
+    level = np.eye(4) * (0.5 * (p + q))[:, :, None]
+    coef = np.zeros(pp.shape + (4, 4), dtype=complex)
+    coef[..., 0, 0], coef[..., 3, 3], coef[..., 3, 0] = level, pp + qq - level, pp - qq
+    coef[..., 1, 1] = coef[..., 2, 2] = 0.5 * (pq + qp)
+    coef[..., 2, 1] = 0.5j * (pq - qp)
+    coef[..., 1, 2] = -coef[..., 2, 1]
+    per_block = (-1, 1, 1, 1, 1)  # broadcast against the coefficients
+    arrays = up.astype(int).reshape(per_block), j * (j + 1.0), m, coef * weight.reshape(per_block)
+    for array in arrays:
+        array.flags.writeable = False
+    return arrays
+
+
+def _collective_terms(n: int, j_perp: float, j_par: float, h: float, env) -> SpectralAverage:
+    """The complete graph's focal channel: the blocks of _collective_levels
+    at E(J, M) = J_perp J(J+1) + (J_par - J_perp) M^2 + 2hM, each weighted by
+    the Poisson-binomial probability of its count of partners up."""
+    up, jj, m, coef = _collective_levels(n)
+    law = functools.reduce(np.convolve, ([(1.0 - z) / 2.0, (1.0 + z) / 2.0] for z in env),
+                           np.ones(1))  # of the number of partners up
+    energies = j_perp * jj + (j_par - j_perp) * m * m + 2.0 * h * m
+    return SpectralAverage.from_eigenpairs(energies, coef * law[up])
 
 
 def cc_params(n: int, t, j_perp: float, j_par: float, h: float, env_z) -> PCParams:
     """Closed-form channel of the complete graph, any N >= 2; fields of t's shape.
-
-    A sum over the collective-spin blocks of ensemble.collective_blocks,
-    each weighted by the Poisson-binomial probability of its count of
-    partners up. In a block the focal z populations beat at the one gap
-    J_perp (2J'+1) between J = J' +- 1/2, and the coherence at the four
-    gaps between the levels of |up>|J', M'> and of |down>|J', M'>.
 
     env_z lists the N-1 non-focal polarizations; the result only depends on
     their symmetric functions, so their order does not matter here.
@@ -103,27 +118,7 @@ def cc_params(n: int, t, j_perp: float, j_par: float, h: float, env_z) -> PCPara
     if n < 2:
         raise ValueError(f"the complete graph needs N >= 2, got {n}")
     env = _check_env(env_z, n)
-    t = np.asarray(t, dtype=float)
-    up, weight, spin, u, v = _block_columns(n)
-    law = np.ones(1)  # of the number of partners up
-    for z in env:
-        law = np.convolve(law, [(1.0 - z) / 2.0, (1.0 + z) / 2.0])
-    w = weight * law[up]
-    m_up, m_down = up - (n - 2) / 2.0, up - n / 2.0  # total M, focal spin up or down
-
-    def energy(j, m):  # E(J, M) without the field; _assemble adds its 2 h t
-        return j_perp * j * (j + 1.0) + (j_par - j_perp) * m * m
-
-    levels_up = (energy(spin + 0.5, m_up), energy(spin - 0.5, m_up))
-    levels_down = (energy(spin + 0.5, m_down), energy(spin - 0.5, m_down))
-    flip = 1.0 - np.cos(np.multiply.outer(levels_up[0] - levels_up[1], t.ravel()))
-    lam3 = 1.0 - 2.0 * (w * (u * (1.0 - u) + v * (1.0 - v))) @ flip
-    tau3 = 2.0 * (w * (v * (1.0 - v) - u * (1.0 - u))) @ flip
-    amp = np.concatenate([w * a * b for a in (u, 1.0 - u) for b in (v, 1.0 - v)])
-    gaps = np.concatenate([a - b for a in levels_up for b in levels_down])
-    phase = np.multiply.outer(gaps, t.ravel())
-    alpha, beta = amp @ np.cos(phase), amp @ np.sin(phase)
-    return _assemble(*(x.reshape(t.shape)[()] for x in (lam3, tau3, alpha, beta)), h, t)
+    return reduced.fit_pc(_collective_terms(n, j_perp, j_par, h, env).maps(t))
 
 
 # ---------------------------------------------------------------------------
@@ -141,10 +136,9 @@ def _ring_basis(n: int):
     arXiv:1101.3281, sec. 4-5): one orthonormal basis per sector, its
     columns the momentum-q states of the sector's orbits.
 
-    Returns the sector bases, shape (2^n, sector size) each, the hop
-    (J_perp = 1) and Ising (J_par = 1) terms, the focal (site 0) Paulis out,
-    with the map's 1/2, and in, of lambda3, tau3, alpha and beta (sigma_y =
-    i sigma_x sigma_z), and the Z signs of the partners, sites 1 .. n-1.
+    Returns the sector bases (2^n, sector size), the hop (J_perp = 1) and
+    Ising (J_par = 1) terms, the focal (site 0) Paulis 1, x, y = i x z and z,
+    each basis column's charge, and the partners' (sites 1 .. n-1) Z signs.
     Site i is bit n-1-i of the basis index, as in the engine.
     """
     dim = 1 << n
@@ -173,9 +167,9 @@ def _ring_basis(n: int):
     bases = tuple(np.array(modes).T for modes in sectors.values())
     z = np.diag(spins[:, 0].astype(float))
     x = np.eye(dim)[states ^ (1 << (n - 1))]
-    outs = 0.5 * np.stack([z, z, x, 1j * x @ z])
-    ins = np.stack([z, np.eye(dim), x, x])
-    return bases, hop, np.diag(ising), outs, ins, spins[:, 1:]
+    paulis = np.stack([np.eye(dim), x, 1j * x @ z, z])
+    charges = np.repeat([float(charge) for charge, _ in sectors], [b.shape[1] for b in bases])
+    return bases, hop, np.diag(ising), paulis, charges, spins[:, 1:]
 
 
 # the couplings (j_perp, j_par) as two packed doubles: the exact bits, so
@@ -187,36 +181,36 @@ _COUPLINGS = struct.Struct("2d")
 # 6 MB at N = 8, and 16 of them peaked at 159 MB RSS, the process included
 @functools.lru_cache(maxsize=16)
 def _ring_couplings(n: int, key: bytes):
-    """The part of _ring_terms that depends only on the couplings, built once
-    per (n, J_perp, J_par): the 2^N energies, the eigenmodes and their
-    conjugate transpose, and the four out-operator sandwiches, transposed.
-    key is _COUPLINGS.pack(j_perp, j_par). Each sector block B^dag H B is
-    diagonalised by eigh, and its eigenvectors V give the modes B V. The
-    arrays are read-only, since every hit returns the same objects."""
+    """The couplings-only part of _ring_terms, once per (n, J_perp, J_par)
+    (key _COUPLINGS.pack(j_perp, j_par)): the 2^N field-free energies, their
+    charges, the modes B V from eigh of each sector block B^dag H B and their
+    conjugate transpose, and out[k, l, i] = 1/2 <l|sigma_i|k>. Read-only, as
+    every hit returns the same arrays."""
     j_perp, j_par = _COUPLINGS.unpack(key)
-    bases, hop, ising, outs, _, _ = _ring_basis(n)
+    bases, hop, ising, paulis, charges, _ = _ring_basis(n)
     h = j_perp * hop + j_par * ising
     energies, vectors = zip(*(np.linalg.eigh(b.conj().T @ h @ b) for b in bases))
     energies = np.concatenate(energies)
     modes = np.concatenate([b @ v for b, v in zip(bases, vectors)], axis=1)
     modes_h = modes.conj().T
-    out = (modes_h @ outs @ modes).transpose(0, 2, 1)
-    for array in (energies, modes, modes_h, out):
+    out = 0.5 * (modes_h @ paulis @ modes).transpose(2, 1, 0)
+    for array in (energies, charges, modes, modes_h, out):
         array.flags.writeable = False
-    return energies, modes, modes_h, out
+    return energies, charges, modes, modes_h, out
 
 
-def _ring_terms(n: int, j_perp: float, j_par: float, env):
-    """(energies, amplitudes) of ring n's focal channel without the field:
-    (lambda3, tau3, alpha, beta) = Re[(phi @ amplitudes) . conj(phi)] with
-    phi = e^{-i energies t}, i.e. the map 1/2 sum_kl <l|sigma_i|k>
-    <k|sigma_j (x) rho_env|l> e^{-i(E_k - E_l)t} over the eigenstates k, l.
-    Only the in-operator sandwiches depend on the partners and are built per
-    call; the rest comes from _ring_couplings."""
-    energies, modes, modes_h, out = _ring_couplings(n, _COUPLINGS.pack(j_perp, j_par))
-    _, _, _, _, ins, partners = _ring_basis(n)
+def _ring_terms(n: int, j_perp: float, j_par: float, h: float, env) -> SpectralAverage:
+    """Ring n's focal channel as a SpectralAverage: C_kl[i, j] = 1/2
+    <l|sigma_i|k> <k|sigma_j (x) rho_env|l> over the eigenstates k, l, at
+    the energies plus h Q. Only the in-operator sandwiches depend on the
+    partners and are built per call; the rest comes from _ring_couplings."""
+    energies, charges, modes, modes_h, out = _ring_couplings(n, _COUPLINGS.pack(j_perp, j_par))
+    _, _, _, paulis, _, partners = _ring_basis(n)
     weights = np.prod((1.0 + partners * env) / 2.0, axis=1)  # the partners' diagonal state
-    return energies, out * (modes_h @ (ins * weights) @ modes)
+    ins = (modes_h @ (paulis * weights) @ modes).transpose(1, 2, 0)
+    coef = np.empty((1,) + ins.shape + (4,), dtype=complex)  # C order: the reduction copies others
+    np.multiply(out[..., :, None], ins[..., None, :], out=coef[0])
+    return SpectralAverage.from_eigenpairs([energies + h * charges], coef)
 
 
 # the largest ring ring_params serves: a _ring_couplings entry grows 4x per
@@ -231,11 +225,7 @@ def ring_params(n: int, t, j_perp: float, j_par: float, h: float, env_z) -> PCPa
         raise UnsupportedNetwork(f"no closed form for (ring, N={n}): "
                                  f"the ring oracle covers 3 <= N <= {RING_ORACLE_MAX_N}")
     env = _check_env(env_z, n)
-    t = np.asarray(t, dtype=float)
-    energies, amps = _ring_terms(n, j_perp, j_par, env)
-    phases = np.exp(-1j * np.multiply.outer(t.ravel(), energies))
-    values = np.einsum("ptk,tk->pt", phases @ amps, phases.conj()).real
-    return _assemble(*(x.reshape(t.shape)[()] for x in values), h, t)
+    return reduced.fit_pc(_ring_terms(n, j_perp, j_par, h, env).maps(t))
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ over the site subsets S of one orbit of the network's symmetry (all
 k-subsets, named k, or a ring orbit, named by its smallest member). Those
 tables live here, the complete graph's derived at any N from its
 collective-spin blocks. `SpectralAverage` gives exact maps and running
-averages, of one site or the site average, from one eigendecomposition; its
+averages from eigenpairs, the dense engine's or a closed form's; its
 infinite-time limit is the diagonal ensemble, which the tables reproduce.
 Residual oscillations around the steady values decay like t_J/(N t). The
 bounding constant c, the sup of |delta| N t/t_J past an onset, comes from
@@ -108,9 +108,9 @@ _BUDGET_MARGIN = 4  # how far under its tolerance the budget of steady or fluct 
 
 
 def _averaging_grid(spec, horizon_tj, points_per_tj, tol, name, command, onset_tj=None):
-    """(t_J, grid to horizon_tj) of a steady or fluct run: 2 points at least,
-    and for fluct one past onset_tj. UnsupportedNetwork where the roundoff
-    budget eps ||H|| t_max is not below tol/_BUDGET_MARGIN, tol named `name`."""
+    """(t_J, grid to horizon_tj, budget eps ||H|| t_max) of a steady or fluct
+    run: 2 points at least, and for fluct one past onset_tj. UnsupportedNetwork
+    where the budget is not below tol/_BUDGET_MARGIN, tol named `name`."""
     t_j = t_scale(spec.j_perp)
     times = uniform_grid(t_j, horizon_tj, points_per_tj, "horizon_tj")
     if times.size < 2:
@@ -123,7 +123,7 @@ def _averaging_grid(spec, horizon_tj, points_per_tj, tol, name, command, onset_t
             f"roundoff budget eps ||H|| t_max = {budget:.2e}, set by n, h, j_perp, j_par and "
             f"horizon_tj, is not below {name}/{_BUDGET_MARGIN} = {tol / _BUDGET_MARGIN:g}: "
             f"{command} cannot hold its {name} {tol:g} here")
-    return t_j, times
+    return t_j, times, budget
 
 
 def network_series(spec: NetworkSpec, z, times) -> np.ndarray:
@@ -146,32 +146,35 @@ def network_series(spec: NetworkSpec, z, times) -> np.ndarray:
     return out
 
 
-# Spectral terms whose whole 4x4 amplitude stays below this are dropped:
+# Spectral terms whose 4x4 amplitude has a norm below this are dropped:
 # charge conservation makes most eigenpair amplitudes vanish up to roundoff.
 _AMPLITUDE_FLOOR = 1e-15
 # Complex weights evaluated per block of horizons (bounds the working memory).
 _WEIGHTS_PER_BLOCK = 1 << 20
+# Gaps within this times max(1, spectral width) of each other are one frequency.
+_GAP_ROUNDOFF = 16 * np.finfo(float).eps
 # Gaps below this fraction of max(1, spectral width) count as degenerate.
 _DEGEN_TOL = 1e-9
 
 
 class SpectralAverage:
-    """Exact maps and running averages of the transfer matrix averaged over
-    `sites` (default: all N; sites=(0,) is site 0 alone).
+    """Exact maps and running averages of a transfer matrix given over
+    eigenpairs, sum_{k,l} C_kl e^{-i (E_k - E_l) t}.
 
-    One eigendecomposition H = sum_k E_k |k><k| writes every entry as
-    sum_{k,l} C_kl e^{-i w_kl t} with gaps w_kl = E_k - E_l; C takes 16 * 4^N
-    complex numbers (16 MB at N=8). Its running mean over [0, T] is then
-    sum_{k,l} C_kl (1 - e^{-i w_kl T}) / (i w_kl T): no unitary per time, no
-    grid and no quadrature error. Gaps within _DEGEN_TOL * max(1, spectral
-    width) of 0 count as degenerate and get weight 1 at every T; together
-    they make up `limit`, the infinite-time (diagonal-ensemble) channel.
+    The constructor is the dense engine: one eigendecomposition of spec's H,
+    the map averaged over `sites` (default all N; (0,) is site 0 alone), each
+    focal once with the others, of polarizations z in site order, as its
+    diagonal environment; C takes 16 * 4^N complex numbers (16 MB at N=8).
+    from_eigenpairs takes blocks of eigenpairs, as `analytic` derives them.
 
-    z lists all N site polarizations in absolute site order; each site in
-    `sites` is focal once, with the others as its diagonal environment. The
-    non-degenerate terms are kept once per pair k < l: `gaps` (G,) and
-    `amplitudes` (G, 4, 4) complex, so that `maps` (the instantaneous map) is
-    limit + 2 Re sum_g amplitudes[g] e^{-i gaps[g] t}.
+    Both reduce the terms once, to `gaps` (G,) <= 0 and `amplitudes` (G, 4,
+    4): maps(t) = 2 Re sum_g amplitudes[g] e^{-i gaps[g] t}, and the running
+    mean over [0, T] weighs each term by (1 - e^{-i g T}) / (i g T), with no
+    grid and no quadrature error. Two tolerances, times max(1, spectral
+    width): gaps within _GAP_ROUNDOFF of each other differ by roundoff and
+    are one frequency, at their mean; gaps within _DEGEN_TOL of 0 make up
+    `limit`, the infinite-time (diagonal-ensemble) channel, and decide
+    nothing else: maps and running averages keep every resolved gap.
     """
 
     def __init__(self, spec: NetworkSpec, z, sites=None):
@@ -183,8 +186,7 @@ class SpectralAverage:
         if not sites or any(not 0 <= s < n for s in sites):
             raise ValueError(f"sites must be a non-empty subset of 0..{n - 1}, got {sites}")
         evolver = HermitianEvolver(build_hamiltonian(spec))
-        energies, modes = evolver.energies, evolver.modes
-
+        modes = evolver.modes
         coef = np.zeros(modes.shape + (4, 4), dtype=complex)
         for site in sites:
             env = [(0.0, 0.0, z[s]) for s in range(n) if s != site]
@@ -195,52 +197,63 @@ class SpectralAverage:
             # 0.5 tr(sigma_i U X_j U^dag) = 0.5 sum_kl (O_i)_lk (X_j)_kl e^{-i w_kl t}
             coef += np.einsum("ilk,jkl->klij", outs, ins)
         coef *= 0.5 / len(sites)
+        self._reduce(evolver.energies[None], coef[None])
 
-        gaps = energies[:, None] - energies[None, :]
-        self._degen_tol = _DEGEN_TOL * max(1.0, float(np.ptp(energies)))
-        degenerate = np.abs(gaps) <= self._degen_tol
-        limit = coef[degenerate].sum(axis=0)
-        if not np.max(np.abs(limit.imag)) <= HERM_TOL:  # NaN fails too
+    @classmethod
+    def from_eigenpairs(cls, energies, coef) -> "SpectralAverage":
+        """The value of blocks of eigenpairs: energies (B, K) and coef[b, k, l]
+        (B, K, K, 4, 4) the C_kl of block b, Hermitian; only k <= l is read."""
+        average = cls.__new__(cls)
+        average._reduce(np.asarray(energies, dtype=float), np.ascontiguousarray(coef, complex))
+        return average
+
+    def _reduce(self, energies, coef):
+        diagonal = np.einsum("bkkij->ij", coef)  # the levels' own terms, at gap 0
+        if not np.max(np.abs(diagonal.imag)) <= HERM_TOL:  # NaN fails too
             raise NumericalError("time-averaged map has complex transfer entries")
-        pairs = np.triu(~degenerate, k=1)
-        pairs &= np.max(np.abs(coef), axis=(2, 3)) > _AMPLITUDE_FLOOR
-        self.limit = limit.real.copy()
-        self.gaps = gaps[pairs]
-        self.amplitudes = coef[pairs]
+        parts = coef.view(float).reshape(coef.shape[:3] + (32,))
+        pairs = np.flatnonzero(np.triu(np.einsum("bklp,bklp->bkl", parts, parts)
+                                       > _AMPLITUDE_FLOOR ** 2, k=1))
+        # a pair k < l stands for (l, k) too, at -g with the conjugate amplitude, so
+        # 2 Re counts it twice: flipped to g <= 0, and the levels' own terms halved
+        gaps = np.append((energies[:, :, None] - energies[:, None, :]).ravel()[pairs], 0.0)
+        amps = np.concatenate([coef.reshape(-1, 4, 4)[pairs], [0.5 * diagonal]])
+        np.conjugate(amps, out=amps, where=(gaps > 0.0)[:, None, None])
+        order = np.argsort(np.abs(gaps), kind="stable")
+        gaps, amps = -np.abs(gaps[order]), amps[order]
+        width = max(1.0, float(np.ptp(energies)))
+        starts = np.flatnonzero(np.diff(gaps, prepend=np.inf) < -_GAP_ROUNDOFF * width)
+        self.gaps = np.add.reduceat(gaps, starts) / np.diff(starts, append=gaps.size)
+        self.amplitudes = np.add.reduceat(amps, starts, axis=0)
+        degenerate = np.abs(self.gaps) <= _DEGEN_TOL * width
+        self.limit = 2.0 * self.amplitudes[degenerate].sum(axis=0).real
 
     def _series(self, times, weight) -> np.ndarray:
-        """limit + 2 Re sum_g weight(t gaps[g]) amplitudes[g] at each t in `times`."""
+        """2 Re sum_g weight(t gaps[g]) amplitudes[g] at each t in `times`, a
+        time or an array of times: shape np.shape(times) + (4, 4)."""
         t = np.asarray(times, dtype=float)
-        if t.ndim != 1 or not np.all(np.isfinite(t) & (t >= 0.0)):
-            raise ValueError("times must be a 1-d array of finite values >= 0")
-        flat = self.amplitudes.reshape(-1, 16)
-        out = np.empty((t.size, 4, 4))
-        block = max(1, _WEIGHTS_PER_BLOCK // max(1, self.gaps.size))
+        if not np.all(np.isfinite(t) & (t >= 0.0)):
+            raise ValueError("times must be finite values >= 0")
+        out = np.empty((t.size, 16))
+        block = max(1, _WEIGHTS_PER_BLOCK // self.gaps.size)
         for a in range(0, t.size, block):
-            x = np.multiply.outer(t[a:a + block], self.gaps)
-            out[a:a + block] = self.limit + 2.0 * (weight(x) @ flat).real.reshape(-1, 4, 4)
-        return out
+            x = np.multiply.outer(t.ravel()[a:a + block], self.gaps)
+            out[a:a + block] = 2.0 * (weight(x) @ self.amplitudes.reshape(-1, 16)).real
+        return out.reshape(t.shape + (4, 4))
 
     def __call__(self, times) -> np.ndarray:
-        """Running averages (1/T) int_0^T, shape (len(times), 4, 4); T = 0
+        """Running averages (1/T) int_0^T at each horizon T in `times`; T = 0
         gives the map at t = 0. The weight (1 - e^{-ix}) / (ix) stays finite at x = 0."""
         return self._series(times, lambda x: np.exp(-0.5j * x) * np.sinc(x / (2.0 * np.pi)))
 
     def maps(self, times) -> np.ndarray:
-        """Instantaneous maps at each time in `times`, shape (len(times), 4, 4)."""
+        """Instantaneous maps at each time in `times`."""
         return self._series(times, lambda x: np.exp(-1j * x))
 
     def curvature(self) -> np.ndarray:
-        """Entry-wise bound 2 sum_w w |sum_{g: |gaps[g]| = w} amplitudes[g]| on
-        the rate of change of the instantaneous map, i.e. on |d^2/dT^2 (T avg(T))|.
-        Gaps equal within the tolerance of `limit` are one frequency w, their
-        largest: eigenpairs at equal gaps cancel where a symmetry pins an entry."""
-        order = np.argsort(np.abs(self.gaps), kind="stable")
-        freqs = np.abs(self.gaps[order])
-        starts = np.flatnonzero(np.diff(freqs, prepend=-np.inf) > self._degen_tol)
-        summed = np.add.reduceat(self.amplitudes[order], starts, axis=0)
-        top = np.maximum.reduceat(freqs, starts)
-        return 2.0 * np.einsum("g,gij->ij", top, np.abs(summed))
+        """Entry-wise bound 2 sum_g |gaps[g]| |amplitudes[g]| on the rate of
+        change of the instantaneous map, i.e. on |d^2/dT^2 (T avg(T))|."""
+        return 2.0 * np.einsum("g,gij->ij", np.abs(self.gaps), np.abs(self.amplitudes))
 
 
 # ---------------------------------------------------------------------------
@@ -405,7 +418,7 @@ def steady_series(spec: NetworkSpec, z, steady: SteadyChannel, horizon_tj: float
     """The running site average of `spec` from the site polarizations z to
     horizon_tj (network_series, time_average), against its steady channel:
     it fails where lambda3 or tau3 at the horizon is tol or more away."""
-    t_j, times = _averaging_grid(spec, horizon_tj, points_per_tj, tol, "tol", "steady")
+    t_j, times, _ = _averaging_grid(spec, horizon_tj, points_per_tj, tol, "tol", "steady")
     fixed = reduced.fixed_point(reduced.PCParams(0.0, 0.0, steady.lambda3, steady.tau3))
     series = network_series(spec, z, times)
     running = reduced.fit_pc(time_average(times, series))
@@ -476,19 +489,12 @@ class FluctuationSeries:
     converged: bool  # rel_change and sup_gap both below FLUCT_RTOL
 
 
-def _deviation(series, steady_exact, steady_float):
-    if steady_exact == 0:
-        return series.copy(), False
-    return (series - steady_float) / steady_float, True
-
-
-def _bound_constants(t_over_tj, avg, steady: SteadyChannel):
-    """(c_lambda3, c_tau3): max of |delta| * N * t/t_J over the samples."""
-    d_lam, _ = _deviation(avg[:, 3, 3], steady.lambda3_exact, steady.lambda3)
-    d_tau, _ = _deviation(avg[:, 3, 0], steady.tau3_exact, steady.tau3)
-    scale = steady.n * t_over_tj
-    return (float(np.max(np.abs(d_lam) * scale)),
-            float(np.max(np.abs(d_tau) * scale)))
+def _deviations(avg, steady: SteadyChannel):
+    """[(delta, scale)] of lambda3 and tau3 in averages avg: (avg - steady) /
+    steady and |steady| where steady is nonzero, else avg itself and 1."""
+    return [((avg[:, 3, j] - value) / value, abs(value)) if exact else (avg[:, 3, j].copy(), 1.0)
+            for j, exact, value in ((3, steady.lambda3_exact, steady.lambda3),
+                                    (0, steady.tau3_exact, steady.tau3))]
 
 
 # Relative tolerance to which fluctuation constants are converged, and the
@@ -498,21 +504,21 @@ FLUCT_RTOL = 0.01
 _MAX_DOUBLINGS = 6
 
 
-def _rel_change(new: float, old: float) -> float:
-    if new == old:
+def _rel_change(new: float, old: float, floor: float) -> float:
+    if new <= floor and old <= floor:  # both roundoff; NaN fails
         return 0.0
-    return abs(new - old) / max(abs(new), abs(old))
+    return abs(new - old) / max(new, old)
 
 
-def _rel_excess(slack: float, value: float) -> float:
-    if slack == 0.0:
+def _rel_excess(slack: float, value: float, floor: float) -> float:
+    if slack == 0.0 or value + slack <= floor:
         return 0.0
     return slack / value if value > 0.0 else math.inf
 
 
 def converged_fluctuations(average: SpectralAverage, steady: SteadyChannel,
-                           t_j: float, times,
-                           onset: float = 20.0) -> FluctuationSeries:
+                           t_j: float, times, onset: float = 20.0,
+                           roundoff: float = 0.0) -> FluctuationSeries:
     """Fluctuation series on `times` with bounding constants converged in
     the grid step.
 
@@ -527,6 +533,11 @@ def converged_fluctuations(average: SpectralAverage, steady: SteadyChannel,
       is |h(t)| / |steady| with |h''| <= K = average.curvature(), so between
       two grid points |h| exceeds the larger endpoint by at most K dt^2/8.
 
+    Both tests see roundoff: `roundoff` bounds the error of the average, so
+    a constant is uncertain by its floor N (horizon/t_J) roundoff, over
+    |steady| where delta is relative; constants at or below it compare as
+    equal, and one whose certified bound stays under it has no sup gap.
+
     The doubling test alone can stop early: refined grids contain the
     coarse ones, and on a nearly periodic envelope they can keep missing
     the same peak. After _MAX_DOUBLINGS without convergence the result is
@@ -540,35 +551,33 @@ def converged_fluctuations(average: SpectralAverage, steady: SteadyChannel,
         raise ValueError("t_j must be positive")
     if not np.any(t / t_j > onset):
         raise ValueError(f"series ends before the onset {onset} t_J; extend the grid")
-    avg = average(t)
-    d_lam, lam_norm = _deviation(avg[:, 3, 3], steady.lambda3_exact, steady.lambda3)
-    d_tau, tau_norm = _deviation(avg[:, 3, 0], steady.tau3_exact, steady.tau3)
+    (d_lam, scale_l3), (d_tau, scale_t3) = _deviations(average(t), steady)
     horizon, start = float(t[-1]), onset * t_j
     segments = max(1, math.ceil((horizon - start) / (t[1] - t[0]) - 1e-9))
-    scale_l3 = abs(steady.lambda3) if lam_norm else 1.0
-    scale_t3 = abs(steady.tau3) if tau_norm else 1.0
     curv = average.curvature()
-    # how far |delta| N t/t_J can rise above its grid maximum, per dt^2
-    excess = (steady.n * curv[3, 3] / (8.0 * t_j * scale_l3),
-              steady.n * curv[3, 0] / (8.0 * t_j * scale_t3))
+    # how far |delta| N t/t_J can rise above its grid maximum, per dt^2, and
+    # the roundoff floor of each constant
+    excess = [steady.n * curv[3, j] / (8.0 * t_j * s) for j, s in ((3, scale_l3), (0, scale_t3))]
+    floors = [steady.n * horizon / t_j * roundoff / s for s in (scale_l3, scale_t3)]
     consts = change = None
     for level in range(_MAX_DOUBLINGS + 1):
         if level:
             segments *= 2
         grid = np.linspace(start, horizon, segments + 1)
-        new = _bound_constants(grid / t_j, average(grid), steady)
+        new = [float(np.max(np.abs(d) * (steady.n * (grid / t_j))))
+               for d, _ in _deviations(average(grid), steady)]
         if consts is not None:
-            change = max(_rel_change(a, b) for a, b in zip(new, consts))
+            change = max(map(_rel_change, new, consts, floors))
         consts = new
         step = (horizon - start) / segments
-        gap = max(_rel_excess(e * step * step, c) for e, c in zip(excess, consts))
+        gap = max(_rel_excess(e * step * step, c, f) for e, c, f in zip(excess, consts, floors))
         converged = bool(change is not None and change < FLUCT_RTOL and gap < FLUCT_RTOL)
         if converged:
             break
     return FluctuationSeries(
         t_over_tj=t / t_j, delta_lambda3=d_lam, delta_tau3=d_tau,
-        c_lambda3=consts[0], c_tau3=consts[1], lambda3_normalized=lam_norm,
-        tau3_normalized=tau_norm, n=steady.n, onset=onset,
+        c_lambda3=consts[0], c_tau3=consts[1], lambda3_normalized=steady.lambda3_exact != 0,
+        tau3_normalized=steady.tau3_exact != 0, n=steady.n, onset=onset,
         points_per_tj=segments * t_j / (horizon - start), rel_change=change, sup_gap=gap,
         converged=converged)
 
@@ -578,10 +587,10 @@ def fluct_series(spec: NetworkSpec, z, steady: SteadyChannel, horizon_tj: float,
     """converged_fluctuations of `spec` from the site polarizations z around
     its steady channel, to horizon_tj: it fails where the constants are not
     converged to FLUCT_RTOL."""
-    t_j, times = _averaging_grid(spec, horizon_tj, points_per_tj, FLUCT_RTOL, "rtol", "fluct",
-                                 onset_tj)
+    t_j, times, budget = _averaging_grid(spec, horizon_tj, points_per_tj, FLUCT_RTOL, "rtol",
+                                         "fluct", onset_tj)
     series = converged_fluctuations(SpectralAverage(spec, z), steady, t_j, times,
-                                    onset=onset_tj)
+                                    onset=onset_tj, roundoff=budget)
     columns = [series.t_over_tj.tolist(), series.delta_lambda3.tolist(),
                series.delta_tau3.tolist()]
     diagnostics = {

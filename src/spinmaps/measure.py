@@ -298,8 +298,6 @@ class MeasureSpec:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("n must be at least 1")
-        if self.C <= 0:
-            raise ValueError("C must be positive")
         if self.tau3_rule not in _TAU3_RULES:
             raise ValueError(f"tau3_rule must be one of {_TAU3_RULES}")
         times = tuple(float(t) for t in self.times)
@@ -309,6 +307,9 @@ class MeasureSpec:
             raise ValueError(f"grid must start at or after {T_FIRST}")
         if any(t2 <= t1 for t1, t2 in zip(times, times[1:])):
             raise ValueError("times must be strictly increasing")
+        if not (math.isfinite(trajectory_sigma(self.C, self.n, times[0]))
+                and trajectory_sigma(self.C, self.n, times[-1]) > 0.0):  # NaN fails too
+            raise ValueError(f"C: must keep sigma(t) = (C/n)/t finite and > 0, got {self.C}")
         object.__setattr__(self, "times", times)
 
     @classmethod

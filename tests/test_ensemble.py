@@ -22,8 +22,9 @@ from spinmaps.ensemble import (
     steady_channel,
     time_average,
 )
-from spinmaps.network import NetworkSpec, build_hamiltonian, t_scale
-from spinmaps.qlinalg import PAULI_STACK, HermitianEvolver, NumericalError, partial_trace_keep
+from spinmaps.network import NetworkSpec, build_hamiltonian, norm_bound, t_scale
+from spinmaps.qlinalg import (PAULI_STACK, HermitianEvolver, NumericalError, partial_trace_keep,
+                              roundoff_budget)
 from spinmaps.reduced import MapExtractor, PCParams, fit_pc, transfer_from_unitary
 
 RNG = np.random.default_rng(31)
@@ -524,19 +525,21 @@ def test_steady_channel_refuses_unphysical_z():
 
 class PlantedEngine:
     """Stand-in for a SpectralAverage: the running averages `series(t)` at any
-    times, and a zero curvature bound (no sup to certify between points)."""
+    times, and a curvature bound, zero by default (no sup to certify between
+    points)."""
 
-    def __init__(self, series):
+    def __init__(self, series, curvature=None):
         self.series = series
+        self.bound = np.zeros((4, 4)) if curvature is None else curvature
 
     def __call__(self, times):
         return self.series(np.asarray(times, dtype=float))
 
     def curvature(self):
-        return np.zeros((4, 4))
+        return self.bound
 
 
-def planted_engine(lambda3, tau3):
+def planted_engine(lambda3, tau3, **kwargs):
     """Engine whose (lambda3, tau3) running averages are the given functions of t."""
     def series(t):
         out = np.zeros((t.size, 4, 4))
@@ -544,7 +547,7 @@ def planted_engine(lambda3, tau3):
         out[:, 3, 3] = lambda3(t)
         out[:, 3, 0] = tau3(t)
         return out
-    return PlantedEngine(series)
+    return PlantedEngine(series, **kwargs)
 
 
 def test_fluctuations_fits_the_planted_constant():
@@ -581,6 +584,31 @@ def test_fluctuations_absolute_mode_when_steady_is_zero():
     assert np.max(np.abs(f.delta_tau3 - 0.01)) < 1e-12
     # |delta| N t/t_J peaks at the horizon
     assert abs(f.c_tau3 - 0.01 * sc.n * 30.0) < 1e-12
+
+
+def test_fluctuations_at_roundoff_around_a_zero_steady_value_converge():
+    # tau3 = 0 exactly, and the planted tau3 is +-1e-16 noise around it
+    # whose size halves or doubles with every halving of the grid step, as
+    # roundoff moves with the order of a sum. Under the run's roundoff floor
+    # the constants compare as equal, and a roundoff-sized curvature bound
+    # certifies no sup gap; without the floor, every doubling moves c_tau3
+    # by a factor 2 and the series never converges.
+    sc = steady_channel(iso("complete", 3), [0.5, -0.5, 0.0])
+    t_j = t_scale(1.0)
+
+    def noise(t):
+        size = 1.0 if round(np.log2(t[1] - t[0])) % 2 else 0.5
+        return size * 1e-16 * (-1.0) ** np.arange(t.size)
+
+    curvature = np.zeros((4, 4))
+    curvature[3, 0] = 1e-13
+    engine = planted_engine(lambda t: np.full(t.size, sc.lambda3), noise, curvature=curvature)
+    grid = np.linspace(0.0, 30.0 * t_j, 301)
+    budget = roundoff_budget(norm_bound(iso("complete", 3)), float(grid[-1]))
+    f = converged_fluctuations(engine, sc, t_j, grid, roundoff=budget)
+    assert not f.tau3_normalized and 0.0 < f.c_tau3 <= 1e-16 * sc.n * 30.0
+    assert f.converged and f.rel_change == 0.0 and f.sup_gap == 0.0
+    assert not converged_fluctuations(engine, sc, t_j, grid).converged
 
 
 def test_fluctuations_needs_tail_samples():

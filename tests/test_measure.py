@@ -580,6 +580,13 @@ def test_measure_spec_validation():
         MeasureSpec(0.5, 0.2, n=3, times=(0.01, 1.0))  # before the grid start 0.1
     with pytest.raises(ValueError):
         MeasureSpec(0.5, 0.2, n=3, times=(1.0, 1.0))
+    # sigma(t) = (C/n)/t must be finite at the first time and > 0 at the
+    # last: an overflow, an underflow and a NaN are refused by name, before
+    # any draw can meet them
+    for c in (1e308, float("inf"), float("nan"), 5e-324, 0.0, -1.0):
+        with pytest.raises(ValueError, match=r"^C: must keep sigma"):
+            MeasureSpec(0.5, 0.2, n=3, times=times, C=c)
+    assert MeasureSpec(0.5, 0.2, n=3, times=times, C=1e300).C == 1e300
 
 
 def test_measure_spec_from_steady():

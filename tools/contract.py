@@ -96,6 +96,10 @@ ONE_THREAD = {name: "1" for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
 # width constant c whose sigma(t) = (c/n)/t leaves the double range: sigma
 # at t = 0.1 t_J overflows, or c/n underflows to 0 (exit 2 naming c; before,
 # exit 3 for a "non-CP triple" and exit 2 with a message naming no option).
+# Then two `maps` lines at h = 0 with J_par a few 1e-10 off J_perp, on
+# complete N=5 and ring N=5 (exit 0): their levels split by less than the
+# 1e-9 degeneracy tolerance of the late-time limit, which must decide
+# `limit` only, so the closed forms keep those gaps resolved in their maps.
 EDGE_LINES = (
     "spinmaps steady --n 1",
     "spinmaps steady --topology ring --n 2",
@@ -172,6 +176,8 @@ EDGE_LINES = (
     "spinmaps maps --topology xx_pairs --j 0",
     "spinmaps measure --c 1e308 --steps 3",
     "spinmaps measure --c 5e-324 --steps 3",
+    "spinmaps maps --topology complete --n 5 --h 0 --j-par 1.0000000003 --t-max-tj 4",
+    "spinmaps maps --topology ring --n 5 --h 0 --j-par 1.0000000002 --t-max-tj 4",
 )
 
 # The help page of the program and of every command, compared on stdout.
